@@ -7,11 +7,27 @@
 //! separates conflict aliasing (short `D`) from capacity aliasing (long
 //! `D`).
 //!
-//! The tracker runs in O(log T) per reference using a Fenwick tree over
-//! reference timestamps holding a 1 at the *most recent* position of each
-//! distinct pair.
+//! The tracker runs in O(log P) per reference (amortized), where P is the
+//! number of distinct pairs, using a Fenwick tree over reference
+//! timestamps holding a 1 at the *most recent* timestamp of each distinct
+//! pair. When the timestamps run out of room the live pairs are
+//! renumbered into `1..=P`, so memory scales with distinct pairs rather
+//! than with trace length.
 
 use std::collections::HashMap;
+
+/// The smallest Fenwick tree a tracker keeps (4 KiB of counts).
+const MIN_TREE_LEN: usize = 1024;
+
+/// Sum of the Fenwick `tree`'s marks in `1..=i`.
+fn prefix(tree: &[u32], mut i: usize) -> u64 {
+    let mut sum = 0u64;
+    while i > 0 {
+        sum += u64::from(tree[i]);
+        i -= i & i.wrapping_neg();
+    }
+    sum
+}
 
 /// Streaming last-use-distance tracker.
 ///
@@ -26,76 +42,87 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LastUseDistance {
-    /// Fenwick tree over timestamps (1-based).
+    /// Fenwick tree over timestamps (1-based): a 1 at the most recent
+    /// timestamp of each live pair.
     tree: Vec<u32>,
-    /// Raw marks (1 at the most recent position of each live pair); kept
-    /// so the tree can be rebuilt when it grows — a Fenwick tree cannot be
-    /// extended by zero-filling, because a new node covers old positions.
-    marks: Vec<u8>,
     /// Most recent timestamp of each pair (1-based).
     last: HashMap<(u64, u64), usize>,
-    /// Next timestamp.
-    now: usize,
+    /// The last timestamp handed out.
+    clock: usize,
+    /// References observed.
+    references: usize,
 }
 
 impl LastUseDistance {
     /// An empty tracker.
     pub fn new() -> Self {
         LastUseDistance {
-            tree: vec![0; 1024],
-            marks: vec![0; 1024],
-            last: HashMap::new(),
-            now: 0,
+            tree: vec![0; MIN_TREE_LEN],
+            ..LastUseDistance::default()
         }
     }
 
     fn add(&mut self, i: usize, delta: i32) {
-        self.marks[i] = (i32::from(self.marks[i]) + delta) as u8;
         let mut i = i;
         while i < self.tree.len() {
-            self.tree[i] = (i64::from(self.tree[i]) + i64::from(delta)) as u32;
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Sum of marks in `1..=i`.
-    fn prefix(&self, mut i: usize) -> u64 {
-        let mut sum = 0u64;
-        while i > 0 {
-            sum += u64::from(self.tree[i]);
-            i -= i & i.wrapping_neg();
-        }
-        sum
-    }
-
-    /// Double the tree, rebuilding from the raw marks in O(new length).
-    fn grow(&mut self) {
-        let new_len = self.tree.len() * 2;
-        self.marks.resize(new_len, 0);
-        let mut tree = vec![0u32; new_len];
-        for i in 1..new_len {
-            tree[i] += u32::from(self.marks[i]);
+    /// Renumber the live pairs' timestamps to `1..=P` in their existing
+    /// order and rebuild the tree with at least as many free timestamps
+    /// as live ones (doubling it only when the live pairs fill half).
+    ///
+    /// A distance is the number of live marks strictly between two
+    /// timestamps, and an order-preserving renumbering keeps every such
+    /// count, so distances are unchanged. A pair's new timestamp is its
+    /// rank among the live marks.
+    fn renumber(&mut self) {
+        let live = self.last.len();
+        // Unfold the Fenwick sums back into raw marks, then prefix-sum
+        // them: entry `t` becomes the rank of timestamp `t`.
+        let ranks = &mut self.tree;
+        let len = ranks.len();
+        for i in (1..len).rev() {
             let parent = i + (i & i.wrapping_neg());
-            if parent < new_len {
-                let v = tree[i];
-                tree[parent] += v;
+            if parent < len {
+                ranks[parent] -= ranks[i];
             }
         }
-        self.tree = tree;
+        for i in 1..len {
+            ranks[i] += ranks[i - 1];
+        }
+        for stamp in self.last.values_mut() {
+            *stamp = ranks[*stamp] as usize;
+        }
+        let mut len = len.max(MIN_TREE_LEN);
+        while len < 2 * (live + 1) {
+            len *= 2;
+        }
+        // Node `i` covers timestamps `(i - lowbit(i), i]`; the marks are
+        // the ones at `1..=live`.
+        self.tree.resize(len, 0);
+        for (i, node) in self.tree.iter_mut().enumerate() {
+            let low = i - (i & i.wrapping_neg());
+            *node = i.min(live).saturating_sub(low) as u32;
+        }
+        self.clock = live;
     }
 
     /// Record a reference to `pair`; returns its last-use distance, or
     /// `None` on first use.
     pub fn observe(&mut self, pair: (u64, u64)) -> Option<u64> {
-        self.now += 1;
-        let now = self.now;
-        if now >= self.tree.len() {
-            self.grow();
+        self.references += 1;
+        if self.clock + 1 >= self.tree.len() {
+            self.renumber();
         }
+        self.clock += 1;
+        let now = self.clock;
         let distance = match self.last.get(&pair).copied() {
             Some(prev) => {
                 // Distinct pairs strictly between prev and now.
-                let d = self.prefix(now - 1) - self.prefix(prev);
+                let d = prefix(&self.tree, now - 1) - prefix(&self.tree, prev);
                 self.add(prev, -1);
                 Some(d)
             }
@@ -113,7 +140,7 @@ impl LastUseDistance {
 
     /// Number of references observed.
     pub fn references(&self) -> usize {
-        self.now
+        self.references
     }
 }
 
@@ -356,6 +383,17 @@ mod tests {
         // And the steady-state period: re-observing pair 2 immediately
         // gives distance 0.
         assert_eq!(d.observe((2, 0)), Some(0));
+    }
+
+    #[test]
+    fn memory_tracks_distinct_pairs_not_references() {
+        let mut d = LastUseDistance::new();
+        for i in 0..1_000_000u64 {
+            let expected = (i >= 7).then_some(6);
+            assert_eq!(d.observe((i % 7, 0)), expected, "reference {i}");
+        }
+        let tree_bytes = d.tree.len() * std::mem::size_of::<u32>();
+        assert!(tree_bytes <= 4 << 10, "tree holds {tree_bytes} bytes");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! linked-list [`TaggedFullyAssociative`] and the shared last-use-distance
 //! fast path (hit in an N-entry LRU ⟺ distance < N) must produce the
 //! same per-access hit/miss stream, with [`CapacitySweep`] totals
-//! matching for every capacity at once.
+//! matching for every capacity at once — including across the distance
+//! tracker's timestamp renumbering.
 
 use bpred_aliasing::distance::{CapacitySweep, LastUseDistance};
 use bpred_aliasing::fully_assoc::TaggedFullyAssociative;
@@ -53,8 +54,16 @@ impl NaiveLru {
     }
 }
 
+/// Streams over pools of 1 to 1,024 values in each of 3 histories, up
+/// to 2,600 references long: past the distance tracker's initial 1,024
+/// timestamps, so it renumbers its live pairs — and, for large pools,
+/// also grows its tree — mid-stream.
 fn arb_stream() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::collection::vec((0u64..20, 0u64..3), 0..400)
+    (0u32..11, proptest::collection::vec(any::<u64>(), 0..2_600)).prop_map(|(pool_log2, raw)| {
+        raw.iter()
+            .map(|&r| ((r >> 8) % (1 << pool_log2), r % 3))
+            .collect()
+    })
 }
 
 proptest! {

@@ -1,17 +1,18 @@
 //! Prediction throughput of every predictor family: how many dynamic
 //! branches per second each structure can simulate.
 
-use bpred_bench::{default_bench, materialize};
+use bpred_bench::default_bench;
 use bpred_core::spec::parse_spec;
 use bpred_sim::engine;
+use bpred_trace::cache;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 const TRACE_LEN: u64 = 50_000;
 
 fn predictor_throughput(c: &mut Criterion) {
-    let records = materialize(default_bench(), TRACE_LEN);
+    let trace = cache::columns(default_bench(), TRACE_LEN);
     let mut group = c.benchmark_group("predict+update");
-    group.throughput(Throughput::Elements(records.len() as u64));
+    group.throughput(Throughput::Elements(trace.len() as u64));
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(3));
@@ -37,7 +38,7 @@ fn predictor_throughput(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(spec), spec, |b, spec| {
             b.iter(|| {
                 let mut predictor = parse_spec(spec).expect("valid spec");
-                engine::run(&mut predictor, records.iter().copied())
+                engine::run(&mut predictor, trace.records())
             });
         });
     }

@@ -2,9 +2,9 @@
 //! per-cell baseline it replaced: generating a fresh trace for every
 //! (predictor, benchmark) cell and running each predictor alone.
 //!
-//! The batched path materializes the benchmark's records once and drives
-//! the whole predictor column over them in a single `run_many` pass, so
-//! it should win by well over the 1.5x acceptance bar.
+//! The batched path builds the benchmark's trace once (as cached
+//! columns) and drives the whole predictor column over it in a single
+//! `run_many` pass, so it should win by well over the 1.5x acceptance bar.
 
 use bpred_core::predictor::BranchPredictor;
 use bpred_core::spec::parse_spec;
@@ -33,7 +33,7 @@ fn per_cell_fresh(specs: &[String]) -> Vec<f64> {
 }
 
 fn cached_batched(specs: &[String]) -> Vec<f64> {
-    let trace = cache::materialize(BENCH, LEN);
+    let trace = cache::columns(BENCH, LEN);
     let mut predictors: Vec<Box<dyn BranchPredictor>> = specs
         .iter()
         .map(|spec| parse_spec(spec).expect("spec parses"))

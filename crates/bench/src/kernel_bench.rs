@@ -208,14 +208,14 @@ pub fn run_aliasing(cells: &[ThreeCCell], quick: bool, threads: usize) -> Aliasi
         } else {
             bench.default_len()
         };
-        let (trace, cols) = cache::records_and_columns(bench, len, seed);
-        applications += trace.len() as u64 * cells.len() as u64;
+        let cols = cache::columns_seeded(bench, len, seed);
+        applications += cols.len() as u64 * cells.len() as u64;
 
-        let trace_ref = &trace;
+        let cols_ref = &cols;
         let timed_dyn: Vec<_> = parallel_map(cells.to_vec(), threads, move |cell| {
             let start = Instant::now();
             let counts = ThreeCClassifier::new(cell.entries_log2, cell.history_bits, cell.func)
-                .run_counts(trace_ref.iter().copied());
+                .run_counts(cols_ref.records());
             (counts, start.elapsed().as_secs_f64())
         });
         dyn_seconds += timed_dyn.iter().map(|(_, s)| s).sum::<f64>();
@@ -364,9 +364,8 @@ pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
             } else {
                 bench.default_len()
             };
-            let trace = cache::materialize_seeded(bench, len, seed);
             let cols = cache::columns_seeded(bench, len, seed);
-            applications += trace.len() as u64 * case.specs.len() as u64;
+            applications += cols.len() as u64 * case.specs.len() as u64;
 
             let mut predictors: Vec<_> = case
                 .specs
@@ -374,7 +373,7 @@ pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
                 .map(|s| parse_spec(s).unwrap_or_else(|e| panic!("bad bench spec `{s}`: {e}")))
                 .collect();
             let start = Instant::now();
-            let dyn_results = engine::run_many(&mut predictors, &trace, NovelPolicy::Count);
+            let dyn_results = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
             dyn_seconds += start.elapsed().as_secs_f64();
 
             let kernels: Vec<PredictorKernel> = case

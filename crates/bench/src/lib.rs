@@ -3,37 +3,9 @@
 
 pub mod kernel_bench;
 
-use bpred_trace::record::BranchRecord;
-use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
-
-/// Materialize a bounded record stream once, so per-iteration bench cost
-/// is the structure under test rather than workload generation.
-pub fn materialize(bench: IbsBenchmark, conditionals: u64) -> Vec<BranchRecord> {
-    bench
-        .spec()
-        .build()
-        .take_conditionals(conditionals)
-        .collect()
-}
 
 /// The workload used by the throughput benches.
 pub fn default_bench() -> IbsBenchmark {
     IbsBenchmark::Groff
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bpred_trace::record::BranchKind;
-
-    #[test]
-    fn materialize_bounds_conditionals() {
-        let records = materialize(default_bench(), 1_000);
-        let cond = records
-            .iter()
-            .filter(|r| r.kind == BranchKind::Conditional)
-            .count();
-        assert_eq!(cond, 1_000);
-    }
 }

@@ -22,7 +22,6 @@ const VALUED: &[&str] = &[
     "out",
     "format",
     "file",
-    "history",
     "windows",
     "seed",
     "tol",
@@ -32,15 +31,54 @@ const VALUED: &[&str] = &[
     "min-aliasing-speedup",
 ];
 
+/// Flags and valued options every command accepts.
+const GLOBAL: &[&str] = &[
+    "resume",
+    "save-results",
+    "no-trace-cache",
+    "verbose",
+    "seed",
+    "results-dir",
+];
+
+/// The flags and valued options `command` (`None` for a bare `bpsim`)
+/// accepts on top of [`GLOBAL`], or `None` for an unknown command.
+fn accepted(command: Option<&str>) -> Option<&'static [&'static str]> {
+    Some(match command {
+        None => &["help"],
+        Some("help" | "list") => &[],
+        Some("experiment") => &["quick", "csv", "len", "threads", "out"],
+        Some("run") => &[
+            "quick", "csv", "len", "threads", "out", "pred", "bench", "windows",
+        ],
+        Some("compare" | "duel") => &["bench", "len"],
+        Some("sweep") => &["pred", "bench", "len"],
+        Some("bench") => &[
+            "quick",
+            "out",
+            "threads",
+            "min-speedup",
+            "min-aliasing-speedup",
+        ],
+        Some("campaign") => &["quick", "out", "threads", "len", "tol"],
+        Some("results") => &["budget"],
+        Some("trace") => &["bench", "len", "out", "format", "file"],
+        Some(_) => return None,
+    })
+}
+
 impl Args {
-    /// Parse raw arguments (excluding the program name).
+    /// Parse raw arguments (excluding the program name) and check them
+    /// against what the command (the first positional) accepts.
     ///
     /// # Errors
     ///
-    /// Returns a message when a valued option is missing its value.
+    /// Returns a message when a valued option is missing its value, when
+    /// the command does not accept a flag or option, or when `--len` or
+    /// `--threads` is zero.
     pub fn parse(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut args = Args::default();
-        let mut iter = raw.into_iter().peekable();
+        let mut iter = raw.into_iter();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
                 if VALUED.contains(&name) {
@@ -55,7 +93,33 @@ impl Args {
                 args.positional.push(arg);
             }
         }
+        args.check()?;
         Ok(args)
+    }
+
+    /// Reject flags and options the command does not accept, and zero
+    /// trace lengths or thread counts. An unknown command is left for the
+    /// dispatcher to report.
+    fn check(&self) -> Result<(), String> {
+        let command = self.positional(0);
+        let Some(accepted) = accepted(command) else {
+            return Ok(());
+        };
+        let names = self.flags.iter().chain(self.options.keys());
+        for name in names.map(String::as_str) {
+            if !GLOBAL.contains(&name) && !accepted.contains(&name) {
+                let command = command.unwrap_or("bpsim");
+                return Err(format!(
+                    "`{command}` does not accept --{name}; try `bpsim help`"
+                ));
+            }
+        }
+        for name in ["len", "threads"] {
+            if self.option_u64(name)? == Some(0) {
+                return Err(format!("--{name} must be at least 1"));
+            }
+        }
+        Ok(())
     }
 
     /// Positional argument `i`, if present.
@@ -115,7 +179,11 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+        try_parse(s).unwrap()
+    }
+
+    fn try_parse(s: &str) -> Result<Args, String> {
+        Args::parse(s.split_whitespace().map(String::from))
     }
 
     #[test]
@@ -136,8 +204,8 @@ mod tests {
 
     #[test]
     fn bad_number_is_an_error() {
-        let a = parse("run --len abc");
-        assert!(a.option_u64("len").is_err());
+        let e = try_parse("run --len abc").unwrap_err();
+        assert!(e.contains("--len expects an integer"), "{e}");
     }
 
     #[test]
@@ -159,6 +227,54 @@ mod tests {
     fn tolerances_parse_as_floats() {
         let a = parse("campaign diff a b --tol 0.25");
         assert_eq!(a.option_f64("tol").unwrap(), Some(0.25));
-        assert!(parse("x --tol wide").option_f64("tol").is_err());
+        assert!(parse("campaign diff a b --tol wide")
+            .option_f64("tol")
+            .is_err());
+    }
+
+    #[test]
+    fn flags_and_options_are_checked_per_command() {
+        let e = try_parse("campaign quick --reusme").unwrap_err();
+        assert!(e.contains("`campaign` does not accept --reusme"), "{e}");
+        let e = try_parse("--frobnicate").unwrap_err();
+        assert!(e.contains("--frobnicate"), "{e}");
+        // Known elsewhere, but not accepted by this command.
+        let e = try_parse("list --len 100").unwrap_err();
+        assert!(e.contains("`list` does not accept --len"), "{e}");
+        assert!(try_parse("compare gshare:n=8 --windows 4").is_err());
+        assert!(try_parse("results stats --csv").is_err());
+        // Global flags and options go with every command; an unknown
+        // command is the dispatcher's to report.
+        parse("list --verbose --seed 7 --results-dir d --no-trace-cache");
+        parse("frobnicate --whatever");
+    }
+
+    #[test]
+    fn zero_lengths_and_thread_counts_are_rejected() {
+        let e = try_parse("experiment fig5 --len 0").unwrap_err();
+        assert!(e.contains("--len must be at least 1"), "{e}");
+        let e = try_parse("campaign quick --threads 0").unwrap_err();
+        assert!(e.contains("--threads must be at least 1"), "{e}");
+        assert!(try_parse("trace gen --bench gs --len 0x0 --out f").is_err());
+    }
+
+    #[test]
+    fn scripted_command_lines_still_parse() {
+        // The command lines CI and the benchmark pass.
+        for line in [
+            "campaign quick --out campaign.json",
+            "campaign diff baselines/quick-campaign.json campaign.json --tol 0",
+            "bench --quick --out BENCH_kernels.json --min-speedup 1.0 --min-aliasing-speedup 1.0",
+            "experiment all --quick --out tables --threads 2 --seed 1592590336 --len 3000",
+            "campaign quick --save-results --results-dir store --out a.json --threads 2 --seed 1",
+            "campaign quick --resume --results-dir store --out w.json --threads 2 --seed 1",
+            "experiment fig5 --quick --save-results --results-dir s --out t --threads 2 --seed 1",
+            "run --pred gshare:n=8,h=4 --bench verilog --len 6000 --windows 6",
+            "sweep --pred gskew:n=8,h={h} --bench gs --len 100",
+            "results gc --budget 1000 --results-dir d",
+            "trace info --file t.bpt --format compact",
+        ] {
+            assert!(try_parse(line).is_ok(), "{line}");
+        }
     }
 }

@@ -69,8 +69,8 @@ Global options:
                      identical fingerprint (implies --save-results)
   --save-results     persist every simulated cell to the results store
   --results-dir DIR  results store location (default .gskew/results)
-  --no-trace-cache   regenerate workload streams on every use instead of
-                     memoizing materialized traces (streaming memory profile)
+  --no-trace-cache   regenerate workload traces on every use instead of
+                     keeping one cached copy of each
   --verbose          print trace-cache, results-store and engine-throughput
                      summaries (hits/misses, cells skipped/simulated/saved,
                      records/sec on the kernel and dyn simulation paths)
@@ -241,7 +241,7 @@ fn opts_from(args: &Args) -> Result<ExperimentOpts, String> {
         ..ExperimentOpts::default()
     };
     if let Some(threads) = args.option_u64("threads")? {
-        opts.threads = threads.max(1) as usize;
+        opts.threads = threads as usize;
     }
     opts.quick = args.flag("quick");
     Ok(opts)
@@ -333,7 +333,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             let mut predictor = parse_spec(spec).map_err(|e| e.to_string())?;
             let rates = engine::run_windowed(
                 &mut predictor,
-                trace_cache::stream_seeded(bench, len, seed),
+                trace_cache::columns_seeded(bench, len, seed).records(),
                 window,
                 engine::NovelPolicy::Count,
             );
@@ -356,7 +356,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     for bench in benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
         let mut predictor = parse_spec(spec).map_err(|e| e.to_string())?;
-        let result = engine::run(&mut predictor, trace_cache::stream_seeded(bench, len, seed));
+        let trace = trace_cache::columns_seeded(bench, len, seed);
+        let result = engine::run(&mut predictor, trace.records());
         println!(
             "{:<12} {:>12} {:>12} {:>9.2}%",
             bench.name(),
@@ -387,22 +388,16 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         print!(" {:>10}", b.name());
     }
     println!(" {:>10}", "mean");
-    // One materialized trace per benchmark; specs with a kernel fast
-    // path run as monomorphized loops over the shared column view, the
-    // rest ride one batched dyn pass.
+    // One cached trace per benchmark; specs with a kernel fast path run
+    // as monomorphized loops over its columns, the rest ride one batched
+    // dyn pass.
     let mut per_spec_pcts = vec![Vec::new(); specs.len()];
     for &bench in &benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
-        let trace = trace_cache::materialize_seeded(bench, len, seed);
         let cols = trace_cache::columns_seeded(bench, len, seed);
-        let results = kernel::run_specs(
-            &specs,
-            &trace,
-            &cols,
-            engine::NovelPolicy::Count,
-            default_threads(),
-        )
-        .map_err(|e| e.to_string())?;
+        let results =
+            kernel::run_specs(&specs, &cols, engine::NovelPolicy::Count, default_threads())
+                .map_err(|e| e.to_string())?;
         for (pcts, result) in per_spec_pcts.iter_mut().zip(results) {
             pcts.push(result.mispredict_pct());
         }
@@ -490,17 +485,10 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let mut columns = Vec::new();
     for &bench in &benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
-        let trace = trace_cache::materialize_seeded(bench, len, seed);
         let cols = trace_cache::columns_seeded(bench, len, seed);
         columns.push(
-            kernel::run_specs(
-                &specs,
-                &trace,
-                &cols,
-                engine::NovelPolicy::Count,
-                default_threads(),
-            )
-            .map_err(|e| e.to_string())?,
+            kernel::run_specs(&specs, &cols, engine::NovelPolicy::Count, default_threads())
+                .map_err(|e| e.to_string())?,
         );
     }
     for (row, h) in HISTORIES.enumerate() {
@@ -517,7 +505,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     use bpred_bench::kernel_bench;
     let quick = args.flag("quick");
     let threads = match args.option_u64("threads")? {
-        Some(t) => (t.max(1)) as usize,
+        Some(t) => t as usize,
         None => default_threads(),
     };
     let min_speedup = args.option_f64("min-speedup")?.unwrap_or(1.0);

@@ -170,3 +170,26 @@ fn seed_changes_direct_runs_deterministically() {
         "hex and decimal spellings of one seed agree"
     );
 }
+
+#[test]
+fn misspelled_flags_fail_before_any_work() {
+    // `--reusme` used to be ignored, running a whole campaign with no
+    // resume; it must now exit nonzero, name the flag, and write nothing.
+    let out = temp_path("typo.json");
+    let _ = std::fs::remove_file(&out);
+    let typo = bpsim(&[
+        "campaign",
+        "quick",
+        "--reusme",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(!typo.status.success());
+    let err = String::from_utf8_lossy(&typo.stderr);
+    assert!(err.contains("--reusme"), "the error names the flag: {err}");
+    assert!(!out.exists(), "no campaign ran");
+
+    let zero = bpsim(&["run", "--pred", "gshare:n=8,h=4", "--len", "0"]);
+    assert!(!zero.status.success());
+    assert!(String::from_utf8_lossy(&zero.stderr).contains("--len must be at least 1"));
+}

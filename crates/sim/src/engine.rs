@@ -4,6 +4,7 @@
 use crate::timing;
 use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_trace::record::{BranchKind, BranchRecord};
+use bpred_trace::soa::TraceColumns;
 use std::time::Instant;
 
 /// How predictions flagged *novel* (first encounter of a substream, only
@@ -111,27 +112,28 @@ pub fn run_warm(
 }
 
 /// Drive every predictor in `predictors` over a single pass of one
-/// materialized trace, under one novel-reference policy.
+/// trace, under one novel-reference policy.
 ///
 /// Each record is applied to all predictors before the pass advances, so
 /// the result for predictor `i` is bit-identical to running
-/// [`run_with`]`(predictors[i], records.iter().copied(), novel_policy)`
-/// on its own — the predictors share the trace walk, not any state. With
-/// a cached trace (`bpred_trace::cache`) this turns an N-row sweep from
-/// N generate-and-simulate passes into one generation plus one pass, the
-/// batched fast path used by the experiment sweeps.
+/// [`run_with`]`(predictors[i], columns.records(), novel_policy)` on its
+/// own — the predictors share the trace walk, not any state. With a
+/// cached trace (`bpred_trace::cache`) this turns an N-row sweep from N
+/// generate-and-simulate passes into one generation plus one pass, the
+/// batched fallback used by the experiment sweeps.
 pub fn run_many(
     predictors: &mut [Box<dyn BranchPredictor>],
-    records: &[BranchRecord],
+    columns: &TraceColumns,
     novel_policy: NovelPolicy,
 ) -> Vec<RunResult> {
     let start = Instant::now();
     let mut results = vec![RunResult::default(); predictors.len()];
-    for record in records {
-        if record.kind == BranchKind::Conditional {
-            let outcome = Outcome::from(record.taken);
+    for (i, &pc) in columns.pcs().iter().enumerate() {
+        let (conditional, taken) = columns.cond_taken(i);
+        if conditional {
+            let outcome = Outcome::from(taken);
             for (predictor, result) in predictors.iter_mut().zip(results.iter_mut()) {
-                let prediction = predictor.predict(record.pc);
+                let prediction = predictor.predict(pc);
                 result.conditional += 1;
                 if prediction.novel {
                     result.novel += 1;
@@ -140,16 +142,16 @@ pub fn run_many(
                 if counted && prediction.outcome != outcome {
                     result.mispredicted += 1;
                 }
-                predictor.update(record.pc, outcome);
+                predictor.update(pc, outcome);
             }
         } else {
             for predictor in predictors.iter_mut() {
-                predictor.record_unconditional(record.pc);
+                predictor.record_unconditional(pc);
             }
         }
     }
     timing::record_dyn(
-        records.len() as u64 * predictors.len() as u64,
+        columns.len() as u64 * predictors.len() as u64,
         start.elapsed(),
     );
     results

@@ -23,7 +23,7 @@
 //!   workloads (seed robustness).
 
 use super::helpers::{
-    bench_sweep_table, history_labels, sim_pct, size_labels, spec_sweep_table, stream,
+    bench_sweep_table, history_labels, records, sim_pct, size_labels, spec_sweep_table,
 };
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::engine;
@@ -272,7 +272,7 @@ pub(super) fn duel_verdicts(opts: &ExperimentOpts) -> ExperimentOutput {
                 let result = duel(
                     &mut a,
                     &mut b,
-                    stream(bench, opts.len_for(bench)),
+                    records(bench, opts.len_for(bench)),
                     NovelPolicy::Count,
                 );
                 (bench, result)
@@ -409,7 +409,7 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
                 IndexFunction::Gshare,
             );
             let mut cursor = PairCursor::new(4);
-            for r in stream(bench, opts.len_for(bench)) {
+            for r in records(bench, opts.len_for(bench)) {
                 if r.kind == BranchKind::Conditional {
                     table.access(&cursor.vector(r.pc));
                 }
@@ -449,7 +449,7 @@ pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
                     let mut p = parse_spec(spec).expect("valid spec");
                     run_delayed(
                         &mut p,
-                        stream(bench, opts.len_for(bench)),
+                        records(bench, opts.len_for(bench)),
                         NovelPolicy::Count,
                         DELAYS[row],
                     )
@@ -483,7 +483,7 @@ pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
     let rows = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
         let mut p = Gskew::standard(12, 8).expect("valid configuration");
         let mut counts = Split::default();
-        for r in stream(bench, opts.len_for(bench)) {
+        for r in records(bench, opts.len_for(bench)) {
             if r.kind == BranchKind::Conditional {
                 let unanimous = p.is_unanimous(r.pc);
                 let prediction = p.predict(r.pc);
@@ -542,7 +542,7 @@ pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
         .collect();
     let cells = parallel_map(tasks, opts.threads, |(n, bench)| {
         AliasingNature::new(n, 8, IndexFunction::Gshare, CounterKind::TwoBit)
-            .run(stream(bench, opts.len_for(bench)))
+            .run(records(bench, opts.len_for(bench)))
     });
 
     let mut columns = vec!["entries".to_string()];

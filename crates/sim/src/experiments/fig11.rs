@@ -5,7 +5,7 @@
 //! The model is expected to slightly *over*-estimate the measured rate
 //! (constructive aliasing is not modeled).
 
-use super::helpers::{sim_pct, stream};
+use super::helpers::{columns, sim_pct};
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::report::{pct, Table};
 use crate::runner::parallel_map;
@@ -22,11 +22,12 @@ struct Cell {
 }
 
 fn measure(bench: IbsBenchmark, bank_log2: u32, len: u64) -> Cell {
+    let trace = columns(bench, len);
     let extrapolation = Extrapolator {
         bank_entries: 1 << bank_log2,
         history_bits: HISTORY,
     }
-    .run(stream(bench, len), stream(bench, len));
+    .run(trace.records(), trace.records());
     let measured = sim_pct(
         &format!("gskew:n={bank_log2},h={HISTORY},ctr=1,update=total"),
         bench,

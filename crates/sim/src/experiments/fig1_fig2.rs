@@ -139,7 +139,7 @@ pub(super) fn run(opts: &ExperimentOpts, history_bits: u32, id: &'static str) ->
 
 #[cfg(test)]
 mod tests {
-    use super::super::helpers::stream;
+    use super::super::helpers::records;
     use super::*;
     use bpred_aliasing::cursor::PairCursor;
     use bpred_aliasing::fully_assoc::TaggedFullyAssociative;
@@ -159,7 +159,7 @@ mod tests {
         let mut dm_gshare = TaggedDirectMapped::new(entries_log2, IndexFunction::Gshare);
         let mut dm_gselect = TaggedDirectMapped::new(entries_log2, IndexFunction::Gselect);
         let mut fa = TaggedFullyAssociative::new(1 << entries_log2);
-        for record in stream(bench, len) {
+        for record in records(bench, len) {
             if record.kind == BranchKind::Conditional {
                 let v = cursor.vector(record.pc);
                 dm_gshare.access(&v);

@@ -11,9 +11,10 @@ use bpred_aliasing::three_c::ThreeCCounts;
 use bpred_core::spec::PredictorSpec;
 use bpred_results::record::CellKey;
 use bpred_trace::cache;
-use bpred_trace::record::BranchRecord;
+use bpred_trace::soa::{Records, TraceColumns};
 use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Process-global workload seed base used by every experiment helper.
@@ -32,13 +33,17 @@ pub fn workload_seed() -> u64 {
     SEED_BASE.load(Ordering::Relaxed)
 }
 
-/// The benchmark record stream bounded to `len` conditional branches,
-/// generated under the current [`workload_seed`] and served from the
-/// process-wide trace cache: repeated calls with the same arguments
-/// share one materialized `Arc<[BranchRecord]>` instead of regenerating
-/// the workload.
-pub fn stream(bench: IbsBenchmark, len: u64) -> impl Iterator<Item = BranchRecord> {
-    cache::stream_seeded(bench, len, workload_seed())
+/// The benchmark trace bounded to `len` conditional branches, generated
+/// under the current [`workload_seed`] and served from the process-wide
+/// trace cache: repeated calls with the same arguments share one
+/// `Arc<TraceColumns>` instead of regenerating the workload.
+pub fn columns(bench: IbsBenchmark, len: u64) -> Arc<TraceColumns> {
+    cache::columns_seeded(bench, len, workload_seed())
+}
+
+/// The records of [`columns`]`(bench, len)`, in order.
+pub fn records(bench: IbsBenchmark, len: u64) -> Records<Arc<TraceColumns>> {
+    columns(bench, len).into_records()
 }
 
 /// Simulate a predictor spec over one benchmark and return the
@@ -68,17 +73,14 @@ fn sim_cell(spec: &str, bench: IbsBenchmark, len: u64, policy: NovelPolicy) -> R
         // dyn engine under either novel policy); `dyn` otherwise.
         let structured =
             PredictorSpec::parse(spec).unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"));
+        let cols = cache::columns_seeded(bench, len, seed);
         if let Some(mut kernel) = PredictorKernel::from_spec(&structured) {
-            return kernel.run(&cache::columns_seeded(bench, len, seed));
+            return kernel.run(&cols);
         }
         let mut predictor = structured
             .build()
             .unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"));
-        engine::run_with(
-            &mut predictor,
-            cache::stream_seeded(bench, len, seed),
-            policy,
-        )
+        engine::run_with(&mut predictor, cols.records(), policy)
     };
     if !resume::is_active() {
         return simulate();
@@ -131,8 +133,8 @@ pub fn bench_sweep_table(
 
 /// Build a benchmark-per-column table where row `i` is the predictor
 /// spec `spec_for_row(i)`, batched: each benchmark's column is produced
-/// by materializing the trace once (through the process-wide cache) and
-/// driving *all* row predictors over it in a single
+/// from one cached trace, with every kernel-eligible row running as a
+/// monomorphized kernel and the rest sharing a single
 /// [`engine::run_many`] pass. Bit-identical to calling [`sim_pct`] per
 /// cell, but an R-row table costs one trace walk per benchmark instead
 /// of R.
@@ -188,9 +190,8 @@ pub fn spec_sweep_table_with(
             let len = opts.len_for(bench);
             let specs: Vec<String> = (0..rows).map(&spec_for_row).collect();
             let simulate = |specs: &[String]| -> Vec<RunResult> {
-                let trace = cache::materialize_seeded(bench, len, seed);
                 let cols = cache::columns_seeded(bench, len, seed);
-                kernel::run_specs(specs, &trace, &cols, policy, inner_threads)
+                kernel::run_specs(specs, &cols, policy, inner_threads)
                     .unwrap_or_else(|e| panic!("bad spec in sweep: {e}"))
             };
 

@@ -24,7 +24,7 @@ mod table1;
 mod table2;
 mod three_c;
 
-pub use helpers::{set_workload_seed, sim_pct, stream, workload_seed};
+pub use helpers::{columns, records, set_workload_seed, sim_pct, workload_seed};
 
 /// Global knobs shared by all experiments.
 #[derive(Debug, Clone)]

@@ -4,7 +4,7 @@
 //! the IBS traces; we report the same counts for the synthetic workloads
 //! (at the configured trace length) next to the paper's values.
 
-use super::helpers::stream;
+use super::helpers::records;
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::report::{pct, Table};
 use crate::runner::parallel_map;
@@ -27,7 +27,7 @@ pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
     let stats = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
         (
             bench,
-            TraceStats::collect(stream(bench, opts.len_for(bench))),
+            TraceStats::collect(records(bench, opts.len_for(bench))),
         )
     });
     for (bench, s) in stats {

@@ -5,7 +5,7 @@
 //! of 1-bit and 2-bit automatons in an infinite table (first encounters
 //! not charged).
 
-use super::helpers::stream;
+use super::helpers::records;
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::report::{pct, ratio, Table};
 use crate::runner::parallel_map;
@@ -33,7 +33,7 @@ fn measure(bench: IbsBenchmark, history_bits: u32, len: u64) -> Row {
     let mut conditional = 0u64;
     let mut miss1 = 0u64;
     let mut miss2 = 0u64;
-    for record in stream(bench, len) {
+    for record in records(bench, len) {
         if record.kind == BranchKind::Conditional {
             conditional += 1;
             let outcome = Outcome::from(record.taken);

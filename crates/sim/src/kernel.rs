@@ -40,7 +40,6 @@ use bpred_core::index::IndexFunction;
 use bpred_core::skew::skew_index;
 use bpred_core::spec::PredictorSpec;
 use bpred_core::vector::InfoVector;
-use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::TraceColumns;
 use std::time::Instant;
 
@@ -328,7 +327,7 @@ impl PredictorKernel {
 /// Run every spec over one trace, kernels first: supported specs execute
 /// as monomorphized loops split across up to `threads` workers sharing
 /// `columns`, the rest ride a single batched [`engine::run_many`] pass
-/// over `records`. Results keep the order of `specs` and are
+/// over the same columns. Results keep the order of `specs` and are
 /// bit-identical to a pure `run_many` over the same list.
 ///
 /// # Errors
@@ -338,12 +337,10 @@ impl PredictorKernel {
 /// before any simulation runs.
 pub fn run_specs(
     specs: &[String],
-    records: &[BranchRecord],
     columns: &TraceColumns,
     policy: NovelPolicy,
     threads: usize,
 ) -> Result<Vec<RunResult>, ConfigError> {
-    debug_assert_eq!(records.len(), columns.len());
     let parsed = specs
         .iter()
         .map(|s| PredictorSpec::parse(s))
@@ -371,7 +368,7 @@ pub fn run_specs(
     if !fallback.is_empty() {
         for (&i, result) in dyn_rows
             .iter()
-            .zip(engine::run_many(&mut fallback, records, policy))
+            .zip(engine::run_many(&mut fallback, columns, policy))
         {
             results[i] = result;
         }
@@ -473,13 +470,12 @@ mod tests {
     use bpred_trace::workload::IbsBenchmark;
 
     fn equivalent(spec: &str, bench: IbsBenchmark, len: u64) {
-        let records = cache::materialize(bench, len);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns(bench, len);
         let mut kernel =
             PredictorKernel::from_spec(&PredictorSpec::parse(spec).unwrap()).expect("supported");
         let fast = kernel.run(&cols);
         let mut dyn_p = parse_spec(spec).unwrap();
-        let slow = engine::run_with(&mut dyn_p, records.iter().copied(), NovelPolicy::Count);
+        let slow = engine::run_with(&mut dyn_p, cols.records(), NovelPolicy::Count);
         assert_eq!(fast, slow, "{spec} diverges from the dyn path");
     }
 
@@ -527,8 +523,7 @@ mod tests {
     fn run_specs_mixes_kernel_and_dyn_rows_in_order() {
         let bench = IbsBenchmark::Verilog;
         let len = 5_000;
-        let records = cache::materialize(bench, len);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns(bench, len);
         let specs: Vec<String> = [
             "gshare:n=9,h=4",    // kernel
             "mcfarling:n=9,h=6", // dyn fallback
@@ -538,27 +533,25 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let routed = run_specs(&specs, &records, &cols, NovelPolicy::Count, 2).unwrap();
+        let routed = run_specs(&specs, &cols, NovelPolicy::Count, 2).unwrap();
         let mut predictors: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
-        let reference = engine::run_many(&mut predictors, &records, NovelPolicy::Count);
+        let reference = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
         assert_eq!(routed, reference);
     }
 
     #[test]
     fn run_specs_surfaces_config_errors() {
-        let records = cache::materialize(IbsBenchmark::Verilog, 100);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns(IbsBenchmark::Verilog, 100);
         let bad = vec!["gshare:n=0".to_string()];
-        assert!(run_specs(&bad, &records, &cols, NovelPolicy::Count, 1).is_err());
+        assert!(run_specs(&bad, &cols, NovelPolicy::Count, 1).is_err());
         let unknown = vec!["tage:n=12".to_string()];
-        assert!(run_specs(&unknown, &records, &cols, NovelPolicy::Count, 1).is_err());
+        assert!(run_specs(&unknown, &cols, NovelPolicy::Count, 1).is_err());
     }
 
     #[test]
     fn run_three_c_matches_the_classifier_under_any_thread_count() {
         use bpred_aliasing::three_c::ThreeCClassifier;
-        let records = cache::materialize(IbsBenchmark::Groff, 8_000);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns(IbsBenchmark::Groff, 8_000);
         let cells: Vec<ThreeCCell> = [
             (6u32, 4u32, IndexFunction::Gshare),
             (6, 4, IndexFunction::Gselect),
@@ -578,18 +571,17 @@ mod tests {
         assert_eq!(sequential, parallel, "thread count must not matter");
         for (cell, counts) in cells.iter().zip(&sequential) {
             let reference = ThreeCClassifier::new(cell.entries_log2, cell.history_bits, cell.func)
-                .run_counts(records.iter().copied());
+                .run_counts(cols.records());
             assert_eq!(*counts, reference, "{cell:?}");
         }
     }
 
     #[test]
     fn novel_policy_is_irrelevant_on_the_fast_path() {
-        let records = cache::materialize(IbsBenchmark::Gs, 4_000);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns(IbsBenchmark::Gs, 4_000);
         let specs = vec!["gskew:n=8,h=6".to_string()];
-        let count = run_specs(&specs, &records, &cols, NovelPolicy::Count, 1).unwrap();
-        let exclude = run_specs(&specs, &records, &cols, NovelPolicy::Exclude, 1).unwrap();
+        let count = run_specs(&specs, &cols, NovelPolicy::Count, 1).unwrap();
+        let exclude = run_specs(&specs, &cols, NovelPolicy::Exclude, 1).unwrap();
         assert_eq!(count, exclude);
         assert_eq!(count[0].novel, 0);
     }

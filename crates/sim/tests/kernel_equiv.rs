@@ -1,12 +1,13 @@
-//! Property tests: the monomorphized kernels are bit-identical to the
-//! `dyn` engine on random specs and seeded workloads, and `run_specs`
-//! falls back to the `dyn` path for specs without a kernel.
+//! Property tests: the monomorphized kernels over cached trace columns
+//! are bit-identical to the `dyn` engine over a freshly generated stream
+//! on random specs and seeded workloads, and `run_specs` falls back to
+//! the `dyn` path for specs without a kernel.
 
 use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_sim::engine::{self, NovelPolicy};
 use bpred_sim::kernel::{run_specs, PredictorKernel};
 use bpred_trace::cache;
-use bpred_trace::soa::TraceColumns;
+use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
 use proptest::{prop_assert, prop_assert_eq};
 
@@ -50,8 +51,7 @@ proptest::proptest! {
     ) {
         let spec = spec_from(family, n, h, wide, total, skew_off);
         let bench = bench_from(bench_i);
-        let records = cache::materialize_seeded(bench, len, seed);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns_seeded(bench, len, seed);
 
         let structured = PredictorSpec::parse(&spec).expect("generated specs parse");
         let mut kernel =
@@ -60,7 +60,8 @@ proptest::proptest! {
 
         let mut predictor = parse_spec(&spec).expect("generated specs build");
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
-            let slow = engine::run_with(&mut predictor, records.iter().copied(), policy);
+            let fresh = bench.spec_seeded(seed).build().take_conditionals(len);
+            let slow = engine::run_with(&mut predictor, fresh, policy);
             prop_assert_eq!(
                 fast, slow,
                 "{} diverges from the dyn path under {:?} on {:?} len {} seed {:#x}",
@@ -85,8 +86,7 @@ proptest::proptest! {
         // One kernel row, one dyn-only row (mcfarling has no kernel), in
         // both orders: routing must preserve order and bit-identity.
         let bench = bench_from(bench_i);
-        let records = cache::materialize_seeded(bench, len, seed);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns_seeded(bench, len, seed);
         let specs = vec![
             format!("gskew:n={},h={h}", n.max(2)),
             format!("mcfarling:n={n},h={h}"),
@@ -100,12 +100,12 @@ proptest::proptest! {
                 spec
             );
         }
-        let routed = run_specs(&specs, &records, &cols, NovelPolicy::Count, 2).unwrap();
+        let routed = run_specs(&specs, &cols, NovelPolicy::Count, 2).unwrap();
         let mut predictors: Vec<_> = specs
             .iter()
             .map(|s| parse_spec(s).unwrap())
             .collect();
-        let reference = engine::run_many(&mut predictors, &records, NovelPolicy::Count);
+        let reference = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
         prop_assert_eq!(routed, reference);
     }
 }

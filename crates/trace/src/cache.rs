@@ -1,33 +1,34 @@
-//! Process-wide memoization of materialized benchmark traces.
+//! Process-wide memoization of benchmark traces as [`TraceColumns`].
 //!
 //! The synthetic workloads are deterministic but expensive to generate:
-//! every [`sim_pct`-style](crate::workload) sweep cell that re-walks the
-//! same `(benchmark, len)` stream pays the full CFG-walk cost again. This
-//! module materializes a benchmark's record stream *once* into an
-//! `Arc<[BranchRecord]>` and hands the same allocation to every
-//! subsequent caller, so an N-row sweep generates each trace once instead
-//! of N times (and a batched engine can drive N predictors over one
-//! pass — see `bpred-sim`'s `engine::run_many`).
+//! every sweep cell that re-walks the same `(benchmark, len, seed)` stream
+//! would pay the full CFG-walk cost again. This module builds a
+//! benchmark's trace *once*, straight from the generator into the
+//! structure-of-arrays [`TraceColumns`] layout, and hands the same
+//! `Arc<TraceColumns>` to every subsequent caller. The columns are the
+//! only resident copy: kernels walk them directly, and everything that
+//! wants records iterates them ([`TraceColumns::records`],
+//! [`TraceColumns::into_records`]), so an N-row sweep generates each
+//! trace once and holds it in about 9.4 bytes a record.
 //!
 //! Properties:
 //!
 //! * **Thread-safe** — lookups take a mutex briefly; generation happens
-//!   *outside* the lock, so concurrent misses on different keys
-//!   materialize in parallel. If two threads race on the same key the
-//!   loser adopts the winner's allocation (streams are deterministic, so
-//!   the two are identical).
+//!   *outside* the lock, so concurrent misses on different keys build in
+//!   parallel. If two threads race on the same key, the first insert wins
+//!   and the other adopts it (streams are deterministic, so the two
+//!   builds are identical).
 //! * **Bounded** — resident bytes are capped (1 GiB by default); the
 //!   least-recently-used entry is evicted when an insert would exceed the
-//!   cap. An entry larger than the whole cap is returned uncached.
+//!   cap. A trace larger than the whole cap is returned uncached.
 //! * **Observable** — global hit/miss/eviction counters feed the CLI's
 //!   `--verbose` summaries ([`stats`]).
 //! * **Bypassable** — [`set_enabled]`(false)` (the CLI's
-//!   `--no-trace-cache`) regenerates every request without storing it,
-//!   restoring the streaming memory profile. The switch is process-global:
-//!   only single-threaded entry points (the CLI `main`) should flip it;
-//!   tests must not, as test binaries run threads concurrently.
+//!   `--no-trace-cache`) rebuilds the trace on every request without
+//!   storing it. The switch is process-global: only single-threaded entry
+//!   points (the CLI `main`) should flip it; tests must not, as test
+//!   binaries run threads concurrently.
 
-use crate::record::BranchRecord;
 use crate::soa::TraceColumns;
 use crate::stream::TraceSourceExt;
 use crate::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
@@ -35,9 +36,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default resident-byte bound: at 16 bytes per record this holds about
-/// 67 M records — the six default-length benchmark traces together are
-/// roughly 13 M conditionals plus interleaved unconditionals, so whole
+/// Default resident-byte bound: at about 9.4 bytes per record this holds
+/// some 110 M records — the six default-length benchmark traces together
+/// are roughly 13 M conditionals plus interleaved unconditionals, so whole
 /// `experiment all` runs fit without eviction.
 pub const DEFAULT_CAPACITY_BYTES: usize = 1 << 30;
 
@@ -46,23 +47,13 @@ pub const DEFAULT_CAPACITY_BYTES: usize = 1 << 30;
 type Key = (IbsBenchmark, u64, u64);
 
 struct Entry {
-    records: Arc<[BranchRecord]>,
-    /// The structure-of-arrays view, built lazily on the first
-    /// [`columns`]-style lookup and then shared; counted against the byte
-    /// budget alongside the records.
-    columns: Option<Arc<TraceColumns>>,
+    columns: Arc<TraceColumns>,
     /// Logical timestamp of the last hit; smallest is evicted first.
     stamp: u64,
 }
 
-impl Entry {
-    fn bytes(&self) -> usize {
-        LruCache::bytes_of(&self.records) + self.columns.as_ref().map_or(0, |c| c.heap_bytes())
-    }
-}
-
 /// The bounded LRU map (generation-agnostic: callers insert ready-made
-/// slices, which keeps eviction unit-testable without workloads).
+/// traces, which keeps eviction unit-testable without workloads).
 struct LruCache {
     capacity_bytes: usize,
     resident_bytes: usize,
@@ -82,89 +73,45 @@ impl LruCache {
         }
     }
 
-    fn bytes_of(records: &[BranchRecord]) -> usize {
-        std::mem::size_of_val(records)
-    }
-
-    fn get(&mut self, key: &Key) -> Option<Arc<[BranchRecord]>> {
+    fn get(&mut self, key: &Key) -> Option<Arc<TraceColumns>> {
         self.clock += 1;
         let clock = self.clock;
         self.map.get_mut(key).map(|e| {
             e.stamp = clock;
-            Arc::clone(&e.records)
+            Arc::clone(&e.columns)
         })
     }
 
-    /// Insert `records`, evicting least-recently-used entries until the
-    /// byte bound holds. A slice larger than the whole capacity is not
+    /// Insert `columns`, evicting least-recently-used entries until the
+    /// byte bound holds. A trace larger than the whole capacity is not
     /// stored at all.
-    fn insert(&mut self, key: Key, records: Arc<[BranchRecord]>) {
-        let bytes = Self::bytes_of(&records);
+    fn insert(&mut self, key: Key, columns: Arc<TraceColumns>) {
+        let bytes = columns.heap_bytes();
         if bytes > self.capacity_bytes {
             return;
         }
-        self.evict_until(bytes, None);
+        while self.resident_bytes + bytes > self.capacity_bytes {
+            let Some(oldest) = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(k, _)| *k)
+            else {
+                break;
+            };
+            let evicted = self.map.remove(&oldest).expect("key just found");
+            self.resident_bytes -= evicted.columns.heap_bytes();
+            self.evictions += 1;
+        }
         self.clock += 1;
         self.resident_bytes += bytes;
         self.map.insert(
             key,
             Entry {
-                records,
-                columns: None,
+                columns,
                 stamp: self.clock,
             },
         );
-    }
-
-    /// Evict least-recently-used entries (never `keep`) until `incoming`
-    /// extra bytes fit, or nothing evictable remains.
-    fn evict_until(&mut self, incoming: usize, keep: Option<&Key>) {
-        while self.resident_bytes + incoming > self.capacity_bytes {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .filter(|(k, _)| Some(*k) != keep)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            else {
-                return;
-            };
-            let evicted = self.map.remove(&oldest).expect("key just found");
-            self.resident_bytes -= evicted.bytes();
-            self.evictions += 1;
-        }
-    }
-
-    /// The memoized column view for `key`, if present (bumps recency).
-    fn get_columns(&mut self, key: &Key) -> Option<Arc<TraceColumns>> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(key).and_then(|e| {
-            e.stamp = clock;
-            e.columns.as_ref().map(Arc::clone)
-        })
-    }
-
-    /// Attach a freshly built column view to `key`'s entry, charging its
-    /// bytes against the budget (other entries may be evicted to make
-    /// room; the entry itself is never evicted for its own columns). On a
-    /// build race the first attach wins; returns the resident view.
-    fn attach_columns(&mut self, key: &Key, columns: Arc<TraceColumns>) -> Arc<TraceColumns> {
-        let Some(entry) = self.map.get(key) else {
-            // Entry evicted (or never stored) between lookup and attach:
-            // hand the caller its own allocation, uncached.
-            return columns;
-        };
-        if let Some(existing) = entry.columns.as_ref() {
-            return Arc::clone(existing);
-        }
-        let bytes = columns.heap_bytes();
-        self.evict_until(bytes, Some(key));
-        // The keep-filter guarantees the entry is still resident.
-        let entry = self.map.get_mut(key).expect("kept entry still resident");
-        entry.columns = Some(Arc::clone(&columns));
-        self.resident_bytes += bytes;
-        columns
     }
 }
 
@@ -178,8 +125,8 @@ fn cache() -> &'static Mutex<LruCache> {
 }
 
 /// Enable or disable the process-wide cache. While disabled,
-/// [`materialize`] regenerates the trace on every call and stores
-/// nothing (existing entries are kept but not served).
+/// [`columns_seeded`] rebuilds the trace on every call and stores nothing
+/// (existing entries are kept but not served).
 ///
 /// This is a process-global switch intended for single-threaded entry
 /// points (the CLI's `--no-trace-cache`); tests should leave it alone
@@ -233,196 +180,85 @@ pub fn stats() -> CacheStats {
     }
 }
 
-/// Drop every resident trace (counters are kept).
-pub fn clear() {
-    let mut guard = cache().lock().expect("trace cache poisoned");
-    let capacity = guard.capacity_bytes;
-    *guard = LruCache::new(capacity);
-}
-
-fn generate(bench: IbsBenchmark, len: u64, seed_base: u64) -> Arc<[BranchRecord]> {
-    let records: Vec<BranchRecord> = bench
+fn generate(bench: IbsBenchmark, len: u64, seed_base: u64) -> TraceColumns {
+    bench
         .spec_seeded(seed_base)
         .build()
         .take_conditionals(len)
-        .collect();
-    records.into()
+        .collect()
 }
 
-/// The benchmark's record stream bounded to `len` conditional branches,
-/// materialized once per process (default workload seed).
-///
-/// Every caller passing the same `(bench, len)` receives a clone of the
-/// same `Arc` allocation (test this with [`Arc::ptr_eq`]), so the
-/// marginal cost of a repeat lookup is a reference-count bump.
-pub fn materialize(bench: IbsBenchmark, len: u64) -> Arc<[BranchRecord]> {
-    materialize_seeded(bench, len, DEFAULT_SEED_BASE)
+/// The benchmark's trace bounded to `len` conditional branches, under
+/// the default workload seed — see [`columns_seeded`].
+pub fn columns(bench: IbsBenchmark, len: u64) -> Arc<TraceColumns> {
+    columns_seeded(bench, len, DEFAULT_SEED_BASE)
 }
 
-/// [`materialize`] with an explicit workload seed base; traces generated
-/// under different bases are distinct cache entries.
-pub fn materialize_seeded(bench: IbsBenchmark, len: u64, seed_base: u64) -> Arc<[BranchRecord]> {
+/// The benchmark's trace bounded to `len` conditional branches and
+/// generated under workload seed base `seed_base`, built at most once per
+/// process: every caller passing the same `(bench, len, seed_base)`
+/// receives a clone of the same `Arc` allocation (test this with
+/// [`Arc::ptr_eq`]), so a repeat lookup costs a reference-count bump.
+/// With the cache disabled the trace is rebuilt per call.
+pub fn columns_seeded(bench: IbsBenchmark, len: u64, seed_base: u64) -> Arc<TraceColumns> {
     if !is_enabled() {
-        return generate(bench, len, seed_base);
+        return Arc::new(generate(bench, len, seed_base));
     }
     let key = (bench, len, seed_base);
-    if let Some(records) = cache().lock().expect("trace cache poisoned").get(&key) {
+    if let Some(columns) = cache().lock().expect("trace cache poisoned").get(&key) {
         HITS.fetch_add(1, Ordering::Relaxed);
-        return records;
+        return columns;
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
     // Generate outside the lock so other keys make progress; on a same-key
-    // race the first insert wins and the loser adopts it (streams are
-    // deterministic, so both allocations hold identical records).
-    let generated = generate(bench, len, seed_base);
+    // race the first insert wins and the loser adopts it.
+    let generated = Arc::new(generate(bench, len, seed_base));
     let mut guard = cache().lock().expect("trace cache poisoned");
-    if let Some(records) = guard.get(&key) {
-        return records;
+    if let Some(columns) = guard.get(&key) {
+        return columns;
     }
     guard.insert(key, Arc::clone(&generated));
     generated
 }
 
-/// The benchmark's trace as a memoized structure-of-arrays view (default
-/// workload seed) — see [`columns_seeded`].
-pub fn columns(bench: IbsBenchmark, len: u64) -> Arc<TraceColumns> {
-    columns_seeded(bench, len, DEFAULT_SEED_BASE)
-}
-
-/// The benchmark's trace as a structure-of-arrays view, built at most
-/// once per cached trace and memoized alongside the record slice: every
-/// caller passing the same `(bench, len, seed_base)` receives a clone of
-/// the same [`TraceColumns`] allocation. Column bytes are charged against
-/// the cache's byte budget like the records themselves. With the cache
-/// disabled the view is rebuilt per call, mirroring
-/// [`materialize_seeded`].
-pub fn columns_seeded(bench: IbsBenchmark, len: u64, seed_base: u64) -> Arc<TraceColumns> {
-    if !is_enabled() {
-        return Arc::new(TraceColumns::from_records(&generate(bench, len, seed_base)));
-    }
-    let key = (bench, len, seed_base);
-    if let Some(columns) = cache()
-        .lock()
-        .expect("trace cache poisoned")
-        .get_columns(&key)
-    {
-        return columns;
-    }
-    // Materialize (or fetch) the records first, then build the columns
-    // outside the lock; a same-key race is settled inside attach_columns
-    // (first attach wins, both builds are identical).
-    let records = materialize_seeded(bench, len, seed_base);
-    let built = Arc::new(TraceColumns::from_records(&records));
-    cache()
-        .lock()
-        .expect("trace cache poisoned")
-        .attach_columns(&key, built)
-}
-
-/// The benchmark's trace as records *and* columns in one lookup. With the
-/// cache enabled this is [`materialize_seeded`] plus [`columns_seeded`]
-/// (the second lookup is a cache hit on the same entry); with the cache
-/// disabled the trace is generated **once** and both views are built from
-/// it — callers that need records and columns together should use this
-/// instead of the two calls, which would generate twice under
-/// `--no-trace-cache`.
-pub fn records_and_columns(
-    bench: IbsBenchmark,
-    len: u64,
-    seed_base: u64,
-) -> (Arc<[BranchRecord]>, Arc<TraceColumns>) {
-    if !is_enabled() {
-        let records = generate(bench, len, seed_base);
-        let columns = Arc::new(TraceColumns::from_records(&records));
-        return (records, columns);
-    }
-    let records = materialize_seeded(bench, len, seed_base);
-    let columns = columns_seeded(bench, len, seed_base);
-    (records, columns)
-}
-
-/// An owned iterator over a materialized trace: keeps the `Arc` alive and
-/// yields records by value, so it drops into any `impl Iterator<Item =
-/// BranchRecord>` consumer (the simulation engine, the aliasing
-/// classifiers) without lifetime plumbing.
-#[derive(Debug, Clone)]
-pub struct TraceIter {
-    records: Arc<[BranchRecord]>,
-    next: usize,
-}
-
-impl Iterator for TraceIter {
-    type Item = BranchRecord;
-
-    #[inline]
-    fn next(&mut self) -> Option<BranchRecord> {
-        let record = self.records.get(self.next).copied();
-        self.next += record.is_some() as usize;
-        record
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.records.len() - self.next;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for TraceIter {}
-
-/// Iterate an already materialized trace from the start.
-pub fn iter(records: Arc<[BranchRecord]>) -> TraceIter {
-    TraceIter { records, next: 0 }
-}
-
-/// [`materialize`] then [`iter`]: a drop-in replacement for
-/// `bench.spec().build().take_conditionals(len)` that shares the
-/// process-wide materialization.
-pub fn stream(bench: IbsBenchmark, len: u64) -> TraceIter {
-    iter(materialize(bench, len))
-}
-
-/// [`stream`] with an explicit workload seed base.
-pub fn stream_seeded(bench: IbsBenchmark, len: u64, seed_base: u64) -> TraceIter {
-    iter(materialize_seeded(bench, len, seed_base))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::BranchRecord;
 
-    fn dummy_records(n: usize, base_pc: u64) -> Arc<[BranchRecord]> {
-        (0..n)
-            .map(|i| BranchRecord::conditional(base_pc + 4 * i as u64, i % 2 == 0))
-            .collect::<Vec<_>>()
-            .into()
+    fn dummy_columns(n: usize, base_pc: u64) -> Arc<TraceColumns> {
+        Arc::new(
+            (0..n)
+                .map(|i| BranchRecord::conditional(base_pc + 4 * i as u64, i % 2 == 0))
+                .collect(),
+        )
     }
 
     #[test]
     fn lru_evicts_oldest_first() {
-        let record_bytes = std::mem::size_of::<BranchRecord>();
-        let mut lru = LruCache::new(10 * record_bytes);
+        let entry_bytes = dummy_columns(4, 0).heap_bytes();
+        let mut lru = LruCache::new(2 * entry_bytes + entry_bytes / 2);
         let a = (IbsBenchmark::Groff, 4, DEFAULT_SEED_BASE);
         let b = (IbsBenchmark::Gs, 4, DEFAULT_SEED_BASE);
         let c = (IbsBenchmark::Nroff, 4, DEFAULT_SEED_BASE);
-        lru.insert(a, dummy_records(4, 0x1000));
-        lru.insert(b, dummy_records(4, 0x2000));
+        lru.insert(a, dummy_columns(4, 0x1000));
+        lru.insert(b, dummy_columns(4, 0x2000));
         // Touch `a` so `b` is the LRU entry, then overflow.
         assert!(lru.get(&a).is_some());
-        lru.insert(c, dummy_records(4, 0x3000));
+        lru.insert(c, dummy_columns(4, 0x3000));
         assert_eq!(lru.evictions, 1);
         assert!(lru.get(&a).is_some(), "recently used entry survives");
         assert!(lru.get(&b).is_none(), "LRU entry was evicted");
         assert!(lru.get(&c).is_some());
-        assert!(lru.resident_bytes <= lru.capacity_bytes);
+        assert_eq!(lru.resident_bytes, 2 * entry_bytes);
     }
 
     #[test]
     fn lru_rejects_oversized_entry() {
-        let record_bytes = std::mem::size_of::<BranchRecord>();
-        let mut lru = LruCache::new(2 * record_bytes);
+        let mut lru = LruCache::new(dummy_columns(2, 0).heap_bytes());
         lru.insert(
             (IbsBenchmark::Groff, 100, DEFAULT_SEED_BASE),
-            dummy_records(100, 0),
+            dummy_columns(100, 0),
         );
         assert_eq!(lru.map.len(), 0);
         assert_eq!(lru.resident_bytes, 0);
@@ -430,58 +266,23 @@ mod tests {
     }
 
     #[test]
-    fn materialize_returns_the_same_allocation() {
-        let first = materialize(IbsBenchmark::Verilog, 3_000);
-        let second = materialize(IbsBenchmark::Verilog, 3_000);
-        assert!(Arc::ptr_eq(&first, &second));
-        let other_len = materialize(IbsBenchmark::Verilog, 3_001);
-        assert!(!Arc::ptr_eq(&first, &other_len));
-    }
-
-    #[test]
     fn seed_is_part_of_the_key() {
-        let default = materialize(IbsBenchmark::Groff, 1_500);
-        let same = materialize_seeded(IbsBenchmark::Groff, 1_500, DEFAULT_SEED_BASE);
+        let default = columns(IbsBenchmark::Groff, 1_500);
+        let same = columns_seeded(IbsBenchmark::Groff, 1_500, DEFAULT_SEED_BASE);
         assert!(
             Arc::ptr_eq(&default, &same),
             "default-seeded lookups share the default entry"
         );
-        let reseeded = materialize_seeded(IbsBenchmark::Groff, 1_500, 0x1234);
+        let reseeded = columns_seeded(IbsBenchmark::Groff, 1_500, 0x1234);
         assert!(!Arc::ptr_eq(&default, &reseeded));
-        assert_ne!(&default[..], &reseeded[..]);
-        let fresh: Vec<BranchRecord> = IbsBenchmark::Groff
-            .spec_seeded(0x1234)
-            .build()
-            .take_conditionals(1_500)
-            .collect();
-        assert_eq!(&reseeded[..], &fresh[..]);
-        assert_eq!(
-            stream_seeded(IbsBenchmark::Groff, 1_500, 0x1234).count(),
-            reseeded.len()
-        );
-    }
-
-    #[test]
-    fn materialized_trace_matches_the_stream() {
-        let len = 2_500;
-        let cached = materialize(IbsBenchmark::Groff, len);
-        let fresh: Vec<BranchRecord> = IbsBenchmark::Groff
-            .spec()
-            .build()
-            .take_conditionals(len)
-            .collect();
-        assert_eq!(&cached[..], &fresh[..]);
-        assert_eq!(
-            cached.iter().filter(|r| r.kind.is_conditional()).count(),
-            len as usize
-        );
+        assert_ne!(default, reseeded);
     }
 
     #[test]
     fn repeat_lookups_count_hits() {
         let before = stats();
-        let _ = materialize(IbsBenchmark::MpegPlay, 1_234);
-        let _ = materialize(IbsBenchmark::MpegPlay, 1_234);
+        let _ = columns(IbsBenchmark::MpegPlay, 1_234);
+        let _ = columns(IbsBenchmark::MpegPlay, 1_234);
         let after = stats();
         // Other tests in this binary share the counters, so only assert
         // monotonic deltas: at least one hit, at least one lookup stored.
@@ -490,83 +291,5 @@ mod tests {
         assert!(after.entries >= 1);
         assert!(after.resident_bytes > 0);
         assert!(after.hit_ratio() > 0.0);
-    }
-
-    #[test]
-    fn trace_iter_yields_every_record_once() {
-        let records = dummy_records(5, 0x100);
-        let via_iter: Vec<_> = iter(Arc::clone(&records)).collect();
-        assert_eq!(&via_iter[..], &records[..]);
-        let mut it = iter(records);
-        assert_eq!(it.len(), 5);
-        it.next();
-        assert_eq!(it.len(), 4);
-    }
-
-    #[test]
-    fn columns_are_memoized_per_trace() {
-        let first = columns(IbsBenchmark::Nroff, 2_200);
-        let second = columns(IbsBenchmark::Nroff, 2_200);
-        assert!(Arc::ptr_eq(&first, &second), "one build per cached trace");
-        let records = materialize(IbsBenchmark::Nroff, 2_200);
-        assert_eq!(first.len(), records.len());
-        let rebuilt = TraceColumns::from_records(&records);
-        assert_eq!(*first, rebuilt, "view matches a direct build");
-        let other_seed = columns_seeded(IbsBenchmark::Nroff, 2_200, 0x9999);
-        assert!(!Arc::ptr_eq(&first, &other_seed));
-    }
-
-    #[test]
-    fn column_bytes_ride_entry_eviction() {
-        let record_bytes = std::mem::size_of::<BranchRecord>();
-        let mut lru = LruCache::new(40 * record_bytes);
-        let a = (IbsBenchmark::Groff, 4, DEFAULT_SEED_BASE);
-        let records = dummy_records(4, 0x1000);
-        lru.insert(a, Arc::clone(&records));
-        let before = lru.resident_bytes;
-        let cols = Arc::new(TraceColumns::from_records(&records));
-        let attached = lru.attach_columns(&a, Arc::clone(&cols));
-        assert!(Arc::ptr_eq(&attached, &cols));
-        assert_eq!(lru.resident_bytes, before + cols.heap_bytes());
-        // A second attach (the race loser) adopts the resident view.
-        let loser = Arc::new(TraceColumns::from_records(&records));
-        let adopted = lru.attach_columns(&a, loser);
-        assert!(Arc::ptr_eq(&adopted, &cols));
-        // Re-served from the entry.
-        assert!(lru.get_columns(&a).is_some_and(|c| Arc::ptr_eq(&c, &cols)));
-        // Evicting the entry releases records + columns bytes together.
-        let big = (IbsBenchmark::Gs, 39, DEFAULT_SEED_BASE);
-        lru.insert(big, dummy_records(39, 0x2000));
-        assert!(lru.get_columns(&a).is_none(), "entry evicted wholesale");
-        assert_eq!(lru.resident_bytes, 39 * record_bytes);
-    }
-
-    #[test]
-    fn attach_to_missing_entry_returns_uncached() {
-        let mut lru = LruCache::new(1024);
-        let key = (IbsBenchmark::Verilog, 4, DEFAULT_SEED_BASE);
-        let cols = Arc::new(TraceColumns::from_records(&dummy_records(4, 0)));
-        let out = lru.attach_columns(&key, Arc::clone(&cols));
-        assert!(Arc::ptr_eq(&out, &cols));
-        assert_eq!(lru.resident_bytes, 0);
-    }
-
-    #[test]
-    fn records_and_columns_share_the_cache_entry() {
-        let (records, cols) = records_and_columns(IbsBenchmark::Gs, 1_800, DEFAULT_SEED_BASE);
-        assert_eq!(cols.len(), records.len());
-        let again = materialize(IbsBenchmark::Gs, 1_800);
-        assert!(Arc::ptr_eq(&records, &again));
-        let cols_again = columns(IbsBenchmark::Gs, 1_800);
-        assert!(Arc::ptr_eq(&cols, &cols_again));
-        assert_eq!(*cols, TraceColumns::from_records(&records));
-    }
-
-    #[test]
-    fn stream_is_a_drop_in_take_conditionals() {
-        let n = stream(IbsBenchmark::RealGcc, 800)
-            .filter(|r| r.kind.is_conditional())
-            .count();
-        assert_eq!(n, 800);
     }
 }

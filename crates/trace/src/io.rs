@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The format is deliberately simple — it exists so workloads can be
-//! materialized once and replayed byte-identically (e.g. for cross-checking
+//! written out once and replayed byte-identically (e.g. for cross-checking
 //! against an external simulator), not to compete with compressed trace
 //! formats.
 

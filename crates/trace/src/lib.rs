@@ -9,11 +9,12 @@
 //! * [`stream`] — the [`stream::TraceSource`] streaming abstraction.
 //! * [`behavior`] — stochastic branch-site behaviour models (bias, loops,
 //!   patterns, history correlation, phases).
-//! * [`cache`] — process-wide memoization of materialized benchmark
-//!   traces (`Arc<[BranchRecord]>` per `(benchmark, len)`), so repeated
-//!   sweeps generate each trace once.
-//! * [`soa`] — [`soa::TraceColumns`], the structure-of-arrays view of a
-//!   trace that the simulation kernels walk; memoized per cached trace.
+//! * [`soa`] — [`soa::TraceColumns`], the lossless structure-of-arrays
+//!   trace layout: the simulation kernels walk its columns, every other
+//!   consumer iterates its records.
+//! * [`cache`] — process-wide memoization of benchmark traces as
+//!   `Arc<TraceColumns>` per `(benchmark, len, seed)`, so repeated sweeps
+//!   generate each trace once.
 //! * [`program`] — the synthetic CFG program model and its
 //!   [`program::Walker`].
 //! * [`gen`] — random program generation with Zipf routine frequencies.
@@ -55,7 +56,7 @@ pub mod workload;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::behavior::Behavior;
-    pub use crate::cache::{materialize, CacheStats};
+    pub use crate::cache::CacheStats;
     pub use crate::gen::{BehaviorMix, ProgramParams};
     pub use crate::mix::MultiProgram;
     pub use crate::program::{Block, Program, Terminator, Walker};

@@ -1,30 +1,38 @@
-//! Structure-of-arrays view of a materialized trace.
+//! Structure-of-arrays trace columns: the one in-memory trace layout.
 //!
-//! The simulation fast path (`bpred-sim`'s kernel layer) walks a trace as
-//! parallel columns instead of an array of [`BranchRecord`] structs: the
-//! 24-byte padded record becomes one `u64` pc, two packed bitset bits
-//! (taken, conditional) and one `u8` kind code per record — about 9.3
-//! bytes each, and the hot predict/update loop only ever touches the pc
-//! column and two bit lookups. Columns are built once per cached trace
-//! and memoized alongside the records (see [`crate::cache::columns`]).
+//! A trace is held as parallel columns instead of an array of
+//! [`BranchRecord`] structs: one `u64` pc and one `u8` kind code per
+//! record, plus three packed bitsets (taken, conditional, kernel mode) —
+//! about 9.4 bytes a record against the 16 of a `BranchRecord`. The
+//! columns are lossless: [`TraceColumns::records`] yields back exactly
+//! the records they were built from, privilege included.
+//!
+//! The simulation kernels walk the pc column and two bit lookups per
+//! record; every other consumer (the `dyn` engine, the aliasing
+//! classifiers, trace statistics) iterates records. Columns are built
+//! straight from a record stream by [`FromIterator`] (no intermediate
+//! record vector) and memoized per `(benchmark, len, seed)` by
+//! [`crate::cache`].
 
-use crate::record::{BranchKind, BranchRecord};
+use crate::record::{BranchKind, BranchRecord, Privilege};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A trace decomposed into per-field columns.
 ///
-/// The column view is a pure function of the record slice it was built
-/// from: [`TraceColumns::from_records`] never reorders or filters, so
-/// index `i` of every column describes `records[i]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Columns never reorder or filter: index `i` of every column describes
+/// record `i` of the stream they were built from.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceColumns {
     pc: Vec<u64>,
     /// Bit `i` set when record `i` was taken.
     taken: Vec<u64>,
     /// Bit `i` set when record `i` is a conditional branch.
     conditional: Vec<u64>,
+    /// Bit `i` set when record `i` executed in kernel mode.
+    kernel: Vec<u64>,
     /// [`BranchKind`] codes (the binary trace-format encoding).
     kind: Vec<u8>,
-    len: usize,
     conditional_count: u64,
 }
 
@@ -36,56 +44,68 @@ fn bit(words: &[u64], i: usize) -> bool {
 impl TraceColumns {
     /// Decompose `records` into columns.
     pub fn from_records(records: &[BranchRecord]) -> TraceColumns {
-        let len = records.len();
-        let words = len.div_ceil(64);
-        let mut pc = Vec::with_capacity(len);
-        let mut taken = vec![0u64; words];
-        let mut conditional = vec![0u64; words];
-        let mut kind = Vec::with_capacity(len);
-        let mut conditional_count = 0u64;
-        for (i, r) in records.iter().enumerate() {
-            pc.push(r.pc);
-            kind.push(r.kind.code());
-            if r.taken {
-                taken[i >> 6] |= 1 << (i & 63);
-            }
-            if r.kind == BranchKind::Conditional {
-                conditional[i >> 6] |= 1 << (i & 63);
-                conditional_count += 1;
-            }
-        }
+        records.iter().copied().collect()
+    }
+
+    fn with_capacity(records: usize) -> TraceColumns {
+        let words = records.div_ceil(64);
         TraceColumns {
-            pc,
-            taken,
-            conditional,
-            kind,
-            len,
-            conditional_count,
+            pc: Vec::with_capacity(records),
+            taken: Vec::with_capacity(words),
+            conditional: Vec::with_capacity(words),
+            kernel: Vec::with_capacity(words),
+            kind: Vec::with_capacity(records),
+            conditional_count: 0,
         }
+    }
+
+    /// Append one record.
+    fn push(&mut self, r: BranchRecord) {
+        let i = self.pc.len();
+        if i & 63 == 0 {
+            self.taken.push(0);
+            self.conditional.push(0);
+            self.kernel.push(0);
+        }
+        let (word, mask) = (i >> 6, 1u64 << (i & 63));
+        if r.taken {
+            self.taken[word] |= mask;
+        }
+        if r.kind == BranchKind::Conditional {
+            self.conditional[word] |= mask;
+            self.conditional_count += 1;
+        }
+        if r.privilege == Privilege::Kernel {
+            self.kernel[word] |= mask;
+        }
+        self.pc.push(r.pc);
+        self.kind.push(r.kind.code());
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.pc.shrink_to_fit();
+        self.taken.shrink_to_fit();
+        self.conditional.shrink_to_fit();
+        self.kernel.shrink_to_fit();
+        self.kind.shrink_to_fit();
     }
 
     /// Number of records.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.pc.len()
     }
 
     /// `true` when the trace holds no records.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pc.is_empty()
     }
 
     /// Number of conditional records.
     #[inline]
     pub fn conditional_count(&self) -> u64 {
         self.conditional_count
-    }
-
-    /// The pc of record `i`.
-    #[inline]
-    pub fn pc(&self, i: usize) -> u64 {
-        self.pc[i]
     }
 
     /// Whether record `i` was taken.
@@ -107,10 +127,20 @@ impl TraceColumns {
         (bit(&self.conditional, i), bit(&self.taken, i))
     }
 
-    /// The kind of record `i`.
+    /// Reassemble record `i`.
     #[inline]
-    pub fn kind(&self, i: usize) -> BranchKind {
-        BranchKind::from_code(self.kind[i]).expect("column codes come from BranchKind::code")
+    pub fn record(&self, i: usize) -> BranchRecord {
+        BranchRecord {
+            pc: self.pc[i],
+            kind: BranchKind::from_code(self.kind[i])
+                .expect("column codes come from BranchKind::code"),
+            taken: bit(&self.taken, i),
+            privilege: if bit(&self.kernel, i) {
+                Privilege::Kernel
+            } else {
+                Privilege::User
+            },
+        }
     }
 
     /// The pc column as a slice (for kernels that index it directly).
@@ -119,27 +149,75 @@ impl TraceColumns {
         &self.pc
     }
 
+    /// Iterate the records in order, borrowing the columns.
+    pub fn records(&self) -> Records<&TraceColumns> {
+        Records {
+            cols: self,
+            next: 0,
+        }
+    }
+
+    /// Iterate the records in order, keeping a shared trace alive — for
+    /// consumers that take an `impl Iterator<Item = BranchRecord>` and
+    /// outlive the caller's borrow.
+    pub fn into_records(self: Arc<Self>) -> Records<Arc<TraceColumns>> {
+        Records {
+            cols: self,
+            next: 0,
+        }
+    }
+
     /// Heap bytes held by the columns — what the trace cache charges
     /// against its byte budget.
     pub fn heap_bytes(&self) -> usize {
-        self.pc.capacity() * std::mem::size_of::<u64>()
-            + self.taken.capacity() * std::mem::size_of::<u64>()
-            + self.conditional.capacity() * std::mem::size_of::<u64>()
-            + self.kind.capacity()
-    }
-
-    /// Reassemble record `i` (tests and spot checks; the privilege column
-    /// is not kept, so the result is normalized to user mode).
-    #[cfg(test)]
-    fn record(&self, i: usize) -> BranchRecord {
-        BranchRecord {
-            pc: self.pc(i),
-            kind: self.kind(i),
-            taken: self.taken(i),
-            privilege: crate::record::Privilege::User,
-        }
+        let words = self.taken.capacity() + self.conditional.capacity() + self.kernel.capacity();
+        (self.pc.capacity() + words) * std::mem::size_of::<u64>() + self.kind.capacity()
     }
 }
+
+/// Builds the columns straight from a record stream, then releases the
+/// growth slack, so a generated trace is never held as records.
+impl FromIterator<BranchRecord> for TraceColumns {
+    fn from_iter<I: IntoIterator<Item = BranchRecord>>(iter: I) -> TraceColumns {
+        let iter = iter.into_iter();
+        let mut cols = TraceColumns::with_capacity(iter.size_hint().0);
+        for r in iter {
+            cols.push(r);
+        }
+        cols.shrink_to_fit();
+        cols
+    }
+}
+
+/// The records of a [`TraceColumns`], in order: borrowed
+/// ([`TraceColumns::records`]) or owning a shared trace
+/// ([`TraceColumns::into_records`]).
+#[derive(Debug, Clone)]
+pub struct Records<C> {
+    cols: C,
+    next: usize,
+}
+
+impl<C: Deref<Target = TraceColumns>> Iterator for Records<C> {
+    type Item = BranchRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<BranchRecord> {
+        if self.next == self.cols.len() {
+            return None;
+        }
+        let record = self.cols.record(self.next);
+        self.next += 1;
+        Some(record)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let remaining = self.cols.len() - self.next;
+        (remaining, Some(remaining))
+    }
+}
+
+impl<C: Deref<Target = TraceColumns>> ExactSizeIterator for Records<C> {}
 
 #[cfg(test)]
 mod tests {
@@ -147,87 +225,17 @@ mod tests {
     use crate::stream::TraceSourceExt;
     use crate::workload::IbsBenchmark;
 
-    #[test]
-    fn columns_mirror_the_record_slice() {
-        let records: Vec<BranchRecord> = IbsBenchmark::Groff
-            .spec()
-            .build()
-            .take_conditionals(2_000)
-            .collect();
-        let cols = TraceColumns::from_records(&records);
-        assert_eq!(cols.len(), records.len());
-        assert!(!cols.is_empty());
-        assert_eq!(cols.conditional_count(), 2_000);
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(cols.pc(i), r.pc);
-            assert_eq!(cols.taken(i), r.taken);
-            assert_eq!(cols.is_conditional(i), r.kind.is_conditional());
-            assert_eq!(cols.cond_taken(i), (r.kind.is_conditional(), r.taken));
-            assert_eq!(cols.kind(i), r.kind);
-        }
-        assert_eq!(cols.pcs().len(), records.len());
-    }
+    // Lossless round trips over arbitrary records and every cached
+    // benchmark trace live in `tests/lossless_columns.rs`.
 
     #[test]
-    fn roundtrip_modulo_privilege() {
-        let records = vec![
-            BranchRecord::conditional(0x1000, true),
-            BranchRecord::unconditional(0x2000),
-            BranchRecord::conditional(0x3000, false),
-        ];
-        let cols = TraceColumns::from_records(&records);
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(cols.record(i), *r);
-        }
-    }
-
-    #[test]
-    fn bitsets_handle_word_boundaries() {
-        // Exactly 64, 65 and 127 records: boundary words must index right.
-        for n in [64usize, 65, 127, 128] {
-            let records: Vec<BranchRecord> = (0..n)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        BranchRecord::unconditional(0x100 + 4 * i as u64)
-                    } else {
-                        BranchRecord::conditional(0x100 + 4 * i as u64, i % 2 == 0)
-                    }
-                })
-                .collect();
-            let cols = TraceColumns::from_records(&records);
-            for (i, r) in records.iter().enumerate() {
-                assert_eq!(cols.taken(i), r.taken, "n={n} i={i}");
-                assert_eq!(
-                    cols.is_conditional(i),
-                    r.kind.is_conditional(),
-                    "n={n} i={i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_trace() {
-        let cols = TraceColumns::from_records(&[]);
-        assert!(cols.is_empty());
-        assert_eq!(cols.len(), 0);
-        assert_eq!(cols.conditional_count(), 0);
-    }
-
-    #[test]
-    fn heap_bytes_beat_the_aos_footprint() {
-        let records: Vec<BranchRecord> = IbsBenchmark::Verilog
-            .spec()
-            .build()
-            .take_conditionals(4_000)
-            .collect();
-        let cols = TraceColumns::from_records(&records);
-        let aos = std::mem::size_of_val(&records[..]);
-        assert!(
-            cols.heap_bytes() < aos,
-            "SoA {} bytes should undercut AoS {} bytes",
-            cols.heap_bytes(),
-            aos
-        );
+    fn collecting_a_stream_packs_nine_bytes_and_three_bits_a_record() {
+        let stream = || IbsBenchmark::Nroff.spec().build().take_conditionals(3_000);
+        let records: Vec<BranchRecord> = stream().collect();
+        let collected: TraceColumns = stream().collect();
+        assert_eq!(collected, TraceColumns::from_records(&records));
+        assert_eq!(collected.conditional_count(), 3_000);
+        let words = records.len().div_ceil(64);
+        assert_eq!(collected.heap_bytes(), records.len() * 9 + 3 * 8 * words);
     }
 }

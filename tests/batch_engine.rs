@@ -1,8 +1,9 @@
-//! The batched engine contract: `engine::run_many` over a materialized
-//! trace must be bit-identical to running each predictor alone with
-//! `engine::run_with` — for every predictor family and both novel-branch
-//! accounting policies — and the trace cache must hand out the same
-//! allocation for repeated materializations of the same key.
+//! The batched engine contract: `engine::run_many` over a cached trace's
+//! columns must be bit-identical to running each predictor alone with
+//! `engine::run_with` over a freshly generated stream — for every
+//! predictor family and both novel-branch accounting policies — and the
+//! trace cache must hand out the same allocation for repeated lookups of
+//! the same key.
 
 use gskew::core::spec::parse_spec;
 use gskew::sim::engine::{self, NovelPolicy};
@@ -24,14 +25,15 @@ const FAMILY_SPECS: &[&str] = &[
 fn assert_batch_matches_sequential(specs: &[&str], policy: NovelPolicy) {
     let bench = IbsBenchmark::Verilog;
     let len = 25_000;
-    let trace = cache::materialize(bench, len);
+    let trace = cache::columns(bench, len);
 
     let mut batch: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
     let batched = engine::run_many(&mut batch, &trace, policy);
 
     for (spec, got) in specs.iter().zip(batched) {
         let mut alone = parse_spec(spec).unwrap();
-        let want = engine::run_with(&mut alone, cache::iter(trace.clone()), policy);
+        let fresh = bench.spec().build().take_conditionals(len);
+        let want = engine::run_with(&mut alone, fresh, policy);
         assert_eq!(got, want, "run_many diverged from run_with for {spec}");
     }
 }
@@ -53,13 +55,13 @@ fn run_many_matches_run_with_under_exclude_policy() {
 fn cache_returns_the_same_allocation_per_key() {
     let bench = IbsBenchmark::Groff;
     let len = 12_000;
-    let a = cache::materialize(bench, len);
-    let b = cache::materialize(bench, len);
+    let a = cache::columns(bench, len);
+    let b = cache::columns(bench, len);
     assert!(
         std::sync::Arc::ptr_eq(&a, &b),
-        "two materializations of one (benchmark, len) key must share storage"
+        "two lookups of one (benchmark, len) key must share storage"
     );
     // Different keys must not share.
-    let c = cache::materialize(bench, len + 1);
+    let c = cache::columns(bench, len + 1);
     assert!(!std::sync::Arc::ptr_eq(&a, &c));
 }

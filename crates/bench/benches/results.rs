@@ -72,7 +72,7 @@ fn store_put_get(c: &mut Criterion) {
     let root = std::env::temp_dir().join(format!("bpred-bench-results-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut store = ResultsStore::open(&root).unwrap();
-    // `put` includes the atomic write and index flush — the real
+    // `put` includes the append to the handle's segment — the real
     // per-simulated-cell cost of --save-results.
     let mut i = 0u64;
     group.bench_function("put", |b| {

@@ -146,7 +146,7 @@ pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
         print_timing_summary();
     }
     // Detach so repeated `dispatch` calls in one process (tests) start
-    // clean; the store flushes its index on every put, nothing to close.
+    // clean; every put is already on disk, nothing to close.
     if save_flag {
         resume::deconfigure();
     }
@@ -678,6 +678,8 @@ fn cmd_results(args: &Args) -> Result<(), String> {
             println!("store:    {dir}");
             println!("records:  {}", store.len());
             println!("bytes:    {}", store.total_bytes());
+            println!("segments: {}", store.segments());
+            println!("dropped lines: {}", store.dropped_lines());
             let mut by_experiment: Vec<(String, usize)> = Vec::new();
             for record in store.records() {
                 match by_experiment

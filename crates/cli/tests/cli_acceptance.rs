@@ -2,8 +2,9 @@
 //! `bpsim` binary so exit codes, stdout bytes and the `--verbose`
 //! counters are all exercised exactly as CI and users see them.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use bpred_results::store::ResultsStore;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 
 fn bpsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bpsim"))
@@ -63,7 +64,75 @@ fn resumed_rerun_skips_every_cell_and_is_byte_identical() {
         cold.stdout, warm.stdout,
         "resumed table is byte-identical to the cold run"
     );
+
+    // The cold run wrote one segment; the warm run wrote nothing.
+    let stats = || {
+        let out = bpsim(&["results", "stats", "--results-dir", store]);
+        assert!(out.status.success());
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let clean = stats();
+    for line in ["records:  150", "segments: 1", "dropped lines: 0"] {
+        assert!(clean.contains(line), "{line}: {clean}");
+    }
+
+    // A killed writer leaves a torn last line: stats reports it dropped
+    // and every complete record is still served.
+    let segment = std::fs::read_dir(store)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let bytes = std::fs::read(&segment).unwrap();
+    std::fs::write(&segment, &bytes[..bytes.len() - 10]).unwrap();
+    let torn = stats();
+    for line in ["records:  149", "segments: 1", "dropped lines: 1"] {
+        assert!(torn.contains(line), "{line}: {torn}");
+    }
     let _ = std::fs::remove_dir_all(store);
+}
+
+/// Fingerprints served by a freshly opened store at `dir`, sorted.
+fn saved(dir: &Path) -> Vec<u64> {
+    let mut fingerprints = ResultsStore::open(dir).unwrap().fingerprints();
+    fingerprints.sort_unstable();
+    fingerprints
+}
+
+#[test]
+fn concurrent_experiments_on_one_store_lose_nothing() {
+    let save = |experiment: &str, dir: &Path| {
+        Command::new(env!("CARGO_BIN_EXE_bpsim"))
+            .args(["experiment", experiment, "--quick", "--len", "20000"])
+            .args(["--save-results", "--results-dir"])
+            .arg(dir)
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn bpsim")
+    };
+    let dirs = ["fig5", "fig7", "shared"].map(|tag| temp_path(&format!("concurrent-{tag}")));
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    // Each experiment alone, into its own store, gives the fingerprints
+    // it saves.
+    for (experiment, dir) in ["fig5", "fig7"].iter().zip(&dirs) {
+        assert!(save(experiment, dir).wait().unwrap().success());
+    }
+    let mut expected: Vec<u64> = saved(&dirs[0]).into_iter().chain(saved(&dirs[1])).collect();
+    expected.sort_unstable();
+    expected.dedup();
+
+    // Both at once on one store: the reopened store serves the union.
+    let mut fig5 = save("fig5", &dirs[2]);
+    let mut fig7 = save("fig7", &dirs[2]);
+    assert!(fig5.wait().unwrap().success());
+    assert!(fig7.wait().unwrap().success());
+    assert_eq!(saved(&dirs[2]), expected);
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

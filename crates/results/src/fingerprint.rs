@@ -1,6 +1,6 @@
 //! Stable 64-bit fingerprints (FNV-1a) and their hex encoding.
 //!
-//! Fingerprints key the content-addressed store: a cell's fingerprint
+//! Fingerprints key the results store: a cell's fingerprint
 //! covers everything that determines its numbers (predictor spec,
 //! workload parameters, trace length, seed, accounting policy, engine
 //! version), so a fingerprint hit is safe to reuse and any change to an

@@ -117,11 +117,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] with a byte offset on malformed input.
+    /// Returns a [`ParseError`] with a byte offset on malformed input,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -186,9 +188,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a corrupt input of nested
+/// brackets would overflow the stack instead of failing to parse.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -233,8 +242,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -506,7 +526,83 @@ mod tests {
         assert_eq!(Json::parse("-1.5e+2").unwrap(), Json::Num(-150.0));
     }
 
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deepest = Json::parse(&nested(open, close, MAX_DEPTH)).unwrap();
+            assert_eq!(Json::parse(&deepest.to_string_compact()).unwrap(), deepest);
+            let e = Json::parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.message.contains("too deep"), "{e}");
+            // Far deeper than any stack could recurse, and unterminated.
+            let e = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert!(e.message.contains("too deep"), "{e}");
+        }
+    }
+
+    /// A record line's payload, the input the results store parses most.
+    fn record_payload() -> String {
+        let key = crate::record::CellKey {
+            bench: "groff".into(),
+            spec: "gskew:n=12,h=8".into(),
+            len: 20_000,
+            seed: 0x5EED_0000,
+            policy: "count".into(),
+        };
+        crate::record::ResultRecord {
+            experiment: "fig5".into(),
+            fingerprint: key.fingerprint("wl", "1"),
+            key,
+            engine_version: "1".into(),
+            conditional: 20_000,
+            mispredicted: 1_234,
+            novel: 17,
+            elapsed_ms: 0.25,
+        }
+        .to_json()
+        .to_string_compact()
+    }
+
     proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in collection::vec(
+                prop_oneof![
+                    any::<u8>(),
+                    Just(b'['),
+                    Just(b'{'),
+                    Just(b'"'),
+                    Just(b'\\'),
+                    Just(b'u'),
+                    Just(b'd'),
+                    Just(b'8'),
+                    Just(b':'),
+                    Just(b','),
+                    Just(b'-'),
+                    Just(b'e'),
+                ],
+                0..200,
+            )
+        ) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn mutated_record_lines_never_panic(at in any::<usize>(), byte in any::<u8>(), cut in any::<bool>()) {
+            let mut bytes = record_payload().into_bytes();
+            let at = at % bytes.len();
+            if cut {
+                bytes.truncate(at);
+            } else {
+                bytes[at] = byte;
+            }
+            if let Ok(json) = Json::parse(&String::from_utf8_lossy(&bytes)) {
+                let _ = crate::record::ResultRecord::from_json(&json);
+            }
+        }
+
         #[test]
         fn u64_in_f64_range_roundtrips(n in 0u64..(1 << 53)) {
             let text = Json::Num(n as f64).to_string_compact();

@@ -10,8 +10,9 @@
 //! * [`record`] — the canonical [`record::ResultRecord`] schema: cell
 //!   key (benchmark, spec, length, seed, policy), fingerprint, engine
 //!   version, misprediction counts and wall-clock time.
-//! * [`store`] — the content-addressed on-disk store: atomic tmp+rename
-//!   writes, an index, checksum validation on load, and a byte-budgeted
+//! * [`store`] — the on-disk store: one append-only segment of
+//!   checksummed lines per writer, read into memory on open (damaged
+//!   lines are dropped), and a byte-budgeted, compacting
 //!   [`store::ResultsStore::gc`].
 //! * [`campaign`] — campaign artifacts (every table cell of a named
 //!   experiment set) and tolerance-based regression [`campaign::diff`].

@@ -1,34 +1,43 @@
-//! The on-disk results store: content-addressed, atomic, checksummed,
-//! byte-budgeted.
+//! The on-disk results store: per-writer append-only segments of
+//! checksummed lines, byte-budgeted.
 //!
-//! Layout under the store root (default `.gskew/results/`):
+//! The store root (default `.gskew/results/`) holds only segments:
 //!
 //! ```text
-//! index.json                 fingerprint -> file/bytes/stamp map
-//! records/<fp-hex>.json      {"checksum": "<fnv1a hex>", "record": {...}}
+//! seg-<creation-nanos>-<pid>-<seq>.jsonl   one line per put:
+//!     <16-hex fnv1a of the payload> <compact record JSON>\n
 //! ```
 //!
-//! Every write goes through a tmp-file + rename, so a crashed or killed
-//! process never leaves a half-written record or index visible. Loads
-//! verify the stored checksum against the serialized record bytes and
-//! that the record's fingerprint matches its address; a corrupt file is
-//! treated as absent (the cell just re-simulates). [`ResultsStore::gc`]
-//! evicts the oldest-inserted records until a byte budget holds.
+//! A handle that writes appends to a segment of its own, created on its
+//! first put, so concurrent writers never share a file and no writer
+//! appends after another's torn tail. Each put is one unbuffered write
+//! of a whole line, so a fresh [`ResultsStore::open`] sees every record
+//! whose put has returned. `open` reads every segment in name (that is,
+//! creation) order into memory, a later line overriding an earlier one
+//! for the same fingerprint. A line that is torn, fails its checksum or
+//! does not parse is dropped and counted; the cell just re-simulates.
+//! Reads are served from memory. [`ResultsStore::gc`] evicts the
+//! oldest-inserted records until a byte budget holds and compacts the
+//! survivors into one segment. It must not run while another handle
+//! writes to the same store.
 
-use crate::fingerprint::{self, fnv1a};
+use crate::fingerprint::{fnv1a, to_hex};
 use crate::json::Json;
 use crate::record::ResultRecord;
 use std::collections::HashMap;
-use std::fs;
-use std::io;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The default store location, relative to the working directory.
 pub const DEFAULT_STORE_DIR: &str = ".gskew/results";
 
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    file: String,
+#[derive(Debug)]
+struct Entry {
+    record: ResultRecord,
+    /// Bytes of the record's line, newline included.
     bytes: u64,
     /// Monotonic insertion stamp; smallest is garbage-collected first.
     stamp: u64,
@@ -38,8 +47,13 @@ struct IndexEntry {
 #[derive(Debug)]
 pub struct ResultsStore {
     root: PathBuf,
-    index: HashMap<u64, IndexEntry>,
+    entries: HashMap<u64, Entry>,
     next_stamp: u64,
+    /// Segments this handle read or wrote, oldest first.
+    segments: Vec<PathBuf>,
+    /// This handle's own segment, created on its first put.
+    writer: Option<File>,
+    dropped_lines: usize,
 }
 
 /// What one [`ResultsStore::gc`] pass did.
@@ -54,250 +68,212 @@ pub struct GcStats {
 }
 
 impl ResultsStore {
-    /// Open (creating if needed) a store rooted at `root`.
+    /// Open (creating if needed) a store rooted at `root` and read every
+    /// segment in it. Files that are not segments are ignored.
     ///
     /// # Errors
     ///
-    /// Returns a message on filesystem errors or an unreadable index. A
-    /// *missing* index is not an error — the store starts empty.
+    /// Returns a message on filesystem errors. Damaged lines are not
+    /// errors: they are dropped and counted in [`Self::dropped_lines`].
     pub fn open(root: impl Into<PathBuf>) -> Result<ResultsStore, String> {
         let root = root.into();
-        fs::create_dir_all(root.join("records"))
-            .map_err(|e| format!("create {}: {e}", root.display()))?;
+        fs::create_dir_all(&root).map_err(|e| format!("create {}: {e}", root.display()))?;
+        let mut segments = Vec::new();
+        for entry in fs::read_dir(&root).map_err(|e| format!("read {}: {e}", root.display()))? {
+            let path = entry
+                .map_err(|e| format!("read {}: {e}", root.display()))?
+                .path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("seg-") && name.ends_with(".jsonl") {
+                segments.push(path);
+            }
+        }
+        segments.sort();
         let mut store = ResultsStore {
             root,
-            index: HashMap::new(),
+            entries: HashMap::new(),
             next_stamp: 0,
+            segments: Vec::new(),
+            writer: None,
+            dropped_lines: 0,
         };
-        let index_path = store.index_path();
-        match fs::read_to_string(&index_path) {
-            Ok(text) => store.load_index(&text)?,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(format!("read {}: {e}", index_path.display())),
+        for path in segments {
+            let bytes = fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+            for line in bytes.split_inclusive(|&b| b == b'\n') {
+                match line.strip_suffix(b"\n").and_then(parse_line) {
+                    Some(record) => store.insert(record, line.len()),
+                    None => store.dropped_lines += 1,
+                }
+            }
+            store.segments.push(path);
         }
         Ok(store)
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Number of records in the index.
+    /// Number of records served.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Total bytes of all indexed record files.
+    /// Total bytes of the lines of every served record.
     pub fn total_bytes(&self) -> u64 {
-        self.index.values().map(|e| e.bytes).sum()
+        self.entries.values().map(|e| e.bytes).sum()
     }
 
-    /// Every indexed fingerprint, in unspecified order.
+    /// Every served fingerprint, in unspecified order.
     pub fn fingerprints(&self) -> Vec<u64> {
-        self.index.keys().copied().collect()
+        self.entries.keys().copied().collect()
     }
 
-    /// Whether a record with this fingerprint is indexed.
+    /// Whether a record with this fingerprint is served.
     pub fn contains(&self, fp: u64) -> bool {
-        self.index.contains_key(&fp)
+        self.entries.contains_key(&fp)
     }
 
-    fn index_path(&self) -> PathBuf {
-        self.root.join("index.json")
+    /// Number of segments this handle read or wrote.
+    pub fn segments(&self) -> usize {
+        self.segments.len()
     }
 
-    fn record_path(&self, fp: u64) -> PathBuf {
-        self.root
-            .join("records")
-            .join(format!("{}.json", fingerprint::to_hex(fp)))
+    /// Lines dropped while opening: torn, failing their checksum, or
+    /// not a record.
+    pub fn dropped_lines(&self) -> usize {
+        self.dropped_lines
     }
 
-    /// Insert (or overwrite) a record, addressed by its fingerprint.
+    fn insert(&mut self, record: ResultRecord, bytes: usize) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.entries.insert(
+            record.fingerprint,
+            Entry {
+                record,
+                bytes: bytes as u64,
+                stamp,
+            },
+        );
+    }
+
+    /// Insert (or overwrite) a record, addressed by its fingerprint, by
+    /// appending one line to this handle's segment.
     ///
     /// # Errors
     ///
     /// Returns a message on filesystem errors.
     pub fn put(&mut self, record: &ResultRecord) -> Result<(), String> {
-        let payload = record.to_json().to_string_compact();
-        let wrapped = Json::obj(vec![
-            (
-                "checksum",
-                Json::Str(fingerprint::to_hex(fnv1a(payload.as_bytes()))),
-            ),
-            (
-                "record",
-                Json::parse(&payload).expect("own serialization parses"),
-            ),
-        ])
-        .to_string_compact();
-        let path = self.record_path(record.fingerprint);
-        write_atomic(&path, wrapped.as_bytes())?;
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.index.insert(
-            record.fingerprint,
-            IndexEntry {
-                file: format!("records/{}.json", fingerprint::to_hex(record.fingerprint)),
-                bytes: wrapped.len() as u64,
-                stamp,
-            },
-        );
-        self.persist_index()
+        let line = encode_line(record);
+        let file = match &mut self.writer {
+            Some(file) => file,
+            None => {
+                let path = self.root.join(segment_name());
+                let file = OpenOptions::new()
+                    .append(true)
+                    .create_new(true)
+                    .open(&path)
+                    .map_err(|e| format!("create {}: {e}", path.display()))?;
+                self.segments.push(path);
+                self.writer.insert(file)
+            }
+        };
+        file.write_all(line.as_bytes())
+            .map_err(|e| format!("append to {}: {e}", self.root.display()))?;
+        self.insert(record.clone(), line.len());
+        Ok(())
     }
 
-    /// Load the record with this fingerprint, or `None` when it is
-    /// absent, unreadable, fails its checksum, or is filed under the
-    /// wrong address — a corrupt record is indistinguishable from a
-    /// missing one, so the caller simply re-simulates.
+    /// The record with this fingerprint, or `None` when none is served.
     pub fn get(&self, fp: u64) -> Option<ResultRecord> {
-        self.load(fp).ok()
+        self.entries.get(&fp).map(|e| e.record.clone())
     }
 
-    /// As [`Self::get`], surfacing *why* a record failed to load.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for missing/corrupt/misfiled records.
-    pub fn load(&self, fp: u64) -> Result<ResultRecord, String> {
-        if !self.index.contains_key(&fp) {
-            return Err(format!(
-                "fingerprint {} not indexed",
-                fingerprint::to_hex(fp)
-            ));
-        }
-        let path = self.record_path(fp);
-        let text =
-            fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let wrapped = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let stored_checksum = wrapped
-            .get("checksum")
-            .and_then(Json::as_str)
-            .and_then(fingerprint::from_hex)
-            .ok_or_else(|| format!("{}: missing checksum", path.display()))?;
-        let payload = wrapped
-            .get("record")
-            .ok_or_else(|| format!("{}: missing record body", path.display()))?;
-        let canonical = payload.to_string_compact();
-        if fnv1a(canonical.as_bytes()) != stored_checksum {
-            return Err(format!("{}: checksum mismatch", path.display()));
-        }
-        let record =
-            ResultRecord::from_json(payload).map_err(|e| format!("{}: {e}", path.display()))?;
-        if record.fingerprint != fp {
-            return Err(format!(
-                "{}: record fingerprint {} filed under {}",
-                path.display(),
-                fingerprint::to_hex(record.fingerprint),
-                fingerprint::to_hex(fp)
-            ));
-        }
-        Ok(record)
-    }
-
-    /// Load every readable record (corrupt ones are skipped).
+    /// Every served record, sorted by fingerprint.
     pub fn records(&self) -> Vec<ResultRecord> {
-        let mut fps = self.fingerprints();
-        fps.sort_unstable();
-        fps.into_iter().filter_map(|fp| self.get(fp)).collect()
+        let mut records: Vec<ResultRecord> =
+            self.entries.values().map(|e| e.record.clone()).collect();
+        records.sort_unstable_by_key(|r| r.fingerprint);
+        records
     }
 
-    /// Delete oldest-inserted records until at most `budget_bytes` of
-    /// record files remain, then persist the shrunken index.
+    /// Drop oldest-inserted records until at most `budget_bytes` of lines
+    /// remain, write the survivors to one new segment, and delete every
+    /// segment this handle read or wrote before. Not safe while another
+    /// handle writes to the store: a line it appends to a segment this
+    /// handle read is deleted with that segment.
     ///
     /// # Errors
     ///
     /// Returns a message on filesystem errors (deletion of an
-    /// already-missing file is not an error).
+    /// already-missing segment is not an error).
     pub fn gc(&mut self, budget_bytes: u64) -> Result<GcStats, String> {
-        let mut stats = GcStats::default();
-        let mut resident = self.total_bytes();
-        while resident > budget_bytes {
-            let oldest = self
-                .index
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&fp, _)| fp)
-                .expect("nonzero resident bytes implies an entry");
-            let entry = self.index.remove(&oldest).expect("key just found");
-            match fs::remove_file(self.root.join(&entry.file)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(format!("remove {}: {e}", entry.file)),
+        let mut by_age: Vec<(u64, u64)> =
+            self.entries.iter().map(|(&fp, e)| (e.stamp, fp)).collect();
+        by_age.sort_unstable();
+        let mut stats = GcStats {
+            remaining_bytes: self.total_bytes(),
+            ..GcStats::default()
+        };
+        for &(_, fp) in &by_age {
+            if stats.remaining_bytes <= budget_bytes {
+                break;
             }
-            resident -= entry.bytes;
+            let entry = self.entries.remove(&fp).expect("listed above");
             stats.removed += 1;
             stats.freed_bytes += entry.bytes;
+            stats.remaining_bytes -= entry.bytes;
         }
-        stats.remaining_bytes = resident;
-        self.persist_index()?;
+        let survivors: String = by_age[stats.removed..]
+            .iter()
+            .map(|(_, fp)| encode_line(&self.entries[fp].record))
+            .collect();
+        let path = self.root.join(segment_name());
+        write_atomic(&path, survivors.as_bytes())?;
+        self.writer = None;
+        for old in std::mem::replace(&mut self.segments, vec![path]) {
+            match fs::remove_file(&old) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(format!("remove {}: {e}", old.display())),
+            }
+        }
         Ok(stats)
     }
+}
 
-    fn persist_index(&self) -> Result<(), String> {
-        let mut entries: Vec<(&u64, &IndexEntry)> = self.index.iter().collect();
-        entries.sort_by_key(|(fp, _)| **fp);
-        let json = Json::obj(vec![
-            ("version", Json::Num(1.0)),
-            ("next_stamp", Json::Num(self.next_stamp as f64)),
-            (
-                "entries",
-                Json::Arr(
-                    entries
-                        .into_iter()
-                        .map(|(fp, e)| {
-                            Json::obj(vec![
-                                ("fingerprint", Json::Str(fingerprint::to_hex(*fp))),
-                                ("file", Json::Str(e.file.clone())),
-                                ("bytes", Json::Num(e.bytes as f64)),
-                                ("stamp", Json::Num(e.stamp as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        write_atomic(&self.index_path(), json.to_string_compact().as_bytes())
-    }
+/// A record's segment line: checksum, space, payload, newline. The
+/// compact serializer escapes every control character, so the payload
+/// never holds a raw newline.
+fn encode_line(record: &ResultRecord) -> String {
+    let payload = record.to_json().to_string_compact();
+    format!("{} {payload}\n", to_hex(fnv1a(payload.as_bytes())))
+}
 
-    fn load_index(&mut self, text: &str) -> Result<(), String> {
-        let json = Json::parse(text).map_err(|e| format!("index.json: {e}"))?;
-        self.next_stamp = json
-            .get("next_stamp")
-            .and_then(Json::as_u64)
-            .ok_or("index.json: missing next_stamp")?;
-        let entries = json
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("index.json: missing entries")?;
-        for entry in entries {
-            let fp = entry
-                .get("fingerprint")
-                .and_then(Json::as_str)
-                .and_then(fingerprint::from_hex)
-                .ok_or("index.json: bad fingerprint")?;
-            let file = entry
-                .get("file")
-                .and_then(Json::as_str)
-                .ok_or("index.json: missing file")?
-                .to_string();
-            let bytes = entry
-                .get("bytes")
-                .and_then(Json::as_u64)
-                .ok_or("index.json: missing bytes")?;
-            let stamp = entry
-                .get("stamp")
-                .and_then(Json::as_u64)
-                .ok_or("index.json: missing stamp")?;
-            self.index.insert(fp, IndexEntry { file, bytes, stamp });
-        }
-        Ok(())
+/// The record of one segment line (newline stripped), or `None` when the
+/// checksum does not match the payload or the payload is not a record.
+fn parse_line(line: &[u8]) -> Option<ResultRecord> {
+    let payload = line.get(17..)?;
+    if line[16] != b' ' || line[..16] != *to_hex(fnv1a(payload)).as_bytes() {
+        return None;
     }
+    let json = Json::parse(std::str::from_utf8(payload).ok()?).ok()?;
+    ResultRecord::from_json(&json).ok()
+}
+
+/// A segment name unique to this handle that sorts by creation time.
+fn segment_name() -> String {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let nanos = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos());
+    format!(
+        "seg-{nanos:020}-{:010}-{:06}.jsonl",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    )
 }
 
 /// Write `contents` to `path` atomically: a tmp file in the same
@@ -317,6 +293,7 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::record::CellKey;
+    use proptest::prelude::*;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bpred-results-{tag}-{}", std::process::id()));
@@ -345,6 +322,23 @@ mod tests {
         }
     }
 
+    /// `n` records with distinct fingerprints.
+    fn records(n: u64) -> Vec<ResultRecord> {
+        (0..n)
+            .map(|i| record(&format!("gshare:n={},h=4", 8 + i), i))
+            .collect()
+    }
+
+    /// Every file in `root`, sorted by name.
+    fn files(root: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn put_get_roundtrip_and_reopen() {
         let root = temp_root("roundtrip");
@@ -355,11 +349,45 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert!(store.total_bytes() > 0);
 
-        // A fresh handle sees the persisted state.
+        // A fresh handle sees the persisted state while the first is
+        // still alive, and counts the same bytes.
         let reopened = ResultsStore::open(&root).unwrap();
         assert_eq!(reopened.get(r.fingerprint), Some(r.clone()));
         assert!(reopened.contains(r.fingerprint));
         assert_eq!(reopened.records(), vec![r]);
+        assert_eq!(reopened.total_bytes(), store.total_bytes());
+        assert_eq!((reopened.segments(), reopened.dropped_lines()), (1, 0));
+        drop(store);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn root_holds_only_segments_and_readers_create_none() {
+        let root = temp_root("layout");
+        fs::create_dir_all(root.join("records")).unwrap();
+        fs::write(root.join("index.json"), "{}").unwrap();
+        let reader = ResultsStore::open(&root).unwrap();
+        assert!(reader.is_empty(), "legacy files are ignored");
+        assert_eq!(files(&root).len(), 2, "a reader writes nothing");
+        fs::remove_dir_all(&root).unwrap();
+
+        let mut store = ResultsStore::open(&root).unwrap();
+        for r in records(3) {
+            store.put(&r).unwrap();
+        }
+        let files = files(&root);
+        assert_eq!(files.len(), 1, "{files:?}");
+        let name = files[0].file_name().unwrap().to_str().unwrap();
+        assert!(
+            name.starts_with("seg-") && name.ends_with(".jsonl"),
+            "{name}"
+        );
+        let text = fs::read_to_string(&files[0]).unwrap();
+        assert_eq!(text.lines().count(), 3);
+        for line in text.lines() {
+            let (checksum, payload) = line.split_once(' ').unwrap();
+            assert_eq!(checksum, to_hex(fnv1a(payload.as_bytes())));
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -369,32 +397,13 @@ mod tests {
         let mut store = ResultsStore::open(&root).unwrap();
         let r = record("gshare:n=10,h=4", 123);
         store.put(&r).unwrap();
-        let path = store.record_path(r.fingerprint);
+        let path = files(&root).remove(0);
         let tampered = fs::read_to_string(&path).unwrap().replace("123", "124");
         fs::write(&path, tampered).unwrap();
-        let e = store.load(r.fingerprint).unwrap_err();
-        assert!(e.contains("checksum"), "{e}");
-        assert_eq!(store.get(r.fingerprint), None);
-        assert!(store.records().is_empty(), "corrupt records are skipped");
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn misfiled_record_is_rejected() {
-        let root = temp_root("misfiled");
-        let mut store = ResultsStore::open(&root).unwrap();
-        let a = record("gshare:n=10,h=4", 1);
-        let b = record("gshare:n=11,h=4", 2);
-        store.put(&a).unwrap();
-        store.put(&b).unwrap();
-        // File b's bytes under a's address.
-        fs::copy(
-            store.record_path(b.fingerprint),
-            store.record_path(a.fingerprint),
-        )
-        .unwrap();
-        let e = store.load(a.fingerprint).unwrap_err();
-        assert!(e.contains("filed under"), "{e}");
+        let reopened = ResultsStore::open(&root).unwrap();
+        assert_eq!(reopened.get(r.fingerprint), None);
+        assert!(reopened.records().is_empty(), "corrupt records are skipped");
+        assert_eq!(reopened.dropped_lines(), 1);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -402,10 +411,8 @@ mod tests {
     fn gc_enforces_budget_oldest_first() {
         let root = temp_root("gc");
         let mut store = ResultsStore::open(&root).unwrap();
-        let first = record("gshare:n=8,h=4", 1);
-        let second = record("gshare:n=9,h=4", 2);
-        let third = record("gshare:n=10,h=4", 3);
-        for r in [&first, &second, &third] {
+        let all = records(3);
+        for r in &all {
             store.put(r).unwrap();
         }
         // A budget one byte short of the total must evict exactly the
@@ -415,17 +422,33 @@ mod tests {
         assert_eq!(stats.removed, 1);
         assert!(stats.freed_bytes > 0);
         assert!(store.total_bytes() <= budget);
-        assert_eq!(store.get(first.fingerprint), None, "oldest evicted");
-        assert!(store.get(second.fingerprint).is_some());
-        assert!(store.get(third.fingerprint).is_some());
-        assert!(!store.record_path(first.fingerprint).exists());
+        assert_eq!(store.get(all[0].fingerprint), None, "oldest evicted");
+        assert!(store.get(all[1].fingerprint).is_some());
+        assert!(store.get(all[2].fingerprint).is_some());
+
+        // gc leaves one segment holding exactly the survivors, and no
+        // tmp files.
+        let files = files(&root);
+        assert_eq!(files.len(), 1, "{files:?}");
+        let reopened = ResultsStore::open(&root).unwrap();
+        assert_eq!(reopened.records(), store.records());
+        assert_eq!(reopened.total_bytes(), store.total_bytes());
+
+        // Puts after a gc land in a new segment and survive a reopen.
+        let late = record("gshare:n=20,h=4", 7);
+        store.put(&late).unwrap();
+        assert_eq!(
+            ResultsStore::open(&root).unwrap().get(late.fingerprint),
+            Some(late)
+        );
 
         // A zero budget clears everything; gc on an empty store is a no-op.
         let stats = store.gc(0).unwrap();
-        assert_eq!(stats.removed, 2);
+        assert_eq!(stats.removed, 3);
         assert_eq!(stats.remaining_bytes, 0);
         assert!(store.is_empty());
         assert_eq!(store.gc(0).unwrap(), GcStats::default());
+        assert!(ResultsStore::open(&root).unwrap().is_empty());
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -434,9 +457,16 @@ mod tests {
         let root = temp_root("overwrite");
         let mut store = ResultsStore::open(&root).unwrap();
         let r = record("gshare:n=10,h=4", 123);
+        let newer = ResultRecord {
+            experiment: "newer".into(),
+            ..r.clone()
+        };
         store.put(&r).unwrap();
-        store.put(&r).unwrap();
+        store.put(&newer).unwrap();
         assert_eq!(store.len(), 1);
+        let reopened = ResultsStore::open(&root).unwrap();
+        assert_eq!(reopened.len(), 1);
+        assert_eq!(reopened.get(r.fingerprint), Some(newer));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -445,18 +475,112 @@ mod tests {
         let root = temp_root("tmp");
         let mut store = ResultsStore::open(&root).unwrap();
         store.put(&record("gshare:n=10,h=4", 9)).unwrap();
-        let stray: Vec<_> = fs::read_dir(root.join("records"))
-            .unwrap()
-            .chain(fs::read_dir(&root).unwrap())
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                e.path()
-                    .extension()
-                    .map(|x| x.to_string_lossy().starts_with("tmp"))
-                    .unwrap_or(false)
-            })
-            .collect();
-        assert!(stray.is_empty(), "{stray:?}");
+        store.gc(u64::MAX).unwrap();
+        store.put(&record("gshare:n=11,h=4", 9)).unwrap();
+        for path in files(&root) {
+            let name = path.file_name().unwrap().to_str().unwrap();
+            assert!(
+                name.starts_with("seg-") && name.ends_with(".jsonl"),
+                "{name}"
+            );
+        }
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_lose_nothing() {
+        let root = temp_root("concurrent");
+        // Both handles open before either writes, as two processes
+        // started together would.
+        let mut a = ResultsStore::open(&root).unwrap();
+        let mut b = ResultsStore::open(&root).unwrap();
+        let all = records(10);
+        for pair in all.chunks(2) {
+            a.put(&pair[0]).unwrap();
+            b.put(&pair[1]).unwrap();
+        }
+        let reopened = ResultsStore::open(&root).unwrap();
+        assert_eq!(reopened.len(), all.len());
+        for r in &all {
+            assert_eq!(reopened.get(r.fingerprint).as_ref(), Some(r));
+        }
+        assert_eq!(reopened.segments(), 2);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn torn_tail_drops_only_the_last_line_and_later_puts_survive() {
+        let root = temp_root("torn");
+        let all = records(4);
+        let mut store = ResultsStore::open(&root).unwrap();
+        for r in &all {
+            store.put(r).unwrap();
+        }
+        drop(store);
+        let path = files(&root).remove(0);
+        let full = fs::read(&path).unwrap();
+        let last_start = full[..full.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        for cut in last_start + 1..full.len() {
+            fs::write(&path, &full[..cut]).unwrap();
+            let reopened = ResultsStore::open(&root).unwrap();
+            assert_eq!(reopened.records().len(), 3, "cut at {cut}");
+            for r in &all[..3] {
+                assert_eq!(
+                    reopened.get(r.fingerprint).as_ref(),
+                    Some(r),
+                    "cut at {cut}"
+                );
+            }
+            assert_eq!(reopened.get(all[3].fingerprint), None, "cut at {cut}");
+            assert_eq!(reopened.dropped_lines(), 1, "cut at {cut}");
+        }
+
+        // The next writer gets its own segment, so the torn tail cannot
+        // swallow its record.
+        let mut writer = ResultsStore::open(&root).unwrap();
+        writer.put(&all[3]).unwrap();
+        let reopened = ResultsStore::open(&root).unwrap();
+        assert_eq!(reopened.len(), 4);
+        assert_eq!(reopened.get(all[3].fingerprint).as_ref(), Some(&all[3]));
+        assert_eq!((reopened.segments(), reopened.dropped_lines()), (2, 1));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    proptest! {
+        #[test]
+        fn one_flipped_bit_loses_only_its_own_record(pick in any::<u64>(), bit in 0u32..8) {
+            let root = temp_root("bitflip");
+            let all = records(5);
+            let mut store = ResultsStore::open(&root).unwrap();
+            for r in &all {
+                store.put(r).unwrap();
+            }
+            drop(store);
+            let path = files(&root).remove(0);
+            let mut bytes = fs::read(&path).unwrap();
+            let at = (pick % bytes.len() as u64) as usize;
+            bytes[at] ^= 1 << bit;
+            fs::write(&path, &bytes).unwrap();
+            // The damaged line is the one holding the flipped byte; a
+            // flipped newline also merges the line after it.
+            let line_of = |offset: usize| bytes[..offset].iter().filter(|&&b| b == b'\n').count();
+            let damaged = line_of(at);
+            let merged = if bytes[at] ^ (1 << bit) == b'\n' { damaged + 1 } else { damaged };
+            let reopened = ResultsStore::open(&root).unwrap();
+            for (i, r) in all.iter().enumerate() {
+                let served = reopened.get(r.fingerprint);
+                if (damaged..=merged).contains(&i) {
+                    prop_assert_eq!(served, None, "line {} damaged at byte {}", i, at);
+                } else {
+                    prop_assert_eq!(served.as_ref(), Some(r), "line {} intact", i);
+                }
+            }
+            prop_assert!(reopened.dropped_lines() >= 1);
+            fs::remove_dir_all(&root).unwrap();
+        }
     }
 }

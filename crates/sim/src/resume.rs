@@ -8,8 +8,8 @@
 //! reproduce the cell's rendering byte for byte) and the simulation is
 //! skipped, which makes whole experiment reruns incremental across
 //! processes — the durable complement of the in-memory trace cache.
-//! Misses are simulated normally and, when saving is enabled, written
-//! back through the store's atomic path.
+//! Misses are simulated normally and, when saving is enabled, appended
+//! to this process's segment of the store.
 //!
 //! The context is process-global by design, mirroring
 //! `bpred_trace::cache`: only single-threaded entry points (the CLI)

@@ -2,26 +2,26 @@
 //! history length — gskew uses 25% less storage yet should win on most
 //! benchmarks.
 
-use super::helpers::{bench_sweep_table, history_labels, sim_pct};
+use super::helpers::{history_labels, spec_sweep_table};
 use super::{ExperimentOpts, ExperimentOutput};
 
 const MAX_HISTORY: u32 = 16;
 
 pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
     let labels = history_labels(0, MAX_HISTORY);
-    let gskew = bench_sweep_table(
+    let gskew = spec_sweep_table(
         "3x4K gskew mispredict % vs history length",
         "history bits",
         &labels,
         opts,
-        |row, bench| sim_pct(&format!("gskew:n=12,h={row}"), bench, opts.len_for(bench)),
+        |row| format!("gskew:n=12,h={row}"),
     );
-    let gshare = bench_sweep_table(
+    let gshare = spec_sweep_table(
         "16K gshare mispredict % vs history length",
         "history bits",
         &labels,
         opts,
-        |row, bench| sim_pct(&format!("gshare:n=14,h={row}"), bench, opts.len_for(bench)),
+        |row| format!("gshare:n=14,h={row}"),
     );
     ExperimentOutput {
         id: "fig7",

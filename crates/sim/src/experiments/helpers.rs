@@ -1,21 +1,17 @@
 //! Shared plumbing for the experiment modules.
 
 use super::ExperimentOpts;
-use crate::engine::{self, NovelPolicy, RunResult};
-use crate::kernel::{self, PredictorKernel};
+use crate::engine::NovelPolicy;
 use crate::report::{pct, Table};
-use crate::resume;
+use crate::resume::{self, Unit};
 use crate::runner::parallel_map;
-use bpred_aliasing::batch::ThreeCCell;
+use bpred_aliasing::batch::{self, ThreeCCell};
 use bpred_aliasing::three_c::ThreeCCounts;
-use bpred_core::spec::PredictorSpec;
-use bpred_results::record::CellKey;
 use bpred_trace::cache;
 use bpred_trace::soa::{Records, TraceColumns};
 use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Process-global workload seed base used by every experiment helper.
 /// Defaults to [`DEFAULT_SEED_BASE`] (byte-identical traces to every
@@ -56,48 +52,13 @@ pub fn sim_pct(spec: &str, bench: IbsBenchmark, len: u64) -> f64 {
     sim_pct_with(spec, bench, len, NovelPolicy::Count)
 }
 
-/// [`sim_pct`] with an explicit novel-reference policy.
+/// [`sim_pct`] with an explicit novel-reference policy. Runs as a
+/// one-cell batch of the results-store pipeline ([`crate::resume`]): a
+/// stored cell is served without simulating, and a simulated one is
+/// saved when saving is enabled.
 pub fn sim_pct_with(spec: &str, bench: IbsBenchmark, len: u64, policy: NovelPolicy) -> f64 {
-    sim_cell(spec, bench, len, policy).mispredict_pct()
-}
-
-/// Simulate one cell, consulting the results store first when one is
-/// attached ([`crate::resume`]): a fingerprint-identical hit returns the
-/// stored counts without touching the engine, and misses are persisted
-/// when saving is enabled. With no store attached this is exactly the
-/// plain simulate path.
-fn sim_cell(spec: &str, bench: IbsBenchmark, len: u64, policy: NovelPolicy) -> RunResult {
-    let seed = workload_seed();
-    let simulate = || {
-        // Kernel fast path when the spec has one (bit-identical to the
-        // dyn engine under either novel policy); `dyn` otherwise.
-        let structured =
-            PredictorSpec::parse(spec).unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"));
-        let cols = cache::columns_seeded(bench, len, seed);
-        if let Some(mut kernel) = PredictorKernel::from_spec(&structured) {
-            return kernel.run(&cols);
-        }
-        let mut predictor = structured
-            .build()
-            .unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"));
-        engine::run_with(&mut predictor, cols.records(), policy)
-    };
-    if !resume::is_active() {
-        return simulate();
-    }
-    let (key, fingerprint) = resume::cell(spec, bench, len, seed, policy);
-    if let Some(hit) = resume::lookup(fingerprint) {
-        return hit;
-    }
-    let start = Instant::now();
-    let result = simulate();
-    resume::record(
-        key,
-        fingerprint,
-        result,
-        start.elapsed().as_secs_f64() * 1e3,
-    );
-    result
+    let unit = Unit::Spec(spec.to_string());
+    resume::run_cells(bench, len, policy, &[unit], 1)[0][0].mispredict_pct()
 }
 
 /// Build a benchmark-per-column table by evaluating `cell` for every
@@ -135,7 +96,7 @@ pub fn bench_sweep_table(
 /// spec `spec_for_row(i)`, batched: each benchmark's column is produced
 /// from one cached trace, with every kernel-eligible row running as a
 /// monomorphized kernel and the rest sharing a single
-/// [`engine::run_many`] pass. Bit-identical to calling [`sim_pct`] per
+/// [`crate::engine::run_many`] pass. Bit-identical to calling [`sim_pct`] per
 /// cell, but an R-row table costs one trace walk per benchmark instead
 /// of R.
 ///
@@ -175,58 +136,20 @@ pub fn spec_sweep_table_with(
     columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
     let mut table = Table::new(title, columns);
 
-    let rows = row_labels.len();
-    let seed = workload_seed();
     // One task per benchmark: the per-benchmark trace is the shared
     // resource, so it is also the unit of parallelism. Within a
-    // benchmark, rows route through `kernel::run_specs` — supported
-    // specs run as monomorphized kernels split across the leftover
-    // worker budget, the rest ride one batched `run_many` pass. With a
-    // results store attached, stored rows are adopted and only the
-    // missing ones are simulated.
+    // benchmark, the rows are one batch of the results-store pipeline:
+    // stored rows are served, and the rest run through
+    // `kernel::run_specs` on the leftover worker budget.
     let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
     let per_bench: Vec<Vec<f64>> =
         parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-            let len = opts.len_for(bench);
-            let specs: Vec<String> = (0..rows).map(&spec_for_row).collect();
-            let simulate = |specs: &[String]| -> Vec<RunResult> {
-                let cols = cache::columns_seeded(bench, len, seed);
-                kernel::run_specs(specs, &cols, policy, inner_threads)
-                    .unwrap_or_else(|e| panic!("bad spec in sweep: {e}"))
-            };
-
-            if !resume::is_active() {
-                return simulate(&specs)
-                    .into_iter()
-                    .map(|r| r.mispredict_pct())
-                    .collect();
-            }
-
-            let keys: Vec<(CellKey, u64)> = specs
-                .iter()
-                .map(|spec| resume::cell(spec, bench, len, seed, policy))
+            let units: Vec<Unit> = (0..row_labels.len())
+                .map(|row| Unit::Spec(spec_for_row(row)))
                 .collect();
-            let mut results: Vec<Option<RunResult>> = keys
+            resume::run_cells(bench, opts.len_for(bench), policy, &units, inner_threads)
                 .iter()
-                .map(|&(_, fingerprint)| resume::lookup(fingerprint))
-                .collect();
-            let missing: Vec<usize> = (0..rows).filter(|&row| results[row].is_none()).collect();
-            if !missing.is_empty() {
-                let missing_specs: Vec<String> =
-                    missing.iter().map(|&row| specs[row].clone()).collect();
-                let start = Instant::now();
-                let simulated = simulate(&missing_specs);
-                // The trace walk is shared; bill it evenly per cell.
-                let per_cell_ms = start.elapsed().as_secs_f64() * 1e3 / missing.len() as f64;
-                for (&row, result) in missing.iter().zip(simulated) {
-                    let (key, fingerprint) = keys[row].clone();
-                    resume::record(key, fingerprint, result, per_cell_ms);
-                    results[row] = Some(result);
-                }
-            }
-            results
-                .into_iter()
-                .map(|r| r.expect("every row resolved").mispredict_pct())
+                .map(|results| results[0].mispredict_pct())
                 .collect()
         });
 
@@ -241,121 +164,31 @@ pub fn spec_sweep_table_with(
 /// Classify a whole three-C grid over one benchmark trace, batched: one
 /// direct-mapped kernel pass per cell plus one shared-distance
 /// fully-associative pass per distinct history length, all over a single
-/// cached column view ([`kernel::run_three_c`]). Results are parallel to
-/// `cells` and bit-identical to running `ThreeCClassifier` per cell.
+/// cached column view. Results are parallel to `cells` and bit-identical
+/// to running `ThreeCClassifier` per cell.
 ///
-/// With a results store attached ([`crate::resume`]), stored units are
-/// adopted and only the missing ones run: direct-mapped units are keyed
-/// per cell ([`resume::alias_dm_cell`]) and fully-associative units per
-/// `(capacity, history)` — shared across index functions — so a warm
-/// rerun touches no trace at all.
+/// The passes are units of the results-store pipeline ([`crate::resume`]),
+/// so with a store attached only the missing units run, and a warm rerun
+/// touches no trace at all.
 pub(crate) fn three_c_grid(
     bench: IbsBenchmark,
     len: u64,
     cells: &[ThreeCCell],
     threads: usize,
 ) -> Vec<ThreeCCounts> {
-    use bpred_aliasing::batch::{self, DmCounts, FaCounts};
-    let seed = workload_seed();
-    if !resume::is_active() {
-        let cols = cache::columns_seeded(bench, len, seed);
-        return kernel::run_three_c(cells, &cols, threads);
-    }
-
     let groups = batch::fa_groups(cells);
-    let dm_keys: Vec<(CellKey, u64)> = cells
+    let units: Vec<Unit> = cells
         .iter()
-        .map(|cell| resume::alias_dm_cell(cell, bench, len, seed))
+        .map(|&cell| Unit::Dm(cell))
+        .chain(groups.iter().map(|(history_bits, capacities)| Unit::Fa {
+            history_bits: *history_bits,
+            capacities: capacities.clone(),
+        }))
         .collect();
-    // One FA key per (capacity, history) coordinate of each group.
-    let fa_keys: Vec<Vec<(CellKey, u64)>> = groups
-        .iter()
-        .map(|(h, caps)| {
-            caps.iter()
-                .map(|&cap| resume::alias_fa_cell(cap.trailing_zeros(), *h, bench, len, seed))
-                .collect()
-        })
-        .collect();
-
-    let mut dm: Vec<Option<DmCounts>> = dm_keys
-        .iter()
-        .map(|&(_, fp)| {
-            resume::lookup(fp).map(|r| DmCounts {
-                references: r.conditional,
-                misses: r.mispredicted,
-                cold_misses: r.novel,
-            })
-        })
-        .collect();
-    // An FA group is servable only when *every* capacity of the group is
-    // stored (they come from one shared pass, so they are stored
-    // together; a partial hit re-runs the whole group).
-    let mut fa: Vec<Option<FaCounts>> = fa_keys
-        .iter()
-        .map(|keys| {
-            let hits: Vec<RunResult> = keys
-                .iter()
-                .map(|&(_, fp)| resume::lookup(fp))
-                .collect::<Option<Vec<_>>>()?;
-            Some(FaCounts {
-                references: hits[0].conditional,
-                cold_misses: hits[0].novel,
-                misses: hits.iter().map(|r| r.mispredicted).collect(),
-            })
-        })
-        .collect();
-
-    let missing_dm: Vec<usize> = (0..cells.len()).filter(|&i| dm[i].is_none()).collect();
-    let missing_fa: Vec<usize> = (0..groups.len()).filter(|&g| fa[g].is_none()).collect();
-    if !missing_dm.is_empty() || !missing_fa.is_empty() {
-        let cols = cache::columns_seeded(bench, len, seed);
-        let run_cells: Vec<ThreeCCell> = missing_dm.iter().map(|&i| cells[i]).collect();
-        let run_groups: Vec<(u32, Vec<u64>)> =
-            missing_fa.iter().map(|&g| groups[g].clone()).collect();
-        let (dm_done, fa_done) = kernel::run_three_c_units(&run_cells, &run_groups, &cols, threads);
-        for (&i, (counts, ms)) in missing_dm.iter().zip(dm_done) {
-            let (key, fp) = dm_keys[i].clone();
-            resume::record(
-                key,
-                fp,
-                RunResult {
-                    conditional: counts.references,
-                    mispredicted: counts.misses,
-                    novel: counts.cold_misses,
-                },
-                ms,
-            );
-            dm[i] = Some(counts);
-        }
-        for (&g, (counts, ms)) in missing_fa.iter().zip(fa_done) {
-            // The distance walk is shared by the group; bill it evenly
-            // per stored capacity.
-            let per_cell_ms = ms / counts.misses.len() as f64;
-            for (keyed, &misses) in fa_keys[g].iter().zip(&counts.misses) {
-                let (key, fp) = keyed.clone();
-                resume::record(
-                    key,
-                    fp,
-                    RunResult {
-                        conditional: counts.references,
-                        mispredicted: misses,
-                        novel: counts.cold_misses,
-                    },
-                    per_cell_ms,
-                );
-            }
-            fa[g] = Some(counts);
-        }
-    }
-
-    let dm: Vec<DmCounts> = dm
-        .into_iter()
-        .map(|c| c.expect("dm unit resolved"))
-        .collect();
-    let fa: Vec<FaCounts> = fa
-        .into_iter()
-        .map(|c| c.expect("fa unit resolved"))
-        .collect();
+    let results = resume::run_cells(bench, len, NovelPolicy::Count, &units, threads);
+    let (dm, fa) = results.split_at(cells.len());
+    let dm: Vec<_> = dm.iter().map(|r| resume::dm_counts(r)).collect();
+    let fa: Vec<_> = fa.iter().map(|r| resume::fa_counts(r)).collect();
     batch::assemble(cells, &groups, &dm, &fa)
 }
 

@@ -78,7 +78,7 @@ fn warm_store_resumes_with_zero_simulations_and_identical_bytes() {
     resume::deconfigure().unwrap();
     experiments::set_workload_seed(bpred_trace::workload::DEFAULT_SEED_BASE);
 
-    // The per-cell path (`sim_pct` via fig7's bench sweep) resumes too.
+    // fig7's batched spec sweeps resume too, across both tables.
     let before = resume::stats();
     resume::configure(ResultsStore::open(&root).unwrap(), true, true);
     let fig7_cold = render(&experiments::run("fig7", &opts).unwrap());

@@ -41,7 +41,9 @@ pub struct BenchCase {
 }
 
 /// The default case list: the sweep shapes of the paper's fig. 5 and
-/// fig. 7 plus the gskew variant axis, all kernel-eligible.
+/// fig. 7, the gskew variant axis, the 1-bit counter rows of
+/// ablation-counters and fig. 11, and ext-hybrid's hybrid rows, all
+/// kernel-eligible.
 pub fn default_cases() -> Vec<BenchCase> {
     vec![
         BenchCase {
@@ -66,6 +68,29 @@ pub fn default_cases() -> Vec<BenchCase> {
                 "gskew:n=10,h=6,banks=5".into(),
                 "gskew:n=10,h=6,skew=off".into(),
             ],
+        },
+        BenchCase {
+            name: "counters",
+            specs: (6..=14)
+                .flat_map(|n| {
+                    [
+                        format!("gshare:n={n},h=4,ctr=1"),
+                        format!("gskew:n={n},h=4,ctr=1"),
+                        format!("gskew:n={n},h=4,ctr=1,update=total"),
+                    ]
+                })
+                .collect(),
+        },
+        BenchCase {
+            name: "hybrids",
+            specs: (4..=16)
+                .flat_map(|h| {
+                    [
+                        format!("2bcgskew:n=12,h={h}"),
+                        format!("mcfarling:n=12,h={h}"),
+                    ]
+                })
+                .collect(),
         },
     ]
 }

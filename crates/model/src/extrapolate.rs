@@ -54,7 +54,8 @@ pub struct Extrapolator {
 
 impl Extrapolator {
     /// Run the two-pass pipeline. `pass1` and `pass2` must yield the same
-    /// record stream (re-build the workload for each).
+    /// record stream (re-build the workload for each). A one-size call
+    /// of [`extrapolate_sizes`].
     ///
     /// # Panics
     ///
@@ -64,57 +65,90 @@ impl Extrapolator {
         pass1: impl Iterator<Item = BranchRecord>,
         pass2: impl Iterator<Item = BranchRecord>,
     ) -> Extrapolation {
-        assert!(self.bank_entries > 0, "bank size must be nonzero");
+        extrapolate_sizes(&[self.bank_entries], self.history_bits, pass1, pass2)[0]
+    }
+}
 
-        // Pass 1: bias over the entire trace.
-        let bias = BiasStats::new(self.history_bits).run(pass1);
-        let b = bias.static_bias_taken();
+/// Run the two-pass pipeline once for several bank sizes: one entry of
+/// the result per entry of `bank_entries`, in order.
+///
+/// The bias, the last-use distances and the unaliased 1-bit base rate do
+/// not depend on the bank size, so both passes walk the trace once; only
+/// the overhead sum is kept per size. Each sum is accumulated over the
+/// references in trace order, exactly as a one-size run accumulates it,
+/// so every result is bit-identical to [`Extrapolator::run`] at that
+/// size. `pass1` and `pass2` must yield the same record stream.
+///
+/// # Panics
+///
+/// Panics if any bank size is zero.
+pub fn extrapolate_sizes(
+    bank_entries: &[u64],
+    history_bits: u32,
+    pass1: impl Iterator<Item = BranchRecord>,
+    pass2: impl Iterator<Item = BranchRecord>,
+) -> Vec<Extrapolation> {
+    assert!(
+        bank_entries.iter().all(|&entries| entries > 0),
+        "bank size must be nonzero"
+    );
 
-        // Pass 2: last-use distances, overhead, and the unaliased 1-bit
-        // base rate, in one walk.
-        let mut cursor = PairCursor::new(self.history_bits);
-        let mut distances = LastUseDistance::new();
-        let mut ideal = Ideal::new(self.history_bits, CounterKind::OneBit)
-            .expect("history length validated by caller");
-        let mut overhead_sum = 0.0f64;
-        let mut unaliased_misses = 0u64;
-        let mut references = 0u64;
+    // Pass 1: bias over the entire trace.
+    let bias = BiasStats::new(history_bits).run(pass1);
+    let b = bias.static_bias_taken();
 
-        for record in pass2 {
-            if record.kind == BranchKind::Conditional {
-                references += 1;
-                let pair = cursor.pair(record.pc);
-                let p = match distances.observe(pair) {
-                    Some(d) => aliasing_probability(d, self.bank_entries),
+    // Pass 2: last-use distances, overhead per size, and the unaliased
+    // 1-bit base rate, in one walk.
+    let mut cursor = PairCursor::new(history_bits);
+    let mut distances = LastUseDistance::new();
+    let mut ideal =
+        Ideal::new(history_bits, CounterKind::OneBit).expect("history length validated by caller");
+    let mut overhead_sums = vec![0.0f64; bank_entries.len()];
+    let mut unaliased_misses = 0u64;
+    let mut references = 0u64;
+
+    for record in pass2 {
+        if record.kind == BranchKind::Conditional {
+            references += 1;
+            let pair = cursor.pair(record.pc);
+            let distance = distances.observe(pair);
+            for (sum, &entries) in overhead_sums.iter_mut().zip(bank_entries) {
+                let p = match distance {
+                    Some(d) => aliasing_probability(d, entries),
                     // First encounter: the paper applies formula (3) with
                     // p = 1.
                     None => 1.0,
                 };
-                overhead_sum += p_sk(p, b);
-
-                let prediction = ideal.predict(record.pc);
-                let outcome = Outcome::from(record.taken);
-                if !prediction.novel && prediction.outcome != outcome {
-                    unaliased_misses += 1;
-                }
-                ideal.update(record.pc, outcome);
-            } else {
-                ideal.record_unconditional(record.pc);
+                *sum += p_sk(p, b);
             }
-            cursor.advance(&record);
-        }
 
-        let refs_f = references.max(1) as f64;
-        let unaliased_rate = unaliased_misses as f64 / refs_f;
-        let aliasing_overhead = overhead_sum / refs_f;
-        Extrapolation {
-            bias: b,
-            unaliased_rate,
-            aliasing_overhead,
-            extrapolated_rate: unaliased_rate + aliasing_overhead,
-            references,
+            let prediction = ideal.predict(record.pc);
+            let outcome = Outcome::from(record.taken);
+            if !prediction.novel && prediction.outcome != outcome {
+                unaliased_misses += 1;
+            }
+            ideal.update(record.pc, outcome);
+        } else {
+            ideal.record_unconditional(record.pc);
         }
+        cursor.advance(&record);
     }
+
+    let refs_f = references.max(1) as f64;
+    let unaliased_rate = unaliased_misses as f64 / refs_f;
+    overhead_sums
+        .iter()
+        .map(|&overhead_sum| {
+            let aliasing_overhead = overhead_sum / refs_f;
+            Extrapolation {
+                bias: b,
+                unaliased_rate,
+                aliasing_overhead,
+                extrapolated_rate: unaliased_rate + aliasing_overhead,
+                references,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -162,5 +196,58 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(run(1024, 20_000), run(1024, 20_000));
+    }
+
+    #[test]
+    fn batched_sizes_match_per_size_runs_bit_for_bit() {
+        // Figure 11's nine bank sizes plus the degenerate one-entry bank.
+        let sizes: Vec<u64> = (6..=14).map(|n| 1u64 << n).chain([1]).collect();
+        let spec = IbsBenchmark::Groff.spec();
+        let len = 30_000;
+        let batched = extrapolate_sizes(
+            &sizes,
+            4,
+            spec.build().take_conditionals(len),
+            spec.build().take_conditionals(len),
+        );
+        assert_eq!(batched.len(), sizes.len());
+        for (&bank_entries, got) in sizes.iter().zip(&batched) {
+            let want = Extrapolator {
+                bank_entries,
+                history_bits: 4,
+            }
+            .run(
+                spec.build().take_conditionals(len),
+                spec.build().take_conditionals(len),
+            );
+            let bits = |e: &Extrapolation| {
+                [
+                    e.bias.to_bits(),
+                    e.unaliased_rate.to_bits(),
+                    e.aliasing_overhead.to_bits(),
+                    e.extrapolated_rate.to_bits(),
+                    e.references,
+                ]
+            };
+            assert_eq!(bits(got), bits(&want), "bank_entries {bank_entries}");
+        }
+        // `aliasing_overhead` and `extrapolated_rate` bits of the
+        // one-size-per-walk pipeline this batch replaced, at bank sizes
+        // 1, 64, 1024 and 16384 (bias 0x3fe6222222222222, unaliased rate
+        // 0x3fb5a3f9fe16aa1f at every size).
+        let pinned: [(u64, u64, u64); 4] = [
+            (1, 0x3fd62ed29c21f5fa, 0x3fdb97d11ba7a082),
+            (64, 0x3fb70500930d0f5a, 0x3fc6547d4891dcbc),
+            (1024, 0x3fa0f888e1aa88e9, 0x3fbe203e6eebee94),
+            (16384, 0x3f96bed223eb72aa, 0x3fbb53ae871186ca),
+        ];
+        for (bank_entries, overhead, rate) in pinned {
+            let at = sizes.iter().position(|&s| s == bank_entries).unwrap();
+            let e = &batched[at];
+            assert_eq!(e.bias.to_bits(), 0x3fe6222222222222);
+            assert_eq!(e.unaliased_rate.to_bits(), 0x3fb5a3f9fe16aa1f);
+            assert_eq!(e.aliasing_overhead.to_bits(), overhead, "{bank_entries}");
+            assert_eq!(e.extrapolated_rate.to_bits(), rate, "{bank_entries}");
+        }
     }
 }

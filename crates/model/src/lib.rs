@@ -27,7 +27,7 @@ pub mod skew;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::curves::{destructive_aliasing_curve, CurvePoint};
-    pub use crate::extrapolate::{Extrapolation, Extrapolator};
+    pub use crate::extrapolate::{extrapolate_sizes, Extrapolation, Extrapolator};
     pub use crate::prob::{aliasing_probability, aliasing_probability_approx};
     pub use crate::skew::{crossover_distance, p_dm, p_sk, p_sk_m};
 }

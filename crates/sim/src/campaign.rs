@@ -4,7 +4,8 @@
 //! mode), so its artifact — every rendered table cell, captured as a
 //! [`CampaignArtifact`] — is reproducible and can be diffed against a
 //! committed baseline by [`bpred_results::campaign::diff`]. The `quick`
-//! campaign backs the CI regression gate.
+//! campaign backs the CI regression gate; `full-quick` runs all
+//! [`experiments::ALL_IDS`] and backs the all-experiments gate.
 
 use crate::experiments::{self, ExperimentOpts, ExperimentOutput};
 use crate::resume::ENGINE_VERSION;
@@ -24,12 +25,20 @@ pub struct Campaign {
 }
 
 /// Every defined campaign.
-pub const ALL: &[Campaign] = &[Campaign {
-    name: "quick",
-    description: "fig5 fig7 fig8 table2 three-c at --quick lengths (the CI regression gate)",
-    experiments: &["fig5", "fig7", "fig8", "table2", "three-c"],
-    quick: true,
-}];
+pub const ALL: &[Campaign] = &[
+    Campaign {
+        name: "quick",
+        description: "fig5 fig7 fig8 table2 three-c at --quick lengths (the CI regression gate)",
+        experiments: &["fig5", "fig7", "fig8", "table2", "three-c"],
+        quick: true,
+    },
+    Campaign {
+        name: "full-quick",
+        description: "every experiment at --quick lengths (the all-experiments CI gate)",
+        experiments: experiments::ALL_IDS,
+        quick: true,
+    },
+];
 
 /// Look a campaign up by name.
 pub fn find(name: &str) -> Option<&'static Campaign> {
@@ -104,6 +113,10 @@ mod tests {
     #[test]
     fn find_resolves_names() {
         assert_eq!(find("quick").unwrap().name, "quick");
+        assert_eq!(
+            find("full-quick").unwrap().experiments,
+            experiments::ALL_IDS
+        );
         assert!(find("nope").is_none());
     }
 }

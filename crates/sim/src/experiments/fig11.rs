@@ -5,11 +5,13 @@
 //! The model is expected to slightly *over*-estimate the measured rate
 //! (constructive aliasing is not modeled).
 
-use super::helpers::{columns, sim_pct};
+use super::helpers::columns;
 use super::{ExperimentOpts, ExperimentOutput};
+use crate::engine::NovelPolicy;
 use crate::report::{pct, Table};
+use crate::resume::{self, Unit};
 use crate::runner::parallel_map;
-use bpred_model::extrapolate::Extrapolator;
+use bpred_model::extrapolate::extrapolate_sizes;
 use bpred_trace::workload::IbsBenchmark;
 
 const BANK_LOG2: std::ops::RangeInclusive<u32> = 6..=14;
@@ -21,32 +23,34 @@ struct Cell {
     measured: f64,
 }
 
-fn measure(bench: IbsBenchmark, bank_log2: u32, len: u64) -> Cell {
+/// Every bank size of one benchmark: one extrapolation walk serving all
+/// sizes, then the simulated cells as one batch of the results-store
+/// pipeline (keyed exactly as [`super::helpers::sim_pct`] keys them).
+fn measure(bench: IbsBenchmark, len: u64, banks_log2: &[u32], threads: usize) -> Vec<Cell> {
     let trace = columns(bench, len);
-    let extrapolation = Extrapolator {
-        bank_entries: 1 << bank_log2,
-        history_bits: HISTORY,
-    }
-    .run(trace.records(), trace.records());
-    let measured = sim_pct(
-        &format!("gskew:n={bank_log2},h={HISTORY},ctr=1,update=total"),
-        bench,
-        len,
-    );
-    Cell {
-        extrapolated: 100.0 * extrapolation.extrapolated_rate,
-        measured,
-    }
+    let sizes: Vec<u64> = banks_log2.iter().map(|&n| 1u64 << n).collect();
+    let extrapolations = extrapolate_sizes(&sizes, HISTORY, trace.records(), trace.records());
+    let units: Vec<Unit> = banks_log2
+        .iter()
+        .map(|n| Unit::Spec(format!("gskew:n={n},h={HISTORY},ctr=1,update=total")))
+        .collect();
+    let measured = resume::run_cells(bench, len, NovelPolicy::Count, &units, threads);
+    extrapolations
+        .iter()
+        .zip(&measured)
+        .map(|(extrapolation, results)| Cell {
+            extrapolated: 100.0 * extrapolation.extrapolated_rate,
+            measured: results[0].mispredict_pct(),
+        })
+        .collect()
 }
 
 pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
     let banks: Vec<u32> = BANK_LOG2.collect();
-    let tasks: Vec<(u32, IbsBenchmark)> = banks
-        .iter()
-        .flat_map(|&n| IbsBenchmark::all().into_iter().map(move |b| (n, b)))
-        .collect();
-    let cells = parallel_map(tasks, opts.threads, |(n, bench)| {
-        measure(bench, n, opts.len_for(bench))
+    // One task per benchmark: its trace walk serves every bank size.
+    let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
+    let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
+        measure(bench, opts.len_for(bench), &banks, inner_threads)
     });
 
     let mut columns = vec!["bank entries".to_string()];
@@ -59,18 +63,16 @@ pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
         "Measured mispredict % (simulated 3-bank gskew: 1-bit, total update, h=4)",
         columns,
     );
-    let per_row = IbsBenchmark::all().len();
     for (i, &n) in banks.iter().enumerate() {
-        let row = &cells[i * per_row..(i + 1) * per_row];
         let label = format!("3x{}", 1u64 << n);
         extrapolated.push_row(
             std::iter::once(label.clone())
-                .chain(row.iter().map(|c| pct(c.extrapolated)))
+                .chain(per_bench.iter().map(|cells| pct(cells[i].extrapolated)))
                 .collect(),
         );
         measured.push_row(
             std::iter::once(label)
-                .chain(row.iter().map(|c| pct(c.measured)))
+                .chain(per_bench.iter().map(|cells| pct(cells[i].measured)))
                 .collect(),
         );
     }
@@ -87,7 +89,7 @@ mod tests {
 
     #[test]
     fn model_tracks_simulation() {
-        let c = measure(IbsBenchmark::Verilog, 10, 60_000);
+        let c = measure(IbsBenchmark::Verilog, 60_000, &[10], 1)[0];
         // Same ballpark...
         assert!(
             (c.extrapolated - c.measured).abs() < c.measured.max(2.0),

@@ -11,23 +11,36 @@ use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
 use proptest::{prop_assert, prop_assert_eq};
 
-/// A random kernel-eligible spec string built from raw draws.
-fn spec_from(family: u8, n: u32, h: u32, wide: bool, total: bool, skew_off: bool) -> String {
-    match family % 4 {
-        0 => format!("bimodal:n={n}"),
-        1 => format!("gshare:n={n},h={h}"),
-        2 => format!("gselect:n={n},h={h}"),
-        _ => {
+/// A random kernel-eligible spec string built from raw draws. `ctr` is
+/// the counter width (1..=7) of every family that has one; `2bcgskew`
+/// is 2-bit only.
+fn spec_from(
+    family: u8,
+    n: u32,
+    h: u32,
+    ctr: u8,
+    wide: bool,
+    total: bool,
+    skew_off: bool,
+) -> String {
+    match family % 6 {
+        0 => format!("bimodal:n={n},ctr={ctr}"),
+        1 => format!("gshare:n={n},h={h},ctr={ctr}"),
+        2 => format!("gselect:n={n},h={h},ctr={ctr}"),
+        3 => {
             let name = if wide { "egskew" } else { "gskew" };
             let banks = if wide { 5 } else { 3 };
             let update = if total { "total" } else { "partial" };
             let skew = if skew_off { "off" } else { "on" };
             // n >= 2 for the skewing functions.
             format!(
-                "{name}:n={},h={h},banks={banks},update={update},skew={skew}",
+                "{name}:n={},h={h},banks={banks},update={update},skew={skew},ctr={ctr}",
                 n.max(2)
             )
         }
+        4 => format!("mcfarling:n={n},h={h},ctr={ctr}"),
+        // n >= 2 for the skewing functions.
+        _ => format!("2bcgskew:n={},h={h}", n.max(2)),
     }
 }
 
@@ -42,6 +55,7 @@ proptest::proptest! {
         family in proptest::any::<u8>(),
         n in 1u32..=13,
         h in 0u32..=18,
+        ctr in 1u8..=7,
         wide in proptest::any::<bool>(),
         total in proptest::any::<bool>(),
         skew_off in proptest::any::<bool>(),
@@ -49,7 +63,7 @@ proptest::proptest! {
         len in 200u64..1_500,
         seed in proptest::any::<u64>(),
     ) {
-        let spec = spec_from(family, n, h, wide, total, skew_off);
+        let spec = spec_from(family, n, h, ctr, wide, total, skew_off);
         let bench = bench_from(bench_i);
         let cols = cache::columns_seeded(bench, len, seed);
 
@@ -83,13 +97,13 @@ proptest::proptest! {
         len in 200u64..1_000,
         seed in proptest::any::<u64>(),
     ) {
-        // One kernel row, one dyn-only row (mcfarling has no kernel), in
+        // One kernel row, one dyn-only row (agree has no kernel), in
         // both orders: routing must preserve order and bit-identity.
         let bench = bench_from(bench_i);
         let cols = cache::columns_seeded(bench, len, seed);
         let specs = vec![
             format!("gskew:n={},h={h}", n.max(2)),
-            format!("mcfarling:n={n},h={h}"),
+            format!("agree:n={n},h={h}"),
             format!("gshare:n={n},h={h}"),
         ];
         for spec in &specs[1..2] {

@@ -20,7 +20,6 @@ const VALUED: &[&str] = &[
     "bench",
     "pred",
     "out",
-    "format",
     "file",
     "windows",
     "seed",
@@ -62,7 +61,7 @@ fn accepted(command: Option<&str>) -> Option<&'static [&'static str]> {
         ],
         Some("campaign") => &["quick", "out", "threads", "len", "tol"],
         Some("results") => &["budget"],
-        Some("trace") => &["bench", "len", "out", "format", "file"],
+        Some("trace") => &["bench", "len", "out", "file"],
         Some(_) => return None,
     })
 }
@@ -272,7 +271,7 @@ mod tests {
             "run --pred gshare:n=8,h=4 --bench verilog --len 6000 --windows 6",
             "sweep --pred gskew:n=8,h={h} --bench gs --len 100",
             "results gc --budget 1000 --results-dir d",
-            "trace info --file t.bpt --format compact",
+            "trace info --file t.bpt2",
         ] {
             assert!(try_parse(line).is_ok(), "{line}");
         }

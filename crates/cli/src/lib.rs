@@ -13,8 +13,8 @@
 //! bpsim sweep --pred <spec-with-{h}> [--bench <name>] [--len N]
 //! bpsim campaign <name|list|diff> ...
 //! bpsim results <stats|gc> [--results-dir DIR]
-//! bpsim trace gen --bench <name> --len N --out FILE [--format bin|text|compact]
-//! bpsim trace info --file FILE [--format bin|text|compact]
+//! bpsim trace gen --bench <name> --len N --out FILE   write a BPT2 trace
+//! bpsim trace info --file FILE                      stream one back
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,7 +33,6 @@ use bpred_sim::runner::default_threads;
 use bpred_sim::{campaign, kernel, report, timing};
 use bpred_trace::cache as trace_cache;
 use bpred_trace::io as trace_io;
-use bpred_trace::io2 as trace_io2;
 use bpred_trace::stats::TraceStats;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
@@ -59,8 +58,8 @@ USAGE:
   bpsim campaign diff <baseline> <candidate> [--tol T]
   bpsim results stats [--results-dir DIR]
   bpsim results gc --budget BYTES [--results-dir DIR]
-  bpsim trace gen --bench <name> --len N --out FILE [--format bin|text|compact]
-  bpsim trace info --file FILE [--format bin|text|compact]
+  bpsim trace gen --bench <name> --len N --out FILE   (writes a BPT2 trace)
+  bpsim trace info --file FILE
 
 Global options:
   --seed S           workload seed base, decimal or 0x-hex (default
@@ -728,13 +727,8 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
                 .take_conditionals(len);
             let file = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
             let mut writer = BufWriter::new(file);
-            let written = match args.option("format").unwrap_or("bin") {
-                "bin" => trace_io::write_binary(&mut writer, records),
-                "text" => trace_io::write_text(&mut writer, records),
-                "compact" => trace_io2::write_compact(&mut writer, records),
-                other => return Err(format!("unknown format `{other}` (bin|text|compact)")),
-            }
-            .map_err(|e| format!("write {out}: {e}"))?;
+            let written = trace_io::write_compact(&mut writer, records)
+                .map_err(|e| format!("write {out}: {e}"))?;
             writer.flush().map_err(|e| format!("flush {out}: {e}"))?;
             println!("wrote {written} records to {out}");
             Ok(())
@@ -742,14 +736,14 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         Some("info") => {
             let path = args.option("file").ok_or("trace info needs --file FILE")?;
             let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            let records = match args.option("format").unwrap_or("bin") {
-                "bin" => trace_io::read_binary(BufReader::new(file)),
-                "text" => trace_io::read_text(BufReader::new(file)),
-                "compact" => trace_io2::read_compact(BufReader::new(file)),
-                other => return Err(format!("unknown format `{other}` (bin|text|compact)")),
+            let read_err = |e: std::io::Error| format!("read {path}: {e}");
+            let reader = trace_io::CompactReader::new(BufReader::new(file)).map_err(read_err)?;
+            let mut failure = None;
+            let records = reader.map_while(|record| record.map_err(|e| failure = Some(e)).ok());
+            let stats = TraceStats::collect(records);
+            if let Some(e) = failure {
+                return Err(read_err(e));
             }
-            .map_err(|e| format!("read {path}: {e}"))?;
-            let stats = TraceStats::collect(records.into_iter());
             println!("records:               {}", stats.total_records);
             println!("dynamic conditional:   {}", stats.dynamic_conditional);
             println!("static conditional:    {}", stats.static_conditional);
@@ -877,8 +871,8 @@ mod tests {
     }
 
     #[test]
-    fn compact_trace_roundtrip_through_files() {
-        let dir = std::env::temp_dir().join("bpsim-test-compact");
+    fn trace_roundtrip_through_files() {
+        let dir = std::env::temp_dir().join("bpsim-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.bpt2");
         let path_str = path.to_str().unwrap().to_string();
@@ -891,38 +885,9 @@ mod tests {
             "2000".into(),
             "--out".into(),
             path_str.clone(),
-            "--format".into(),
-            "compact".into(),
         ])
         .unwrap();
-        dispatch(vec![
-            "trace".into(),
-            "info".into(),
-            "--file".into(),
-            path_str,
-            "--format".into(),
-            "compact".into(),
-        ])
-        .unwrap();
-    }
-
-    #[test]
-    fn trace_roundtrip_through_files() {
-        let dir = std::env::temp_dir().join("bpsim-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.bpt");
-        let path_str = path.to_str().unwrap().to_string();
-        dispatch(vec![
-            "trace".into(),
-            "gen".into(),
-            "--bench".into(),
-            "verilog".into(),
-            "--len".into(),
-            "2000".into(),
-            "--out".into(),
-            path_str.clone(),
-        ])
-        .unwrap();
+        assert!(std::fs::read(&path).unwrap().starts_with(b"BPT2"));
         dispatch(vec![
             "trace".into(),
             "info".into(),

@@ -1,4 +1,4 @@
-//! End-to-end acceptance pins for ISSUE 2, driven through the real
+//! End-to-end acceptance pins, driven through the real
 //! `bpsim` binary so exit codes, stdout bytes and the `--verbose`
 //! counters are all exercised exactly as CI and users see them.
 
@@ -261,4 +261,75 @@ fn misspelled_flags_fail_before_any_work() {
     let zero = bpsim(&["run", "--pred", "gshare:n=8,h=4", "--len", "0"]);
     assert!(!zero.status.success());
     assert!(String::from_utf8_lossy(&zero.stderr).contains("--len must be at least 1"));
+}
+
+#[test]
+fn trace_gen_rejects_format_and_keeps_existing_out_file() {
+    // There is one trace format, so `--format` is an unknown option; it
+    // must fail before `--out` is created or truncated.
+    let out = temp_path("keep.bpt2");
+    std::fs::write(&out, b"precious").unwrap();
+    let gen = bpsim(&[
+        "trace",
+        "gen",
+        "--bench",
+        "gs",
+        "--len",
+        "100",
+        "--out",
+        out.to_str().unwrap(),
+        "--format",
+        "bin",
+    ]);
+    assert!(!gen.status.success());
+    let err = String::from_utf8_lossy(&gen.stderr);
+    assert!(
+        err.contains("--format"),
+        "the error names the option: {err}"
+    );
+    assert_eq!(std::fs::read(&out).unwrap(), b"precious");
+    let _ = std::fs::remove_file(&out);
+}
+
+#[test]
+fn trace_info_streams_back_what_trace_gen_wrote() {
+    let path = temp_path("roundtrip.bpt2");
+    let file = path.to_str().unwrap();
+    let gen = bpsim(&[
+        "trace", "gen", "--bench", "verilog", "--len", "3000", "--out", file,
+    ]);
+    assert!(gen.status.success());
+    let wrote = String::from_utf8(gen.stdout).unwrap();
+    let written = wrote
+        .strip_prefix("wrote ")
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("unexpected gen output: {wrote}"));
+
+    let info = bpsim(&["trace", "info", "--file", file]);
+    assert!(info.status.success());
+    let stats = String::from_utf8(info.stdout).unwrap();
+    let records = stats
+        .lines()
+        .find_map(|line| line.strip_prefix("records:"))
+        .map(str::trim)
+        .unwrap_or_else(|| panic!("no records line: {stats}"));
+    assert_eq!(records, written, "{stats}");
+
+    // A file cut short by one byte fails with a read error.
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+    let short = bpsim(&["trace", "info", "--file", file]);
+    assert!(!short.status.success());
+    let err = String::from_utf8_lossy(&short.stderr);
+    assert!(err.contains(&format!("read {file}: ")), "{err}");
+
+    // A flat BPT1 header (magic + u64 count) is not a trace any more.
+    let mut bpt1 = b"BPT1".to_vec();
+    bpt1.extend_from_slice(&0u64.to_le_bytes());
+    std::fs::write(&path, bpt1).unwrap();
+    let old = bpsim(&["trace", "info", "--file", file]);
+    assert!(!old.status.success());
+    let err = String::from_utf8_lossy(&old.stderr);
+    assert!(err.contains("not a BPT2 trace"), "{err}");
+    let _ = std::fs::remove_file(&path);
 }

@@ -6,7 +6,8 @@
 //!
 //! * [`record`] — the [`record::BranchRecord`] trace unit (conditional /
 //!   unconditional / call / return, user / kernel).
-//! * [`stream`] — the [`stream::TraceSource`] streaming abstraction.
+//! * [`stream`] — [`stream::TraceSourceExt::take_conditionals`], which
+//!   bounds a record stream by its conditional-branch count.
 //! * [`behavior`] — stochastic branch-site behaviour models (bias, loops,
 //!   patterns, history correlation, phases).
 //! * [`soa`] — [`soa::TraceColumns`], the lossless structure-of-arrays
@@ -22,8 +23,8 @@
 //!   ([`workload::IbsBenchmark`]) with multi-process and kernel-burst
 //!   interleaving.
 //! * [`stats`] — Table 1-style trace statistics.
-//! * [`io`] — binary and text trace file formats (plus [`io2`], the
-//!   delta/varint-compressed `BPT2` format).
+//! * [`io`] — the delta/varint-compressed `BPT2` trace file format, with a
+//!   streaming reader.
 //! * [`mix`] — multiprogrammed interleaving of whole workloads.
 //!
 //! ## Quick start
@@ -44,7 +45,6 @@ pub mod behavior;
 pub mod cache;
 pub mod gen;
 pub mod io;
-pub mod io2;
 pub mod mix;
 pub mod program;
 pub mod record;
@@ -63,10 +63,10 @@ pub mod prelude {
     pub use crate::record::{BranchKind, BranchRecord, Privilege};
     pub use crate::soa::TraceColumns;
     pub use crate::stats::TraceStats;
-    pub use crate::stream::{TraceSource, TraceSourceExt};
+    pub use crate::stream::TraceSourceExt;
     pub use crate::workload::{IbsBenchmark, Workload, WorkloadSpec};
 }
 
 pub use record::{BranchKind, BranchRecord, Privilege};
-pub use stream::{TraceSource, TraceSourceExt};
+pub use stream::TraceSourceExt;
 pub use workload::IbsBenchmark;

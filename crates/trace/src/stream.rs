@@ -2,19 +2,9 @@
 
 use crate::record::BranchRecord;
 
-/// A stream of dynamic branches.
-///
-/// This is a blanket-implemented alias for
-/// `Iterator<Item = BranchRecord>`; generators, file readers and in-memory
-/// vectors all qualify. Consumers (the simulation engine, the aliasing
-/// analyses) take `impl TraceSource` and stream records without
-/// materializing the trace.
-pub trait TraceSource: Iterator<Item = BranchRecord> {}
-
-impl<I: Iterator<Item = BranchRecord>> TraceSource for I {}
-
-/// Extension helpers on trace sources.
-pub trait TraceSourceExt: TraceSource + Sized {
+/// Extension helpers on record streams: generators, file readers and
+/// in-memory vectors all qualify.
+pub trait TraceSourceExt: Iterator<Item = BranchRecord> + Sized {
     /// Keep only the first `n` *conditional* branches (plus every
     /// unconditional record interleaved before the cut-off). This is how
     /// experiments bound workload length without distorting the
@@ -25,29 +15,9 @@ pub trait TraceSourceExt: TraceSource + Sized {
             remaining: n,
         }
     }
-
-    /// Keep only records executed at the given privilege level — e.g.
-    /// `user_only` studies strip the OS component the way many pre-IBS
-    /// papers (implicitly) did.
-    fn privilege_only(self, privilege: crate::record::Privilege) -> PrivilegeOnly<Self> {
-        PrivilegeOnly {
-            inner: self,
-            privilege,
-        }
-    }
-
-    /// Relocate every pc by a fixed byte offset — e.g. to emulate two
-    /// copies of a program at different load addresses (ASLR-style
-    /// studies), or to de-conflict address spaces when splicing traces.
-    fn relocate(self, offset: i64) -> Relocate<Self> {
-        Relocate {
-            inner: self,
-            offset,
-        }
-    }
 }
 
-impl<I: TraceSource> TraceSourceExt for I {}
+impl<I: Iterator<Item = BranchRecord>> TraceSourceExt for I {}
 
 /// Iterator returned by [`TraceSourceExt::take_conditionals`].
 #[derive(Debug, Clone)]
@@ -56,7 +26,7 @@ pub struct TakeConditionals<I> {
     remaining: u64,
 }
 
-impl<I: TraceSource> Iterator for TakeConditionals<I> {
+impl<I: Iterator<Item = BranchRecord>> Iterator for TakeConditionals<I> {
     type Item = BranchRecord;
 
     fn next(&mut self) -> Option<BranchRecord> {
@@ -68,39 +38,6 @@ impl<I: TraceSource> Iterator for TakeConditionals<I> {
             self.remaining -= 1;
         }
         Some(record)
-    }
-}
-
-/// Iterator returned by [`TraceSourceExt::privilege_only`].
-#[derive(Debug, Clone)]
-pub struct PrivilegeOnly<I> {
-    inner: I,
-    privilege: crate::record::Privilege,
-}
-
-impl<I: TraceSource> Iterator for PrivilegeOnly<I> {
-    type Item = BranchRecord;
-
-    fn next(&mut self) -> Option<BranchRecord> {
-        self.inner.by_ref().find(|r| r.privilege == self.privilege)
-    }
-}
-
-/// Iterator returned by [`TraceSourceExt::relocate`].
-#[derive(Debug, Clone)]
-pub struct Relocate<I> {
-    inner: I,
-    offset: i64,
-}
-
-impl<I: TraceSource> Iterator for Relocate<I> {
-    type Item = BranchRecord;
-
-    fn next(&mut self) -> Option<BranchRecord> {
-        self.inner.next().map(|mut r| {
-            r.pc = r.pc.wrapping_add_signed(self.offset);
-            r
-        })
     }
 }
 
@@ -138,51 +75,5 @@ mod tests {
     fn take_conditionals_larger_than_stream() {
         let out: Vec<_> = sample().into_iter().take_conditionals(100).collect();
         assert_eq!(out.len(), 5);
-    }
-
-    #[test]
-    fn privilege_filter_splits_user_and_kernel() {
-        use crate::record::Privilege;
-        let records = vec![
-            BranchRecord::conditional(0x100, true),
-            BranchRecord::conditional(0x8000, false).in_kernel(),
-            BranchRecord::unconditional(0x104),
-        ];
-        let user: Vec<_> = records
-            .iter()
-            .copied()
-            .privilege_only(Privilege::User)
-            .collect();
-        let kernel: Vec<_> = records
-            .into_iter()
-            .privilege_only(Privilege::Kernel)
-            .collect();
-        assert_eq!(user.len(), 2);
-        assert_eq!(kernel.len(), 1);
-        assert_eq!(kernel[0].pc, 0x8000);
-    }
-
-    #[test]
-    fn relocate_shifts_pcs_both_ways() {
-        let records = vec![BranchRecord::conditional(0x1000, true)];
-        let up: Vec<_> = records.iter().copied().relocate(0x100).collect();
-        assert_eq!(up[0].pc, 0x1100);
-        let down: Vec<_> = records.into_iter().relocate(-0x100).collect();
-        assert_eq!(down[0].pc, 0xF00);
-    }
-
-    #[test]
-    fn adapters_compose() {
-        use crate::record::Privilege;
-        use crate::workload::IbsBenchmark;
-        let n = IbsBenchmark::Verilog
-            .spec()
-            .build()
-            .privilege_only(Privilege::User)
-            .relocate(0x1000_0000)
-            .take_conditionals(500)
-            .filter(|r| r.kind == BranchKind::Conditional)
-            .count();
-        assert_eq!(n, 500);
     }
 }

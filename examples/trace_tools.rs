@@ -1,15 +1,13 @@
-//! Trace tooling tour: generate a workload, write it in all three file
-//! formats, stream it back, filter it, and compare sizes — the round trip
-//! a user would take to exchange traces with another simulator.
+//! Trace tooling tour: generate a workload, write it as a BPT2 trace,
+//! stream it back and check that nothing changed — the round trip a user
+//! would take to exchange traces with another simulator.
 //!
 //! ```text
 //! cargo run --release --example trace_tools [branches]
 //! ```
 
-use gskew::trace::io::{read_text, write_binary, write_text, BinaryReader};
-use gskew::trace::io2::{write_compact, CompactReader};
+use gskew::trace::io::{write_compact, CompactReader};
 use gskew::trace::prelude::*;
-use gskew::trace::record::Privilege;
 use std::io;
 
 fn main() -> io::Result<()> {
@@ -25,65 +23,30 @@ fn main() -> io::Result<()> {
         .collect();
     let stats = TraceStats::collect(records.iter().copied());
     println!(
-        "generated {} records ({} conditional, {} static sites, {:.1}% kernel)\n",
+        "generated {} records ({} conditional, {} static sites, {:.1}% kernel)",
         stats.total_records,
         stats.dynamic_conditional,
         stats.static_conditional,
         100.0 * stats.kernel_ratio()
     );
 
-    // --- all three formats, in memory ----------------------------------
-    let mut flat = Vec::new();
-    write_binary(&mut flat, records.iter().copied())?;
-    let mut compact = Vec::new();
-    write_compact(&mut compact, records.iter().copied())?;
-    let mut text = Vec::new();
-    write_text(&mut text, records.iter().copied())?;
-    println!("format sizes for {} records:", records.len());
+    let mut file = Vec::new();
+    write_compact(&mut file, records.iter().copied())?;
     println!(
-        "  BPT1 (flat)    {:>9} bytes  ({:.2} B/record)",
-        flat.len(),
-        flat.len() as f64 / records.len() as f64
-    );
-    println!(
-        "  BPT2 (compact) {:>9} bytes  ({:.2} B/record)",
-        compact.len(),
-        compact.len() as f64 / records.len() as f64
-    );
-    println!(
-        "  text           {:>9} bytes  ({:.2} B/record)",
-        text.len(),
-        text.len() as f64 / records.len() as f64
+        "BPT2: {} bytes ({:.2} B/record, vs 9 B/record for a flat pc + flags layout)",
+        file.len(),
+        file.len() as f64 / records.len() as f64
     );
 
-    // --- streaming readers return the identical stream ------------------
-    let from_flat: Vec<BranchRecord> =
-        BinaryReader::new(flat.as_slice())?.collect::<io::Result<_>>()?;
-    let from_compact: Vec<BranchRecord> =
-        CompactReader::new(compact.as_slice())?.collect::<io::Result<_>>()?;
-    let from_text = read_text(text.as_slice())?;
-    assert_eq!(from_flat, records);
-    assert_eq!(from_compact, records);
-    assert_eq!(from_text, records);
-    println!("\nall three formats round-trip identically");
-
-    // --- stream adapters -------------------------------------------------
-    let user_only = records
-        .iter()
-        .copied()
-        .privilege_only(Privilege::User)
-        .count();
-    let relocated: Vec<BranchRecord> = records
-        .iter()
-        .copied()
-        .relocate(0x1000_0000)
-        .take(1)
-        .collect();
-    println!(
-        "user-only view: {user_only}/{} records; first pc relocated {:#x} -> {:#x}",
-        records.len(),
-        records[0].pc,
-        relocated[0].pc
-    );
+    // The reader streams: each record is decoded on demand, so the same
+    // loop works on a file far larger than memory.
+    let mut reader = CompactReader::new(file.as_slice())?;
+    assert_eq!(reader.remaining(), records.len() as u64);
+    for (i, expected) in records.iter().enumerate() {
+        let record = reader.next().expect("header count covers every record")?;
+        assert_eq!(&record, expected, "record {i} differs after the round trip");
+    }
+    assert!(reader.next().is_none(), "no records past the header count");
+    println!("streamed back {} identical records", records.len());
     Ok(())
 }

@@ -6,7 +6,7 @@ use gskew::core::counter::CounterKind;
 use gskew::core::prelude::*;
 use gskew::core::spec::parse_spec;
 use gskew::sim::engine::{self, NovelPolicy};
-use gskew::trace::io::{read_binary, write_binary};
+use gskew::trace::io::{write_compact, CompactReader};
 use gskew::trace::prelude::*;
 
 #[test]
@@ -27,8 +27,11 @@ fn replayed_trace_file_gives_identical_results() {
     let records: Vec<BranchRecord> = bench.spec().build().take_conditionals(len).collect();
 
     let mut buf = Vec::new();
-    write_binary(&mut buf, records.iter().copied()).unwrap();
-    let replayed = read_binary(buf.as_slice()).unwrap();
+    write_compact(&mut buf, records.iter().copied()).unwrap();
+    let replayed: Vec<BranchRecord> = CompactReader::new(buf.as_slice())
+        .unwrap()
+        .collect::<std::io::Result<_>>()
+        .unwrap();
     assert_eq!(records, replayed);
 
     let mut live = Gshare::new(12, 8, CounterKind::TwoBit).unwrap();

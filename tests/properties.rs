@@ -8,7 +8,7 @@ use gskew::core::index::IndexFunction;
 use gskew::core::predictor::Outcome;
 use gskew::core::skew::{h, h_inv, skew_index};
 use gskew::core::vector::InfoVector;
-use gskew::trace::io::{read_binary, read_text, write_binary, write_text};
+use gskew::trace::io::{read_compact, write_compact, CompactReader};
 use gskew::trace::record::{BranchKind, BranchRecord, Privilege};
 use proptest::prelude::*;
 
@@ -143,29 +143,39 @@ proptest! {
         }
     }
 
-    /// Binary trace serialization round-trips arbitrary records.
-    #[test]
-    fn binary_trace_roundtrip(records in proptest::collection::vec(arb_record(), 0..200)) {
-        let mut buf = Vec::new();
-        write_binary(&mut buf, records.iter().copied()).unwrap();
-        prop_assert_eq!(read_binary(buf.as_slice()).unwrap(), records);
-    }
-
-    /// Text trace serialization round-trips arbitrary records.
-    #[test]
-    fn text_trace_roundtrip(records in proptest::collection::vec(arb_record(), 0..100)) {
-        let mut buf = Vec::new();
-        write_text(&mut buf, records.iter().copied()).unwrap();
-        prop_assert_eq!(read_text(buf.as_slice()).unwrap(), records);
-    }
-
     /// Compact (BPT2) trace serialization round-trips arbitrary records.
     #[test]
     fn compact_trace_roundtrip(records in proptest::collection::vec(arb_record(), 0..200)) {
-        use gskew::trace::io2::{read_compact, write_compact};
         let mut buf = Vec::new();
         write_compact(&mut buf, records.iter().copied()).unwrap();
         prop_assert_eq!(read_compact(buf.as_slice()).unwrap(), records);
+    }
+
+    /// Streaming a BPT2 trace record by record yields exactly the written
+    /// records, with `remaining` counting down to zero, then ends.
+    #[test]
+    fn compact_trace_streams_every_record(records in proptest::collection::vec(arb_record(), 0..200)) {
+        let mut buf = Vec::new();
+        write_compact(&mut buf, records.iter().copied()).unwrap();
+        let mut reader = CompactReader::new(buf.as_slice()).unwrap();
+        prop_assert_eq!(reader.remaining(), records.len() as u64);
+        for (i, expected) in records.iter().enumerate() {
+            let got = reader.next().expect("record missing").unwrap();
+            prop_assert_eq!(got, *expected, "at record {}", i);
+            prop_assert_eq!(reader.remaining(), (records.len() - i - 1) as u64);
+        }
+        prop_assert!(reader.next().is_none());
+    }
+
+    /// A BPT2 trace cut short at any byte fails to read; it never decodes
+    /// as a shorter trace.
+    #[test]
+    fn compact_trace_rejects_any_truncation(records in proptest::collection::vec(arb_record(), 0..40)) {
+        let mut buf = Vec::new();
+        write_compact(&mut buf, records.iter().copied()).unwrap();
+        for cut in 0..buf.len() {
+            prop_assert!(read_compact(&buf[..cut]).is_err(), "cut at byte {} read back", cut);
+        }
     }
 
     /// The spec parser never panics, whatever garbage it receives.

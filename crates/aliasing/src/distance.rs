@@ -31,6 +31,11 @@ fn prefix(tree: &[u32], mut i: usize) -> u64 {
 
 /// Streaming last-use-distance tracker.
 ///
+/// Each live pair may carry a payload `P`, fixed on its first use — the
+/// predictor walk in `bpred-sim` stores a dense pair id there. The
+/// default payload `()` is zero-sized, so a plain tracker spends no
+/// memory on it.
+///
 /// ```
 /// use bpred_aliasing::distance::LastUseDistance;
 ///
@@ -40,13 +45,13 @@ fn prefix(tree: &[u32], mut i: usize) -> u64 {
 /// assert_eq!(d.observe((1, 0)), Some(1));   // one distinct pair between
 /// assert_eq!(d.observe((1, 0)), Some(0));   // immediate reuse
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct LastUseDistance {
+#[derive(Debug, Clone)]
+pub struct LastUseDistance<P = ()> {
     /// Fenwick tree over timestamps (1-based): a 1 at the most recent
     /// timestamp of each live pair.
     tree: Vec<u32>,
-    /// Most recent timestamp of each pair (1-based).
-    last: HashMap<(u64, u64), usize>,
+    /// Most recent timestamp (1-based) and payload of each pair.
+    last: HashMap<(u64, u64), (usize, P)>,
     /// The last timestamp handed out.
     clock: usize,
     /// References observed.
@@ -56,9 +61,30 @@ pub struct LastUseDistance {
 impl LastUseDistance {
     /// An empty tracker.
     pub fn new() -> Self {
+        LastUseDistance::with_payload()
+    }
+
+    /// Record a reference to `pair`; returns its last-use distance, or
+    /// `None` on first use.
+    pub fn observe(&mut self, pair: (u64, u64)) -> Option<u64> {
+        self.observe_with(pair, || ()).0
+    }
+}
+
+impl Default for LastUseDistance {
+    fn default() -> Self {
+        LastUseDistance::new()
+    }
+}
+
+impl<P: Copy> LastUseDistance<P> {
+    /// An empty tracker whose pairs carry a `P` payload.
+    pub fn with_payload() -> Self {
         LastUseDistance {
             tree: vec![0; MIN_TREE_LEN],
-            ..LastUseDistance::default()
+            last: HashMap::new(),
+            clock: 0,
+            references: 0,
         }
     }
 
@@ -93,7 +119,7 @@ impl LastUseDistance {
         for i in 1..len {
             ranks[i] += ranks[i - 1];
         }
-        for stamp in self.last.values_mut() {
+        for (stamp, _) in self.last.values_mut() {
             *stamp = ranks[*stamp] as usize;
         }
         let mut len = len.max(MIN_TREE_LEN);
@@ -110,27 +136,37 @@ impl LastUseDistance {
         self.clock = live;
     }
 
-    /// Record a reference to `pair`; returns its last-use distance, or
-    /// `None` on first use.
-    pub fn observe(&mut self, pair: (u64, u64)) -> Option<u64> {
+    /// Record a reference to `pair`; returns its last-use distance
+    /// (`None` on first use) and its payload, which `fresh` supplies on
+    /// first use.
+    pub fn observe_with(
+        &mut self,
+        pair: (u64, u64),
+        fresh: impl FnOnce() -> P,
+    ) -> (Option<u64>, P) {
         self.references += 1;
         if self.clock + 1 >= self.tree.len() {
             self.renumber();
         }
         self.clock += 1;
         let now = self.clock;
-        let distance = match self.last.get(&pair).copied() {
-            Some(prev) => {
+        let (distance, payload) = match self.last.get_mut(&pair) {
+            Some((stamp, payload)) => {
+                let prev = std::mem::replace(stamp, now);
+                let payload = *payload;
                 // Distinct pairs strictly between prev and now.
                 let d = prefix(&self.tree, now - 1) - prefix(&self.tree, prev);
                 self.add(prev, -1);
-                Some(d)
+                (Some(d), payload)
             }
-            None => None,
+            None => {
+                let payload = fresh();
+                self.last.insert(pair, (now, payload));
+                (None, payload)
+            }
         };
         self.add(now, 1);
-        self.last.insert(pair, now);
-        distance
+        (distance, payload)
     }
 
     /// Number of distinct pairs seen so far.

@@ -17,11 +17,11 @@
 use bpred_aliasing::batch::{self, ThreeCCell};
 use bpred_aliasing::three_c::ThreeCClassifier;
 use bpred_core::index::IndexFunction;
-use bpred_core::spec::parse_spec;
+use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_results::json::Json;
 use bpred_sim::engine::{self, NovelPolicy};
 use bpred_sim::experiments::workload_seed;
-use bpred_sim::kernel::{self, PredictorKernel};
+use bpred_sim::kernel;
 use bpred_sim::runner::parallel_map;
 use bpred_trace::cache;
 use bpred_trace::workload::IbsBenchmark;
@@ -36,14 +36,15 @@ pub struct BenchCase {
     /// Case name (one row of the report).
     pub name: &'static str,
     /// The predictor specs the case drives; every spec must have a
-    /// kernel fast path.
+    /// fast path ([`kernel::plan`] leaves no dyn rows).
     pub specs: Vec<String>,
 }
 
 /// The default case list: the sweep shapes of the paper's fig. 5 and
 /// fig. 7, the gskew variant axis, the 1-bit counter rows of
-/// ablation-counters and fig. 11, and ext-hybrid's hybrid rows, all
-/// kernel-eligible.
+/// ablation-counters and fig. 11, ext-hybrid's hybrid rows, the
+/// de-aliasing designs of ext-antialias, ext-pas and ext-encoding, and
+/// fig. 8's FA-LRU capacities — every spec has a fast path.
 pub fn default_cases() -> Vec<BenchCase> {
     vec![
         BenchCase {
@@ -90,6 +91,31 @@ pub fn default_cases() -> Vec<BenchCase> {
                         format!("mcfarling:n=12,h={h}"),
                     ]
                 })
+                .collect(),
+        },
+        BenchCase {
+            name: "antialias",
+            specs: [2, 8, 14]
+                .iter()
+                .flat_map(|h| {
+                    [
+                        format!("agree:n=13,h={h},bias=12"),
+                        format!("bimode:n=12,h={h},choice=12"),
+                    ]
+                })
+                .chain([8, 11, 14].iter().flat_map(|n| {
+                    [
+                        format!("pas:bht=10,l=8,n={n}"),
+                        format!("spas:bht=10,l=8,n={n}"),
+                        format!("shgskew:n={n},h=6"),
+                    ]
+                }))
+                .collect(),
+        },
+        BenchCase {
+            name: "falru",
+            specs: (6..=14)
+                .map(|n| format!("falru:cap={},h=4", 1u64 << n))
                 .collect(),
         },
     ]
@@ -364,6 +390,18 @@ impl BenchReport {
     }
 }
 
+/// Parse bench-owned specs.
+///
+/// # Panics
+///
+/// Panics on an invalid spec — the case lists are bench-owned.
+fn parse_all(specs: &[String]) -> Vec<PredictorSpec> {
+    specs
+        .iter()
+        .map(|s| PredictorSpec::parse(s).unwrap_or_else(|e| panic!("bad bench spec `{s}`: {e}")))
+        .collect()
+}
+
 /// Race `cases` over the six IBS-like workloads, dyn pass vs kernels.
 ///
 /// `quick` caps every trace at [`QUICK_LEN_CAP`] conditional branches
@@ -373,8 +411,8 @@ impl BenchReport {
 ///
 /// # Panics
 ///
-/// Panics if a case holds an invalid spec or one without a kernel fast
-/// path — the case lists are bench-owned, so that is a bug, not input.
+/// Panics if a case holds an invalid spec or one without a fast path —
+/// the case lists are bench-owned, so that is a bug, not input.
 pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
     let seed = workload_seed();
     let mut measurements = Vec::with_capacity(cases.len());
@@ -401,26 +439,23 @@ pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
             let dyn_results = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
             dyn_seconds += start.elapsed().as_secs_f64();
 
-            let kernels: Vec<PredictorKernel> = case
-                .specs
-                .iter()
-                .map(|s| {
-                    PredictorKernel::from_spec(
-                        &bpred_core::spec::PredictorSpec::parse(s)
-                            .unwrap_or_else(|e| panic!("bad bench spec `{s}`: {e}")),
-                    )
-                    .unwrap_or_else(|| panic!("bench spec `{s}` has no kernel"))
-                })
-                .collect();
+            let (units, dyn_rows) = kernel::plan(&parse_all(&case.specs));
+            assert!(
+                dyn_rows.is_empty(),
+                "bench case `{}` has specs without a fast path",
+                case.name
+            );
             let cols = &cols;
-            let timed: Vec<_> = parallel_map(kernels, threads, move |mut kernel| {
+            let timed: Vec<_> = parallel_map(units, threads, move |(rows, mut unit)| {
                 let start = Instant::now();
-                let result = kernel.run(cols);
-                (result, start.elapsed().as_secs_f64())
+                let results = unit.run(cols, NovelPolicy::Count);
+                (rows, results, start.elapsed().as_secs_f64())
             });
-            for ((kernel_result, seconds), dyn_result) in timed.into_iter().zip(dyn_results) {
+            for (rows, results, seconds) in timed {
                 kernel_seconds += seconds;
-                matched &= kernel_result == dyn_result;
+                for (row, result) in rows.into_iter().zip(results) {
+                    matched &= result == dyn_results[row];
+                }
             }
         }
         measurements.push(CaseMeasurement {
@@ -448,7 +483,11 @@ mod tests {
     fn tiny_bench_runs_and_serializes() {
         let cases = vec![BenchCase {
             name: "tiny",
-            specs: vec!["gshare:n=8,h=4".into(), "gskew:n=8,h=4".into()],
+            specs: vec![
+                "gshare:n=8,h=4".into(),
+                "gskew:n=8,h=4".into(),
+                "falru:cap=64,h=4".into(),
+            ],
         }];
         // Exercise the full path on one tiny case; `quick` lengths are
         // still too slow for a unit test, so shrink through the cache
@@ -511,16 +550,10 @@ mod tests {
     }
 
     #[test]
-    fn default_cases_are_kernel_eligible() {
+    fn default_cases_have_fast_paths() {
         for case in default_cases() {
-            for spec in &case.specs {
-                let parsed = bpred_core::spec::PredictorSpec::parse(spec).unwrap();
-                assert!(
-                    PredictorKernel::from_spec(&parsed).is_some(),
-                    "{spec} in case {} lacks a kernel",
-                    case.name
-                );
-            }
+            let (_, dyn_rows) = kernel::plan(&parse_all(&case.specs));
+            assert!(dyn_rows.is_empty(), "case {} has dyn rows", case.name);
         }
     }
 }

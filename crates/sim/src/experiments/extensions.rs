@@ -23,11 +23,12 @@
 //!   workloads (seed robustness).
 
 use super::helpers::{
-    bench_sweep_table, history_labels, records, sim_pct, size_labels, spec_sweep_table,
+    bench_sweep_table, history_labels, records, size_labels, spec_sweep_table, stream_kernels,
 };
 use super::{ExperimentOpts, ExperimentOutput};
-use crate::engine;
+use crate::engine::NovelPolicy;
 use crate::report::{pct, Table};
+use crate::resume::{self, Unit};
 use crate::runner::parallel_map;
 use bpred_aliasing::nature::AliasingNature;
 use bpred_core::counter::CounterKind;
@@ -148,20 +149,27 @@ pub(super) fn multiprogram(opts: &ExperimentOpts) -> ExperimentOutput {
     // mix actually switches several times.
     let slice = (len / 12).clamp(500, 40_000);
 
-    let rows = parallel_map(specs.to_vec(), opts.threads, |spec| {
-        // Solo mean across the three mixed components.
-        let solo_mean = MIX
+    // Each component's six rows are one batch of the results-store
+    // pipeline.
+    let solo = parallel_map(MIX.to_vec(), opts.threads, |bench| -> Vec<f64> {
+        let units: Vec<Unit> = specs.iter().map(|s| Unit::Spec(s.to_string())).collect();
+        resume::run_cells(bench, len, NovelPolicy::Count, &units, 1)
             .iter()
-            .map(|&bench| sim_pct(spec, bench, len))
-            .sum::<f64>()
-            / MIX.len() as f64;
-        // The mixed run sees the same total number of branches.
-        let mut predictor = parse_spec(spec).expect("valid spec");
-        let mixed =
-            MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice).take_conditionals(len);
-        let mixed_pct = engine::run(&mut predictor, mixed).mispredict_pct();
-        (spec, solo_mean, mixed_pct)
+            .map(|results| results[0].mispredict_pct())
+            .collect()
     });
+    // The mixed run sees the same total number of branches.
+    let mix = MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice);
+    let mixed = stream_kernels(&specs, mix.take_conditionals(len));
+    let rows = specs
+        .iter()
+        .zip(mixed)
+        .enumerate()
+        .map(|(row, (spec, mixed))| {
+            // Solo mean across the three mixed components.
+            let solo_mean = solo.iter().map(|col| col[row]).sum::<f64>() / MIX.len() as f64;
+            (spec, solo_mean, mixed.mispredict_pct())
+        });
 
     let mut table = Table::with_columns(
         format!(
@@ -232,7 +240,6 @@ pub(super) fn encoding(opts: &ExperimentOpts) -> ExperimentOutput {
 
 pub(super) fn duel_verdicts(opts: &ExperimentOpts) -> ExperimentOutput {
     use crate::duel::duel;
-    use crate::engine::NovelPolicy;
 
     // The paper's key pairings, as paired McNemar tests.
     let pairings: [(&str, &str, &str); 3] = [
@@ -308,8 +315,6 @@ pub(super) fn duel_verdicts(opts: &ExperimentOpts) -> ExperimentOutput {
 }
 
 pub(super) fn seeds(opts: &ExperimentOpts) -> ExperimentOutput {
-    use crate::engine;
-
     // Re-generate each workload under several master seeds and check that
     // the paper's headline comparison (gskew 3x4K vs the larger 16K
     // gshare) is stable across them — i.e. the conclusions are not
@@ -333,11 +338,9 @@ pub(super) fn seeds(opts: &ExperimentOpts) -> ExperimentOutput {
         for seed_offset in 0..SEEDS {
             let mut spec = bench.spec();
             spec.seed = spec.seed.wrapping_add(seed_offset * 0x1_0000);
-            for (i, pred_spec) in specs.iter().enumerate() {
-                let mut predictor = parse_spec(pred_spec).expect("valid spec");
-                let pct = engine::run(&mut predictor, spec.build().take_conditionals(len))
-                    .mispredict_pct();
-                results[i].push(pct);
+            let runs = stream_kernels(&specs, spec.build().take_conditionals(len));
+            for (pcts, run) in results.iter_mut().zip(runs) {
+                pcts.push(run.mispredict_pct());
             }
         }
         (bench, results)
@@ -586,6 +589,7 @@ pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
 
 #[cfg(test)]
 mod tests {
+    use super::super::helpers::sim_pct;
     use super::*;
 
     fn tiny() -> ExperimentOpts {

@@ -1,13 +1,16 @@
 //! Shared plumbing for the experiment modules.
 
 use super::ExperimentOpts;
-use crate::engine::NovelPolicy;
+use crate::engine::{NovelPolicy, RunResult};
+use crate::kernel::PredictorKernel;
 use crate::report::{pct, Table};
 use crate::resume::{self, Unit};
 use crate::runner::parallel_map;
 use bpred_aliasing::batch::{self, ThreeCCell};
 use bpred_aliasing::three_c::ThreeCCounts;
+use bpred_core::spec::PredictorSpec;
 use bpred_trace::cache;
+use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::{Records, TraceColumns};
 use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,6 +62,43 @@ pub fn sim_pct(spec: &str, bench: IbsBenchmark, len: u64) -> f64 {
 pub fn sim_pct_with(spec: &str, bench: IbsBenchmark, len: u64, policy: NovelPolicy) -> f64 {
     let unit = Unit::Spec(spec.to_string());
     resume::run_cells(bench, len, policy, &[unit], 1)[0][0].mispredict_pct()
+}
+
+/// Records per column chunk in [`stream_kernels`].
+const STREAM_CHUNK: usize = 1 << 16;
+
+/// Run table-kernel `specs` over a bespoke record stream — a reseeded or
+/// mixed workload the trace cache does not hold. The stream is generated
+/// once and walked a column chunk at a time (kernels carry their state
+/// from one `run` to the next), so it is never resident whole. Results
+/// are parallel to `specs`; no prediction is novel.
+///
+/// # Panics
+///
+/// Panics on an invalid spec or one without a table kernel — experiment
+/// code owns its specs.
+pub(crate) fn stream_kernels(
+    specs: &[&str],
+    records: impl Iterator<Item = BranchRecord>,
+) -> Vec<RunResult> {
+    let mut kernels: Vec<PredictorKernel> = specs
+        .iter()
+        .map(|s| {
+            let parsed = PredictorSpec::parse(s).expect("valid spec");
+            PredictorKernel::from_spec(&parsed).expect("a table-kernel family")
+        })
+        .collect();
+    let mut results = vec![RunResult::default(); specs.len()];
+    let mut records = records.peekable();
+    while records.peek().is_some() {
+        let chunk: TraceColumns = records.by_ref().take(STREAM_CHUNK).collect();
+        for (kernel, total) in kernels.iter_mut().zip(&mut results) {
+            let part = kernel.run(&chunk);
+            total.conditional += part.conditional;
+            total.mispredicted += part.mispredicted;
+        }
+    }
+    results
 }
 
 /// Build a benchmark-per-column table by evaluating `cell` for every

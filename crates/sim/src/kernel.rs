@@ -10,7 +10,7 @@
 //! structure-of-arrays [`TraceColumns`] view instead of `BranchRecord`
 //! structs.
 //!
-//! Kernel families (everything else runs on the `dyn` engine):
+//! Fast-path families (everything else runs on the `dyn` engine):
 //!
 //! | family | kernel | counters |
 //! |---|---|---|
@@ -18,15 +18,21 @@
 //! | `gskew`, `egskew` (3 or 5 banks, partial/total, `skew=off`) | [`GskewKernel`] | 1..=7 bits |
 //! | `mcfarling` (bimodal + gshare + 2-bit meta) | [`McFarlingKernel`] | 1..=7 bits |
 //! | `2bcgskew` (BIM + G0 + G1 + meta) | [`TwoBcGskewKernel`] | 2 bits |
+//! | `agree` (gshare counters + first-outcome bias table) | [`AgreeKernel`] | 1..=7 bits |
+//! | `bimode` (choice table + two gshare banks) | [`BiModeKernel`] | 1..=7 bits |
+//! | `pas` (local histories + gselect pattern table) | [`PasKernel`] | 1..=7 bits |
+//! | `spas` (local histories + 3 skewed banks) | [`SpasKernel`] | 1..=7 bits |
+//! | `shgskew` (3 direction banks, shared hysteresis) | [`ShgskewKernel`] | 2 bits |
+//! | `falru`, `ideal` (tagged tables), one walk per history length | [`LruWalk`] | 1..=7 bits |
 //!
-//! Every loop is generic over its counter automaton: the 2-bit counter
-//! has its bounds as constants, every other width reads them from its
-//! [`CounterKind`] (boot at `weakly_taken`, predict taken above
+//! Every table loop is generic over its counter automaton: the 2-bit
+//! counter has its bounds as constants, every other width reads them from
+//! its [`CounterKind`] (boot at `weakly_taken`, predict taken above
 //! `neutral`, saturate at `max_value`). The gskew loop also takes its
 //! bank count and indexing variant as const parameters, computes the
 //! shared `H`/`H⁻¹` images of the two `n`-bit vector halves once per
 //! record, reads each bank's counter once and writes every bank back
-//! through a select.
+//! through a select; `spas` and `shgskew` use the same index code.
 //!
 //! The contract is **bit identity**: for every supported spec,
 //! [`PredictorKernel::run`] produces exactly the [`RunResult`] that
@@ -35,22 +41,26 @@
 //! functions of `bpred_core::skew`), same counter semantics, same
 //! history updates, and the indices are computed *once* per conditional
 //! record (legal because the dyn path's `update` recomputes them under
-//! the unchanged prediction-time history). Kernel predictors never flag
-//! a prediction *novel*, so the result is also independent of the
-//! [`NovelPolicy`]. The equivalence is pinned by a proptest suite
-//! (`tests/kernel_equiv.rs`) and by the campaign regression gates.
+//! the unchanged prediction-time history). Table kernels never flag a
+//! prediction *novel*, so their result is also independent of the
+//! [`NovelPolicy`]; the [`LruWalk`] rows do flag misses novel and honour
+//! the policy they are given, as the tagged dyn predictors do. The
+//! equivalence is pinned by a proptest suite (`tests/kernel_equiv.rs`)
+//! and by the campaign regression gates.
 //!
 //! [`run_specs`] is the batching entry point used by the experiment
-//! sweeps: it parses each spec ([`PredictorSpec::parse`]), routes the
-//! supported ones through kernels running in parallel over one shared
-//! column view, and falls back to a single batched
+//! sweeps: it parses each spec ([`PredictorSpec::parse`]), splits the
+//! list into fast-path units ([`plan`]) running in parallel over one
+//! shared column view, and falls back to a single batched
 //! [`engine::run_many`] pass for everything else.
 
 use crate::engine::{self, NovelPolicy, RunResult};
 use crate::runner::parallel_map;
 use crate::timing;
 use bpred_aliasing::batch::{self, DmCounts, FaCounts, ThreeCCell};
+use bpred_aliasing::distance::LastUseDistance;
 use bpred_aliasing::three_c::ThreeCCounts;
+use bpred_core::assoc::MissPolicy;
 use bpred_core::counter::CounterKind;
 use bpred_core::error::ConfigError;
 use bpred_core::gskew::UpdatePolicy;
@@ -280,6 +290,29 @@ fn gskew_indices<const B: usize, const ENHANCED: bool, const SKEW: bool>(
     })
 }
 
+/// The majority vote of the `B` counters at `at`, which then train
+/// with `taken`; returns the vote. Partial update spares dissenting banks
+/// only when the vote was correct (section 4.1).
+#[inline(always)]
+fn majority_vote<C: Counter, const B: usize>(
+    tables: &mut [u8],
+    at: [usize; B],
+    c: C,
+    taken: bool,
+    partial: bool,
+) -> bool {
+    let cells: [u8; B] = std::array::from_fn(|b| tables[at[b]]);
+    let votes = cells.iter().filter(|&&cell| c.taken(cell)).count();
+    let overall = 2 * votes > B;
+    let train_all = !partial || overall != taken;
+    for b in 0..B {
+        let cell = cells[b];
+        let train = train_all || c.taken(cell) == taken;
+        tables[at[b]] = if train { c.step(cell, taken) } else { cell };
+    }
+    overall
+}
+
 /// A gskew-family kernel: 3 or 5 banks in one flat array, partial or
 /// total update, plain / enhanced / identical-indexing variants.
 #[derive(Debug, Clone)]
@@ -363,19 +396,9 @@ impl GskewKernel {
                 };
                 let raw = gskew_indices::<B, ENHANCED, SKEW>(addr, packed, n);
                 let at: [usize; B] = std::array::from_fn(|b| b * bank_size + raw[b]);
-                let cells: [u8; B] = std::array::from_fn(|b| tables[at[b]]);
-                let votes = cells.iter().filter(|&&cell| c.taken(cell)).count();
-                let overall = 2 * votes > B;
+                let overall = majority_vote(tables, at, c, taken, partial);
                 result.conditional += 1;
                 result.mispredicted += u64::from(overall != taken);
-                // Partial update spares dissenting banks only when the
-                // overall prediction was correct (section 4.1).
-                let train_all = !partial || overall != taken;
-                for b in 0..B {
-                    let cell = cells[b];
-                    let train = train_all || c.taken(cell) == taken;
-                    tables[at[b]] = if train { c.step(cell, taken) } else { cell };
-                }
                 hist = ((hist << 1) | u64::from(taken)) & hmask;
             } else {
                 hist = ((hist << 1) | 1) & hmask;
@@ -538,6 +561,355 @@ impl TwoBcGskewKernel {
     }
 }
 
+/// The `agree` kernel: `2^n` gshare-indexed agreement counters over a
+/// `2^bias`-entry address-indexed bias table. A bias entry is set to the
+/// first outcome that reaches it and reads as taken while unset; a
+/// counter predicts "agrees with the bias" and trains toward whether the
+/// outcome did.
+#[derive(Debug, Clone)]
+pub struct AgreeKernel {
+    kind: CounterKind,
+    n: u32,
+    hist_bits: u32,
+    hist_mask: u64,
+    hist: u64,
+    counters: Vec<u8>,
+    /// [`BIAS_UNSET`], [`BIAS_NOT_TAKEN`] or [`BIAS_TAKEN`] per entry.
+    bias: Vec<u8>,
+}
+
+const BIAS_UNSET: u8 = 0;
+const BIAS_NOT_TAKEN: u8 = 1;
+const BIAS_TAKEN: u8 = 2;
+
+impl AgreeKernel {
+    fn new(n: u32, hist_bits: u32, bias: u32, kind: CounterKind) -> AgreeKernel {
+        AgreeKernel {
+            kind,
+            n,
+            hist_bits,
+            hist_mask: hist_mask(hist_bits),
+            hist: 0,
+            counters: vec![kind.weakly_taken(); 1usize << n],
+            bias: vec![BIAS_UNSET; 1usize << bias],
+        }
+    }
+
+    fn run(&mut self, cols: &TraceColumns) -> RunResult {
+        with_counter!(self.kind, c => self.drive(cols, c))
+    }
+
+    #[inline(always)]
+    fn drive<C: Counter>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
+        let mut result = RunResult::default();
+        let n = self.n;
+        let hist_bits = self.hist_bits;
+        let hmask = self.hist_mask;
+        let mut hist = self.hist;
+        let tmask = (1usize << n) - 1;
+        let bmask = self.bias.len() - 1;
+        let (counters, bias) = (&mut self.counters, &mut self.bias);
+        for (i, &pc) in cols.pcs().iter().enumerate() {
+            if cols.is_conditional(i) {
+                let taken = cols.taken(i);
+                let v = InfoVector::new(pc, hist, hist_bits);
+                let idx = IndexFunction::Gshare.index(&v, n) as usize & tmask;
+                let bi = (pc >> 2) as usize & bmask;
+                let b = bias[bi];
+                let cell = counters[idx];
+                // Agreeing with the bias predicts the bias direction.
+                let predicted = c.taken(cell) == (b != BIAS_NOT_TAKEN);
+                result.conditional += 1;
+                result.mispredicted += u64::from(predicted != taken);
+                let biased_taken = if b == BIAS_UNSET {
+                    bias[bi] = if taken { BIAS_TAKEN } else { BIAS_NOT_TAKEN };
+                    taken
+                } else {
+                    b == BIAS_TAKEN
+                };
+                counters[idx] = c.step(cell, taken == biased_taken);
+                hist = ((hist << 1) | u64::from(taken)) & hmask;
+            } else {
+                hist = ((hist << 1) | 1) & hmask;
+            }
+        }
+        self.hist = hist;
+        result
+    }
+}
+
+/// The `bimode` kernel: a `2^choice`-entry address-indexed choice table
+/// steering between a not-taken and a taken bank of `2^n` gshare-indexed
+/// counters. Only the chosen bank trains; the choice counter trains with
+/// the outcome unless the chosen bank overrode it successfully.
+#[derive(Debug, Clone)]
+pub struct BiModeKernel {
+    kind: CounterKind,
+    n: u32,
+    hist_bits: u32,
+    hist_mask: u64,
+    hist: u64,
+    choice: Vec<u8>,
+    /// The not-taken bank, then the taken bank, `2^n` counters each.
+    banks: Vec<u8>,
+}
+
+impl BiModeKernel {
+    fn new(n: u32, hist_bits: u32, choice: u32, kind: CounterKind) -> BiModeKernel {
+        BiModeKernel {
+            kind,
+            n,
+            hist_bits,
+            hist_mask: hist_mask(hist_bits),
+            hist: 0,
+            choice: vec![kind.weakly_taken(); 1usize << choice],
+            banks: vec![kind.weakly_taken(); 2usize << n],
+        }
+    }
+
+    fn run(&mut self, cols: &TraceColumns) -> RunResult {
+        with_counter!(self.kind, c => self.drive(cols, c))
+    }
+
+    #[inline(always)]
+    fn drive<C: Counter>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
+        let mut result = RunResult::default();
+        let n = self.n;
+        let hist_bits = self.hist_bits;
+        let hmask = self.hist_mask;
+        let mut hist = self.hist;
+        let tmask = (1usize << n) - 1;
+        let cmask = self.choice.len() - 1;
+        let (choice, banks) = (&mut self.choice, &mut self.banks);
+        for (i, &pc) in cols.pcs().iter().enumerate() {
+            if cols.is_conditional(i) {
+                let taken = cols.taken(i);
+                let v = InfoVector::new(pc, hist, hist_bits);
+                let ci = (pc >> 2) as usize & cmask;
+                let ch = choice[ci];
+                let chosen_taken = c.taken(ch);
+                let at = (usize::from(chosen_taken) << n)
+                    | (IndexFunction::Gshare.index(&v, n) as usize & tmask);
+                let cell = banks[at];
+                let predicted = c.taken(cell);
+                result.conditional += 1;
+                result.mispredicted += u64::from(predicted != taken);
+                banks[at] = c.step(cell, taken);
+                let overridden = predicted == taken && chosen_taken != taken;
+                if !overridden {
+                    choice[ci] = c.step(ch, taken);
+                }
+                hist = ((hist << 1) | u64::from(taken)) & hmask;
+            } else {
+                hist = ((hist << 1) | 1) & hmask;
+            }
+        }
+        self.hist = hist;
+        result
+    }
+}
+
+/// The first level of `pas` and `spas`: `2^bht` local histories of `l`
+/// bits, indexed by address truncation. Unconditional branches leave it
+/// alone.
+#[derive(Debug, Clone)]
+struct LocalHistories {
+    slots: Vec<u64>,
+    bits: u32,
+}
+
+impl LocalHistories {
+    fn new(bht: u32, bits: u32) -> LocalHistories {
+        LocalHistories {
+            slots: vec![0; 1usize << bht],
+            bits,
+        }
+    }
+}
+
+/// The `pas` kernel: `2^bht` local histories of `l` bits and a `2^n`-entry
+/// pattern table indexed by gselect over (address, local history).
+#[derive(Debug, Clone)]
+pub struct PasKernel {
+    kind: CounterKind,
+    n: u32,
+    bht: LocalHistories,
+    table: Vec<u8>,
+}
+
+impl PasKernel {
+    fn new(bht: u32, l: u32, n: u32, kind: CounterKind) -> PasKernel {
+        PasKernel {
+            kind,
+            n,
+            bht: LocalHistories::new(bht, l),
+            table: vec![kind.weakly_taken(); 1usize << n],
+        }
+    }
+
+    fn run(&mut self, cols: &TraceColumns) -> RunResult {
+        with_counter!(self.kind, c => self.drive(cols, c))
+    }
+
+    #[inline(always)]
+    fn drive<C: Counter>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
+        let mut result = RunResult::default();
+        let n = self.n;
+        let tmask = (1usize << n) - 1;
+        let l = self.bht.bits;
+        let lmask = hist_mask(l);
+        let slots = &mut self.bht.slots[..];
+        let smask = slots.len() - 1;
+        let table = &mut self.table[..];
+        for (i, &pc) in cols.pcs().iter().enumerate() {
+            if cols.is_conditional(i) {
+                let taken = cols.taken(i);
+                let slot = (pc >> 2) as usize & smask;
+                let local = slots[slot];
+                let v = InfoVector::new(pc, local, l);
+                let idx = IndexFunction::Gselect.index(&v, n) as usize & tmask;
+                let cell = table[idx];
+                result.conditional += 1;
+                result.mispredicted += u64::from(c.taken(cell) != taken);
+                table[idx] = c.step(cell, taken);
+                slots[slot] = ((local << 1) | u64::from(taken)) & lmask;
+            }
+        }
+        result
+    }
+}
+
+/// The `spas` kernel: `2^bht` local histories of `l` bits and three
+/// `2^n`-counter banks indexed by `f0..f2` over (address, local
+/// history), majority vote, partial or total update.
+#[derive(Debug, Clone)]
+pub struct SpasKernel {
+    kind: CounterKind,
+    n: u32,
+    partial: bool,
+    bht: LocalHistories,
+    tables: Vec<u8>,
+}
+
+impl SpasKernel {
+    fn new(bht: u32, l: u32, n: u32, kind: CounterKind, update: UpdatePolicy) -> SpasKernel {
+        SpasKernel {
+            kind,
+            n,
+            partial: update == UpdatePolicy::Partial,
+            bht: LocalHistories::new(bht, l),
+            tables: vec![kind.weakly_taken(); 3usize << n],
+        }
+    }
+
+    fn run(&mut self, cols: &TraceColumns) -> RunResult {
+        with_counter!(self.kind, c => self.drive(cols, c))
+    }
+
+    #[inline(always)]
+    fn drive<C: Counter>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
+        let mut result = RunResult::default();
+        let n = self.n;
+        let bank_size = 1usize << n;
+        let partial = self.partial;
+        let l = self.bht.bits;
+        let lmask = hist_mask(l);
+        let slots = &mut self.bht.slots[..];
+        let smask = slots.len() - 1;
+        let tables = &mut self.tables[..];
+        for (i, &pc) in cols.pcs().iter().enumerate() {
+            if cols.is_conditional(i) {
+                let taken = cols.taken(i);
+                let addr = pc >> 2;
+                let slot = addr as usize & smask;
+                let local = slots[slot];
+                // InfoVector::packed, with `l` at most 32 bits.
+                let raw = gskew_indices::<3, false, true>(addr, (addr << l) | local, n);
+                let at: [usize; 3] = std::array::from_fn(|b| b * bank_size + raw[b]);
+                let overall = majority_vote(tables, at, c, taken, partial);
+                result.conditional += 1;
+                result.mispredicted += u64::from(overall != taken);
+                slots[slot] = ((local << 1) | u64::from(taken)) & lmask;
+            }
+        }
+        result
+    }
+}
+
+/// The `shgskew` kernel: three `2^n`-entry banks of direction bits
+/// indexed by `f0..f2`, each with a `2^(n-1)`-entry hysteresis bank whose
+/// bit `idx >> 1` is shared by entries `idx` and `idx ^ 1`. A
+/// (direction, hysteresis) pair steps as one 2-bit counter; majority
+/// vote, partial or total update.
+#[derive(Debug, Clone)]
+pub struct ShgskewKernel {
+    n: u32,
+    hist_bits: u32,
+    hist_mask: u64,
+    hist: u64,
+    partial: bool,
+    /// Three banks of `2^n` direction bits, one per byte.
+    direction: Vec<u8>,
+    /// Three banks of `2^(n-1)` hysteresis bits, one per byte.
+    hysteresis: Vec<u8>,
+}
+
+impl ShgskewKernel {
+    fn new(n: u32, hist_bits: u32, update: UpdatePolicy) -> ShgskewKernel {
+        ShgskewKernel {
+            n,
+            hist_bits,
+            hist_mask: hist_mask(hist_bits),
+            hist: 0,
+            partial: update == UpdatePolicy::Partial,
+            // Boot weakly taken: direction 1, hysteresis 0.
+            direction: vec![1; 3usize << n],
+            hysteresis: vec![0; 3usize << (n - 1)],
+        }
+    }
+
+    fn run(&mut self, cols: &TraceColumns) -> RunResult {
+        let mut result = RunResult::default();
+        let n = self.n;
+        let (size, half) = (1usize << n, 1usize << (n - 1));
+        let hist_bits = self.hist_bits;
+        let hmask = self.hist_mask;
+        let mut hist = self.hist;
+        let partial = self.partial;
+        let (direction, hysteresis) = (&mut self.direction[..], &mut self.hysteresis[..]);
+        for (i, &pc) in cols.pcs().iter().enumerate() {
+            if cols.is_conditional(i) {
+                let taken = cols.taken(i);
+                let addr = pc >> 2;
+                let packed = if hist_bits >= 64 {
+                    hist
+                } else {
+                    (addr << hist_bits) | hist
+                };
+                let raw = gskew_indices::<3, false, true>(addr, packed, n);
+                let votes: [bool; 3] = std::array::from_fn(|b| direction[b * size + raw[b]] != 0);
+                let overall = votes.iter().filter(|&&v| v).count() >= 2;
+                result.conditional += 1;
+                result.mispredicted += u64::from(overall != taken);
+                let train_all = !partial || overall != taken;
+                for b in 0..3 {
+                    if train_all || votes[b] == taken {
+                        let (d, h) = (b * size + raw[b], b * half + (raw[b] >> 1));
+                        let next = TwoBit.step((u8::from(votes[b]) << 1) | hysteresis[h], taken);
+                        direction[d] = next >> 1;
+                        hysteresis[h] = next & 1;
+                    }
+                }
+                hist = ((hist << 1) | u64::from(taken)) & hmask;
+            } else {
+                hist = ((hist << 1) | 1) & hmask;
+            }
+        }
+        self.hist = hist;
+        result
+    }
+}
+
 /// A monomorphized run loop for one supported predictor shape.
 ///
 /// Build one with [`PredictorKernel::from_spec`]; `None` means the spec
@@ -552,6 +924,16 @@ pub enum PredictorKernel {
     McFarling(McFarlingKernel),
     /// The EV8-style 2bc-gskew hybrid.
     TwoBcGskew(TwoBcGskewKernel),
+    /// The agree predictor.
+    Agree(AgreeKernel),
+    /// The bi-mode predictor.
+    BiMode(BiModeKernel),
+    /// The per-address two-level predictor.
+    Pas(PasKernel),
+    /// The skewed per-address predictor.
+    Spas(SpasKernel),
+    /// The shared-hysteresis skewed predictor.
+    Shgskew(ShgskewKernel),
 }
 
 impl PredictorKernel {
@@ -563,12 +945,18 @@ impl PredictorKernel {
     /// - `gskew`/`egskew` (`n` in 2..=30, `h` ≤ 64, 3 or 5 banks,
     ///   partial or total update, `skew=off` included);
     /// - `mcfarling` (`n` in 1..=30, `h` ≤ 64; the meta table is 2-bit);
-    /// - `2bcgskew` (`n` in 2..=30, `h` ≤ 64; always 2-bit).
+    /// - `2bcgskew` (`n` in 2..=30, `h` ≤ 64; always 2-bit);
+    /// - `agree` (`n` and `bias` in 1..=30, `h` ≤ 64);
+    /// - `bimode` (`n` and `choice` in 1..=30, `h` ≤ 64);
+    /// - `pas` (`bht` and `n` in 1..=30, `l` in 1..=32);
+    /// - `spas` (`bht` in 1..=30, `l` in 1..=32, `n` in 2..=30);
+    /// - `shgskew` (`n` in 2..=30, `h` ≤ 64; always 2-bit).
     ///
     /// Every family with a `ctr` key accepts every counter width 1..=7.
-    /// Anything else — other families, out-of-range values — returns
-    /// `None` so the caller falls back to [`PredictorSpec::build`] and
-    /// the `dyn` engine (where invalid values produce their usual
+    /// Anything else — the tagged families (`falru` and `ideal` run as an
+    /// [`LruWalk`] instead), other families, out-of-range values —
+    /// returns `None` so the caller falls back to [`PredictorSpec::build`]
+    /// and the `dyn` engine (where invalid values produce their usual
     /// errors).
     pub fn from_spec(spec: &PredictorSpec) -> Option<PredictorKernel> {
         let one_bank = |func: IndexFunction, n: u32, h: u32, ctr: CounterKind| {
@@ -598,17 +986,43 @@ impl PredictorKernel {
             PredictorSpec::TwoBcGskew { n, h } if (2..=30).contains(&n) && h <= 64 => {
                 Some(PredictorKernel::TwoBcGskew(TwoBcGskewKernel::new(n, h)))
             }
+            PredictorSpec::Agree { n, h, bias, ctr }
+                if (1..=30).contains(&n) && (1..=30).contains(&bias) && h <= 64 =>
+            {
+                Some(PredictorKernel::Agree(AgreeKernel::new(n, h, bias, ctr)))
+            }
+            PredictorSpec::BiMode { n, h, choice, ctr }
+                if (1..=30).contains(&n) && (1..=30).contains(&choice) && h <= 64 =>
+            {
+                Some(PredictorKernel::BiMode(BiModeKernel::new(
+                    n, h, choice, ctr,
+                )))
+            }
+            PredictorSpec::Pas { bht, l, n, ctr }
+                if (1..=30).contains(&bht) && (1..=32).contains(&l) && (1..=30).contains(&n) =>
+            {
+                Some(PredictorKernel::Pas(PasKernel::new(bht, l, n, ctr)))
+            }
+            PredictorSpec::Spas {
+                bht,
+                l,
+                n,
+                ctr,
+                update,
+            } if (1..=30).contains(&bht) && (1..=32).contains(&l) && (2..=30).contains(&n) => Some(
+                PredictorKernel::Spas(SpasKernel::new(bht, l, n, ctr, update)),
+            ),
+            PredictorSpec::Shgskew { n, h, update } if (2..=30).contains(&n) && h <= 64 => {
+                Some(PredictorKernel::Shgskew(ShgskewKernel::new(n, h, update)))
+            }
             _ => None,
         }
     }
 
-    /// Whether `spec` has a kernel fast path.
-    pub fn supports(spec: &PredictorSpec) -> bool {
-        PredictorKernel::from_spec(spec).is_some()
-    }
-
     /// Drive the kernel over a whole column view, accounting every
-    /// conditional record.
+    /// conditional record. The kernel keeps its tables and history, so
+    /// consecutive calls continue one trace: running the chunks of a
+    /// trace in order sums to the result of running it whole.
     ///
     /// Bit-identical to [`engine::run_with`] on the equivalent predictor
     /// under *either* [`NovelPolicy`] (kernel predictions are never
@@ -621,17 +1035,185 @@ impl PredictorKernel {
             PredictorKernel::Gskew(k) => k.run(cols),
             PredictorKernel::McFarling(k) => k.run(cols),
             PredictorKernel::TwoBcGskew(k) => k.run(cols),
+            PredictorKernel::Agree(k) => k.run(cols),
+            PredictorKernel::BiMode(k) => k.run(cols),
+            PredictorKernel::Pas(k) => k.run(cols),
+            PredictorKernel::Spas(k) => k.run(cols),
+            PredictorKernel::Shgskew(k) => k.run(cols),
         };
         timing::record_kernel(cols.len() as u64, start.elapsed());
         result
     }
 }
 
-/// Run every spec over one trace, kernels first: supported specs execute
-/// as monomorphized loops split across up to `threads` workers sharing
-/// `columns`, the rest ride a single batched [`engine::run_many`] pass
-/// over the same columns. Results keep the order of `specs` and are
-/// bit-identical to a pure `run_many` over the same list.
+/// One row of an [`LruWalk`]: an N-entry fully-associative LRU table
+/// tagged with `(address, history)` pairs (`falru`), or the unbounded
+/// table (`ideal`, N = ∞).
+#[derive(Debug, Clone, Copy)]
+struct LruRow {
+    /// Entries; `u64::MAX` stands for ∞.
+    capacity: u64,
+    /// The prediction on a miss: `falru`'s `miss` outcome, not-taken for
+    /// `ideal`.
+    miss_taken: bool,
+    counter: Width,
+}
+
+impl LruRow {
+    /// The row and its history length for a `falru` or `ideal` spec with
+    /// in-range parameters (`cap` ≥ 1, `h` ≤ 64); `None` otherwise.
+    fn from_spec(spec: &PredictorSpec) -> Option<(u32, LruRow)> {
+        let (h, capacity, miss_taken, ctr) = match *spec {
+            PredictorSpec::Falru { cap, h, ctr, miss } if cap > 0 => {
+                (h, cap as u64, miss == MissPolicy::AlwaysTaken, ctr)
+            }
+            PredictorSpec::Ideal { h, ctr } => (h, u64::MAX, false, ctr),
+            _ => return None,
+        };
+        let row = LruRow {
+            capacity,
+            miss_taken,
+            counter: Width::of(ctr),
+        };
+        (h <= 64).then_some((h, row))
+    }
+}
+
+/// Every `falru` and `ideal` row that shares one history length, in one
+/// trace walk.
+///
+/// An N-entry LRU table holds a pair exactly when the pair's last-use
+/// distance is below N (LRU stack inclusion), so one
+/// [`LastUseDistance`] walk decides hit or miss for every capacity at
+/// once — `bpred_aliasing::distance::CapacitySweep`'s identity, applied
+/// to a predictor. Each `(pair, row)` keeps one counter: a hit predicts
+/// from it and trains it; a miss predicts the row's miss outcome, is
+/// flagged novel, and re-seeds the counter with
+/// `SatCounter::seeded(kind, outcome)` — the entry the table would
+/// allocate.
+#[derive(Debug, Clone)]
+pub struct LruWalk {
+    hist_bits: u32,
+    rows: Vec<LruRow>,
+}
+
+impl LruWalk {
+    /// A walk over `rows` under `hist_bits` bits of global history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or `hist_bits` exceeds 64.
+    fn new(hist_bits: u32, rows: Vec<LruRow>) -> LruWalk {
+        assert!(!rows.is_empty(), "a walk needs at least one row");
+        assert!(hist_bits <= 64, "history_bits {hist_bits} above 64");
+        LruWalk { hist_bits, rows }
+    }
+
+    /// Walk `cols` once; one result per row, bit-identical to
+    /// [`engine::run_with`] on the row's predictor under `policy`.
+    /// Credits `cols.len()` applications per row to the kernel path of
+    /// [`crate::timing`].
+    pub fn run(&self, cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
+        let start = Instant::now();
+        let rows = &self.rows[..];
+        let width = rows.len();
+        let charge_novel = policy == NovelPolicy::Count;
+        let mut results = vec![RunResult::default(); width];
+        // The payload is the pair's dense id: its counters sit at
+        // `cells[id * width..][..width]`.
+        let mut lud = LastUseDistance::<u32>::with_payload();
+        let mut cells: Vec<u8> = Vec::new();
+        let hmask = hist_mask(self.hist_bits);
+        let mut hist = 0u64;
+        for (i, &pc) in cols.pcs().iter().enumerate() {
+            if cols.is_conditional(i) {
+                let taken = cols.taken(i);
+                let fresh = (cells.len() / width) as u32;
+                let (distance, id) = lud.observe_with((pc >> 2, hist), || fresh);
+                if distance.is_none() {
+                    cells.resize(cells.len() + width, 0);
+                }
+                let at = id as usize * width;
+                let pair = cells[at..at + width].iter_mut().zip(&mut results);
+                for ((cell, result), row) in pair.zip(rows) {
+                    let c = row.counter;
+                    result.conditional += 1;
+                    if distance.is_some_and(|d| d < row.capacity) {
+                        result.mispredicted += u64::from(c.taken(*cell) != taken);
+                        *cell = c.step(*cell, taken);
+                    } else {
+                        result.novel += 1;
+                        result.mispredicted += u64::from(charge_novel && row.miss_taken != taken);
+                        // SatCounter::seeded: weakly toward the outcome.
+                        *cell = c.neutral() + u8::from(taken);
+                    }
+                }
+                hist = ((hist << 1) | u64::from(taken)) & hmask;
+            } else {
+                hist = ((hist << 1) | 1) & hmask;
+            }
+        }
+        timing::record_kernel(cols.len() as u64 * width as u64, start.elapsed());
+        results
+    }
+}
+
+/// One unit of fast-path work over a trace.
+#[derive(Debug, Clone)]
+pub enum FastPath {
+    /// A table kernel, serving one row.
+    Table(PredictorKernel),
+    /// A shared walk, serving every `falru`/`ideal` row of one history
+    /// length.
+    Walk(LruWalk),
+}
+
+impl FastPath {
+    /// Run the unit over `cols`: one result per row it serves, in the
+    /// order [`plan`] listed them. Table kernels ignore `policy`.
+    pub fn run(&mut self, cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
+        match self {
+            FastPath::Table(kernel) => vec![kernel.run(cols)],
+            FastPath::Walk(walk) => walk.run(cols, policy),
+        }
+    }
+}
+
+/// Split `specs` into fast-path units and dyn rows: each unit comes with
+/// the spec indices it serves, walks first (they are the longest units);
+/// the indices left over have no fast path.
+pub fn plan(specs: &[PredictorSpec]) -> (Vec<(Vec<usize>, FastPath)>, Vec<usize>) {
+    let mut walks: Vec<(u32, Vec<usize>, Vec<LruRow>)> = Vec::new();
+    let mut tables = Vec::new();
+    let mut dyn_rows = Vec::new();
+    for (i, spec) in specs.iter().enumerate() {
+        if let Some(kernel) = PredictorKernel::from_spec(spec) {
+            tables.push((vec![i], FastPath::Table(kernel)));
+        } else if let Some((h, row)) = LruRow::from_spec(spec) {
+            match walks.iter_mut().find(|(wh, _, _)| *wh == h) {
+                Some((_, indices, rows)) => {
+                    indices.push(i);
+                    rows.push(row);
+                }
+                None => walks.push((h, vec![i], vec![row])),
+            }
+        } else {
+            dyn_rows.push(i);
+        }
+    }
+    let mut units: Vec<(Vec<usize>, FastPath)> = walks
+        .into_iter()
+        .map(|(h, indices, rows)| (indices, FastPath::Walk(LruWalk::new(h, rows))))
+        .collect();
+    units.extend(tables);
+    (units, dyn_rows)
+}
+
+/// Run every spec over one trace, fast paths first: the [`plan`]'s units
+/// run split across up to `threads` workers sharing `columns`, the rest
+/// ride a single batched [`engine::run_many`] pass over the same columns.
+/// Results keep the order of `specs` and are bit-identical to a pure
+/// `run_many` over the same list under the same `policy`.
 ///
 /// # Errors
 ///
@@ -648,14 +1230,7 @@ pub fn run_specs(
         .iter()
         .map(|s| PredictorSpec::parse(s))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut kernels: Vec<(usize, PredictorKernel)> = Vec::new();
-    let mut dyn_rows: Vec<usize> = Vec::new();
-    for (i, spec) in parsed.iter().enumerate() {
-        match PredictorKernel::from_spec(spec) {
-            Some(kernel) => kernels.push((i, kernel)),
-            None => dyn_rows.push(i),
-        }
-    }
+    let (units, dyn_rows) = plan(&parsed);
     // Build the fallback predictors up front so configuration errors
     // surface before any pass starts.
     let mut fallback = dyn_rows
@@ -664,9 +1239,13 @@ pub fn run_specs(
         .collect::<Result<Vec<_>, _>>()?;
 
     let mut results = vec![RunResult::default(); specs.len()];
-    let kernel_results = parallel_map(kernels, threads, |(i, mut kernel)| (i, kernel.run(columns)));
-    for (i, result) in kernel_results {
-        results[i] = result;
+    let done = parallel_map(units, threads, |(rows, mut unit)| {
+        (rows, unit.run(columns, policy))
+    });
+    for (rows, unit_results) in done {
+        for (i, result) in rows.into_iter().zip(unit_results) {
+            results[i] = result;
+        }
     }
     if !fallback.is_empty() {
         for (&i, result) in dyn_rows
@@ -806,22 +1385,62 @@ mod tests {
             "mcfarling:n=9,h=5,ctr=1",
             "2bcgskew:n=8,h=8",
             "2bcgskew:n=9,h=13",
+            "agree:n=10,h=6",
+            "agree:n=9,h=12,bias=6,ctr=3",
+            "bimode:n=9,h=6",
+            "bimode:n=8,h=10,choice=11,ctr=1",
+            "pas:bht=8,l=6,n=10",
+            "pas:bht=4,l=12,n=8,ctr=4", // history-only pattern index
+            "spas:bht=8,l=6,n=8",
+            "spas:bht=6,l=9,n=7,ctr=1,update=total",
+            "shgskew:n=8,h=4",
+            "shgskew:n=9,h=11,update=total",
         ] {
             equivalent(spec, IbsBenchmark::Groff, 6_000);
         }
     }
 
     #[test]
+    fn kernels_carry_state_across_runs() {
+        let cols = cache::columns(IbsBenchmark::Nroff, 5_000);
+        let records: Vec<_> = cols.records().collect();
+        for spec in [
+            "gshare:n=9,h=6",
+            "gskew:n=8,h=6,ctr=3",
+            "agree:n=9,h=6",
+            "bimode:n=8,h=5",
+            "pas:bht=6,l=6,n=9",
+            "shgskew:n=8,h=6",
+        ] {
+            let parsed = PredictorSpec::parse(spec).unwrap();
+            let whole = PredictorKernel::from_spec(&parsed).unwrap().run(&cols);
+            let mut kernel = PredictorKernel::from_spec(&parsed).unwrap();
+            let mut chunked = RunResult::default();
+            for chunk in records.chunks(777) {
+                let part = kernel.run(&TraceColumns::from_records(chunk));
+                chunked.conditional += part.conditional;
+                chunked.mispredicted += part.mispredicted;
+            }
+            assert_eq!(chunked, whole, "{spec}");
+        }
+    }
+
+    #[test]
     fn unsupported_specs_have_no_kernel() {
         for spec in [
-            "ideal:h=4",
-            "agree:n=10,h=4",
-            "shgskew:n=10,h=4",
+            "ideal:h=4", // runs as an LruWalk row instead
+            "falru:cap=64,h=4",
+            "setassoc:n=6,ways=2,h=4",
             "gshare:n=0",  // out of range: dyn path reports the error
             "gshare:n=31", // out of range: dyn path reports the error
             "gskew:n=1,h=4",
             "mcfarling:n=0,h=4",
             "2bcgskew:n=1,h=8",
+            "agree:n=10,h=4,bias=31",
+            "bimode:n=10,h=65",
+            "pas:bht=10,l=33,n=10",
+            "spas:bht=10,l=8,n=1",
+            "shgskew:n=1,h=4",
             "always-taken",
         ] {
             let parsed = PredictorSpec::parse(spec).unwrap();
@@ -838,10 +1457,12 @@ mod tests {
         let len = 5_000;
         let cols = cache::columns(bench, len);
         let specs: Vec<String> = [
-            "gshare:n=9,h=4", // kernel
-            "agree:n=9,h=6",  // dyn fallback
-            "gskew:n=8,h=4",  // kernel
-            "ideal:h=4",      // dyn fallback
+            "gshare:n=9,h=4",          // kernel
+            "setassoc:n=6,ways=2,h=4", // dyn fallback
+            "falru:cap=32,h=4",        // walk
+            "gskew:n=8,h=4",           // kernel
+            "ideal:h=4",               // same walk
+            "always-taken",            // dyn fallback
         ]
         .iter()
         .map(|s| s.to_string())
@@ -890,12 +1511,41 @@ mod tests {
     }
 
     #[test]
-    fn novel_policy_is_irrelevant_on_the_fast_path() {
+    fn novel_policy_is_irrelevant_to_the_table_kernels() {
         let cols = cache::columns(IbsBenchmark::Gs, 4_000);
-        let specs = vec!["gskew:n=8,h=6".to_string()];
+        let specs = vec!["gskew:n=8,h=6".to_string(), "agree:n=9,h=6".to_string()];
         let count = run_specs(&specs, &cols, NovelPolicy::Count, 1).unwrap();
         let exclude = run_specs(&specs, &cols, NovelPolicy::Exclude, 1).unwrap();
         assert_eq!(count, exclude);
-        assert_eq!(count[0].novel, 0);
+        assert!(count.iter().all(|r| r.novel == 0));
+    }
+
+    #[test]
+    fn lru_walk_matches_the_dyn_engine_under_both_policies() {
+        let cols = cache::columns(IbsBenchmark::Groff, 6_000);
+        let specs: Vec<String> = [
+            "falru:cap=16,h=4",
+            "falru:cap=256,h=4,ctr=1,miss=nottaken",
+            "ideal:h=4,ctr=3",
+            "falru:cap=1,h=8",
+            "falru:cap=16,h=4",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let parsed: Vec<_> = specs
+            .iter()
+            .map(|s| PredictorSpec::parse(s).unwrap())
+            .collect();
+        let (units, dyn_rows) = plan(&parsed);
+        assert!(dyn_rows.is_empty());
+        assert_eq!(units.len(), 2, "one walk per history length");
+        for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
+            let routed = run_specs(&specs, &cols, policy, 2).unwrap();
+            let mut predictors: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
+            let reference = engine::run_many(&mut predictors, &cols, policy);
+            assert_eq!(routed, reference, "{policy:?}");
+            assert!(routed.iter().all(|r| r.novel > 0));
+        }
     }
 }

@@ -1,11 +1,12 @@
-//! Property tests: the monomorphized kernels over cached trace columns
-//! are bit-identical to the `dyn` engine over a freshly generated stream
-//! on random specs and seeded workloads, and `run_specs` falls back to
-//! the `dyn` path for specs without a kernel.
+//! Property tests: the monomorphized kernels and the shared FA-LRU walk
+//! over cached trace columns are bit-identical to the `dyn` engine over a
+//! freshly generated stream on random specs and seeded workloads, and
+//! `run_specs` falls back to the `dyn` path for specs without a fast
+//! path.
 
 use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_sim::engine::{self, NovelPolicy};
-use bpred_sim::kernel::{run_specs, PredictorKernel};
+use bpred_sim::kernel::{self, run_specs, PredictorKernel};
 use bpred_trace::cache;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
@@ -41,6 +42,34 @@ fn spec_from(
         4 => format!("mcfarling:n={n},h={h},ctr={ctr}"),
         // n >= 2 for the skewing functions.
         _ => format!("2bcgskew:n={},h={h}", n.max(2)),
+    }
+}
+
+/// A random spec of the de-aliasing families built from raw draws:
+/// `aux` is `agree`'s `bias` or `bimode`'s `choice` table log2 (1..=14),
+/// `bht`/`l` the per-address first level, `total` the update policy.
+#[allow(clippy::too_many_arguments)]
+fn antialias_spec_from(
+    family: u8,
+    n: u32,
+    h: u32,
+    ctr: u8,
+    aux: u32,
+    bht: u32,
+    l: u32,
+    total: bool,
+) -> String {
+    let update = if total { "total" } else { "partial" };
+    match family % 5 {
+        0 => format!("agree:n={n},h={h},bias={aux},ctr={ctr}"),
+        1 => format!("bimode:n={n},h={h},choice={aux},ctr={ctr}"),
+        2 => format!("pas:bht={bht},l={l},n={n},ctr={ctr}"),
+        // n >= 2 for the skewing functions.
+        3 => format!(
+            "spas:bht={bht},l={l},n={},ctr={ctr},update={update}",
+            n.max(2)
+        ),
+        _ => format!("shgskew:n={},h={h},update={update}", n.max(2)),
     }
 }
 
@@ -97,20 +126,21 @@ proptest::proptest! {
         len in 200u64..1_000,
         seed in proptest::any::<u64>(),
     ) {
-        // One kernel row, one dyn-only row (agree has no kernel), in
-        // both orders: routing must preserve order and bit-identity.
+        // One kernel row, one dyn-only row (setassoc has no fast path),
+        // in both orders: routing must preserve order and bit-identity.
         let bench = bench_from(bench_i);
         let cols = cache::columns_seeded(bench, len, seed);
         let specs = vec![
             format!("gskew:n={},h={h}", n.max(2)),
-            format!("agree:n={n},h={h}"),
+            format!("setassoc:n={n},ways=2,h={h}"),
             format!("gshare:n={n},h={h}"),
         ];
         for spec in &specs[1..2] {
             let structured = PredictorSpec::parse(spec).unwrap();
+            let (units, dyn_rows) = kernel::plan(&[structured]);
             prop_assert!(
-                PredictorKernel::from_spec(&structured).is_none(),
-                "{} unexpectedly grew a kernel; pick another fallback family",
+                units.is_empty() && dyn_rows == vec![0],
+                "{} unexpectedly grew a fast path; pick another fallback family",
                 spec
             );
         }
@@ -121,5 +151,80 @@ proptest::proptest! {
             .collect();
         let reference = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
         prop_assert_eq!(routed, reference);
+    }
+
+    #[test]
+    fn antialias_kernels_match_run_with(
+        family in proptest::any::<u8>(),
+        n in 1u32..=13,
+        h in 0u32..=18,
+        ctr in 1u8..=7,
+        aux in 1u32..=14,
+        bht in 1u32..=12,
+        l in 1u32..=16,
+        total in proptest::any::<bool>(),
+        bench_i in proptest::any::<u8>(),
+        len in 200u64..1_500,
+        seed in proptest::any::<u64>(),
+    ) {
+        let spec = antialias_spec_from(family, n, h, ctr, aux, bht, l, total);
+        let bench = bench_from(bench_i);
+        let cols = cache::columns_seeded(bench, len, seed);
+        let structured = PredictorSpec::parse(&spec).expect("generated specs parse");
+        let mut kernel =
+            PredictorKernel::from_spec(&structured).expect("generated specs are kernel-eligible");
+        let fast = kernel.run(&cols);
+        let mut predictor = parse_spec(&spec).expect("generated specs build");
+        let fresh = bench.spec_seeded(seed).build().take_conditionals(len);
+        let slow = engine::run_with(&mut predictor, fresh, NovelPolicy::Count);
+        prop_assert_eq!(
+            fast, slow,
+            "{} diverges from the dyn path on {:?} len {} seed {:#x}",
+            &spec, bench, len, seed
+        );
+    }
+
+    #[test]
+    fn lru_walk_matches_run_many_on_random_capacity_lists(
+        // (log2 capacity or 15 for ideal, extra entries, ctr, miss taken)
+        rows in proptest::collection::vec(
+            (0u32..=15, 0u64..4, 1u8..=7, proptest::any::<bool>()),
+            1..8,
+        ),
+        h in 0u32..=12,
+        bench_i in proptest::any::<u8>(),
+        len in 200u64..1_500,
+        seed in proptest::any::<u64>(),
+    ) {
+        // Capacities run from 1 to far above any quick trace's pair
+        // count, with duplicates whenever two draws coincide; 15 draws an
+        // `ideal` row.
+        let specs: Vec<String> = rows
+            .iter()
+            .map(|&(log2, extra, ctr, miss_taken)| {
+                if log2 == 15 {
+                    format!("ideal:h={h},ctr={ctr}")
+                } else {
+                    let miss = if miss_taken { "taken" } else { "nottaken" };
+                    let cap = (1u64 << log2) + extra;
+                    format!("falru:cap={cap},h={h},ctr={ctr},miss={miss}")
+                }
+            })
+            .collect();
+        let parsed: Vec<_> = specs.iter().map(|s| PredictorSpec::parse(s).unwrap()).collect();
+        let (units, dyn_rows) = kernel::plan(&parsed);
+        prop_assert!(dyn_rows.is_empty() && units.len() == 1, "one walk for {:?}", &specs);
+        let bench = bench_from(bench_i);
+        let cols = cache::columns_seeded(bench, len, seed);
+        for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
+            let routed = run_specs(&specs, &cols, policy, 2).unwrap();
+            let mut predictors: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
+            let reference = engine::run_many(&mut predictors, &cols, policy);
+            prop_assert_eq!(
+                routed, reference,
+                "{:?} diverges under {:?} on {:?} len {} seed {:#x}",
+                &specs, policy, bench, len, seed
+            );
+        }
     }
 }

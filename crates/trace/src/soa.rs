@@ -201,7 +201,10 @@ pub struct Records<C> {
 impl<C: Deref<Target = TraceColumns>> Iterator for Records<C> {
     type Item = BranchRecord;
 
-    #[inline]
+    // Every record-consuming loop calls this once per record; with a
+    // plain `#[inline]` the compiler left it out of line in some of them
+    // (`table2`'s measure loop ran ~8% slower).
+    #[inline(always)]
     fn next(&mut self) -> Option<BranchRecord> {
         if self.next == self.cols.len() {
             return None;

@@ -8,10 +8,11 @@
 //! explaining why its analytical model overestimates gskew's misprediction
 //! rate ("constructive aliasing … is not modeled").
 //!
-//! [`AliasingNature`] runs the aliased predictor and an unaliased shadow
-//! (one automaton per `(address, history)` pair) side by side. For each
-//! dynamic branch where the tagged table detects aliasing, the pair of
-//! (aliased, unaliased) correctness classifies the event.
+//! [`AliasingNature`] runs aliased predictors of several sizes and one
+//! unaliased shadow (one automaton per `(address, history)` pair) side by
+//! side, in one walk. For each dynamic branch where a size's tagged owner
+//! table detects aliasing, the pair of (aliased, unaliased) correctness
+//! classifies the event.
 
 use crate::cursor::PairCursor;
 use bpred_core::counter::{CounterKind, CounterTable, SatCounter};
@@ -74,50 +75,73 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Classifies the nature of aliasing in a direct-mapped, tag-less
-/// predictor table (gshare-style by default).
+/// Owner sentinel of an entry no pair has touched yet.
+const COLD: u32 = u32::MAX;
+
+/// One table size under study.
 #[derive(Debug, Clone)]
-pub struct AliasingNature {
-    cursor: PairCursor,
-    /// The aliased structure under study.
-    table: CounterTable,
-    /// Who touched each entry last — detects aliasing occurrences.
-    owners: Vec<Option<(u64, u64)>>,
-    /// The unaliased shadow: one automaton per pair.
-    shadow: HashMap<(u64, u64), SatCounter>,
-    func: IndexFunction,
+struct Aliased {
     n: u32,
-    kind: CounterKind,
+    /// The aliased structure.
+    table: CounterTable,
+    /// The dense id of the pair that touched each entry last, or
+    /// [`COLD`] — detects aliasing occurrences.
+    owners: Vec<u32>,
     counts: NatureCounts,
 }
 
+/// Classifies the nature of aliasing in direct-mapped, tag-less
+/// predictor tables (gshare-style by default) of several sizes at once.
+///
+/// Every size sees the same pair stream and the same shadow, so one walk
+/// serves them all: each reference costs one hash lookup (the pair's
+/// dense id, which also indexes the shadow) plus one table access per
+/// size. Each size's counts equal those of a one-size classifier.
+#[derive(Debug, Clone)]
+pub struct AliasingNature {
+    cursor: PairCursor,
+    func: IndexFunction,
+    kind: CounterKind,
+    /// Dense pair ids, in order of first reference.
+    ids: HashMap<(u64, u64), u32>,
+    /// The unaliased shadow: one automaton per pair id.
+    shadow: Vec<SatCounter>,
+    sizes: Vec<Aliased>,
+}
+
 impl AliasingNature {
-    /// A classifier over a `2^entries_log2`-entry table with
-    /// `history_bits` of global history, using `func` indexing and `kind`
-    /// automatons.
+    /// A classifier over one `2^n`-entry table per `n` in
+    /// `entries_log2`, with `history_bits` of global history, using
+    /// `func` indexing and `kind` automatons.
     ///
     /// # Panics
     ///
-    /// Panics if `entries_log2` is 0 or above 30.
+    /// Panics if a size is 0 or above 30.
     pub fn new(
-        entries_log2: u32,
+        entries_log2: &[u32],
         history_bits: u32,
         func: IndexFunction,
         kind: CounterKind,
     ) -> Self {
-        assert!(
-            entries_log2 > 0 && entries_log2 <= 30,
-            "entries_log2 {entries_log2} out of 1..=30"
-        );
+        let sizes = entries_log2
+            .iter()
+            .map(|&n| {
+                assert!(n > 0 && n <= 30, "entries_log2 {n} out of 1..=30");
+                Aliased {
+                    n,
+                    table: CounterTable::new(n, kind),
+                    owners: vec![COLD; 1 << n],
+                    counts: NatureCounts::default(),
+                }
+            })
+            .collect();
         AliasingNature {
             cursor: PairCursor::new(history_bits),
-            table: CounterTable::new(entries_log2, kind),
-            owners: vec![None; 1 << entries_log2],
-            shadow: HashMap::new(),
             func,
-            n: entries_log2,
             kind,
-            counts: NatureCounts::default(),
+            ids: HashMap::new(),
+            shadow: Vec::new(),
+            sizes,
         }
     }
 
@@ -125,60 +149,55 @@ impl AliasingNature {
     pub fn observe(&mut self, record: &BranchRecord) {
         if record.kind == BranchKind::Conditional {
             let v = self.cursor.vector(record.pc);
-            let pair = v.pair();
-            let idx = self.func.index(&v, self.n);
             let outcome = Outcome::from(record.taken);
-
-            let aliased = match self.owners[idx as usize] {
-                Some(owner) => owner != pair,
-                None => false, // cold entry: not an inter-substream event
+            let fresh = self.shadow.len() as u32;
+            let id = *self.ids.entry(v.pair()).or_insert(fresh);
+            // The shadow's verdict before it trains; `None` on a first
+            // encounter, which seeds the shadow instead.
+            let shadow_right = if id == fresh {
+                self.shadow.push(SatCounter::seeded(self.kind, outcome));
+                None
+            } else {
+                let counter = &mut self.shadow[id as usize];
+                let right = counter.predict() == outcome;
+                counter.train(outcome);
+                Some(right)
             };
-            let aliased_prediction = self.table.predict(idx);
-
-            match self.shadow.get(&pair) {
-                None => {
-                    self.counts.compulsory += 1;
-                    self.shadow
-                        .insert(pair, SatCounter::seeded(self.kind, outcome));
+            for size in &mut self.sizes {
+                let idx = self.func.index(&v, size.n);
+                let owner = size.owners[idx as usize];
+                // A cold entry is not an inter-substream event.
+                let aliased = owner != COLD && owner != id;
+                let aliased_right = size.table.predict(idx) == outcome;
+                let counts = &mut size.counts;
+                match shadow_right {
+                    None => counts.compulsory += 1,
+                    Some(_) if !aliased => counts.unaliased += 1,
+                    Some(shadow_right) => match (aliased_right, shadow_right) {
+                        (false, true) => counts.destructive += 1,
+                        (true, false) => counts.constructive += 1,
+                        _ => counts.harmless += 1,
+                    },
                 }
-                Some(shadow_counter) => {
-                    let shadow_prediction = shadow_counter.predict();
-                    if aliased {
-                        let aliased_right = aliased_prediction == outcome;
-                        let shadow_right = shadow_prediction == outcome;
-                        match (aliased_right, shadow_right) {
-                            (false, true) => self.counts.destructive += 1,
-                            (true, false) => self.counts.constructive += 1,
-                            _ => self.counts.harmless += 1,
-                        }
-                    } else {
-                        self.counts.unaliased += 1;
-                    }
-                    let counter = self
-                        .shadow
-                        .get_mut(&pair)
-                        .expect("shadow entry checked above");
-                    counter.train(outcome);
-                }
+                size.table.train(idx, outcome);
+                size.owners[idx as usize] = id;
             }
-
-            self.table.train(idx, outcome);
-            self.owners[idx as usize] = Some(pair);
         }
         self.cursor.advance(record);
     }
 
-    /// Consume a whole record stream and return the counts.
-    pub fn run(mut self, records: impl Iterator<Item = BranchRecord>) -> NatureCounts {
+    /// Consume a whole record stream and return the counts, one entry
+    /// per size in the order given to [`AliasingNature::new`].
+    pub fn run(mut self, records: impl Iterator<Item = BranchRecord>) -> Vec<NatureCounts> {
         for r in records {
             self.observe(&r);
         }
         self.finish()
     }
 
-    /// The accumulated counts.
-    pub fn finish(self) -> NatureCounts {
-        self.counts
+    /// The accumulated counts, one entry per size.
+    pub fn finish(self) -> Vec<NatureCounts> {
+        self.sizes.into_iter().map(|size| size.counts).collect()
     }
 }
 
@@ -188,8 +207,13 @@ mod tests {
     use bpred_trace::prelude::*;
 
     fn classify(entries_log2: u32, records: &[BranchRecord]) -> NatureCounts {
-        AliasingNature::new(entries_log2, 0, IndexFunction::Bimodal, CounterKind::TwoBit)
-            .run(records.iter().copied())
+        AliasingNature::new(
+            &[entries_log2],
+            0,
+            IndexFunction::Bimodal,
+            CounterKind::TwoBit,
+        )
+        .run(records.iter().copied())[0]
     }
 
     /// Two opposite-biased branches forced into one entry: destructive.
@@ -237,8 +261,8 @@ mod tests {
             .build()
             .take_conditionals(120_000)
             .collect();
-        let counts = AliasingNature::new(10, 4, IndexFunction::Gshare, CounterKind::TwoBit)
-            .run(records.into_iter());
+        let counts = AliasingNature::new(&[10], 4, IndexFunction::Gshare, CounterKind::TwoBit)
+            .run(records.into_iter())[0];
         assert!(counts.aliased() > 0);
         assert!(counts.compulsory > 0);
         assert!(

@@ -10,6 +10,11 @@
 //! aliasing — the yardstick the skewed predictor must measure up to
 //! without paying for tags.
 //!
+//! Each access scans its set linearly, so a one-set table (`sets_log2`
+//! of 0) costs O(ways) per access. For fully-associative LRU misses use
+//! [`crate::batch::fa_pass`] instead: one last-use-distance walk serves
+//! every capacity, and `ext-assoc`'s full row runs on it.
+//!
 //! [`TaggedDirectMapped`]: crate::tagged::TaggedDirectMapped
 //! [`TaggedFullyAssociative`]: crate::fully_assoc::TaggedFullyAssociative
 

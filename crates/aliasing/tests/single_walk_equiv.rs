@@ -1,0 +1,137 @@
+//! Differential tests for the single-walk instruments: the multi-size
+//! [`AliasingNature`] walk must count exactly what one plain walk per
+//! size counts, and the shared-distance [`batch::fa_pass`] at capacity
+//! 4096 must miss exactly where a one-set, 4096-way
+//! [`TaggedSetAssociative`] table does.
+
+use bpred_aliasing::batch;
+use bpred_aliasing::cursor::PairCursor;
+use bpred_aliasing::nature::{AliasingNature, NatureCounts};
+use bpred_aliasing::set_assoc::TaggedSetAssociative;
+use bpred_core::counter::{CounterKind, CounterTable, SatCounter};
+use bpred_core::index::IndexFunction;
+use bpred_core::predictor::Outcome;
+use bpred_trace::record::{BranchKind, BranchRecord, Privilege};
+use bpred_trace::soa::TraceColumns;
+use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// The one-size classifier written plainly: the last owning pair of each
+/// entry as an `Option`, and the shadow keyed by the pair itself.
+fn one_size(
+    n: u32,
+    history_bits: u32,
+    func: IndexFunction,
+    kind: CounterKind,
+    records: &[BranchRecord],
+) -> NatureCounts {
+    let mut cursor = PairCursor::new(history_bits);
+    let mut table = CounterTable::new(n, kind);
+    let mut owners: Vec<Option<(u64, u64)>> = vec![None; 1 << n];
+    let mut shadow: HashMap<(u64, u64), SatCounter> = HashMap::new();
+    let mut counts = NatureCounts::default();
+    for r in records {
+        if r.kind == BranchKind::Conditional {
+            let v = cursor.vector(r.pc);
+            let pair = v.pair();
+            let idx = func.index(&v, n);
+            let outcome = Outcome::from(r.taken);
+            let aliased = owners[idx as usize].is_some_and(|owner| owner != pair);
+            let aliased_right = table.predict(idx) == outcome;
+            match shadow.get_mut(&pair) {
+                None => {
+                    counts.compulsory += 1;
+                    shadow.insert(pair, SatCounter::seeded(kind, outcome));
+                }
+                Some(counter) => {
+                    let shadow_right = counter.predict() == outcome;
+                    match (aliased, aliased_right, shadow_right) {
+                        (false, _, _) => counts.unaliased += 1,
+                        (true, false, true) => counts.destructive += 1,
+                        (true, true, false) => counts.constructive += 1,
+                        (true, _, _) => counts.harmless += 1,
+                    }
+                    counter.train(outcome);
+                }
+            }
+            table.train(idx, outcome);
+            owners[idx as usize] = Some(pair);
+        }
+        cursor.advance(r);
+    }
+    counts
+}
+
+/// Branches from a pool of `pool` pcs, one in eight unconditional
+/// (they shift history in as taken but are never classified).
+fn records(pool: u64, raw: &[(u64, bool, u8)]) -> Vec<BranchRecord> {
+    raw.iter()
+        .map(|&(slot, taken, kind)| {
+            let conditional = kind != 0;
+            BranchRecord {
+                pc: 0x4000 + (slot % pool) * 4,
+                kind: if conditional {
+                    BranchKind::Conditional
+                } else {
+                    BranchKind::Unconditional
+                },
+                taken: !conditional || taken,
+                privilege: Privilege::User,
+            }
+        })
+        .collect()
+}
+
+fn func_from(i: u8) -> IndexFunction {
+    [
+        IndexFunction::Gshare,
+        IndexFunction::Gselect,
+        IndexFunction::Bimodal,
+    ][usize::from(i % 3)]
+}
+
+proptest! {
+    #[test]
+    fn multi_size_nature_matches_one_walk_per_size(
+        sizes in proptest::collection::vec(1u32..=12, 0..7),
+        history_bits in 0u32..=10,
+        func_i in any::<u8>(),
+        ctr in 1u8..=4,
+        pool in 1u64..=300,
+        raw in proptest::collection::vec((any::<u64>(), any::<bool>(), 0u8..8), 0..1_500),
+    ) {
+        let records = records(pool, &raw);
+        let func = func_from(func_i);
+        let kind = CounterKind::from_bits(ctr).expect("1..=4 bit counters exist");
+        let walked = AliasingNature::new(&sizes, history_bits, func, kind)
+            .run(records.iter().copied());
+        prop_assert_eq!(walked.len(), sizes.len());
+        for (&n, got) in sizes.iter().zip(&walked) {
+            let want = one_size(n, history_bits, func, kind, &records);
+            prop_assert_eq!(*got, want, "size {} of {:?}", n, &sizes);
+        }
+    }
+
+    #[test]
+    fn fa_pass_at_4096_matches_one_set_of_4096_ways(
+        pool in 3_000u64..=6_000,
+        history_bits in 0u32..=2,
+        raw in proptest::collection::vec((any::<u64>(), any::<bool>(), 0u8..8), 0..9_000),
+    ) {
+        // Pools of 3K-6K pcs under up to 2 history bits hold more pairs
+        // than 4096 ways, so long streams evict.
+        let records = records(pool, &raw);
+        let mut table = TaggedSetAssociative::new(0, 4096, IndexFunction::Gshare);
+        let mut cursor = PairCursor::new(history_bits);
+        for r in &records {
+            if r.kind == BranchKind::Conditional {
+                table.access(&cursor.vector(r.pc));
+            }
+            cursor.advance(r);
+        }
+        let fa = batch::fa_pass(&TraceColumns::from_records(&records), history_bits, &[4096]);
+        prop_assert_eq!(fa.references, table.accesses());
+        prop_assert_eq!(fa.misses[0], table.misses());
+        prop_assert_eq!(fa.cold_misses, table.cold_misses());
+    }
+}

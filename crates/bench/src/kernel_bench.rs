@@ -11,6 +11,10 @@
 //! cell by cell — a throughput run doubles as an end-to-end equivalence
 //! check.
 //!
+//! The `delay` case ([`run_delay`]) races ext-delay's retirement-time
+//! cells the same way: `engine::run_delayed` against the delayed
+//! kernels.
+//!
 //! [`BenchReport::to_json`] serializes the measurement for
 //! `BENCH_kernels.json`, the artifact the CI bench smoke job tracks.
 
@@ -165,6 +169,65 @@ fn rate(applications: u64, seconds: f64) -> f64 {
         0.0
     } else {
         applications as f64 / seconds
+    }
+}
+
+/// ext-delay's predictor specs, raced at every delay of [`DELAYS`] by
+/// [`run_delay`].
+pub const DELAY_SPECS: [&str; 3] = ["bimodal:n=14", "gshare:n=14,h=8", "gskew:n=12,h=8"];
+
+/// ext-delay's update delays (branches in flight).
+pub const DELAYS: [usize; 6] = [0, 2, 4, 8, 16, 32];
+
+/// Race ext-delay's cells — every spec of [`DELAY_SPECS`] at every delay
+/// of [`DELAYS`] — over the six IBS-like workloads: the dyn
+/// [`engine::run_delayed`] against the delayed kernels
+/// ([`kernel::PredictorKernel::run_delayed`]), timed as summed CPU
+/// seconds and compared cell by cell. The result is the `delay` case of
+/// the report; `specs` counts its (spec, delay) cells.
+pub fn run_delay(quick: bool, threads: usize) -> CaseMeasurement {
+    let seed = workload_seed();
+    let cells: Vec<(PredictorSpec, usize)> = parse_all(&DELAY_SPECS.map(String::from))
+        .into_iter()
+        .flat_map(|spec| DELAYS.map(|delay| (spec.clone(), delay)))
+        .collect();
+    let mut applications = 0u64;
+    let mut dyn_seconds = 0.0;
+    let mut kernel_seconds = 0.0;
+    let mut matched = true;
+    for bench in IbsBenchmark::all() {
+        let len = if quick {
+            bench.default_len().min(QUICK_LEN_CAP)
+        } else {
+            bench.default_len()
+        };
+        let cols = cache::columns_seeded(bench, len, seed);
+        applications += cols.len() as u64 * cells.len() as u64;
+        let cols = &cols;
+        let timed: Vec<_> = parallel_map(cells.clone(), threads, move |(spec, delay)| {
+            let mut predictor = spec.build().expect("bench-owned spec");
+            let start = Instant::now();
+            let slow =
+                engine::run_delayed(&mut predictor, cols.records(), NovelPolicy::Count, delay);
+            let dyn_s = start.elapsed().as_secs_f64();
+            let mut kernel = kernel::PredictorKernel::from_spec(&spec).expect("a table kernel");
+            let start = Instant::now();
+            let fast = kernel.run_delayed(cols, delay).expect("a delayed kernel");
+            (slow == fast, dyn_s, start.elapsed().as_secs_f64())
+        });
+        for (same, dyn_s, kernel_s) in timed {
+            matched &= same;
+            dyn_seconds += dyn_s;
+            kernel_seconds += kernel_s;
+        }
+    }
+    CaseMeasurement {
+        name: "delay",
+        specs: cells.len(),
+        applications,
+        dyn_seconds,
+        kernel_seconds,
+        matched,
     }
 }
 
@@ -547,6 +610,14 @@ mod tests {
         // Exactly two distinct FA groups: one shared-distance pass per
         // history, regardless of index function.
         assert_eq!(batch::fa_groups(&grid).len(), 2);
+    }
+
+    #[test]
+    fn delay_race_matches() {
+        let case = run_delay(true, 2);
+        assert!(case.matched, "a delayed kernel diverged from run_delayed");
+        assert_eq!(case.specs, DELAY_SPECS.len() * DELAYS.len());
+        assert!(case.dyn_seconds > 0.0 && case.kernel_seconds > 0.0);
     }
 
     #[test]

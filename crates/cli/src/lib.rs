@@ -23,7 +23,7 @@
 mod args;
 
 use args::Args;
-use bpred_core::spec::parse_spec;
+use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_results::campaign::CampaignArtifact;
 use bpred_results::store::{self, ResultsStore};
 use bpred_sim::engine;
@@ -416,12 +416,18 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_duel(args: &Args) -> Result<(), String> {
-    use bpred_sim::duel::duel;
+    use bpred_sim::duel::{duel, kernel_duel};
     use bpred_sim::engine::NovelPolicy;
     let spec_a = args.positional(1).ok_or("duel needs two predictor specs")?;
     let spec_b = args.positional(2).ok_or("duel needs two predictor specs")?;
-    parse_spec(spec_a).map_err(|e| format!("{spec_a}: {e}"))?;
-    parse_spec(spec_b).map_err(|e| format!("{spec_b}: {e}"))?;
+    // Parse and build each spec once up front, so a bad value fails
+    // before any trace is generated.
+    let parse = |spec: &str| {
+        let parsed = PredictorSpec::parse(spec).map_err(|e| format!("{spec}: {e}"))?;
+        parsed.build().map_err(|e| format!("{spec}: {e}"))?;
+        Ok::<_, String>(parsed)
+    };
+    let (parsed_a, parsed_b) = (parse(spec_a)?, parse(spec_b)?);
     let benches = benches_from(args)?;
     let len_override = args.option_u64("len")?;
     let seed = experiments::workload_seed();
@@ -431,14 +437,17 @@ fn cmd_duel(args: &Args) -> Result<(), String> {
     );
     for bench in benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
-        let mut a = parse_spec(spec_a).map_err(|e| e.to_string())?;
-        let mut b = parse_spec(spec_b).map_err(|e| e.to_string())?;
-        let r = duel(
-            &mut a,
-            &mut b,
-            bench.spec_seeded(seed).build().take_conditionals(len),
-            NovelPolicy::Count,
-        );
+        // Two table kernels duel on the fast path; anything else on the
+        // dyn engine.
+        let cols = trace_cache::columns_seeded(bench, len, seed);
+        let r = match kernel_duel(&parsed_a, &parsed_b, &cols) {
+            Some(r) => r,
+            None => {
+                let mut a = parsed_a.build().map_err(|e| e.to_string())?;
+                let mut b = parsed_b.build().map_err(|e| e.to_string())?;
+                duel(&mut a, &mut b, cols.records(), NovelPolicy::Count)
+            }
+        };
         let verdict = if r.b_significantly_better() {
             "B wins (p < 0.01)"
         } else if r.a_significantly_better() {
@@ -522,6 +531,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let out = args.option("out").unwrap_or("BENCH_kernels.json");
     let cases = kernel_bench::default_cases();
     let mut report = kernel_bench::run(&cases, quick, threads);
+    report.cases.push(kernel_bench::run_delay(quick, threads));
     report.aliasing = Some(kernel_bench::run_aliasing(
         &kernel_bench::default_aliasing_grid(),
         quick,

@@ -333,3 +333,62 @@ fn trace_info_streams_back_what_trace_gen_wrote() {
     assert!(err.contains("not a BPT2 trace"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
+
+/// The dyn duel's verdict line for one benchmark, formatted as `duel`
+/// prints it.
+fn dyn_duel_line(spec_a: &str, spec_b: &str, bench: &str, len: u64) -> String {
+    use bpred_core::spec::parse_spec;
+    use bpred_sim::duel::duel;
+    use bpred_sim::engine::NovelPolicy;
+    use bpred_trace::stream::TraceSourceExt;
+    use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
+
+    let bench = IbsBenchmark::from_name(bench).unwrap();
+    let mut a = parse_spec(spec_a).unwrap();
+    let mut b = parse_spec(spec_b).unwrap();
+    let records = bench
+        .spec_seeded(DEFAULT_SEED_BASE)
+        .build()
+        .take_conditionals(len);
+    let r = duel(&mut a, &mut b, records, NovelPolicy::Count);
+    let verdict = if r.b_significantly_better() {
+        "B wins (p < 0.01)"
+    } else if r.a_significantly_better() {
+        "A wins (p < 0.01)"
+    } else {
+        "no significant difference"
+    };
+    format!(
+        "{:<12} {:>7.2}% {:>7.2}% {:>9} {:>9} {:>8.2}  {verdict}",
+        bench.name(),
+        r.a_pct(),
+        r.b_pct(),
+        r.only_a_wrong,
+        r.only_b_wrong,
+        r.mcnemar_z()
+    )
+}
+
+#[test]
+fn duel_output_equals_the_dyn_duel_on_both_paths() {
+    // A kernel pair runs the kernel duel; a `setassoc` spec has no
+    // kernel, so its duel stays on the dyn engine. Both print exactly
+    // what the dyn duel computes.
+    for (spec_a, spec_b) in [
+        ("gshare:n=10,h=6", "gskew:n=9,h=6"),
+        ("setassoc:n=6,ways=2,h=4", "gshare:n=8,h=4"),
+    ] {
+        let out = bpsim(&["duel", spec_a, spec_b, "--bench", "groff", "--len", "20000"]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let line = stdout
+            .lines()
+            .find(|line| line.starts_with("groff"))
+            .unwrap_or_else(|| panic!("no groff row: {stdout}"));
+        assert_eq!(line, dyn_duel_line(spec_a, spec_b, "groff", 20_000));
+    }
+}

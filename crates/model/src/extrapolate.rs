@@ -103,7 +103,17 @@ pub fn extrapolate_sizes(
     let mut distances = LastUseDistance::new();
     let mut ideal =
         Ideal::new(history_bits, CounterKind::OneBit).expect("history length validated by caller");
-    let mut overhead_sums = vec![0.0f64; bank_entries.len()];
+    let width = bank_entries.len();
+    let mut overhead_sums = vec![0.0f64; width];
+    // Formula (3) depends on the distance alone, so each term is
+    // computed once per distinct distance and size: row `d` of this flat
+    // table holds `p_sk(aliasing_probability(d, N), b)` for every size
+    // `N`, and NaN (never a term's value) until distance `d` first
+    // occurs. Adding the cached terms in trace order keeps every sum
+    // bit-identical to evaluating them in place.
+    let mut terms: Vec<f64> = Vec::new();
+    // First encounter: the paper applies formula (3) with p = 1.
+    let first_use = p_sk(1.0, b);
     let mut unaliased_misses = 0u64;
     let mut references = 0u64;
 
@@ -111,15 +121,27 @@ pub fn extrapolate_sizes(
         if record.kind == BranchKind::Conditional {
             references += 1;
             let pair = cursor.pair(record.pc);
-            let distance = distances.observe(pair);
-            for (sum, &entries) in overhead_sums.iter_mut().zip(bank_entries) {
-                let p = match distance {
-                    Some(d) => aliasing_probability(d, entries),
-                    // First encounter: the paper applies formula (3) with
-                    // p = 1.
-                    None => 1.0,
-                };
-                *sum += p_sk(p, b);
+            match distances.observe(pair) {
+                Some(d) => {
+                    let row = d as usize * width;
+                    if terms.len() < row + width {
+                        terms.resize(row + width, f64::NAN);
+                    }
+                    let row = &mut terms[row..row + width];
+                    if width > 0 && row[0].is_nan() {
+                        for (term, &entries) in row.iter_mut().zip(bank_entries) {
+                            *term = p_sk(aliasing_probability(d, entries), b);
+                        }
+                    }
+                    for (sum, term) in overhead_sums.iter_mut().zip(row.iter()) {
+                        *sum += term;
+                    }
+                }
+                None => {
+                    for sum in &mut overhead_sums {
+                        *sum += first_use;
+                    }
+                }
             }
 
             let prediction = ideal.predict(record.pc);

@@ -8,8 +8,11 @@
 //! significant rather than noise.
 
 use crate::engine::NovelPolicy;
+use crate::kernel::PredictorKernel;
 use bpred_core::predictor::{BranchPredictor, Outcome};
+use bpred_core::spec::PredictorSpec;
 use bpred_trace::record::{BranchKind, BranchRecord};
+use bpred_trace::soa::TraceColumns;
 
 /// The outcome of a lockstep duel between two predictors.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -108,6 +111,52 @@ pub fn duel(
     result
 }
 
+/// [`duel`] on the kernel fast path: each spec's kernel runs once over
+/// `cols` ([`PredictorKernel::run_observed`]), keeping one "wrong" bit
+/// per conditional record, and the two bitsets are tallied word by word.
+/// Kernel predictions are never novel, so the result equals [`duel`]'s
+/// under either [`NovelPolicy`].
+///
+/// Returns `None` when either spec has no kernel with an observed run
+/// (the one-bank and gskew families have one); use [`duel`] then.
+pub fn kernel_duel(
+    a: &PredictorSpec,
+    b: &PredictorSpec,
+    cols: &TraceColumns,
+) -> Option<DuelResult> {
+    let (a_wrong, branches) = wrong_bits(a, cols)?;
+    let (b_wrong, _) = wrong_bits(b, cols)?;
+    let mut result = DuelResult {
+        branches,
+        ..DuelResult::default()
+    };
+    for (&a, &b) in a_wrong.iter().zip(&b_wrong) {
+        result.only_a_wrong += u64::from((a & !b).count_ones());
+        result.only_b_wrong += u64::from((b & !a).count_ones());
+        result.both_wrong += u64::from((a & b).count_ones());
+    }
+    Some(result)
+}
+
+/// One bit per conditional record of `cols`, set where `spec`'s kernel
+/// mispredicts, and the number of conditional records.
+fn wrong_bits(spec: &PredictorSpec, cols: &TraceColumns) -> Option<(Vec<u64>, u64)> {
+    let mut kernel = PredictorKernel::from_spec(spec)?;
+    let mut bits: Vec<u64> = Vec::with_capacity(cols.len() / 64 + 1);
+    let mut word = 0u64;
+    let mut at = 0u32;
+    let run = kernel.run_observed(cols, |_, predicted, taken| {
+        word |= u64::from(predicted != taken) << at;
+        at += 1;
+        if at == 64 {
+            bits.push(word);
+            (word, at) = (0, 0);
+        }
+    })?;
+    bits.push(word);
+    Some((bits, run.conditional))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +234,26 @@ mod tests {
         assert_eq!(r.only_b_wrong, 2); // the two taken branches
         assert_eq!(r.both_wrong, 0);
         assert!(r.mcnemar_z() < 0.0, "A (always-taken) wins here");
+    }
+
+    #[test]
+    fn kernel_duel_matches_the_dyn_duel() {
+        let cols = bpred_trace::cache::columns(IbsBenchmark::Groff, 30_000);
+        for (spec_a, spec_b) in [
+            ("gshare:n=12,h=6", "gskew:n=10,h=6"),
+            ("gskew:n=9,h=4,update=total", "egskew:n=9,h=8,banks=5,ctr=3"),
+            ("bimodal:n=8", "bimodal:n=8"),
+        ] {
+            let parse = |s: &str| PredictorSpec::parse(s).unwrap();
+            let fast = kernel_duel(&parse(spec_a), &parse(spec_b), &cols).expect("kernel pair");
+            let mut a = parse_spec(spec_a).unwrap();
+            let mut b = parse_spec(spec_b).unwrap();
+            let slow = duel(&mut a, &mut b, cols.records(), NovelPolicy::Count);
+            assert_eq!(fast, slow, "{spec_a} vs {spec_b}");
+        }
+        let tagged = PredictorSpec::parse("falru:cap=64,h=4").unwrap();
+        let gshare = PredictorSpec::parse("gshare:n=8,h=4").unwrap();
+        assert!(kernel_duel(&gshare, &tagged, &cols).is_none());
     }
 
     #[test]

@@ -166,7 +166,9 @@ pub fn run_many(
 /// wide machine would checkpoint and speculatively update the history
 /// register at fetch. The gap this function exposes against
 /// [`run_with`] (delay 0) is the motivation for that hardware — see the
-/// `ext-delay` experiment.
+/// `ext-delay` experiment, which runs it on
+/// [`crate::kernel::PredictorKernel::run_delayed`]; this function is that
+/// kernel's oracle and serves specs without one.
 pub fn run_delayed(
     predictor: &mut dyn BranchPredictor,
     records: impl Iterator<Item = BranchRecord>,

@@ -23,17 +23,19 @@
 //!   workloads (seed robustness).
 
 use super::helpers::{
-    bench_sweep_table, history_labels, records, size_labels, spec_sweep_table, stream_kernels,
+    bench_sweep_table, columns, history_labels, records, size_labels, spec_sweep_table,
+    stream_kernels,
 };
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::engine::NovelPolicy;
+use crate::kernel::PredictorKernel;
 use crate::report::{pct, Table};
 use crate::resume::{self, Unit};
 use crate::runner::parallel_map;
 use bpred_aliasing::nature::AliasingNature;
 use bpred_core::counter::CounterKind;
 use bpred_core::index::IndexFunction;
-use bpred_core::spec::parse_spec;
+use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_trace::mix::MultiProgram;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
@@ -239,7 +241,7 @@ pub(super) fn encoding(opts: &ExperimentOpts) -> ExperimentOutput {
 }
 
 pub(super) fn duel_verdicts(opts: &ExperimentOpts) -> ExperimentOutput {
-    use crate::duel::duel;
+    use crate::duel::kernel_duel;
 
     // The paper's key pairings, as paired McNemar tests.
     let pairings: [(&str, &str, &str); 3] = [
@@ -273,15 +275,11 @@ pub(super) fn duel_verdicts(opts: &ExperimentOpts) -> ExperimentOutput {
                     "verdict",
                 ],
             );
+            let a = PredictorSpec::parse(spec_a).expect("valid spec");
+            let b = PredictorSpec::parse(spec_b).expect("valid spec");
             let rows = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-                let mut a = parse_spec(spec_a).expect("valid spec");
-                let mut b = parse_spec(spec_b).expect("valid spec");
-                let result = duel(
-                    &mut a,
-                    &mut b,
-                    records(bench, opts.len_for(bench)),
-                    NovelPolicy::Count,
-                );
+                let cols = columns(bench, opts.len_for(bench));
+                let result = kernel_duel(&a, &b, &cols).expect("both specs have kernels");
                 (bench, result)
             });
             for (bench, r) in rows {
@@ -384,6 +382,7 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
 
     // Fixed total capacity (4K pairs), sweep associativity.
     const CAPACITY_LOG2: u32 = 12;
+    const HISTORY: u32 = 4;
     const WAYS: [u32; 6] = [0, 1, 2, 3, 4, CAPACITY_LOG2]; // log2(ways); last = fully assoc
     let labels: Vec<String> = WAYS
         .iter()
@@ -405,14 +404,33 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
         &labels,
         opts,
         |row, bench| {
+            let len = opts.len_for(bench);
             let ways_log2 = WAYS[row];
+            if ways_log2 == CAPACITY_LOG2 {
+                // One set of every way is an FA-LRU table: one
+                // last-use-distance pass instead of a linear set scan.
+                let unit = Unit::Fa {
+                    history_bits: HISTORY,
+                    capacities: vec![1 << CAPACITY_LOG2],
+                };
+                let fa = resume::fa_counts(
+                    &resume::run_cells(bench, len, NovelPolicy::Count, &[unit], 1)[0],
+                );
+                // `100.0 * miss_ratio()`, in the same order.
+                let ratio = if fa.references == 0 {
+                    0.0
+                } else {
+                    fa.misses[0] as f64 / fa.references as f64
+                };
+                return 100.0 * ratio;
+            }
             let mut table = TaggedSetAssociative::new(
                 CAPACITY_LOG2 - ways_log2,
                 1 << ways_log2,
                 IndexFunction::Gshare,
             );
-            let mut cursor = PairCursor::new(4);
-            for r in records(bench, opts.len_for(bench)) {
+            let mut cursor = PairCursor::new(HISTORY);
+            for r in records(bench, len) {
                 if r.kind == BranchKind::Conditional {
                     table.access(&cursor.vector(r.pc));
                 }
@@ -431,8 +449,6 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
 }
 
 pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
-    use crate::engine::{run_delayed, NovelPolicy};
-
     const DELAYS: [usize; 6] = [0, 2, 4, 8, 16, 32];
     let specs: [(&str, &str); 3] = [
         ("bimodal 16K (history-free)", "bimodal:n=14"),
@@ -443,20 +459,18 @@ pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
     let tables = specs
         .iter()
         .map(|(title, spec)| {
+            let spec = PredictorSpec::parse(spec).expect("valid spec");
             bench_sweep_table(
                 format!("{title} mispredict % vs update delay (branches in flight)"),
                 "delay",
                 &labels,
                 opts,
                 |row, bench| {
-                    let mut p = parse_spec(spec).expect("valid spec");
-                    run_delayed(
-                        &mut p,
-                        records(bench, opts.len_for(bench)),
-                        NovelPolicy::Count,
-                        DELAYS[row],
-                    )
-                    .mispredict_pct()
+                    let cols = columns(bench, opts.len_for(bench));
+                    PredictorKernel::from_spec(&spec)
+                        .and_then(|mut kernel| kernel.run_delayed(&cols, DELAYS[row]))
+                        .expect("a delayed kernel")
+                        .mispredict_pct()
                 },
             )
         })
@@ -471,10 +485,6 @@ pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
 }
 
 pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
-    use bpred_core::gskew::Gskew;
-    use bpred_core::predictor::{BranchPredictor, Outcome};
-    use bpred_trace::record::BranchKind;
-
     #[derive(Default, Clone, Copy)]
     struct Split {
         unanimous: u64,
@@ -483,27 +493,28 @@ pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
         split_wrong: u64,
     }
 
+    // 3x4K gskew, h=8, 2-bit counters, partial update. The observer sees
+    // the bank votes before the tables train, as a dyn `Gskew`'s vote
+    // check before `update` does.
+    let spec = PredictorSpec::parse("gskew:n=12,h=8").expect("valid spec");
     let rows = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-        let mut p = Gskew::standard(12, 8).expect("valid configuration");
         let mut counts = Split::default();
-        for r in records(bench, opts.len_for(bench)) {
-            if r.kind == BranchKind::Conditional {
-                let unanimous = p.is_unanimous(r.pc);
-                let prediction = p.predict(r.pc);
-                let outcome = Outcome::from(r.taken);
-                let wrong = u64::from(prediction.outcome != outcome);
-                if unanimous {
-                    counts.unanimous += 1;
-                    counts.unanimous_wrong += wrong;
-                } else {
-                    counts.split += 1;
-                    counts.split_wrong += wrong;
-                }
-                p.update(r.pc, outcome);
-            } else {
-                p.record_unconditional(r.pc);
-            }
-        }
+        let mut kernel = PredictorKernel::from_spec(&spec).expect("a gskew kernel");
+        kernel
+            .run_observed(
+                &columns(bench, opts.len_for(bench)),
+                |votes, predicted, taken| {
+                    let wrong = u64::from(predicted != taken);
+                    if votes.iter().all(|&v| v == votes[0]) {
+                        counts.unanimous += 1;
+                        counts.unanimous_wrong += wrong;
+                    } else {
+                        counts.split += 1;
+                        counts.split_wrong += wrong;
+                    }
+                },
+            )
+            .expect("an observed gskew run");
         (bench, counts)
     });
 
@@ -539,12 +550,9 @@ pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
 pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
     const SIZES: std::ops::RangeInclusive<u32> = 8..=16;
     let ns: Vec<u32> = SIZES.collect();
-    let tasks: Vec<(u32, IbsBenchmark)> = ns
-        .iter()
-        .flat_map(|&n| IbsBenchmark::all().into_iter().map(move |b| (n, b)))
-        .collect();
-    let cells = parallel_map(tasks, opts.threads, |(n, bench)| {
-        AliasingNature::new(n, 8, IndexFunction::Gshare, CounterKind::TwoBit)
+    // One walk per benchmark classifies every size.
+    let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
+        AliasingNature::new(&ns, 8, IndexFunction::Gshare, CounterKind::TwoBit)
             .run(records(bench, opts.len_for(bench)))
     });
 
@@ -558,23 +566,22 @@ pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
     .into_iter()
     .map(|t| Table::new(t, columns.clone()))
     .collect();
-    let per_row = IbsBenchmark::all().len();
     for (i, &n) in ns.iter().enumerate() {
-        let row = &cells[i * per_row..(i + 1) * per_row];
+        let row = || per_bench.iter().map(|sizes| sizes[i]);
         let label = (1u64 << n).to_string();
         tables[0].push_row(
             std::iter::once(label.clone())
-                .chain(row.iter().map(|c| pct(100.0 * c.destructive_ratio())))
+                .chain(row().map(|c| pct(100.0 * c.destructive_ratio())))
                 .collect(),
         );
         tables[1].push_row(
             std::iter::once(label.clone())
-                .chain(row.iter().map(|c| pct(100.0 * c.constructive_ratio())))
+                .chain(row().map(|c| pct(100.0 * c.constructive_ratio())))
                 .collect(),
         );
         tables[2].push_row(
             std::iter::once(label)
-                .chain(row.iter().map(|c| pct(100.0 * c.net_overhead())))
+                .chain(row().map(|c| pct(100.0 * c.net_overhead())))
                 .collect(),
         );
     }

@@ -48,6 +48,24 @@
 //! equivalence is pinned by a proptest suite (`tests/kernel_equiv.rs`)
 //! and by the campaign regression gates.
 //!
+//! The one-bank and gskew loops also serve the custom experiment loops
+//! that used to drive `dyn` predictors. Each has one source,
+//! monomorphized by a `DELAYED` const flag and an observer closure:
+//!
+//! - [`PredictorKernel::run_delayed`] is retirement-time training
+//!   (`ext-delay`), bit-identical to [`engine::run_delayed`]: record `i`
+//!   predicts from the state the records before `i - delay` left, and a
+//!   retiring record recomputes its indices under the retire-time
+//!   history (gskew re-votes, as `Gskew::update` does) before it trains.
+//! - [`PredictorKernel::run_observed`] calls a hook with every
+//!   conditional record's bank votes, prediction and outcome before the
+//!   tables train — `ext-duel`'s per-record "wrong" bits
+//!   ([`crate::duel::kernel_duel`]) and `ext-confidence`'s
+//!   unanimous/split tally.
+//!
+//! [`PredictorKernel::run`] is the `DELAYED = false` copy with a no-op
+//! hook, which compiles to the plain loop.
+//!
 //! [`run_specs`] is the batching entry point used by the experiment
 //! sweeps: it parses each spec ([`PredictorSpec::parse`]), splits the
 //! list into fast-path units ([`plan`]) running in parallel over one
@@ -173,6 +191,12 @@ fn hist_mask(bits: u32) -> u64 {
     }
 }
 
+/// `hist` with `bit` shifted in, kept to the history length's mask.
+#[inline(always)]
+fn push_history(hist: u64, bit: bool, hmask: u64) -> u64 {
+    ((hist << 1) | u64::from(bit)) & hmask
+}
+
 /// A single-bank kernel: bimodal, gshare or gselect.
 #[derive(Debug, Clone)]
 pub struct OneBankKernel {
@@ -199,26 +223,56 @@ impl OneBankKernel {
     }
 
     fn run(&mut self, cols: &TraceColumns) -> RunResult {
+        self.dispatch::<false>(cols, 0, |_, _, _| {})
+    }
+
+    fn dispatch<const DELAYED: bool>(
+        &mut self,
+        cols: &TraceColumns,
+        delay: usize,
+        observe: impl FnMut(&[bool], bool, bool),
+    ) -> RunResult {
         // Dispatch once, outside the loop: each closure pins the variant,
         // so `IndexFunction::index` const-folds its match inside the
         // monomorphized copy of `drive`.
         with_counter!(self.kind, c => match self.func {
-            IndexFunction::Bimodal => {
-                self.drive(cols, c, |v, n| IndexFunction::Bimodal.index(v, n))
-            }
-            IndexFunction::Gshare => self.drive(cols, c, |v, n| IndexFunction::Gshare.index(v, n)),
-            IndexFunction::Gselect => {
-                self.drive(cols, c, |v, n| IndexFunction::Gselect.index(v, n))
-            }
+            IndexFunction::Bimodal => self.drive::<_, DELAYED>(
+                cols,
+                c,
+                |v, n| IndexFunction::Bimodal.index(v, n),
+                delay,
+                observe,
+            ),
+            IndexFunction::Gshare => self.drive::<_, DELAYED>(
+                cols,
+                c,
+                |v, n| IndexFunction::Gshare.index(v, n),
+                delay,
+                observe,
+            ),
+            IndexFunction::Gselect => self.drive::<_, DELAYED>(
+                cols,
+                c,
+                |v, n| IndexFunction::Gselect.index(v, n),
+                delay,
+                observe,
+            ),
         })
     }
 
+    /// The one drive loop. `DELAYED = false` trains each conditional
+    /// record right after predicting it; `DELAYED = true` retires record
+    /// `i - delay` after predicting record `i` (see
+    /// [`PredictorKernel::run_delayed`]). `observe` sees every
+    /// conditional record's vote, prediction and outcome.
     #[inline(always)]
-    fn drive<C: Counter>(
+    fn drive<C: Counter, const DELAYED: bool>(
         &mut self,
         cols: &TraceColumns,
         c: C,
         index: impl Fn(&InfoVector, u32) -> u64,
+        delay: usize,
+        mut observe: impl FnMut(&[bool], bool, bool),
     ) -> RunResult {
         let mut result = RunResult::default();
         let n = self.n;
@@ -227,20 +281,45 @@ impl OneBankKernel {
         let mut hist = self.hist;
         let table = &mut self.table[..];
         let tmask = table.len() - 1;
-        for (i, &pc) in cols.pcs().iter().enumerate() {
+        // The extra mask is value-neutral (the index is already `n` bits)
+        // but lets the compiler drop the bounds check.
+        let at =
+            |pc: u64, hist: u64| index(&InfoVector::new(pc, hist, hist_bits), n) as usize & tmask;
+        let pcs = cols.pcs();
+        // Retire record `j`: recompute its index under the history at
+        // retire time, train, and shift the history.
+        let retire = |j: usize, table: &mut [u8], hist: &mut u64| {
+            let (conditional, taken) = cols.cond_taken(j);
+            if conditional {
+                let idx = at(pcs[j], *hist);
+                table[idx] = c.step(table[idx], taken);
+            }
+            *hist = push_history(*hist, !conditional || taken, hmask);
+        };
+        for (i, &pc) in pcs.iter().enumerate() {
             if cols.is_conditional(i) {
                 let taken = cols.taken(i);
-                let v = InfoVector::new(pc, hist, hist_bits);
-                // The extra mask is value-neutral (the index is already
-                // `n` bits) but lets the compiler drop the bounds check.
-                let idx = index(&v, n) as usize & tmask;
+                let idx = at(pc, hist);
                 let cell = table[idx];
+                let predicted = c.taken(cell);
+                observe(&[predicted], predicted, taken);
                 result.conditional += 1;
-                result.mispredicted += u64::from(c.taken(cell) != taken);
-                table[idx] = c.step(cell, taken);
-                hist = ((hist << 1) | u64::from(taken)) & hmask;
-            } else {
-                hist = ((hist << 1) | 1) & hmask;
+                result.mispredicted += u64::from(predicted != taken);
+                if !DELAYED {
+                    table[idx] = c.step(cell, taken);
+                    hist = push_history(hist, taken, hmask);
+                }
+            } else if !DELAYED {
+                hist = push_history(hist, true, hmask);
+            }
+            if DELAYED && i >= delay {
+                retire(i - delay, table, &mut hist);
+            }
+        }
+        if DELAYED {
+            // Drain the records still in flight.
+            for j in pcs.len().saturating_sub(delay)..pcs.len() {
+                retire(j, table, &mut hist);
             }
         }
         self.hist = hist;
@@ -290,27 +369,34 @@ fn gskew_indices<const B: usize, const ENHANCED: bool, const SKEW: bool>(
     })
 }
 
-/// The majority vote of the `B` counters at `at`, which then train
-/// with `taken`; returns the vote. Partial update spares dissenting banks
-/// only when the vote was correct (section 4.1).
+/// The per-bank votes of `cells` and their majority: the read-only half
+/// of a skewed lookup.
 #[inline(always)]
-fn majority_vote<C: Counter, const B: usize>(
+fn vote<C: Counter, const B: usize>(cells: [u8; B], c: C) -> ([bool; B], bool) {
+    let votes = cells.map(|cell| c.taken(cell));
+    let overall = 2 * votes.iter().filter(|&&v| v).count() > B;
+    (votes, overall)
+}
+
+/// Train the `B` counters at `at`, which held `cells` and voted for the
+/// majority `overall`, with `taken`. Partial update spares dissenting
+/// banks only when the vote was correct (section 4.1).
+#[inline(always)]
+fn train<C: Counter, const B: usize>(
     tables: &mut [u8],
     at: [usize; B],
+    cells: [u8; B],
+    overall: bool,
     c: C,
     taken: bool,
     partial: bool,
-) -> bool {
-    let cells: [u8; B] = std::array::from_fn(|b| tables[at[b]]);
-    let votes = cells.iter().filter(|&&cell| c.taken(cell)).count();
-    let overall = 2 * votes > B;
+) {
     let train_all = !partial || overall != taken;
     for b in 0..B {
         let cell = cells[b];
         let train = train_all || c.taken(cell) == taken;
         tables[at[b]] = if train { c.step(cell, taken) } else { cell };
     }
-    overall
 }
 
 /// A gskew-family kernel: 3 or 5 banks in one flat array, partial or
@@ -354,27 +440,53 @@ impl GskewKernel {
     }
 
     fn run(&mut self, cols: &TraceColumns) -> RunResult {
+        self.dispatch::<false>(cols, 0, |_, _, _| {})
+    }
+
+    fn dispatch<const DELAYED: bool>(
+        &mut self,
+        cols: &TraceColumns,
+        delay: usize,
+        observe: impl FnMut(&[bool], bool, bool),
+    ) -> RunResult {
         with_counter!(self.kind, c => match self.banks {
-            3 => self.variant::<_, 3>(cols, c),
-            5 => self.variant::<_, 5>(cols, c),
+            3 => self.variant::<_, 3, DELAYED>(cols, c, delay, observe),
+            5 => self.variant::<_, 5, DELAYED>(cols, c, delay, observe),
             _ => unreachable!("from_spec admits 3 or 5 banks only"),
         })
     }
 
-    fn variant<C: Counter, const B: usize>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
-        match (self.enhanced, self.skewing) {
-            (false, true) => self.drive::<C, B, false, true>(cols, c),
-            (true, true) => self.drive::<C, B, true, true>(cols, c),
-            (false, false) => self.drive::<C, B, false, false>(cols, c),
-            (true, false) => self.drive::<C, B, true, false>(cols, c),
-        }
-    }
-
-    #[inline(always)]
-    fn drive<C: Counter, const B: usize, const ENHANCED: bool, const SKEW: bool>(
+    fn variant<C: Counter, const B: usize, const DELAYED: bool>(
         &mut self,
         cols: &TraceColumns,
         c: C,
+        delay: usize,
+        observe: impl FnMut(&[bool], bool, bool),
+    ) -> RunResult {
+        match (self.enhanced, self.skewing) {
+            (false, true) => self.drive::<C, B, false, true, DELAYED>(cols, c, delay, observe),
+            (true, true) => self.drive::<C, B, true, true, DELAYED>(cols, c, delay, observe),
+            (false, false) => self.drive::<C, B, false, false, DELAYED>(cols, c, delay, observe),
+            (true, false) => self.drive::<C, B, true, false, DELAYED>(cols, c, delay, observe),
+        }
+    }
+
+    /// The one drive loop; `DELAYED` and `observe` as in
+    /// [`OneBankKernel`]'s. A delayed retirement re-votes under the
+    /// retire-time history before training, as `Gskew::update` does.
+    #[inline(always)]
+    fn drive<
+        C: Counter,
+        const B: usize,
+        const ENHANCED: bool,
+        const SKEW: bool,
+        const DELAYED: bool,
+    >(
+        &mut self,
+        cols: &TraceColumns,
+        c: C,
+        delay: usize,
+        mut observe: impl FnMut(&[bool], bool, bool),
     ) -> RunResult {
         let mut result = RunResult::default();
         let n = self.n;
@@ -384,24 +496,53 @@ impl GskewKernel {
         let mut hist = self.hist;
         let partial = self.partial;
         let tables = &mut self.tables[..];
-        for (i, &pc) in cols.pcs().iter().enumerate() {
+        let at = |pc: u64, hist: u64| -> [usize; B] {
+            let addr = pc >> 2;
+            // InfoVector::packed for a pre-masked history.
+            let packed = if hist_bits >= 64 {
+                hist
+            } else {
+                (addr << hist_bits) | hist
+            };
+            let raw = gskew_indices::<B, ENHANCED, SKEW>(addr, packed, n);
+            std::array::from_fn(|b| b * bank_size + raw[b])
+        };
+        let pcs = cols.pcs();
+        // Retire record `j` under the history at retire time.
+        let retire = |j: usize, tables: &mut [u8], hist: &mut u64| {
+            let (conditional, taken) = cols.cond_taken(j);
+            if conditional {
+                let at = at(pcs[j], *hist);
+                let cells: [u8; B] = at.map(|i| tables[i]);
+                let (_, overall) = vote(cells, c);
+                train(tables, at, cells, overall, c, taken, partial);
+            }
+            *hist = push_history(*hist, !conditional || taken, hmask);
+        };
+        for (i, &pc) in pcs.iter().enumerate() {
             if cols.is_conditional(i) {
                 let taken = cols.taken(i);
-                let addr = pc >> 2;
-                // InfoVector::packed for a pre-masked history.
-                let packed = if hist_bits >= 64 {
-                    hist
-                } else {
-                    (addr << hist_bits) | hist
-                };
-                let raw = gskew_indices::<B, ENHANCED, SKEW>(addr, packed, n);
-                let at: [usize; B] = std::array::from_fn(|b| b * bank_size + raw[b]);
-                let overall = majority_vote(tables, at, c, taken, partial);
+                let at = at(pc, hist);
+                let cells: [u8; B] = at.map(|i| tables[i]);
+                let (votes, overall) = vote(cells, c);
+                observe(&votes, overall, taken);
                 result.conditional += 1;
                 result.mispredicted += u64::from(overall != taken);
-                hist = ((hist << 1) | u64::from(taken)) & hmask;
-            } else {
-                hist = ((hist << 1) | 1) & hmask;
+                if !DELAYED {
+                    train(tables, at, cells, overall, c, taken, partial);
+                    hist = push_history(hist, taken, hmask);
+                }
+            } else if !DELAYED {
+                hist = push_history(hist, true, hmask);
+            }
+            if DELAYED && i >= delay {
+                retire(i - delay, tables, &mut hist);
+            }
+        }
+        if DELAYED {
+            // Drain the records still in flight.
+            for j in pcs.len().saturating_sub(delay)..pcs.len() {
+                retire(j, tables, &mut hist);
             }
         }
         self.hist = hist;
@@ -826,7 +967,9 @@ impl SpasKernel {
                 // InfoVector::packed, with `l` at most 32 bits.
                 let raw = gskew_indices::<3, false, true>(addr, (addr << l) | local, n);
                 let at: [usize; 3] = std::array::from_fn(|b| b * bank_size + raw[b]);
-                let overall = majority_vote(tables, at, c, taken, partial);
+                let cells = at.map(|i| tables[i]);
+                let (_, overall) = vote(cells, c);
+                train(tables, at, cells, overall, c, taken, partial);
                 result.conditional += 1;
                 result.mispredicted += u64::from(overall != taken);
                 slots[slot] = ((local << 1) | u64::from(taken)) & lmask;
@@ -1043,6 +1186,55 @@ impl PredictorKernel {
         };
         timing::record_kernel(cols.len() as u64, start.elapsed());
         result
+    }
+
+    /// Drive the kernel over one whole trace with retirement-time
+    /// training, bit-identical to [`engine::run_delayed`] on the
+    /// equivalent predictor:
+    ///
+    /// - record `i` is predicted from the state left once the records
+    ///   before `i - delay` have retired;
+    /// - retiring a conditional record recomputes its indices under the
+    ///   history at retire time and trains (gskew re-votes first, as its
+    ///   `update` does), then shifts the outcome into the history;
+    /// - retiring any other record shifts in a taken bit;
+    /// - the records still in flight at the end retire before this
+    ///   returns.
+    ///
+    /// Delay 0 is [`PredictorKernel::run`]. Returns `None` for families
+    /// without a delayed loop: only the one-bank and gskew kernels have
+    /// one. Time spent is credited as [`PredictorKernel::run`] credits it.
+    pub fn run_delayed(&mut self, cols: &TraceColumns, delay: usize) -> Option<RunResult> {
+        let start = Instant::now();
+        let result = match self {
+            PredictorKernel::OneBank(k) => k.dispatch::<true>(cols, delay, |_, _, _| {}),
+            PredictorKernel::Gskew(k) => k.dispatch::<true>(cols, delay, |_, _, _| {}),
+            _ => return None,
+        };
+        timing::record_kernel(cols.len() as u64, start.elapsed());
+        Some(result)
+    }
+
+    /// [`PredictorKernel::run`], calling `observe(votes, predicted,
+    /// taken)` for every conditional record before the tables train:
+    /// `votes` holds each bank's direction (one entry for the one-bank
+    /// kernels), `predicted` the overall prediction and `taken` the
+    /// outcome. Returns `None`, without running, for families other than
+    /// the one-bank and gskew kernels. Time spent is credited as
+    /// [`PredictorKernel::run`] credits it.
+    pub fn run_observed(
+        &mut self,
+        cols: &TraceColumns,
+        observe: impl FnMut(&[bool], bool, bool),
+    ) -> Option<RunResult> {
+        let start = Instant::now();
+        let result = match self {
+            PredictorKernel::OneBank(k) => k.dispatch::<false>(cols, 0, observe),
+            PredictorKernel::Gskew(k) => k.dispatch::<false>(cols, 0, observe),
+            _ => return None,
+        };
+        timing::record_kernel(cols.len() as u64, start.elapsed());
+        Some(result)
     }
 }
 
@@ -1423,6 +1615,27 @@ mod tests {
             }
             assert_eq!(chunked, whole, "{spec}");
         }
+    }
+
+    #[test]
+    fn delayed_kernels_match_run_delayed() {
+        let cols = cache::columns(IbsBenchmark::Groff, 6_000);
+        for spec in ["bimodal:n=14", "gshare:n=14,h=8", "gskew:n=12,h=8"] {
+            for delay in [0, 1, 3, 32, 10_000] {
+                let parsed = PredictorSpec::parse(spec).unwrap();
+                let mut kernel = PredictorKernel::from_spec(&parsed).unwrap();
+                let fast = kernel.run_delayed(&cols, delay).unwrap();
+                let mut dyn_p = parse_spec(spec).unwrap();
+                let slow =
+                    engine::run_delayed(&mut dyn_p, cols.records(), NovelPolicy::Count, delay);
+                assert_eq!(fast, slow, "{spec} at delay {delay}");
+            }
+        }
+        // Families without a delayed or observed loop say so.
+        let mut agree =
+            PredictorKernel::from_spec(&PredictorSpec::parse("agree:n=9,h=6").unwrap()).unwrap();
+        assert!(agree.run_delayed(&cols, 2).is_none());
+        assert!(agree.run_observed(&cols, |_, _, _| {}).is_none());
     }
 
     #[test]

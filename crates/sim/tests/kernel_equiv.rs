@@ -2,12 +2,17 @@
 //! over cached trace columns are bit-identical to the `dyn` engine over a
 //! freshly generated stream on random specs and seeded workloads, and
 //! `run_specs` falls back to the `dyn` path for specs without a fast
-//! path.
+//! path. The delayed and observed kernel runs match their dyn oracles:
+//! `engine::run_delayed`, `duel::duel` and `Gskew::is_unanimous`.
 
+use bpred_core::gskew::Gskew;
+use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_core::spec::{parse_spec, PredictorSpec};
+use bpred_sim::duel;
 use bpred_sim::engine::{self, NovelPolicy};
 use bpred_sim::kernel::{self, run_specs, PredictorKernel};
 use bpred_trace::cache;
+use bpred_trace::record::BranchKind;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
 use proptest::{prop_assert, prop_assert_eq};
@@ -227,4 +232,144 @@ proptest::proptest! {
             );
         }
     }
+}
+
+/// A random spec of a family with delayed and observed kernel runs:
+/// `bimodal`, `gshare`, `gselect`, `gskew` or `egskew`.
+fn hooked_spec_from(family: u8, n: u32, h: u32, ctr: u8, wide: bool, total: bool) -> String {
+    match family % 4 {
+        // The gskew family: spec_from's family 3.
+        3 => spec_from(3, n, h, ctr, wide, total, false),
+        one_bank => spec_from(one_bank, n, h, ctr, wide, total, false),
+    }
+}
+
+proptest::proptest! {
+    #[test]
+    fn delayed_kernels_match_run_delayed(
+        family in proptest::any::<u8>(),
+        n in 1u32..=12,
+        h in 0u32..=16,
+        ctr in 1u8..=7,
+        wide in proptest::any::<bool>(),
+        total in proptest::any::<bool>(),
+        delay in 0usize..=40,
+        bench_i in proptest::any::<u8>(),
+        len in 0u64..1_200,
+        seed in proptest::any::<u64>(),
+    ) {
+        let spec = hooked_spec_from(family, n, h, ctr, wide, total);
+        let bench = bench_from(bench_i);
+        let cols = cache::columns_seeded(bench, len, seed);
+        let mut kernel = PredictorKernel::from_spec(&PredictorSpec::parse(&spec).unwrap())
+            .expect("generated specs are kernel-eligible");
+        let fast = kernel.run_delayed(&cols, delay).expect("a delayed kernel");
+        let mut predictor = parse_spec(&spec).unwrap();
+        let slow = engine::run_delayed(&mut predictor, cols.records(), NovelPolicy::Count, delay);
+        prop_assert_eq!(
+            fast, slow,
+            "{} at delay {} diverges on {:?} len {} seed {:#x}",
+            &spec, delay, bench, len, seed
+        );
+    }
+
+    #[test]
+    fn kernel_duel_matches_the_dyn_duel(
+        family_a in proptest::any::<u8>(),
+        family_b in proptest::any::<u8>(),
+        n in 1u32..=12,
+        h_a in 0u32..=16,
+        h_b in 0u32..=16,
+        ctr in 1u8..=7,
+        wide in proptest::any::<bool>(),
+        total in proptest::any::<bool>(),
+        bench_i in proptest::any::<u8>(),
+        len in 0u64..1_500,
+        seed in proptest::any::<u64>(),
+    ) {
+        let spec_a = hooked_spec_from(family_a, n, h_a, ctr, wide, total);
+        let spec_b = hooked_spec_from(family_b, n, h_b, 2, !wide, !total);
+        let bench = bench_from(bench_i);
+        let cols = cache::columns_seeded(bench, len, seed);
+        let fast = duel::kernel_duel(
+            &PredictorSpec::parse(&spec_a).unwrap(),
+            &PredictorSpec::parse(&spec_b).unwrap(),
+            &cols,
+        )
+        .expect("both specs have kernels");
+        let mut a = parse_spec(&spec_a).unwrap();
+        let mut b = parse_spec(&spec_b).unwrap();
+        let slow = duel::duel(&mut a, &mut b, cols.records(), NovelPolicy::Count);
+        prop_assert_eq!(
+            fast, slow,
+            "{} vs {} diverges on {:?} len {} seed {:#x}",
+            &spec_a, &spec_b, bench, len, seed
+        );
+    }
+
+    #[test]
+    fn observed_votes_match_is_unanimous(
+        n in 2u32..=12,
+        h in 0u32..=16,
+        ctr in 1u8..=7,
+        wide in proptest::any::<bool>(),
+        total in proptest::any::<bool>(),
+        bench_i in proptest::any::<u8>(),
+        len in 0u64..1_500,
+        seed in proptest::any::<u64>(),
+    ) {
+        let spec = spec_from(3, n, h, ctr, wide, total, false);
+        let bench = bench_from(bench_i);
+        let cols = cache::columns_seeded(bench, len, seed);
+        // (unanimous, unanimous and wrong, split, split and wrong)
+        let mut fast = [0u64; 4];
+        PredictorKernel::from_spec(&PredictorSpec::parse(&spec).unwrap())
+            .expect("a gskew kernel")
+            .run_observed(&cols, |votes, predicted, taken| {
+                let split = usize::from(!votes.iter().all(|&v| v == votes[0]));
+                fast[2 * split] += 1;
+                fast[2 * split + 1] += u64::from(predicted != taken);
+            })
+            .expect("an observed run");
+        let mut slow = [0u64; 4];
+        let mut gskew = gskew_from(&spec);
+        for r in cols.records() {
+            if r.kind == BranchKind::Conditional {
+                let split = usize::from(!gskew.is_unanimous(r.pc));
+                let wrong = gskew.predict(r.pc).outcome != Outcome::from(r.taken);
+                slow[2 * split] += 1;
+                slow[2 * split + 1] += u64::from(wrong);
+                gskew.update(r.pc, Outcome::from(r.taken));
+            } else {
+                gskew.record_unconditional(r.pc);
+            }
+        }
+        prop_assert_eq!(fast, slow, "{} on {:?} len {} seed {:#x}", &spec, bench, len, seed);
+    }
+}
+
+/// The concrete [`Gskew`] a gskew-family spec describes.
+fn gskew_from(spec: &str) -> Gskew {
+    let PredictorSpec::Gskew {
+        n,
+        h,
+        banks,
+        ctr,
+        update,
+        enhanced,
+        skewing,
+    } = PredictorSpec::parse(spec).unwrap()
+    else {
+        panic!("{spec} is not a gskew spec");
+    };
+    Gskew::builder()
+        .bank_entries_log2(n)
+        .history_bits(h)
+        .banks(banks)
+        .counter(ctr)
+        .update_policy(update)
+        .enhanced(enhanced)
+        .identical_indexing(!skewing)
+        .build()
+        .unwrap()
 }

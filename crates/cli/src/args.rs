@@ -31,14 +31,7 @@ const VALUED: &[&str] = &[
 ];
 
 /// Flags and valued options every command accepts.
-const GLOBAL: &[&str] = &[
-    "resume",
-    "save-results",
-    "no-trace-cache",
-    "verbose",
-    "seed",
-    "results-dir",
-];
+const GLOBAL: &[&str] = &["resume", "save-results", "verbose", "seed", "results-dir"];
 
 /// The flags and valued options `command` (`None` for a bare `bpsim`)
 /// accepts on top of [`GLOBAL`], or `None` for an unknown command.
@@ -235,6 +228,12 @@ mod tests {
     fn flags_and_options_are_checked_per_command() {
         let e = try_parse("campaign quick --reusme").unwrap_err();
         assert!(e.contains("`campaign` does not accept --reusme"), "{e}");
+        // The trace cache has no off switch.
+        let e = try_parse("experiment all --quick --no-trace-cache").unwrap_err();
+        assert!(
+            e.contains("`experiment` does not accept --no-trace-cache"),
+            "{e}"
+        );
         let e = try_parse("--frobnicate").unwrap_err();
         assert!(e.contains("--frobnicate"), "{e}");
         // Known elsewhere, but not accepted by this command.
@@ -244,7 +243,7 @@ mod tests {
         assert!(try_parse("results stats --csv").is_err());
         // Global flags and options go with every command; an unknown
         // command is the dispatcher's to report.
-        parse("list --verbose --seed 7 --results-dir d --no-trace-cache");
+        parse("list --verbose --seed 7 --results-dir d --resume");
         parse("frobnicate --whatever");
     }
 

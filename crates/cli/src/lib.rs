@@ -68,8 +68,6 @@ Global options:
                      identical fingerprint (implies --save-results)
   --save-results     persist every simulated cell to the results store
   --results-dir DIR  results store location (default .gskew/results)
-  --no-trace-cache   regenerate workload traces on every use instead of
-                     keeping one cached copy of each
   --verbose          print trace-cache, results-store and engine-throughput
                      summaries (hits/misses, cells skipped/simulated/saved,
                      records/sec on the kernel and dyn simulation paths)
@@ -107,11 +105,6 @@ pub fn cli_main() -> ExitCode {
 /// Returns the message to print on stderr before exiting nonzero.
 pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
     let args = Args::parse(raw)?;
-    if args.flag("no-trace-cache") {
-        // Process-global and single-threaded here: `main` is the only
-        // caller that may flip the cache switch.
-        trace_cache::set_enabled(false);
-    }
     if let Some(seed) = args.option_u64("seed")? {
         // Also process-global (see `experiments::set_workload_seed`).
         experiments::set_workload_seed(seed);
@@ -159,10 +152,6 @@ fn results_dir(args: &Args) -> String {
 }
 
 fn print_cache_summary() {
-    if !trace_cache::is_enabled() {
-        eprintln!("trace cache: disabled (--no-trace-cache); every stream regenerated");
-        return;
-    }
     let stats = trace_cache::stats();
     eprintln!(
         "trace cache: {} hits / {} misses ({:.0}% hit), {} evictions, \
@@ -352,11 +341,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         "{:<12} {:>12} {:>12} {:>10}",
         "benchmark", "branches", "mispredict", "%"
     );
+    // A kernel spec runs on its fast path, anything else on the dyn
+    // engine, as in `compare`.
+    let specs = [spec.to_string()];
     for bench in benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
-        let mut predictor = parse_spec(spec).map_err(|e| e.to_string())?;
-        let trace = trace_cache::columns_seeded(bench, len, seed);
-        let result = engine::run(&mut predictor, trace.records());
+        let cols = trace_cache::columns_seeded(bench, len, seed);
+        let result = kernel::run_specs(&specs, &cols, engine::NovelPolicy::Count, 1)
+            .map_err(|e| e.to_string())?[0];
         println!(
             "{:<12} {:>12} {:>12} {:>9.2}%",
             bench.name(),

@@ -371,11 +371,12 @@ fn dyn_duel_line(spec_a: &str, spec_b: &str, bench: &str, len: u64) -> String {
 
 #[test]
 fn duel_output_equals_the_dyn_duel_on_both_paths() {
-    // A kernel pair runs the kernel duel; a `setassoc` spec has no
-    // kernel, so its duel stays on the dyn engine. Both print exactly
-    // what the dyn duel computes.
+    // Kernel pairs run the kernel duel; a `setassoc` spec has no
+    // kernel, so its duel stays on the dyn engine. All print exactly what
+    // the dyn duel computes.
     for (spec_a, spec_b) in [
         ("gshare:n=10,h=6", "gskew:n=9,h=6"),
+        ("agree:n=10,h=6,bias=9", "bimode:n=9,h=6,choice=9"),
         ("setassoc:n=6,ways=2,h=4", "gshare:n=8,h=4"),
     ] {
         let out = bpsim(&["duel", spec_a, spec_b, "--bench", "groff", "--len", "20000"]);
@@ -391,4 +392,49 @@ fn duel_output_equals_the_dyn_duel_on_both_paths() {
             .unwrap_or_else(|| panic!("no groff row: {stdout}"));
         assert_eq!(line, dyn_duel_line(spec_a, spec_b, "groff", 20_000));
     }
+}
+
+#[test]
+fn run_pred_prints_the_dyn_counts_from_the_kernel_path() {
+    use bpred_core::spec::parse_spec;
+    use bpred_sim::engine;
+    use bpred_trace::stream::TraceSourceExt;
+    use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
+
+    let spec = "gskew:n=9,h=6";
+    let out = bpsim(&[
+        "run",
+        "--pred",
+        spec,
+        "--bench",
+        "gs",
+        "--len",
+        "20000",
+        "--verbose",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let records = IbsBenchmark::Gs
+        .spec_seeded(DEFAULT_SEED_BASE)
+        .build()
+        .take_conditionals(20_000);
+    let r = engine::run(&mut parse_spec(spec).unwrap(), records);
+    let expected = format!(
+        "{:<12} {:>12} {:>12} {:>9.2}%",
+        "gs",
+        r.conditional,
+        r.mispredicted,
+        r.mispredict_pct()
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.lines().any(|line| line == expected),
+        "expected `{expected}` in {stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("engine (kernel)"), "{stderr}");
+    assert!(!stderr.contains("engine (dyn)"), "{stderr}");
 }

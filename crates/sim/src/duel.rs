@@ -117,8 +117,8 @@ pub fn duel(
 /// Kernel predictions are never novel, so the result equals [`duel`]'s
 /// under either [`NovelPolicy`].
 ///
-/// Returns `None` when either spec has no kernel with an observed run
-/// (the one-bank and gskew families have one); use [`duel`] then.
+/// Returns `None` when either spec has no table kernel
+/// ([`PredictorKernel::from_spec`]); use [`duel`] then.
 pub fn kernel_duel(
     a: &PredictorSpec,
     b: &PredictorSpec,
@@ -152,7 +152,7 @@ fn wrong_bits(spec: &PredictorSpec, cols: &TraceColumns) -> Option<(Vec<u64>, u6
             bits.push(word);
             (word, at) = (0, 0);
         }
-    })?;
+    });
     bits.push(word);
     Some((bits, run.conditional))
 }

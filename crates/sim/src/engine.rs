@@ -67,40 +67,21 @@ pub fn run_with(
     records: impl Iterator<Item = BranchRecord>,
     novel_policy: NovelPolicy,
 ) -> RunResult {
-    run_warm(predictor, records, novel_policy, 0)
-}
-
-/// As [`run_with`], excluding the first `warmup` conditional branches
-/// from the accounting (the predictor still trains on them).
-///
-/// The paper measures whole traces with no warmup (cold-start effects are
-/// part of its aliasing story), so the experiment harness passes 0; the
-/// option exists for steady-state studies.
-pub fn run_warm(
-    predictor: &mut dyn BranchPredictor,
-    records: impl Iterator<Item = BranchRecord>,
-    novel_policy: NovelPolicy,
-    warmup: u64,
-) -> RunResult {
     let start = Instant::now();
     let mut result = RunResult::default();
-    let mut seen = 0u64;
     let mut applications = 0u64;
     for record in records {
         applications += 1;
         if record.kind == BranchKind::Conditional {
-            seen += 1;
             let prediction = predictor.predict(record.pc);
             let outcome = Outcome::from(record.taken);
-            if seen > warmup {
-                result.conditional += 1;
-                if prediction.novel {
-                    result.novel += 1;
-                }
-                let counted = !(prediction.novel && novel_policy == NovelPolicy::Exclude);
-                if counted && prediction.outcome != outcome {
-                    result.mispredicted += 1;
-                }
+            result.conditional += 1;
+            if prediction.novel {
+                result.novel += 1;
+            }
+            let counted = !(prediction.novel && novel_policy == NovelPolicy::Exclude);
+            if counted && prediction.outcome != outcome {
+                result.mispredicted += 1;
             }
             predictor.update(record.pc, outcome);
         } else {
@@ -461,37 +442,6 @@ mod tests {
         let r = run(&mut p, std::iter::empty());
         assert_eq!(r, RunResult::default());
         assert_eq!(r.mispredict_pct(), 0.0);
-    }
-
-    #[test]
-    fn warmup_excludes_cold_start() {
-        let spec = IbsBenchmark::Verilog.spec();
-        let mut cold = Gshare::new(10, 4, CounterKind::TwoBit).unwrap();
-        let full = run(&mut cold, spec.build().take_conditionals(30_000));
-        let mut warm = Gshare::new(10, 4, CounterKind::TwoBit).unwrap();
-        let warmed = run_warm(
-            &mut warm,
-            spec.build().take_conditionals(30_000),
-            NovelPolicy::Count,
-            10_000,
-        );
-        assert_eq!(warmed.conditional, 20_000);
-        assert!(
-            warmed.mispredict_pct() < full.mispredict_pct(),
-            "steady state {warmed:?} should beat whole-trace {full:?}"
-        );
-    }
-
-    #[test]
-    fn warmup_longer_than_trace_counts_nothing() {
-        let mut p = AlwaysTaken::new();
-        let r = run_warm(
-            &mut p,
-            IbsBenchmark::Verilog.spec().build().take_conditionals(100),
-            NovelPolicy::Count,
-            1_000,
-        );
-        assert_eq!(r, RunResult::default());
     }
 
     #[test]

@@ -468,8 +468,8 @@ pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
                 |row, bench| {
                     let cols = columns(bench, opts.len_for(bench));
                     PredictorKernel::from_spec(&spec)
-                        .and_then(|mut kernel| kernel.run_delayed(&cols, DELAYS[row]))
-                        .expect("a delayed kernel")
+                        .expect("a table kernel")
+                        .run_delayed(&cols, DELAYS[row])
                         .mispredict_pct()
                 },
             )
@@ -500,21 +500,19 @@ pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
     let rows = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
         let mut counts = Split::default();
         let mut kernel = PredictorKernel::from_spec(&spec).expect("a gskew kernel");
-        kernel
-            .run_observed(
-                &columns(bench, opts.len_for(bench)),
-                |votes, predicted, taken| {
-                    let wrong = u64::from(predicted != taken);
-                    if votes.iter().all(|&v| v == votes[0]) {
-                        counts.unanimous += 1;
-                        counts.unanimous_wrong += wrong;
-                    } else {
-                        counts.split += 1;
-                        counts.split_wrong += wrong;
-                    }
-                },
-            )
-            .expect("an observed gskew run");
+        kernel.run_observed(
+            &columns(bench, opts.len_for(bench)),
+            |votes, predicted, taken| {
+                let wrong = u64::from(predicted != taken);
+                if votes.iter().all(|&v| v == votes[0]) {
+                    counts.unanimous += 1;
+                    counts.unanimous_wrong += wrong;
+                } else {
+                    counts.split += 1;
+                    counts.split_wrong += wrong;
+                }
+            },
+        );
         (bench, counts)
     });
 

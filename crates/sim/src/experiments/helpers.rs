@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 /// Process-global workload seed base used by every experiment helper.
 /// Defaults to [`DEFAULT_SEED_BASE`] (byte-identical traces to every
-/// prior release); the CLI's `--seed` overrides it. Like the trace-cache
-/// switch, only single-threaded entry points should set it.
+/// prior release); the CLI's `--seed` overrides it. Only single-threaded
+/// entry points should set it.
 static SEED_BASE: AtomicU64 = AtomicU64::new(DEFAULT_SEED_BASE);
 
 /// Set the workload seed base the experiment helpers generate under.
@@ -46,22 +46,17 @@ pub fn records(bench: IbsBenchmark, len: u64) -> Records<Arc<TraceColumns>> {
 }
 
 /// Simulate a predictor spec over one benchmark and return the
-/// misprediction percentage (novel references counted normally).
+/// misprediction percentage (novel references counted normally). Runs
+/// as a one-cell batch of the results-store pipeline
+/// ([`crate::resume`]): a stored cell is served without simulating, and
+/// a simulated one is saved when saving is enabled.
 ///
 /// # Panics
 ///
 /// Panics on an invalid predictor spec — experiment code owns its specs.
 pub fn sim_pct(spec: &str, bench: IbsBenchmark, len: u64) -> f64 {
-    sim_pct_with(spec, bench, len, NovelPolicy::Count)
-}
-
-/// [`sim_pct`] with an explicit novel-reference policy. Runs as a
-/// one-cell batch of the results-store pipeline ([`crate::resume`]): a
-/// stored cell is served without simulating, and a simulated one is
-/// saved when saving is enabled.
-pub fn sim_pct_with(spec: &str, bench: IbsBenchmark, len: u64, policy: NovelPolicy) -> f64 {
     let unit = Unit::Spec(spec.to_string());
-    resume::run_cells(bench, len, policy, &[unit], 1)[0][0].mispredict_pct()
+    resume::run_cells(bench, len, NovelPolicy::Count, &[unit], 1)[0][0].mispredict_pct()
 }
 
 /// Records per column chunk in [`stream_kernels`].
@@ -141,7 +136,7 @@ pub fn bench_sweep_table(
 /// of R.
 ///
 /// Novel references are counted normally ([`NovelPolicy::Count`]), as in
-/// [`sim_pct`]; use [`spec_sweep_table_with`] for an explicit policy.
+/// [`sim_pct`].
 ///
 /// # Panics
 ///
@@ -152,25 +147,6 @@ pub fn spec_sweep_table(
     row_labels: &[String],
     opts: &ExperimentOpts,
     spec_for_row: impl Fn(usize) -> String + Sync,
-) -> Table {
-    spec_sweep_table_with(
-        title,
-        first_column,
-        row_labels,
-        opts,
-        spec_for_row,
-        NovelPolicy::Count,
-    )
-}
-
-/// [`spec_sweep_table`] with an explicit novel-reference policy.
-pub fn spec_sweep_table_with(
-    title: impl Into<String>,
-    first_column: &str,
-    row_labels: &[String],
-    opts: &ExperimentOpts,
-    spec_for_row: impl Fn(usize) -> String + Sync,
-    policy: NovelPolicy,
 ) -> Table {
     let mut columns = vec![first_column.to_string()];
     columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
@@ -187,10 +163,16 @@ pub fn spec_sweep_table_with(
             let units: Vec<Unit> = (0..row_labels.len())
                 .map(|row| Unit::Spec(spec_for_row(row)))
                 .collect();
-            resume::run_cells(bench, opts.len_for(bench), policy, &units, inner_threads)
-                .iter()
-                .map(|results| results[0].mispredict_pct())
-                .collect()
+            resume::run_cells(
+                bench,
+                opts.len_for(bench),
+                NovelPolicy::Count,
+                &units,
+                inner_threads,
+            )
+            .iter()
+            .map(|results| results[0].mispredict_pct())
+            .collect()
         });
 
     for (row, label) in row_labels.iter().enumerate() {

@@ -12,26 +12,31 @@
 //!
 //! Fast-path families (everything else runs on the `dyn` engine):
 //!
-//! | family | kernel | counters |
+//! | family | tables | counters |
 //! |---|---|---|
-//! | `bimodal`, `gshare`, `gselect` | [`OneBankKernel`] | 1..=7 bits |
-//! | `gskew`, `egskew` (3 or 5 banks, partial/total, `skew=off`) | [`GskewKernel`] | 1..=7 bits |
-//! | `mcfarling` (bimodal + gshare + 2-bit meta) | [`McFarlingKernel`] | 1..=7 bits |
-//! | `2bcgskew` (BIM + G0 + G1 + meta) | [`TwoBcGskewKernel`] | 2 bits |
-//! | `agree` (gshare counters + first-outcome bias table) | [`AgreeKernel`] | 1..=7 bits |
-//! | `bimode` (choice table + two gshare banks) | [`BiModeKernel`] | 1..=7 bits |
-//! | `pas` (local histories + gselect pattern table) | [`PasKernel`] | 1..=7 bits |
-//! | `spas` (local histories + 3 skewed banks) | [`SpasKernel`] | 1..=7 bits |
-//! | `shgskew` (3 direction banks, shared hysteresis) | [`ShgskewKernel`] | 2 bits |
+//! | `bimodal`, `gshare`, `gselect` | one table | 1..=7 bits |
+//! | `gskew`, `egskew` (3 or 5 banks, partial/total, `skew=off`) | skewed banks | 1..=7 bits |
+//! | `mcfarling` | bimodal + gshare + 2-bit meta | 1..=7 bits |
+//! | `2bcgskew` | BIM + G0 + G1 + meta | 2 bits |
+//! | `agree` | gshare counters + first-outcome bias table | 1..=7 bits |
+//! | `bimode` | choice table + two gshare banks | 1..=7 bits |
+//! | `pas` | local histories + gselect pattern table | 1..=7 bits |
+//! | `spas` | local histories + 3 skewed banks | 1..=7 bits |
+//! | `shgskew` | 3 direction banks, shared hysteresis | 2 bits |
 //! | `falru`, `ideal` (tagged tables), one walk per history length | [`LruWalk`] | 1..=7 bits |
 //!
-//! Every table loop is generic over its counter automaton: the 2-bit
-//! counter has its bounds as constants, every other width reads them from
-//! its [`CounterKind`] (boot at `weakly_taken`, predict taken above
-//! `neutral`, saturate at `max_value`). The gskew loop also takes its
-//! bank count and indexing variant as const parameters, computes the
+//! Every table family is one [`PredictorKernel`] driven by one loop,
+//! `drive`, over a two-method per-family transition: `look` computes a
+//! record's indices under a given history and reads the cells, `train`
+//! writes them back with the outcome. The loop alone owns the global
+//! history, the accounting, retirement under delay and the observer
+//! hook. Each family's transition is generic over its counter automaton:
+//! the 2-bit counter has its bounds as constants, every other width reads
+//! them from its [`CounterKind`] (boot at `weakly_taken`, predict taken
+//! above `neutral`, saturate at `max_value`). The skewed banks also take
+//! their bank count and indexing variant as const parameters, compute the
 //! shared `H`/`H⁻¹` images of the two `n`-bit vector halves once per
-//! record, reads each bank's counter once and writes every bank back
+//! record, read each bank's counter once and write every bank back
 //! through a select; `spas` and `shgskew` use the same index code.
 //!
 //! The contract is **bit identity**: for every supported spec,
@@ -48,15 +53,16 @@
 //! equivalence is pinned by a proptest suite (`tests/kernel_equiv.rs`)
 //! and by the campaign regression gates.
 //!
-//! The one-bank and gskew loops also serve the custom experiment loops
-//! that used to drive `dyn` predictors. Each has one source,
-//! monomorphized by a `DELAYED` const flag and an observer closure:
+//! The same loop serves the custom experiment loops that used to drive
+//! `dyn` predictors, for every table family. It is monomorphized by a
+//! `DELAYED` const flag and an observer closure:
 //!
 //! - [`PredictorKernel::run_delayed`] is retirement-time training
 //!   (`ext-delay`), bit-identical to [`engine::run_delayed`]: record `i`
 //!   predicts from the state the records before `i - delay` left, and a
-//!   retiring record recomputes its indices under the retire-time
-//!   history (gskew re-votes, as `Gskew::update` does) before it trains.
+//!   retiring record looks its cells up again under the retire-time
+//!   history before it trains, as every dyn `update` recomputes its
+//!   lookup from the current state.
 //! - [`PredictorKernel::run_observed`] calls a hook with every
 //!   conditional record's bank votes, prediction and outcome before the
 //!   tables train — `ext-duel`'s per-record "wrong" bits
@@ -64,7 +70,8 @@
 //!   unanimous/split tally.
 //!
 //! [`PredictorKernel::run`] is the `DELAYED = false` copy with a no-op
-//! hook, which compiles to the plain loop.
+//! hook, which compiles to the plain loop: `train` reuses the cells
+//! `look` read, so each cell is read once.
 //!
 //! [`run_specs`] is the batching entry point used by the experiment
 //! sweeps: it parses each spec ([`PredictorSpec::parse`]), splits the
@@ -197,133 +204,160 @@ fn push_history(hist: u64, bit: bool, hmask: u64) -> u64 {
     ((hist << 1) | u64::from(bit)) & hmask
 }
 
-/// A single-bank kernel: bimodal, gshare or gselect.
-#[derive(Debug, Clone)]
-pub struct OneBankKernel {
-    func: IndexFunction,
-    kind: CounterKind,
-    n: u32,
-    hist_bits: u32,
-    hist_mask: u64,
-    hist: u64,
-    table: Vec<u8>,
+/// A history register as a lookup sees it: the youngest `bits` outcomes,
+/// youngest in bit 0, already masked to `bits`.
+#[derive(Debug, Clone, Copy)]
+struct History {
+    bits: u32,
+    value: u64,
 }
 
-impl OneBankKernel {
-    fn new(func: IndexFunction, n: u32, hist_bits: u32, kind: CounterKind) -> OneBankKernel {
-        OneBankKernel {
-            func,
-            kind,
-            n,
-            hist_bits,
-            hist_mask: hist_mask(hist_bits),
-            hist: 0,
-            table: vec![kind.weakly_taken(); 1usize << n],
+impl History {
+    /// The information vector of the branch at `pc`.
+    #[inline(always)]
+    fn vector(self, pc: u64) -> InfoVector {
+        InfoVector::new(pc, self.value, self.bits)
+    }
+
+    /// [`InfoVector::packed`] for the word address `addr`, without
+    /// re-masking the value.
+    #[inline(always)]
+    fn packed(self, addr: u64) -> u64 {
+        if self.bits >= 64 {
+            self.value
+        } else {
+            (addr << self.bits) | self.value
         }
     }
+}
 
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        self.dispatch::<false>(cols, 0, |_, _, _| {})
+/// What [`Table::look`] read for one record: the cells `train` writes
+/// back (with their indices), the votes an observer sees, and the
+/// prediction.
+struct Look<Cells, Votes> {
+    cells: Cells,
+    votes: Votes,
+    predicted: bool,
+}
+
+/// One table family's per-record transition, for [`drive`]. The
+/// implementing type fixes the counter automaton and any shape
+/// parameters, so every `drive` copy is a monomorphized loop.
+trait Table {
+    /// The indices and cell values `look` read.
+    type Cells;
+    /// Each bank's direction (the components' for a hybrid, the
+    /// prediction alone for a single-counter lookup).
+    type Votes: AsRef<[bool]>;
+    /// Whether `look` reads the global history. The loop keeps no global
+    /// register for a table that does not (`pas`, `spas`).
+    const GLOBAL_HISTORY: bool = true;
+
+    /// The indices of the branch at `pc` under `hist`, and the cells
+    /// there. Writes nothing.
+    fn look(&self, pc: u64, hist: History) -> Look<Self::Cells, Self::Votes>;
+
+    /// Write the cells `look` read back, trained with the outcome.
+    fn train(&mut self, look: Look<Self::Cells, Self::Votes>, taken: bool);
+}
+
+/// The one per-record loop of every table family. It owns the global
+/// history `hist`, the accounting, retirement and the observer hook.
+///
+/// `DELAYED = false` trains each conditional record right after
+/// predicting it, reusing the predict-time [`Look`]. `DELAYED = true`
+/// retires record `i - delay` after predicting record `i`: the retiring
+/// record is looked up again under the retire-time history, trained, and
+/// shifted into the history; the records still in flight retire at the
+/// end (see [`PredictorKernel::run_delayed`]). `observe` sees every
+/// conditional record's votes, prediction and outcome before any table
+/// trains on it.
+///
+/// Each copy stays its own function, so the register allocation of one
+/// family's loop does not depend on the other families' loops around it.
+#[inline(never)]
+fn drive<T: Table, const DELAYED: bool>(
+    table: &mut T,
+    hist: &mut History,
+    cols: &TraceColumns,
+    delay: usize,
+    mut observe: impl FnMut(&[bool], bool, bool),
+) -> RunResult {
+    let mut result = RunResult::default();
+    let hmask = hist_mask(hist.bits);
+    let shift = |h: &mut History, bit: bool| {
+        if T::GLOBAL_HISTORY {
+            h.value = push_history(h.value, bit, hmask);
+        }
+    };
+    let mut h = *hist;
+    let pcs = cols.pcs();
+    let retire = |j: usize, table: &mut T, h: &mut History| {
+        let (conditional, taken) = cols.cond_taken(j);
+        if conditional {
+            let look = table.look(pcs[j], *h);
+            table.train(look, taken);
+        }
+        shift(h, !conditional || taken);
+    };
+    for (i, &pc) in pcs.iter().enumerate() {
+        if cols.is_conditional(i) {
+            let taken = cols.taken(i);
+            let look = table.look(pc, h);
+            observe(look.votes.as_ref(), look.predicted, taken);
+            result.conditional += 1;
+            result.mispredicted += u64::from(look.predicted != taken);
+            if !DELAYED {
+                table.train(look, taken);
+                shift(&mut h, taken);
+            }
+        } else if !DELAYED {
+            shift(&mut h, true);
+        }
+        if DELAYED && i >= delay {
+            retire(i - delay, table, &mut h);
+        }
     }
-
-    fn dispatch<const DELAYED: bool>(
-        &mut self,
-        cols: &TraceColumns,
-        delay: usize,
-        observe: impl FnMut(&[bool], bool, bool),
-    ) -> RunResult {
-        // Dispatch once, outside the loop: each closure pins the variant,
-        // so `IndexFunction::index` const-folds its match inside the
-        // monomorphized copy of `drive`.
-        with_counter!(self.kind, c => match self.func {
-            IndexFunction::Bimodal => self.drive::<_, DELAYED>(
-                cols,
-                c,
-                |v, n| IndexFunction::Bimodal.index(v, n),
-                delay,
-                observe,
-            ),
-            IndexFunction::Gshare => self.drive::<_, DELAYED>(
-                cols,
-                c,
-                |v, n| IndexFunction::Gshare.index(v, n),
-                delay,
-                observe,
-            ),
-            IndexFunction::Gselect => self.drive::<_, DELAYED>(
-                cols,
-                c,
-                |v, n| IndexFunction::Gselect.index(v, n),
-                delay,
-                observe,
-            ),
-        })
+    if DELAYED {
+        // Drain the records still in flight.
+        for j in pcs.len().saturating_sub(delay)..pcs.len() {
+            retire(j, table, &mut h);
+        }
     }
+    *hist = h;
+    result
+}
 
-    /// The one drive loop. `DELAYED = false` trains each conditional
-    /// record right after predicting it; `DELAYED = true` retires record
-    /// `i - delay` after predicting record `i` (see
-    /// [`PredictorKernel::run_delayed`]). `observe` sees every
-    /// conditional record's vote, prediction and outcome.
+/// Bimodal, gshare or gselect: one table of counters at `index`.
+struct OneBank<'a, C, I> {
+    c: C,
+    n: u32,
+    index: I,
+    table: &'a mut [u8],
+}
+
+impl<C: Counter, I: Fn(&InfoVector, u32) -> u64> Table for OneBank<'_, C, I> {
+    type Cells = (usize, u8);
+    type Votes = [bool; 1];
+
     #[inline(always)]
-    fn drive<C: Counter, const DELAYED: bool>(
-        &mut self,
-        cols: &TraceColumns,
-        c: C,
-        index: impl Fn(&InfoVector, u32) -> u64,
-        delay: usize,
-        mut observe: impl FnMut(&[bool], bool, bool),
-    ) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let hist_bits = self.hist_bits;
-        let hmask = self.hist_mask;
-        let mut hist = self.hist;
-        let table = &mut self.table[..];
-        let tmask = table.len() - 1;
+    fn look(&self, pc: u64, hist: History) -> Look<(usize, u8), [bool; 1]> {
         // The extra mask is value-neutral (the index is already `n` bits)
         // but lets the compiler drop the bounds check.
-        let at =
-            |pc: u64, hist: u64| index(&InfoVector::new(pc, hist, hist_bits), n) as usize & tmask;
-        let pcs = cols.pcs();
-        // Retire record `j`: recompute its index under the history at
-        // retire time, train, and shift the history.
-        let retire = |j: usize, table: &mut [u8], hist: &mut u64| {
-            let (conditional, taken) = cols.cond_taken(j);
-            if conditional {
-                let idx = at(pcs[j], *hist);
-                table[idx] = c.step(table[idx], taken);
-            }
-            *hist = push_history(*hist, !conditional || taken, hmask);
-        };
-        for (i, &pc) in pcs.iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let idx = at(pc, hist);
-                let cell = table[idx];
-                let predicted = c.taken(cell);
-                observe(&[predicted], predicted, taken);
-                result.conditional += 1;
-                result.mispredicted += u64::from(predicted != taken);
-                if !DELAYED {
-                    table[idx] = c.step(cell, taken);
-                    hist = push_history(hist, taken, hmask);
-                }
-            } else if !DELAYED {
-                hist = push_history(hist, true, hmask);
-            }
-            if DELAYED && i >= delay {
-                retire(i - delay, table, &mut hist);
-            }
+        let idx = (self.index)(&hist.vector(pc), self.n) as usize & (self.table.len() - 1);
+        let cell = self.table[idx];
+        let predicted = self.c.taken(cell);
+        Look {
+            cells: (idx, cell),
+            votes: [predicted],
+            predicted,
         }
-        if DELAYED {
-            // Drain the records still in flight.
-            for j in pcs.len().saturating_sub(delay)..pcs.len() {
-                retire(j, table, &mut hist);
-            }
-        }
-        self.hist = hist;
-        result
+    }
+
+    #[inline(always)]
+    fn train(&mut self, look: Look<(usize, u8), [bool; 1]>, taken: bool) {
+        let (idx, cell) = look.cells;
+        self.table[idx] = self.c.step(cell, taken);
     }
 }
 
@@ -369,687 +403,347 @@ fn gskew_indices<const B: usize, const ENHANCED: bool, const SKEW: bool>(
     })
 }
 
-/// The per-bank votes of `cells` and their majority: the read-only half
-/// of a skewed lookup.
-#[inline(always)]
-fn vote<C: Counter, const B: usize>(cells: [u8; B], c: C) -> ([bool; B], bool) {
-    let votes = cells.map(|cell| c.taken(cell));
-    let overall = 2 * votes.iter().filter(|&&v| v).count() > B;
-    (votes, overall)
-}
-
-/// Train the `B` counters at `at`, which held `cells` and voted for the
-/// majority `overall`, with `taken`. Partial update spares dissenting
-/// banks only when the vote was correct (section 4.1).
-#[inline(always)]
-fn train<C: Counter, const B: usize>(
-    tables: &mut [u8],
-    at: [usize; B],
-    cells: [u8; B],
-    overall: bool,
+/// The gskew family, and `spas`'s pattern banks: `B` banks of `2^n`
+/// counters in one array, indexed by [`gskew_indices`], majority vote.
+/// Partial update spares dissenting banks only when the vote was correct
+/// (section 4.1).
+struct Skewed<'a, C, const B: usize, const ENHANCED: bool, const SKEW: bool> {
     c: C,
-    taken: bool,
-    partial: bool,
-) {
-    let train_all = !partial || overall != taken;
-    for b in 0..B {
-        let cell = cells[b];
-        let train = train_all || c.taken(cell) == taken;
-        tables[at[b]] = if train { c.step(cell, taken) } else { cell };
-    }
-}
-
-/// A gskew-family kernel: 3 or 5 banks in one flat array, partial or
-/// total update, plain / enhanced / identical-indexing variants.
-#[derive(Debug, Clone)]
-pub struct GskewKernel {
-    banks: usize,
-    kind: CounterKind,
     n: u32,
-    hist_bits: u32,
-    hist_mask: u64,
-    hist: u64,
     partial: bool,
-    enhanced: bool,
-    skewing: bool,
-    tables: Vec<u8>,
+    tables: &'a mut [u8],
 }
 
-impl GskewKernel {
-    fn new(
-        n: u32,
-        hist_bits: u32,
-        banks: usize,
-        kind: CounterKind,
-        update: UpdatePolicy,
-        enhanced: bool,
-        skewing: bool,
-    ) -> GskewKernel {
-        GskewKernel {
-            banks,
-            kind,
-            n,
-            hist_bits,
-            hist_mask: hist_mask(hist_bits),
-            hist: 0,
-            partial: update == UpdatePolicy::Partial,
-            enhanced,
-            skewing,
-            tables: vec![kind.weakly_taken(); banks << n],
-        }
-    }
+impl<C: Counter, const B: usize, const ENHANCED: bool, const SKEW: bool> Table
+    for Skewed<'_, C, B, ENHANCED, SKEW>
+{
+    type Cells = ([usize; B], [u8; B]);
+    type Votes = [bool; B];
 
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        self.dispatch::<false>(cols, 0, |_, _, _| {})
-    }
-
-    fn dispatch<const DELAYED: bool>(
-        &mut self,
-        cols: &TraceColumns,
-        delay: usize,
-        observe: impl FnMut(&[bool], bool, bool),
-    ) -> RunResult {
-        with_counter!(self.kind, c => match self.banks {
-            3 => self.variant::<_, 3, DELAYED>(cols, c, delay, observe),
-            5 => self.variant::<_, 5, DELAYED>(cols, c, delay, observe),
-            _ => unreachable!("from_spec admits 3 or 5 banks only"),
-        })
-    }
-
-    fn variant<C: Counter, const B: usize, const DELAYED: bool>(
-        &mut self,
-        cols: &TraceColumns,
-        c: C,
-        delay: usize,
-        observe: impl FnMut(&[bool], bool, bool),
-    ) -> RunResult {
-        match (self.enhanced, self.skewing) {
-            (false, true) => self.drive::<C, B, false, true, DELAYED>(cols, c, delay, observe),
-            (true, true) => self.drive::<C, B, true, true, DELAYED>(cols, c, delay, observe),
-            (false, false) => self.drive::<C, B, false, false, DELAYED>(cols, c, delay, observe),
-            (true, false) => self.drive::<C, B, true, false, DELAYED>(cols, c, delay, observe),
-        }
-    }
-
-    /// The one drive loop; `DELAYED` and `observe` as in
-    /// [`OneBankKernel`]'s. A delayed retirement re-votes under the
-    /// retire-time history before training, as `Gskew::update` does.
     #[inline(always)]
-    fn drive<
-        C: Counter,
-        const B: usize,
-        const ENHANCED: bool,
-        const SKEW: bool,
-        const DELAYED: bool,
-    >(
-        &mut self,
-        cols: &TraceColumns,
-        c: C,
-        delay: usize,
-        mut observe: impl FnMut(&[bool], bool, bool),
-    ) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let bank_size = 1usize << n;
-        let hist_bits = self.hist_bits;
-        let hmask = self.hist_mask;
-        let mut hist = self.hist;
-        let partial = self.partial;
-        let tables = &mut self.tables[..];
-        let at = |pc: u64, hist: u64| -> [usize; B] {
-            let addr = pc >> 2;
-            // InfoVector::packed for a pre-masked history.
-            let packed = if hist_bits >= 64 {
-                hist
+    fn look(&self, pc: u64, hist: History) -> Look<Self::Cells, [bool; B]> {
+        let addr = pc >> 2;
+        let raw = gskew_indices::<B, ENHANCED, SKEW>(addr, hist.packed(addr), self.n);
+        let at: [usize; B] = std::array::from_fn(|b| (b << self.n) + raw[b]);
+        let cells = at.map(|i| self.tables[i]);
+        let votes = cells.map(|cell| self.c.taken(cell));
+        let predicted = 2 * votes.iter().filter(|&&v| v).count() > B;
+        Look {
+            cells: (at, cells),
+            votes,
+            predicted,
+        }
+    }
+
+    #[inline(always)]
+    fn train(&mut self, look: Look<Self::Cells, [bool; B]>, taken: bool) {
+        let (at, cells) = look.cells;
+        let train_all = !self.partial || look.predicted != taken;
+        for b in 0..B {
+            let cell = cells[b];
+            let train = train_all || self.c.taken(cell) == taken;
+            self.tables[at[b]] = if train {
+                self.c.step(cell, taken)
             } else {
-                (addr << hist_bits) | hist
+                cell
             };
-            let raw = gskew_indices::<B, ENHANCED, SKEW>(addr, packed, n);
-            std::array::from_fn(|b| b * bank_size + raw[b])
-        };
-        let pcs = cols.pcs();
-        // Retire record `j` under the history at retire time.
-        let retire = |j: usize, tables: &mut [u8], hist: &mut u64| {
-            let (conditional, taken) = cols.cond_taken(j);
-            if conditional {
-                let at = at(pcs[j], *hist);
-                let cells: [u8; B] = at.map(|i| tables[i]);
-                let (_, overall) = vote(cells, c);
-                train(tables, at, cells, overall, c, taken, partial);
-            }
-            *hist = push_history(*hist, !conditional || taken, hmask);
-        };
-        for (i, &pc) in pcs.iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let at = at(pc, hist);
-                let cells: [u8; B] = at.map(|i| tables[i]);
-                let (votes, overall) = vote(cells, c);
-                observe(&votes, overall, taken);
-                result.conditional += 1;
-                result.mispredicted += u64::from(overall != taken);
-                if !DELAYED {
-                    train(tables, at, cells, overall, c, taken, partial);
-                    hist = push_history(hist, taken, hmask);
-                }
-            } else if !DELAYED {
-                hist = push_history(hist, true, hmask);
-            }
-            if DELAYED && i >= delay {
-                retire(i - delay, tables, &mut hist);
-            }
         }
-        if DELAYED {
-            // Drain the records still in flight.
-            for j in pcs.len().saturating_sub(delay)..pcs.len() {
-                retire(j, tables, &mut hist);
-            }
-        }
-        self.hist = hist;
-        result
     }
 }
 
-/// The `mcfarling` kernel: a bimodal and a gshare table of `2^n`
-/// counters each plus a `2^n`-entry 2-bit meta table indexed by address.
-/// A high meta counter selects gshare; the meta counter trains only
-/// when the two components disagree, toward the one that was right.
-#[derive(Debug, Clone)]
-pub struct McFarlingKernel {
-    kind: CounterKind,
-    n: u32,
-    hist_bits: u32,
-    hist_mask: u64,
-    hist: u64,
-    bimodal: Vec<u8>,
-    gshare: Vec<u8>,
-    meta: Vec<u8>,
+/// `pas` and `spas`: `2^bht` local histories of `bits` bits, indexed by
+/// address, in front of a pattern `table` looked up under the branch's
+/// own history instead of the global one. Unconditional branches leave
+/// the local histories alone.
+struct Local<'a, T> {
+    slots: &'a mut [u64],
+    bits: u32,
+    table: T,
 }
 
-impl McFarlingKernel {
-    fn new(n: u32, hist_bits: u32, kind: CounterKind) -> McFarlingKernel {
-        McFarlingKernel {
-            kind,
-            n,
-            hist_bits,
-            hist_mask: hist_mask(hist_bits),
-            hist: 0,
-            bimodal: vec![kind.weakly_taken(); 1usize << n],
-            gshare: vec![kind.weakly_taken(); 1usize << n],
-            meta: vec![CounterKind::TwoBit.weakly_taken(); 1usize << n],
-        }
-    }
+impl<T: Table> Table for Local<'_, T> {
+    type Cells = (usize, u64, T::Cells);
+    type Votes = T::Votes;
+    const GLOBAL_HISTORY: bool = false;
 
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        with_counter!(self.kind, c => self.drive(cols, c))
+    #[inline(always)]
+    fn look(&self, pc: u64, _global: History) -> Look<Self::Cells, T::Votes> {
+        let slot = (pc >> 2) as usize & (self.slots.len() - 1);
+        let local = self.slots[slot];
+        let look = self.table.look(
+            pc,
+            History {
+                bits: self.bits,
+                value: local,
+            },
+        );
+        Look {
+            cells: (slot, local, look.cells),
+            votes: look.votes,
+            predicted: look.predicted,
+        }
     }
 
     #[inline(always)]
-    fn drive<C: Counter>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let hist_bits = self.hist_bits;
-        let hmask = self.hist_mask;
-        let mut hist = self.hist;
-        let tmask = (1usize << n) - 1;
-        let (bimodal, gshare, meta) = (&mut self.bimodal, &mut self.gshare, &mut self.meta);
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let v = InfoVector::new(pc, hist, hist_bits);
-                let ia = IndexFunction::Bimodal.index(&v, n) as usize & tmask;
-                let ig = IndexFunction::Gshare.index(&v, n) as usize & tmask;
-                let (b, g, m) = (bimodal[ia], gshare[ig], meta[ia]);
-                let (p0, p1) = (c.taken(b), c.taken(g));
-                let predicted = if TwoBit.taken(m) { p1 } else { p0 };
-                result.conditional += 1;
-                result.mispredicted += u64::from(predicted != taken);
-                meta[ia] = if p0 != p1 {
-                    TwoBit.step(m, p1 == taken)
-                } else {
-                    m
-                };
-                bimodal[ia] = c.step(b, taken);
-                gshare[ig] = c.step(g, taken);
-                hist = ((hist << 1) | u64::from(taken)) & hmask;
-            } else {
-                hist = ((hist << 1) | 1) & hmask;
-            }
-        }
-        self.hist = hist;
-        result
+    fn train(&mut self, look: Look<Self::Cells, T::Votes>, taken: bool) {
+        let (slot, local, cells) = look.cells;
+        let inner = Look {
+            cells,
+            votes: look.votes,
+            predicted: look.predicted,
+        };
+        self.table.train(inner, taken);
+        self.slots[slot] = push_history(local, taken, hist_mask(self.bits));
     }
 }
 
-/// The `2bcgskew` kernel: four `2^n`-entry banks of 2-bit counters —
-/// BIM and meta indexed by address, G0 by `f1` over `h/2` history bits,
-/// G1 by `f2` over all `h` bits. Meta selects between BIM and the
-/// 3-way majority and trains when they disagree; the three predicting
-/// banks train with partial update.
-#[derive(Debug, Clone)]
-pub struct TwoBcGskewKernel {
+/// `mcfarling`: a bimodal and a gshare table of `2^n` counters each plus
+/// a `2^n`-entry 2-bit meta table indexed by address. A high meta
+/// counter selects gshare; the meta counter trains only when the two
+/// components disagree, toward the one that was right. Its votes are
+/// the two components'.
+struct McFarling<'a, C> {
+    c: C,
     n: u32,
-    hist_bits: u32,
-    hist_mask: u64,
-    hist: u64,
-    /// BIM, G0, G1 and meta, `2^n` counters each, in that order.
-    tables: Vec<u8>,
+    bimodal: &'a mut [u8],
+    gshare: &'a mut [u8],
+    meta: &'a mut [u8],
 }
 
-impl TwoBcGskewKernel {
-    fn new(n: u32, hist_bits: u32) -> TwoBcGskewKernel {
-        TwoBcGskewKernel {
-            n,
-            hist_bits,
-            hist_mask: hist_mask(hist_bits),
-            hist: 0,
-            tables: vec![CounterKind::TwoBit.weakly_taken(); 4usize << n],
+impl<C: Counter> Table for McFarling<'_, C> {
+    /// Bimodal/meta and gshare indices; bimodal, gshare and meta cells.
+    type Cells = (usize, usize, [u8; 3]);
+    type Votes = [bool; 2];
+
+    #[inline(always)]
+    fn look(&self, pc: u64, hist: History) -> Look<Self::Cells, [bool; 2]> {
+        let (n, tmask) = (self.n, (1usize << self.n) - 1);
+        let v = hist.vector(pc);
+        let ia = IndexFunction::Bimodal.index(&v, n) as usize & tmask;
+        let ig = IndexFunction::Gshare.index(&v, n) as usize & tmask;
+        let (b, g, m) = (self.bimodal[ia], self.gshare[ig], self.meta[ia]);
+        let (p0, p1) = (self.c.taken(b), self.c.taken(g));
+        Look {
+            cells: (ia, ig, [b, g, m]),
+            votes: [p0, p1],
+            predicted: if TwoBit.taken(m) { p1 } else { p0 },
         }
     }
 
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        let mut result = RunResult::default();
+    #[inline(always)]
+    fn train(&mut self, look: Look<Self::Cells, [bool; 2]>, taken: bool) {
+        let (ia, ig, [b, g, m]) = look.cells;
+        let [p0, p1] = look.votes;
+        self.meta[ia] = if p0 != p1 {
+            TwoBit.step(m, p1 == taken)
+        } else {
+            m
+        };
+        self.bimodal[ia] = self.c.step(b, taken);
+        self.gshare[ig] = self.c.step(g, taken);
+    }
+}
+
+/// `2bcgskew`: four `2^n`-entry banks of 2-bit counters — BIM and meta
+/// indexed by address, G0 by `f1` over `h/2` history bits, G1 by `f2`
+/// over all `h` bits. Meta selects between BIM and the 3-way majority
+/// and trains when they disagree; the three predicting banks train with
+/// partial update. Its votes are BIM's, G0's and G1's.
+struct TwoBcGskew<'a> {
+    n: u32,
+    bim: &'a mut [u8],
+    g0: &'a mut [u8],
+    g1: &'a mut [u8],
+    meta: &'a mut [u8],
+}
+
+impl Table for TwoBcGskew<'_> {
+    /// BIM/meta, G0 and G1 indices; their cells; the meta cell.
+    type Cells = ([usize; 3], [u8; 3], u8);
+    type Votes = [bool; 3];
+
+    #[inline(always)]
+    fn look(&self, pc: u64, hist: History) -> Look<Self::Cells, [bool; 3]> {
         let n = self.n;
-        let size = 1usize << n;
-        let long_bits = self.hist_bits;
-        let short_bits = long_bits / 2;
-        let hmask = self.hist_mask;
-        let mut hist = self.hist;
-        let (bim, rest) = self.tables.split_at_mut(size);
-        let (g0, rest) = rest.split_at_mut(size);
-        let (g1, meta) = rest.split_at_mut(size);
-        let c = TwoBit;
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let ia = ((pc >> 2) as usize) & (size - 1);
-                let (s1, s2) = halves(InfoVector::new(pc, hist, short_bits).packed(), n);
-                let i0 = (skew::h(s1, n) ^ skew::h_inv(s2, n) ^ s1) as usize;
-                let (l1, l2) = halves(InfoVector::new(pc, hist, long_bits).packed(), n);
-                let i1 = (skew::h_inv(l1, n) ^ skew::h(l2, n) ^ l2) as usize;
-                let cells = [bim[ia], g0[i0], g1[i1]];
-                let m = meta[ia];
-                let votes = cells.map(|cell| c.taken(cell));
-                let majority = votes.iter().filter(|&&v| v).count() >= 2;
-                let predicted = if c.taken(m) { majority } else { votes[0] };
-                result.conditional += 1;
-                result.mispredicted += u64::from(predicted != taken);
-                meta[ia] = if majority != votes[0] {
-                    c.step(m, majority == taken)
-                } else {
-                    m
-                };
-                // Partial update: on a correct prediction only the
-                // agreeing banks are strengthened.
-                let train_all = predicted != taken;
-                let trained = |b: usize| {
-                    if train_all || votes[b] == taken {
-                        c.step(cells[b], taken)
-                    } else {
-                        cells[b]
-                    }
-                };
-                bim[ia] = trained(0);
-                g0[i0] = trained(1);
-                g1[i1] = trained(2);
-                hist = ((hist << 1) | u64::from(taken)) & hmask;
-            } else {
-                hist = ((hist << 1) | 1) & hmask;
-            }
+        let ia = ((pc >> 2) as usize) & ((1usize << n) - 1);
+        let (s1, s2) = halves(InfoVector::new(pc, hist.value, hist.bits / 2).packed(), n);
+        let i0 = (skew::h(s1, n) ^ skew::h_inv(s2, n) ^ s1) as usize;
+        let (l1, l2) = halves(hist.vector(pc).packed(), n);
+        let i1 = (skew::h_inv(l1, n) ^ skew::h(l2, n) ^ l2) as usize;
+        let cells = [self.bim[ia], self.g0[i0], self.g1[i1]];
+        let m = self.meta[ia];
+        let votes = cells.map(|cell| TwoBit.taken(cell));
+        let majority = votes.iter().filter(|&&v| v).count() >= 2;
+        Look {
+            cells: ([ia, i0, i1], cells, m),
+            votes,
+            predicted: if TwoBit.taken(m) { majority } else { votes[0] },
         }
-        self.hist = hist;
-        result
+    }
+
+    #[inline(always)]
+    fn train(&mut self, look: Look<Self::Cells, [bool; 3]>, taken: bool) {
+        let ([ia, i0, i1], cells, m) = look.cells;
+        let votes = look.votes;
+        let majority = votes.iter().filter(|&&v| v).count() >= 2;
+        self.meta[ia] = if majority != votes[0] {
+            TwoBit.step(m, majority == taken)
+        } else {
+            m
+        };
+        // Partial update: on a correct prediction only the agreeing
+        // banks are strengthened.
+        let train_all = look.predicted != taken;
+        let trained = |b: usize| {
+            if train_all || votes[b] == taken {
+                TwoBit.step(cells[b], taken)
+            } else {
+                cells[b]
+            }
+        };
+        self.bim[ia] = trained(0);
+        self.g0[i0] = trained(1);
+        self.g1[i1] = trained(2);
     }
 }
 
-/// The `agree` kernel: `2^n` gshare-indexed agreement counters over a
+/// `agree`: `2^n` gshare-indexed agreement counters over a
 /// `2^bias`-entry address-indexed bias table. A bias entry is set to the
 /// first outcome that reaches it and reads as taken while unset; a
 /// counter predicts "agrees with the bias" and trains toward whether the
 /// outcome did.
-#[derive(Debug, Clone)]
-pub struct AgreeKernel {
-    kind: CounterKind,
+struct Agree<'a, C> {
+    c: C,
     n: u32,
-    hist_bits: u32,
-    hist_mask: u64,
-    hist: u64,
-    counters: Vec<u8>,
+    counters: &'a mut [u8],
     /// [`BIAS_UNSET`], [`BIAS_NOT_TAKEN`] or [`BIAS_TAKEN`] per entry.
-    bias: Vec<u8>,
+    bias: &'a mut [u8],
 }
 
 const BIAS_UNSET: u8 = 0;
 const BIAS_NOT_TAKEN: u8 = 1;
 const BIAS_TAKEN: u8 = 2;
 
-impl AgreeKernel {
-    fn new(n: u32, hist_bits: u32, bias: u32, kind: CounterKind) -> AgreeKernel {
-        AgreeKernel {
-            kind,
-            n,
-            hist_bits,
-            hist_mask: hist_mask(hist_bits),
-            hist: 0,
-            counters: vec![kind.weakly_taken(); 1usize << n],
-            bias: vec![BIAS_UNSET; 1usize << bias],
-        }
-    }
+impl<C: Counter> Table for Agree<'_, C> {
+    /// Counter index and cell, bias index and entry.
+    type Cells = (usize, u8, usize, u8);
+    type Votes = [bool; 1];
 
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        with_counter!(self.kind, c => self.drive(cols, c))
+    #[inline(always)]
+    fn look(&self, pc: u64, hist: History) -> Look<Self::Cells, [bool; 1]> {
+        let idx = IndexFunction::Gshare.index(&hist.vector(pc), self.n) as usize
+            & ((1usize << self.n) - 1);
+        let bi = (pc >> 2) as usize & (self.bias.len() - 1);
+        let (cell, b) = (self.counters[idx], self.bias[bi]);
+        // Agreeing with the bias predicts the bias direction.
+        let predicted = self.c.taken(cell) == (b != BIAS_NOT_TAKEN);
+        Look {
+            cells: (idx, cell, bi, b),
+            votes: [predicted],
+            predicted,
+        }
     }
 
     #[inline(always)]
-    fn drive<C: Counter>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let hist_bits = self.hist_bits;
-        let hmask = self.hist_mask;
-        let mut hist = self.hist;
-        let tmask = (1usize << n) - 1;
-        let bmask = self.bias.len() - 1;
-        let (counters, bias) = (&mut self.counters, &mut self.bias);
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let v = InfoVector::new(pc, hist, hist_bits);
-                let idx = IndexFunction::Gshare.index(&v, n) as usize & tmask;
-                let bi = (pc >> 2) as usize & bmask;
-                let b = bias[bi];
-                let cell = counters[idx];
-                // Agreeing with the bias predicts the bias direction.
-                let predicted = c.taken(cell) == (b != BIAS_NOT_TAKEN);
-                result.conditional += 1;
-                result.mispredicted += u64::from(predicted != taken);
-                let biased_taken = if b == BIAS_UNSET {
-                    bias[bi] = if taken { BIAS_TAKEN } else { BIAS_NOT_TAKEN };
-                    taken
-                } else {
-                    b == BIAS_TAKEN
-                };
-                counters[idx] = c.step(cell, taken == biased_taken);
-                hist = ((hist << 1) | u64::from(taken)) & hmask;
-            } else {
-                hist = ((hist << 1) | 1) & hmask;
-            }
-        }
-        self.hist = hist;
-        result
+    fn train(&mut self, look: Look<Self::Cells, [bool; 1]>, taken: bool) {
+        let (idx, cell, bi, b) = look.cells;
+        let biased_taken = if b == BIAS_UNSET {
+            self.bias[bi] = if taken { BIAS_TAKEN } else { BIAS_NOT_TAKEN };
+            taken
+        } else {
+            b == BIAS_TAKEN
+        };
+        self.counters[idx] = self.c.step(cell, taken == biased_taken);
     }
 }
 
-/// The `bimode` kernel: a `2^choice`-entry address-indexed choice table
-/// steering between a not-taken and a taken bank of `2^n` gshare-indexed
+/// `bimode`: a `2^choice`-entry address-indexed choice table steering
+/// between a not-taken and a taken bank of `2^n` gshare-indexed
 /// counters. Only the chosen bank trains; the choice counter trains with
 /// the outcome unless the chosen bank overrode it successfully.
-#[derive(Debug, Clone)]
-pub struct BiModeKernel {
-    kind: CounterKind,
+struct BiMode<'a, C> {
+    c: C,
     n: u32,
-    hist_bits: u32,
-    hist_mask: u64,
-    hist: u64,
-    choice: Vec<u8>,
+    choice: &'a mut [u8],
     /// The not-taken bank, then the taken bank, `2^n` counters each.
-    banks: Vec<u8>,
+    banks: &'a mut [u8],
 }
 
-impl BiModeKernel {
-    fn new(n: u32, hist_bits: u32, choice: u32, kind: CounterKind) -> BiModeKernel {
-        BiModeKernel {
-            kind,
-            n,
-            hist_bits,
-            hist_mask: hist_mask(hist_bits),
-            hist: 0,
-            choice: vec![kind.weakly_taken(); 1usize << choice],
-            banks: vec![kind.weakly_taken(); 2usize << n],
-        }
-    }
+impl<C: Counter> Table for BiMode<'_, C> {
+    /// Choice index and cell, bank index and cell.
+    type Cells = (usize, u8, usize, u8);
+    type Votes = [bool; 1];
 
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        with_counter!(self.kind, c => self.drive(cols, c))
+    #[inline(always)]
+    fn look(&self, pc: u64, hist: History) -> Look<Self::Cells, [bool; 1]> {
+        let n = self.n;
+        let ci = (pc >> 2) as usize & (self.choice.len() - 1);
+        let ch = self.choice[ci];
+        let at = (usize::from(self.c.taken(ch)) << n)
+            | (IndexFunction::Gshare.index(&hist.vector(pc), n) as usize & ((1usize << n) - 1));
+        let cell = self.banks[at];
+        let predicted = self.c.taken(cell);
+        Look {
+            cells: (ci, ch, at, cell),
+            votes: [predicted],
+            predicted,
+        }
     }
 
     #[inline(always)]
-    fn drive<C: Counter>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let hist_bits = self.hist_bits;
-        let hmask = self.hist_mask;
-        let mut hist = self.hist;
-        let tmask = (1usize << n) - 1;
-        let cmask = self.choice.len() - 1;
-        let (choice, banks) = (&mut self.choice, &mut self.banks);
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let v = InfoVector::new(pc, hist, hist_bits);
-                let ci = (pc >> 2) as usize & cmask;
-                let ch = choice[ci];
-                let chosen_taken = c.taken(ch);
-                let at = (usize::from(chosen_taken) << n)
-                    | (IndexFunction::Gshare.index(&v, n) as usize & tmask);
-                let cell = banks[at];
-                let predicted = c.taken(cell);
-                result.conditional += 1;
-                result.mispredicted += u64::from(predicted != taken);
-                banks[at] = c.step(cell, taken);
-                let overridden = predicted == taken && chosen_taken != taken;
-                if !overridden {
-                    choice[ci] = c.step(ch, taken);
-                }
-                hist = ((hist << 1) | u64::from(taken)) & hmask;
-            } else {
-                hist = ((hist << 1) | 1) & hmask;
-            }
-        }
-        self.hist = hist;
-        result
-    }
-}
-
-/// The first level of `pas` and `spas`: `2^bht` local histories of `l`
-/// bits, indexed by address truncation. Unconditional branches leave it
-/// alone.
-#[derive(Debug, Clone)]
-struct LocalHistories {
-    slots: Vec<u64>,
-    bits: u32,
-}
-
-impl LocalHistories {
-    fn new(bht: u32, bits: u32) -> LocalHistories {
-        LocalHistories {
-            slots: vec![0; 1usize << bht],
-            bits,
+    fn train(&mut self, look: Look<Self::Cells, [bool; 1]>, taken: bool) {
+        let (ci, ch, at, cell) = look.cells;
+        self.banks[at] = self.c.step(cell, taken);
+        let overridden = look.predicted == taken && self.c.taken(ch) != taken;
+        if !overridden {
+            self.choice[ci] = self.c.step(ch, taken);
         }
     }
 }
 
-/// The `pas` kernel: `2^bht` local histories of `l` bits and a `2^n`-entry
-/// pattern table indexed by gselect over (address, local history).
-#[derive(Debug, Clone)]
-pub struct PasKernel {
-    kind: CounterKind,
+/// `shgskew`: three `2^n`-entry banks of direction bits indexed by
+/// `f0..f2`, each with a `2^(n-1)`-entry hysteresis bank whose bit
+/// `idx >> 1` is shared by entries `idx` and `idx ^ 1`. A (direction,
+/// hysteresis) pair steps as one 2-bit counter; majority vote, partial
+/// or total update.
+struct Shgskew<'a> {
     n: u32,
-    bht: LocalHistories,
-    table: Vec<u8>,
-}
-
-impl PasKernel {
-    fn new(bht: u32, l: u32, n: u32, kind: CounterKind) -> PasKernel {
-        PasKernel {
-            kind,
-            n,
-            bht: LocalHistories::new(bht, l),
-            table: vec![kind.weakly_taken(); 1usize << n],
-        }
-    }
-
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        with_counter!(self.kind, c => self.drive(cols, c))
-    }
-
-    #[inline(always)]
-    fn drive<C: Counter>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let tmask = (1usize << n) - 1;
-        let l = self.bht.bits;
-        let lmask = hist_mask(l);
-        let slots = &mut self.bht.slots[..];
-        let smask = slots.len() - 1;
-        let table = &mut self.table[..];
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let slot = (pc >> 2) as usize & smask;
-                let local = slots[slot];
-                let v = InfoVector::new(pc, local, l);
-                let idx = IndexFunction::Gselect.index(&v, n) as usize & tmask;
-                let cell = table[idx];
-                result.conditional += 1;
-                result.mispredicted += u64::from(c.taken(cell) != taken);
-                table[idx] = c.step(cell, taken);
-                slots[slot] = ((local << 1) | u64::from(taken)) & lmask;
-            }
-        }
-        result
-    }
-}
-
-/// The `spas` kernel: `2^bht` local histories of `l` bits and three
-/// `2^n`-counter banks indexed by `f0..f2` over (address, local
-/// history), majority vote, partial or total update.
-#[derive(Debug, Clone)]
-pub struct SpasKernel {
-    kind: CounterKind,
-    n: u32,
-    partial: bool,
-    bht: LocalHistories,
-    tables: Vec<u8>,
-}
-
-impl SpasKernel {
-    fn new(bht: u32, l: u32, n: u32, kind: CounterKind, update: UpdatePolicy) -> SpasKernel {
-        SpasKernel {
-            kind,
-            n,
-            partial: update == UpdatePolicy::Partial,
-            bht: LocalHistories::new(bht, l),
-            tables: vec![kind.weakly_taken(); 3usize << n],
-        }
-    }
-
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        with_counter!(self.kind, c => self.drive(cols, c))
-    }
-
-    #[inline(always)]
-    fn drive<C: Counter>(&mut self, cols: &TraceColumns, c: C) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let bank_size = 1usize << n;
-        let partial = self.partial;
-        let l = self.bht.bits;
-        let lmask = hist_mask(l);
-        let slots = &mut self.bht.slots[..];
-        let smask = slots.len() - 1;
-        let tables = &mut self.tables[..];
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let addr = pc >> 2;
-                let slot = addr as usize & smask;
-                let local = slots[slot];
-                // InfoVector::packed, with `l` at most 32 bits.
-                let raw = gskew_indices::<3, false, true>(addr, (addr << l) | local, n);
-                let at: [usize; 3] = std::array::from_fn(|b| b * bank_size + raw[b]);
-                let cells = at.map(|i| tables[i]);
-                let (_, overall) = vote(cells, c);
-                train(tables, at, cells, overall, c, taken, partial);
-                result.conditional += 1;
-                result.mispredicted += u64::from(overall != taken);
-                slots[slot] = ((local << 1) | u64::from(taken)) & lmask;
-            }
-        }
-        result
-    }
-}
-
-/// The `shgskew` kernel: three `2^n`-entry banks of direction bits
-/// indexed by `f0..f2`, each with a `2^(n-1)`-entry hysteresis bank whose
-/// bit `idx >> 1` is shared by entries `idx` and `idx ^ 1`. A
-/// (direction, hysteresis) pair steps as one 2-bit counter; majority
-/// vote, partial or total update.
-#[derive(Debug, Clone)]
-pub struct ShgskewKernel {
-    n: u32,
-    hist_bits: u32,
-    hist_mask: u64,
-    hist: u64,
     partial: bool,
     /// Three banks of `2^n` direction bits, one per byte.
-    direction: Vec<u8>,
+    direction: &'a mut [u8],
     /// Three banks of `2^(n-1)` hysteresis bits, one per byte.
-    hysteresis: Vec<u8>,
+    hysteresis: &'a mut [u8],
 }
 
-impl ShgskewKernel {
-    fn new(n: u32, hist_bits: u32, update: UpdatePolicy) -> ShgskewKernel {
-        ShgskewKernel {
-            n,
-            hist_bits,
-            hist_mask: hist_mask(hist_bits),
-            hist: 0,
-            partial: update == UpdatePolicy::Partial,
-            // Boot weakly taken: direction 1, hysteresis 0.
-            direction: vec![1; 3usize << n],
-            hysteresis: vec![0; 3usize << (n - 1)],
+impl Table for Shgskew<'_> {
+    /// Each bank's raw index.
+    type Cells = [usize; 3];
+    type Votes = [bool; 3];
+
+    #[inline(always)]
+    fn look(&self, pc: u64, hist: History) -> Look<[usize; 3], [bool; 3]> {
+        let addr = pc >> 2;
+        let raw = gskew_indices::<3, false, true>(addr, hist.packed(addr), self.n);
+        let votes: [bool; 3] = std::array::from_fn(|b| self.direction[(b << self.n) + raw[b]] != 0);
+        Look {
+            cells: raw,
+            votes,
+            predicted: votes.iter().filter(|&&v| v).count() >= 2,
         }
     }
 
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let (size, half) = (1usize << n, 1usize << (n - 1));
-        let hist_bits = self.hist_bits;
-        let hmask = self.hist_mask;
-        let mut hist = self.hist;
-        let partial = self.partial;
-        let (direction, hysteresis) = (&mut self.direction[..], &mut self.hysteresis[..]);
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let addr = pc >> 2;
-                let packed = if hist_bits >= 64 {
-                    hist
-                } else {
-                    (addr << hist_bits) | hist
-                };
-                let raw = gskew_indices::<3, false, true>(addr, packed, n);
-                let votes: [bool; 3] = std::array::from_fn(|b| direction[b * size + raw[b]] != 0);
-                let overall = votes.iter().filter(|&&v| v).count() >= 2;
-                result.conditional += 1;
-                result.mispredicted += u64::from(overall != taken);
-                let train_all = !partial || overall != taken;
-                for b in 0..3 {
-                    if train_all || votes[b] == taken {
-                        let (d, h) = (b * size + raw[b], b * half + (raw[b] >> 1));
-                        let next = TwoBit.step((u8::from(votes[b]) << 1) | hysteresis[h], taken);
-                        direction[d] = next >> 1;
-                        hysteresis[h] = next & 1;
-                    }
-                }
-                hist = ((hist << 1) | u64::from(taken)) & hmask;
-            } else {
-                hist = ((hist << 1) | 1) & hmask;
+    #[inline(always)]
+    fn train(&mut self, look: Look<[usize; 3], [bool; 3]>, taken: bool) {
+        let (raw, votes, n) = (look.cells, look.votes, self.n);
+        let train_all = !self.partial || look.predicted != taken;
+        for b in 0..3 {
+            if train_all || votes[b] == taken {
+                let (d, h) = ((b << n) + raw[b], (b << (n - 1)) + (raw[b] >> 1));
+                let next = TwoBit.step((u8::from(votes[b]) << 1) | self.hysteresis[h], taken);
+                self.direction[d] = next >> 1;
+                self.hysteresis[h] = next & 1;
             }
         }
-        self.hist = hist;
-        result
     }
 }
 
@@ -1058,25 +752,16 @@ impl ShgskewKernel {
 /// Build one with [`PredictorKernel::from_spec`]; `None` means the spec
 /// has no fast path and must go through the `dyn` engine.
 #[derive(Debug, Clone)]
-pub enum PredictorKernel {
-    /// Bimodal / gshare / gselect.
-    OneBank(OneBankKernel),
-    /// The gskew family (plain, enhanced, identical-indexing ablation).
-    Gskew(GskewKernel),
-    /// The McFarling bimodal + gshare combining predictor.
-    McFarling(McFarlingKernel),
-    /// The EV8-style 2bc-gskew hybrid.
-    TwoBcGskew(TwoBcGskewKernel),
-    /// The agree predictor.
-    Agree(AgreeKernel),
-    /// The bi-mode predictor.
-    BiMode(BiModeKernel),
-    /// The per-address two-level predictor.
-    Pas(PasKernel),
-    /// The skewed per-address predictor.
-    Spas(SpasKernel),
-    /// The shared-hysteresis skewed predictor.
-    Shgskew(ShgskewKernel),
+pub struct PredictorKernel {
+    /// The family and its shape, checked by [`PredictorKernel::from_spec`].
+    spec: PredictorSpec,
+    /// The global history register; `pas` and `spas` keep it at 0 bits.
+    hist: History,
+    /// Every table of the family, in one array, in the order `dispatch`
+    /// splits it.
+    cells: Vec<u8>,
+    /// `pas`'s and `spas`'s local histories.
+    locals: Vec<u64>,
 }
 
 impl PredictorKernel {
@@ -1102,64 +787,56 @@ impl PredictorKernel {
     /// and the `dyn` engine (where invalid values produce their usual
     /// errors).
     pub fn from_spec(spec: &PredictorSpec) -> Option<PredictorKernel> {
-        let one_bank = |func: IndexFunction, n: u32, h: u32, ctr: CounterKind| {
-            ((1..=30).contains(&n) && h <= 64)
-                .then(|| PredictorKernel::OneBank(OneBankKernel::new(func, n, h, ctr)))
-        };
-        match *spec {
-            PredictorSpec::Bimodal { n, ctr } => one_bank(IndexFunction::Bimodal, n, 0, ctr),
-            PredictorSpec::Gshare { n, h, ctr } => one_bank(IndexFunction::Gshare, n, h, ctr),
-            PredictorSpec::Gselect { n, h, ctr } => one_bank(IndexFunction::Gselect, n, h, ctr),
-            PredictorSpec::Gskew {
-                n,
+        use PredictorSpec as S;
+        let table = |lo: u32, n: u32| (lo..=30).contains(&n);
+        let local = |bht: u32, l: u32| table(1, bht) && (1..=32).contains(&l);
+        let weak = |entries: usize, kind: CounterKind| vec![kind.weakly_taken(); entries];
+        // The global history length, the tables at boot and the local
+        // histories.
+        let (h, cells, locals) = match *spec {
+            S::Bimodal { n, ctr } if table(1, n) => (0, weak(1 << n, ctr), 0),
+            S::Gshare { n, h, ctr } | S::Gselect { n, h, ctr } if table(1, n) => {
+                (h, weak(1 << n, ctr), 0)
+            }
+            S::Gskew {
+                n, h, banks, ctr, ..
+            } if table(2, n) && (banks == 3 || banks == 5) => (h, weak(banks << n, ctr), 0),
+            // Bimodal, then gshare, then the 2-bit meta table.
+            S::McFarling { n, h, ctr } if table(1, n) => {
+                let meta = weak(1 << n, CounterKind::TwoBit);
+                (h, [weak(2 << n, ctr), meta].concat(), 0)
+            }
+            // BIM, G0, G1 and meta.
+            S::TwoBcGskew { n, h } if table(2, n) => (h, weak(4 << n, CounterKind::TwoBit), 0),
+            // Counters, then the bias table.
+            S::Agree { n, h, bias, ctr } if table(1, n) && table(1, bias) => (
                 h,
-                banks,
-                ctr,
-                update,
-                enhanced,
-                skewing,
-            } if (2..=30).contains(&n) && h <= 64 && (banks == 3 || banks == 5) => {
-                Some(PredictorKernel::Gskew(GskewKernel::new(
-                    n, h, banks, ctr, update, enhanced, skewing,
-                )))
-            }
-            PredictorSpec::McFarling { n, h, ctr } if (1..=30).contains(&n) && h <= 64 => {
-                Some(PredictorKernel::McFarling(McFarlingKernel::new(n, h, ctr)))
-            }
-            PredictorSpec::TwoBcGskew { n, h } if (2..=30).contains(&n) && h <= 64 => {
-                Some(PredictorKernel::TwoBcGskew(TwoBcGskewKernel::new(n, h)))
-            }
-            PredictorSpec::Agree { n, h, bias, ctr }
-                if (1..=30).contains(&n) && (1..=30).contains(&bias) && h <= 64 =>
-            {
-                Some(PredictorKernel::Agree(AgreeKernel::new(n, h, bias, ctr)))
-            }
-            PredictorSpec::BiMode { n, h, choice, ctr }
-                if (1..=30).contains(&n) && (1..=30).contains(&choice) && h <= 64 =>
-            {
-                Some(PredictorKernel::BiMode(BiModeKernel::new(
-                    n, h, choice, ctr,
-                )))
-            }
-            PredictorSpec::Pas { bht, l, n, ctr }
-                if (1..=30).contains(&bht) && (1..=32).contains(&l) && (1..=30).contains(&n) =>
-            {
-                Some(PredictorKernel::Pas(PasKernel::new(bht, l, n, ctr)))
-            }
-            PredictorSpec::Spas {
-                bht,
-                l,
-                n,
-                ctr,
-                update,
-            } if (1..=30).contains(&bht) && (1..=32).contains(&l) && (2..=30).contains(&n) => Some(
-                PredictorKernel::Spas(SpasKernel::new(bht, l, n, ctr, update)),
+                [weak(1 << n, ctr), vec![BIAS_UNSET; 1 << bias]].concat(),
+                0,
             ),
-            PredictorSpec::Shgskew { n, h, update } if (2..=30).contains(&n) && h <= 64 => {
-                Some(PredictorKernel::Shgskew(ShgskewKernel::new(n, h, update)))
+            // The choice table, then the not-taken and taken banks.
+            S::BiMode { n, h, choice, ctr } if table(1, n) && table(1, choice) => {
+                (h, weak((1 << choice) + (2 << n), ctr), 0)
             }
-            _ => None,
-        }
+            S::Pas { bht, l, n, ctr } if local(bht, l) && table(1, n) => {
+                (0, weak(1 << n, ctr), 1 << bht)
+            }
+            S::Spas { bht, l, n, ctr, .. } if local(bht, l) && table(2, n) => {
+                (0, weak(3 << n, ctr), 1 << bht)
+            }
+            // Direction bits, then hysteresis bits: boot weakly taken,
+            // direction 1 and hysteresis 0.
+            S::Shgskew { n, h, .. } if table(2, n) => {
+                (h, [vec![1; 3 << n], vec![0; 3 << (n - 1)]].concat(), 0)
+            }
+            _ => return None,
+        };
+        (h <= 64).then(|| PredictorKernel {
+            spec: spec.clone(),
+            hist: History { bits: h, value: 0 },
+            cells,
+            locals: vec![0; locals],
+        })
     }
 
     /// Drive the kernel over a whole column view, accounting every
@@ -1172,20 +849,7 @@ impl PredictorKernel {
     /// novel). Time spent is credited to the kernel path of
     /// [`crate::timing`].
     pub fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        let start = Instant::now();
-        let result = match self {
-            PredictorKernel::OneBank(k) => k.run(cols),
-            PredictorKernel::Gskew(k) => k.run(cols),
-            PredictorKernel::McFarling(k) => k.run(cols),
-            PredictorKernel::TwoBcGskew(k) => k.run(cols),
-            PredictorKernel::Agree(k) => k.run(cols),
-            PredictorKernel::BiMode(k) => k.run(cols),
-            PredictorKernel::Pas(k) => k.run(cols),
-            PredictorKernel::Spas(k) => k.run(cols),
-            PredictorKernel::Shgskew(k) => k.run(cols),
-        };
-        timing::record_kernel(cols.len() as u64, start.elapsed());
-        result
+        self.dispatch::<false>(cols, 0, |_, _, _| {})
     }
 
     /// Drive the kernel over one whole trace with retirement-time
@@ -1194,47 +858,173 @@ impl PredictorKernel {
     ///
     /// - record `i` is predicted from the state left once the records
     ///   before `i - delay` have retired;
-    /// - retiring a conditional record recomputes its indices under the
-    ///   history at retire time and trains (gskew re-votes first, as its
-    ///   `update` does), then shifts the outcome into the history;
+    /// - retiring a conditional record recomputes its indices and reads
+    ///   its cells under the history at retire time, trains them, then
+    ///   shifts the outcome into the history;
     /// - retiring any other record shifts in a taken bit;
     /// - the records still in flight at the end retire before this
     ///   returns.
     ///
-    /// Delay 0 is [`PredictorKernel::run`]. Returns `None` for families
-    /// without a delayed loop: only the one-bank and gskew kernels have
-    /// one. Time spent is credited as [`PredictorKernel::run`] credits it.
-    pub fn run_delayed(&mut self, cols: &TraceColumns, delay: usize) -> Option<RunResult> {
-        let start = Instant::now();
-        let result = match self {
-            PredictorKernel::OneBank(k) => k.dispatch::<true>(cols, delay, |_, _, _| {}),
-            PredictorKernel::Gskew(k) => k.dispatch::<true>(cols, delay, |_, _, _| {}),
-            _ => return None,
-        };
-        timing::record_kernel(cols.len() as u64, start.elapsed());
-        Some(result)
+    /// Delay 0 is [`PredictorKernel::run`]. Time spent is credited as
+    /// [`PredictorKernel::run`] credits it.
+    pub fn run_delayed(&mut self, cols: &TraceColumns, delay: usize) -> RunResult {
+        self.dispatch::<true>(cols, delay, |_, _, _| {})
     }
 
     /// [`PredictorKernel::run`], calling `observe(votes, predicted,
     /// taken)` for every conditional record before the tables train:
-    /// `votes` holds each bank's direction (one entry for the one-bank
-    /// kernels), `predicted` the overall prediction and `taken` the
-    /// outcome. Returns `None`, without running, for families other than
-    /// the one-bank and gskew kernels. Time spent is credited as
+    /// `votes` holds each bank's direction (a hybrid's components', and
+    /// the prediction alone for the one-counter lookups of the one-bank
+    /// families, `agree`, `bimode` and `pas`), `predicted` the overall
+    /// prediction and `taken` the outcome. Time spent is credited as
     /// [`PredictorKernel::run`] credits it.
     pub fn run_observed(
         &mut self,
         cols: &TraceColumns,
         observe: impl FnMut(&[bool], bool, bool),
-    ) -> Option<RunResult> {
+    ) -> RunResult {
+        self.dispatch::<false>(cols, 0, observe)
+    }
+
+    /// Split the tables into the family's [`Table`] and run [`drive`]
+    /// over it. Each arm pins the counter automaton and the shape, so
+    /// every `drive` copy is a monomorphized loop.
+    fn dispatch<const DELAYED: bool>(
+        &mut self,
+        cols: &TraceColumns,
+        delay: usize,
+        observe: impl FnMut(&[bool], bool, bool),
+    ) -> RunResult {
+        use PredictorSpec as S;
         let start = Instant::now();
-        let result = match self {
-            PredictorKernel::OneBank(k) => k.dispatch::<false>(cols, 0, observe),
-            PredictorKernel::Gskew(k) => k.dispatch::<false>(cols, 0, observe),
-            _ => return None,
+        let hist = &mut self.hist;
+        let cells = &mut self.cells[..];
+        let slots = &mut self.locals[..];
+        macro_rules! go {
+            ($table:expr) => {
+                drive::<_, DELAYED>(&mut $table, hist, cols, delay, observe)
+            };
+        }
+        // Each closure pins the variant, so `IndexFunction::index`
+        // const-folds its match inside the monomorphized copy.
+        macro_rules! one_bank {
+            ($func:ident, $c:expr, $n:expr) => {
+                OneBank {
+                    c: $c,
+                    n: $n,
+                    index: |v: &InfoVector, n| IndexFunction::$func.index(v, n),
+                    table: cells,
+                }
+            };
+        }
+        let partial = |update: UpdatePolicy| update == UpdatePolicy::Partial;
+        let result = match self.spec {
+            S::Bimodal { n, ctr } => with_counter!(ctr, c => go!(one_bank!(Bimodal, c, n))),
+            S::Gshare { n, ctr, .. } => with_counter!(ctr, c => go!(one_bank!(Gshare, c, n))),
+            S::Gselect { n, ctr, .. } => with_counter!(ctr, c => go!(one_bank!(Gselect, c, n))),
+            S::Gskew {
+                n,
+                banks,
+                ctr,
+                update,
+                enhanced,
+                skewing,
+                ..
+            } => {
+                let partial = partial(update);
+                macro_rules! skewed {
+                    ($c:expr, $b:literal, $enhanced:literal, $skew:literal) => {
+                        go!(Skewed::<_, $b, $enhanced, $skew> {
+                            c: $c,
+                            n,
+                            partial,
+                            tables: cells,
+                        })
+                    };
+                }
+                with_counter!(ctr, c => match (banks, enhanced, skewing) {
+                    (3, false, true) => skewed!(c, 3, false, true),
+                    (3, true, true) => skewed!(c, 3, true, true),
+                    (3, false, false) => skewed!(c, 3, false, false),
+                    (3, true, false) => skewed!(c, 3, true, false),
+                    (5, false, true) => skewed!(c, 5, false, true),
+                    (5, true, true) => skewed!(c, 5, true, true),
+                    (5, false, false) => skewed!(c, 5, false, false),
+                    (5, true, false) => skewed!(c, 5, true, false),
+                    _ => unreachable!("from_spec admits 3 or 5 banks only"),
+                })
+            }
+            S::McFarling { n, ctr, .. } => {
+                let (bimodal, rest) = cells.split_at_mut(1 << n);
+                let (gshare, meta) = rest.split_at_mut(1 << n);
+                with_counter!(ctr, c => go!(McFarling {
+                    c,
+                    n,
+                    bimodal,
+                    gshare,
+                    meta,
+                }))
+            }
+            S::TwoBcGskew { n, .. } => {
+                let (bim, rest) = cells.split_at_mut(1 << n);
+                let (g0, rest) = rest.split_at_mut(1 << n);
+                let (g1, meta) = rest.split_at_mut(1 << n);
+                go!(TwoBcGskew {
+                    n,
+                    bim,
+                    g0,
+                    g1,
+                    meta,
+                })
+            }
+            S::Agree { n, ctr, .. } => {
+                let (counters, bias) = cells.split_at_mut(1 << n);
+                with_counter!(ctr, c => go!(Agree {
+                    c,
+                    n,
+                    counters,
+                    bias,
+                }))
+            }
+            S::BiMode { n, choice, ctr, .. } => {
+                let (choice, banks) = cells.split_at_mut(1 << choice);
+                with_counter!(ctr, c => go!(BiMode {
+                    c,
+                    n,
+                    choice,
+                    banks,
+                }))
+            }
+            S::Pas { l, n, ctr, .. } => with_counter!(ctr, c => go!(Local {
+                slots,
+                bits: l,
+                table: one_bank!(Gselect, c, n),
+            })),
+            S::Spas {
+                l, n, ctr, update, ..
+            } => with_counter!(ctr, c => go!(Local {
+                slots,
+                bits: l,
+                table: Skewed::<_, 3, false, true> {
+                    c,
+                    n,
+                    partial: partial(update),
+                    tables: cells,
+                },
+            })),
+            S::Shgskew { n, update, .. } => {
+                let (direction, hysteresis) = cells.split_at_mut(3 << n);
+                go!(Shgskew {
+                    n,
+                    partial: partial(update),
+                    direction,
+                    hysteresis,
+                })
+            }
+            _ => unreachable!("from_spec admits table families only"),
         };
         timing::record_kernel(cols.len() as u64, start.elapsed());
-        Some(result)
+        result
     }
 }
 
@@ -1618,24 +1408,41 @@ mod tests {
     }
 
     #[test]
-    fn delayed_kernels_match_run_delayed() {
+    fn delayed_and_observed_kernels_match_their_oracles() {
         let cols = cache::columns(IbsBenchmark::Groff, 6_000);
-        for spec in ["bimodal:n=14", "gshare:n=14,h=8", "gskew:n=12,h=8"] {
+        // One spec per table family.
+        for spec in [
+            "bimodal:n=14",
+            "gshare:n=14,h=8",
+            "gskew:n=12,h=8",
+            "mcfarling:n=9,h=5,ctr=3",
+            "2bcgskew:n=8,h=8",
+            "agree:n=9,h=6",
+            "bimode:n=8,h=10,choice=11,ctr=1",
+            "pas:bht=6,l=6,n=9",
+            "spas:bht=6,l=9,n=7,ctr=1,update=total",
+            "shgskew:n=8,h=6",
+        ] {
+            let parsed = PredictorSpec::parse(spec).unwrap();
             for delay in [0, 1, 3, 32, 10_000] {
-                let parsed = PredictorSpec::parse(spec).unwrap();
-                let mut kernel = PredictorKernel::from_spec(&parsed).unwrap();
-                let fast = kernel.run_delayed(&cols, delay).unwrap();
+                let fast = PredictorKernel::from_spec(&parsed)
+                    .unwrap()
+                    .run_delayed(&cols, delay);
                 let mut dyn_p = parse_spec(spec).unwrap();
                 let slow =
                     engine::run_delayed(&mut dyn_p, cols.records(), NovelPolicy::Count, delay);
                 assert_eq!(fast, slow, "{spec} at delay {delay}");
             }
+            let mut wrong = 0u64;
+            let observed = PredictorKernel::from_spec(&parsed)
+                .unwrap()
+                .run_observed(&cols, |_, predicted, taken| {
+                    wrong += u64::from(predicted != taken)
+                });
+            let plain = PredictorKernel::from_spec(&parsed).unwrap().run(&cols);
+            assert_eq!(observed, plain, "{spec}");
+            assert_eq!(wrong, plain.mispredicted, "{spec}");
         }
-        // Families without a delayed or observed loop say so.
-        let mut agree =
-            PredictorKernel::from_spec(&PredictorSpec::parse("agree:n=9,h=6").unwrap()).unwrap();
-        assert!(agree.run_delayed(&cols, 2).is_none());
-        assert!(agree.run_observed(&cols, |_, _, _| {}).is_none());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`engine`] — the trace-driven predict/update loop and misprediction
 //!   accounting (including the paper's exclusion of compulsory references
-//!   for the unaliased predictor), plus warmup, windowed-phase and
-//!   delayed-update modes.
+//!   for the unaliased predictor), plus windowed-phase and delayed-update
+//!   modes.
 //! * [`duel`] — lockstep two-predictor comparison with a McNemar paired
 //!   significance test.
 //! * [`experiments`] — the registry of reproducible experiments (`table1`,

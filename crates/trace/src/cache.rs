@@ -23,17 +23,14 @@
 //!   cap. A trace larger than the whole cap is returned uncached.
 //! * **Observable** — global hit/miss/eviction counters feed the CLI's
 //!   `--verbose` summaries ([`stats`]).
-//! * **Bypassable** — [`set_enabled]`(false)` (the CLI's
-//!   `--no-trace-cache`) rebuilds the trace on every request without
-//!   storing it. The switch is process-global: only single-threaded entry
-//!   points (the CLI `main`) should flip it; tests must not, as test
-//!   binaries run threads concurrently.
+//! * **Always on** — there is no switch to bypass it; the byte bound is
+//!   its only limit.
 
 use crate::soa::TraceColumns;
 use crate::stream::TraceSourceExt;
 use crate::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default resident-byte bound: at about 9.4 bytes per record this holds
@@ -116,7 +113,6 @@ impl LruCache {
 }
 
 static CACHE: OnceLock<Mutex<LruCache>> = OnceLock::new();
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
@@ -124,29 +120,12 @@ fn cache() -> &'static Mutex<LruCache> {
     CACHE.get_or_init(|| Mutex::new(LruCache::new(DEFAULT_CAPACITY_BYTES)))
 }
 
-/// Enable or disable the process-wide cache. While disabled,
-/// [`columns_seeded`] rebuilds the trace on every call and stores nothing
-/// (existing entries are kept but not served).
-///
-/// This is a process-global switch intended for single-threaded entry
-/// points (the CLI's `--no-trace-cache`); tests should leave it alone
-/// because test binaries run threads concurrently.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the cache currently serves and stores entries.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// A snapshot of the cache's counters, for `--verbose` run summaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from a resident entry.
     pub hits: u64,
-    /// Lookups that had to generate the trace (bypassed lookups while the
-    /// cache is disabled are not counted).
+    /// Lookups that had to generate the trace.
     pub misses: u64,
     /// Entries dropped to respect the byte bound.
     pub evictions: u64,
@@ -199,11 +178,7 @@ pub fn columns(bench: IbsBenchmark, len: u64) -> Arc<TraceColumns> {
 /// process: every caller passing the same `(bench, len, seed_base)`
 /// receives a clone of the same `Arc` allocation (test this with
 /// [`Arc::ptr_eq`]), so a repeat lookup costs a reference-count bump.
-/// With the cache disabled the trace is rebuilt per call.
 pub fn columns_seeded(bench: IbsBenchmark, len: u64, seed_base: u64) -> Arc<TraceColumns> {
-    if !is_enabled() {
-        return Arc::new(generate(bench, len, seed_base));
-    }
     let key = (bench, len, seed_base);
     if let Some(columns) = cache().lock().expect("trace cache poisoned").get(&key) {
         HITS.fetch_add(1, Ordering::Relaxed);

@@ -9,10 +9,12 @@
 //!
 //! * [`dm_pass`] — the direct-mapped tagged table as a monomorphized
 //!   kernel over [`TraceColumns`]: a flat tag array (cold entries encoded
-//!   by a sentinel address, so the hot loop compares one `(u64, u64)`
-//!   pair instead of unwrapping an `Option`) and an inlined history
-//!   register, with the index function pinned outside the loop exactly
-//!   like the predictor kernels in `bpred-sim`.
+//!   by a sentinel, so the hot loop compares one tag instead of
+//!   unwrapping an `Option`; the `(address, history)` pair is packed into
+//!   one `u64` whenever the trace's addresses leave room for it, which
+//!   halves the table) and an inlined history register, with the index
+//!   function pinned outside the loop exactly like the predictor kernels
+//!   in `bpred-sim`.
 //! * [`fa_pass`] — *every* fully-associative LRU capacity from one
 //!   last-use-distance computation: a reference with stack distance `d`
 //!   hits an `N`-entry LRU table iff `d < N`, so a single
@@ -132,6 +134,42 @@ pub fn dm_pass(
     }
 }
 
+/// A direct-mapped table entry: the identity of the `(address, history)`
+/// pair that last filled it.
+trait Tag: Copy + PartialEq {
+    /// The entry no pair has filled yet; equal to no pair's tag.
+    const COLD: Self;
+    fn of(v: &InfoVector) -> Self;
+}
+
+impl Tag for (u64, u64) {
+    const COLD: Self = COLD;
+    #[inline(always)]
+    fn of(v: &InfoVector) -> Self {
+        v.pair()
+    }
+}
+
+/// The pair packed as `address << history_bits | history`, which is
+/// exact, and never [`u64::MAX`], while [`packs`] holds.
+impl Tag for u64 {
+    const COLD: Self = u64::MAX;
+    #[inline(always)]
+    fn of(v: &InfoVector) -> Self {
+        (v.addr() << v.hist_bits()) | v.hist()
+    }
+}
+
+/// Whether every pair of `cols` under `history_bits` packs into a `u64`
+/// tag: each address must stay below `u64::MAX >> history_bits`.
+fn packs(cols: &TraceColumns, history_bits: u32) -> bool {
+    let max_addr = cols.pcs().iter().max().map_or(0, |pc| pc >> 2);
+    history_bits < 64 && max_addr < u64::MAX >> history_bits
+}
+
+/// Run the pass over `u64` tags when the pairs pack (half the table's
+/// bytes, so half the memory traffic and resident pages of a large
+/// table), else over full pairs.
 #[inline(always)]
 fn drive_dm(
     cols: &TraceColumns,
@@ -139,7 +177,21 @@ fn drive_dm(
     history_bits: u32,
     index: impl Fn(&InfoVector, u32) -> u64,
 ) -> DmCounts {
-    let mut tags: Vec<(u64, u64)> = vec![COLD; 1usize << entries_log2];
+    if packs(cols, history_bits) {
+        drive_dm_tags::<u64>(cols, entries_log2, history_bits, index)
+    } else {
+        drive_dm_tags::<(u64, u64)>(cols, entries_log2, history_bits, index)
+    }
+}
+
+#[inline(always)]
+fn drive_dm_tags<T: Tag>(
+    cols: &TraceColumns,
+    entries_log2: u32,
+    history_bits: u32,
+    index: impl Fn(&InfoVector, u32) -> u64,
+) -> DmCounts {
+    let mut tags: Vec<T> = vec![T::COLD; 1usize << entries_log2];
     let tmask = tags.len() - 1;
     let hmask = hist_mask(history_bits);
     let mut hist = 0u64;
@@ -152,13 +204,13 @@ fn drive_dm(
             // `entries_log2` bits) but lets the compiler drop the bounds
             // check.
             let idx = index(&v, entries_log2) as usize & tmask;
-            let pair = v.pair();
+            let tag = T::of(&v);
             counts.references += 1;
             let stored = tags[idx];
-            if stored != pair {
+            if stored != tag {
                 counts.misses += 1;
-                counts.cold_misses += u64::from(stored == COLD);
-                tags[idx] = pair;
+                counts.cold_misses += u64::from(stored == T::COLD);
+                tags[idx] = tag;
             }
             hist = ((hist << 1) | u64::from(taken)) & hmask;
         } else {
@@ -409,5 +461,51 @@ mod tests {
                 .run_counts(records.iter().copied());
             assert_eq!(batched[0], reference, "h={h}");
         }
+    }
+
+    #[test]
+    fn packed_and_full_tags_count_alike() {
+        let records: Vec<BranchRecord> = IbsBenchmark::Groff.spec().build().take(20_000).collect();
+        let cols = TraceColumns::from_records(&records);
+        for h in [0u32, 4, 12, 24] {
+            assert!(packs(&cols, h), "h={h}");
+            for n in [4u32, 10, 16] {
+                let gshare = |v: &InfoVector, n| IndexFunction::Gshare.index(v, n);
+                assert_eq!(
+                    drive_dm_tags::<u64>(&cols, n, h, gshare),
+                    drive_dm_tags::<(u64, u64)>(&cols, n, h, gshare),
+                    "n={n} h={h}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn addresses_at_the_packing_limit_match_the_classifier() {
+        // With 4 history bits an address packs while it stays below
+        // `u64::MAX >> 4`. Two branches whose addresses differ only in
+        // their top bits share every index; the pass must still tell
+        // them apart, at the limit (packed) and past it (full pairs).
+        let limit = u64::MAX >> 4;
+        for (top, packed) in [(limit - 1, true), (limit, false)] {
+            let low = top & 0xff;
+            let mut records = Vec::new();
+            for i in 0..64u64 {
+                records.push(BranchRecord::conditional(top << 2, i % 3 != 0));
+                records.push(BranchRecord::conditional(low << 2, i % 5 != 0));
+                records.push(BranchRecord::conditional(low << 2, true));
+            }
+            let cols = TraceColumns::from_records(&records);
+            assert_eq!(packs(&cols, 4), packed, "top address {top:#x}");
+            for func in [IndexFunction::Gshare, IndexFunction::Gselect] {
+                let counts = dm_pass(&cols, 4, 4, func);
+                let reference =
+                    ThreeCClassifier::new(4, 4, func).run_counts(records.iter().copied());
+                assert_eq!(counts.references, reference.references);
+                assert_eq!(counts.misses, reference.dm_misses, "{func} {top:#x}");
+                assert!(counts.misses > counts.cold_misses, "the branches conflict");
+            }
+        }
+        assert!(!packs(&TraceColumns::from_records(&[]), 64));
     }
 }

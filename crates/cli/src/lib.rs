@@ -66,11 +66,13 @@ Global options:
                      0x5EED0000, which reproduces the committed tables)
   --resume           skip any cell already in the results store with an
                      identical fingerprint (implies --save-results)
-  --save-results     persist every simulated cell to the results store
+  --save-results     persist every cell a run produces to the results store
   --results-dir DIR  results store location (default .gskew/results)
   --verbose          print trace-cache, results-store and engine-throughput
-                     summaries (hits/misses, cells skipped/simulated/saved,
-                     records/sec on the kernel and dyn simulation paths)
+                     summaries (hits/misses; cells skipped from the store,
+                     reused from earlier in the run, simulated, and records
+                     saved; records/sec on the kernel and dyn simulation
+                     paths)
 
 Environment:
   GSKEW_THREADS      default worker-thread count for parallel sweeps
@@ -171,8 +173,9 @@ fn print_resume_summary() {
     }
     let stats = resume::stats();
     eprintln!(
-        "results store: {} cells skipped (resumed), {} cells simulated, {} records saved",
-        stats.cells_skipped, stats.cells_simulated, stats.records_saved,
+        "results store: {} cells skipped (resumed), {} cells reused, {} cells simulated, \
+         {} records saved",
+        stats.cells_skipped, stats.cells_reused, stats.cells_simulated, stats.records_saved,
     );
 }
 

@@ -136,6 +136,53 @@ fn concurrent_experiments_on_one_store_lose_nothing() {
 }
 
 #[test]
+fn experiment_all_in_one_process_equals_one_process_per_experiment() {
+    // One process reuses each cell across experiments; the files it
+    // writes must not depend on which experiment produced a cell first.
+    let (all, single) = (temp_path("all-in-one"), temp_path("one-each"));
+    for dir in [&all, &single] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let experiment = |id: &str, dir: &Path| {
+        let out = Command::new(env!("CARGO_BIN_EXE_bpsim"))
+            .args(["experiment", id, "--quick", "--len", "3000", "--out"])
+            .arg(dir)
+            .output()
+            .expect("spawn bpsim");
+        assert!(
+            out.status.success(),
+            "{id}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    experiment("all", &all);
+    for id in bpred_sim::experiments::ALL_IDS {
+        experiment(id, &single);
+    }
+    let files = |dir: &Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let names = files(&all);
+    assert_eq!(names, files(&single));
+    assert!(names.len() > bpred_sim::experiments::ALL_IDS.len());
+    for name in names {
+        assert_eq!(
+            std::fs::read(all.join(&name)).unwrap(),
+            std::fs::read(single.join(&name)).unwrap(),
+            "{name:?} differs"
+        );
+    }
+    for dir in [&all, &single] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
 fn campaign_diff_gates_on_tolerance_with_proper_exit_codes() {
     let dir = temp_path("campaign");
     std::fs::create_dir_all(&dir).unwrap();

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 /// How predictions flagged *novel* (first encounter of a substream, only
 /// produced by the ideal and tagged predictors) are accounted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NovelPolicy {
     /// Count the prediction like any other (figure 8's fully-associative
     /// table: its always-taken miss fallback is charged normally).

@@ -23,7 +23,7 @@
 //!   workloads (seed robustness).
 
 use super::helpers::{
-    bench_sweep_table, columns, history_labels, records, size_labels, spec_sweep_table,
+    bench_sweep_table, columns, history_labels, records, sim_pct, size_labels, spec_sweep_table,
     stream_kernels,
 };
 use super::{ExperimentOpts, ExperimentOutput};
@@ -459,17 +459,21 @@ pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
     let tables = specs
         .iter()
         .map(|(title, spec)| {
-            let spec = PredictorSpec::parse(spec).expect("valid spec");
+            let parsed = PredictorSpec::parse(spec).expect("valid spec");
             bench_sweep_table(
                 format!("{title} mispredict % vs update delay (branches in flight)"),
                 "delay",
                 &labels,
                 opts,
                 |row, bench| {
-                    let cols = columns(bench, opts.len_for(bench));
-                    PredictorKernel::from_spec(&spec)
+                    let len = opts.len_for(bench);
+                    // Delay 0 is the plain run: a pipeline cell.
+                    if DELAYS[row] == 0 {
+                        return sim_pct(spec, bench, len);
+                    }
+                    PredictorKernel::from_spec(&parsed)
                         .expect("a table kernel")
-                        .run_delayed(&cols, DELAYS[row])
+                        .run_delayed(&columns(bench, len), DELAYS[row])
                         .mispredict_pct()
                 },
             )

@@ -47,9 +47,10 @@ pub fn records(bench: IbsBenchmark, len: u64) -> Records<Arc<TraceColumns>> {
 
 /// Simulate a predictor spec over one benchmark and return the
 /// misprediction percentage (novel references counted normally). Runs
-/// as a one-cell batch of the results-store pipeline
-/// ([`crate::resume`]): a stored cell is served without simulating, and
-/// a simulated one is saved when saving is enabled.
+/// as a one-cell batch of the cell pipeline ([`crate::resume`]): a cell
+/// already produced in this process, or stored when resuming, is served
+/// without simulating, and a produced one is saved when saving is
+/// enabled.
 ///
 /// # Panics
 ///
@@ -154,7 +155,7 @@ pub fn spec_sweep_table(
 
     // One task per benchmark: the per-benchmark trace is the shared
     // resource, so it is also the unit of parallelism. Within a
-    // benchmark, the rows are one batch of the results-store pipeline:
+    // benchmark, the rows are one batch of the cell pipeline: reused or
     // stored rows are served, and the rest run through
     // `kernel::run_specs` on the leftover worker budget.
     let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
@@ -189,9 +190,9 @@ pub fn spec_sweep_table(
 /// cached column view. Results are parallel to `cells` and bit-identical
 /// to running `ThreeCClassifier` per cell.
 ///
-/// The passes are units of the results-store pipeline ([`crate::resume`]),
-/// so with a store attached only the missing units run, and a warm rerun
-/// touches no trace at all.
+/// The passes are units of the cell pipeline ([`crate::resume`]), so
+/// only the units neither produced earlier in the process nor stored
+/// run, and a warm rerun touches no trace at all.
 pub(crate) fn three_c_grid(
     bench: IbsBenchmark,
     len: u64,

@@ -1,37 +1,56 @@
-//! Results-store integration: persist simulated cells and resume past
-//! them.
+//! The cell pipeline: produce every cell once per process, and persist
+//! cells in a results store and resume past them.
 //!
 //! Every cell the experiment helpers produce ([`crate::experiments::sim_pct`],
 //! the spec-sweep tables and the three-C grids) goes through one
 //! crate-private pipeline, `run_cells`, over *units* of simulation work:
 //! a predictor spec, a direct-mapped three-C cell, or one shared
-//! fully-associative pass that serves several capacities. With a
-//! [`bpred_results::store::ResultsStore`] attached, each unit is keyed
-//! (one cell key per stored count set, so an FA unit has one key per
-//! capacity) and served from the store only when *every* one of its keys
-//! hits; the stored counts reproduce the cell's rendering byte for byte.
-//! The remaining units run in one batch over a single cached trace and,
-//! when saving is enabled, every key of every simulated unit is appended
-//! to this process's segment of the store. A unit is therefore served or
-//! simulated whole, never both, so `cells_skipped + cells_simulated`
-//! equals the number of cells a run produces. With no store attached the
-//! pipeline simulates directly and the counters stand still.
+//! fully-associative pass that serves several capacities.
+//!
+//! Each cell has a structural identity: the benchmark, trace length,
+//! workload seed and novel policy it runs under (aliasing cells have
+//! none), plus the *parsed* cell
+//! (a [`PredictorSpec`], a [`ThreeCCell`], or an FA `(history, capacity)`).
+//! Equal specs build equal predictors, so every spelling of one
+//! predictor (`gskew:n=9,h=4` and `gskew:n=9,h=4,banks=3`) is one cell.
+//! `run_cells` resolves the cells of each unit in turn:
+//!
+//! 1. from the attached [`bpred_results::store::ResultsStore`] when
+//!    resume is on: a cell is keyed by its fingerprint (one per stored
+//!    count set, so an FA unit has one per capacity), and the stored
+//!    counts reproduce its rendering byte for byte;
+//! 2. from the in-process cell memo, which holds every cell produced
+//!    since the store was last attached or detached;
+//! 3. otherwise the unit is simulated: the remaining units run in one
+//!    batch over a single cached trace.
+//!
+//! A unit is resolved only when *every* one of its cells hits, and is
+//! otherwise simulated whole, so each cell a run produces counts once as
+//! skipped (served from the store), reused (served from the memo) or
+//! simulated. Every produced cell enters the memo. When saving is
+//! enabled, every produced cell whose fingerprint the store lacks is
+//! appended to this process's segment of the store, reused alias
+//! spellings included, so a warm run finds each of its fingerprints.
+//! The counters move only while a store is attached; fingerprints are
+//! formatted and hashed only then.
 //!
 //! The context is process-global by design, mirroring
 //! `bpred_trace::cache`: only single-threaded entry points (the CLI)
-//! should configure it. Counters are atomic so the parallel sweep
-//! workers can report through them.
+//! should configure it. It sits behind one lock, so the parallel sweep
+//! workers can resolve and record through it.
 
 use crate::engine::{NovelPolicy, RunResult};
 use crate::experiments::workload_seed;
 use crate::kernel;
 use bpred_aliasing::batch::{DmCounts, FaCounts, ThreeCCell};
+use bpred_core::spec::PredictorSpec;
 use bpred_results::record::{CellKey, ResultRecord};
 use bpred_results::store::ResultsStore;
 use bpred_trace::cache;
 use bpred_trace::workload::IbsBenchmark;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Version of the simulation engine's accounting, fingerprinted into
@@ -41,77 +60,92 @@ use std::time::Instant;
 /// re-simulates instead of silently serving stale numbers.
 pub const ENGINE_VERSION: &str = "1";
 
-struct Context {
+/// An attached results store and what to do with it.
+struct Attached {
     store: ResultsStore,
     /// Serve fingerprint hits instead of simulating.
     resume: bool,
-    /// Persist simulated cells.
+    /// Persist produced cells the store lacks.
     save: bool,
 }
 
-static CONTEXT: Mutex<Option<Context>> = Mutex::new(None);
-static CELLS_SKIPPED: AtomicU64 = AtomicU64::new(0);
-static CELLS_SIMULATED: AtomicU64 = AtomicU64::new(0);
-static RECORDS_SAVED: AtomicU64 = AtomicU64::new(0);
-/// The experiment id currently running, stamped into saved records
-/// (informational only; not part of the fingerprint).
-static EXPERIMENT: Mutex<Option<&'static str>> = Mutex::new(None);
+struct Context {
+    attached: Option<Attached>,
+    /// Every cell produced since the last attach or detach. The hasher
+    /// has fixed keys, so the empty table can be built in a `const`.
+    memo: HashMap<CellId, RunResult, BuildHasherDefault<DefaultHasher>>,
+    /// Cumulative over the process; moves only while a store is attached.
+    stats: ResumeStats,
+    /// The experiment id currently running, stamped into saved records
+    /// (informational only; not part of the fingerprint).
+    experiment: Option<&'static str>,
+}
 
-/// Attach a store. `resume` serves fingerprint-identical hits without
-/// simulating; `save` persists simulated cells. Both may be set.
+static CONTEXT: Mutex<Context> = Mutex::new(Context {
+    attached: None,
+    memo: HashMap::with_hasher(BuildHasherDefault::new()),
+    stats: ResumeStats {
+        cells_skipped: 0,
+        cells_reused: 0,
+        cells_simulated: 0,
+        records_saved: 0,
+    },
+    experiment: None,
+});
+
+fn context() -> MutexGuard<'static, Context> {
+    CONTEXT.lock().expect("resume context poisoned")
+}
+
+/// Attach a store with a fresh cell memo. `resume` serves
+/// fingerprint-identical hits without simulating; `save` persists
+/// produced cells. Both may be set.
 pub fn configure(store: ResultsStore, resume: bool, save: bool) {
-    *CONTEXT.lock().expect("resume context poisoned") = Some(Context {
+    let mut ctx = context();
+    ctx.attached = Some(Attached {
         store,
         resume,
         save,
     });
+    ctx.memo.clear();
 }
 
-/// Detach and return the store, if one was configured.
+/// Detach and return the store, if one was configured. The cell memo
+/// starts over empty.
 pub fn deconfigure() -> Option<ResultsStore> {
-    CONTEXT
-        .lock()
-        .expect("resume context poisoned")
-        .take()
-        .map(|ctx| ctx.store)
+    let mut ctx = context();
+    ctx.memo.clear();
+    ctx.attached.take().map(|attached| attached.store)
 }
 
 /// Whether a store is currently attached.
 pub fn is_active() -> bool {
-    CONTEXT.lock().expect("resume context poisoned").is_some()
+    context().attached.is_some()
 }
 
 /// Stamp the experiment id recorded on cells saved from now on.
 pub fn set_experiment(id: &'static str) {
-    *EXPERIMENT.lock().expect("experiment label poisoned") = Some(id);
+    context().experiment = Some(id);
 }
 
-fn experiment_label() -> String {
-    EXPERIMENT
-        .lock()
-        .expect("experiment label poisoned")
-        .unwrap_or("adhoc")
-        .to_string()
-}
-
-/// Counter snapshot for `--verbose` summaries.
+/// Counter snapshot for `--verbose` summaries. Only cells produced while
+/// a store is attached are counted, each exactly once:
+/// skipped + reused + simulated = cells produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResumeStats {
     /// Cells served from the store without simulating.
     pub cells_skipped: u64,
-    /// Cells actually simulated while a store was attached.
+    /// Cells served from the in-process cell memo without simulating.
+    pub cells_reused: u64,
+    /// Cells actually simulated.
     pub cells_simulated: u64,
     /// Records written to the store.
     pub records_saved: u64,
 }
 
-/// Snapshot the global counters.
+/// Snapshot the process's counters.
 pub fn stats() -> ResumeStats {
-    ResumeStats {
-        cells_skipped: CELLS_SKIPPED.load(Ordering::Relaxed),
-        cells_simulated: CELLS_SIMULATED.load(Ordering::Relaxed),
-        records_saved: RECORDS_SAVED.load(Ordering::Relaxed),
-    }
+    context().stats
 }
 
 /// The policy's stable name inside cell keys.
@@ -146,20 +180,89 @@ pub(crate) enum Unit {
     },
 }
 
+/// A cell's structural identity within one process: the key of the cell
+/// memo. Within a process `(bench, seed)` fixes the workload, so no
+/// workload fingerprint is needed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct CellId {
+    bench: IbsBenchmark,
+    len: u64,
+    seed: u64,
+    /// The novel policy of a spec cell; `None` for an aliasing cell,
+    /// which no novel policy reaches.
+    policy: Option<NovelPolicy>,
+    cell: Cell,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Cell {
+    Spec(PredictorSpec),
+    Dm(ThreeCCell),
+    /// One capacity of a fully-associative pass, which the index function
+    /// does not reach.
+    Fa {
+        history_bits: u32,
+        capacity: u64,
+    },
+}
+
+/// The workload parameters a cell fingerprint covers: the benchmark's
+/// seeded `WorkloadSpec`, so recalibrating a workload invalidates its
+/// cells.
+fn workload_params(bench: IbsBenchmark, seed: u64) -> String {
+    format!("{:?}", bench.spec_seeded(seed))
+}
+
 impl Unit {
+    /// The unit's cell identities, one per cell, parallel to its keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a spec that does not parse.
+    fn ids(&self, bench: IbsBenchmark, len: u64, seed: u64, policy: NovelPolicy) -> Vec<CellId> {
+        let id = |policy, cell| CellId {
+            bench,
+            len,
+            seed,
+            policy,
+            cell,
+        };
+        match self {
+            Unit::Spec(spec) => {
+                let parsed = PredictorSpec::parse(spec).unwrap_or_else(|e| panic!("bad spec: {e}"));
+                vec![id(Some(policy), Cell::Spec(parsed))]
+            }
+            Unit::Dm(cell) => vec![id(None, Cell::Dm(*cell))],
+            Unit::Fa {
+                history_bits,
+                capacities,
+            } => capacities
+                .iter()
+                .map(|&capacity| {
+                    let cell = Cell::Fa {
+                        history_bits: *history_bits,
+                        capacity,
+                    };
+                    id(None, cell)
+                })
+                .collect(),
+        }
+    }
+
     /// The unit's cell keys and fingerprints, one per cell. A fingerprint
-    /// covers the spec, the *full* workload parameter set (the benchmark's
-    /// seeded `WorkloadSpec`, so recalibrating a workload invalidates its
-    /// cells), the trace length, seed, policy label and
-    /// [`ENGINE_VERSION`]. FA cells are keyed by `(capacity, history)`
-    /// without an index function: the FA reference is shared by every
-    /// index function of a grid, so it is stored and paid for once.
+    /// covers the spec, the full workload parameter set
+    /// ([`workload_params`], passed in so a batch formats it once), the
+    /// trace length, seed, policy label and [`ENGINE_VERSION`]. FA cells
+    /// are keyed by `(capacity, history)` without an index function: the
+    /// FA reference is shared by every index function of a grid, so it is
+    /// stored and paid for once.
     fn keys(
         &self,
         bench: IbsBenchmark,
         len: u64,
         seed: u64,
         policy: NovelPolicy,
+        workload_params: &str,
     ) -> Vec<(CellKey, u64)> {
         let keyed = |spec: String, policy: &str| {
             let key = CellKey {
@@ -169,8 +272,7 @@ impl Unit {
                 seed,
                 policy: policy.to_string(),
             };
-            let workload_params = format!("{:?}", bench.spec_seeded(seed));
-            let fingerprint = key.fingerprint(&workload_params, ENGINE_VERSION);
+            let fingerprint = key.fingerprint(workload_params, ENGINE_VERSION);
             (key, fingerprint)
         };
         match self {
@@ -214,15 +316,26 @@ pub(crate) fn fa_counts(results: &[RunResult]) -> FaCounts {
     }
 }
 
+/// Where a produced cell came from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Source {
+    /// Served from the store.
+    Store,
+    /// Served from the cell memo.
+    Memo,
+    /// Simulated, with the milliseconds billed to the cell.
+    Simulated(f64),
+}
+
 /// Produce every unit's results over `bench` at `len` conditional
 /// branches, under the current workload seed: one result per cell of
-/// the unit (see [`Unit::keys`]), in the order of `units`.
+/// the unit (see [`Unit::ids`]), in the order of `units`.
 ///
-/// With a store attached, a unit whose keys all hit is served from the
-/// store; the rest are simulated in one batch over one cached trace
-/// (spec units through [`kernel::run_specs`], aliasing units through
-/// [`kernel::run_three_c_units`], each fanned out over up to `threads`
-/// workers) and every one of their cells is recorded.
+/// A unit whose cells all hit the store (with resume on) or the cell
+/// memo is served; the rest are simulated in one batch over one cached
+/// trace (spec units through [`kernel::run_specs`], aliasing units
+/// through [`kernel::run_three_c_units`], each fanned out over up to
+/// `threads` workers). Every cell is then recorded (see the module doc).
 ///
 /// # Panics
 ///
@@ -235,66 +348,78 @@ pub(crate) fn run_cells(
     threads: usize,
 ) -> Vec<Vec<RunResult>> {
     let seed = workload_seed();
-    if !is_active() {
-        let all: Vec<&Unit> = units.iter().collect();
-        return simulate(bench, len, seed, policy, &all, threads)
-            .into_iter()
-            .map(|(results, _)| results)
-            .collect();
-    }
-
-    let mut keys: Vec<Vec<(CellKey, u64)>> = units
+    let ids: Vec<Vec<CellId>> = units
         .iter()
-        .map(|unit| unit.keys(bench, len, seed, policy))
+        .map(|unit| unit.ids(bench, len, seed, policy))
         .collect();
-    let mut results = serve(&keys);
-    let missing: Vec<usize> = (0..units.len()).filter(|&i| results[i].is_none()).collect();
+    let keys: Option<Vec<Vec<(CellKey, u64)>>> = is_active().then(|| {
+        let params = workload_params(bench, seed);
+        units
+            .iter()
+            .map(|unit| unit.keys(bench, len, seed, policy, &params))
+            .collect()
+    });
+
+    let mut cells = lookup(&ids, keys.as_deref());
+    let missing: Vec<usize> = (0..units.len()).filter(|&i| cells[i].is_none()).collect();
     if !missing.is_empty() {
         let run: Vec<&Unit> = missing.iter().map(|&i| &units[i]).collect();
-        let mut cells = Vec::new();
         for (&i, (done, ms)) in missing
             .iter()
             .zip(simulate(bench, len, seed, policy, &run, threads))
         {
             // A unit's pass is shared by its cells; bill it evenly.
             let per_cell_ms = ms / done.len() as f64;
-            for ((key, fingerprint), &result) in std::mem::take(&mut keys[i]).into_iter().zip(&done)
-            {
-                cells.push((key, fingerprint, result, per_cell_ms));
-            }
-            results[i] = Some(done);
+            let done = done
+                .into_iter()
+                .map(|r| (r, Source::Simulated(per_cell_ms)));
+            cells[i] = Some(done.collect());
         }
-        record(cells);
     }
-    results
+    let cells: Vec<Vec<(RunResult, Source)>> = cells
         .into_iter()
-        .map(|r| r.expect("every unit resolved"))
+        .map(|unit| unit.expect("every unit resolved"))
+        .collect();
+    record(ids, keys, &cells);
+    cells
+        .into_iter()
+        .map(|unit| unit.into_iter().map(|(result, _)| result).collect())
         .collect()
 }
 
-/// Look every unit's keys up under one lock. A unit is served only when
-/// resume is enabled and *all* of its keys hold a valid record; only
-/// served cells count as skipped.
-fn serve(keys: &[Vec<(CellKey, u64)>]) -> Vec<Option<Vec<RunResult>>> {
-    let guard = CONTEXT.lock().expect("resume context poisoned");
-    let Some(ctx) = guard.as_ref().filter(|ctx| ctx.resume) else {
-        return vec![None; keys.len()];
-    };
-    keys.iter()
-        .map(|unit| {
-            let hits = unit
-                .iter()
-                .map(|&(_, fingerprint)| {
-                    let record = ctx.store.get(fingerprint)?;
-                    Some(RunResult {
-                        conditional: record.conditional,
-                        mispredicted: record.mispredicted,
-                        novel: record.novel,
-                    })
+/// Resolve every unit whose cells all hit, under one lock: each cell
+/// from the store when resume is on and its fingerprint is stored, else
+/// from the memo.
+fn lookup(
+    ids: &[Vec<CellId>],
+    keys: Option<&[Vec<(CellKey, u64)>]>,
+) -> Vec<Option<Vec<(RunResult, Source)>>> {
+    let ctx = context();
+    let store = ctx
+        .attached
+        .as_ref()
+        .filter(|attached| attached.resume)
+        .map(|attached| &attached.store);
+    ids.iter()
+        .enumerate()
+        .map(|(i, unit)| {
+            unit.iter()
+                .enumerate()
+                .map(|(j, id)| {
+                    let stored = store.zip(keys).and_then(|(store, keys)| {
+                        let record = store.get(keys[i][j].1)?;
+                        Some(RunResult {
+                            conditional: record.conditional,
+                            mispredicted: record.mispredicted,
+                            novel: record.novel,
+                        })
+                    });
+                    match stored {
+                        Some(result) => Some((result, Source::Store)),
+                        None => ctx.memo.get(id).map(|&result| (result, Source::Memo)),
+                    }
                 })
-                .collect::<Option<Vec<_>>>()?;
-            CELLS_SKIPPED.fetch_add(hits.len() as u64, Ordering::Relaxed);
-            Some(hits)
+                .collect()
         })
         .collect()
 }
@@ -356,17 +481,44 @@ fn simulate(
         .collect()
 }
 
-/// Account simulated cells and persist them when saving is enabled. A
-/// write failure is reported to stderr but never fails the sweep — the
-/// simulation results are already in hand.
-fn record(cells: Vec<(CellKey, u64, RunResult, f64)>) {
-    CELLS_SIMULATED.fetch_add(cells.len() as u64, Ordering::Relaxed);
-    let mut guard = CONTEXT.lock().expect("resume context poisoned");
-    let Some(ctx) = guard.as_mut().filter(|ctx| ctx.save) else {
+/// Enter every produced cell into the memo. With a store attached, also
+/// count each cell by its source and, when saving is enabled, persist
+/// each one whose fingerprint the store lacks (a reused cell is billed
+/// 0 ms). A write failure is reported to stderr but never fails the
+/// sweep — the results are already in hand.
+fn record(
+    ids: Vec<Vec<CellId>>,
+    keys: Option<Vec<Vec<(CellKey, u64)>>>,
+    cells: &[Vec<(RunResult, Source)>],
+) {
+    let mut guard = context();
+    let ctx = &mut *guard;
+    for (id, &(result, source)) in ids.into_iter().flatten().zip(cells.iter().flatten()) {
+        if source != Source::Memo {
+            ctx.memo.insert(id, result);
+        }
+    }
+    let (Some(attached), Some(keys)) = (ctx.attached.as_mut(), keys) else {
         return;
     };
-    let experiment = experiment_label();
-    for (key, fingerprint, result, elapsed_ms) in cells {
+    let experiment = attached
+        .save
+        .then(|| ctx.experiment.unwrap_or("adhoc").to_string());
+    for ((key, fingerprint), &(result, source)) in
+        keys.into_iter().flatten().zip(cells.iter().flatten())
+    {
+        let (counter, elapsed_ms) = match source {
+            Source::Store => (&mut ctx.stats.cells_skipped, 0.0),
+            Source::Memo => (&mut ctx.stats.cells_reused, 0.0),
+            Source::Simulated(ms) => (&mut ctx.stats.cells_simulated, ms),
+        };
+        *counter += 1;
+        let Some(experiment) = &experiment else {
+            continue;
+        };
+        if attached.store.contains(fingerprint) {
+            continue;
+        }
         let record = ResultRecord {
             experiment: experiment.clone(),
             key,
@@ -377,10 +529,8 @@ fn record(cells: Vec<(CellKey, u64, RunResult, f64)>) {
             novel: result.novel,
             elapsed_ms,
         };
-        match ctx.store.put(&record) {
-            Ok(()) => {
-                RECORDS_SAVED.fetch_add(1, Ordering::Relaxed);
-            }
+        match attached.store.put(&record) {
+            Ok(()) => ctx.stats.records_saved += 1,
             Err(e) => eprintln!("bpsim: results store write failed: {e}"),
         }
     }
@@ -411,7 +561,7 @@ mod tests {
 
     /// The single fingerprint of a one-cell unit.
     fn fp(unit: &Unit, bench: IbsBenchmark, len: u64, seed: u64, policy: NovelPolicy) -> u64 {
-        let keys = unit.keys(bench, len, seed, policy);
+        let keys = unit.keys(bench, len, seed, policy, &workload_params(bench, seed));
         assert_eq!(keys.len(), 1, "one-cell unit");
         keys[0].1
     }
@@ -437,6 +587,7 @@ mod tests {
             1000,
             DEFAULT_SEED_BASE,
             NovelPolicy::Count,
+            &workload_params(IbsBenchmark::Groff, DEFAULT_SEED_BASE),
         );
         assert_eq!(keys[0].0.spec, "3c-dm:ix=gshare,n=10,h=4");
         assert_eq!(keys[0].0.policy, ALIAS_POLICY);
@@ -526,7 +677,7 @@ mod tests {
             capacities: vec![1 << 8, 1 << 10],
         };
         let wide: Vec<u64> = wide
-            .keys(Groff, 1000, 7, Count)
+            .keys(Groff, 1000, 7, Count, &workload_params(Groff, 7))
             .into_iter()
             .map(|(_, f)| f)
             .collect();
@@ -540,8 +691,119 @@ mod tests {
         assert_ne!(wide[0], wide[1]);
     }
 
-    // Serve/record behaviour against a real store lives in
-    // `tests/resume.rs` and `tests/resume_partial.rs`: the context is
-    // process-global, so it is exercised in dedicated integration-test
-    // processes instead of this shared unit-test binary.
+    /// The single identity of a one-cell unit.
+    fn id(unit: &Unit, bench: IbsBenchmark, len: u64, seed: u64, policy: NovelPolicy) -> CellId {
+        let ids = unit.ids(bench, len, seed, policy);
+        assert_eq!(ids.len(), 1, "one-cell unit");
+        ids.into_iter().next().unwrap()
+    }
+
+    #[test]
+    fn alias_spellings_share_one_cell() {
+        use IbsBenchmark::Groff;
+        use NovelPolicy::Count;
+        let at = |s: &str| id(&spec(s), Groff, 1000, 7, Count);
+        let base = at("gskew:n=9,h=4");
+        for alias in [
+            "gskew:n=9,h=4,banks=3",
+            "gskew:n=9,h=4,update=partial",
+            "gskew:n=9,h=4,ctr=2",
+            "gskew:h=4,n=9,skew=on",
+        ] {
+            assert_eq!(at(alias), base, "{alias}");
+        }
+        // The store still keys each spelling apart.
+        let fingerprint = |s: &str| fp(&spec(s), Groff, 1000, 7, Count);
+        assert_ne!(
+            fingerprint("gskew:n=9,h=4,banks=3"),
+            fingerprint("gskew:n=9,h=4")
+        );
+        // A spelling of a different predictor is a different cell.
+        for other in [
+            "gskew:n=9,h=4,update=total",
+            "gskew:n=9,h=4,banks=5",
+            "egskew:n=9,h=4",
+        ] {
+            assert_ne!(at(other), base, "{other}");
+        }
+    }
+
+    #[test]
+    fn cell_ids_separate_every_coordinate() {
+        use IbsBenchmark::{Groff, Gs};
+        use NovelPolicy::{Count, Exclude};
+        let gshare = spec("gshare:n=10,h=4");
+        let base = id(&gshare, Groff, 1000, 7, Count);
+        let dm = |cell: ThreeCCell| id(&Unit::Dm(cell), Groff, 1000, 7, Count);
+        let variants = [
+            ("bench", id(&gshare, Gs, 1000, 7, Count)),
+            ("len", id(&gshare, Groff, 1001, 7, Count)),
+            ("seed", id(&gshare, Groff, 1000, 8, Count)),
+            ("policy", id(&gshare, Groff, 1000, 7, Exclude)),
+            (
+                "history",
+                id(&spec("gshare:n=10,h=5"), Groff, 1000, 7, Count),
+            ),
+            ("size", id(&spec("gshare:n=11,h=4"), Groff, 1000, 7, Count)),
+            (
+                "family",
+                id(&spec("gselect:n=10,h=4"), Groff, 1000, 7, Count),
+            ),
+        ];
+        for (coordinate, variant) in &variants {
+            assert_ne!(*variant, base, "{coordinate}");
+        }
+        assert_eq!(id(&gshare, Groff, 1000, 7, Count), base, "ids are stable");
+
+        // Aliasing cells: the index function, history and size separate
+        // direct-mapped cells; the novel policy does not reach them.
+        let dm_base = dm(DM);
+        for (coordinate, variant) in [
+            (
+                "index function",
+                dm(ThreeCCell {
+                    func: IndexFunction::Gselect,
+                    ..DM
+                }),
+            ),
+            (
+                "history",
+                dm(ThreeCCell {
+                    history_bits: 5,
+                    ..DM
+                }),
+            ),
+            (
+                "size",
+                dm(ThreeCCell {
+                    entries_log2: 11,
+                    ..DM
+                }),
+            ),
+            ("fa", id(&fa(10, 4), Groff, 1000, 7, Count)),
+        ] {
+            assert_ne!(variant, dm_base, "{coordinate}");
+        }
+        assert_eq!(id(&Unit::Dm(DM), Groff, 1000, 7, Exclude), dm_base);
+
+        // FA cells: history and capacity separate them, and a
+        // multi-capacity unit holds exactly its one-capacity units' cells.
+        let fa_base = id(&fa(10, 4), Groff, 1000, 7, Count);
+        assert_ne!(id(&fa(10, 5), Groff, 1000, 7, Count), fa_base, "history");
+        assert_ne!(id(&fa(11, 4), Groff, 1000, 7, Count), fa_base, "capacity");
+        let wide = Unit::Fa {
+            history_bits: 4,
+            capacities: vec![1 << 8, 1 << 10],
+        };
+        assert_eq!(
+            wide.ids(Groff, 1000, 7, Count),
+            vec![id(&fa(8, 4), Groff, 1000, 7, Count), fa_base]
+        );
+    }
+
+    // Serve/reuse/record behaviour against a real store lives in
+    // `tests/resume.rs`, `tests/resume_partial.rs` and
+    // `tests/resume_aliases.rs`: the context is process-global, so it is
+    // exercised in dedicated integration-test processes instead of this
+    // shared unit-test binary.
 }

@@ -6,9 +6,27 @@
 use bpred_results::campaign::{diff, CampaignArtifact};
 use bpred_sim::campaign;
 use bpred_sim::experiments::ExperimentOpts;
+use bpred_sim::{resume, timing};
+use std::sync::Mutex;
+
+/// Both tests run the same campaign, and the cell memo is process-wide:
+/// they serialize on this lock so that one cannot fill the memo the
+/// other's second run must simulate past.
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Record applications over both engine paths so far.
+fn applications() -> u64 {
+    let t = timing::stats();
+    t.kernel_applications + t.dyn_applications
+}
 
 #[test]
 fn campaign_artifact_roundtrips_and_diffs_clean() {
+    let _guard = lock();
     // No store attached: the campaign itself must not require one.
     let mut opts = ExperimentOpts::quick();
     opts.len_override = Some(10_000);
@@ -44,13 +62,19 @@ fn campaign_artifact_roundtrips_and_diffs_clean() {
 
 #[test]
 fn campaign_is_deterministic_across_runs() {
+    let _guard = lock();
     let mut opts = ExperimentOpts::quick();
     opts.len_override = Some(10_000);
     opts.threads = 2;
     let quick = campaign::find("quick").unwrap();
     let first = campaign::run(quick, &opts);
+    // Detaching (no store is attached here) empties the cell memo, so the
+    // second run simulates every cell again on one thread.
+    resume::deconfigure();
+    let before = applications();
     opts.threads = 1;
     let second = campaign::run(quick, &opts);
+    assert!(applications() > before, "second run simulated nothing");
     assert_eq!(
         first.to_pretty_string(),
         second.to_pretty_string(),

@@ -275,6 +275,36 @@ proptest::proptest! {
     }
 
     #[test]
+    fn delay_zero_is_the_plain_run(
+        n in 1u32..=12,
+        h in 0u32..=16,
+        ctr in 1u8..=7,
+        wide in proptest::any::<bool>(),
+        total in proptest::any::<bool>(),
+        bench_i in proptest::any::<u8>(),
+        len in 0u64..1_200,
+        seed in proptest::any::<u64>(),
+    ) {
+        // `ext-delay` serves its delay-0 rows as plain cells, so the two
+        // runs must agree for every family.
+        let bench = bench_from(bench_i);
+        let cols = cache::columns_seeded(bench, len, seed);
+        for family in 0..11 {
+            let spec = hooked_spec_from(family, n, h, ctr, wide, total);
+            let kernel = || {
+                PredictorKernel::from_spec(&PredictorSpec::parse(&spec).unwrap())
+                    .expect("generated specs are kernel-eligible")
+            };
+            prop_assert_eq!(
+                kernel().run_delayed(&cols, 0),
+                kernel().run(&cols),
+                "{} at delay 0 differs from the plain run on {:?} len {} seed {:#x}",
+                &spec, bench, len, seed
+            );
+        }
+    }
+
+    #[test]
     fn kernel_duel_matches_the_dyn_duel(
         family_a in proptest::any::<u8>(),
         family_b in proptest::any::<u8>(),

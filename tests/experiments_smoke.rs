@@ -6,7 +6,7 @@
 
 use gskew::results::store::ResultsStore;
 use gskew::sim::experiments::{self, ExperimentOpts, ALL_IDS};
-use gskew::sim::resume;
+use gskew::sim::{resume, timing};
 use std::sync::Mutex;
 
 /// The resume context is process-global, so the test that attaches a
@@ -93,8 +93,22 @@ fn experiment_output_is_deterministic() {
     let b = experiments::run("fig3", &opts).unwrap().render();
     assert_eq!(a, b);
     let a = experiments::run("table2", &opts).unwrap().render();
+    // Detaching (no store is attached here) empties the cell memo, so the
+    // second run simulates table2's cells again instead of reusing them.
+    resume::deconfigure();
+    let before = applications();
     let b = experiments::run("table2", &opts).unwrap().render();
+    assert!(
+        applications() > before,
+        "second table2 run simulated nothing"
+    );
     assert_eq!(a, b);
+}
+
+/// Record applications over both engine paths so far.
+fn applications() -> u64 {
+    let t = timing::stats();
+    t.kernel_applications + t.dyn_applications
 }
 
 #[test]

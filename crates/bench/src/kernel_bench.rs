@@ -25,7 +25,7 @@ use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_results::json::Json;
 use bpred_sim::engine::{self, NovelPolicy};
 use bpred_sim::experiments::workload_seed;
-use bpred_sim::kernel;
+use bpred_sim::kernel::{self, Job, Unit};
 use bpred_sim::runner::parallel_map;
 use bpred_trace::cache;
 use bpred_trace::workload::IbsBenchmark;
@@ -40,7 +40,7 @@ pub struct BenchCase {
     /// Case name (one row of the report).
     pub name: &'static str,
     /// The predictor specs the case drives; every spec must have a
-    /// fast path ([`kernel::plan`] leaves no dyn rows).
+    /// fast path ([`kernel::plan`] makes no dyn job).
     pub specs: Vec<String>,
 }
 
@@ -502,20 +502,21 @@ pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
             let dyn_results = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
             dyn_seconds += start.elapsed().as_secs_f64();
 
-            let (units, dyn_rows) = kernel::plan(&parse_all(&case.specs));
+            let units: Vec<_> = case.specs.iter().cloned().map(Unit::Spec).collect();
+            let (rows, jobs): (Vec<_>, Vec<_>) = kernel::plan(&units)
+                .unwrap_or_else(|e| panic!("bad spec in bench case `{}`: {e}", case.name))
+                .into_iter()
+                .map(|(rows, job)| (rows, (0, job)))
+                .unzip();
             assert!(
-                dyn_rows.is_empty(),
+                !jobs.iter().any(|(_, job)| matches!(job, Job::Dyn(_))),
                 "bench case `{}` has specs without a fast path",
                 case.name
             );
-            let cols = &cols;
-            let timed: Vec<_> = parallel_map(units, threads, move |(rows, mut unit)| {
-                let start = Instant::now();
-                let results = unit.run(cols, NovelPolicy::Count);
-                (rows, results, start.elapsed().as_secs_f64())
-            });
-            for (rows, results, seconds) in timed {
-                kernel_seconds += seconds;
+            let cols = &*cols;
+            let timed = kernel::run_jobs(jobs, |_| cols, NovelPolicy::Count, threads);
+            for (rows, (results, ms)) in rows.into_iter().zip(timed) {
+                kernel_seconds += ms / 1e3;
                 for (row, result) in rows.into_iter().zip(results) {
                     matched &= result == dyn_results[row];
                 }
@@ -623,8 +624,10 @@ mod tests {
     #[test]
     fn default_cases_have_fast_paths() {
         for case in default_cases() {
-            let (_, dyn_rows) = kernel::plan(&parse_all(&case.specs));
-            assert!(dyn_rows.is_empty(), "case {} has dyn rows", case.name);
+            let units: Vec<_> = case.specs.iter().cloned().map(Unit::Spec).collect();
+            let jobs = kernel::plan(&units).unwrap();
+            let has_dyn = jobs.iter().any(|(_, job)| matches!(job, Job::Dyn(_)));
+            assert!(!has_dyn, "case {} has dyn rows", case.name);
         }
     }
 }

@@ -59,6 +59,18 @@ fn accepted(command: Option<&str>) -> Option<&'static [&'static str]> {
     })
 }
 
+/// How many positional arguments, the command word included, a command
+/// line takes; `None` for no limit (`compare` races any number of specs).
+fn positional_limit(command: Option<&str>, subcommand: Option<&str>) -> Option<usize> {
+    match (command, subcommand) {
+        (Some("compare"), _) => None,
+        (Some("duel"), _) => Some(3),
+        (Some("campaign"), Some("diff")) => Some(4),
+        (Some("experiment" | "run" | "campaign" | "results" | "trace"), _) => Some(2),
+        _ => Some(1),
+    }
+}
+
 impl Args {
     /// Parse raw arguments (excluding the program name) and check them
     /// against what the command (the first positional) accepts.
@@ -89,9 +101,9 @@ impl Args {
         Ok(args)
     }
 
-    /// Reject flags and options the command does not accept, and zero
-    /// trace lengths or thread counts. An unknown command is left for the
-    /// dispatcher to report.
+    /// Reject flags and options the command does not accept, surplus
+    /// positional arguments, and zero trace lengths or thread counts.
+    /// An unknown command is left for the dispatcher to report.
     fn check(&self) -> Result<(), String> {
         let command = self.positional(0);
         let Some(accepted) = accepted(command) else {
@@ -103,6 +115,15 @@ impl Args {
                 let command = command.unwrap_or("bpsim");
                 return Err(format!(
                     "`{command}` does not accept --{name}; try `bpsim help`"
+                ));
+            }
+        }
+        // After the flags: an unknown flag's value reads as a positional.
+        if let Some(limit) = positional_limit(command, self.positional(1)) {
+            if let Some(surplus) = self.positional(limit) {
+                let command = command.unwrap_or("bpsim");
+                return Err(format!(
+                    "`{command}` does not take the argument `{surplus}`; try `bpsim help`"
                 ));
             }
         }
@@ -245,6 +266,38 @@ mod tests {
         // command is the dispatcher's to report.
         parse("list --verbose --seed 7 --results-dir d --resume");
         parse("frobnicate --whatever");
+    }
+
+    #[test]
+    fn surplus_positionals_are_rejected_per_command() {
+        for (line, surplus) in [
+            ("experiment fig5 fig6", "fig6"),
+            ("run fig5 fig6", "fig6"),
+            ("duel gshare:n=8 gskew:n=8 bimodal:n=8", "bimodal:n=8"),
+            ("list bogus", "bogus"),
+            ("help me", "me"),
+            ("sweep gskew:n=8,h={h}", "gskew:n=8,h={h}"),
+            ("bench extra", "extra"),
+            ("campaign list extra", "extra"),
+            ("campaign quick extra", "extra"),
+            ("campaign diff a b c", "c"),
+            ("results stats extra", "extra"),
+            ("trace info extra", "extra"),
+        ] {
+            let e = try_parse(line).unwrap_err();
+            assert!(e.contains(&format!("argument `{surplus}`")), "{line}: {e}");
+        }
+        // Each command's full positional count still parses, and
+        // `compare` takes any number of specs.
+        for line in [
+            "experiment fig5",
+            "duel gshare:n=8 gskew:n=8",
+            "campaign diff a b",
+            "results gc --budget 1",
+            "compare a b c d e f",
+        ] {
+            assert!(try_parse(line).is_ok(), "{line}");
+        }
     }
 
     #[test]

@@ -74,10 +74,6 @@ Global options:
                      saved; records/sec on the kernel and dyn simulation
                      paths)
 
-Environment:
-  GSKEW_THREADS      default worker-thread count for parallel sweeps
-                     (clamped to at least 1; --threads overrides it)
-
 Predictor specs:
   gshare:n=14,h=12 | gselect:n=12,h=6 | bimodal:n=14
   gskew:n=12,h=8[,banks=5][,update=total][,skew=off] | egskew:n=12,h=11

@@ -308,6 +308,17 @@ fn misspelled_flags_fail_before_any_work() {
     let zero = bpsim(&["run", "--pred", "gshare:n=8,h=4", "--len", "0"]);
     assert!(!zero.status.success());
     assert!(String::from_utf8_lossy(&zero.stderr).contains("--len must be at least 1"));
+
+    // A surplus experiment id used to be dropped silently: `fig5 fig6`
+    // ran fig5 alone and exited 0.
+    let surplus = bpsim(&["experiment", "fig5", "fig6", "--quick", "--len", "1000"]);
+    assert!(!surplus.status.success());
+    let err = String::from_utf8_lossy(&surplus.stderr);
+    assert!(
+        err.contains("`fig6`"),
+        "the error names the argument: {err}"
+    );
+    assert!(surplus.stdout.is_empty(), "no experiment ran");
 }
 
 #[test]

@@ -23,16 +23,16 @@
 //!   workloads (seed robustness).
 
 use super::helpers::{
-    bench_sweep_table, columns, history_labels, records, sim_pct, size_labels, spec_sweep_table,
+    bench_sweep_table, columns, history_labels, records, size_labels, spec_sweep_table,
     stream_kernels,
 };
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::engine::NovelPolicy;
-use crate::kernel::PredictorKernel;
+use crate::kernel::{self, PredictorKernel};
 use crate::report::{pct, Table};
 use crate::resume::{self, Unit};
 use crate::runner::parallel_map;
-use bpred_aliasing::nature::AliasingNature;
+use bpred_aliasing::nature::{AliasingNature, NatureCounts};
 use bpred_core::counter::CounterKind;
 use bpred_core::index::IndexFunction;
 use bpred_core::spec::{parse_spec, PredictorSpec};
@@ -151,15 +151,15 @@ pub(super) fn multiprogram(opts: &ExperimentOpts) -> ExperimentOutput {
     // mix actually switches several times.
     let slice = (len / 12).clamp(500, 40_000);
 
-    // Each component's six rows are one batch of the results-store
+    // The three components' solo rows are one batch of the cell
     // pipeline.
-    let solo = parallel_map(MIX.to_vec(), opts.threads, |bench| -> Vec<f64> {
-        let units: Vec<Unit> = specs.iter().map(|s| Unit::Spec(s.to_string())).collect();
-        resume::run_cells(bench, len, NovelPolicy::Count, &units, 1)
-            .iter()
-            .map(|results| results[0].mispredict_pct())
-            .collect()
-    });
+    let units: Vec<Unit> = specs.iter().map(|s| Unit::Spec(s.to_string())).collect();
+    let solo = resume::run_cells(
+        &MIX.map(|bench| (bench, len)),
+        NovelPolicy::Count,
+        &units,
+        opts.threads,
+    );
     // The mixed run sees the same total number of branches.
     let mix = MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice);
     let mixed = stream_kernels(&specs, mix.take_conditionals(len));
@@ -169,7 +169,8 @@ pub(super) fn multiprogram(opts: &ExperimentOpts) -> ExperimentOutput {
         .enumerate()
         .map(|(row, (spec, mixed))| {
             // Solo mean across the three mixed components.
-            let solo_mean = solo.iter().map(|col| col[row]).sum::<f64>() / MIX.len() as f64;
+            let solo = solo.iter().map(|col| col[row][0].mispredict_pct());
+            let solo_mean = solo.sum::<f64>() / MIX.len() as f64;
             (spec, solo_mean, mixed.mispredict_pct())
         });
 
@@ -394,6 +395,15 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
             }
         })
         .collect();
+    // One set of every way is an FA-LRU table: one last-use-distance
+    // pass per benchmark instead of a linear set scan, as one batch of
+    // the cell pipeline.
+    let unit = Unit::Fa {
+        history_bits: HISTORY,
+        capacities: vec![1 << CAPACITY_LOG2],
+    };
+    let workloads = opts.workloads();
+    let full = resume::run_cells(&workloads, NovelPolicy::Count, &[unit], opts.threads);
     let table = bench_sweep_table(
         format!(
             "Miss % of a {}-pair identity-tagged table vs associativity (gshare set \
@@ -403,19 +413,11 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
         "ways",
         &labels,
         opts,
-        |row, bench| {
-            let len = opts.len_for(bench);
+        |row, w| {
+            let (bench, len) = workloads[w];
             let ways_log2 = WAYS[row];
             if ways_log2 == CAPACITY_LOG2 {
-                // One set of every way is an FA-LRU table: one
-                // last-use-distance pass instead of a linear set scan.
-                let unit = Unit::Fa {
-                    history_bits: HISTORY,
-                    capacities: vec![1 << CAPACITY_LOG2],
-                };
-                let fa = resume::fa_counts(
-                    &resume::run_cells(bench, len, NovelPolicy::Count, &[unit], 1)[0],
-                );
+                let fa = kernel::fa_counts(&full[w][0]);
                 // `100.0 * miss_ratio()`, in the same order.
                 let ratio = if fa.references == 0 {
                     0.0
@@ -456,20 +458,23 @@ pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
         ("gskew 3x4K h=8", "gskew:n=12,h=8"),
     ];
     let labels: Vec<String> = DELAYS.iter().map(|d| d.to_string()).collect();
+    let workloads = opts.workloads();
     let tables = specs
         .iter()
         .map(|(title, spec)| {
             let parsed = PredictorSpec::parse(spec).expect("valid spec");
+            // Delay 0 is the plain run: a pipeline cell.
+            let unit = Unit::Spec(spec.to_string());
+            let plain = resume::run_cells(&workloads, NovelPolicy::Count, &[unit], opts.threads);
             bench_sweep_table(
                 format!("{title} mispredict % vs update delay (branches in flight)"),
                 "delay",
                 &labels,
                 opts,
-                |row, bench| {
-                    let len = opts.len_for(bench);
-                    // Delay 0 is the plain run: a pipeline cell.
+                |row, w| {
+                    let (bench, len) = workloads[w];
                     if DELAYS[row] == 0 {
-                        return sim_pct(spec, bench, len);
+                        return plain[w][0][0].mispredict_pct();
                     }
                     PredictorKernel::from_spec(&parsed)
                         .expect("a table kernel")
@@ -558,35 +563,26 @@ pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
             .run(records(bench, opts.len_for(bench)))
     });
 
-    let mut columns = vec!["entries".to_string()];
-    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
-    let mut tables: Vec<Table> = [
-        "Destructive events per aliased reference % (gshare, h=8)",
-        "Constructive events per aliased reference % (gshare, h=8)",
-        "Net aliasing misprediction overhead % of all branches (gshare, h=8)",
-    ]
-    .into_iter()
-    .map(|t| Table::new(t, columns.clone()))
-    .collect();
-    for (i, &n) in ns.iter().enumerate() {
-        let row = || per_bench.iter().map(|sizes| sizes[i]);
-        let label = (1u64 << n).to_string();
-        tables[0].push_row(
-            std::iter::once(label.clone())
-                .chain(row().map(|c| pct(100.0 * c.destructive_ratio())))
-                .collect(),
-        );
-        tables[1].push_row(
-            std::iter::once(label.clone())
-                .chain(row().map(|c| pct(100.0 * c.constructive_ratio())))
-                .collect(),
-        );
-        tables[2].push_row(
-            std::iter::once(label)
-                .chain(row().map(|c| pct(100.0 * c.net_overhead())))
-                .collect(),
-        );
-    }
+    let labels = size_labels(*SIZES.start(), *SIZES.end());
+    let table = |title: &str, value: fn(&NatureCounts) -> f64| {
+        Table::per_bench(title, "entries", &labels, |row, b| {
+            pct(100.0 * value(&per_bench[b][row]))
+        })
+    };
+    let tables = vec![
+        table(
+            "Destructive events per aliased reference % (gshare, h=8)",
+            |c| c.destructive_ratio(),
+        ),
+        table(
+            "Constructive events per aliased reference % (gshare, h=8)",
+            |c| c.constructive_ratio(),
+        ),
+        table(
+            "Net aliasing misprediction overhead % of all branches (gshare, h=8)",
+            |c| c.net_overhead(),
+        ),
+    ];
     ExperimentOutput {
         id: "ext-nature",
         title: "Extension — destructive vs constructive aliasing (section 1's taxonomy; \

@@ -9,10 +9,9 @@ use super::helpers::columns;
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::engine::NovelPolicy;
 use crate::report::{pct, Table};
-use crate::resume::{self, Unit};
+use crate::resume::{self, Unit, Workload};
 use crate::runner::parallel_map;
 use bpred_model::extrapolate::extrapolate_sizes;
-use bpred_trace::workload::IbsBenchmark;
 
 const BANK_LOG2: std::ops::RangeInclusive<u32> = 6..=14;
 const HISTORY: u32 = 4;
@@ -23,59 +22,53 @@ struct Cell {
     measured: f64,
 }
 
-/// Every bank size of one benchmark: one extrapolation walk serving all
-/// sizes, then the simulated cells as one batch of the results-store
-/// pipeline (keyed exactly as [`super::helpers::sim_pct`] keys them).
-fn measure(bench: IbsBenchmark, len: u64, banks_log2: &[u32], threads: usize) -> Vec<Cell> {
-    let trace = columns(bench, len);
+/// Every bank size of every workload: per workload, one extrapolation
+/// walk serving all sizes (the walks run in parallel), then the simulated
+/// cells as one batch of the cell pipeline over every workload (keyed
+/// exactly as [`super::helpers::sim_pct`] keys them).
+fn measure(workloads: &[Workload], banks_log2: &[u32], threads: usize) -> Vec<Vec<Cell>> {
     let sizes: Vec<u64> = banks_log2.iter().map(|&n| 1u64 << n).collect();
-    let extrapolations = extrapolate_sizes(&sizes, HISTORY, trace.records(), trace.records());
+    let extrapolations = parallel_map(workloads.to_vec(), threads, |(bench, len)| {
+        let trace = columns(bench, len);
+        extrapolate_sizes(&sizes, HISTORY, trace.records(), trace.records())
+    });
     let units: Vec<Unit> = banks_log2
         .iter()
         .map(|n| Unit::Spec(format!("gskew:n={n},h={HISTORY},ctr=1,update=total")))
         .collect();
-    let measured = resume::run_cells(bench, len, NovelPolicy::Count, &units, threads);
+    let measured = resume::run_cells(workloads, NovelPolicy::Count, &units, threads);
     extrapolations
         .iter()
         .zip(&measured)
-        .map(|(extrapolation, results)| Cell {
-            extrapolated: 100.0 * extrapolation.extrapolated_rate,
-            measured: results[0].mispredict_pct(),
+        .map(|(extrapolations, measured)| {
+            let cells = extrapolations.iter().zip(measured);
+            cells
+                .map(|(extrapolation, results)| Cell {
+                    extrapolated: 100.0 * extrapolation.extrapolated_rate,
+                    measured: results[0].mispredict_pct(),
+                })
+                .collect()
         })
         .collect()
 }
 
 pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
     let banks: Vec<u32> = BANK_LOG2.collect();
-    // One task per benchmark: its trace walk serves every bank size.
-    let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
-    let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-        measure(bench, opts.len_for(bench), &banks, inner_threads)
-    });
-
-    let mut columns = vec!["bank entries".to_string()];
-    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
-    let mut extrapolated = Table::new(
+    let per_bench = measure(&opts.workloads(), &banks, opts.threads);
+    let labels: Vec<String> = banks.iter().map(|n| format!("3x{}", 1u64 << n)).collect();
+    let table = |title: &str, value: fn(&Cell) -> f64| {
+        Table::per_bench(title, "bank entries", &labels, |row, b| {
+            pct(value(&per_bench[b][row]))
+        })
+    };
+    let extrapolated = table(
         "Extrapolated mispredict % (model: 1-bit, total update, h=4)",
-        columns.clone(),
+        |c| c.extrapolated,
     );
-    let mut measured = Table::new(
+    let measured = table(
         "Measured mispredict % (simulated 3-bank gskew: 1-bit, total update, h=4)",
-        columns,
+        |c| c.measured,
     );
-    for (i, &n) in banks.iter().enumerate() {
-        let label = format!("3x{}", 1u64 << n);
-        extrapolated.push_row(
-            std::iter::once(label.clone())
-                .chain(per_bench.iter().map(|cells| pct(cells[i].extrapolated)))
-                .collect(),
-        );
-        measured.push_row(
-            std::iter::once(label)
-                .chain(per_bench.iter().map(|cells| pct(cells[i].measured)))
-                .collect(),
-        );
-    }
     ExperimentOutput {
         id: "fig11",
         title: "Figure 11 — extrapolated vs measured gskew misprediction".into(),
@@ -86,10 +79,11 @@ pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpred_trace::workload::IbsBenchmark;
 
     #[test]
     fn model_tracks_simulation() {
-        let c = measure(IbsBenchmark::Verilog, 60_000, &[10], 1)[0];
+        let c = measure(&[(IbsBenchmark::Verilog, 60_000)], &[10], 1)[0][0];
         // Same ballpark...
         assert!(
             (c.extrapolated - c.measured).abs() < c.measured.max(2.0),

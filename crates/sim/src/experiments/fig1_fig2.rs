@@ -12,14 +12,12 @@
 //! per-configuration lockstep walk, at a fraction of the trace
 //! traversals.
 
-use super::helpers::three_c_grid;
+use super::helpers::{size_labels, three_c_grid};
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::report::{pct, Table};
-use crate::runner::parallel_map;
 use bpred_aliasing::batch::ThreeCCell;
 use bpred_aliasing::three_c::ThreeCCounts;
 use bpred_core::index::IndexFunction;
-use bpred_trace::workload::IbsBenchmark;
 
 const SIZES_LOG2: std::ops::RangeInclusive<u32> = 6..=18;
 
@@ -33,11 +31,14 @@ struct Cell {
     capacity: f64,
 }
 
-/// The per-benchmark grid in row-major order: `sizes × {gshare, gselect}`.
+/// The per-benchmark grid in function-major order: `{gshare, gselect} ×
+/// sizes`. A size's two passes then sit apart in the job list, so the
+/// two largest tables are rarely held at once.
 fn grid(history_bits: u32) -> Vec<ThreeCCell> {
-    SIZES_LOG2
-        .flat_map(|n| {
-            [IndexFunction::Gshare, IndexFunction::Gselect].map(|func| ThreeCCell {
+    [IndexFunction::Gshare, IndexFunction::Gselect]
+        .into_iter()
+        .flat_map(|func| {
+            SIZES_LOG2.map(move |n| ThreeCCell {
                 entries_log2: n,
                 history_bits,
                 func,
@@ -68,63 +69,46 @@ fn derive(gshare: &ThreeCCounts, gselect: &ThreeCCounts) -> Cell {
 }
 
 pub(super) fn run(opts: &ExperimentOpts, history_bits: u32, id: &'static str) -> ExperimentOutput {
-    let sizes: Vec<u32> = SIZES_LOG2.collect();
-    let cells_grid = grid(history_bits);
-    let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
     let per_bench: Vec<Vec<Cell>> =
-        parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-            let counts = three_c_grid(bench, opts.len_for(bench), &cells_grid, inner_threads);
-            (0..sizes.len())
-                .map(|row| derive(&counts[2 * row], &counts[2 * row + 1]))
-                .collect()
-        });
-
-    let mut columns = vec!["entries".to_string()];
-    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
-    let mut tables: Vec<Table> = [
-        format!("Miss % — direct-mapped, gshare index ({history_bits}-bit history)"),
-        format!("Miss % — direct-mapped, gselect index ({history_bits}-bit history)"),
-        format!("Miss % — fully-associative LRU ({history_bits}-bit history)"),
-        format!("Conflict aliasing % — gshare DM minus FA ({history_bits}-bit history)"),
-        format!("Capacity aliasing % — FA minus compulsory ({history_bits}-bit history)"),
-    ]
-    .into_iter()
-    .map(|title| Table::new(title, columns.clone()))
-    .collect();
-
-    for (row, &n) in sizes.iter().enumerate() {
-        let row_cells: Vec<Cell> = per_bench.iter().map(|col| col[row]).collect();
-        let label = (1u64 << n).to_string();
-        tables[0].push_row(
-            std::iter::once(label.clone())
-                .chain(row_cells.iter().map(|c| pct(c.gshare)))
-                .collect(),
-        );
-        tables[1].push_row(
-            std::iter::once(label.clone())
-                .chain(row_cells.iter().map(|c| pct(c.gselect)))
-                .collect(),
-        );
-        tables[2].push_row(
-            std::iter::once(label.clone())
-                .chain(row_cells.iter().map(|c| pct(c.fully_assoc)))
-                .collect(),
-        );
-        tables[3].push_row(
-            std::iter::once(label.clone())
-                .chain(
-                    row_cells
-                        .iter()
-                        .map(|c| pct((c.gshare - c.fully_assoc).max(0.0))),
-                )
-                .collect(),
-        );
-        tables[4].push_row(
-            std::iter::once(label)
-                .chain(row_cells.iter().map(|c| pct(c.capacity)))
-                .collect(),
-        );
-    }
+        three_c_grid(&opts.workloads(), &grid(history_bits), opts.threads)
+            .iter()
+            .map(|counts| {
+                let (gshare, gselect) = counts.split_at(counts.len() / 2);
+                gshare
+                    .iter()
+                    .zip(gselect)
+                    .map(|(g, s)| derive(g, s))
+                    .collect()
+            })
+            .collect();
+    let labels = size_labels(*SIZES_LOG2.start(), *SIZES_LOG2.end());
+    let table = |title: String, value: fn(&Cell) -> f64| {
+        Table::per_bench(title, "entries", &labels, |row, b| {
+            pct(value(&per_bench[b][row]))
+        })
+    };
+    let tables = vec![
+        table(
+            format!("Miss % — direct-mapped, gshare index ({history_bits}-bit history)"),
+            |c| c.gshare,
+        ),
+        table(
+            format!("Miss % — direct-mapped, gselect index ({history_bits}-bit history)"),
+            |c| c.gselect,
+        ),
+        table(
+            format!("Miss % — fully-associative LRU ({history_bits}-bit history)"),
+            |c| c.fully_assoc,
+        ),
+        table(
+            format!("Conflict aliasing % — gshare DM minus FA ({history_bits}-bit history)"),
+            |c| (c.gshare - c.fully_assoc).max(0.0),
+        ),
+        table(
+            format!("Capacity aliasing % — FA minus compulsory ({history_bits}-bit history)"),
+            |c| c.capacity,
+        ),
+    ];
 
     ExperimentOutput {
         id,
@@ -145,6 +129,7 @@ mod tests {
     use bpred_aliasing::fully_assoc::TaggedFullyAssociative;
     use bpred_aliasing::tagged::TaggedDirectMapped;
     use bpred_trace::record::BranchKind;
+    use bpred_trace::workload::IbsBenchmark;
 
     /// The historical per-configuration measurement: three structures in
     /// lock step over one stream. Kept as the test oracle for the batched
@@ -191,7 +176,7 @@ mod tests {
                 func,
             })
             .collect();
-        let counts = three_c_grid(bench, len, &cells, 1);
+        let counts = &three_c_grid(&[(bench, len)], &cells, 1)[0];
         derive(&counts[0], &counts[1])
     }
 

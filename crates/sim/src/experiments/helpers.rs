@@ -2,9 +2,9 @@
 
 use super::ExperimentOpts;
 use crate::engine::{NovelPolicy, RunResult};
-use crate::kernel::PredictorKernel;
+use crate::kernel::{self, PredictorKernel};
 use crate::report::{pct, Table};
-use crate::resume::{self, Unit};
+use crate::resume::{self, Unit, Workload};
 use crate::runner::parallel_map;
 use bpred_aliasing::batch::{self, ThreeCCell};
 use bpred_aliasing::three_c::ThreeCCounts;
@@ -57,7 +57,7 @@ pub fn records(bench: IbsBenchmark, len: u64) -> Records<Arc<TraceColumns>> {
 /// Panics on an invalid predictor spec — experiment code owns its specs.
 pub fn sim_pct(spec: &str, bench: IbsBenchmark, len: u64) -> f64 {
     let unit = Unit::Spec(spec.to_string());
-    resume::run_cells(bench, len, NovelPolicy::Count, &[unit], 1)[0][0].mispredict_pct()
+    resume::run_cells(&[(bench, len)], NovelPolicy::Count, &[unit], 1)[0][0][0].mispredict_pct()
 }
 
 /// Records per column chunk in [`stream_kernels`].
@@ -97,44 +97,29 @@ pub(crate) fn stream_kernels(
     results
 }
 
-/// Build a benchmark-per-column table by evaluating `cell` for every
-/// `(row, benchmark)` pair in parallel. `cell` returns a percentage.
+/// Build a benchmark-per-column table by evaluating `cell(row, w)` for
+/// every row and workload `w` of [`ExperimentOpts::workloads`] in
+/// parallel. `cell` returns a percentage.
 pub fn bench_sweep_table(
     title: impl Into<String>,
     first_column: &str,
     row_labels: &[String],
     opts: &ExperimentOpts,
-    cell: impl Fn(usize, IbsBenchmark) -> f64 + Sync,
+    cell: impl Fn(usize, usize) -> f64 + Sync,
 ) -> Table {
-    let mut columns = vec![first_column.to_string()];
-    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
-    let mut table = Table::new(title, columns);
-
-    let tasks: Vec<(usize, IbsBenchmark)> = (0..row_labels.len())
-        .flat_map(|row| IbsBenchmark::all().into_iter().map(move |b| (row, b)))
-        .collect();
-    let cells = parallel_map(tasks, opts.threads, |(row, bench)| cell(row, bench));
-
-    let per_row = IbsBenchmark::all().len();
-    for (row, label) in row_labels.iter().enumerate() {
-        let mut cells_for_row = vec![label.clone()];
-        cells_for_row.extend(
-            cells[row * per_row..(row + 1) * per_row]
-                .iter()
-                .map(|&v| pct(v)),
-        );
-        table.push_row(cells_for_row);
-    }
-    table
+    let benches = IbsBenchmark::all().len();
+    let tasks: Vec<usize> = (0..row_labels.len() * benches).collect();
+    let cells = parallel_map(tasks, opts.threads, |i| cell(i / benches, i % benches));
+    Table::per_bench(title, first_column, row_labels, |row, w| {
+        pct(cells[row * benches + w])
+    })
 }
 
 /// Build a benchmark-per-column table where row `i` is the predictor
-/// spec `spec_for_row(i)`, batched: each benchmark's column is produced
-/// from one cached trace, with every kernel-eligible row running as a
-/// monomorphized kernel and the rest sharing a single
-/// [`crate::engine::run_many`] pass. Bit-identical to calling [`sim_pct`] per
-/// cell, but an R-row table costs one trace walk per benchmark instead
-/// of R.
+/// spec `spec_for_row(i)`, as one batch of the cell pipeline
+/// ([`crate::resume`]) over every benchmark: reused or stored cells are
+/// served and the rest run as one job list, each benchmark's trace
+/// walked by its own jobs. Bit-identical to calling [`sim_pct`] per cell.
 ///
 /// Novel references are counted normally ([`NovelPolicy::Count`]), as in
 /// [`sim_pct`].
@@ -147,58 +132,32 @@ pub fn spec_sweep_table(
     first_column: &str,
     row_labels: &[String],
     opts: &ExperimentOpts,
-    spec_for_row: impl Fn(usize) -> String + Sync,
+    spec_for_row: impl Fn(usize) -> String,
 ) -> Table {
-    let mut columns = vec![first_column.to_string()];
-    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
-    let mut table = Table::new(title, columns);
-
-    // One task per benchmark: the per-benchmark trace is the shared
-    // resource, so it is also the unit of parallelism. Within a
-    // benchmark, the rows are one batch of the cell pipeline: reused or
-    // stored rows are served, and the rest run through
-    // `kernel::run_specs` on the leftover worker budget.
-    let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
-    let per_bench: Vec<Vec<f64>> =
-        parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-            let units: Vec<Unit> = (0..row_labels.len())
-                .map(|row| Unit::Spec(spec_for_row(row)))
-                .collect();
-            resume::run_cells(
-                bench,
-                opts.len_for(bench),
-                NovelPolicy::Count,
-                &units,
-                inner_threads,
-            )
-            .iter()
-            .map(|results| results[0].mispredict_pct())
-            .collect()
-        });
-
-    for (row, label) in row_labels.iter().enumerate() {
-        let mut cells = vec![label.clone()];
-        cells.extend(per_bench.iter().map(|col| pct(col[row])));
-        table.push_row(cells);
-    }
-    table
+    let units: Vec<Unit> = (0..row_labels.len())
+        .map(|row| Unit::Spec(spec_for_row(row)))
+        .collect();
+    let cells = resume::run_cells(&opts.workloads(), NovelPolicy::Count, &units, opts.threads);
+    Table::per_bench(title, first_column, row_labels, |row, b| {
+        pct(cells[b][row][0].mispredict_pct())
+    })
 }
 
-/// Classify a whole three-C grid over one benchmark trace, batched: one
+/// Classify a whole three-C grid over every workload, batched: one
 /// direct-mapped kernel pass per cell plus one shared-distance
-/// fully-associative pass per distinct history length, all over a single
-/// cached column view. Results are parallel to `cells` and bit-identical
-/// to running `ThreeCClassifier` per cell.
+/// fully-associative pass per distinct history length, each over its
+/// workload's cached column view. Results are one list per workload,
+/// parallel to `cells` and bit-identical to running `ThreeCClassifier`
+/// per cell.
 ///
 /// The passes are units of the cell pipeline ([`crate::resume`]), so
 /// only the units neither produced earlier in the process nor stored
 /// run, and a warm rerun touches no trace at all.
 pub(crate) fn three_c_grid(
-    bench: IbsBenchmark,
-    len: u64,
+    workloads: &[Workload],
     cells: &[ThreeCCell],
     threads: usize,
-) -> Vec<ThreeCCounts> {
+) -> Vec<Vec<ThreeCCounts>> {
     let groups = batch::fa_groups(cells);
     let units: Vec<Unit> = cells
         .iter()
@@ -208,11 +167,16 @@ pub(crate) fn three_c_grid(
             capacities: capacities.clone(),
         }))
         .collect();
-    let results = resume::run_cells(bench, len, NovelPolicy::Count, &units, threads);
-    let (dm, fa) = results.split_at(cells.len());
-    let dm: Vec<_> = dm.iter().map(|r| resume::dm_counts(r)).collect();
-    let fa: Vec<_> = fa.iter().map(|r| resume::fa_counts(r)).collect();
-    batch::assemble(cells, &groups, &dm, &fa)
+    let results = resume::run_cells(workloads, NovelPolicy::Count, &units, threads);
+    results
+        .iter()
+        .map(|results| {
+            let (dm, fa) = results.split_at(cells.len());
+            let dm: Vec<_> = dm.iter().map(|r| kernel::dm_counts(r)).collect();
+            let fa: Vec<_> = fa.iter().map(|r| kernel::fa_counts(r)).collect();
+            batch::assemble(cells, &groups, &dm, &fa)
+        })
+        .collect()
 }
 
 /// Power-of-two size labels `2^lo ..= 2^hi`.
@@ -263,12 +227,10 @@ mod tests {
         let batched = spec_sweep_table("t", "n", &rows, &opts, |row| {
             format!("gshare:n={},h=4", ns[row])
         });
-        let per_cell = bench_sweep_table("t", "n", &rows, &opts, |row, bench| {
-            sim_pct(
-                &format!("gshare:n={},h=4", ns[row]),
-                bench,
-                opts.len_for(bench),
-            )
+        let workloads = opts.workloads();
+        let per_cell = bench_sweep_table("t", "n", &rows, &opts, |row, w| {
+            let (bench, len) = workloads[w];
+            sim_pct(&format!("gshare:n={},h=4", ns[row]), bench, len)
         });
         assert_eq!(batched.rows(), per_cell.rows());
     }

@@ -58,6 +58,13 @@ impl ExperimentOpts {
         }
     }
 
+    /// Every IBS benchmark at its [`ExperimentOpts::len_for`] length, in
+    /// [`IbsBenchmark::all`] order: the workloads of a benchmark-column
+    /// table.
+    pub(crate) fn workloads(&self) -> Vec<(IbsBenchmark, u64)> {
+        IbsBenchmark::all().map(|b| (b, self.len_for(b))).to_vec()
+    }
+
     /// A quick-mode configuration for tests.
     pub fn quick() -> Self {
         ExperimentOpts {

@@ -5,19 +5,18 @@
 //! of 1-bit and 2-bit automatons in an infinite table (first encounters
 //! not charged).
 //!
-//! Per benchmark, every number comes from one batch of the results-store
-//! pipeline under [`NovelPolicy::Exclude`]: five `ideal` cells, 1- and
-//! 2-bit at each history length plus one at `h=0`, which run as three
-//! shared last-use-distance walks. An infinite table flags exactly the
-//! first reference of each `(address, history)` pair novel, so a cell's
-//! novel count is its distinct-pair count, and at `h=0` the
+//! Every number comes from one batch of the cell pipeline over the six
+//! benchmarks under [`NovelPolicy::Exclude`]: per benchmark five `ideal`
+//! cells, 1- and 2-bit at each history length plus one at `h=0`, which
+//! run as three shared last-use-distance walks. An infinite table flags
+//! exactly the first reference of each `(address, history)` pair novel,
+//! so a cell's novel count is its distinct-pair count, and at `h=0` the
 //! distinct-address count.
 
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::engine::{NovelPolicy, RunResult};
 use crate::report::{pct, ratio, Table};
-use crate::resume::{self, Unit};
-use crate::runner::parallel_map;
+use crate::resume::{self, Unit, Workload};
 use bpred_trace::workload::IbsBenchmark;
 
 /// The history lengths of Table 2's two halves.
@@ -42,37 +41,41 @@ fn ratio_of(num: u64, den: u64) -> f64 {
     }
 }
 
-/// One benchmark's rows, one per entry of [`HISTORIES`], from one batch:
-/// for each history a 1-bit and a 2-bit cell, then the `h=0` cell whose
-/// novel count is the distinct-address count.
-fn measure(bench: IbsBenchmark, len: u64, threads: usize) -> [Row; 2] {
+/// Each workload's rows, one per entry of [`HISTORIES`], from one batch
+/// over every workload: for each history a 1-bit and a 2-bit cell, then
+/// the `h=0` cell whose novel count is the distinct-address count.
+fn measure(workloads: &[Workload], threads: usize) -> Vec<[Row; 2]> {
     let mut specs: Vec<String> = HISTORIES
         .iter()
         .flat_map(|h| [format!("ideal:h={h},ctr=1"), format!("ideal:h={h}")])
         .collect();
     specs.push("ideal:h=0".to_string());
     let units: Vec<Unit> = specs.into_iter().map(Unit::Spec).collect();
-    let results = resume::run_cells(bench, len, NovelPolicy::Exclude, &units, threads);
-    let cell = |i: usize| -> RunResult { results[i][0] };
-    let addresses = cell(2 * HISTORIES.len()).novel;
-    std::array::from_fn(|k| {
-        let (one, two) = (cell(2 * k), cell(2 * k + 1));
-        let miss_pct = |r: RunResult| 100.0 * r.mispredicted as f64 / r.conditional.max(1) as f64;
-        Row {
-            bench,
-            substream_ratio: ratio_of(two.novel, addresses),
-            compulsory_pct: 100.0 * ratio_of(two.novel, two.conditional),
-            one_bit_pct: miss_pct(one),
-            two_bit_pct: miss_pct(two),
-        }
-    })
+    let results = resume::run_cells(workloads, NovelPolicy::Exclude, &units, threads);
+    workloads
+        .iter()
+        .zip(&results)
+        .map(|(&(bench, _), results)| {
+            let cell = |i: usize| -> RunResult { results[i][0] };
+            let addresses = cell(2 * HISTORIES.len()).novel;
+            std::array::from_fn(|k| {
+                let (one, two) = (cell(2 * k), cell(2 * k + 1));
+                let miss_pct =
+                    |r: RunResult| 100.0 * r.mispredicted as f64 / r.conditional.max(1) as f64;
+                Row {
+                    bench,
+                    substream_ratio: ratio_of(two.novel, addresses),
+                    compulsory_pct: 100.0 * ratio_of(two.novel, two.conditional),
+                    one_bit_pct: miss_pct(one),
+                    two_bit_pct: miss_pct(two),
+                }
+            })
+        })
+        .collect()
 }
 
 pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
-    let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
-    let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-        measure(bench, opts.len_for(bench), inner_threads)
-    });
+    let per_bench = measure(&opts.workloads(), opts.threads);
     let tables = HISTORIES
         .iter()
         .enumerate()
@@ -160,11 +163,11 @@ mod tests {
 
     #[test]
     fn cell_rows_equal_the_lockstep_oracle_bit_for_bit() {
-        for (bench, len) in [
+        let workloads = [
             (IbsBenchmark::Groff, 40_000),
             (IbsBenchmark::Verilog, 25_000),
-        ] {
-            let rows = measure(bench, len, 2);
+        ];
+        for (&(bench, len), rows) in workloads.iter().zip(measure(&workloads, 2)) {
             for (row, &history_bits) in rows.iter().zip(&HISTORIES) {
                 assert_eq!(
                     *row,
@@ -178,7 +181,7 @@ mod tests {
     #[test]
     fn two_bit_beats_one_bit_unaliased() {
         // Table 2's consistent finding.
-        let [r, _] = measure(IbsBenchmark::Nroff, 60_000, 1);
+        let [r, _] = measure(&[(IbsBenchmark::Nroff, 60_000)], 1)[0];
         assert!(
             r.two_bit_pct < r.one_bit_pct,
             "2-bit {} >= 1-bit {}",
@@ -189,7 +192,7 @@ mod tests {
 
     #[test]
     fn longer_history_improves_accuracy_and_multiplies_substreams() {
-        let [short, long] = measure(IbsBenchmark::Groff, 80_000, 1);
+        let [short, long] = measure(&[(IbsBenchmark::Groff, 80_000)], 1)[0];
         assert!(long.two_bit_pct < short.two_bit_pct);
         assert!(long.substream_ratio > short.substream_ratio);
         assert!(long.compulsory_pct > short.compulsory_pct);

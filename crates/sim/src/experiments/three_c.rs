@@ -13,21 +13,22 @@
 use super::helpers::{size_labels, three_c_grid};
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::report::{pct, Table};
-use crate::runner::parallel_map;
 use bpred_aliasing::batch::ThreeCCell;
 use bpred_aliasing::three_c::AliasingBreakdown;
 use bpred_core::index::IndexFunction;
-use bpred_trace::workload::IbsBenchmark;
 
 const SIZES_LOG2: std::ops::RangeInclusive<u32> = 6..=18;
 const HISTORY_BITS: u32 = 8;
 const FUNCS: [IndexFunction; 2] = [IndexFunction::Gshare, IndexFunction::Gselect];
 
-/// The grid in row-major order: `sizes × FUNCS`.
+/// The grid in function-major order: `FUNCS × sizes`. A size's two
+/// passes then sit apart in the job list, so the two largest tables are
+/// rarely held at once.
 fn grid() -> Vec<ThreeCCell> {
-    SIZES_LOG2
-        .flat_map(|n| {
-            FUNCS.map(|func| ThreeCCell {
+    FUNCS
+        .into_iter()
+        .flat_map(|func| {
+            SIZES_LOG2.map(move |n| ThreeCCell {
                 entries_log2: n,
                 history_bits: HISTORY_BITS,
                 func,
@@ -37,73 +38,52 @@ fn grid() -> Vec<ThreeCCell> {
 }
 
 pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
-    let cells = grid();
-    let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
     let per_bench: Vec<Vec<AliasingBreakdown>> =
-        parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-            three_c_grid(bench, opts.len_for(bench), &cells, inner_threads)
-                .iter()
-                .map(|counts| counts.breakdown())
-                .collect()
-        });
-
-    let mut columns = vec!["entries".to_string()];
-    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
-    let mut tables: Vec<Table> = [
-        format!("Total aliasing % — gshare index ({HISTORY_BITS}-bit history)"),
-        format!("Total aliasing % — gselect index ({HISTORY_BITS}-bit history)"),
-        format!("Compulsory aliasing % ({HISTORY_BITS}-bit history)"),
-        format!("Capacity aliasing % ({HISTORY_BITS}-bit history)"),
-        format!("Conflict aliasing %, signed — gshare ({HISTORY_BITS}-bit history)"),
-        format!("Conflict aliasing %, signed — gselect ({HISTORY_BITS}-bit history)"),
-    ]
-    .into_iter()
-    .map(|title| Table::new(title, columns.clone()))
-    .collect();
-
-    let sizes: Vec<u32> = SIZES_LOG2.collect();
+        three_c_grid(&opts.workloads(), &grid(), opts.threads)
+            .iter()
+            .map(|counts| counts.iter().map(|c| c.breakdown()).collect())
+            .collect();
     let labels = size_labels(*SIZES_LOG2.start(), *SIZES_LOG2.end());
-    for (row, label) in labels.iter().enumerate() {
-        // Row-major grid: gshare at 2*row, gselect at 2*row + 1. The
-        // compulsory and capacity components come from the shared FA
-        // reference, identical for both index functions.
-        let gshare = |b: &Vec<AliasingBreakdown>| b[2 * row];
-        let gselect = |b: &Vec<AliasingBreakdown>| b[2 * row + 1];
-        let rows: [Vec<String>; 6] = [
-            per_bench
-                .iter()
-                .map(|b| pct(100.0 * gshare(b).total))
-                .collect(),
-            per_bench
-                .iter()
-                .map(|b| pct(100.0 * gselect(b).total))
-                .collect(),
-            per_bench
-                .iter()
-                .map(|b| pct(100.0 * gshare(b).compulsory))
-                .collect(),
-            per_bench
-                .iter()
-                .map(|b| pct(100.0 * gshare(b).capacity))
-                .collect(),
-            per_bench
-                .iter()
-                .map(|b| pct(100.0 * gshare(b).conflict))
-                .collect(),
-            per_bench
-                .iter()
-                .map(|b| pct(100.0 * gselect(b).conflict))
-                .collect(),
-        ];
-        for (table, cells_for_row) in tables.iter_mut().zip(rows) {
-            table.push_row(
-                std::iter::once(label.clone())
-                    .chain(cells_for_row)
-                    .collect(),
-            );
-        }
-        debug_assert_eq!(1u64 << sizes[row], label.parse::<u64>().unwrap());
-    }
+    // Function-major grid: gshare at `row`, gselect at `sizes + row`.
+    // The compulsory and capacity components come from the shared FA
+    // reference, identical for both index functions.
+    let table = |title: String, func: usize, value: fn(&AliasingBreakdown) -> f64| {
+        Table::per_bench(title, "entries", &labels, |row, b| {
+            pct(100.0 * value(&per_bench[b][func * labels.len() + row]))
+        })
+    };
+    let tables = vec![
+        table(
+            format!("Total aliasing % — gshare index ({HISTORY_BITS}-bit history)"),
+            0,
+            |b| b.total,
+        ),
+        table(
+            format!("Total aliasing % — gselect index ({HISTORY_BITS}-bit history)"),
+            1,
+            |b| b.total,
+        ),
+        table(
+            format!("Compulsory aliasing % ({HISTORY_BITS}-bit history)"),
+            0,
+            |b| b.compulsory,
+        ),
+        table(
+            format!("Capacity aliasing % ({HISTORY_BITS}-bit history)"),
+            0,
+            |b| b.capacity,
+        ),
+        table(
+            format!("Conflict aliasing %, signed — gshare ({HISTORY_BITS}-bit history)"),
+            0,
+            |b| b.conflict,
+        ),
+        table(
+            format!("Conflict aliasing %, signed — gselect ({HISTORY_BITS}-bit history)"),
+            1,
+            |b| b.conflict,
+        ),
+    ];
 
     ExperimentOutput {
         id: "three-c",

@@ -73,18 +73,22 @@
 //! hook, which compiles to the plain loop: `train` reuses the cells
 //! `look` read, so each cell is read once.
 //!
-//! [`run_specs`] is the batching entry point used by the experiment
-//! sweeps: it parses each spec ([`PredictorSpec::parse`]), splits the
-//! list into fast-path units ([`plan`]) running in parallel over one
-//! shared column view, and falls back to a single batched
-//! [`engine::run_many`] pass for everything else.
+//! Simulation work runs as [`Job`]s: a table kernel, a shared
+//! [`LruWalk`], one batched [`engine::run_many`] pass for the specs
+//! without a fast path, a direct-mapped three-C pass or a shared
+//! fully-associative pass. [`plan`] splits a spec list into jobs, and
+//! [`run_jobs`] is the one fan-out: it runs a list of `(trace, job)`
+//! pairs, across any number of workloads, on one pool of workers, and
+//! times each job on the worker that runs it. The cell pipeline
+//! ([`crate::resume`]) plans every cell an experiment misses into one
+//! such list; [`run_specs`] and [`run_three_c_units`] are its
+//! one-trace forms for the CLI and the benchmarks.
 
 use crate::engine::{self, NovelPolicy, RunResult};
 use crate::runner::parallel_map;
 use crate::timing;
 use bpred_aliasing::batch::{self, DmCounts, FaCounts, ThreeCCell};
 use bpred_aliasing::distance::LastUseDistance;
-use bpred_aliasing::three_c::ThreeCCounts;
 use bpred_core::assoc::MissPolicy;
 use bpred_core::counter::CounterKind;
 use bpred_core::error::ConfigError;
@@ -94,6 +98,7 @@ use bpred_core::skew;
 use bpred_core::spec::PredictorSpec;
 use bpred_core::vector::InfoVector;
 use bpred_trace::soa::TraceColumns;
+use std::ops::Deref;
 use std::time::Instant;
 
 /// A saturating-counter automaton, the type parameter of every kernel
@@ -747,6 +752,10 @@ impl Table for Shgskew<'_> {
     }
 }
 
+/// A kernel's shape: the global history length, the tables at boot as
+/// `(entries, boot value)` runs, and the number of local histories.
+type Layout = (u32, Vec<(usize, u8)>, usize);
+
 /// A monomorphized run loop for one supported predictor shape.
 ///
 /// Build one with [`PredictorKernel::from_spec`]; `None` means the spec
@@ -787,56 +796,69 @@ impl PredictorKernel {
     /// and the `dyn` engine (where invalid values produce their usual
     /// errors).
     pub fn from_spec(spec: &PredictorSpec) -> Option<PredictorKernel> {
-        use PredictorSpec as S;
-        let table = |lo: u32, n: u32| (lo..=30).contains(&n);
-        let local = |bht: u32, l: u32| table(1, bht) && (1..=32).contains(&l);
-        let weak = |entries: usize, kind: CounterKind| vec![kind.weakly_taken(); entries];
-        // The global history length, the tables at boot and the local
-        // histories.
-        let (h, cells, locals) = match *spec {
-            S::Bimodal { n, ctr } if table(1, n) => (0, weak(1 << n, ctr), 0),
-            S::Gshare { n, h, ctr } | S::Gselect { n, h, ctr } if table(1, n) => {
-                (h, weak(1 << n, ctr), 0)
-            }
-            S::Gskew {
-                n, h, banks, ctr, ..
-            } if table(2, n) && (banks == 3 || banks == 5) => (h, weak(banks << n, ctr), 0),
-            // Bimodal, then gshare, then the 2-bit meta table.
-            S::McFarling { n, h, ctr } if table(1, n) => {
-                let meta = weak(1 << n, CounterKind::TwoBit);
-                (h, [weak(2 << n, ctr), meta].concat(), 0)
-            }
-            // BIM, G0, G1 and meta.
-            S::TwoBcGskew { n, h } if table(2, n) => (h, weak(4 << n, CounterKind::TwoBit), 0),
-            // Counters, then the bias table.
-            S::Agree { n, h, bias, ctr } if table(1, n) && table(1, bias) => (
-                h,
-                [weak(1 << n, ctr), vec![BIAS_UNSET; 1 << bias]].concat(),
-                0,
-            ),
-            // The choice table, then the not-taken and taken banks.
-            S::BiMode { n, h, choice, ctr } if table(1, n) && table(1, choice) => {
-                (h, weak((1 << choice) + (2 << n), ctr), 0)
-            }
-            S::Pas { bht, l, n, ctr } if local(bht, l) && table(1, n) => {
-                (0, weak(1 << n, ctr), 1 << bht)
-            }
-            S::Spas { bht, l, n, ctr, .. } if local(bht, l) && table(2, n) => {
-                (0, weak(3 << n, ctr), 1 << bht)
-            }
-            // Direction bits, then hysteresis bits: boot weakly taken,
-            // direction 1 and hysteresis 0.
-            S::Shgskew { n, h, .. } if table(2, n) => {
-                (h, [vec![1; 3 << n], vec![0; 3 << (n - 1)]].concat(), 0)
-            }
-            _ => return None,
-        };
-        (h <= 64).then(|| PredictorKernel {
+        let (h, segments, locals) = Self::layout(spec)?;
+        let mut cells = Vec::with_capacity(segments.iter().map(|&(n, _)| n).sum());
+        for (entries, boot) in segments {
+            cells.resize(cells.len() + entries, boot);
+        }
+        Some(PredictorKernel {
             spec: spec.clone(),
             hist: History { bits: h, value: 0 },
             cells,
             locals: vec![0; locals],
         })
+    }
+
+    /// Whether [`PredictorKernel::from_spec`] has a kernel for `spec`,
+    /// without allocating its tables.
+    fn supports(spec: &PredictorSpec) -> bool {
+        Self::layout(spec).is_some()
+    }
+
+    /// The [`Layout`] of a supported spec.
+    fn layout(spec: &PredictorSpec) -> Option<Layout> {
+        use PredictorSpec as S;
+        let table = |lo: u32, n: u32| (lo..=30).contains(&n);
+        let local = |bht: u32, l: u32| table(1, bht) && (1..=32).contains(&l);
+        let weak = |entries: usize, kind: CounterKind| (entries, kind.weakly_taken());
+        let (h, segments, locals) = match *spec {
+            S::Bimodal { n, ctr } if table(1, n) => (0, vec![weak(1 << n, ctr)], 0),
+            S::Gshare { n, h, ctr } | S::Gselect { n, h, ctr } if table(1, n) => {
+                (h, vec![weak(1 << n, ctr)], 0)
+            }
+            S::Gskew {
+                n, h, banks, ctr, ..
+            } if table(2, n) && (banks == 3 || banks == 5) => (h, vec![weak(banks << n, ctr)], 0),
+            // Bimodal, then gshare, then the 2-bit meta table.
+            S::McFarling { n, h, ctr } if table(1, n) => (
+                h,
+                vec![weak(2 << n, ctr), weak(1 << n, CounterKind::TwoBit)],
+                0,
+            ),
+            // BIM, G0, G1 and meta.
+            S::TwoBcGskew { n, h } if table(2, n) => {
+                (h, vec![weak(4 << n, CounterKind::TwoBit)], 0)
+            }
+            // Counters, then the bias table.
+            S::Agree { n, h, bias, ctr } if table(1, n) && table(1, bias) => {
+                (h, vec![weak(1 << n, ctr), (1 << bias, BIAS_UNSET)], 0)
+            }
+            // The choice table, then the not-taken and taken banks.
+            S::BiMode { n, h, choice, ctr } if table(1, n) && table(1, choice) => {
+                (h, vec![weak((1 << choice) + (2 << n), ctr)], 0)
+            }
+            S::Pas { bht, l, n, ctr } if local(bht, l) && table(1, n) => {
+                (0, vec![weak(1 << n, ctr)], 1 << bht)
+            }
+            S::Spas { bht, l, n, ctr, .. } if local(bht, l) && table(2, n) => {
+                (0, vec![weak(3 << n, ctr)], 1 << bht)
+            }
+            // Direction bits, then hysteresis bits: boot weakly taken,
+            // direction 1 and hysteresis 0.
+            S::Shgskew { n, h, .. } if table(2, n) => (h, vec![(3 << n, 1), (3 << (n - 1), 0)], 0),
+            _ => return None,
+        };
+        (h <= 64).then_some((h, segments, locals))
     }
 
     /// Drive the kernel over a whole column view, accounting every
@@ -1140,190 +1162,237 @@ impl LruWalk {
     }
 }
 
-/// One unit of fast-path work over a trace.
+/// One unit of simulation work over one trace, the input of [`plan`].
+///
+/// Aliasing units store their tallies in a [`RunResult`]'s fields:
+/// `conditional` = references, `mispredicted` = misses, `novel` = cold
+/// misses ([`dm_counts`] and [`fa_counts`] unpack them).
+#[derive(Debug)]
+pub enum Unit {
+    /// One predictor cell.
+    Spec(String),
+    /// One direct-mapped three-C cell.
+    Dm(ThreeCCell),
+    /// One shared fully-associative pass, one cell per capacity.
+    Fa {
+        /// Global history bits in the `(address, history)` tag.
+        history_bits: u32,
+        /// Table entries, one cell each.
+        capacities: Vec<u64>,
+    },
+}
+
+/// One job of simulation work over one trace. A job holds only its
+/// parameters: the worker that starts it builds its tables, so a long job
+/// list never holds every table at once.
 #[derive(Debug, Clone)]
-pub enum FastPath {
-    /// A table kernel, serving one row.
-    Table(PredictorKernel),
-    /// A shared walk, serving every `falru`/`ideal` row of one history
+pub enum Job {
+    /// A table kernel serving one spec with a [`PredictorKernel`].
+    Table(PredictorSpec),
+    /// A shared walk serving every `falru`/`ideal` spec of one history
     /// length.
     Walk(LruWalk),
+    /// One batched [`engine::run_many`] pass over the specs without a
+    /// fast path (`setassoc`, `always-*`).
+    Dyn(Vec<PredictorSpec>),
+    /// One direct-mapped three-C cell ([`batch::dm_pass`]).
+    Dm(ThreeCCell),
+    /// One fully-associative pass under a history length, serving
+    /// several capacities ([`batch::fa_pass`]).
+    Fa(u32, Vec<u64>),
 }
 
-impl FastPath {
-    /// Run the unit over `cols`: one result per row it serves, in the
-    /// order [`plan`] listed them. Table kernels ignore `policy`.
-    pub fn run(&mut self, cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
-        match self {
-            FastPath::Table(kernel) => vec![kernel.run(cols)],
-            FastPath::Walk(walk) => walk.run(cols, policy),
-        }
-    }
-}
-
-/// Split `specs` into fast-path units and dyn rows: each unit comes with
-/// the spec indices it serves, walks first (they are the longest units);
-/// the indices left over have no fast path.
-pub fn plan(specs: &[PredictorSpec]) -> (Vec<(Vec<usize>, FastPath)>, Vec<usize>) {
-    let mut walks: Vec<(u32, Vec<usize>, Vec<LruRow>)> = Vec::new();
-    let mut tables = Vec::new();
-    let mut dyn_rows = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        if let Some(kernel) = PredictorKernel::from_spec(spec) {
-            tables.push((vec![i], FastPath::Table(kernel)));
-        } else if let Some((h, row)) = LruRow::from_spec(spec) {
-            match walks.iter_mut().find(|(wh, _, _)| *wh == h) {
-                Some((_, indices, rows)) => {
-                    indices.push(i);
-                    rows.push(row);
-                }
-                None => walks.push((h, vec![i], vec![row])),
+impl Job {
+    /// Run the job over `cols`: one result per cell it serves, in the
+    /// order [`plan`] listed its specs, or of the FA capacities. Aliasing
+    /// jobs pack their counts into a [`RunResult`] ([`dm_counts`] and
+    /// [`fa_counts`] unpack them). Table kernels and aliasing passes
+    /// ignore `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Job::Table`] spec has no kernel or a [`Job::Dyn`]
+    /// spec does not build; [`plan`] makes neither.
+    pub fn run(self, cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
+        let start = Instant::now();
+        let counts = match self {
+            Job::Table(spec) => {
+                let mut kernel = PredictorKernel::from_spec(&spec).expect("plan checked support");
+                return vec![kernel.run(cols)];
             }
-        } else {
-            dyn_rows.push(i);
-        }
+            Job::Walk(walk) => return walk.run(cols, policy),
+            Job::Dyn(specs) => {
+                let build = |spec: &PredictorSpec| spec.build().unwrap_or_else(|e| panic!("{e}"));
+                let mut predictors: Vec<_> = specs.iter().map(build).collect();
+                return engine::run_many(&mut predictors, cols, policy);
+            }
+            Job::Dm(cell) => {
+                let c = batch::dm_pass(cols, cell.entries_log2, cell.history_bits, cell.func);
+                (c.references, vec![c.misses], c.cold_misses)
+            }
+            Job::Fa(history_bits, capacities) => {
+                let c = batch::fa_pass(cols, history_bits, &capacities);
+                (c.references, c.misses, c.cold_misses)
+            }
+        };
+        let (conditional, misses, novel) = counts;
+        timing::record_kernel(cols.len() as u64, start.elapsed());
+        let cell = |mispredicted| RunResult {
+            conditional,
+            mispredicted,
+            novel,
+        };
+        misses.into_iter().map(cell).collect()
     }
-    let mut units: Vec<(Vec<usize>, FastPath)> = walks
-        .into_iter()
-        .map(|(h, indices, rows)| (indices, FastPath::Walk(LruWalk::new(h, rows))))
-        .collect();
-    units.extend(tables);
-    (units, dyn_rows)
 }
 
-/// Run every spec over one trace, fast paths first: the [`plan`]'s units
-/// run split across up to `threads` workers sharing `columns`, the rest
-/// ride a single batched [`engine::run_many`] pass over the same columns.
-/// Results keep the order of `specs` and are bit-identical to a pure
-/// `run_many` over the same list under the same `policy`.
+/// Unpack a [`Job::Dm`] result.
+pub fn dm_counts(results: &[RunResult]) -> DmCounts {
+    DmCounts {
+        references: results[0].conditional,
+        misses: results[0].mispredicted,
+        cold_misses: results[0].novel,
+    }
+}
+
+/// Unpack a [`Job::Fa`] result (one entry per capacity).
+pub fn fa_counts(results: &[RunResult]) -> FaCounts {
+    FaCounts {
+        references: results[0].conditional,
+        cold_misses: results[0].novel,
+        misses: results.iter().map(|r| r.mispredicted).collect(),
+    }
+}
+
+/// Split `units` into jobs, each with the indices of the units it serves,
+/// shared passes first (they are the longest jobs): one walk per history
+/// length, one FA pass per FA unit and one dyn batch for the specs
+/// without a fast path; then one table kernel per spec and one DM pass
+/// per DM unit.
 ///
 /// # Errors
 ///
 /// Returns [`ConfigError`] for malformed specs and (via
-/// [`PredictorSpec::build`] on the fallback rows) out-of-range values —
-/// before any simulation runs.
+/// [`PredictorSpec::build`] on the dyn rows) out-of-range values.
+pub fn plan<'a>(
+    units: impl IntoIterator<Item = &'a Unit>,
+) -> Result<Vec<(Vec<usize>, Job)>, ConfigError> {
+    let (mut shared, mut single) = (Vec::new(), Vec::new());
+    let (mut dyn_rows, mut dyn_specs) = (Vec::new(), Vec::new());
+    for (i, unit) in units.into_iter().enumerate() {
+        let spec = match unit {
+            Unit::Spec(spec) => PredictorSpec::parse(spec)?,
+            Unit::Dm(cell) => {
+                single.push((vec![i], Job::Dm(*cell)));
+                continue;
+            }
+            Unit::Fa {
+                history_bits,
+                capacities,
+            } => {
+                shared.push((vec![i], Job::Fa(*history_bits, capacities.clone())));
+                continue;
+            }
+        };
+        if PredictorKernel::supports(&spec) {
+            single.push((vec![i], Job::Table(spec)));
+        } else if let Some((h, row)) = LruRow::from_spec(&spec) {
+            let walk = shared.iter_mut().find_map(|(rows, job)| match job {
+                Job::Walk(walk) if walk.hist_bits == h => Some((rows, walk)),
+                _ => None,
+            });
+            match walk {
+                Some((rows, walk)) => {
+                    rows.push(i);
+                    walk.rows.push(row);
+                }
+                None => shared.push((vec![i], Job::Walk(LruWalk::new(h, vec![row])))),
+            }
+        } else {
+            spec.build()?;
+            dyn_rows.push(i);
+            dyn_specs.push(spec);
+        }
+    }
+    if !dyn_rows.is_empty() {
+        shared.push((dyn_rows, Job::Dyn(dyn_specs)));
+    }
+    shared.extend(single);
+    Ok(shared)
+}
+
+/// A job's results paired with the job's own elapsed milliseconds.
+pub type Timed<T> = (T, f64);
+
+/// Run every `(trace, job)` pair on up to `threads` workers: the one
+/// fan-out of simulation work. A worker reads the job's trace from
+/// `trace(index)` and then starts the job's clock, so a trace fetched on
+/// first use is not billed to the job. Results keep the order of `jobs`,
+/// each with the milliseconds its worker spent on it.
+pub fn run_jobs<T: Deref<Target = TraceColumns>>(
+    jobs: Vec<(usize, Job)>,
+    trace: impl Fn(usize) -> T + Sync,
+    policy: NovelPolicy,
+    threads: usize,
+) -> Vec<Timed<Vec<RunResult>>> {
+    parallel_map(jobs, threads, |(index, job)| {
+        let cols = trace(index);
+        let start = Instant::now();
+        let results = job.run(&cols, policy);
+        (results, start.elapsed().as_secs_f64() * 1e3)
+    })
+}
+
+/// Run every spec over one trace: the [`plan`]'s jobs through
+/// [`run_jobs`]. Results keep the order of `specs` and are bit-identical
+/// to a pure [`engine::run_many`] over the same list under the same
+/// `policy`.
+///
+/// # Errors
+///
+/// Returns [`plan`]'s [`ConfigError`] before any simulation runs.
 pub fn run_specs(
     specs: &[String],
     columns: &TraceColumns,
     policy: NovelPolicy,
     threads: usize,
 ) -> Result<Vec<RunResult>, ConfigError> {
-    let parsed = specs
-        .iter()
-        .map(|s| PredictorSpec::parse(s))
-        .collect::<Result<Vec<_>, _>>()?;
-    let (units, dyn_rows) = plan(&parsed);
-    // Build the fallback predictors up front so configuration errors
-    // surface before any pass starts.
-    let mut fallback = dyn_rows
-        .iter()
-        .map(|&i| parsed[i].build())
-        .collect::<Result<Vec<_>, _>>()?;
-
+    let units: Vec<Unit> = specs.iter().cloned().map(Unit::Spec).collect();
+    let (rows, jobs): (Vec<_>, Vec<_>) = plan(&units)?
+        .into_iter()
+        .map(|(rows, job)| (rows, (0, job)))
+        .unzip();
     let mut results = vec![RunResult::default(); specs.len()];
-    let done = parallel_map(units, threads, |(rows, mut unit)| {
-        (rows, unit.run(columns, policy))
-    });
-    for (rows, unit_results) in done {
-        for (i, result) in rows.into_iter().zip(unit_results) {
-            results[i] = result;
-        }
-    }
-    if !fallback.is_empty() {
-        for (&i, result) in dyn_rows
-            .iter()
-            .zip(engine::run_many(&mut fallback, columns, policy))
-        {
+    let done = run_jobs(jobs, |_| columns, policy, threads);
+    for (rows, (job_results, _)) in rows.into_iter().zip(done) {
+        for (i, result) in rows.into_iter().zip(job_results) {
             results[i] = result;
         }
     }
     Ok(results)
 }
 
-/// Batched three-C classification of a whole `(size × index-fn ×
-/// history)` grid in one logical pass over `columns`, fanned out across
-/// up to `threads` workers: one [`batch::dm_pass`] unit per cell plus one
-/// shared [`batch::fa_pass`] unit per distinct history length (the
-/// fully-associative reference depends on history alone, and one
-/// last-use-distance walk serves every capacity at once). Results keep
-/// the order of `cells` and are bit-identical to running
-/// `ThreeCClassifier` per cell over the same records.
-///
-/// Time spent in the units is credited to the kernel path of
-/// [`crate::timing`].
-pub fn run_three_c(
-    cells: &[ThreeCCell],
-    columns: &TraceColumns,
-    threads: usize,
-) -> Vec<ThreeCCounts> {
-    let groups = batch::fa_groups(cells);
-    let (dm, fa) = run_three_c_units(cells, &groups, columns, threads);
-    let dm: Vec<DmCounts> = dm.into_iter().map(|(c, _)| c).collect();
-    let fa: Vec<FaCounts> = fa.into_iter().map(|(c, _)| c).collect();
-    batch::assemble(cells, &groups, &dm, &fa)
-}
-
-/// A work unit's result paired with the unit's own elapsed
-/// milliseconds (for per-cell accounting in the results store).
-pub type Timed<T> = (T, f64);
-
-/// The work units behind [`run_three_c`], exposed separately so the
-/// resume layer can run *only* the units whose results are not already
-/// stored: direct-mapped units for `dm_cells` and one fully-associative
-/// unit per `(history, capacities)` group. Each result carries the unit's
-/// own elapsed milliseconds (for per-cell accounting in the results
-/// store). All units share one `parallel_map` fan-out, so a mixed batch
-/// keeps every worker busy.
+/// The three-C jobs over one trace through [`run_jobs`]: one
+/// direct-mapped pass per cell of `dm_cells` and one fully-associative
+/// pass per `(history, capacities)` group of `fa_groups`, each with its
+/// own elapsed milliseconds. [`batch::assemble`] turns them into
+/// per-cell counts, bit-identical to running `ThreeCClassifier` per cell.
 pub fn run_three_c_units(
     dm_cells: &[ThreeCCell],
     fa_groups: &[(u32, Vec<u64>)],
     columns: &TraceColumns,
     threads: usize,
 ) -> (Vec<Timed<DmCounts>>, Vec<Timed<FaCounts>>) {
-    enum Unit {
-        Dm(usize),
-        Fa(usize),
-    }
-    let units: Vec<Unit> = (0..dm_cells.len())
-        .map(Unit::Dm)
-        .chain((0..fa_groups.len()).map(Unit::Fa))
-        .collect();
-    enum Done {
-        Dm(usize, DmCounts, f64),
-        Fa(usize, FaCounts, f64),
-    }
-    let results = parallel_map(units, threads, |unit| {
-        let start = Instant::now();
-        let done = match unit {
-            Unit::Dm(i) => {
-                let cell = &dm_cells[i];
-                let counts =
-                    batch::dm_pass(columns, cell.entries_log2, cell.history_bits, cell.func);
-                Done::Dm(i, counts, ms_since(start))
-            }
-            Unit::Fa(g) => {
-                let (history_bits, caps) = &fa_groups[g];
-                let counts = batch::fa_pass(columns, *history_bits, caps);
-                Done::Fa(g, counts, ms_since(start))
-            }
-        };
-        timing::record_kernel(columns.len() as u64, start.elapsed());
-        done
-    });
-    let mut dm: Vec<(DmCounts, f64)> = vec![(DmCounts::default(), 0.0); dm_cells.len()];
-    let mut fa: Vec<(FaCounts, f64)> = vec![(FaCounts::default(), 0.0); fa_groups.len()];
-    for done in results {
-        match done {
-            Done::Dm(i, counts, ms) => dm[i] = (counts, ms),
-            Done::Fa(g, counts, ms) => fa[g] = (counts, ms),
-        }
-    }
+    let dm = dm_cells.iter().map(|&cell| (0, Job::Dm(cell)));
+    let fa = fa_groups
+        .iter()
+        .map(|(h, capacities)| (0, Job::Fa(*h, capacities.clone())));
+    let jobs = dm.chain(fa).collect();
+    let mut done = run_jobs(jobs, |_| columns, NovelPolicy::Count, threads).into_iter();
+    let dm = done.by_ref().take(dm_cells.len());
+    let dm = dm.map(|(r, ms)| (dm_counts(&r), ms)).collect();
+    let fa = done.map(|(r, ms)| (fa_counts(&r), ms)).collect();
     (dm, fa)
-}
-
-#[inline]
-fn ms_since(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 #[cfg(test)]
@@ -1503,7 +1572,7 @@ mod tests {
     }
 
     #[test]
-    fn run_three_c_matches_the_classifier_under_any_thread_count() {
+    fn three_c_units_match_the_classifier_under_any_thread_count() {
         use bpred_aliasing::three_c::ThreeCClassifier;
         let cols = cache::columns(IbsBenchmark::Groff, 8_000);
         let cells: Vec<ThreeCCell> = [
@@ -1520,8 +1589,15 @@ mod tests {
             func,
         })
         .collect();
-        let sequential = run_three_c(&cells, &cols, 1);
-        let parallel = run_three_c(&cells, &cols, 4);
+        let groups = batch::fa_groups(&cells);
+        let run_three_c = |threads| {
+            let (dm, fa) = run_three_c_units(&cells, &groups, &cols, threads);
+            let dm: Vec<_> = dm.into_iter().map(|(counts, _)| counts).collect();
+            let fa: Vec<_> = fa.into_iter().map(|(counts, _)| counts).collect();
+            batch::assemble(&cells, &groups, &dm, &fa)
+        };
+        let sequential = run_three_c(1);
+        let parallel = run_three_c(4);
         assert_eq!(sequential, parallel, "thread count must not matter");
         for (cell, counts) in cells.iter().zip(&sequential) {
             let reference = ThreeCClassifier::new(cell.entries_log2, cell.history_bits, cell.func)
@@ -1553,13 +1629,10 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let parsed: Vec<_> = specs
-            .iter()
-            .map(|s| PredictorSpec::parse(s).unwrap())
-            .collect();
-        let (units, dyn_rows) = plan(&parsed);
-        assert!(dyn_rows.is_empty());
-        assert_eq!(units.len(), 2, "one walk per history length");
+        let units: Vec<_> = specs.iter().cloned().map(Unit::Spec).collect();
+        let jobs = plan(&units).unwrap();
+        assert_eq!(jobs.len(), 2, "one walk per history length");
+        assert!(jobs.iter().all(|(_, job)| matches!(job, Job::Walk(_))));
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
             let routed = run_specs(&specs, &cols, policy, 2).unwrap();
             let mut predictors: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();

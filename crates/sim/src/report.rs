@@ -3,6 +3,7 @@
 //! Figures become tables here: one row per x-axis point, one column per
 //! series (typically per benchmark), matching the rows the paper plots.
 
+use bpred_trace::workload::IbsBenchmark;
 use std::fmt::Write as _;
 
 /// A rectangular result table.
@@ -26,6 +27,29 @@ impl Table {
     /// Convenience: headers from string slices.
     pub fn with_columns(title: impl Into<String>, columns: &[&str]) -> Self {
         Table::new(title, columns.iter().map(|s| s.to_string()).collect())
+    }
+
+    /// A benchmark-per-column table: `first_column`, then one column per
+    /// benchmark in [`IbsBenchmark::all`] order. Row `r` is
+    /// `row_labels[r]` followed by `cell(r, b)` for each benchmark index
+    /// `b`.
+    pub fn per_bench(
+        title: impl Into<String>,
+        first_column: &str,
+        row_labels: &[String],
+        cell: impl Fn(usize, usize) -> String,
+    ) -> Self {
+        let benches = IbsBenchmark::all();
+        let names = benches.iter().map(|b| b.name().to_string());
+        let mut table = Table::new(
+            title,
+            std::iter::once(first_column.into()).chain(names).collect(),
+        );
+        for (r, label) in row_labels.iter().enumerate() {
+            let cells = (0..benches.len()).map(|b| cell(r, b));
+            table.push_row(std::iter::once(label.clone()).chain(cells).collect());
+        }
+        table
     }
 
     /// Append a row; it is padded or truncated to the column count.

@@ -3,7 +3,7 @@
 //!
 //! Every cell the experiment helpers produce ([`crate::experiments::sim_pct`],
 //! the spec-sweep tables and the three-C grids) goes through one
-//! crate-private pipeline, `run_cells`, over *units* of simulation work:
+//! pipeline, [`run_cells`], over *units* of simulation work:
 //! a predictor spec, a direct-mapped three-C cell, or one shared
 //! fully-associative pass that serves several capacities.
 //!
@@ -21,8 +21,7 @@
 //!    counts reproduce its rendering byte for byte;
 //! 2. from the in-process cell memo, which holds every cell produced
 //!    since the store was last attached or detached;
-//! 3. otherwise the unit is simulated: the remaining units run in one
-//!    batch over a single cached trace.
+//! 3. otherwise the unit is simulated.
 //!
 //! A unit is resolved only when *every* one of its cells hits, and is
 //! otherwise simulated whole, so each cell a run produces counts once as
@@ -34,6 +33,16 @@
 //! The counters move only while a store is attached; fingerprints are
 //! formatted and hashed only then.
 //!
+//! One `run_cells` call spans every workload of an experiment (a
+//! benchmark trace at a length). The units it must simulate, across all
+//! workloads, are planned into one list of `(workload, job)` pairs
+//! ([`kernel::Job`]), which [`kernel::run_jobs`] runs on one pool of
+//! workers: the one fan-out of cell simulation. Each trace is fetched
+//! once, by the first job that reads it, so the fetches of different
+//! workloads run on different workers. Each simulated cell is billed the
+//! time of its own job (a shared walk or FA pass splits its time evenly
+//! across its cells).
+//!
 //! The context is process-global by design, mirroring
 //! `bpred_trace::cache`: only single-threaded entry points (the CLI)
 //! should configure it. It sits behind one lock, so the parallel sweep
@@ -42,16 +51,17 @@
 use crate::engine::{NovelPolicy, RunResult};
 use crate::experiments::workload_seed;
 use crate::kernel;
-use bpred_aliasing::batch::{DmCounts, FaCounts, ThreeCCell};
+pub use crate::kernel::Unit;
+use bpred_aliasing::batch::ThreeCCell;
 use bpred_core::spec::PredictorSpec;
 use bpred_results::record::{CellKey, ResultRecord};
 use bpred_results::store::ResultsStore;
 use bpred_trace::cache;
+use bpred_trace::soa::TraceColumns;
 use bpred_trace::workload::IbsBenchmark;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
-use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Version of the simulation engine's accounting, fingerprinted into
 /// every stored cell. Bump this whenever a change alters what any
@@ -160,25 +170,6 @@ pub fn policy_name(policy: NovelPolicy) -> &'static str {
 /// [`policy_name`] value, so an aliasing cell can never collide with a
 /// predictor cell that happens to share a spec string.
 pub const ALIAS_POLICY: &str = "alias";
-
-/// One unit of simulation work over one benchmark trace.
-///
-/// Aliasing units store their tallies in a [`RunResult`]'s fields:
-/// `conditional` = references, `mispredicted` = misses, `novel` = cold
-/// misses ([`dm_counts`] and [`fa_counts`] unpack them).
-#[derive(Debug)]
-pub(crate) enum Unit {
-    /// One predictor cell, run under the pipeline's novel policy.
-    Spec(String),
-    /// One direct-mapped three-C cell.
-    Dm(ThreeCCell),
-    /// One shared fully-associative pass under `history_bits` of history,
-    /// serving every capacity in `capacities` (one cell each).
-    Fa {
-        history_bits: u32,
-        capacities: Vec<u64>,
-    },
-}
 
 /// A cell's structural identity within one process: the key of the cell
 /// memo. Within a process `(bench, seed)` fixes the workload, so no
@@ -298,24 +289,6 @@ impl Unit {
     }
 }
 
-/// Unpack a [`Unit::Dm`] result.
-pub(crate) fn dm_counts(results: &[RunResult]) -> DmCounts {
-    DmCounts {
-        references: results[0].conditional,
-        misses: results[0].mispredicted,
-        cold_misses: results[0].novel,
-    }
-}
-
-/// Unpack a [`Unit::Fa`] result (one entry per capacity).
-pub(crate) fn fa_counts(results: &[RunResult]) -> FaCounts {
-    FaCounts {
-        references: results[0].conditional,
-        cold_misses: results[0].novel,
-        misses: results.iter().map(|r| r.mispredicted).collect(),
-    }
-}
-
 /// Where a produced cell came from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Source {
@@ -327,63 +300,60 @@ enum Source {
     Simulated(f64),
 }
 
-/// Produce every unit's results over `bench` at `len` conditional
-/// branches, under the current workload seed: one result per cell of
-/// the unit (see [`Unit::ids`]), in the order of `units`.
+/// One workload: a benchmark trace of `len` conditional branches, under
+/// the current workload seed.
+pub type Workload = (IbsBenchmark, u64);
+
+/// Produce every unit's results over every workload: for each workload,
+/// in the order of `workloads`, one entry per unit, in the order of
+/// `units`, holding one result per cell of the unit (one per capacity for
+/// an FA unit).
 ///
 /// A unit whose cells all hit the store (with resume on) or the cell
-/// memo is served; the rest are simulated in one batch over one cached
-/// trace (spec units through [`kernel::run_specs`], aliasing units
-/// through [`kernel::run_three_c_units`], each fanned out over up to
-/// `threads` workers). Every cell is then recorded (see the module doc).
+/// memo is served. The rest, across all workloads, are planned into one
+/// list of `(workload, job)` pairs that [`kernel::run_jobs`] runs on up
+/// to `threads` workers. Every cell is then recorded (see the module
+/// doc).
 ///
 /// # Panics
 ///
 /// Panics on an invalid predictor spec — experiment code owns its specs.
-pub(crate) fn run_cells(
-    bench: IbsBenchmark,
-    len: u64,
+pub fn run_cells(
+    workloads: &[Workload],
     policy: NovelPolicy,
     units: &[Unit],
     threads: usize,
-) -> Vec<Vec<RunResult>> {
+) -> Vec<Vec<Vec<RunResult>>> {
     let seed = workload_seed();
-    let ids: Vec<Vec<CellId>> = units
+    // Workload-major slots: slot `w * units.len() + u` is unit `u` over
+    // workload `w`.
+    let ids: Vec<Vec<CellId>> = workloads
         .iter()
-        .map(|unit| unit.ids(bench, len, seed, policy))
+        .flat_map(|&(bench, len)| units.iter().map(move |u| u.ids(bench, len, seed, policy)))
         .collect();
     let keys: Option<Vec<Vec<(CellKey, u64)>>> = is_active().then(|| {
-        let params = workload_params(bench, seed);
-        units
-            .iter()
-            .map(|unit| unit.keys(bench, len, seed, policy, &params))
-            .collect()
+        let keys = workloads.iter().flat_map(|&(bench, len)| {
+            let params = workload_params(bench, seed);
+            units
+                .iter()
+                .map(move |u| u.keys(bench, len, seed, policy, &params))
+        });
+        keys.collect()
     });
 
     let mut cells = lookup(&ids, keys.as_deref());
-    let missing: Vec<usize> = (0..units.len()).filter(|&i| cells[i].is_none()).collect();
-    if !missing.is_empty() {
-        let run: Vec<&Unit> = missing.iter().map(|&i| &units[i]).collect();
-        for (&i, (done, ms)) in missing
-            .iter()
-            .zip(simulate(bench, len, seed, policy, &run, threads))
-        {
-            // A unit's pass is shared by its cells; bill it evenly.
-            let per_cell_ms = ms / done.len() as f64;
-            let done = done
-                .into_iter()
-                .map(|r| (r, Source::Simulated(per_cell_ms)));
-            cells[i] = Some(done.collect());
-        }
-    }
+    simulate(workloads, seed, policy, units, &ids, &mut cells, threads);
     let cells: Vec<Vec<(RunResult, Source)>> = cells
         .into_iter()
         .map(|unit| unit.expect("every unit resolved"))
         .collect();
     record(ids, keys, &cells);
-    cells
+    let mut results = cells
         .into_iter()
-        .map(|unit| unit.into_iter().map(|(result, _)| result).collect())
+        .map(|unit| unit.into_iter().map(|(result, _)| result).collect());
+    workloads
+        .iter()
+        .map(|_| results.by_ref().take(units.len()).collect())
         .collect()
 }
 
@@ -424,61 +394,54 @@ fn lookup(
         .collect()
 }
 
-/// Simulate `units` over one cached trace. Each unit's results come with
-/// its elapsed milliseconds; spec units share one batched pass, which is
-/// billed evenly across them.
+/// Simulate every unresolved slot of `cells` (see [`run_cells`]): plan
+/// them into one list of `(workload, job)` pairs and run the list
+/// through [`kernel::run_jobs`]. Each cell is billed its job's own
+/// elapsed time, split evenly across the cells the job serves.
 fn simulate(
-    bench: IbsBenchmark,
-    len: u64,
+    workloads: &[Workload],
     seed: u64,
     policy: NovelPolicy,
-    units: &[&Unit],
+    units: &[Unit],
+    ids: &[Vec<CellId>],
+    cells: &mut [Option<Vec<(RunResult, Source)>>],
     threads: usize,
-) -> Vec<(Vec<RunResult>, f64)> {
-    let cols = cache::columns_seeded(bench, len, seed);
-    let (mut specs, mut dm_cells, mut fa_groups) = (Vec::new(), Vec::new(), Vec::new());
-    for unit in units {
-        match unit {
-            Unit::Spec(spec) => specs.push(spec.clone()),
-            Unit::Dm(cell) => dm_cells.push(*cell),
-            Unit::Fa {
-                history_bits,
-                capacities,
-            } => fa_groups.push((*history_bits, capacities.clone())),
+) {
+    // Each job with the slots it serves, in the order of its results.
+    let (mut jobs, mut served, mut traces) = (Vec::new(), Vec::new(), Vec::new());
+    for (w, &workload) in workloads.iter().enumerate() {
+        let slots: Vec<usize> = (w * units.len()..(w + 1) * units.len())
+            .filter(|&slot| cells[slot].is_none())
+            .collect();
+        if slots.is_empty() {
+            continue;
         }
+        let missing = slots.iter().map(|&slot| &units[slot % units.len()]);
+        for (rows, job) in kernel::plan(missing).unwrap_or_else(|e| panic!("bad spec: {e}")) {
+            jobs.push((traces.len(), job));
+            served.push(rows.into_iter().map(|row| slots[row]).collect::<Vec<_>>());
+        }
+        traces.push(workload);
     }
 
-    let start = Instant::now();
-    let mut spec_done = kernel::run_specs(&specs, &cols, policy, threads)
-        .unwrap_or_else(|e| panic!("bad spec: {e}"))
-        .into_iter();
-    let per_spec_ms = start.elapsed().as_secs_f64() * 1e3 / specs.len().max(1) as f64;
-    let (dm_done, fa_done) = kernel::run_three_c_units(&dm_cells, &fa_groups, &cols, threads);
-    let (mut dm_done, mut fa_done) = (dm_done.into_iter(), fa_done.into_iter());
-    units
-        .iter()
-        .map(|unit| match unit {
-            Unit::Spec(_) => (vec![spec_done.next().expect("spec ran")], per_spec_ms),
-            Unit::Dm(_) => {
-                let (counts, ms) = dm_done.next().expect("dm unit ran");
-                let result = RunResult {
-                    conditional: counts.references,
-                    mispredicted: counts.misses,
-                    novel: counts.cold_misses,
-                };
-                (vec![result], ms)
-            }
-            Unit::Fa { .. } => {
-                let (counts, ms) = fa_done.next().expect("fa unit ran");
-                let per_capacity = counts.misses.iter().map(|&misses| RunResult {
-                    conditional: counts.references,
-                    mispredicted: misses,
-                    novel: counts.cold_misses,
-                });
-                (per_capacity.collect(), ms)
-            }
-        })
-        .collect()
+    // Each trace is fetched once, by the first job that reads it: jobs
+    // of other workloads meanwhile run, or fetch theirs, on the other
+    // workers.
+    let fetched: Vec<OnceLock<Arc<TraceColumns>>> =
+        traces.iter().map(|_| OnceLock::new()).collect();
+    let trace = |t: usize| {
+        let (bench, len) = traces[t];
+        Arc::clone(fetched[t].get_or_init(|| cache::columns_seeded(bench, len, seed)))
+    };
+    let done = kernel::run_jobs(jobs, trace, policy, threads);
+    for ((results, ms), slots) in done.into_iter().zip(served) {
+        let per_cell_ms = ms / results.len() as f64;
+        let mut results = results.into_iter();
+        for slot in slots {
+            let unit = results.by_ref().take(ids[slot].len());
+            cells[slot] = Some(unit.map(|r| (r, Source::Simulated(per_cell_ms))).collect());
+        }
+    }
 }
 
 /// Enter every produced cell into the memo. With a store attached, also

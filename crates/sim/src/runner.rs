@@ -59,30 +59,13 @@ where
         .collect()
 }
 
-/// A sensible default worker count: the `GSKEW_THREADS` environment
-/// variable when set (clamped to at least 1), otherwise the available
-/// parallelism, capped so laptop runs stay responsive.
+/// A sensible default worker count: the available parallelism, capped
+/// so laptop runs stay responsive.
 pub fn default_threads() -> usize {
-    threads_from(std::env::var("GSKEW_THREADS").ok().as_deref(), || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(16)
-    })
-}
-
-/// [`default_threads`] with the environment and hardware probes injected,
-/// so the override logic is unit-testable without touching process state.
-/// A missing, empty, unparsable or zero `env` falls back to `hardware`;
-/// any parsed value is clamped to at least 1.
-fn threads_from(env: Option<&str>, hardware: impl FnOnce() -> usize) -> usize {
-    match env.map(str::trim).filter(|s| !s.is_empty()) {
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) => n.max(1),
-            Err(_) => hardware().max(1),
-        },
-        None => hardware().max(1),
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(16)
 }
 
 #[cfg(test)]
@@ -116,27 +99,6 @@ mod tests {
     #[test]
     fn default_threads_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn gskew_threads_override_is_clamped_and_validated() {
-        let hw = || 8;
-        assert_eq!(threads_from(None, hw), 8, "unset: hardware default");
-        assert_eq!(threads_from(Some(""), hw), 8, "empty: hardware default");
-        assert_eq!(threads_from(Some("  "), hw), 8, "blank: hardware default");
-        assert_eq!(threads_from(Some("3"), hw), 3);
-        assert_eq!(threads_from(Some(" 12 "), hw), 12, "whitespace tolerated");
-        assert_eq!(threads_from(Some("0"), hw), 1, "clamped to at least 1");
-        assert_eq!(
-            threads_from(Some("lots"), hw),
-            8,
-            "garbage: hardware default"
-        );
-        assert_eq!(
-            threads_from(Some("-2"), hw),
-            8,
-            "negative: hardware default"
-        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_sim::duel;
 use bpred_sim::engine::{self, NovelPolicy};
-use bpred_sim::kernel::{self, run_specs, PredictorKernel};
+use bpred_sim::kernel::{self, run_specs, Job, PredictorKernel, Unit};
 use bpred_trace::cache;
 use bpred_trace::record::BranchKind;
 use bpred_trace::stream::TraceSourceExt;
@@ -141,10 +141,9 @@ proptest::proptest! {
             format!("gshare:n={n},h={h}"),
         ];
         for spec in &specs[1..2] {
-            let structured = PredictorSpec::parse(spec).unwrap();
-            let (units, dyn_rows) = kernel::plan(&[structured]);
+            let jobs = kernel::plan(&[Unit::Spec(spec.clone())]).unwrap();
             prop_assert!(
-                units.is_empty() && dyn_rows == vec![0],
+                matches!(&jobs[..], [(rows, Job::Dyn(_))] if rows == &[0]),
                 "{} unexpectedly grew a fast path; pick another fallback family",
                 spec
             );
@@ -216,9 +215,13 @@ proptest::proptest! {
                 }
             })
             .collect();
-        let parsed: Vec<_> = specs.iter().map(|s| PredictorSpec::parse(s).unwrap()).collect();
-        let (units, dyn_rows) = kernel::plan(&parsed);
-        prop_assert!(dyn_rows.is_empty() && units.len() == 1, "one walk for {:?}", &specs);
+        let units: Vec<_> = specs.iter().cloned().map(Unit::Spec).collect();
+        let jobs = kernel::plan(&units).unwrap();
+        prop_assert!(
+            matches!(&jobs[..], [(_, Job::Walk(_))]),
+            "one walk for {:?}",
+            &specs
+        );
         let bench = bench_from(bench_i);
         let cols = cache::columns_seeded(bench, len, seed);
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {

@@ -4,8 +4,8 @@
 //! to the per-configuration `ThreeCClassifier` walking the same records —
 //! including the signed-conflict edge where LRU loses to direct mapping.
 
-use gskew::aliasing::batch::ThreeCCell;
-use gskew::aliasing::three_c::ThreeCClassifier;
+use gskew::aliasing::batch::{self, ThreeCCell};
+use gskew::aliasing::three_c::{ThreeCClassifier, ThreeCCounts};
 use gskew::core::index::IndexFunction;
 use gskew::sim::kernel;
 use gskew::trace::record::{BranchKind, BranchRecord, Privilege};
@@ -42,10 +42,17 @@ fn arb_cell() -> impl Strategy<Value = ThreeCCell> {
     })
 }
 
-fn classify_per_config(
-    cell: &ThreeCCell,
-    records: &[BranchRecord],
-) -> gskew::aliasing::three_c::ThreeCCounts {
+/// The batched engine: [`kernel::run_three_c_units`] over the grid's
+/// direct-mapped cells and FA groups, assembled per cell.
+fn run_three_c(cells: &[ThreeCCell], columns: &TraceColumns, threads: usize) -> Vec<ThreeCCounts> {
+    let groups = batch::fa_groups(cells);
+    let (dm, fa) = kernel::run_three_c_units(cells, &groups, columns, threads);
+    let dm: Vec<_> = dm.into_iter().map(|(counts, _)| counts).collect();
+    let fa: Vec<_> = fa.into_iter().map(|(counts, _)| counts).collect();
+    batch::assemble(cells, &groups, &dm, &fa)
+}
+
+fn classify_per_config(cell: &ThreeCCell, records: &[BranchRecord]) -> ThreeCCounts {
     ThreeCClassifier::new(cell.entries_log2, cell.history_bits, cell.func)
         .run_counts(records.iter().copied())
 }
@@ -62,7 +69,7 @@ proptest! {
         threads in 1usize..=4,
     ) {
         let columns = TraceColumns::from_records(&records);
-        let batched = kernel::run_three_c(&cells, &columns, threads);
+        let batched = run_three_c(&cells, &columns, threads);
         prop_assert_eq!(batched.len(), cells.len());
         for (cell, got) in cells.iter().zip(&batched) {
             let want = classify_per_config(cell, &records);
@@ -90,7 +97,7 @@ proptest! {
     ) {
         let columns = TraceColumns::from_records(&records);
         let cells = [cell, cell, cell];
-        let batched = kernel::run_three_c(&cells, &columns, 2);
+        let batched = run_three_c(&cells, &columns, 2);
         prop_assert_eq!(batched[0], batched[1]);
         prop_assert_eq!(batched[1], batched[2]);
         prop_assert_eq!(batched[0], classify_per_config(&cell, &records));
@@ -119,7 +126,7 @@ fn signed_conflict_edge_case_is_preserved() {
         func: IndexFunction::Gshare,
     };
     let columns = TraceColumns::from_records(&records);
-    let batched = kernel::run_three_c(&[cell], &columns, 1)[0];
+    let batched = run_three_c(&[cell], &columns, 1)[0];
     let reference = classify_per_config(&cell, &records);
     assert_eq!(batched, reference);
     // LRU misses everything; DM only thrashes the entry shared by

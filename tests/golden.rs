@@ -2,7 +2,7 @@
 //! deterministic, so their rendered rows are pinned verbatim. If a change
 //! moves these, it changed the model — that must be deliberate.
 
-use gskew::aliasing::batch::ThreeCCell;
+use gskew::aliasing::batch::{self, ThreeCCell};
 use gskew::core::index::IndexFunction;
 use gskew::model::curves::destructive_aliasing_curve;
 use gskew::model::prob::aliasing_probability;
@@ -106,7 +106,11 @@ fn conflict_dominates_past_4k_entries() {
     let mut mean_capacity = vec![0.0; cells.len()];
     for &bench in benches.iter() {
         let columns = cache::columns(bench, opts.len_for(bench));
-        let counts = kernel::run_three_c(&cells, &columns, 2);
+        let groups = batch::fa_groups(&cells);
+        let (dm, fa) = kernel::run_three_c_units(&cells, &groups, &columns, 2);
+        let dm: Vec<_> = dm.into_iter().map(|(counts, _)| counts).collect();
+        let fa: Vec<_> = fa.into_iter().map(|(counts, _)| counts).collect();
+        let counts = batch::assemble(&cells, &groups, &dm, &fa);
         let mut prev_capacity = f64::INFINITY;
         for (i, b) in counts.iter().map(|c| c.breakdown()).enumerate() {
             mean_conflict[i] += b.conflict / benches.len() as f64;

@@ -37,7 +37,7 @@ use bpred_trace::stats::TraceStats;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -85,23 +85,69 @@ Predictor specs:
 ";
 
 /// Binary entry point: parse `std::env::args`, dispatch, report errors.
+/// A reader that stops reading (`bpsim ... | head`) ends the run quietly.
 pub fn cli_main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(raw) {
+    match run(raw, &mut io::stdout()) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("bpsim: {msg}");
+        Err(Failure::Output(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(failure) => {
+            eprintln!("bpsim: {}", failure.message());
             ExitCode::FAILURE
         }
     }
 }
 
-/// Run one command line (excluding the program name).
+/// Run one command line (excluding the program name), writing its output
+/// to stdout.
 ///
 /// # Errors
 ///
 /// Returns the message to print on stderr before exiting nonzero.
 pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
+    run(raw, &mut io::stdout()).map_err(Failure::message)
+}
+
+/// Why a command stopped: a message for stderr, or a failed write of its
+/// output.
+#[derive(Debug)]
+enum Failure {
+    Message(String),
+    Output(io::Error),
+}
+
+impl Failure {
+    fn message(self) -> String {
+        match self {
+            Failure::Message(message) => message,
+            Failure::Output(e) => format!("write output: {e}"),
+        }
+    }
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure::Message(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Failure {
+        Failure::Message(message.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Output(e)
+    }
+}
+
+/// A command's result.
+type Done = Result<(), Failure>;
+
+/// [`dispatch`] with the output going to `out`.
+fn run(raw: Vec<String>, out: &mut dyn Write) -> Done {
     let args = Args::parse(raw)?;
     if let Some(seed) = args.option_u64("seed")? {
         // Also process-global (see `experiments::set_workload_seed`).
@@ -114,22 +160,20 @@ pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
         resume::configure(store, resume_flag, true);
     }
     let result = match args.positional(0) {
-        None | Some("help") => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some("list") => cmd_list(),
-        Some("experiment") => cmd_experiment(&args),
-        Some("run") => cmd_run(&args),
-        Some("compare") => cmd_compare(&args),
-        Some("duel") => cmd_duel(&args),
-        Some("sweep") => cmd_sweep(&args),
-        Some("bench") => cmd_bench(&args),
-        Some("campaign") => cmd_campaign(&args),
-        Some("results") => cmd_results(&args),
-        Some("trace") => cmd_trace(&args),
-        Some(other) => Err(format!("unknown command `{other}`; try `bpsim help`")),
-    };
+        None | Some("help") => write!(out, "{USAGE}").map_err(Failure::from),
+        Some("list") => cmd_list(out),
+        Some("experiment") => cmd_experiment(&args, out),
+        Some("run") => cmd_run(&args, out),
+        Some("compare") => cmd_compare(&args, out),
+        Some("duel") => cmd_duel(&args, out),
+        Some("sweep") => cmd_sweep(&args, out),
+        Some("bench") => cmd_bench(&args, out),
+        Some("campaign") => cmd_campaign(&args, out),
+        Some("results") => cmd_results(&args, out),
+        Some("trace") => cmd_trace(&args, out),
+        Some(other) => Err(format!("unknown command `{other}`; try `bpsim help`").into()),
+    }
+    .and_then(|()| Ok(out.flush()?));
     if result.is_ok() && args.flag("verbose") {
         print_cache_summary();
         print_resume_summary();
@@ -200,24 +244,25 @@ fn print_timing_summary() {
     }
 }
 
-fn cmd_list() -> Result<(), String> {
-    println!("experiments:");
+fn cmd_list(out: &mut dyn Write) -> Done {
+    writeln!(out, "experiments:")?;
     for id in experiments::ALL_IDS {
-        println!("  {id}");
+        writeln!(out, "  {id}")?;
     }
-    println!("\ncampaigns:");
+    writeln!(out, "\ncampaigns:")?;
     for c in campaign::ALL {
-        println!("  {:<10} {}", c.name, c.description);
+        writeln!(out, "  {:<10} {}", c.name, c.description)?;
     }
-    println!("\nworkloads (synthetic IBS):");
+    writeln!(out, "\nworkloads (synthetic IBS):")?;
     for b in IbsBenchmark::all() {
-        println!(
+        writeln!(
+            out,
             "  {:<10} default len {:>8}  (paper: {} dynamic / {} static)",
             b.name(),
             b.default_len(),
             b.paper_dynamic_branches(),
             b.paper_static_branches()
-        );
+        )?;
     }
     Ok(())
 }
@@ -234,7 +279,7 @@ fn opts_from(args: &Args) -> Result<ExperimentOpts, String> {
     Ok(opts)
 }
 
-fn cmd_experiment(args: &Args) -> Result<(), String> {
+fn cmd_experiment(args: &Args, out: &mut dyn Write) -> Done {
     let id = args
         .positional(1)
         .ok_or("experiment needs an id; try `bpsim list`")?;
@@ -262,19 +307,20 @@ fn cmd_experiment(args: &Args) -> Result<(), String> {
             let path = dir.join(format!("{id}.txt"));
             std::fs::write(&path, output.render())
                 .map_err(|e| format!("write {}: {e}", path.display()))?;
-            println!(
+            writeln!(
+                out,
                 "{id}: wrote {} tables to {}",
                 output.tables.len(),
                 dir.display()
-            );
+            )?;
         } else if args.flag("csv") {
             for table in &output.tables {
-                println!("# {} — {}", output.id, table.title());
-                print!("{}", table.to_csv());
-                println!();
+                writeln!(out, "# {} — {}", output.id, table.title())?;
+                write!(out, "{}", table.to_csv())?;
+                writeln!(out)?;
             }
         } else {
-            print!("{}", output.render());
+            write!(out, "{}", output.render())?;
         }
     }
     Ok(())
@@ -289,17 +335,18 @@ fn benches_from(args: &Args) -> Result<Vec<IbsBenchmark>, String> {
     }
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args, out: &mut dyn Write) -> Done {
     let Some(spec) = args.option("pred") else {
         // `run fig5` reads naturally; treat a known experiment id as an
         // alias for `experiment fig5` so resumable reruns stay one word.
         if let Some(id) = args.positional(1) {
             if id == "all" || experiments::ALL_IDS.contains(&id) {
-                return cmd_experiment(args);
+                return cmd_experiment(args, out);
             }
             return Err(format!(
                 "run needs --pred <spec>, or an experiment id (`{id}` is neither; try `bpsim list`)"
-            ));
+            )
+            .into());
         }
         return Err("run needs --pred <spec> or an experiment id".into());
     };
@@ -324,22 +371,24 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 window,
                 engine::NovelPolicy::Count,
             );
-            println!(
+            writeln!(
+                out,
                 "{} — {} ({} windows of {} branches, mispredict %):",
                 bench.name(),
                 predictor.name(),
                 rates.len(),
                 window
-            );
-            print!("{}", report::ascii_chart(&rates, 10));
-            println!();
+            )?;
+            write!(out, "{}", report::ascii_chart(&rates, 10))?;
+            writeln!(out)?;
         }
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{:<12} {:>12} {:>12} {:>10}",
         "benchmark", "branches", "mispredict", "%"
-    );
+    )?;
     // A kernel spec runs on its fast path, anything else on the dyn
     // engine, as in `compare`.
     let specs = [spec.to_string()];
@@ -348,18 +397,19 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         let cols = trace_cache::columns_seeded(bench, len, seed);
         let result = kernel::run_specs(&specs, &cols, engine::NovelPolicy::Count, 1)
             .map_err(|e| e.to_string())?[0];
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>12} {:>12} {:>9.2}%",
             bench.name(),
             result.conditional,
             result.mispredicted,
             result.mispredict_pct()
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args, out: &mut dyn Write) -> Done {
     let mut specs = Vec::new();
     let mut i = 1;
     while let Some(spec) = args.positional(i) {
@@ -373,11 +423,11 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     let benches = benches_from(args)?;
     let len_override = args.option_u64("len")?;
     let seed = experiments::workload_seed();
-    print!("{:<40} {:>9}", "predictor", "bits");
+    write!(out, "{:<40} {:>9}", "predictor", "bits")?;
     for b in &benches {
-        print!(" {:>10}", b.name());
+        write!(out, " {:>10}", b.name())?;
     }
-    println!(" {:>10}", "mean");
+    writeln!(out, " {:>10}", "mean")?;
     // One cached trace per benchmark; specs with a kernel fast path run
     // as monomorphized loops over its columns, the rest ride one batched
     // dyn pass.
@@ -394,19 +444,25 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     }
     for (spec, cells) in specs.iter().zip(per_spec_pcts) {
         let predictor = parse_spec(spec).map_err(|e| e.to_string())?;
-        print!("{:<40} {:>9}", predictor.name(), predictor.storage_bits());
+        write!(
+            out,
+            "{:<40} {:>9}",
+            predictor.name(),
+            predictor.storage_bits()
+        )?;
         for c in &cells {
-            print!(" {:>9.2}%", c);
+            write!(out, " {:>9.2}%", c)?;
         }
-        println!(
+        writeln!(
+            out,
             " {:>9.2}%",
             cells.iter().sum::<f64>() / benches.len() as f64
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_duel(args: &Args) -> Result<(), String> {
+fn cmd_duel(args: &Args, out: &mut dyn Write) -> Done {
     use bpred_sim::duel::{duel, kernel_duel};
     use bpred_sim::engine::NovelPolicy;
     let spec_a = args.positional(1).ok_or("duel needs two predictor specs")?;
@@ -422,10 +478,11 @@ fn cmd_duel(args: &Args) -> Result<(), String> {
     let benches = benches_from(args)?;
     let len_override = args.option_u64("len")?;
     let seed = experiments::workload_seed();
-    println!(
+    writeln!(
+        out,
         "A = {spec_a}\nB = {spec_b}\n\n{:<12} {:>8} {:>8} {:>9} {:>9} {:>8}  verdict",
         "benchmark", "A %", "B %", "only A x", "only B x", "z"
-    );
+    )?;
     for bench in benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
         // Two table kernels duel on the fast path; anything else on the
@@ -446,7 +503,8 @@ fn cmd_duel(args: &Args) -> Result<(), String> {
         } else {
             "no significant difference"
         };
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>7.2}% {:>7.2}% {:>9} {:>9} {:>8.2}  {verdict}",
             bench.name(),
             r.a_pct(),
@@ -454,12 +512,12 @@ fn cmd_duel(args: &Args) -> Result<(), String> {
             r.only_a_wrong,
             r.only_b_wrong,
             r.mcnemar_z()
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_sweep(args: &Args) -> Result<(), String> {
+fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Done {
     let template = args
         .option("pred")
         .ok_or("sweep needs --pred <spec containing `{h}`>, e.g. gskew:n=12,h={h}")?;
@@ -469,11 +527,11 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let benches = benches_from(args)?;
     let len_override = args.option_u64("len")?;
     let seed = experiments::workload_seed();
-    print!("{:<4}", "h");
+    write!(out, "{:<4}", "h")?;
     for b in &benches {
-        print!(" {:>10}", b.name());
+        write!(out, " {:>10}", b.name())?;
     }
-    println!();
+    writeln!(out)?;
     const HISTORIES: std::ops::RangeInclusive<u32> = 0..=16;
     // All 17 history lengths ride one pass per benchmark: kernels over
     // the shared column view where supported, one batched dyn pass for
@@ -491,16 +549,16 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         );
     }
     for (row, h) in HISTORIES.enumerate() {
-        print!("{h:<4}");
+        write!(out, "{h:<4}")?;
         for column in &columns {
-            print!(" {:>9.2}%", column[row].mispredict_pct());
+            write!(out, " {:>9.2}%", column[row].mispredict_pct())?;
         }
-        println!();
+        writeln!(out)?;
     }
     Ok(())
 }
 
-fn cmd_bench(args: &Args) -> Result<(), String> {
+fn cmd_bench(args: &Args, out: &mut dyn Write) -> Done {
     use bpred_bench::kernel_bench;
     let quick = args.flag("quick");
     let threads = match args.option_u64("threads")? {
@@ -509,17 +567,18 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     };
     let min_speedup = args.option_f64("min-speedup")?.unwrap_or(1.0);
     if min_speedup.is_nan() || min_speedup < 0.0 {
-        return Err(format!(
-            "--min-speedup must be a nonnegative number, got {min_speedup}"
-        ));
+        return Err(
+            format!("--min-speedup must be a nonnegative number, got {min_speedup}").into(),
+        );
     }
     let min_aliasing = args.option_f64("min-aliasing-speedup")?.unwrap_or(1.0);
     if min_aliasing.is_nan() || min_aliasing < 0.0 {
         return Err(format!(
             "--min-aliasing-speedup must be a nonnegative number, got {min_aliasing}"
-        ));
+        )
+        .into());
     }
-    let out = args.option("out").unwrap_or("BENCH_kernels.json");
+    let path = args.option("out").unwrap_or("BENCH_kernels.json");
     let cases = kernel_bench::default_cases();
     let mut report = kernel_bench::run(&cases, quick, threads);
     report.cases.push(kernel_bench::run_delay(quick, threads));
@@ -529,12 +588,14 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         threads,
     ));
 
-    println!(
+    writeln!(
+        out,
         "{:<16} {:>6} {:>14} {:>12} {:>12} {:>9}  match",
         "case", "specs", "record-apps", "dyn M/s", "kernel M/s", "speedup"
-    );
+    )?;
     for case in &report.cases {
-        println!(
+        writeln!(
+            out,
             "{:<16} {:>6} {:>14} {:>12.1} {:>12.1} {:>8.2}x  {}",
             case.name,
             case.specs,
@@ -543,10 +604,11 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             case.kernel_rate() / 1e6,
             case.speedup(),
             if case.matched { "ok" } else { "MISMATCH" },
-        );
+        )?;
     }
     if let Some(a) = &report.aliasing {
-        println!(
+        writeln!(
+            out,
             "{:<16} {:>6} {:>14} {:>12.1} {:>12.1} {:>8.2}x  {}",
             "aliasing-3c",
             a.cells,
@@ -555,20 +617,21 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             a.batch_rate() / 1e6,
             a.speedup(),
             if a.matched { "ok" } else { "MISMATCH" },
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "overall: {} record applications, dyn {:.2}s vs kernel {:.2}s CPU -> {:.2}x speedup",
         report.applications(),
         report.dyn_seconds(),
         report.kernel_seconds(),
         report.speedup()
-    );
+    )?;
     store::write_atomic(
-        std::path::Path::new(out),
+        std::path::Path::new(path),
         report.to_json().to_string_compact().as_bytes(),
     )?;
-    println!("wrote {out}");
+    writeln!(out, "wrote {path}")?;
 
     if !report.all_matched() {
         return Err("kernel results diverged from the dyn engine (see MISMATCH rows)".into());
@@ -577,7 +640,8 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         return Err(format!(
             "kernel speedup {:.2}x is below the required {min_speedup}x",
             report.speedup()
-        ));
+        )
+        .into());
     }
     if let Some(a) = &report.aliasing {
         if !a.matched {
@@ -587,7 +651,8 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             return Err(format!(
                 "batched three-C speedup {:.2}x is below the required {min_aliasing}x",
                 a.speedup()
-            ));
+            )
+            .into());
         }
     }
     Ok(())
@@ -596,12 +661,12 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 /// Default absolute tolerance (percentage points) for `campaign diff`.
 const DEFAULT_DIFF_TOLERANCE: f64 = 0.05;
 
-fn cmd_campaign(args: &Args) -> Result<(), String> {
+fn cmd_campaign(args: &Args, out: &mut dyn Write) -> Done {
     match args.positional(1) {
         None | Some("list") => {
             for c in campaign::ALL {
-                println!("{:<10} {}", c.name, c.description);
-                println!("{:<10}   experiments: {}", "", c.experiments.join(" "));
+                writeln!(out, "{:<10} {}", c.name, c.description)?;
+                writeln!(out, "{:<10}   experiments: {}", "", c.experiments.join(" "))?;
             }
             Ok(())
         }
@@ -614,9 +679,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
                 .ok_or("campaign diff needs <baseline> <candidate>")?;
             let tolerance = args.option_f64("tol")?.unwrap_or(DEFAULT_DIFF_TOLERANCE);
             if tolerance.is_nan() || tolerance < 0.0 {
-                return Err(format!(
-                    "--tol must be a nonnegative number, got {tolerance}"
-                ));
+                return Err(format!("--tol must be a nonnegative number, got {tolerance}").into());
             }
             let load = |path: &str| -> Result<CampaignArtifact, String> {
                 let text =
@@ -627,20 +690,22 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
             let candidate = load(candidate_path)?;
             let diff = bpred_results::campaign::diff(&baseline, &candidate, tolerance);
             if diff.is_clean() {
-                println!(
+                writeln!(
+                    out,
                     "campaign `{}`: {} cells compared, none beyond tolerance {tolerance}",
                     baseline.name, diff.cells_compared
-                );
+                )?;
                 Ok(())
             } else {
-                print!("{}", diff.report());
+                write!(out, "{}", diff.report())?;
                 Err(format!(
                     "campaign `{}`: {} regression(s) beyond tolerance {tolerance} \
                      ({} cells compared)",
                     baseline.name,
                     diff.regressions.len(),
                     diff.cells_compared
-                ))
+                )
+                .into())
             }
         }
         Some(name) => {
@@ -648,9 +713,9 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
                 .ok_or_else(|| format!("unknown campaign `{name}`; try `bpsim campaign list`"))?;
             let opts = opts_from(args)?;
             let artifact = campaign::run(c, &opts);
-            let out = args.option("out").unwrap_or("campaign.json");
+            let path = args.option("out").unwrap_or("campaign.json");
             store::write_atomic(
-                std::path::Path::new(out),
+                std::path::Path::new(path),
                 artifact.to_pretty_string().as_bytes(),
             )?;
             let cells: usize = artifact
@@ -659,27 +724,28 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
                 .flat_map(|e| e.tables.iter())
                 .map(|t| t.rows.iter().map(Vec::len).sum::<usize>())
                 .sum();
-            println!(
-                "campaign `{}`: {} experiments, {} cells -> {out}",
+            writeln!(
+                out,
+                "campaign `{}`: {} experiments, {} cells -> {path}",
                 artifact.name,
                 artifact.experiments.len(),
                 cells
-            );
+            )?;
             Ok(())
         }
     }
 }
 
-fn cmd_results(args: &Args) -> Result<(), String> {
+fn cmd_results(args: &Args, out: &mut dyn Write) -> Done {
     let dir = results_dir(args);
     match args.positional(1) {
         Some("stats") => {
             let store = ResultsStore::open(&dir)?;
-            println!("store:    {dir}");
-            println!("records:  {}", store.len());
-            println!("bytes:    {}", store.total_bytes());
-            println!("segments: {}", store.segments());
-            println!("dropped lines: {}", store.dropped_lines());
+            writeln!(out, "store:    {dir}")?;
+            writeln!(out, "records:  {}", store.len())?;
+            writeln!(out, "bytes:    {}", store.total_bytes())?;
+            writeln!(out, "segments: {}", store.segments())?;
+            writeln!(out, "dropped lines: {}", store.dropped_lines())?;
             let mut by_experiment: Vec<(String, usize)> = Vec::new();
             for record in store.records() {
                 match by_experiment
@@ -692,7 +758,7 @@ fn cmd_results(args: &Args) -> Result<(), String> {
             }
             by_experiment.sort();
             for (experiment, n) in by_experiment {
-                println!("  {experiment:<16} {n}");
+                writeln!(out, "  {experiment:<16} {n}")?;
             }
             Ok(())
         }
@@ -702,17 +768,18 @@ fn cmd_results(args: &Args) -> Result<(), String> {
                 .ok_or("results gc needs --budget BYTES")?;
             let mut store = ResultsStore::open(&dir)?;
             let stats = store.gc(budget)?;
-            println!(
+            writeln!(
+                out,
                 "gc: removed {} record(s), freed {} bytes, {} bytes resident (budget {budget})",
                 stats.removed, stats.freed_bytes, stats.remaining_bytes
-            );
+            )?;
             Ok(())
         }
         _ => Err("results needs a subcommand: stats | gc".into()),
     }
 }
 
-fn cmd_trace(args: &Args) -> Result<(), String> {
+fn cmd_trace(args: &Args, out: &mut dyn Write) -> Done {
     match args.positional(1) {
         Some("gen") => {
             let bench_name = args.option("bench").ok_or("trace gen needs --bench")?;
@@ -721,17 +788,17 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             let len = args
                 .option_u64("len")?
                 .unwrap_or_else(|| bench.default_len().min(1_000_000));
-            let out = args.option("out").ok_or("trace gen needs --out FILE")?;
+            let path = args.option("out").ok_or("trace gen needs --out FILE")?;
             let records = bench
                 .spec_seeded(experiments::workload_seed())
                 .build()
                 .take_conditionals(len);
-            let file = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
+            let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
             let mut writer = BufWriter::new(file);
             let written = trace_io::write_compact(&mut writer, records)
-                .map_err(|e| format!("write {out}: {e}"))?;
-            writer.flush().map_err(|e| format!("flush {out}: {e}"))?;
-            println!("wrote {written} records to {out}");
+                .map_err(|e| format!("write {path}: {e}"))?;
+            writer.flush().map_err(|e| format!("flush {path}: {e}"))?;
+            writeln!(out, "wrote {written} records to {path}")?;
             Ok(())
         }
         Some("info") => {
@@ -743,14 +810,18 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             let records = reader.map_while(|record| record.map_err(|e| failure = Some(e)).ok());
             let stats = TraceStats::collect(records);
             if let Some(e) = failure {
-                return Err(read_err(e));
+                return Err(read_err(e).into());
             }
-            println!("records:               {}", stats.total_records);
-            println!("dynamic conditional:   {}", stats.dynamic_conditional);
-            println!("static conditional:    {}", stats.static_conditional);
-            println!("dynamic unconditional: {}", stats.dynamic_unconditional);
-            println!("taken ratio:           {:.4}", stats.taken_ratio());
-            println!("kernel ratio:          {:.4}", stats.kernel_ratio());
+            writeln!(out, "records:               {}", stats.total_records)?;
+            writeln!(out, "dynamic conditional:   {}", stats.dynamic_conditional)?;
+            writeln!(out, "static conditional:    {}", stats.static_conditional)?;
+            writeln!(
+                out,
+                "dynamic unconditional: {}",
+                stats.dynamic_unconditional
+            )?;
+            writeln!(out, "taken ratio:           {:.4}", stats.taken_ratio())?;
+            writeln!(out, "kernel ratio:          {:.4}", stats.kernel_ratio())?;
             Ok(())
         }
         _ => Err("trace needs a subcommand: gen | info".into()),

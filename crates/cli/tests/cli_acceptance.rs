@@ -496,3 +496,27 @@ fn run_pred_prints_the_dyn_counts_from_the_kernel_path() {
     assert!(stderr.contains("engine (kernel)"), "{stderr}");
     assert!(!stderr.contains("engine (dyn)"), "{stderr}");
 }
+
+#[test]
+fn a_reader_that_stops_early_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    // `compare` prints its header before it simulates, so the pipe is
+    // gone by the time the rows are written (`bpsim compare ... | head -1`).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bpsim"))
+        .args(["compare", "gshare:n=10,h=4", "gskew:n=9,h=4"])
+        .args(["--len", "200000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn bpsim");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut header = String::new();
+    stdout.read_line(&mut header).unwrap();
+    assert!(header.starts_with("predictor"), "{header}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait for bpsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{stderr}");
+}

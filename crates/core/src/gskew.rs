@@ -1,5 +1,5 @@
-//! The skewed branch predictor (*gskew*) of section 4 and its *enhanced*
-//! variant (*e-gskew*) of section 6.
+//! The update policy of the skewed branch predictor (*gskew*) of
+//! section 4 and its *enhanced* variant (*e-gskew*) of section 6.
 //!
 //! A skewed predictor holds an odd number of tag-less counter banks. Every
 //! bank is read in parallel, each through a *different* hashing function of
@@ -8,22 +8,13 @@
 //! bank are extremely unlikely to collide in the others, so a destructive
 //! alias in a single bank is outvoted — conflict aliasing is traded for a
 //! modest amount of capacity aliasing (the same prediction is stored up to
-//! M times).
+//! M times). The **enhanced** variant indexes bank 0 by address
+//! truncation alone, whose much shorter last-use distance removes part of
+//! the capacity aliasing at long history lengths.
 //!
-//! The **enhanced** variant replaces the skewed index of bank 0 with plain
-//! address truncation (`address mod 2^n`). When banks 1 and 2 disagree —
-//! typically because a long last-use distance has aliased them — bank 0
-//! breaks the tie, and an address-only index has a much shorter last-use
-//! distance than an (address, history) index, hence a much lower aliasing
-//! probability. This removes part of the capacity aliasing at long history
-//! lengths.
+//! The predictor itself is one family of [`crate::table`]; this module
+//! holds the [`UpdatePolicy`] it shares with `spas` and `shgskew`.
 
-use crate::counter::{CounterKind, CounterTable};
-use crate::error::ConfigError;
-use crate::history::GlobalHistory;
-use crate::predictor::{BranchPredictor, Outcome, Prediction};
-use crate::skew::{skew_index, NUM_SKEW_FUNCTIONS};
-use crate::vector::InfoVector;
 use std::fmt;
 
 /// How the banks are trained after the outcome is known (section 4.1).
@@ -57,609 +48,5 @@ impl UpdatePolicy {
             "partial" => Some(UpdatePolicy::Partial),
             _ => None,
         }
-    }
-}
-
-/// The skewed branch predictor.
-///
-/// Construct one through [`Gskew::builder`]. The plain configuration is the
-/// paper's *gskewed*; enabling [`GskewBuilder::enhanced`] gives the
-/// *enhanced gskewed* predictor whose bank 0 is indexed by address only.
-///
-/// ```
-/// use bpred_core::prelude::*;
-///
-/// let mut p = Gskew::builder()
-///     .banks(3)
-///     .bank_entries_log2(12)       // 3 x 4K entries
-///     .history_bits(8)
-///     .counter(CounterKind::TwoBit)
-///     .update_policy(UpdatePolicy::Partial)
-///     .build()?;
-/// let pc = 0x0040_2000;
-/// let _ = p.predict(pc);
-/// p.update(pc, Outcome::Taken);
-/// assert_eq!(p.storage_bits(), 3 * 4096 * 2);
-/// # Ok::<(), bpred_core::error::ConfigError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gskew {
-    banks: Vec<CounterTable>,
-    history: GlobalHistory,
-    n: u32,
-    policy: UpdatePolicy,
-    enhanced: bool,
-    identical_indexing: bool,
-}
-
-/// Configures and builds a [`Gskew`] predictor.
-#[derive(Debug, Clone)]
-pub struct GskewBuilder {
-    banks: usize,
-    entries_log2: u32,
-    history_bits: u32,
-    kind: CounterKind,
-    policy: UpdatePolicy,
-    enhanced: bool,
-    identical_indexing: bool,
-}
-
-impl Default for GskewBuilder {
-    fn default() -> Self {
-        GskewBuilder {
-            banks: 3,
-            entries_log2: 12,
-            history_bits: 8,
-            kind: CounterKind::TwoBit,
-            policy: UpdatePolicy::Partial,
-            enhanced: false,
-            identical_indexing: false,
-        }
-    }
-}
-
-impl GskewBuilder {
-    /// Number of predictor banks. Must be odd (majority vote) and between
-    /// 3 and 5; the paper found 5 banks barely better than 3.
-    pub fn banks(&mut self, banks: usize) -> &mut Self {
-        self.banks = banks;
-        self
-    }
-
-    /// `log2` of the number of entries in *each* bank.
-    pub fn bank_entries_log2(&mut self, n: u32) -> &mut Self {
-        self.entries_log2 = n;
-        self
-    }
-
-    /// Global history length in bits.
-    pub fn history_bits(&mut self, k: u32) -> &mut Self {
-        self.history_bits = k;
-        self
-    }
-
-    /// Per-entry automaton width (default 2-bit saturating counter).
-    pub fn counter(&mut self, kind: CounterKind) -> &mut Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Bank update policy (default [`UpdatePolicy::Partial`]).
-    pub fn update_policy(&mut self, policy: UpdatePolicy) -> &mut Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Index bank 0 by address truncation instead of `f0` — the enhanced
-    /// skewed branch predictor of section 6.
-    pub fn enhanced(&mut self, enhanced: bool) -> &mut Self {
-        self.enhanced = enhanced;
-        self
-    }
-
-    /// **Ablation knob**: index every bank with the *same* function
-    /// (`f0`), disabling inter-bank dispersion. All banks then see
-    /// identical indices and votes, so the structure degenerates to a
-    /// single bank of one-M-th the storage — demonstrating that gskew's
-    /// benefit comes from the *distinct* hashing functions, not from
-    /// voting redundancy by itself.
-    pub fn identical_indexing(&mut self, identical: bool) -> &mut Self {
-        self.identical_indexing = identical;
-        self
-    }
-
-    /// Build the predictor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the bank count is even or out of range,
-    /// the bank size is out of `2..=30` bits, or the history is longer than
-    /// 64 bits.
-    pub fn build(&self) -> Result<Gskew, ConfigError> {
-        if self.banks.is_multiple_of(2) || self.banks < 3 || self.banks > NUM_SKEW_FUNCTIONS {
-            return Err(ConfigError::invalid(
-                "banks",
-                self.banks,
-                "must be an odd number between 3 and 5",
-            ));
-        }
-        if !(2..=30).contains(&self.entries_log2) {
-            return Err(ConfigError::invalid(
-                "bank_entries_log2",
-                self.entries_log2,
-                "must be in 2..=30",
-            ));
-        }
-        if self.history_bits > 64 {
-            return Err(ConfigError::invalid(
-                "history_bits",
-                self.history_bits,
-                "must be at most 64",
-            ));
-        }
-        Ok(Gskew {
-            banks: (0..self.banks)
-                .map(|_| CounterTable::new(self.entries_log2, self.kind))
-                .collect(),
-            history: GlobalHistory::new(self.history_bits),
-            n: self.entries_log2,
-            policy: self.policy,
-            enhanced: self.enhanced,
-            identical_indexing: self.identical_indexing,
-        })
-    }
-}
-
-impl Gskew {
-    /// Start configuring a skewed predictor.
-    pub fn builder() -> GskewBuilder {
-        GskewBuilder::default()
-    }
-
-    /// Shorthand for the paper's standard configuration: 3 banks of
-    /// `2^entries_log2` 2-bit counters, partial update.
-    ///
-    /// # Errors
-    ///
-    /// See [`GskewBuilder::build`].
-    pub fn standard(entries_log2: u32, history_bits: u32) -> Result<Self, ConfigError> {
-        Gskew::builder()
-            .bank_entries_log2(entries_log2)
-            .history_bits(history_bits)
-            .build()
-    }
-
-    /// Shorthand for the enhanced skewed predictor of section 6 in its
-    /// standard configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`GskewBuilder::build`].
-    pub fn enhanced_standard(entries_log2: u32, history_bits: u32) -> Result<Self, ConfigError> {
-        Gskew::builder()
-            .bank_entries_log2(entries_log2)
-            .history_bits(history_bits)
-            .enhanced(true)
-            .build()
-    }
-
-    /// Number of banks.
-    pub fn num_banks(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// `log2` of per-bank entries.
-    pub fn bank_entries_log2(&self) -> u32 {
-        self.n
-    }
-
-    /// History register length.
-    pub fn history_bits(&self) -> u32 {
-        self.history.len()
-    }
-
-    /// The update policy in force.
-    pub fn update_policy(&self) -> UpdatePolicy {
-        self.policy
-    }
-
-    /// `true` for the enhanced variant (bank 0 indexed by address only).
-    pub fn is_enhanced(&self) -> bool {
-        self.enhanced
-    }
-
-    /// Per-entry automaton width.
-    pub fn counter_kind(&self) -> CounterKind {
-        self.banks[0].kind()
-    }
-
-    /// The table index used by `bank` for the branch at `pc` under the
-    /// *current* history. Exposed for the aliasing analyses and tests.
-    #[inline]
-    pub fn bank_index(&self, bank: usize, pc: u64) -> u64 {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        self.bank_index_for(bank, &v)
-    }
-
-    #[inline]
-    fn bank_index_for(&self, bank: usize, v: &InfoVector) -> u64 {
-        if bank == 0 && self.enhanced {
-            // Enhanced variant: plain bit truncation of the address.
-            v.addr() & ((1 << self.n) - 1)
-        } else if self.identical_indexing {
-            skew_index(0, v.packed(), self.n)
-        } else {
-            skew_index(bank, v.packed(), self.n)
-        }
-    }
-
-    /// The per-bank votes for `pc` under the current history, in bank
-    /// order. Exposed so experiments can inspect vote margins.
-    pub fn votes(&self, pc: u64) -> Vec<Outcome> {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        self.banks
-            .iter()
-            .enumerate()
-            .map(|(b, t)| t.predict(self.bank_index_for(b, &v)))
-            .collect()
-    }
-
-    /// `true` when every bank currently agrees on the direction for `pc`
-    /// — the majority vote's built-in confidence signal (a unanimous vote
-    /// is empirically far more reliable than a split one; see the
-    /// `ext-confidence` experiment).
-    pub fn is_unanimous(&self, pc: u64) -> bool {
-        let votes = self.votes(pc);
-        votes.iter().all(|&v| v == votes[0])
-    }
-
-    #[inline]
-    fn majority(votes_taken: usize, banks: usize) -> Outcome {
-        Outcome::from(2 * votes_taken > banks)
-    }
-}
-
-impl BranchPredictor for Gskew {
-    fn predict(&mut self, pc: u64) -> Prediction {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        let taken = self
-            .banks
-            .iter()
-            .enumerate()
-            .filter(|(b, t)| t.predict(self.bank_index_for(*b, &v)).is_taken())
-            .count();
-        Prediction::of(Self::majority(taken, self.banks.len()))
-    }
-
-    fn update(&mut self, pc: u64, outcome: Outcome) {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        let indices: Vec<u64> = (0..self.banks.len())
-            .map(|b| self.bank_index_for(b, &v))
-            .collect();
-        let votes: Vec<Outcome> = self
-            .banks
-            .iter()
-            .zip(&indices)
-            .map(|(t, &i)| t.predict(i))
-            .collect();
-        let taken = votes.iter().filter(|o| o.is_taken()).count();
-        let overall = Self::majority(taken, self.banks.len());
-
-        match self.policy {
-            UpdatePolicy::Total => {
-                for (bank, &idx) in self.banks.iter_mut().zip(&indices) {
-                    bank.train(idx, outcome);
-                }
-            }
-            UpdatePolicy::Partial => {
-                if overall == outcome {
-                    // Overall prediction good: only re-strengthen the banks
-                    // that agreed; a disagreeing bank is presumed to serve
-                    // another substream and is left alone.
-                    for ((bank, &idx), &vote) in self.banks.iter_mut().zip(&indices).zip(&votes) {
-                        if vote == outcome {
-                            bank.train(idx, outcome);
-                        }
-                    }
-                } else {
-                    for (bank, &idx) in self.banks.iter_mut().zip(&indices) {
-                        bank.train(idx, outcome);
-                    }
-                }
-            }
-        }
-        self.history.push(outcome);
-    }
-
-    fn record_unconditional(&mut self, _pc: u64) {
-        self.history.push(Outcome::Taken);
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "{} {}x{} h={} {} {}{}",
-            if self.enhanced { "egskew" } else { "gskew" },
-            self.banks.len(),
-            1u64 << self.n,
-            self.history.len(),
-            self.counter_kind(),
-            self.policy,
-            if self.identical_indexing {
-                " same-index"
-            } else {
-                ""
-            }
-        )
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.banks.iter().map(CounterTable::storage_bits).sum()
-    }
-
-    fn reset(&mut self) {
-        for bank in &mut self.banks {
-            bank.reset();
-        }
-        self.history.clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small(policy: UpdatePolicy) -> Gskew {
-        Gskew::builder()
-            .bank_entries_log2(6)
-            .history_bits(4)
-            .update_policy(policy)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn builder_validates() {
-        assert!(Gskew::builder().banks(2).build().is_err());
-        assert!(Gskew::builder().banks(7).build().is_err());
-        assert!(Gskew::builder().bank_entries_log2(1).build().is_err());
-        assert!(Gskew::builder().bank_entries_log2(31).build().is_err());
-        assert!(Gskew::builder().history_bits(65).build().is_err());
-        assert!(Gskew::builder().banks(5).build().is_ok());
-    }
-
-    #[test]
-    fn learns_a_biased_branch() {
-        let mut p = small(UpdatePolicy::Partial);
-        let pc = 0x1040;
-        for _ in 0..8 {
-            p.update(pc, Outcome::Taken);
-        }
-        // Re-walk the same history prefix: all banks now agree taken for
-        // recently seen (pc, history) points, so majority is taken.
-        let before = p.votes(pc);
-        assert!(
-            before.iter().filter(|o| o.is_taken()).count() >= 2,
-            "majority of banks should predict taken, got {before:?}"
-        );
-    }
-
-    #[test]
-    fn majority_vote_arithmetic() {
-        assert_eq!(Gskew::majority(0, 3), Outcome::NotTaken);
-        assert_eq!(Gskew::majority(1, 3), Outcome::NotTaken);
-        assert_eq!(Gskew::majority(2, 3), Outcome::Taken);
-        assert_eq!(Gskew::majority(3, 3), Outcome::Taken);
-        assert_eq!(Gskew::majority(2, 5), Outcome::NotTaken);
-        assert_eq!(Gskew::majority(3, 5), Outcome::Taken);
-    }
-
-    #[test]
-    fn banks_use_distinct_indices() {
-        let p = small(UpdatePolicy::Partial);
-        // For most vectors the three banks index different entries.
-        let mut distinct = 0;
-        for i in 0..100u64 {
-            let pc = 0x1000 + i * 4;
-            let (a, b, c) = (
-                p.bank_index(0, pc),
-                p.bank_index(1, pc),
-                p.bank_index(2, pc),
-            );
-            if a != b && b != c && a != c {
-                distinct += 1;
-            }
-        }
-        assert!(distinct > 80, "only {distinct}/100 vectors fully dispersed");
-    }
-
-    #[test]
-    fn enhanced_bank0_ignores_history() {
-        let mut p = Gskew::builder()
-            .bank_entries_log2(6)
-            .history_bits(8)
-            .enhanced(true)
-            .build()
-            .unwrap();
-        let pc = 0x2040;
-        let i0 = p.bank_index(0, pc);
-        let i1 = p.bank_index(1, pc);
-        p.update(0x100, Outcome::Taken); // shift history
-        assert_eq!(p.bank_index(0, pc), i0, "enhanced bank 0 is address-only");
-        assert_ne!(
-            p.bank_index(1, pc),
-            i1,
-            "bank 1 depends on history (with overwhelming probability for this vector)"
-        );
-    }
-
-    #[test]
-    fn plain_bank0_depends_on_history() {
-        let mut p = small(UpdatePolicy::Partial);
-        let pc = 0x2040;
-        let i0 = p.bank_index(0, pc);
-        p.update(0x100, Outcome::Taken);
-        assert_ne!(p.bank_index(0, pc), i0);
-    }
-
-    #[test]
-    fn partial_update_spares_dissenting_bank() {
-        let mut p = small(UpdatePolicy::Partial);
-        let pc = 0x3000;
-        // Manually wire bank 2's entry to strongly-not-taken, banks 0 and 1
-        // to strongly-taken, so overall = taken.
-        let (i0, i1, i2) = (
-            p.bank_index(0, pc),
-            p.bank_index(1, pc),
-            p.bank_index(2, pc),
-        );
-        p.banks[0].set_value(i0, 3);
-        p.banks[1].set_value(i1, 3);
-        p.banks[2].set_value(i2, 0);
-        p.update(pc, Outcome::Taken); // overall correct
-        assert_eq!(p.banks[2].value(i2), 0, "dissenter untouched under partial");
-        assert_eq!(p.banks[0].value(i0), 3);
-    }
-
-    #[test]
-    fn total_update_trains_dissenting_bank() {
-        let mut p = small(UpdatePolicy::Total);
-        let pc = 0x3000;
-        let (i0, i1, i2) = (
-            p.bank_index(0, pc),
-            p.bank_index(1, pc),
-            p.bank_index(2, pc),
-        );
-        p.banks[0].set_value(i0, 3);
-        p.banks[1].set_value(i1, 3);
-        p.banks[2].set_value(i2, 0);
-        p.update(pc, Outcome::Taken);
-        assert_eq!(p.banks[2].value(i2), 1, "dissenter trained under total");
-    }
-
-    #[test]
-    fn partial_update_trains_all_banks_on_mispredict() {
-        let mut p = small(UpdatePolicy::Partial);
-        let pc = 0x3000;
-        let (i0, i1, i2) = (
-            p.bank_index(0, pc),
-            p.bank_index(1, pc),
-            p.bank_index(2, pc),
-        );
-        // All banks strongly not-taken; outcome taken => overall wrong.
-        p.banks[0].set_value(i0, 0);
-        p.banks[1].set_value(i1, 0);
-        p.banks[2].set_value(i2, 0);
-        p.update(pc, Outcome::Taken);
-        assert_eq!(p.banks[0].value(i0), 1);
-        assert_eq!(p.banks[1].value(i1), 1);
-        assert_eq!(p.banks[2].value(i2), 1);
-    }
-
-    #[test]
-    fn storage_accounting() {
-        let p = Gskew::builder()
-            .banks(3)
-            .bank_entries_log2(12)
-            .build()
-            .unwrap();
-        assert_eq!(p.storage_bits(), 3 * 4096 * 2);
-        let p5 = Gskew::builder()
-            .banks(5)
-            .bank_entries_log2(10)
-            .counter(CounterKind::OneBit)
-            .build()
-            .unwrap();
-        assert_eq!(p5.storage_bits(), 5 * 1024);
-    }
-
-    #[test]
-    fn names_are_descriptive() {
-        let p = Gskew::standard(12, 8).unwrap();
-        assert_eq!(p.name(), "gskew 3x4096 h=8 2-bit partial");
-        let e = Gskew::enhanced_standard(12, 10).unwrap();
-        assert_eq!(e.name(), "egskew 3x4096 h=10 2-bit partial");
-    }
-
-    #[test]
-    fn reset_restores_fresh_state() {
-        let mut p = small(UpdatePolicy::Partial);
-        for i in 0..200u64 {
-            p.update(0x1000 + 4 * (i % 13), Outcome::from(i % 3 == 0));
-        }
-        let fresh = small(UpdatePolicy::Partial);
-        p.reset();
-        assert_eq!(p, fresh);
-    }
-
-    #[test]
-    fn unanimity_reflects_votes() {
-        let mut p = small(UpdatePolicy::Partial);
-        let pc = 0x3000;
-        let (i0, i1, i2) = (
-            p.bank_index(0, pc),
-            p.bank_index(1, pc),
-            p.bank_index(2, pc),
-        );
-        p.banks[0].set_value(i0, 3);
-        p.banks[1].set_value(i1, 3);
-        p.banks[2].set_value(i2, 3);
-        assert!(p.is_unanimous(pc));
-        p.banks[2].set_value(i2, 0);
-        assert!(!p.is_unanimous(pc));
-    }
-
-    #[test]
-    fn five_banks_vote() {
-        let mut p = Gskew::builder()
-            .banks(5)
-            .bank_entries_log2(6)
-            .history_bits(4)
-            .build()
-            .unwrap();
-        let pc = 0x1000;
-        for _ in 0..8 {
-            p.update(pc, Outcome::Taken);
-        }
-        assert_eq!(p.votes(pc).len(), 5);
-    }
-
-    #[test]
-    fn identical_indexing_degenerates_to_one_bank() {
-        // With every bank reading and training the same entry with the
-        // same decision, the 3-bank structure must behave exactly like a
-        // single f0-indexed bank — the ablation that isolates the value
-        // of inter-bank dispersion.
-        use rand::{Rng, SeedableRng};
-        let mut same = Gskew::builder()
-            .bank_entries_log2(6)
-            .history_bits(4)
-            .identical_indexing(true)
-            .build()
-            .unwrap();
-        // Reference: one bank, f0 indexing, via a 3-bank gskew whose
-        // banks stay in lockstep — compare bank contents after training.
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-        for _ in 0..2_000 {
-            let pc = 0x1000 + 4 * rng.gen_range(0..50u64);
-            let outcome = Outcome::from(rng.gen_bool(0.6));
-            let p = same.predict(pc);
-            let votes = same.votes(pc);
-            assert!(votes.iter().all(|&v| v == p.outcome), "banks in lockstep");
-            same.update(pc, outcome);
-        }
-        assert_eq!(same.banks[0], same.banks[1]);
-        assert_eq!(same.banks[1], same.banks[2]);
-        assert!(same.name().ends_with("same-index"));
-    }
-
-    #[test]
-    fn predict_is_idempotent() {
-        let mut p = small(UpdatePolicy::Partial);
-        for i in 0..50u64 {
-            p.update(0x1000 + 4 * (i % 7), Outcome::from(i % 2 == 0));
-        }
-        let a = p.predict(0x1010);
-        let b = p.predict(0x1010);
-        assert_eq!(a, b);
     }
 }

@@ -19,28 +19,21 @@
 //!   five banks.
 //! * [`predictor`] — the [`predictor::BranchPredictor`] trait and shared
 //!   plumbing.
-//! * [`bimodal`], [`gshare`], [`gselect`] — single-bank reference schemes.
-//! * [`gskew`] — the skewed branch predictor (section 4 of the paper) and
-//!   the enhanced skewed branch predictor (section 6), with total and
-//!   partial update policies.
+//! * [`table`] — every tag-less table predictor, written once: the
+//!   single-bank reference schemes (bimodal, gshare, gselect), the skewed
+//!   branch predictor of section 4 and its enhanced variant of section 6
+//!   (3 or 5 banks, total or partial update), and the section-7
+//!   extensions — the McFarling and 2bc-gskew hybrids, the agree and
+//!   bi-mode predictors (Sprangle et al., ISCA'97; Lee et al., MICRO'97),
+//!   per-address two-level prediction and its skewed variant, and the
+//!   shared-hysteresis skewed predictor.
+//! * [`gskew`] — the update policy of the skewed banks (section 4.1).
 //! * [`ideal`] — the infinite, unaliased predictor of section 3.1.
 //! * [`assoc`] — tagged fully-associative (LRU) and set-associative
 //!   predictor tables (section 3.3's "costly" alternative, used as the
 //!   capacity-aliasing yardstick in figure 8).
-//! * [`hybrid`] — McFarling-style combining predictor and the
-//!   2bc-gskew arrangement (the paper's "future work", later the Alpha EV8
-//!   predictor).
-//! * [`agree`], [`bimode`] — the two contemporary anti-aliasing designs
-//!   (Sprangle et al., ISCA'97; Lee et al., MICRO'97), included as
-//!   comparison points in the same design space.
-//! * [`pas`] — per-address two-level prediction and its skewed variant
-//!   (section 7's "the same technique could be applied to per-address
-//!   history schemes").
-//! * [`distributed`] — the shared-hysteresis skewed predictor, answering
-//!   section 7's "distributed predictor encodings" question with the
-//!   split-counter design the Alpha EV8 later shipped.
-//! * [`spec`] — textual predictor specifications (`"gskew:n=12,h=8"`)
-//!   used by the CLI and experiment harness.
+//! * [`spec`] — textual predictor specifications (`"gskew:n=12,h=8"`):
+//!   every predictor is built from one.
 //!
 //! ## Quick start
 //!
@@ -49,11 +42,7 @@
 //!
 //! // A 3x1K-entry skewed predictor, 8 bits of global history,
 //! // 2-bit counters, partial update.
-//! let mut pred = Gskew::builder()
-//!     .bank_entries_log2(10)
-//!     .history_bits(8)
-//!     .build()
-//!     .expect("valid configuration");
+//! let mut pred = parse_spec("gskew:n=10,h=8").expect("valid configuration");
 //!
 //! // Drive it: predict, then reveal the outcome.
 //! let pc = 0x4000_1000;
@@ -65,48 +54,33 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agree;
 pub mod assoc;
-pub mod bimodal;
-pub mod bimode;
 pub mod counter;
-pub mod distributed;
 pub mod error;
-pub mod gselect;
-pub mod gshare;
 pub mod gskew;
 pub mod history;
-pub mod hybrid;
 pub mod ideal;
 pub mod index;
-mod onebank;
-pub mod pas;
 pub mod predictor;
 pub mod skew;
 pub mod spec;
 pub mod statics;
+pub mod table;
 pub mod vector;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::agree::Agree;
     pub use crate::assoc::{FullyAssociative, SetAssociative};
-    pub use crate::bimodal::Bimodal;
-    pub use crate::bimode::BiMode;
     pub use crate::counter::{CounterKind, CounterTable, SatCounter};
-    pub use crate::distributed::SharedHysteresisGskew;
     pub use crate::error::ConfigError;
-    pub use crate::gselect::Gselect;
-    pub use crate::gshare::Gshare;
-    pub use crate::gskew::{Gskew, GskewBuilder, UpdatePolicy};
+    pub use crate::gskew::UpdatePolicy;
     pub use crate::history::GlobalHistory;
-    pub use crate::hybrid::{McFarling, TwoBcGskew};
     pub use crate::ideal::Ideal;
     pub use crate::index::IndexFunction;
-    pub use crate::pas::{Pas, SkewedPas};
     pub use crate::predictor::{BranchPredictor, Outcome, Prediction};
-    pub use crate::spec::parse_spec;
+    pub use crate::spec::{parse_spec, PredictorSpec};
     pub use crate::statics::{AlwaysNotTaken, AlwaysTaken};
+    pub use crate::table::TablePredictor;
     pub use crate::vector::InfoVector;
 }
 

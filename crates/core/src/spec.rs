@@ -29,21 +29,14 @@
 //! Additional families beyond the paper's: `agree:n=12,h=8`,
 //! `bimode:n=12,h=8`, `pas:bht=10,l=8,n=12`, `spas:bht=10,l=8,n=10`.
 
-use crate::agree::Agree;
 use crate::assoc::{FullyAssociative, MissPolicy, SetAssociative};
-use crate::bimodal::Bimodal;
-use crate::bimode::BiMode;
 use crate::counter::CounterKind;
-use crate::distributed::SharedHysteresisGskew;
 use crate::error::ConfigError;
-use crate::gselect::Gselect;
-use crate::gshare::Gshare;
-use crate::gskew::{Gskew, UpdatePolicy};
-use crate::hybrid::{McFarling, TwoBcGskew};
+use crate::gskew::UpdatePolicy;
 use crate::ideal::Ideal;
-use crate::pas::{Pas, SkewedPas};
 use crate::predictor::BranchPredictor;
 use crate::statics::{AlwaysNotTaken, AlwaysTaken};
+use crate::table::TablePredictor;
 use std::collections::HashMap;
 
 /// Parsed key=value parameters of a spec string.
@@ -133,13 +126,13 @@ impl Params {
 /// Splitting [`parse_spec`] into [`PredictorSpec::parse`] (cheap, pure)
 /// and [`PredictorSpec::build`] (allocates the predictor) lets callers
 /// inspect *what* a spec asks for without paying for it — the simulation
-/// kernels in `bpred-sim` match on this enum to pick a monomorphized fast
-/// path for the tag-less table predictors and fall back to
-/// [`build`](PredictorSpec::build) for everything else.
+/// kernels in `bpred-sim` run the tag-less table families through
+/// [`TablePredictor`]'s monomorphized tables and
+/// [`build`](PredictorSpec::build) everything else.
 ///
-/// Parameter *range* validation stays in the predictor constructors, so
-/// `parse` accepts e.g. `gshare:n=0` and the error surfaces at `build`,
-/// exactly as it did when parsing and construction were fused.
+/// Parameter *range* validation happens at construction
+/// ([`TablePredictor::new`] and the tagged predictors' constructors), so
+/// `parse` accepts e.g. `gshare:n=0` and the error surfaces at `build`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // field meanings are the spec-string keys documented above
 pub enum PredictorSpec {
@@ -395,41 +388,10 @@ impl PredictorSpec {
     /// Returns [`ConfigError`] when a parameter is out of its legal range
     /// (constructor validation).
     pub fn build(&self) -> Result<Box<dyn BranchPredictor>, ConfigError> {
+        if let Some(table) = TablePredictor::new(self)? {
+            return Ok(Box::new(table));
+        }
         let boxed: Box<dyn BranchPredictor> = match *self {
-            PredictorSpec::Bimodal { n, ctr } => Box::new(Bimodal::new(n, ctr)?),
-            PredictorSpec::Gshare { n, h, ctr } => Box::new(Gshare::new(n, h, ctr)?),
-            PredictorSpec::Gselect { n, h, ctr } => Box::new(Gselect::new(n, h, ctr)?),
-            PredictorSpec::Gskew {
-                n,
-                h,
-                banks,
-                ctr,
-                update,
-                enhanced,
-                skewing,
-            } => Box::new(
-                Gskew::builder()
-                    .banks(banks)
-                    .bank_entries_log2(n)
-                    .history_bits(h)
-                    .counter(ctr)
-                    .update_policy(update)
-                    .enhanced(enhanced)
-                    .identical_indexing(!skewing)
-                    .build()?,
-            ),
-            PredictorSpec::Agree { n, h, bias, ctr } => Box::new(Agree::new(n, h, bias, ctr)?),
-            PredictorSpec::BiMode { n, h, choice, ctr } => {
-                Box::new(BiMode::new(n, h, choice, ctr)?)
-            }
-            PredictorSpec::Pas { bht, l, n, ctr } => Box::new(Pas::new(bht, l, n, ctr)?),
-            PredictorSpec::Spas {
-                bht,
-                l,
-                n,
-                ctr,
-                update,
-            } => Box::new(SkewedPas::new(bht, l, n, ctr, update)?),
             PredictorSpec::Ideal { h, ctr } => Box::new(Ideal::new(h, ctr)?),
             PredictorSpec::Falru { cap, h, ctr, miss } => {
                 Box::new(FullyAssociative::new(cap, h, ctr)?.with_miss_policy(miss))
@@ -441,17 +403,9 @@ impl PredictorSpec {
                 ctr,
                 miss,
             } => Box::new(SetAssociative::new(n, ways, h, ctr)?.with_miss_policy(miss)),
-            PredictorSpec::McFarling { n, h, ctr } => Box::new(McFarling::new(
-                Box::new(Bimodal::new(n, ctr)?),
-                Box::new(Gshare::new(n, h, ctr)?),
-                n,
-            )?),
-            PredictorSpec::Shgskew { n, h, update } => {
-                Box::new(SharedHysteresisGskew::with_policy(n, h, update)?)
-            }
-            PredictorSpec::TwoBcGskew { n, h } => Box::new(TwoBcGskew::new(n, h)?),
             PredictorSpec::AlwaysTaken => Box::new(AlwaysTaken::new()),
             PredictorSpec::AlwaysNotTaken => Box::new(AlwaysNotTaken::new()),
+            _ => unreachable!("every other family is a table predictor"),
         };
         Ok(boxed)
     }
@@ -542,12 +496,70 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_values() {
-        assert!(parse_spec("gshare:n=0").is_err());
         assert!(parse_spec("gshare:ctr=9").is_err());
-        assert!(parse_spec("gskew:banks=2").is_err());
         assert!(parse_spec("gskew:update=sometimes").is_err());
         assert!(parse_spec("falru:cap=0").is_err());
         assert!(parse_spec("falru:miss=maybe").is_err());
+        // The first out-of-range parameter of each table family, named.
+        let range_1 = "must be in 1..=30";
+        let range_2 = "must be in 2..=30";
+        let history = ("history_bits", "must be at most 64");
+        for (spec, value, (name, reason)) in [
+            ("bimodal:n=0", 0, ("entries_log2", range_1)),
+            ("bimodal:n=31", 31, ("entries_log2", range_1)),
+            ("gshare:n=0", 0, ("entries_log2", range_1)),
+            ("gshare:n=10,h=65", 65, history),
+            ("gselect:n=0,h=4", 0, ("entries_log2", range_1)),
+            ("gselect:n=10,h=200", 200, history),
+            (
+                "gskew:banks=2",
+                2,
+                ("banks", "must be an odd number between 3 and 5"),
+            ),
+            (
+                "gskew:banks=4",
+                4,
+                ("banks", "must be an odd number between 3 and 5"),
+            ),
+            (
+                "gskew:banks=7,n=1",
+                7,
+                ("banks", "must be an odd number between 3 and 5"),
+            ),
+            ("gskew:n=1", 1, ("bank_entries_log2", range_2)),
+            ("egskew:n=31", 31, ("bank_entries_log2", range_2)),
+            ("gskew:h=65", 65, history),
+            ("agree:n=0,h=4,bias=8", 0, ("entries_log2", range_1)),
+            ("agree:n=8,h=65,bias=31", 31, ("bias_entries_log2", range_1)),
+            ("agree:n=8,h=65,bias=8", 65, history),
+            ("bimode:n=0,h=4,choice=8", 0, ("entries_log2", range_1)),
+            (
+                "bimode:n=8,h=4,choice=31",
+                31,
+                ("choice_entries_log2", range_1),
+            ),
+            ("bimode:n=8,h=99,choice=8", 99, history),
+            ("pas:bht=0,l=8,n=12", 0, ("bht_entries_log2", range_1)),
+            ("pas:bht=8,l=0,n=12", 0, ("local_bits", "must be in 1..=32")),
+            (
+                "pas:bht=8,l=33,n=12",
+                33,
+                ("local_bits", "must be in 1..=32"),
+            ),
+            ("pas:bht=0,l=8,n=0", 0, ("entries_log2", range_1)),
+            ("spas:bht=8,l=8,n=1", 1, ("bank_entries_log2", range_2)),
+            ("spas:bht=31,l=8,n=8", 31, ("bht_entries_log2", range_1)),
+            ("mcfarling:n=0,h=4", 0, ("entries_log2", range_1)),
+            ("mcfarling:n=8,h=65", 65, history),
+            ("2bcgskew:n=1,h=8", 1, ("n", range_2)),
+            ("2bcgskew:n=10,h=65", 65, history),
+            ("shgskew:n=1,h=4", 1, ("entries_log2", range_2)),
+            ("shgskew:n=8,h=65", 65, history),
+        ] {
+            let parsed = PredictorSpec::parse(spec).unwrap();
+            let expected = ConfigError::invalid(name, value, reason);
+            assert_eq!(parsed.build().err(), Some(expected), "{spec}");
+        }
     }
 
     #[test]
@@ -615,8 +627,8 @@ mod tests {
 
     #[test]
     fn out_of_range_values_parse_but_fail_to_build() {
-        // Range validation lives in the constructors: `parse` is happy,
-        // `build` reports the same error `parse_spec` always did.
+        // Range validation happens at construction: `parse` is happy,
+        // `build` reports the error.
         let spec = PredictorSpec::parse("gshare:n=0").unwrap();
         assert!(spec.build().is_err());
         let spec = PredictorSpec::parse("gskew:banks=2").unwrap();

@@ -283,7 +283,7 @@ mod tests {
     fn gshare_learns_the_workload_better_than_static() {
         let len = 40_000;
         let spec = IbsBenchmark::Nroff.spec();
-        let mut gshare = Gshare::new(12, 4, CounterKind::TwoBit).unwrap();
+        let mut gshare = parse_spec("gshare:n=12,h=4").unwrap();
         let g = run(&mut gshare, spec.build().take_conditionals(len));
         let mut taken = AlwaysTaken::new();
         let t = run(&mut taken, spec.build().take_conditionals(len));
@@ -300,7 +300,7 @@ mod tests {
         let spec = IbsBenchmark::Groff.spec();
         let len = 40_000u64;
         let window = 4_000u64;
-        let mut p = Gshare::new(10, 6, CounterKind::TwoBit).unwrap();
+        let mut p = parse_spec("gshare:n=10,h=6").unwrap();
         let windows = run_windowed(
             &mut p,
             spec.build().take_conditionals(len),
@@ -308,7 +308,7 @@ mod tests {
             NovelPolicy::Count,
         );
         assert_eq!(windows.len(), (len / window) as usize);
-        let mut q = Gshare::new(10, 6, CounterKind::TwoBit).unwrap();
+        let mut q = parse_spec("gshare:n=10,h=6").unwrap();
         let total = run(&mut q, spec.build().take_conditionals(len));
         let mean = windows.iter().sum::<f64>() / windows.len() as f64;
         assert!(
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn windowed_cold_start_is_visible() {
         let spec = IbsBenchmark::Gs.spec();
-        let mut p = Gshare::new(12, 8, CounterKind::TwoBit).unwrap();
+        let mut p = parse_spec("gshare:n=12,h=8").unwrap();
         let windows = run_windowed(
             &mut p,
             spec.build().take_conditionals(100_000),
@@ -401,9 +401,9 @@ mod tests {
     #[test]
     fn zero_delay_equals_plain_run() {
         let spec = IbsBenchmark::MpegPlay.spec();
-        let mut a = Gshare::new(10, 6, CounterKind::TwoBit).unwrap();
+        let mut a = parse_spec("gshare:n=10,h=6").unwrap();
         let plain = run(&mut a, spec.build().take_conditionals(20_000));
-        let mut b = Gshare::new(10, 6, CounterKind::TwoBit).unwrap();
+        let mut b = parse_spec("gshare:n=10,h=6").unwrap();
         let delayed = run_delayed(
             &mut b,
             spec.build().take_conditionals(20_000),
@@ -447,9 +447,9 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let spec = IbsBenchmark::Groff.spec();
-        let mut a = Gskew::standard(8, 4).unwrap();
+        let mut a = parse_spec("gskew:n=8,h=4").unwrap();
         let ra = run(&mut a, spec.build().take_conditionals(20_000));
-        let mut b = Gskew::standard(8, 4).unwrap();
+        let mut b = parse_spec("gskew:n=8,h=4").unwrap();
         let rb = run(&mut b, spec.build().take_conditionals(20_000));
         assert_eq!(ra, rb);
     }

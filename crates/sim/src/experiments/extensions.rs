@@ -503,8 +503,8 @@ pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
     }
 
     // 3x4K gskew, h=8, 2-bit counters, partial update. The observer sees
-    // the bank votes before the tables train, as a dyn `Gskew`'s vote
-    // check before `update` does.
+    // the bank votes before the tables train, as a vote check before
+    // `update` does.
     let spec = PredictorSpec::parse("gskew:n=12,h=8").expect("valid spec");
     let rows = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
         let mut counts = Split::default();

@@ -13,9 +13,10 @@
 //!   `table2`, `fig1` … `fig12`, ablations and extensions), each emitting
 //!   renderable tables.
 //! * [`report`] — aligned-text and CSV table rendering.
-//! * [`kernel`] — monomorphized batch run loops for the tag-less table
-//!   predictors, bit-identical to the `dyn` engine but walking
-//!   structure-of-arrays trace columns.
+//! * [`kernel`] — monomorphized batch run loops over the tag-less table
+//!   predictors of `bpred_core::table`, bit-identical to driving them
+//!   through the `dyn` engine but walking structure-of-arrays trace
+//!   columns.
 //! * [`timing`] — process-wide records/sec counters for the kernel and
 //!   `dyn` paths.
 //! * [`runner`] — order-preserving parallel sweeps.
@@ -28,7 +29,7 @@
 //! use bpred_core::prelude::*;
 //! use bpred_trace::prelude::*;
 //!
-//! let mut predictor = Gskew::standard(10, 6)?;
+//! let mut predictor = parse_spec("gskew:n=10,h=6")?;
 //! let trace = IbsBenchmark::Verilog.spec().build().take_conditionals(10_000);
 //! let result = engine::run(&mut predictor, trace);
 //! assert!(result.mispredict_pct() < 50.0);

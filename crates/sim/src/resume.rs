@@ -21,7 +21,9 @@
 //!    counts reproduce its rendering byte for byte;
 //! 2. from the in-process cell memo, which holds every cell produced
 //!    since the store was last attached or detached;
-//! 3. otherwise the unit is simulated.
+//! 3. otherwise the unit is simulated, once per call even when the call
+//!    asks for its cells under several spellings (the repeats are
+//!    served as reused).
 //!
 //! A unit is resolved only when *every* one of its cells hits, and is
 //! otherwise simulated whole, so each cell a run produces counts once as
@@ -59,6 +61,7 @@ use bpred_results::store::ResultsStore;
 use bpred_trace::cache;
 use bpred_trace::soa::TraceColumns;
 use bpred_trace::workload::IbsBenchmark;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -312,8 +315,9 @@ pub type Workload = (IbsBenchmark, u64);
 /// A unit whose cells all hit the store (with resume on) or the cell
 /// memo is served. The rest, across all workloads, are planned into one
 /// list of `(workload, job)` pairs that [`kernel::run_jobs`] runs on up
-/// to `threads` workers. Every cell is then recorded (see the module
-/// doc).
+/// to `threads` workers; units asking for the same cells over one
+/// workload are planned once, and the repeats count as reused. Every
+/// cell is then recorded (see the module doc).
 ///
 /// # Panics
 ///
@@ -395,9 +399,12 @@ fn lookup(
 }
 
 /// Simulate every unresolved slot of `cells` (see [`run_cells`]): plan
-/// them into one list of `(workload, job)` pairs and run the list
-/// through [`kernel::run_jobs`]. Each cell is billed its job's own
-/// elapsed time, split evenly across the cells the job serves.
+/// each distinct one into one list of `(workload, job)` pairs and run the
+/// list through [`kernel::run_jobs`]. Each cell is billed its job's own
+/// elapsed time, split evenly across the cells the job serves. A slot
+/// asking for the same cells as an earlier slot of its workload (another
+/// spelling of one spec) is not planned: it takes that slot's results,
+/// as reused.
 fn simulate(
     workloads: &[Workload],
     seed: u64,
@@ -409,10 +416,24 @@ fn simulate(
 ) {
     // Each job with the slots it serves, in the order of its results.
     let (mut jobs, mut served, mut traces) = (Vec::new(), Vec::new(), Vec::new());
+    // Slots asking for the same cells as an earlier planned slot (alias
+    // spellings in one call), each with that slot.
+    let mut repeats = Vec::new();
     for (w, &workload) in workloads.iter().enumerate() {
-        let slots: Vec<usize> = (w * units.len()..(w + 1) * units.len())
-            .filter(|&slot| cells[slot].is_none())
-            .collect();
+        let mut planned: HashMap<&[CellId], usize> = HashMap::new();
+        let mut slots = Vec::new();
+        for slot in w * units.len()..(w + 1) * units.len() {
+            if cells[slot].is_some() {
+                continue;
+            }
+            match planned.entry(ids[slot].as_slice()) {
+                Entry::Occupied(first) => repeats.push((slot, *first.get())),
+                Entry::Vacant(entry) => {
+                    entry.insert(slot);
+                    slots.push(slot);
+                }
+            }
+        }
         if slots.is_empty() {
             continue;
         }
@@ -441,6 +462,10 @@ fn simulate(
             let unit = results.by_ref().take(ids[slot].len());
             cells[slot] = Some(unit.map(|r| (r, Source::Simulated(per_cell_ms))).collect());
         }
+    }
+    for (slot, first) in repeats {
+        let reused = cells[first].as_ref().expect("planned slots are simulated");
+        cells[slot] = Some(reused.iter().map(|&(r, _)| (r, Source::Memo)).collect());
     }
 }
 

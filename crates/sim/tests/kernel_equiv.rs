@@ -1,11 +1,14 @@
-//! Property tests: the monomorphized kernels and the shared FA-LRU walk
-//! over cached trace columns are bit-identical to the `dyn` engine over a
-//! freshly generated stream on random specs and seeded workloads, and
-//! `run_specs` falls back to the `dyn` path for specs without a fast
-//! path. The delayed and observed kernel runs match their dyn oracles:
-//! `engine::run_delayed`, `duel::duel` and `Gskew::is_unanimous`.
+//! Property tests: the monomorphized table kernels over cached trace
+//! columns are bit-identical to the naive per-record reference models of
+//! `reference` driven by the `dyn` engine over a freshly generated
+//! stream, on random specs and seeded workloads; the shared FA-LRU walk
+//! matches the tagged dyn predictors, and `run_specs` falls back to the
+//! `dyn` path for specs without a fast path. The delayed and observed
+//! kernel runs match the reference models under `engine::run_delayed`,
+//! `duel::duel` and the reference gskew's `is_unanimous`.
 
-use bpred_core::gskew::Gskew;
+mod reference;
+
 use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_sim::duel;
@@ -106,17 +109,15 @@ proptest::proptest! {
             PredictorKernel::from_spec(&structured).expect("generated specs are kernel-eligible");
         let fast = kernel.run(&cols);
 
-        let mut predictor = parse_spec(&spec).expect("generated specs build");
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
+            let mut model = reference::oracle(&spec);
             let fresh = bench.spec_seeded(seed).build().take_conditionals(len);
-            let slow = engine::run_with(&mut predictor, fresh, policy);
+            let slow = engine::run_with(&mut model, fresh, policy);
             prop_assert_eq!(
                 fast, slow,
-                "{} diverges from the dyn path under {:?} on {:?} len {} seed {:#x}",
+                "{} diverges from its reference model under {:?} on {:?} len {} seed {:#x}",
                 &spec, policy, bench, len, seed
             );
-            // Fresh predictor for the second policy pass.
-            predictor = parse_spec(&spec).expect("generated specs build");
         }
         // Kernels never flag predictions novel, which is what makes the
         // two policies interchangeable above.
@@ -149,10 +150,7 @@ proptest::proptest! {
             );
         }
         let routed = run_specs(&specs, &cols, NovelPolicy::Count, 2).unwrap();
-        let mut predictors: Vec<_> = specs
-            .iter()
-            .map(|s| parse_spec(s).unwrap())
-            .collect();
+        let mut predictors: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
         let reference = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
         prop_assert_eq!(routed, reference);
     }
@@ -178,12 +176,12 @@ proptest::proptest! {
         let mut kernel =
             PredictorKernel::from_spec(&structured).expect("generated specs are kernel-eligible");
         let fast = kernel.run(&cols);
-        let mut predictor = parse_spec(&spec).expect("generated specs build");
+        let mut model = reference::oracle(&spec);
         let fresh = bench.spec_seeded(seed).build().take_conditionals(len);
-        let slow = engine::run_with(&mut predictor, fresh, NovelPolicy::Count);
+        let slow = engine::run_with(&mut model, fresh, NovelPolicy::Count);
         prop_assert_eq!(
             fast, slow,
-            "{} diverges from the dyn path on {:?} len {} seed {:#x}",
+            "{} diverges from its reference model on {:?} len {} seed {:#x}",
             &spec, bench, len, seed
         );
     }
@@ -268,8 +266,8 @@ proptest::proptest! {
         let mut kernel = PredictorKernel::from_spec(&PredictorSpec::parse(&spec).unwrap())
             .expect("generated specs are kernel-eligible");
         let fast = kernel.run_delayed(&cols, delay);
-        let mut predictor = parse_spec(&spec).unwrap();
-        let slow = engine::run_delayed(&mut predictor, cols.records(), NovelPolicy::Count, delay);
+        let mut model = reference::oracle(&spec);
+        let slow = engine::run_delayed(&mut model, cols.records(), NovelPolicy::Count, delay);
         prop_assert_eq!(
             fast, slow,
             "{} at delay {} diverges on {:?} len {} seed {:#x}",
@@ -331,8 +329,8 @@ proptest::proptest! {
             &cols,
         )
         .expect("both specs have kernels");
-        let mut a = parse_spec(&spec_a).unwrap();
-        let mut b = parse_spec(&spec_b).unwrap();
+        let mut a = reference::oracle(&spec_a);
+        let mut b = reference::oracle(&spec_b);
         let slow = duel::duel(&mut a, &mut b, cols.records(), NovelPolicy::Count);
         prop_assert_eq!(
             fast, slow,
@@ -365,7 +363,7 @@ proptest::proptest! {
                 fast[2 * split + 1] += u64::from(predicted != taken);
             });
         let mut slow = [0u64; 4];
-        let mut gskew = gskew_from(&spec);
+        let mut gskew = reference::gskew(&spec);
         for r in cols.records() {
             if r.kind == BranchKind::Conditional {
                 let split = usize::from(!gskew.is_unanimous(r.pc));
@@ -379,30 +377,4 @@ proptest::proptest! {
         }
         prop_assert_eq!(fast, slow, "{} on {:?} len {} seed {:#x}", &spec, bench, len, seed);
     }
-}
-
-/// The concrete [`Gskew`] a gskew-family spec describes.
-fn gskew_from(spec: &str) -> Gskew {
-    let PredictorSpec::Gskew {
-        n,
-        h,
-        banks,
-        ctr,
-        update,
-        enhanced,
-        skewing,
-    } = PredictorSpec::parse(spec).unwrap()
-    else {
-        panic!("{spec} is not a gskew spec");
-    };
-    Gskew::builder()
-        .bank_entries_log2(n)
-        .history_bits(h)
-        .banks(banks)
-        .counter(ctr)
-        .update_policy(update)
-        .enhanced(enhanced)
-        .identical_indexing(!skewing)
-        .build()
-        .unwrap()
 }

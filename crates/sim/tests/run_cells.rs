@@ -85,8 +85,12 @@ fn one_call_over_several_workloads_equals_the_per_workload_calls() {
     let simulated = after.cells_simulated - cold.cells_simulated;
     assert_eq!(skipped + reused + simulated, produced);
     assert_eq!(skipped, 2 * CELLS, "the stored workloads' cells");
-    assert_eq!(reused, 2, "the respelled cell of each stored workload");
-    assert_eq!(simulated, 2 * (CELLS + 1), "the unstored workloads' cells");
+    assert_eq!(reused, 4, "the respelled cell of every workload");
+    assert_eq!(
+        simulated,
+        2 * CELLS,
+        "the unstored workloads' distinct cells"
+    );
     for (warm, alone) in warm.iter().zip(&alone) {
         assert_eq!(warm[..alone.len()], alone[..]);
         assert_eq!(warm.last(), alone.last(), "one gskew cell");

@@ -66,7 +66,7 @@ fn main() -> Result<(), ConfigError> {
 
     println!("{:<26} {:>11}", "predictor", "mispredict");
     for h in [0u32, 1, 2, 4, 8] {
-        let mut p = Gshare::new(10, h, CounterKind::TwoBit)?;
+        let mut p = parse_spec(&format!("gshare:n=10,h={h}"))?;
         let walker = Walker::new(program.clone(), 42);
         let result = engine::run(&mut p, walker.take_conditionals(200_000));
         println!("{:<26} {:>10.2}%", p.name(), result.mispredict_pct());
@@ -80,7 +80,7 @@ fn main() -> Result<(), ConfigError> {
     // (~25% of its executions): exactly the history-length tradeoff the
     // paper's section 6 discusses.
 
-    let mut gskew = Gskew::standard(10, 8)?;
+    let mut gskew = parse_spec("gskew:n=10,h=8")?;
     let walker = Walker::new(program, 42);
     let result = engine::run(&mut gskew, walker.take_conditionals(200_000));
     println!("{:<26} {:>10.2}%", gskew.name(), result.mispredict_pct());

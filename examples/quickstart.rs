@@ -15,16 +15,11 @@ fn main() -> Result<(), ConfigError> {
 
     // The paper's centerpiece: 3 banks of 4K 2-bit counters, indexed by
     // the skewing functions f0..f2, majority-voted, partial update.
-    let mut gskew = Gskew::builder()
-        .banks(3)
-        .bank_entries_log2(12)
-        .history_bits(8)
-        .counter(CounterKind::TwoBit)
-        .update_policy(UpdatePolicy::Partial)
-        .build()?; // 3 x 4096 = 12K entries, 24 Kbit
+    let spec = PredictorSpec::parse("gskew:n=12,h=8,banks=3,ctr=2,update=partial")?;
+    let mut gskew = TablePredictor::new(&spec)?.expect("a table family"); // 12K entries, 24 Kbit
 
-    // A gshare with MORE storage (16K entries, 32 Kbit) to beat.
-    let mut gshare = Gshare::new(14, 8, CounterKind::TwoBit)?;
+    // A gshare with MORE storage (16K entries, 32 Kbit) to compare with.
+    let mut gshare = parse_spec("gshare:n=14,h=8")?;
 
     println!("workload: {workload} ({branches} conditional branches)\n");
     for (name, predictor) in [
@@ -42,12 +37,8 @@ fn main() -> Result<(), ConfigError> {
 
     println!("\nPer-bank votes for one lookup:");
     let pc = 0x0040_2000;
-    let votes = gskew.votes(pc);
-    for (bank, vote) in votes.iter().enumerate() {
-        println!(
-            "  bank {bank} (index {:>4}): {vote}",
-            gskew.bank_index(bank, pc)
-        );
+    for (bank, &vote) in gskew.votes(pc).iter().enumerate() {
+        println!("  bank {bank}: {}", Outcome::from(vote));
     }
     println!("  majority: {}", gskew.predict(pc));
     Ok(())

@@ -2,8 +2,9 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`core`] ([`bpred_core`]) — the predictors: gskew, enhanced gskew,
-//!   gshare, gselect, bimodal, tagged associative tables, hybrids.
+//! * [`core`] ([`bpred_core`]) — the predictors: one table module for
+//!   gskew, enhanced gskew, gshare, gselect, bimodal, the hybrids and the
+//!   other tag-less families, and the tagged associative tables.
 //! * [`trace`] ([`bpred_trace`]) — branch traces and the synthetic
 //!   IBS-like workload generator.
 //! * [`aliasing`] ([`bpred_aliasing`]) — the three-Cs aliasing
@@ -20,14 +21,14 @@
 //!
 //! ## A three-minute tour
 //!
-//! Build any predictor, by constructor or spec string:
+//! Build any predictor from a spec string:
 //!
 //! ```
 //! use gskew::core::prelude::*;
 //!
-//! let by_hand = Gskew::standard(12, 8)?;                 // 3x4K, h=8, partial
-//! let by_spec = parse_spec("egskew:n=12,h=11")?;         // enhanced variant
-//! assert_eq!(by_hand.storage_bits(), by_spec.storage_bits());
+//! let gskew = parse_spec("gskew:n=12,h=8")?;             // 3x4K, h=8, partial
+//! let egskew = parse_spec("egskew:n=12,h=11")?;          // enhanced variant
+//! assert_eq!(gskew.storage_bits(), egskew.storage_bits());
 //! # Ok::<(), gskew::core::error::ConfigError>(())
 //! ```
 //!
@@ -38,7 +39,7 @@
 //! use gskew::sim::engine;
 //! use gskew::trace::prelude::*;
 //!
-//! let mut p = Gskew::standard(10, 6)?;
+//! let mut p = parse_spec("gskew:n=10,h=6")?;
 //! let result = engine::run(
 //!     &mut p,
 //!     IbsBenchmark::Verilog.spec().build().take_conditionals(20_000),
@@ -72,7 +73,7 @@
 //! ```
 //! use gskew::core::prelude::*;
 //!
-//! let mut p = Gskew::standard(12, 8)?;
+//! let mut p = parse_spec("gskew:n=12,h=8")?;
 //! let _ = p.predict(0x4000_0000);
 //! p.update(0x4000_0000, Outcome::Taken);
 //! # Ok::<(), gskew::core::error::ConfigError>(())

@@ -2,7 +2,6 @@
 //! predictors behave like directly constructed ones, and the aliasing
 //! instruments agree with the predictors they model.
 
-use gskew::core::counter::CounterKind;
 use gskew::core::prelude::*;
 use gskew::core::spec::parse_spec;
 use gskew::sim::engine::{self, NovelPolicy};
@@ -14,7 +13,16 @@ fn spec_predictor_equals_direct_construction() {
     let len = 30_000;
     let bench = IbsBenchmark::MpegPlay;
     let mut from_spec = parse_spec("gskew:n=10,h=6").unwrap();
-    let mut direct = Gskew::standard(10, 6).unwrap();
+    let spec = PredictorSpec::Gskew {
+        n: 10,
+        h: 6,
+        banks: 3,
+        ctr: CounterKind::TwoBit,
+        update: UpdatePolicy::Partial,
+        enhanced: false,
+        skewing: true,
+    };
+    let mut direct = TablePredictor::new(&spec).unwrap().unwrap();
     let a = engine::run(&mut from_spec, bench.spec().build().take_conditionals(len));
     let b = engine::run(&mut direct, bench.spec().build().take_conditionals(len));
     assert_eq!(a, b);
@@ -34,9 +42,9 @@ fn replayed_trace_file_gives_identical_results() {
         .unwrap();
     assert_eq!(records, replayed);
 
-    let mut live = Gshare::new(12, 8, CounterKind::TwoBit).unwrap();
+    let mut live = parse_spec("gshare:n=12,h=8").unwrap();
     let live_result = engine::run(&mut live, records.into_iter());
-    let mut from_file = Gshare::new(12, 8, CounterKind::TwoBit).unwrap();
+    let mut from_file = parse_spec("gshare:n=12,h=8").unwrap();
     let file_result = engine::run(&mut from_file, replayed.into_iter());
     assert_eq!(live_result, file_result);
 }
@@ -170,19 +178,10 @@ fn predictors_and_substrates_are_send_and_sync() {
     // The parallel experiment runner moves predictors and workloads across
     // threads; regressions here would break every sweep.
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Gskew>();
-    assert_send_sync::<Gshare>();
-    assert_send_sync::<Gselect>();
-    assert_send_sync::<Bimodal>();
+    assert_send_sync::<TablePredictor>();
     assert_send_sync::<Ideal>();
     assert_send_sync::<FullyAssociative>();
     assert_send_sync::<SetAssociative>();
-    assert_send_sync::<TwoBcGskew>();
-    assert_send_sync::<Agree>();
-    assert_send_sync::<BiMode>();
-    assert_send_sync::<Pas>();
-    assert_send_sync::<SkewedPas>();
-    assert_send_sync::<SharedHysteresisGskew>();
     assert_send_sync::<gskew::trace::workload::Workload>();
     assert_send_sync::<gskew::trace::mix::MultiProgram>();
     assert_send_sync::<gskew::aliasing::distance::LastUseDistance>();

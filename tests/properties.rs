@@ -202,15 +202,12 @@ proptest! {
         use gskew::core::prelude::*;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        let mut p = Gskew::builder()
-            .bank_entries_log2(6)
-            .history_bits(4)
-            .build()
-            .unwrap();
+        let spec = PredictorSpec::parse("gskew:n=6,h=4").unwrap();
+        let mut p = TablePredictor::new(&spec).unwrap().unwrap();
         for &pc in &pcs {
             let outcome = Outcome::from(rng.gen_bool(0.5));
             let votes = p.votes(pc);
-            let taken = votes.iter().filter(|o| o.is_taken()).count();
+            let taken = votes.iter().filter(|&&v| v).count();
             let expected = Outcome::from(2 * taken > votes.len());
             prop_assert_eq!(p.predict(pc).outcome, expected);
             p.update(pc, outcome);

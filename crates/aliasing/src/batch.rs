@@ -163,7 +163,7 @@ impl Tag for u64 {
 /// Whether every pair of `cols` under `history_bits` packs into a `u64`
 /// tag: each address must stay below `u64::MAX >> history_bits`.
 fn packs(cols: &TraceColumns, history_bits: u32) -> bool {
-    let max_addr = cols.pcs().iter().max().map_or(0, |pc| pc >> 2);
+    let max_addr = cols.max_conditional_pc() >> 2;
     history_bits < 64 && max_addr < u64::MAX >> history_bits
 }
 
@@ -193,28 +193,23 @@ fn drive_dm_tags<T: Tag>(
 ) -> DmCounts {
     let mut tags: Vec<T> = vec![T::COLD; 1usize << entries_log2];
     let tmask = tags.len() - 1;
-    let hmask = hist_mask(history_bits);
-    let mut hist = 0u64;
-    let mut counts = DmCounts::default();
-    for (i, &pc) in cols.pcs().iter().enumerate() {
-        let (conditional, taken) = cols.cond_taken(i);
-        if conditional {
-            let v = InfoVector::new(pc, hist, history_bits);
-            // The extra mask is value-neutral (the index is already
-            // `entries_log2` bits) but lets the compiler drop the bounds
-            // check.
-            let idx = index(&v, entries_log2) as usize & tmask;
-            let tag = T::of(&v);
-            counts.references += 1;
-            let stored = tags[idx];
-            if stored != tag {
-                counts.misses += 1;
-                counts.cold_misses += u64::from(stored == T::COLD);
-                tags[idx] = tag;
-            }
-            hist = ((hist << 1) | u64::from(taken)) & hmask;
-        } else {
-            hist = ((hist << 1) | 1) & hmask;
+    let mut counts = DmCounts {
+        references: cols.conditional_count(),
+        ..DmCounts::default()
+    };
+    for (pc, _, hist) in cols.conditionals(0) {
+        // `InfoVector::new` masks the raw history to `history_bits`.
+        let v = InfoVector::new(pc, hist, history_bits);
+        // The extra mask is value-neutral (the index is already
+        // `entries_log2` bits) but lets the compiler drop the bounds
+        // check.
+        let idx = index(&v, entries_log2) as usize & tmask;
+        let tag = T::of(&v);
+        let stored = tags[idx];
+        if stored != tag {
+            counts.misses += 1;
+            counts.cold_misses += u64::from(stored == T::COLD);
+            tags[idx] = tag;
         }
     }
     counts
@@ -238,15 +233,8 @@ pub fn fa_pass(cols: &TraceColumns, history_bits: u32, capacities: &[u64]) -> Fa
     let mut lud = LastUseDistance::new();
     let mut sweep = CapacitySweep::new(capacities);
     let hmask = hist_mask(history_bits);
-    let mut hist = 0u64;
-    for (i, &pc) in cols.pcs().iter().enumerate() {
-        let (conditional, taken) = cols.cond_taken(i);
-        if conditional {
-            sweep.observe(lud.observe((pc >> 2, hist)));
-            hist = ((hist << 1) | u64::from(taken)) & hmask;
-        } else {
-            hist = ((hist << 1) | 1) & hmask;
-        }
+    for (pc, _, hist) in cols.conditionals(0) {
+        sweep.observe(lud.observe((pc >> 2, hist & hmask)));
     }
     FaCounts {
         references: sweep.references(),

@@ -171,6 +171,13 @@ impl History {
         self.value = ((self.value << 1) | u64::from(bit)) & mask;
     }
 
+    /// Hold the low bits of a raw 64-bit global history, under `mask`
+    /// ([`History::mask`]).
+    #[inline(always)]
+    pub fn load(&mut self, raw: u64, mask: u64) {
+        self.value = raw & mask;
+    }
+
     /// The information vector of the branch at `pc`.
     #[inline(always)]
     fn vector(self, pc: u64) -> InfoVector {

@@ -109,9 +109,11 @@ pub fn run_many(
 ) -> Vec<RunResult> {
     let start = Instant::now();
     let mut results = vec![RunResult::default(); predictors.len()];
-    for (i, &pc) in columns.pcs().iter().enumerate() {
-        let (conditional, taken) = columns.cond_taken(i);
-        if conditional {
+    for BranchRecord {
+        pc, kind, taken, ..
+    } in columns.records()
+    {
+        if kind == BranchKind::Conditional {
             let outcome = Outcome::from(taken);
             for (predictor, result) in predictors.iter_mut().zip(results.iter_mut()) {
                 let prediction = predictor.predict(pc);

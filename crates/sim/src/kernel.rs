@@ -6,9 +6,12 @@
 //! paper need no dynamic dispatch: each is one [`Table`] transition of
 //! `bpred_core::table` — a few table index computations, counter
 //! compares and saturating steps. This module compiles that transition
-//! into one tight loop per predictor shape, walking the
-//! structure-of-arrays [`TraceColumns`] view instead of `BranchRecord`
-//! structs.
+//! into one tight loop per predictor shape over the conditional records
+//! of the [`TraceColumns`] layout alone: the trace's cursor
+//! ([`TraceColumns::conditionals`]) hands each one its pc, outcome and
+//! raw global history, so no kernel visits an unconditional record,
+//! tests a per-record conditional bit or keeps a history register of its
+//! own.
 //!
 //! Fast paths (everything else runs on the `dyn` engine):
 //!
@@ -20,9 +23,9 @@
 //!
 //! Every table family is driven by one loop, `drive`, over its [`Table`]:
 //! `look` computes a record's indices under a given history and reads
-//! the cells, `train` writes them back with the outcome. The loop alone
-//! owns the global history, the accounting, retirement under delay and
-//! the observer hook. It reaches the family's concrete table through
+//! the cells, `train` writes them back with the outcome. The loop owns
+//! the accounting and the observer hook, and masks the cursor's history
+//! to the table's length. It reaches the family's concrete table through
 //! [`TablePredictor::visit`], so each family shape gets its own
 //! monomorphized copy of the loop.
 //!
@@ -40,24 +43,25 @@
 //! written from the paper's definitions (`tests/reference`), and by the
 //! campaign regression gates.
 //!
-//! The same loop serves the custom experiment loops, for every table
-//! family. It is monomorphized by a `DELAYED` const flag and an observer
-//! closure:
+//! The same transitions serve the custom experiment loops, for every
+//! table family:
 //!
+//! - [`PredictorKernel::run_observed`] is `drive` with an observer
+//!   closure, called with every conditional record's bank votes,
+//!   prediction and outcome before the tables train — `ext-duel`'s
+//!   per-record "wrong" bits ([`crate::duel::kernel_duel`]) and
+//!   `ext-confidence`'s unanimous/split tally.
+//!   [`PredictorKernel::run`] is the copy with a no-op hook, which
+//!   compiles to the plain loop: `train` reuses the cells `look` read, so
+//!   each cell is read once.
 //! - [`PredictorKernel::run_delayed`] is retirement-time training
 //!   (`ext-delay`), bit-identical to [`engine::run_delayed`]: record `i`
 //!   predicts from the state the records before `i - delay` left, and a
 //!   retiring record looks its cells up again under the retire-time
 //!   history before it trains, as the predictor's `update` does.
-//! - [`PredictorKernel::run_observed`] calls a hook with every
-//!   conditional record's bank votes, prediction and outcome before the
-//!   tables train — `ext-duel`'s per-record "wrong" bits
-//!   ([`crate::duel::kernel_duel`]) and `ext-confidence`'s
-//!   unanimous/split tally.
-//!
-//! [`PredictorKernel::run`] is the `DELAYED = false` copy with a no-op
-//! hook, which compiles to the plain loop: `train` reuses the cells
-//! `look` read, so each cell is read once.
+//!   Retirement is positional over all records, so this one loop,
+//!   `drive_delayed`, walks [`TraceColumns::records`] with a trailing
+//!   retire cursor and shifts the history itself.
 //!
 //! Simulation work runs as [`Job`]s: a table kernel, a shared
 //! [`LruWalk`], one batched [`engine::run_many`] pass for the specs
@@ -79,90 +83,129 @@ use bpred_core::assoc::MissPolicy;
 use bpred_core::error::ConfigError;
 use bpred_core::spec::PredictorSpec;
 use bpred_core::table::{Counter, History, Table, TablePredictor, Visit, Width};
+use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::TraceColumns;
 use std::ops::Deref;
 use std::time::Instant;
 
-/// The one per-record loop of every table family. It owns the global
-/// history `hist`, the accounting, retirement and the observer hook.
+/// The loop of every table family over the conditional records. It owns
+/// the accounting and the observer hook; the trace's cursor hands it the
+/// global history, which it masks to the table's length.
 ///
-/// `DELAYED = false` trains each conditional record right after
-/// predicting it, reusing the predict-time lookup. `DELAYED = true`
-/// retires record `i - delay` after predicting record `i`: the retiring
-/// record is looked up again under the retire-time history, trained, and
-/// shifted into the history; the records still in flight retire at the
-/// end (see [`PredictorKernel::run_delayed`]). `observe` sees every
-/// conditional record's votes, prediction and outcome before any table
-/// trains on it.
+/// Each conditional record trains right after it is predicted, reusing
+/// the predict-time lookup. `observe` sees every conditional record's
+/// votes, prediction and outcome before the table trains on it.
 ///
 /// Each copy stays its own function, so the register allocation of one
 /// family's loop does not depend on the other families' loops around it.
 #[inline(never)]
-fn drive<T: Table, const DELAYED: bool>(
+fn drive<T: Table>(
+    table: &mut T,
+    hist: &mut History,
+    cols: &TraceColumns,
+    mut observe: impl FnMut(&[bool], bool, bool),
+) -> RunResult {
+    let mut mispredicted = 0;
+    let hmask = hist.mask();
+    let mut h = *hist;
+    let mut walk = cols.conditionals(h.value());
+    for (pc, taken, global) in walk.by_ref() {
+        if T::GLOBAL_HISTORY {
+            h.load(global, hmask);
+        }
+        let look = table.look(pc, h);
+        observe(look.votes.as_ref(), look.predicted, taken);
+        mispredicted += u64::from(look.predicted != taken);
+        table.train(look, taken);
+    }
+    if T::GLOBAL_HISTORY {
+        hist.load(walk.finish(), hmask);
+    }
+    RunResult {
+        conditional: cols.conditional_count(),
+        mispredicted,
+        novel: 0,
+    }
+}
+
+/// [`drive`] with retirement-time training over the records: record `i`
+/// is predicted, then record `i - delay` retires. A retiring conditional
+/// record is looked up again under the retire-time history and trained;
+/// every retiring record shifts into the history. The records still in
+/// flight retire at the end (see [`PredictorKernel::run_delayed`]).
+#[inline(never)]
+fn drive_delayed<T: Table>(
     table: &mut T,
     hist: &mut History,
     cols: &TraceColumns,
     delay: usize,
-    mut observe: impl FnMut(&[bool], bool, bool),
 ) -> RunResult {
-    let mut result = RunResult::default();
+    let mut mispredicted = 0;
     let hmask = hist.mask();
-    let shift = |h: &mut History, bit: bool| {
-        if T::GLOBAL_HISTORY {
-            h.push(bit, hmask);
-        }
-    };
     let mut h = *hist;
-    let pcs = cols.pcs();
-    let retire = |j: usize, table: &mut T, h: &mut History| {
-        let (conditional, taken) = cols.cond_taken(j);
+    let retire = |r: BranchRecord, table: &mut T, h: &mut History| {
+        let conditional = r.kind.is_conditional();
         if conditional {
-            let look = table.look(pcs[j], *h);
-            table.train(look, taken);
+            let look = table.look(r.pc, *h);
+            table.train(look, r.taken);
         }
-        shift(h, !conditional || taken);
+        if T::GLOBAL_HISTORY {
+            h.push(!conditional || r.taken, hmask);
+        }
     };
-    for (i, &pc) in pcs.iter().enumerate() {
-        if cols.is_conditional(i) {
-            let taken = cols.taken(i);
-            let look = table.look(pc, h);
-            observe(look.votes.as_ref(), look.predicted, taken);
-            result.conditional += 1;
-            result.mispredicted += u64::from(look.predicted != taken);
-            if !DELAYED {
-                table.train(look, taken);
-                shift(&mut h, taken);
-            }
-        } else if !DELAYED {
-            shift(&mut h, true);
+    let mut predict = |r: BranchRecord, table: &mut T, h: History| {
+        if r.kind.is_conditional() {
+            mispredicted += u64::from(table.look(r.pc, h).predicted != r.taken);
         }
-        if DELAYED && i >= delay {
-            retire(i - delay, table, &mut h);
-        }
+    };
+    let mut ahead = cols.records();
+    for r in ahead.by_ref().take(delay) {
+        predict(r, table, h);
     }
-    if DELAYED {
-        // Drain the records still in flight.
-        for j in pcs.len().saturating_sub(delay)..pcs.len() {
-            retire(j, table, &mut h);
-        }
+    let mut retiring = cols.records();
+    for r in ahead {
+        predict(r, table, h);
+        let r = retiring.next().expect("the retiring cursor trails");
+        retire(r, table, &mut h);
+    }
+    // Drain the records still in flight.
+    for r in retiring {
+        retire(r, table, &mut h);
     }
     *hist = h;
-    result
+    RunResult {
+        conditional: cols.conditional_count(),
+        mispredicted,
+        novel: 0,
+    }
 }
 
 /// [`drive`] as a [`Visit`]: the loop over whichever table
 /// [`TablePredictor::visit`] hands it.
-struct Drive<'c, O, const DELAYED: bool> {
+struct Drive<'c, O> {
     cols: &'c TraceColumns,
-    delay: usize,
     observe: O,
 }
 
-impl<O: FnMut(&[bool], bool, bool), const DELAYED: bool> Visit for Drive<'_, O, DELAYED> {
+impl<O: FnMut(&[bool], bool, bool)> Visit for Drive<'_, O> {
     type Output = RunResult;
 
     fn visit<T: Table>(self, table: &mut T, hist: &mut History) -> RunResult {
-        drive::<T, DELAYED>(table, hist, self.cols, self.delay, self.observe)
+        drive(table, hist, self.cols, self.observe)
+    }
+}
+
+/// [`drive_delayed`] as a [`Visit`].
+struct DriveDelayed<'c> {
+    cols: &'c TraceColumns,
+    delay: usize,
+}
+
+impl Visit for DriveDelayed<'_> {
+    type Output = RunResult;
+
+    fn visit<T: Table>(self, table: &mut T, hist: &mut History) -> RunResult {
+        drive_delayed(table, hist, self.cols, self.delay)
     }
 }
 
@@ -196,7 +239,7 @@ impl PredictorKernel {
     /// novel). Time spent is credited to the kernel path of
     /// [`crate::timing`].
     pub fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        self.dispatch::<false>(cols, 0, |_, _, _| {})
+        self.run_observed(cols, |_, _, _| {})
     }
 
     /// Drive the kernel over one whole trace with retirement-time
@@ -215,7 +258,7 @@ impl PredictorKernel {
     /// Delay 0 is [`PredictorKernel::run`]. Time spent is credited as
     /// [`PredictorKernel::run`] credits it.
     pub fn run_delayed(&mut self, cols: &TraceColumns, delay: usize) -> RunResult {
-        self.dispatch::<true>(cols, delay, |_, _, _| {})
+        self.dispatch(cols, DriveDelayed { cols, delay })
     }
 
     /// [`PredictorKernel::run`], calling `observe(votes, predicted,
@@ -230,22 +273,17 @@ impl PredictorKernel {
         cols: &TraceColumns,
         observe: impl FnMut(&[bool], bool, bool),
     ) -> RunResult {
-        self.dispatch::<false>(cols, 0, observe)
+        self.dispatch(cols, Drive { cols, observe })
     }
 
-    /// Run [`drive`] over the family's table.
-    fn dispatch<const DELAYED: bool>(
+    /// Run a drive loop over the family's table, timed.
+    fn dispatch(
         &mut self,
         cols: &TraceColumns,
-        delay: usize,
-        observe: impl FnMut(&[bool], bool, bool),
+        drive: impl Visit<Output = RunResult>,
     ) -> RunResult {
         let start = Instant::now();
-        let result = self.table.visit(Drive::<_, DELAYED> {
-            cols,
-            delay,
-            observe,
-        });
+        let result = self.table.visit(drive);
         timing::record_kernel(cols.len() as u64, start.elapsed());
         result
     }
@@ -328,34 +366,27 @@ impl LruWalk {
         // `cells[id * width..][..width]`.
         let mut lud = LastUseDistance::<u32>::with_payload();
         let mut cells: Vec<u8> = Vec::new();
-        let mut hist = History::new(self.hist_bits);
-        let hmask = hist.mask();
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let fresh = (cells.len() / width) as u32;
-                let (distance, id) = lud.observe_with((pc >> 2, hist.value()), || fresh);
-                if distance.is_none() {
-                    cells.resize(cells.len() + width, 0);
+        let hmask = History::new(self.hist_bits).mask();
+        for (pc, taken, global) in cols.conditionals(0) {
+            let fresh = (cells.len() / width) as u32;
+            let (distance, id) = lud.observe_with((pc >> 2, global & hmask), || fresh);
+            if distance.is_none() {
+                cells.resize(cells.len() + width, 0);
+            }
+            let at = id as usize * width;
+            let pair = cells[at..at + width].iter_mut().zip(&mut results);
+            for ((cell, result), row) in pair.zip(rows) {
+                let c = row.counter;
+                result.conditional += 1;
+                if distance.is_some_and(|d| d < row.capacity) {
+                    result.mispredicted += u64::from(c.taken(*cell) != taken);
+                    *cell = c.step(*cell, taken);
+                } else {
+                    result.novel += 1;
+                    result.mispredicted += u64::from(charge_novel && row.miss_taken != taken);
+                    // SatCounter::seeded: weakly toward the outcome.
+                    *cell = c.neutral() + u8::from(taken);
                 }
-                let at = id as usize * width;
-                let pair = cells[at..at + width].iter_mut().zip(&mut results);
-                for ((cell, result), row) in pair.zip(rows) {
-                    let c = row.counter;
-                    result.conditional += 1;
-                    if distance.is_some_and(|d| d < row.capacity) {
-                        result.mispredicted += u64::from(c.taken(*cell) != taken);
-                        *cell = c.step(*cell, taken);
-                    } else {
-                        result.novel += 1;
-                        result.mispredicted += u64::from(charge_novel && row.miss_taken != taken);
-                        // SatCounter::seeded: weakly toward the outcome.
-                        *cell = c.neutral() + u8::from(taken);
-                    }
-                }
-                hist.push(taken, hmask);
-            } else {
-                hist.push(true, hmask);
             }
         }
         timing::record_kernel(cols.len() as u64 * width as u64, start.elapsed());

@@ -9,7 +9,7 @@
 //! only resident copy: kernels walk them directly, and everything that
 //! wants records iterates them ([`TraceColumns::records`],
 //! [`TraceColumns::into_records`]), so an N-row sweep generates each
-//! trace once and holds it in about 9.4 bytes a record.
+//! trace once and holds it in about 9.25 bytes a record.
 //!
 //! Properties:
 //!
@@ -33,8 +33,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default resident-byte bound: at about 9.4 bytes per record this holds
-/// some 110 M records — the six default-length benchmark traces together
+/// Default resident-byte bound: at about 9.25 bytes per record this holds
+/// some 116 M records — the six default-length benchmark traces together
 /// are roughly 13 M conditionals plus interleaved unconditionals, so whole
 /// `experiment all` runs fit without eviction.
 pub const DEFAULT_CAPACITY_BYTES: usize = 1 << 30;

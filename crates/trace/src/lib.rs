@@ -10,9 +10,10 @@
 //!   bounds a record stream by its conditional-branch count.
 //! * [`behavior`] — stochastic branch-site behaviour models (bias, loops,
 //!   patterns, history correlation, phases).
-//! * [`soa`] — [`soa::TraceColumns`], the lossless structure-of-arrays
-//!   trace layout: the simulation kernels walk its columns, every other
-//!   consumer iterates its records.
+//! * [`soa`] — [`soa::TraceColumns`], the lossless conditional-major
+//!   trace layout: the simulation kernels walk its conditional records
+//!   with the global history handed to them, every other consumer
+//!   iterates its records.
 //! * [`cache`] — process-wide memoization of benchmark traces as
 //!   `Arc<TraceColumns>` per `(benchmark, len, seed)`, so repeated sweeps
 //!   generate each trace once.

@@ -36,9 +36,6 @@
 //! * [`nature`] — destructive / harmless / constructive classification of
 //!   individual aliasing events (the Young–Gloy–Smith taxonomy of
 //!   section 1).
-//! * [`set_assoc`] — the identity-tagged set-associative bridge between
-//!   the direct-mapped and fully-associative curves (quantifying the
-//!   "costly alternative" of section 3.3).
 //! * [`offenders`] — pairwise interference attribution: which static
 //!   branches conflict, and how concentrated the conflicts are.
 //! * [`bias`] — the bias parameter `b` of the analytical model.
@@ -53,7 +50,6 @@ pub mod distance;
 pub mod fully_assoc;
 pub mod nature;
 pub mod offenders;
-pub mod set_assoc;
 pub mod substream;
 pub mod tagged;
 pub mod three_c;
@@ -67,7 +63,6 @@ pub mod prelude {
     pub use crate::fully_assoc::TaggedFullyAssociative;
     pub use crate::nature::{AliasingNature, NatureCounts};
     pub use crate::offenders::{OffenderAnalysis, OffenderPair};
-    pub use crate::set_assoc::TaggedSetAssociative;
     pub use crate::substream::SubstreamStats;
     pub use crate::tagged::TaggedDirectMapped;
     pub use crate::three_c::{AliasingBreakdown, ThreeCClassifier, ThreeCCounts};

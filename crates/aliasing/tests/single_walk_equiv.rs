@@ -1,13 +1,13 @@
 //! Differential tests for the single-walk instruments: the multi-size
 //! [`AliasingNature`] walk must count exactly what one plain walk per
 //! size counts, and the shared-distance [`batch::fa_pass`] at capacity
-//! 4096 must miss exactly where a one-set, 4096-way
-//! [`TaggedSetAssociative`] table does.
+//! 4096 must miss exactly where a 4096-entry
+//! [`TaggedFullyAssociative`] table does.
 
 use bpred_aliasing::batch;
 use bpred_aliasing::cursor::PairCursor;
+use bpred_aliasing::fully_assoc::TaggedFullyAssociative;
 use bpred_aliasing::nature::{AliasingNature, NatureCounts};
-use bpred_aliasing::set_assoc::TaggedSetAssociative;
 use bpred_core::counter::{CounterKind, CounterTable, SatCounter};
 use bpred_core::index::IndexFunction;
 use bpred_core::predictor::Outcome;
@@ -113,7 +113,7 @@ proptest! {
     }
 
     #[test]
-    fn fa_pass_at_4096_matches_one_set_of_4096_ways(
+    fn fa_pass_at_4096_matches_the_tagged_fa_table(
         pool in 3_000u64..=6_000,
         history_bits in 0u32..=2,
         raw in proptest::collection::vec((any::<u64>(), any::<bool>(), 0u8..8), 0..9_000),
@@ -121,11 +121,11 @@ proptest! {
         // Pools of 3K-6K pcs under up to 2 history bits hold more pairs
         // than 4096 ways, so long streams evict.
         let records = records(pool, &raw);
-        let mut table = TaggedSetAssociative::new(0, 4096, IndexFunction::Gshare);
+        let mut table = TaggedFullyAssociative::new(4096);
         let mut cursor = PairCursor::new(history_bits);
         for r in &records {
             if r.kind == BranchKind::Conditional {
-                table.access(&cursor.vector(r.pc));
+                table.access(cursor.vector(r.pc).pair());
             }
             cursor.advance(r);
         }

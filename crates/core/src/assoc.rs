@@ -11,13 +11,16 @@
 //!   predictor"). On a miss it falls back to a static *always taken*
 //!   prediction, exactly as in the paper's figure 8 experiment.
 //! * [`SetAssociative`] — the intermediate design the paper alludes to but
-//!   does not evaluate; provided for the associativity ablation.
+//!   does not evaluate: the `setassoc` family, and the table behind the
+//!   `ext-assoc` associativity sweep, whose misses are its novel
+//!   predictions.
 
 use crate::counter::{CounterKind, SatCounter};
 use crate::error::ConfigError;
 use crate::history::GlobalHistory;
 use crate::index::IndexFunction;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
+use crate::table::{Counter, Width};
 use crate::vector::InfoVector;
 use std::collections::HashMap;
 
@@ -84,13 +87,13 @@ pub struct FullyAssociative {
 }
 
 impl FullyAssociative {
-    /// A table of `capacity` entries with `history_bits` of global history.
+    /// Check a capacity and history length without allocating.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if `capacity` is zero or `history_bits`
     /// exceeds 64.
-    pub fn new(capacity: usize, history_bits: u32, kind: CounterKind) -> Result<Self, ConfigError> {
+    pub fn check(capacity: usize, history_bits: u32) -> Result<(), ConfigError> {
         if capacity == 0 {
             return Err(ConfigError::invalid(
                 "capacity",
@@ -105,10 +108,24 @@ impl FullyAssociative {
                 "must be at most 64",
             ));
         }
+        Ok(())
+    }
+
+    /// A table of `capacity` entries with `history_bits` of global history.
+    /// At most 2^20 entries are reserved up front; the rest are allocated
+    /// as the table fills, so a capacity far above the pairs a trace holds
+    /// costs no more.
+    ///
+    /// # Errors
+    ///
+    /// As [`FullyAssociative::check`].
+    pub fn new(capacity: usize, history_bits: u32, kind: CounterKind) -> Result<Self, ConfigError> {
+        Self::check(capacity, history_bits)?;
+        let reserve = capacity.min(1 << 20);
         Ok(FullyAssociative {
             capacity,
-            map: HashMap::with_capacity(capacity),
-            nodes: Vec::with_capacity(capacity),
+            map: HashMap::with_capacity(reserve),
+            nodes: Vec::with_capacity(reserve),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -263,43 +280,57 @@ impl BranchPredictor for FullyAssociative {
     }
 }
 
-#[derive(Debug, Clone)]
+/// The most entries (`ways << sets_log2`) a [`SetAssociative`] table may
+/// hold: 2^24 entries of 32 bytes each, 512 MiB.
+pub const MAX_SET_ENTRIES: usize = 1 << 24;
+
+#[derive(Debug, Clone, Copy)]
 struct Way {
-    key: (u64, u64),
-    counter: SatCounter,
+    /// The `(address, history)` pair held.
+    pair: (u64, u64),
+    /// The access that last touched the way; 0 while it is empty.
     stamp: u64,
+    counter: u8,
 }
+
+/// A way that holds no pair: no word address reaches `u64::MAX`.
+const EMPTY_WAY: Way = Way {
+    pair: (u64::MAX, u64::MAX),
+    stamp: 0,
+    counter: 0,
+};
 
 /// A set-associative, LRU-replaced predictor table tagged with complete
 /// `(address, history)` pairs.
 ///
 /// Sets are selected with a gshare-style hash of the pair so that set
 /// conflicts mirror those of the equivalent direct-mapped table; within a
-/// set, replacement is true LRU via timestamps.
+/// set, replacement is true LRU via the tick of each way's last access.
+/// The sets lie one after another in one array of ways.
+/// [`SetAssociative::access`] is the whole per-record transition: the
+/// [`BranchPredictor`] impl and the batch walk of `bpred-sim` both call
+/// it.
 #[derive(Debug, Clone)]
 pub struct SetAssociative {
     sets_log2: u32,
     ways: usize,
-    table: Vec<Vec<Way>>,
+    table: Vec<Way>,
     history: GlobalHistory,
     kind: CounterKind,
+    counter: Width,
     miss_policy: MissPolicy,
     tick: u64,
 }
 
 impl SetAssociative {
-    /// A table of `2^sets_log2` sets of `ways` entries each.
+    /// Check a geometry without allocating it.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if `sets_log2` is out of `1..=30`, `ways` is
-    /// zero, or `history_bits` exceeds 64.
-    pub fn new(
-        sets_log2: u32,
-        ways: usize,
-        history_bits: u32,
-        kind: CounterKind,
-    ) -> Result<Self, ConfigError> {
+    /// zero, the table would hold more than [`MAX_SET_ENTRIES`] entries, or
+    /// `history_bits` exceeds 64.
+    pub fn check(sets_log2: u32, ways: usize, history_bits: u32) -> Result<(), ConfigError> {
         if sets_log2 == 0 || sets_log2 > 30 {
             return Err(ConfigError::invalid(
                 "sets_log2",
@@ -310,6 +341,13 @@ impl SetAssociative {
         if ways == 0 {
             return Err(ConfigError::invalid("ways", ways, "must be nonzero"));
         }
+        if ways > MAX_SET_ENTRIES >> sets_log2 {
+            return Err(ConfigError::invalid(
+                "ways",
+                ways,
+                "puts more than 2^24 entries (512 MiB) in the table",
+            ));
+        }
         if history_bits > 64 {
             return Err(ConfigError::invalid(
                 "history_bits",
@@ -317,12 +355,28 @@ impl SetAssociative {
                 "must be at most 64",
             ));
         }
+        Ok(())
+    }
+
+    /// A table of `2^sets_log2` sets of `ways` entries each.
+    ///
+    /// # Errors
+    ///
+    /// As [`SetAssociative::check`].
+    pub fn new(
+        sets_log2: u32,
+        ways: usize,
+        history_bits: u32,
+        kind: CounterKind,
+    ) -> Result<Self, ConfigError> {
+        Self::check(sets_log2, ways, history_bits)?;
         Ok(SetAssociative {
             sets_log2,
             ways,
-            table: vec![Vec::new(); 1 << sets_log2],
+            table: vec![EMPTY_WAY; ways << sets_log2],
             history: GlobalHistory::new(history_bits),
             kind,
+            counter: Width::of(kind),
             miss_policy: MissPolicy::AlwaysTaken,
             tick: 0,
         })
@@ -344,49 +398,56 @@ impl SetAssociative {
         self.ways << self.sets_log2
     }
 
+    /// The first way of the set of the branch at `pc` under the global
+    /// history `hist`, and the branch's pair.
     #[inline]
-    fn locate(&self, pc: u64) -> (usize, (u64, u64)) {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
+    fn locate(&self, pc: u64, hist: u64) -> (usize, (u64, u64)) {
+        let v = InfoVector::new(pc, hist, self.history.len());
         let set = IndexFunction::Gshare.index(&v, self.sets_log2) as usize;
-        (set, v.pair())
+        (set * self.ways, v.pair())
+    }
+
+    /// Predict the branch at `pc` under the global history `hist` (of
+    /// which the table keeps its low `history_bits` bits), then train with
+    /// `outcome`. A hit predicts from the way's counter, trains it and
+    /// marks the way most recently used. A miss predicts the miss policy's
+    /// outcome, flagged novel, and refills the set's least recently used
+    /// way (an empty one first) with a counter seeded toward `outcome`.
+    #[inline]
+    pub fn access(&mut self, pc: u64, hist: u64, outcome: Outcome) -> Prediction {
+        let (first, pair) = self.locate(pc, hist);
+        self.tick += 1;
+        let (c, taken, tick) = (self.counter, outcome.is_taken(), self.tick);
+        let set = &mut self.table[first..first + self.ways];
+        if let Some(way) = set.iter_mut().find(|w| w.pair == pair) {
+            let predicted = c.taken(way.counter);
+            way.counter = c.step(way.counter, taken);
+            way.stamp = tick;
+            return Prediction::of(Outcome::from(predicted));
+        }
+        let victim = set.iter_mut().min_by_key(|w| w.stamp);
+        *victim.expect("ways is nonzero") = Way {
+            pair,
+            stamp: tick,
+            // SatCounter::seeded: weakly toward the outcome.
+            counter: c.neutral() + u8::from(taken),
+        };
+        Prediction::novel(self.miss_policy.outcome())
     }
 }
 
 impl BranchPredictor for SetAssociative {
     fn predict(&mut self, pc: u64) -> Prediction {
-        let (set, key) = self.locate(pc);
-        match self.table[set].iter().find(|w| w.key == key) {
-            Some(w) => Prediction::of(w.counter.predict()),
+        let (first, pair) = self.locate(pc, self.history.value());
+        let set = &self.table[first..first + self.ways];
+        match set.iter().find(|w| w.pair == pair) {
+            Some(w) => Prediction::of(Outcome::from(self.counter.taken(w.counter))),
             None => Prediction::novel(self.miss_policy.outcome()),
         }
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
-        let (set, key) = self.locate(pc);
-        self.tick += 1;
-        let tick = self.tick;
-        let ways = self.ways;
-        let kind = self.kind;
-        let set = &mut self.table[set];
-        if let Some(w) = set.iter_mut().find(|w| w.key == key) {
-            w.counter.train(outcome);
-            w.stamp = tick;
-        } else if set.len() < ways {
-            set.push(Way {
-                key,
-                counter: SatCounter::seeded(kind, outcome),
-                stamp: tick,
-            });
-        } else {
-            // Replace the least recently used way.
-            let victim = set
-                .iter_mut()
-                .min_by_key(|w| w.stamp)
-                .expect("nonzero ways");
-            victim.key = key;
-            victim.counter = SatCounter::seeded(kind, outcome);
-            victim.stamp = tick;
-        }
+        self.access(pc, self.history.value(), outcome);
         self.history.push(outcome);
     }
 
@@ -414,9 +475,7 @@ impl BranchPredictor for SetAssociative {
     }
 
     fn reset(&mut self) {
-        for set in &mut self.table {
-            set.clear();
-        }
+        self.table.fill(EMPTY_WAY);
         self.history.clear();
         self.tick = 0;
     }
@@ -510,37 +569,36 @@ mod tests {
     }
 
     #[test]
-    fn sa_basic_hit_and_miss() {
-        let mut p = SetAssociative::new(4, 2, 0, CounterKind::TwoBit).unwrap();
-        assert!(p.predict(0x1000).novel);
-        p.update(0x1000, Outcome::NotTaken);
-        assert_eq!(p.predict(0x1000).outcome, Outcome::NotTaken);
-        assert!(!p.predict(0x1000).novel);
+    fn sa_lru_within_set() {
+        // Word addresses 0, 2 and 4 share the one set bit of a 2-way
+        // table: the least recently used of the three is replaced.
+        let mut p = SetAssociative::new(1, 2, 0, CounterKind::TwoBit).unwrap();
+        let (a, b, c) = (0x0, 0x8, 0x10);
+        assert!([b, c]
+            .iter()
+            .all(|&pc| p.locate(pc, 0).0 == p.locate(a, 0).0));
+        for pc in [a, b, a, c] {
+            p.update(pc, Outcome::Taken); // touching a leaves b to evict
+        }
+        assert!(!p.predict(a).novel && p.predict(b).novel && !p.predict(c).novel);
     }
 
     #[test]
-    fn sa_lru_within_set() {
-        // Force three keys into the same set of a 2-way table; the first
-        // (least recently used) is the one replaced.
-        let mut p = SetAssociative::new(1, 2, 0, CounterKind::TwoBit).unwrap();
-        // With 1 set bit, addresses 0x0, 0x8, 0x10 (word-aligned pcs 0, 8, 16)
-        // may fall in either set; use pcs that share the single set bit.
-        let a = 0x0;
-        let b = 0x8;
-        let c = 0x10;
-        let (sa, _) = p.locate(a);
-        let (sb, _) = p.locate(b);
-        let (sc, _) = p.locate(c);
-        // 0x0>>2=0, 0x8>>2=2, 0x10>>2=4: all even -> set bit 0.
-        assert_eq!(sa, sb);
-        assert_eq!(sb, sc);
-        p.update(a, Outcome::Taken);
-        p.update(b, Outcome::Taken);
-        p.update(a, Outcome::Taken); // touch a
-        p.update(c, Outcome::Taken); // evicts b
-        assert!(!p.predict(a).novel);
-        assert!(p.predict(b).novel);
-        assert!(!p.predict(c).novel);
+    fn sa_access_predicts_then_trains() {
+        let mut p = SetAssociative::new(4, 2, 4, CounterKind::TwoBit)
+            .unwrap()
+            .with_miss_policy(MissPolicy::AlwaysNotTaken);
+        let miss = p.access(0x1000, 0b1011, Outcome::Taken);
+        assert_eq!(miss, Prediction::novel(Outcome::NotTaken));
+        // Only the low 4 history bits are the pair's.
+        let hit = p.access(0x1000, 0xf0 | 0b1011, Outcome::NotTaken);
+        assert_eq!(hit, Prediction::of(Outcome::Taken), "seeded weakly taken");
+        assert_eq!(
+            p.access(0x1000, 0b1011, Outcome::NotTaken),
+            Prediction::of(Outcome::NotTaken),
+            "trained down once"
+        );
+        assert!(p.access(0x1000, 0b0011, Outcome::Taken).novel);
     }
 
     #[test]
@@ -556,6 +614,19 @@ mod tests {
         assert!(FullyAssociative::new(4, 65, CounterKind::TwoBit).is_err());
         assert!(SetAssociative::new(0, 2, 0, CounterKind::TwoBit).is_err());
         assert!(SetAssociative::new(4, 0, 0, CounterKind::TwoBit).is_err());
+        // The entry ceiling is checked before anything is allocated.
+        let refused = "puts more than 2^24 entries (512 MiB) in the table";
+        assert_eq!(SetAssociative::check(20, 16, 64), Ok(()));
+        for (n, ways) in [(20, 17), (30, 1), (1, usize::MAX)] {
+            let too_big = ConfigError::invalid("ways", ways, refused);
+            assert_eq!(
+                SetAssociative::check(n, ways, 0),
+                Err(too_big),
+                "{n} {ways}"
+            );
+        }
+        assert!(SetAssociative::new(30, 1, 4, CounterKind::TwoBit).is_err());
+        assert_eq!(MAX_SET_ENTRIES * std::mem::size_of::<Way>(), 512 << 20);
     }
 
     #[test]

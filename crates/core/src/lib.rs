@@ -25,8 +25,9 @@
 //!   (3 or 5 banks, total or partial update), and the section-7
 //!   extensions — the McFarling and 2bc-gskew hybrids, the agree and
 //!   bi-mode predictors (Sprangle et al., ISCA'97; Lee et al., MICRO'97),
-//!   per-address two-level prediction and its skewed variant, and the
-//!   shared-hysteresis skewed predictor.
+//!   per-address two-level prediction and its skewed variant, the
+//!   shared-hysteresis skewed predictor, and the static always-taken and
+//!   always-not-taken baselines.
 //! * [`gskew`] — the update policy of the skewed banks (section 4.1).
 //! * [`ideal`] — the infinite, unaliased predictor of section 3.1.
 //! * [`assoc`] — tagged fully-associative (LRU) and set-associative
@@ -64,7 +65,6 @@ pub mod index;
 pub mod predictor;
 pub mod skew;
 pub mod spec;
-pub mod statics;
 pub mod table;
 pub mod vector;
 
@@ -79,7 +79,6 @@ pub mod prelude {
     pub use crate::index::IndexFunction;
     pub use crate::predictor::{BranchPredictor, Outcome, Prediction};
     pub use crate::spec::{parse_spec, PredictorSpec};
-    pub use crate::statics::{AlwaysNotTaken, AlwaysTaken};
     pub use crate::table::TablePredictor;
     pub use crate::vector::InfoVector;
 }

@@ -35,7 +35,6 @@ use crate::error::ConfigError;
 use crate::gskew::UpdatePolicy;
 use crate::ideal::Ideal;
 use crate::predictor::BranchPredictor;
-use crate::statics::{AlwaysNotTaken, AlwaysTaken};
 use crate::table::TablePredictor;
 use std::collections::HashMap;
 
@@ -126,9 +125,9 @@ impl Params {
 /// Splitting [`parse_spec`] into [`PredictorSpec::parse`] (cheap, pure)
 /// and [`PredictorSpec::build`] (allocates the predictor) lets callers
 /// inspect *what* a spec asks for without paying for it — the simulation
-/// kernels in `bpred-sim` run the tag-less table families through
-/// [`TablePredictor`]'s monomorphized tables and
-/// [`build`](PredictorSpec::build) everything else.
+/// kernels in `bpred-sim` run the table families through
+/// [`TablePredictor`]'s monomorphized tables and the tagged families
+/// through walks of their own, building no boxed predictor.
 ///
 /// Parameter *range* validation happens at construction
 /// ([`TablePredictor::new`] and the tagged predictors' constructors), so
@@ -403,8 +402,6 @@ impl PredictorSpec {
                 ctr,
                 miss,
             } => Box::new(SetAssociative::new(n, ways, h, ctr)?.with_miss_policy(miss)),
-            PredictorSpec::AlwaysTaken => Box::new(AlwaysTaken::new()),
-            PredictorSpec::AlwaysNotTaken => Box::new(AlwaysNotTaken::new()),
             _ => unreachable!("every other family is a table predictor"),
         };
         Ok(boxed)

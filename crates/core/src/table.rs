@@ -12,6 +12,7 @@
 //! | `pas` | local histories + gselect pattern table | 1..=7 bits | §7 |
 //! | `spas` | local histories + 3 skewed banks | 1..=7 bits | §7 |
 //! | `shgskew` | 3 direction banks, shared hysteresis | 2 bits | §7 |
+//! | `always-taken`, `always-nottaken` | none: one constant prediction | — | §3.3 (figure 8's miss fallback) |
 //!
 //! Each family is a [`Table`]: a two-method per-record transition.
 //! [`Table::look`] computes a record's indices under a given history and
@@ -404,6 +405,30 @@ impl<T: Table> Table for Local<'_, T> {
     }
 }
 
+/// `always-taken` and `always-nottaken`: no cells, one constant
+/// prediction, nothing to train.
+struct Static {
+    taken: bool,
+}
+
+impl Table for Static {
+    type Cells = ();
+    type Votes = [bool; 1];
+    const GLOBAL_HISTORY: bool = false;
+
+    #[inline(always)]
+    fn look(&self, _pc: u64, _hist: History) -> Look<(), [bool; 1]> {
+        Look {
+            cells: (),
+            votes: [self.taken],
+            predicted: self.taken,
+        }
+    }
+
+    #[inline(always)]
+    fn train(&mut self, _look: Look<(), [bool; 1]>, _taken: bool) {}
+}
+
 /// `mcfarling`: a bimodal and a gshare table of `2^n` counters each plus
 /// a `2^n`-entry 2-bit meta table indexed by address. A high meta
 /// counter selects gshare; the meta counter trains only when the two
@@ -756,11 +781,8 @@ fn layout(spec: &PredictorSpec) -> Result<Option<Layout>, ConfigError> {
             history(h)?;
             (h, vec![(3 << n, 1), (3 << (n - 1), 0)], 0)
         }
-        S::Ideal { .. }
-        | S::Falru { .. }
-        | S::SetAssoc { .. }
-        | S::AlwaysTaken
-        | S::AlwaysNotTaken => return Ok(None),
+        S::AlwaysTaken | S::AlwaysNotTaken => (0, Vec::new(), 0),
+        S::Ideal { .. } | S::Falru { .. } | S::SetAssoc { .. } => return Ok(None),
     };
     Ok(Some(layout))
 }
@@ -781,7 +803,7 @@ pub trait Visit {
 /// As a [`BranchPredictor`], `predict` looks the branch up under the
 /// current history; `update` looks it up, trains the cells and shifts
 /// the outcome into the history; an unconditional branch shifts in a
-/// taken bit. `pas` and `spas` keep a 0-bit global history.
+/// taken bit. `pas`, `spas` and `always-*` keep a 0-bit global history.
 ///
 /// ```
 /// use bpred_core::prelude::*;
@@ -978,6 +1000,8 @@ impl TablePredictor {
                     hysteresis,
                 })
             }
+            S::AlwaysTaken => go!(Static { taken: true }),
+            S::AlwaysNotTaken => go!(Static { taken: false }),
             _ => unreachable!("`new` admits table families only"),
         }
     }
@@ -1088,6 +1112,8 @@ impl BranchPredictor for TablePredictor {
                 1u64 << n,
                 1u64 << (n - 1)
             ),
+            S::AlwaysTaken => "always-taken".into(),
+            S::AlwaysNotTaken => "always-not-taken".into(),
             _ => unreachable!("`new` admits table families only"),
         }
     }
@@ -1109,6 +1135,7 @@ impl BranchPredictor for TablePredictor {
             S::Spas { bht, l, n, ctr, .. } => (1u64 << bht) * u64::from(l) + 3 * counters(n, ctr),
             // Per bank: 2^n direction bits and 2^(n-1) hysteresis bits.
             S::Shgskew { n, .. } => 3 * ((1u64 << n) + (1u64 << (n - 1))),
+            S::AlwaysTaken | S::AlwaysNotTaken => 0,
             _ => unreachable!("`new` admits table families only"),
         }
     }
@@ -1186,6 +1213,8 @@ mod tests {
                 "shgskew 3x4096+2048hyst h=8 total",
                 18432,
             ),
+            ("always-taken", "always-taken", 0),
+            ("always-nottaken", "always-not-taken", 0),
         ] {
             let p = parse_spec(spec).unwrap();
             assert_eq!(
@@ -1274,13 +1303,23 @@ mod tests {
     }
 
     #[test]
-    fn other_families_have_no_table() {
-        for spec in [
-            "ideal:h=4",
-            "falru:cap=64,h=4",
-            "setassoc:n=6",
-            "always-taken",
+    fn statics_never_learn() {
+        for (spec, outcome) in [
+            ("always-taken", Outcome::Taken),
+            ("always-nottaken", Outcome::NotTaken),
         ] {
+            let mut p = parse_spec(spec).unwrap();
+            for i in 0..10u64 {
+                p.update(i * 4, outcome.flipped());
+                p.record_unconditional(i * 4);
+            }
+            assert_eq!(p.predict(0), Prediction::of(outcome), "{spec}");
+        }
+    }
+
+    #[test]
+    fn other_families_have_no_table() {
+        for spec in ["ideal:h=4", "falru:cap=64,h=4", "setassoc:n=6"] {
             let spec = PredictorSpec::parse(spec).unwrap();
             assert_eq!(TablePredictor::new(&spec), Ok(None));
             assert_eq!(TablePredictor::check(&spec), Ok(false));

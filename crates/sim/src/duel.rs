@@ -160,7 +160,6 @@ fn wrong_bits(spec: &PredictorSpec, cols: &TraceColumns) -> Option<(Vec<u64>, u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpred_core::prelude::*;
     use bpred_core::spec::parse_spec;
     use bpred_trace::prelude::*;
 
@@ -221,8 +220,8 @@ mod tests {
 
     #[test]
     fn statics_duel_deterministically() {
-        let mut t = AlwaysTaken::new();
-        let mut n = AlwaysNotTaken::new();
+        let mut t = parse_spec("always-taken").unwrap();
+        let mut n = parse_spec("always-nottaken").unwrap();
         let records = vec![
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x104, true),
@@ -258,8 +257,8 @@ mod tests {
 
     #[test]
     fn empty_duel_is_zero() {
-        let mut a = AlwaysTaken::new();
-        let mut b = AlwaysNotTaken::new();
+        let mut a = parse_spec("always-taken").unwrap();
+        let mut b = parse_spec("always-nottaken").unwrap();
         let r = duel(&mut a, &mut b, std::iter::empty(), NovelPolicy::Count);
         assert_eq!(r, DuelResult::default());
         assert_eq!(r.a_pct(), 0.0);

@@ -98,10 +98,9 @@ pub fn run_with(
 /// Each record is applied to all predictors before the pass advances, so
 /// the result for predictor `i` is bit-identical to running
 /// [`run_with`]`(predictors[i], columns.records(), novel_policy)` on its
-/// own — the predictors share the trace walk, not any state. With a
-/// cached trace (`bpred_trace::cache`) this turns an N-row sweep from N
-/// generate-and-simulate passes into one generation plus one pass, the
-/// batched fallback used by the experiment sweeps.
+/// own — the predictors share the trace walk, not any state. No cell
+/// runs on it: it is `bpsim bench`'s dyn baseline and the reference the
+/// kernel tests compare against.
 pub fn run_many(
     predictors: &mut [Box<dyn BranchPredictor>],
     columns: &TraceColumns,
@@ -255,7 +254,7 @@ mod tests {
             BranchRecord::conditional(0x108, false),
             BranchRecord::unconditional(0x10c),
         ];
-        let mut p = AlwaysTaken::new();
+        let mut p = parse_spec("always-taken").unwrap();
         let r = run(&mut p, records.into_iter());
         assert_eq!(r.conditional, 3);
         assert_eq!(r.mispredicted, 2);
@@ -287,7 +286,7 @@ mod tests {
         let spec = IbsBenchmark::Nroff.spec();
         let mut gshare = parse_spec("gshare:n=12,h=4").unwrap();
         let g = run(&mut gshare, spec.build().take_conditionals(len));
-        let mut taken = AlwaysTaken::new();
+        let mut taken = parse_spec("always-taken").unwrap();
         let t = run(&mut taken, spec.build().take_conditionals(len));
         assert!(
             g.mispredict_pct() < t.mispredict_pct(),
@@ -388,7 +387,7 @@ mod tests {
 
     #[test]
     fn partial_final_window_counts() {
-        let mut p = AlwaysTaken::new();
+        let mut p = parse_spec("always-taken").unwrap();
         let records = vec![
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x104, false),
@@ -440,7 +439,7 @@ mod tests {
 
     #[test]
     fn empty_stream_is_zero() {
-        let mut p = AlwaysTaken::new();
+        let mut p = parse_spec("always-taken").unwrap();
         let r = run(&mut p, std::iter::empty());
         assert_eq!(r, RunResult::default());
         assert_eq!(r.mispredict_pct(), 0.0);

@@ -377,33 +377,33 @@ pub(super) fn seeds(opts: &ExperimentOpts) -> ExperimentOutput {
 }
 
 pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
-    use bpred_aliasing::cursor::PairCursor;
-    use bpred_aliasing::set_assoc::TaggedSetAssociative;
-    use bpred_trace::record::BranchKind;
-
     // Fixed total capacity (4K pairs), sweep associativity.
     const CAPACITY_LOG2: u32 = 12;
     const HISTORY: u32 = 4;
-    const WAYS: [u32; 6] = [0, 1, 2, 3, 4, CAPACITY_LOG2]; // log2(ways); last = fully assoc
-    let labels: Vec<String> = WAYS
+    // log2(ways); the last is fully associative.
+    const WAYS: [u32; 6] = [0, 1, 2, 3, 4, CAPACITY_LOG2];
+    // Each set-associative row is a `setassoc` cell, whose misses are its
+    // novel predictions. One set of every way is an FA-LRU table: one
+    // last-use-distance pass per benchmark instead of a linear set scan.
+    let (labels, units): (Vec<String>, Vec<Unit>) = WAYS
         .iter()
         .map(|&w| {
             if w == CAPACITY_LOG2 {
-                "full".to_string()
+                let capacities = vec![1 << CAPACITY_LOG2];
+                let fa = Unit::Fa {
+                    history_bits: HISTORY,
+                    capacities,
+                };
+                ("full".to_string(), fa)
             } else {
-                (1u32 << w).to_string()
+                let (n, ways) = (CAPACITY_LOG2 - w, 1u32 << w);
+                let spec = format!("setassoc:n={n},ways={ways},h={HISTORY}");
+                (ways.to_string(), Unit::Spec(spec))
             }
         })
-        .collect();
-    // One set of every way is an FA-LRU table: one last-use-distance
-    // pass per benchmark instead of a linear set scan, as one batch of
-    // the cell pipeline.
-    let unit = Unit::Fa {
-        history_bits: HISTORY,
-        capacities: vec![1 << CAPACITY_LOG2],
-    };
+        .unzip();
     let workloads = opts.workloads();
-    let full = resume::run_cells(&workloads, NovelPolicy::Count, &[unit], opts.threads);
+    let cells = resume::run_cells(&workloads, NovelPolicy::Count, &units, opts.threads);
     let table = bench_sweep_table(
         format!(
             "Miss % of a {}-pair identity-tagged table vs associativity (gshare set \
@@ -414,31 +414,20 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
         &labels,
         opts,
         |row, w| {
-            let (bench, len) = workloads[w];
-            let ways_log2 = WAYS[row];
-            if ways_log2 == CAPACITY_LOG2 {
-                let fa = kernel::fa_counts(&full[w][0]);
-                // `100.0 * miss_ratio()`, in the same order.
-                let ratio = if fa.references == 0 {
-                    0.0
-                } else {
-                    fa.misses[0] as f64 / fa.references as f64
-                };
-                return 100.0 * ratio;
-            }
-            let mut table = TaggedSetAssociative::new(
-                CAPACITY_LOG2 - ways_log2,
-                1 << ways_log2,
-                IndexFunction::Gshare,
-            );
-            let mut cursor = PairCursor::new(HISTORY);
-            for r in records(bench, len) {
-                if r.kind == BranchKind::Conditional {
-                    table.access(&cursor.vector(r.pc));
-                }
-                cursor.advance(&r);
-            }
-            100.0 * table.miss_ratio()
+            let cell = &cells[w][row];
+            let (misses, references) = if WAYS[row] == CAPACITY_LOG2 {
+                let fa = kernel::fa_counts(cell);
+                (fa.misses[0], fa.references)
+            } else {
+                (cell[0].novel, cell[0].conditional)
+            };
+            // `100.0 * miss_ratio()`, in the same order.
+            let ratio = if references == 0 {
+                0.0
+            } else {
+                misses as f64 / references as f64
+            };
+            100.0 * ratio
         },
     );
     ExperimentOutput {

@@ -13,13 +13,17 @@
 //! tests a per-record conditional bit or keeps a history register of its
 //! own.
 //!
-//! Fast paths (everything else runs on the `dyn` engine):
+//! Every predictor family has a fast path, so no cell runs on the `dyn`
+//! engine:
 //!
 //! - every table family of `bpred_core::table` (`bimodal`, `gshare`,
 //!   `gselect`, `gskew`, `egskew`, `mcfarling`, `2bcgskew`, `agree`,
-//!   `bimode`, `pas`, `spas`, `shgskew`), as a [`PredictorKernel`];
+//!   `bimode`, `pas`, `spas`, `shgskew`, `always-taken`,
+//!   `always-nottaken`), as a [`PredictorKernel`];
 //! - `falru` and `ideal` (tagged tables), one [`LruWalk`] per history
-//!   length.
+//!   length;
+//! - `setassoc` (a tagged set-associative table), one walk per spec
+//!   calling [`SetAssociative::access`] on every conditional record.
 //!
 //! Every table family is driven by one loop, `drive`, over its [`Table`]:
 //! `look` computes a record's indices under a given history and reads
@@ -36,12 +40,12 @@
 //! per conditional record (legal because the predictor's `update` looks
 //! the record up again under the unchanged prediction-time history).
 //! Table kernels never flag a prediction *novel*, so their result is also
-//! independent of the [`NovelPolicy`]; the [`LruWalk`] rows do flag misses
-//! novel and honour the policy they are given, as the tagged dyn
-//! predictors do. The equivalence is pinned by a proptest suite
-//! (`tests/kernel_equiv.rs`) against naive per-record reference models
-//! written from the paper's definitions (`tests/reference`), and by the
-//! campaign regression gates.
+//! independent of the [`NovelPolicy`]; the [`LruWalk`] rows and the
+//! set walk do flag misses novel and honour the policy they are given,
+//! as the tagged dyn predictors do. The equivalence is pinned by a
+//! proptest suite (`tests/kernel_equiv.rs`) against naive per-record
+//! reference models written from the paper's definitions
+//! (`tests/reference`), and by the campaign regression gates.
 //!
 //! The same transitions serve the custom experiment loops, for every
 //! table family:
@@ -64,8 +68,7 @@
 //!   retire cursor and shifts the history itself.
 //!
 //! Simulation work runs as [`Job`]s: a table kernel, a shared
-//! [`LruWalk`], one batched [`engine::run_many`] pass for the specs
-//! without a fast path, a direct-mapped three-C pass or a shared
+//! [`LruWalk`], a set walk, a direct-mapped three-C pass or a shared
 //! fully-associative pass. [`plan`] splits a spec list into jobs, and
 //! [`run_jobs`] is the one fan-out: it runs a list of `(trace, job)`
 //! pairs, across any number of workloads, on one pool of workers, and
@@ -74,13 +77,17 @@
 //! such list; [`run_specs`] and [`run_three_c_units`] are its
 //! one-trace forms for the CLI and the benchmarks.
 
-use crate::engine::{self, NovelPolicy, RunResult};
+#[cfg(doc)]
+use crate::engine;
+use crate::engine::{NovelPolicy, RunResult};
 use crate::runner::parallel_map;
 use crate::timing;
 use bpred_aliasing::batch::{self, DmCounts, FaCounts, ThreeCCell};
 use bpred_aliasing::distance::LastUseDistance;
-use bpred_core::assoc::MissPolicy;
+use bpred_core::assoc::{FullyAssociative, MissPolicy, SetAssociative};
 use bpred_core::error::ConfigError;
+use bpred_core::ideal::Ideal;
+use bpred_core::predictor::Outcome;
 use bpred_core::spec::PredictorSpec;
 use bpred_core::table::{Counter, History, Table, TablePredictor, Visit, Width};
 use bpred_trace::record::BranchRecord;
@@ -217,8 +224,8 @@ pub struct PredictorKernel {
 
 impl PredictorKernel {
     /// The kernel for a table-family `spec` (see `bpred_core::table`);
-    /// `None` for the other families — the tagged families (`falru` and
-    /// `ideal` run as an [`LruWalk`] instead) and `always-*`.
+    /// `None` for the tagged families (`falru` and `ideal` run as an
+    /// [`LruWalk`] instead, `setassoc` as a [`Job::Set`]).
     ///
     /// # Panics
     ///
@@ -303,22 +310,32 @@ struct LruRow {
 }
 
 impl LruRow {
-    /// The row and its history length for a `falru` or `ideal` spec with
-    /// in-range parameters (`cap` ≥ 1, `h` ≤ 64); `None` otherwise.
-    fn from_spec(spec: &PredictorSpec) -> Option<(u32, LruRow)> {
+    /// The row and its history length for a `falru` or `ideal` spec;
+    /// `None` for the other families.
+    ///
+    /// # Errors
+    ///
+    /// Returns the predictor constructor's [`ConfigError`] for a
+    /// parameter out of range (`cap` of 0, `h` above 64).
+    fn from_spec(spec: &PredictorSpec) -> Result<Option<(u32, LruRow)>, ConfigError> {
         let (h, capacity, miss_taken, ctr) = match *spec {
-            PredictorSpec::Falru { cap, h, ctr, miss } if cap > 0 => {
+            PredictorSpec::Falru { cap, h, ctr, miss } => {
+                FullyAssociative::check(cap, h)?;
                 (h, cap as u64, miss == MissPolicy::AlwaysTaken, ctr)
             }
-            PredictorSpec::Ideal { h, ctr } => (h, u64::MAX, false, ctr),
-            _ => return None,
+            PredictorSpec::Ideal { h, ctr } => {
+                // An empty table: the check allocates nothing.
+                Ideal::new(h, ctr)?;
+                (h, u64::MAX, false, ctr)
+            }
+            _ => return Ok(None),
         };
         let row = LruRow {
             capacity,
             miss_taken,
             counter: Width::of(ctr),
         };
-        (h <= 64).then_some((h, row))
+        Ok(Some((h, row)))
     }
 }
 
@@ -394,6 +411,43 @@ impl LruWalk {
     }
 }
 
+/// The walk of the table a `setassoc` spec describes over the
+/// conditional records: one [`SetAssociative::access`] each, under the
+/// cursor's global history. Bit-identical to [`engine::run_with`] on the
+/// same table under `policy`: a miss is flagged novel and, under
+/// [`NovelPolicy::Exclude`], not charged.
+///
+/// # Panics
+///
+/// Panics on another family or an out-of-range parameter; [`plan`]
+/// makes neither.
+fn set_walk(spec: &PredictorSpec, cols: &TraceColumns, policy: NovelPolicy) -> RunResult {
+    let PredictorSpec::SetAssoc {
+        n,
+        ways,
+        h,
+        ctr,
+        miss,
+    } = *spec
+    else {
+        panic!("{spec:?} is not a setassoc spec");
+    };
+    let table = SetAssociative::new(n, ways, h, ctr).unwrap_or_else(|e| panic!("{e}"));
+    let mut table = table.with_miss_policy(miss);
+    let charge_novel = policy == NovelPolicy::Count;
+    let mut result = RunResult {
+        conditional: cols.conditional_count(),
+        ..RunResult::default()
+    };
+    for (pc, taken, global) in cols.conditionals(0) {
+        let p = table.access(pc, global, Outcome::from(taken));
+        result.novel += u64::from(p.novel);
+        result.mispredicted +=
+            u64::from((charge_novel || !p.novel) && p.outcome.is_taken() != taken);
+    }
+    result
+}
+
 /// One unit of simulation work over one trace, the input of [`plan`].
 ///
 /// Aliasing units store their tallies in a [`RunResult`]'s fields:
@@ -424,9 +478,8 @@ pub enum Job {
     /// A shared walk serving every `falru`/`ideal` spec of one history
     /// length.
     Walk(LruWalk),
-    /// One batched [`engine::run_many`] pass over the specs without a
-    /// fast path (`setassoc`, `always-*`).
-    Dyn(Vec<PredictorSpec>),
+    /// A walk of one `setassoc` table.
+    Set(PredictorSpec),
     /// One direct-mapped three-C cell ([`batch::dm_pass`]).
     Dm(ThreeCCell),
     /// One fully-associative pass under a history length, serving
@@ -443,8 +496,8 @@ impl Job {
     ///
     /// # Panics
     ///
-    /// Panics if a [`Job::Table`] spec has no kernel or a [`Job::Dyn`]
-    /// spec does not build; [`plan`] makes neither.
+    /// Panics if a [`Job::Table`] spec has no kernel or a [`Job::Set`]
+    /// spec is not an in-range `setassoc` spec; [`plan`] makes neither.
     pub fn run(self, cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
         let start = Instant::now();
         let counts = match self {
@@ -453,10 +506,10 @@ impl Job {
                 return vec![kernel.run(cols)];
             }
             Job::Walk(walk) => return walk.run(cols, policy),
-            Job::Dyn(specs) => {
-                let build = |spec: &PredictorSpec| spec.build().unwrap_or_else(|e| panic!("{e}"));
-                let mut predictors: Vec<_> = specs.iter().map(build).collect();
-                return engine::run_many(&mut predictors, cols, policy);
+            Job::Set(spec) => {
+                let result = set_walk(&spec, cols, policy);
+                timing::record_kernel(cols.len() as u64, start.elapsed());
+                return vec![result];
             }
             Job::Dm(cell) => {
                 let c = batch::dm_pass(cols, cell.entries_log2, cell.history_bits, cell.func);
@@ -498,18 +551,17 @@ pub fn fa_counts(results: &[RunResult]) -> FaCounts {
 
 /// Split `units` into jobs, each with the indices of the units it serves,
 /// shared passes first (they are the longest jobs): one walk per history
-/// length, one FA pass per FA unit and one dyn batch for the specs
-/// without a fast path; then one table kernel per spec and one DM pass
-/// per DM unit.
+/// length and one FA pass per FA unit; then one table kernel or set walk
+/// per spec and one DM pass per DM unit.
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] for malformed specs and out-of-range values.
+/// Returns [`ConfigError`] for malformed specs and out-of-range values,
+/// with the message the family's constructor gives.
 pub fn plan<'a>(
     units: impl IntoIterator<Item = &'a Unit>,
 ) -> Result<Vec<(Vec<usize>, Job)>, ConfigError> {
     let (mut shared, mut single) = (Vec::new(), Vec::new());
-    let (mut dyn_rows, mut dyn_specs) = (Vec::new(), Vec::new());
     for (i, unit) in units.into_iter().enumerate() {
         let spec = match unit {
             Unit::Spec(spec) => PredictorSpec::parse(spec)?,
@@ -527,7 +579,10 @@ pub fn plan<'a>(
         };
         if TablePredictor::check(&spec)? {
             single.push((vec![i], Job::Table(spec)));
-        } else if let Some((h, row)) = LruRow::from_spec(&spec) {
+        } else if let PredictorSpec::SetAssoc { n, ways, h, .. } = spec {
+            SetAssociative::check(n, ways, h)?;
+            single.push((vec![i], Job::Set(spec)));
+        } else if let Some((h, row)) = LruRow::from_spec(&spec)? {
             let walk = shared.iter_mut().find_map(|(rows, job)| match job {
                 Job::Walk(walk) if walk.hist_bits == h => Some((rows, walk)),
                 _ => None,
@@ -540,13 +595,8 @@ pub fn plan<'a>(
                 None => shared.push((vec![i], Job::Walk(LruWalk::new(h, vec![row])))),
             }
         } else {
-            spec.build()?;
-            dyn_rows.push(i);
-            dyn_specs.push(spec);
+            unreachable!("every family is a table, a set or an LRU row");
         }
-    }
-    if !dyn_rows.is_empty() {
-        shared.push((dyn_rows, Job::Dyn(dyn_specs)));
     }
     shared.extend(single);
     Ok(shared)
@@ -576,8 +626,8 @@ pub fn run_jobs<T: Deref<Target = TraceColumns>>(
 
 /// Run every spec over one trace: the [`plan`]'s jobs through
 /// [`run_jobs`]. Results keep the order of `specs` and are bit-identical
-/// to a pure [`engine::run_many`] over the same list under the same
-/// `policy`.
+/// to an [`engine::run_many`] pass over the specs' predictors under the
+/// same `policy`.
 ///
 /// # Errors
 ///
@@ -634,6 +684,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine;
     use bpred_core::index::IndexFunction;
     use bpred_core::spec::parse_spec;
     use bpred_trace::cache;
@@ -687,6 +738,8 @@ mod tests {
             "spas:bht=6,l=9,n=7,ctr=1,update=total",
             "shgskew:n=8,h=4",
             "shgskew:n=9,h=11,update=total",
+            "always-taken",
+            "always-nottaken",
         ] {
             equivalent(spec, IbsBenchmark::Groff, 6_000);
         }
@@ -732,6 +785,7 @@ mod tests {
             "pas:bht=6,l=6,n=9",
             "spas:bht=6,l=9,n=7,ctr=1,update=total",
             "shgskew:n=8,h=6",
+            "always-nottaken",
         ] {
             let parsed = PredictorSpec::parse(spec).unwrap();
             for delay in [0, 1, 3, 32, 10_000] {
@@ -760,8 +814,7 @@ mod tests {
         for spec in [
             "ideal:h=4", // runs as an LruWalk row instead
             "falru:cap=64,h=4",
-            "setassoc:n=6,ways=2,h=4",
-            "always-taken",
+            "setassoc:n=6,ways=2,h=4", // runs as a set walk instead
         ] {
             let parsed = PredictorSpec::parse(spec).unwrap();
             assert!(
@@ -772,21 +825,25 @@ mod tests {
     }
 
     #[test]
-    fn run_specs_mixes_kernel_and_dyn_rows_in_order() {
+    fn run_specs_mixes_every_job_kind_in_order() {
         let bench = IbsBenchmark::Verilog;
         let len = 5_000;
         let cols = cache::columns(bench, len);
         let specs: Vec<String> = [
             "gshare:n=9,h=4",          // kernel
-            "setassoc:n=6,ways=2,h=4", // dyn fallback
+            "setassoc:n=6,ways=2,h=4", // set walk
             "falru:cap=32,h=4",        // walk
             "gskew:n=8,h=4",           // kernel
             "ideal:h=4",               // same walk
-            "always-taken",            // dyn fallback
+            "always-taken",            // kernel
         ]
         .iter()
         .map(|s| s.to_string())
         .collect();
+        let jobs = plan(&specs.iter().cloned().map(Unit::Spec).collect::<Vec<_>>()).unwrap();
+        let rows: Vec<_> = jobs.iter().map(|(rows, _)| rows.clone()).collect();
+        assert_eq!(rows, [vec![2, 4], vec![0], vec![1], vec![3], vec![5]]);
+        assert!(matches!(jobs[2].1, Job::Set(_)) && matches!(jobs[4].1, Job::Table(_)));
         let routed = run_specs(&specs, &cols, NovelPolicy::Count, 2).unwrap();
         let mut predictors: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
         let reference = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
@@ -796,7 +853,8 @@ mod tests {
     #[test]
     fn run_specs_surfaces_config_errors() {
         let cols = cache::columns(IbsBenchmark::Verilog, 100);
-        // Out-of-range table specs fail with `build`'s error.
+        // Out-of-range specs fail with `build`'s error, and `plan` builds
+        // nothing to find it.
         for spec in [
             "gshare:n=0",
             "gshare:n=31",
@@ -809,6 +867,13 @@ mod tests {
             "spas:bht=10,l=8,n=1",
             "shgskew:n=1,h=4",
             "falru:cap=0,h=4",
+            "falru:cap=64,h=65",
+            "ideal:h=65",
+            "setassoc:n=0,ways=2,h=4",
+            "setassoc:n=31,ways=2,h=4",
+            "setassoc:n=6,ways=0,h=4",
+            "setassoc:n=30,ways=1,h=4",
+            "setassoc:n=6,ways=2,h=65",
         ] {
             let built = PredictorSpec::parse(spec).unwrap().build().err();
             let routed = run_specs(&[spec.to_string()], &cols, NovelPolicy::Count, 1).err();

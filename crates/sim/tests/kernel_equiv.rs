@@ -2,13 +2,16 @@
 //! columns are bit-identical to the naive per-record reference models of
 //! `reference` driven by the `dyn` engine over a freshly generated
 //! stream, on random specs and seeded workloads; the shared FA-LRU walk
-//! matches the tagged dyn predictors, and `run_specs` falls back to the
-//! `dyn` path for specs without a fast path. The delayed and observed
-//! kernel runs match the reference models under `engine::run_delayed`,
-//! `duel::duel` and the reference gskew's `is_unanimous`.
+//! matches the tagged dyn predictors, and the set walk matches the naive
+//! set-associative model inside mixed `run_specs` calls. The delayed and
+//! observed kernel runs match the reference models under
+//! `engine::run_delayed`, `duel::duel` and the reference gskew's
+//! `is_unanimous`.
 
 mod reference;
 
+use bpred_aliasing::batch;
+use bpred_core::index::IndexFunction;
 use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_sim::duel;
@@ -22,7 +25,7 @@ use proptest::{prop_assert, prop_assert_eq};
 
 /// A random kernel-eligible spec string built from raw draws. `ctr` is
 /// the counter width (1..=7) of every family that has one; `2bcgskew`
-/// is 2-bit only.
+/// is 2-bit only, and the static families take no parameter.
 fn spec_from(
     family: u8,
     n: u32,
@@ -32,7 +35,7 @@ fn spec_from(
     total: bool,
     skew_off: bool,
 ) -> String {
-    match family % 6 {
+    match family % 8 {
         0 => format!("bimodal:n={n},ctr={ctr}"),
         1 => format!("gshare:n={n},h={h},ctr={ctr}"),
         2 => format!("gselect:n={n},h={h},ctr={ctr}"),
@@ -49,7 +52,9 @@ fn spec_from(
         }
         4 => format!("mcfarling:n={n},h={h},ctr={ctr}"),
         // n >= 2 for the skewing functions.
-        _ => format!("2bcgskew:n={},h={h}", n.max(2)),
+        5 => format!("2bcgskew:n={},h={h}", n.max(2)),
+        6 => "always-taken".to_string(),
+        _ => "always-nottaken".to_string(),
     }
 }
 
@@ -125,34 +130,59 @@ proptest::proptest! {
     }
 
     #[test]
-    fn run_specs_matches_run_many_with_dyn_fallback_rows(
-        n in 2u32..=10,
-        h in 0u32..=10,
+    fn set_walks_match_the_reference_model_among_other_jobs(
+        // (n, ways, h, ctr, miss taken)
+        sets in proptest::collection::vec(
+            (1u32..=10, 1usize..=8, 0u32..=12, 1u8..=7, proptest::any::<bool>()),
+            1..5,
+        ),
         bench_i in proptest::any::<u8>(),
-        len in 200u64..1_000,
+        len in 200u64..1_200,
         seed in proptest::any::<u64>(),
     ) {
-        // One kernel row, one dyn-only row (setassoc has no fast path),
-        // in both orders: routing must preserve order and bit-identity.
+        // Every set row draws its own geometry; a kernel row and a walk
+        // row share the call, so routing must keep order and identity.
+        let mut specs: Vec<String> = sets
+            .iter()
+            .map(|&(n, ways, h, ctr, miss_taken)| {
+                let miss = if miss_taken { "taken" } else { "nottaken" };
+                format!("setassoc:n={n},ways={ways},h={h},ctr={ctr},miss={miss}")
+            })
+            .collect();
+        let (n, h) = (sets[0].0, sets[0].2);
+        specs.insert(1, format!("gskew:n={},h={h}", n.max(2)));
+        specs.push(format!("falru:cap={},h={h}", 1 << n));
         let bench = bench_from(bench_i);
         let cols = cache::columns_seeded(bench, len, seed);
-        let specs = vec![
-            format!("gskew:n={},h={h}", n.max(2)),
-            format!("setassoc:n={n},ways=2,h={h}"),
-            format!("gshare:n={n},h={h}"),
-        ];
-        for spec in &specs[1..2] {
-            let jobs = kernel::plan(&[Unit::Spec(spec.clone())]).unwrap();
-            prop_assert!(
-                matches!(&jobs[..], [(rows, Job::Dyn(_))] if rows == &[0]),
-                "{} unexpectedly grew a fast path; pick another fallback family",
-                spec
+        for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
+            let routed = run_specs(&specs, &cols, policy, 2).unwrap();
+            let mut models: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
+            let reference = engine::run_many(&mut models, &cols, policy);
+            prop_assert_eq!(
+                routed, reference,
+                "{:?} diverges under {:?} on {:?} len {} seed {:#x}",
+                &specs, policy, bench, len, seed
             );
         }
-        let routed = run_specs(&specs, &cols, NovelPolicy::Count, 2).unwrap();
-        let mut predictors: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
-        let reference = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
-        prop_assert_eq!(routed, reference);
+    }
+
+    #[test]
+    fn one_way_set_misses_are_direct_mapped_misses(
+        n in 1u32..=12,
+        h in 0u32..=12,
+        bench_i in proptest::any::<u8>(),
+        len in 200u64..1_500,
+        seed in proptest::any::<u64>(),
+    ) {
+        // A one-way table of gshare-indexed sets is the direct-mapped
+        // tagged table of the three-C instruments.
+        let bench = bench_from(bench_i);
+        let cols = cache::columns_seeded(bench, len, seed);
+        let spec = format!("setassoc:n={n},ways=1,h={h}");
+        let set = run_specs(&[spec], &cols, NovelPolicy::Count, 1).unwrap()[0];
+        let dm = batch::dm_pass(&cols, n, h, IndexFunction::Gshare);
+        prop_assert_eq!(set.conditional, dm.references);
+        prop_assert_eq!(set.novel, dm.misses);
     }
 
     #[test]
@@ -235,14 +265,14 @@ proptest::proptest! {
     }
 }
 
-/// A random spec of any of the nine table families, all of which have
-/// delayed and observed kernel runs: [`spec_from`]'s six (`skew=on`)
+/// A random spec of any of the table families, all of which have
+/// delayed and observed kernel runs: [`spec_from`]'s eight (`skew=on`)
 /// and [`antialias_spec_from`]'s five, with `n` doubling as the `bias`,
 /// `choice` and `bht` table log2 and `h` as the local history length.
 fn hooked_spec_from(family: u8, n: u32, h: u32, ctr: u8, wide: bool, total: bool) -> String {
-    match family % 11 {
-        f @ 0..=5 => spec_from(f, n, h, ctr, wide, total, false),
-        f => antialias_spec_from(f - 6, n, h, ctr, n, n, h.max(1), total),
+    match family % 13 {
+        f @ 0..=7 => spec_from(f, n, h, ctr, wide, total, false),
+        f => antialias_spec_from(f - 8, n, h, ctr, n, n, h.max(1), total),
     }
 }
 
@@ -290,7 +320,7 @@ proptest::proptest! {
         // runs must agree for every family.
         let bench = bench_from(bench_i);
         let cols = cache::columns_seeded(bench, len, seed);
-        for family in 0..11 {
+        for family in 0..13 {
             let spec = hooked_spec_from(family, n, h, ctr, wide, total);
             let kernel = || {
                 PredictorKernel::from_spec(&PredictorSpec::parse(&spec).unwrap())

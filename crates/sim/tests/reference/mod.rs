@@ -1,5 +1,6 @@
-//! Naive per-record reference models of every tag-less table family,
-//! the oracle of the table kernels.
+//! Naive per-record reference models of every table family and of the
+//! set-associative tagged table, the oracle of the kernels and the set
+//! walk.
 //!
 //! Each model is written from the paper's definitions and implements
 //! [`BranchPredictor`] one record at a time: `predict` reads the
@@ -12,6 +13,7 @@
 
 #![allow(dead_code)]
 
+use bpred_core::assoc::MissPolicy;
 use bpred_core::counter::{CounterKind, SatCounter};
 use bpred_core::gskew::UpdatePolicy;
 use bpred_core::index::IndexFunction;
@@ -20,8 +22,8 @@ use bpred_core::skew::skew_index;
 use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_core::vector::InfoVector;
 
-/// The reference model of a table-family `spec`, or the one predictor of
-/// any other family (`ideal`, `falru`, `setassoc`, `always-*`).
+/// The reference model of a table-family or `setassoc` `spec`, or the
+/// one predictor of the LRU families (`ideal`, `falru`).
 ///
 /// # Panics
 ///
@@ -30,8 +32,8 @@ pub fn oracle(spec: &str) -> Box<dyn BranchPredictor> {
     build(&PredictorSpec::parse(spec).unwrap()).unwrap_or_else(|| parse_spec(spec).unwrap())
 }
 
-/// The reference model of a table-family spec; `None` for the other
-/// families. Parameters are taken as given: an out-of-range spec builds
+/// The reference model of a table-family or `setassoc` spec; `None` for
+/// the other families. Parameters are taken as given: an out-of-range spec builds
 /// a model that panics or misbehaves.
 pub fn build(spec: &PredictorSpec) -> Option<Box<dyn BranchPredictor>> {
     use PredictorSpec as S;
@@ -91,6 +93,23 @@ pub fn build(spec: &PredictorSpec) -> Option<Box<dyn BranchPredictor>> {
             direction: std::array::from_fn(|_| vec![true; 1 << n]),
             hysteresis: std::array::from_fn(|_| vec![false; 1 << (n - 1)]),
             partial: update == UpdatePolicy::Partial,
+        }),
+        S::AlwaysTaken => Box::new(Static(Outcome::Taken)),
+        S::AlwaysNotTaken => Box::new(Static(Outcome::NotTaken)),
+        S::SetAssoc {
+            n,
+            ways,
+            h,
+            ctr,
+            miss,
+        } => Box::new(SetAssoc {
+            n,
+            ways,
+            hist: Register::new(h),
+            sets: vec![Vec::new(); 1 << n],
+            kind: ctr,
+            miss: Outcome::from(miss == MissPolicy::AlwaysTaken),
+            tick: 0,
         }),
         _ => return None,
     };
@@ -605,6 +624,88 @@ impl BranchPredictor for Shgskew {
             };
             self.direction[b][d] = next >= 2;
             self.hysteresis[b][h] = next % 2 == 1;
+        }
+        self.hist.push(outcome);
+    }
+
+    fn record_unconditional(&mut self, _pc: u64) {
+        self.hist.push(Outcome::Taken);
+    }
+
+    unnamed!();
+}
+
+/// A static predictor: the same outcome for every branch, learning
+/// nothing.
+struct Static(Outcome);
+
+impl BranchPredictor for Static {
+    fn predict(&mut self, _pc: u64) -> Prediction {
+        Prediction::of(self.0)
+    }
+
+    fn update(&mut self, _pc: u64, _outcome: Outcome) {}
+
+    unnamed!();
+}
+
+/// A `setassoc` entry: its pair, counter and last-access tick.
+type Entry = ((u64, u64), SatCounter, u64);
+
+/// A set-associative table of `(address, history)` pairs (section 3.3):
+/// `2^n` sets of up to `ways` entries, the set chosen by gshare over `n`
+/// bits. Each entry holds its pair, a counter and the tick of its last
+/// access. A hit predicts from the counter; a miss predicts the `miss`
+/// outcome, flagged novel. On update a hit trains the counter; a miss
+/// fills a free way or else replaces the entry with the oldest tick,
+/// with a counter seeded toward the outcome. Every update stamps the
+/// entry it touched.
+struct SetAssoc {
+    n: u32,
+    ways: usize,
+    hist: Register,
+    sets: Vec<Vec<Entry>>,
+    kind: CounterKind,
+    miss: Outcome,
+    tick: u64,
+}
+
+impl SetAssoc {
+    /// The set of `pc` under the current history, and the entry holding
+    /// its pair.
+    fn find(&self, pc: u64) -> (usize, Option<usize>) {
+        let v = self.hist.vector(pc);
+        let set = IndexFunction::Gshare.index(&v, self.n) as usize;
+        let way = self.sets[set].iter().position(|e| e.0 == v.pair());
+        (set, way)
+    }
+}
+
+impl BranchPredictor for SetAssoc {
+    fn predict(&mut self, pc: u64) -> Prediction {
+        match self.find(pc) {
+            (set, Some(way)) => Prediction::of(self.sets[set][way].1.predict()),
+            (_, None) => Prediction::novel(self.miss),
+        }
+    }
+
+    fn update(&mut self, pc: u64, outcome: Outcome) {
+        self.tick += 1;
+        let pair = self.hist.vector(pc).pair();
+        let fresh = (pair, SatCounter::seeded(self.kind, outcome), self.tick);
+        match self.find(pc) {
+            (set, Some(way)) => {
+                let entry = &mut self.sets[set][way];
+                entry.1.train(outcome);
+                entry.2 = self.tick;
+            }
+            (set, None) if self.sets[set].len() < self.ways => self.sets[set].push(fresh),
+            (set, None) => {
+                let oldest = (0..self.ways)
+                    .min_by_key(|&way| self.sets[set][way].2)
+                    .unwrap();
+                self.sets[set][oldest] = fresh;
+            }
         }
         self.hist.push(outcome);
     }

@@ -19,7 +19,7 @@ use bpred_trace::workload::IbsBenchmark::{Groff, Gs, Verilog};
 #[test]
 fn one_call_over_several_workloads_equals_the_per_workload_calls() {
     // A table kernel, a DM pass, an LRU walk's two rows, a two-capacity
-    // FA pass, a dyn batch and a gskew kernel: eight cells per workload.
+    // FA pass, a set walk and a gskew kernel: eight cells per workload.
     let spec = |s: &str| Unit::Spec(s.to_string());
     let dm = ThreeCCell {
         entries_log2: 7,

@@ -6,14 +6,14 @@
 //! along with the dynamic taken rate.
 
 use crate::cursor::PairCursor;
+use bpred_core::pair::PairMap;
 use bpred_trace::record::{BranchKind, BranchRecord};
-use std::collections::HashMap;
 
 /// Per-substream outcome tallies and the derived bias statistics.
 #[derive(Debug, Clone)]
 pub struct BiasStats {
     cursor: PairCursor,
-    tallies: HashMap<(u64, u64), (u64, u64)>, // (taken, total)
+    tallies: PairMap<(u64, u64)>, // (taken, total)
     dynamic_taken: u64,
     dynamic: u64,
 }
@@ -23,7 +23,7 @@ impl BiasStats {
     pub fn new(history_bits: u32) -> Self {
         BiasStats {
             cursor: PairCursor::new(history_bits),
-            tallies: HashMap::new(),
+            tallies: PairMap::default(),
             dynamic_taken: 0,
             dynamic: 0,
         }

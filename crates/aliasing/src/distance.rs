@@ -10,11 +10,15 @@
 //! The tracker runs in O(log P) per reference (amortized), where P is the
 //! number of distinct pairs, using a Fenwick tree over reference
 //! timestamps holding a 1 at the *most recent* timestamp of each distinct
-//! pair. When the timestamps run out of room the live pairs are
-//! renumbered into `1..=P`, so memory scales with distinct pairs rather
-//! than with trace length.
+//! pair, and a [`PairMap`] from each pair to that timestamp. A reuse
+//! costs one map lookup and one tree query: every live pair holds exactly
+//! one mark, all of them before the current timestamp, so the marks after
+//! the pair's previous timestamp number the live pairs minus the prefix
+//! sum up to it. A first use costs one map insert and no query. When the
+//! timestamps run out of room the live pairs are renumbered into `1..=P`,
+//! so memory scales with distinct pairs rather than with trace length.
 
-use std::collections::HashMap;
+use bpred_core::pair::PairMap;
 
 /// The smallest Fenwick tree a tracker keeps (4 KiB of counts).
 const MIN_TREE_LEN: usize = 1024;
@@ -51,7 +55,7 @@ pub struct LastUseDistance<P = ()> {
     /// timestamp of each live pair.
     tree: Vec<u32>,
     /// Most recent timestamp (1-based) and payload of each pair.
-    last: HashMap<(u64, u64), (usize, P)>,
+    last: PairMap<(usize, P)>,
     /// The last timestamp handed out.
     clock: usize,
     /// References observed.
@@ -82,7 +86,7 @@ impl<P: Copy> LastUseDistance<P> {
     pub fn with_payload() -> Self {
         LastUseDistance {
             tree: vec![0; MIN_TREE_LEN],
-            last: HashMap::new(),
+            last: PairMap::default(),
             clock: 0,
             references: 0,
         }
@@ -154,8 +158,10 @@ impl<P: Copy> LastUseDistance<P> {
             Some((stamp, payload)) => {
                 let prev = std::mem::replace(stamp, now);
                 let payload = *payload;
-                // Distinct pairs strictly between prev and now.
-                let d = prefix(&self.tree, now - 1) - prefix(&self.tree, prev);
+                // Distinct pairs strictly between prev and now. Every live
+                // pair holds one mark at or before now - 1, so the marks
+                // up to now - 1 number `last.len()`: one query suffices.
+                let d = self.last.len() as u64 - prefix(&self.tree, prev);
                 self.add(prev, -1);
                 (Some(d), payload)
             }

@@ -5,7 +5,7 @@
 //! policy gives a reasonable base value of the amount of conflict aliasing
 //! that can be removed by a hardware-only scheme."
 
-use std::collections::HashMap;
+use bpred_core::pair::{PairMap, PairSet};
 
 const NIL: usize = usize::MAX;
 
@@ -22,14 +22,14 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct TaggedFullyAssociative {
     capacity: usize,
-    map: HashMap<(u64, u64), usize>,
+    map: PairMap<usize>,
     nodes: Vec<Node>,
     head: usize,
     tail: usize,
     accesses: u64,
     misses: u64,
     cold_misses: u64,
-    seen: HashMap<(u64, u64), ()>,
+    seen: PairSet,
 }
 
 impl TaggedFullyAssociative {
@@ -42,14 +42,14 @@ impl TaggedFullyAssociative {
         assert!(capacity > 0, "capacity must be nonzero");
         TaggedFullyAssociative {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: PairMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             nodes: Vec::new(),
             head: NIL,
             tail: NIL,
             accesses: 0,
             misses: 0,
             cold_misses: 0,
-            seen: HashMap::new(),
+            seen: PairSet::default(),
         }
     }
 
@@ -91,7 +91,7 @@ impl TaggedFullyAssociative {
             return false;
         }
         self.misses += 1;
-        if self.seen.insert(pair, ()).is_none() {
+        if self.seen.insert(pair) {
             self.cold_misses += 1;
         }
         let slot = if self.map.len() >= self.capacity {

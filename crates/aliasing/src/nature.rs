@@ -17,9 +17,9 @@
 use crate::cursor::PairCursor;
 use bpred_core::counter::{CounterKind, CounterTable, SatCounter};
 use bpred_core::index::IndexFunction;
+use bpred_core::pair::PairMap;
 use bpred_core::predictor::Outcome;
 use bpred_trace::record::{BranchKind, BranchRecord};
-use std::collections::HashMap;
 
 /// Counts of aliasing events by their effect on the prediction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,7 +103,7 @@ pub struct AliasingNature {
     func: IndexFunction,
     kind: CounterKind,
     /// Dense pair ids, in order of first reference.
-    ids: HashMap<(u64, u64), u32>,
+    ids: PairMap<u32>,
     /// The unaliased shadow: one automaton per pair id.
     shadow: Vec<SatCounter>,
     sizes: Vec<Aliased>,
@@ -139,7 +139,7 @@ impl AliasingNature {
             cursor: PairCursor::new(history_bits),
             func,
             kind,
-            ids: HashMap::new(),
+            ids: PairMap::default(),
             shadow: Vec::new(),
             sizes,
         }

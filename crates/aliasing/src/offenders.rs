@@ -9,8 +9,8 @@
 
 use crate::cursor::PairCursor;
 use bpred_core::index::IndexFunction;
+use bpred_core::pair::PairMap;
 use bpred_trace::record::{BranchKind, BranchRecord};
-use std::collections::HashMap;
 
 /// One entry of the offender report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub struct OffenderAnalysis {
     /// Per table entry: the (pair identity, branch address) that last
     /// touched it.
     owners: Vec<Option<((u64, u64), u64)>>,
-    counts: HashMap<(u64, u64), u64>,
+    counts: PairMap<u64>,
     func: IndexFunction,
     n: u32,
     total_aliasing: u64,
@@ -50,7 +50,7 @@ impl OffenderAnalysis {
         OffenderAnalysis {
             cursor: PairCursor::new(history_bits),
             owners: vec![None; 1 << entries_log2],
-            counts: HashMap::new(),
+            counts: PairMap::default(),
             func,
             n: entries_log2,
             total_aliasing: 0,

@@ -7,6 +7,7 @@
 //! by the dynamic conditional branch count.
 
 use crate::cursor::PairCursor;
+use bpred_core::pair::PairSet;
 use bpred_trace::record::{BranchKind, BranchRecord};
 use std::collections::HashSet;
 
@@ -14,7 +15,7 @@ use std::collections::HashSet;
 #[derive(Debug, Clone)]
 pub struct SubstreamStats {
     cursor: PairCursor,
-    pairs: HashSet<(u64, u64)>,
+    pairs: PairSet,
     addresses: HashSet<u64>,
     dynamic: u64,
 }
@@ -24,7 +25,7 @@ impl SubstreamStats {
     pub fn new(history_bits: u32) -> Self {
         SubstreamStats {
             cursor: PairCursor::new(history_bits),
-            pairs: HashSet::new(),
+            pairs: PairSet::default(),
             addresses: HashSet::new(),
             dynamic: 0,
         }

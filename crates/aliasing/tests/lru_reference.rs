@@ -66,7 +66,54 @@ fn arb_stream() -> impl Strategy<Value = Vec<(u64, u64)>> {
     })
 }
 
+/// Streams longer than the distance tracker's initial 1,024 timestamps,
+/// so it renumbers its live pairs mid-stream: over a small pool of 1 to
+/// 8 values (the tree renumbers again and again at its smallest size)
+/// or a large one of 512 to 2,048 (the live pairs fill half the tree, so
+/// it grows as well), each in 2 histories.
+fn arb_long_stream() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    let pool = (any::<bool>(), 0u64..1_537);
+    let raw = proptest::collection::vec(any::<u64>(), 1_100..3_000);
+    (pool, raw).prop_map(|((large, k), raw)| {
+        let pool = if large { 512 + k } else { 1 + k % 8 };
+        raw.iter().map(|&r| ((r >> 8) % pool, r & 1)).collect()
+    })
+}
+
+/// The last-use distance of every reference, read off an unbounded
+/// most-recently-used list: a pair's position is the number of distinct
+/// pairs used since its last use.
+fn naive_distances(stream: &[(u64, u64)]) -> Vec<Option<u64>> {
+    let mut recency: Vec<(u64, u64)> = Vec::new();
+    stream
+        .iter()
+        .map(|&pair| {
+            let position = recency.iter().position(|&p| p == pair);
+            if let Some(i) = position {
+                recency.remove(i);
+            }
+            recency.insert(0, pair);
+            position.map(|i| i as u64)
+        })
+        .collect()
+}
+
 proptest! {
+    /// Every distance across renumbering and tree growth equals the
+    /// naive recency list's, and the tracker counts pairs and references.
+    #[test]
+    fn distances_survive_renumbering(stream in arb_long_stream()) {
+        let mut distance = LastUseDistance::new();
+        for (i, (&pair, want)) in stream.iter().zip(naive_distances(&stream)).enumerate() {
+            prop_assert_eq!(distance.observe(pair), want, "reference {}", i);
+        }
+        let mut distinct = stream.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(distance.distinct_pairs(), distinct.len());
+        prop_assert_eq!(distance.references(), stream.len());
+    }
+
     /// Per-access agreement on arbitrary streams: the naive list, the
     /// linked-list production LRU, and the distance predicate must call
     /// every access identically.

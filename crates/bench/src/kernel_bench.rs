@@ -47,8 +47,8 @@ pub struct BenchCase {
 /// fig. 7, the gskew variant axis, the 1-bit counter rows of
 /// ablation-counters and fig. 11, ext-hybrid's hybrid rows, the
 /// de-aliasing designs of ext-antialias, ext-pas and ext-encoding,
-/// fig. 8's FA-LRU capacities, and ext-assoc's set-associative rows with
-/// the two static baselines.
+/// fig. 8's FA-LRU capacities, table 2's unbounded tables, and
+/// ext-assoc's set-associative rows with the two static baselines.
 pub fn default_cases() -> Vec<BenchCase> {
     vec![
         BenchCase {
@@ -120,6 +120,13 @@ pub fn default_cases() -> Vec<BenchCase> {
             name: "falru",
             specs: (6..=14)
                 .map(|n| format!("falru:cap={},h=4", 1u64 << n))
+                .collect(),
+        },
+        BenchCase {
+            name: "ideal",
+            specs: [0, 4, 12]
+                .iter()
+                .flat_map(|h| [format!("ideal:h={h},ctr=1"), format!("ideal:h={h}")])
                 .collect(),
         },
         BenchCase {

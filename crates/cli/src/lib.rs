@@ -370,21 +370,28 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Done {
                 )
                 .into());
             }
+            // Exactly `windows` windows: the last takes the remainder.
             let window = len / windows;
+            let last = len - (windows - 1) * window;
             let mut predictor = parse_spec(spec).map_err(|e| e.to_string())?;
             let rates = engine::run_windowed(
                 &mut predictor,
                 trace_cache::columns_seeded(bench, len, seed).records(),
                 window,
+                windows,
                 engine::NovelPolicy::Count,
             );
+            let sizes = if last == window {
+                format!("{window} branches")
+            } else {
+                format!("{window} branches, the last {last}")
+            };
             writeln!(
                 out,
-                "{} — {} ({} windows of {} branches, mispredict %):",
+                "{} — {} ({} windows of {sizes}, mispredict %):",
                 bench.name(),
                 predictor.name(),
                 rates.len(),
-                window
             )?;
             write!(out, "{}", report::ascii_chart(&rates, 10))?;
             writeln!(out)?;

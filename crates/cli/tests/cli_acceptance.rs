@@ -558,6 +558,16 @@ fn run_windows_beyond_the_trace_length_is_rejected() {
 }
 
 #[test]
+fn run_windows_that_do_not_divide_the_length_give_the_remainder_to_the_last() {
+    let args = ["--bench", "groff", "--len", "1000", "--windows", "3"];
+    let out = bpsim(&[&["run", "--pred", "gshare:n=8"][..], &args].concat());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    let header = "3 windows of 333 branches, the last 334";
+    assert!(stdout.contains(header), "{stdout}");
+}
+
+#[test]
 fn compare_runs_every_family_without_the_dyn_engine() {
     let specs = ["setassoc:n=8,ways=2,h=4", "always-taken", "gshare:n=10,h=4"];
     let args = ["--bench", "groff", "--len", "20000", "--verbose"];

@@ -19,10 +19,10 @@ use crate::counter::{CounterKind, SatCounter};
 use crate::error::ConfigError;
 use crate::history::GlobalHistory;
 use crate::index::IndexFunction;
+use crate::pair::PairMap;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
 use crate::table::{Counter, Width};
 use crate::vector::InfoVector;
-use std::collections::HashMap;
 
 /// Modeled tag width in bits for storage accounting: a 30-bit partial
 /// address tag, as a generous real-hardware estimate.
@@ -76,7 +76,7 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct FullyAssociative {
     capacity: usize,
-    map: HashMap<(u64, u64), usize>,
+    map: PairMap<usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize,
@@ -124,7 +124,7 @@ impl FullyAssociative {
         let reserve = capacity.min(1 << 20);
         Ok(FullyAssociative {
             capacity,
-            map: HashMap::with_capacity(reserve),
+            map: PairMap::with_capacity_and_hasher(reserve, Default::default()),
             nodes: Vec::with_capacity(reserve),
             free: Vec::new(),
             head: NIL,

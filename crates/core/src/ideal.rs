@@ -10,9 +10,9 @@
 use crate::counter::{CounterKind, SatCounter};
 use crate::error::ConfigError;
 use crate::history::GlobalHistory;
+use crate::pair::PairMap;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
 use crate::vector::InfoVector;
-use std::collections::HashMap;
 
 /// An infinite-capacity, conflict-free predictor.
 ///
@@ -27,7 +27,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ideal {
-    map: HashMap<(u64, u64), SatCounter>,
+    map: PairMap<SatCounter>,
     history: GlobalHistory,
     kind: CounterKind,
     /// Count of distinct `(address, history)` pairs ever seen.
@@ -49,7 +49,7 @@ impl Ideal {
             ));
         }
         Ok(Ideal {
-            map: HashMap::new(),
+            map: PairMap::default(),
             history: GlobalHistory::new(history_bits),
             kind,
             distinct_pairs: 0,

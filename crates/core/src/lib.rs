@@ -33,6 +33,8 @@
 //! * [`assoc`] — tagged fully-associative (LRU) and set-associative
 //!   predictor tables (section 3.3's "costly" alternative, used as the
 //!   capacity-aliasing yardstick in figure 8).
+//! * [`pair`] — [`pair::PairMap`], the hash map every tagged table and
+//!   aliasing instrument keys on `(address, history)` pairs.
 //! * [`spec`] — textual predictor specifications (`"gskew:n=12,h=8"`):
 //!   every predictor is built from one.
 //!
@@ -62,6 +64,7 @@ pub mod gskew;
 pub mod history;
 pub mod ideal;
 pub mod index;
+pub mod pair;
 pub mod predictor;
 pub mod skew;
 pub mod spec;

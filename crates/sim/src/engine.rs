@@ -185,28 +185,33 @@ pub fn run_delayed(
     result
 }
 
-/// Run `predictor` and return the misprediction percentage of each
-/// consecutive window of `window` conditional branches — the phase-level
-/// view of prediction quality (context switches, working-set shifts and
-/// cold starts all show up as spikes).
+/// Run `predictor` and return the misprediction percentage of each of
+/// `windows` consecutive windows of conditional branches — the
+/// phase-level view of prediction quality (context switches, working-set
+/// shifts and cold starts all show up as spikes).
 ///
-/// The final partial window is included when it holds at least one
-/// branch. Novel references follow `novel_policy` exactly as in
-/// [`run_with`]: under [`NovelPolicy::Exclude`] they stay in the window's
-/// denominator but are never charged as mispredictions, so the mean of
-/// equal-sized windows still reproduces the total-run percentage.
+/// Every window holds `window` branches except the last, which runs to
+/// the end of the stream: `n` branches split into `k` windows of
+/// `n / k` leave the remainder `n % k` to the last one. A stream shorter
+/// than `windows` full windows yields fewer. Novel references follow
+/// `novel_policy` exactly as in [`run_with`]: under
+/// [`NovelPolicy::Exclude`] they stay in the window's denominator but
+/// are never charged as mispredictions, so the mean of equal-sized
+/// windows still reproduces the total-run percentage.
 ///
 /// # Panics
 ///
-/// Panics if `window` is zero.
+/// Panics if `window` or `windows` is zero.
 pub fn run_windowed(
     predictor: &mut dyn BranchPredictor,
     records: impl Iterator<Item = BranchRecord>,
     window: u64,
+    windows: u64,
     novel_policy: NovelPolicy,
 ) -> Vec<f64> {
     assert!(window > 0, "window must be nonzero");
-    let mut windows = Vec::new();
+    assert!(windows > 0, "windows must be nonzero");
+    let mut rates = Vec::new();
     let mut in_window = 0u64;
     let mut wrong = 0u64;
     for record in records {
@@ -217,8 +222,8 @@ pub fn run_windowed(
             wrong += u64::from(counted && prediction.outcome != outcome);
             in_window += 1;
             predictor.update(record.pc, outcome);
-            if in_window == window {
-                windows.push(100.0 * wrong as f64 / window as f64);
+            if in_window == window && (rates.len() as u64) + 1 < windows {
+                rates.push(100.0 * wrong as f64 / window as f64);
                 in_window = 0;
                 wrong = 0;
             }
@@ -227,9 +232,9 @@ pub fn run_windowed(
         }
     }
     if in_window > 0 {
-        windows.push(100.0 * wrong as f64 / in_window as f64);
+        rates.push(100.0 * wrong as f64 / in_window as f64);
     }
-    windows
+    rates
 }
 
 fn retire(predictor: &mut dyn BranchPredictor, record: BranchRecord) {
@@ -306,6 +311,7 @@ mod tests {
             &mut p,
             spec.build().take_conditionals(len),
             window,
+            len / window,
             NovelPolicy::Count,
         );
         assert_eq!(windows.len(), (len / window) as usize);
@@ -327,6 +333,7 @@ mod tests {
             &mut p,
             spec.build().take_conditionals(100_000),
             10_000,
+            10,
             NovelPolicy::Count,
         );
         assert!(
@@ -352,6 +359,7 @@ mod tests {
                 &mut windowed,
                 IbsBenchmark::Nroff.spec().build().take_conditionals(len),
                 window,
+                len / window,
                 policy,
             );
             assert_eq!(windows.len(), (len / window) as usize);
@@ -386,16 +394,30 @@ mod tests {
     }
 
     #[test]
-    fn partial_final_window_counts() {
-        let mut p = parse_spec("always-taken").unwrap();
+    fn last_window_takes_the_remainder() {
         let records = vec![
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x104, false),
             BranchRecord::conditional(0x108, false),
+            BranchRecord::conditional(0x10c, true),
+            BranchRecord::conditional(0x110, false),
         ];
-        let windows = run_windowed(&mut p, records.into_iter(), 2, NovelPolicy::Count);
+        // Five branches in two windows of two: the last holds three.
+        let mut p = parse_spec("always-taken").unwrap();
+        let windows = run_windowed(
+            &mut p,
+            records.clone().into_iter(),
+            2,
+            2,
+            NovelPolicy::Count,
+        );
         assert_eq!(windows.len(), 2);
         assert!((windows[0] - 50.0).abs() < 1e-12);
+        assert!((windows[1] - 200.0 / 3.0).abs() < 1e-12);
+        // A stream shorter than the windows asked for yields fewer.
+        let mut p = parse_spec("always-taken").unwrap();
+        let windows = run_windowed(&mut p, records.into_iter(), 4, 3, NovelPolicy::Count);
+        assert_eq!(windows.len(), 2);
         assert!((windows[1] - 100.0).abs() < 1e-12);
     }
 

@@ -8,7 +8,9 @@
 //! Every number comes from one batch of the cell pipeline over the six
 //! benchmarks under [`NovelPolicy::Exclude`]: per benchmark five `ideal`
 //! cells, 1- and 2-bit at each history length plus one at `h=0`, which
-//! run as three shared last-use-distance walks. An infinite table flags
+//! run as three shared first-use walks: an infinite table hits on every
+//! reuse, so each walk only looks its pairs up in a `PairMap` and keeps
+//! no stack distance. An infinite table flags
 //! exactly the first reference of each `(address, history)` pair novel,
 //! so a cell's novel count is its distinct-pair count, and at `h=0` the
 //! distinct-address count.

@@ -87,11 +87,13 @@ use bpred_aliasing::distance::LastUseDistance;
 use bpred_core::assoc::{FullyAssociative, MissPolicy, SetAssociative};
 use bpred_core::error::ConfigError;
 use bpred_core::ideal::Ideal;
+use bpred_core::pair::PairMap;
 use bpred_core::predictor::Outcome;
 use bpred_core::spec::PredictorSpec;
 use bpred_core::table::{Counter, History, Table, TablePredictor, Visit, Width};
 use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::TraceColumns;
+use std::collections::hash_map::Entry;
 use std::ops::Deref;
 use std::time::Instant;
 
@@ -339,6 +341,35 @@ impl LruRow {
     }
 }
 
+/// How an [`LruWalk`] learns each reference's `(address, history)`
+/// pair: its dense id, and whether and how far back it was last used.
+trait PairTracker {
+    /// The pair's dense id (`fresh` on first use) and its last-use
+    /// distance, `None` on first use.
+    fn track(&mut self, pair: (u64, u64), fresh: u32) -> (Option<u64>, u32);
+}
+
+/// The exact last-use distance, for walks with a bounded (`falru`) row.
+impl PairTracker for LastUseDistance<u32> {
+    #[inline]
+    fn track(&mut self, pair: (u64, u64), fresh: u32) -> (Option<u64>, u32) {
+        self.observe_with(pair, || fresh)
+    }
+}
+
+/// First use alone, for walks whose rows are all unbounded (`ideal`):
+/// every reuse hits such a row whatever its distance, so a reuse reports
+/// distance 0 and no stack distance is kept.
+impl PairTracker for PairMap<u32> {
+    #[inline]
+    fn track(&mut self, pair: (u64, u64), fresh: u32) -> (Option<u64>, u32) {
+        match self.entry(pair) {
+            Entry::Occupied(e) => (Some(0), *e.get()),
+            Entry::Vacant(e) => (None, *e.insert(fresh)),
+        }
+    }
+}
+
 /// Every `falru` and `ideal` row that shares one history length, in one
 /// trace walk.
 ///
@@ -346,9 +377,12 @@ impl LruRow {
 /// distance is below N (LRU stack inclusion), so one
 /// [`LastUseDistance`] walk decides hit or miss for every capacity at
 /// once — `bpred_aliasing::distance::CapacitySweep`'s identity, applied
-/// to a predictor. Each `(pair, row)` keeps one counter: a hit predicts
-/// from it and trains it; a miss predicts the row's miss outcome, is
-/// flagged novel, and re-seeds the counter with
+/// to a predictor. An unbounded (`ideal`) row hits on every reuse, so a
+/// walk whose rows are all unbounded tracks only first uses, in a
+/// [`PairMap`] from pair to dense id, and keeps no stack distance. Both
+/// trackers drive the same loop. Each `(pair, row)` keeps one counter: a
+/// hit predicts from it and trains it; a miss predicts the row's miss
+/// outcome, is flagged novel, and re-seeds the counter with
 /// `SatCounter::seeded(kind, outcome)` — the entry the table would
 /// allocate.
 #[derive(Debug, Clone)]
@@ -375,18 +409,34 @@ impl LruWalk {
     /// [`crate::timing`].
     pub fn run(&self, cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
         let start = Instant::now();
+        let results = if self.rows.iter().all(|row| row.capacity == u64::MAX) {
+            self.walk(cols, policy, PairMap::<u32>::default())
+        } else {
+            self.walk(cols, policy, LastUseDistance::<u32>::with_payload())
+        };
+        timing::record_kernel(cols.len() as u64 * self.rows.len() as u64, start.elapsed());
+        results
+    }
+
+    /// The loop of [`LruWalk::run`], under the pair tracker `pairs`.
+    #[inline(never)]
+    fn walk<T: PairTracker>(
+        &self,
+        cols: &TraceColumns,
+        policy: NovelPolicy,
+        mut pairs: T,
+    ) -> Vec<RunResult> {
         let rows = &self.rows[..];
         let width = rows.len();
         let charge_novel = policy == NovelPolicy::Count;
         let mut results = vec![RunResult::default(); width];
-        // The payload is the pair's dense id: its counters sit at
-        // `cells[id * width..][..width]`.
-        let mut lud = LastUseDistance::<u32>::with_payload();
+        // A pair's counters sit at `cells[id * width..][..width]`, where
+        // `id` is its dense id.
         let mut cells: Vec<u8> = Vec::new();
         let hmask = History::new(self.hist_bits).mask();
         for (pc, taken, global) in cols.conditionals(0) {
             let fresh = (cells.len() / width) as u32;
-            let (distance, id) = lud.observe_with((pc >> 2, global & hmask), || fresh);
+            let (distance, id) = pairs.track((pc >> 2, global & hmask), fresh);
             if distance.is_none() {
                 cells.resize(cells.len() + width, 0);
             }
@@ -406,7 +456,6 @@ impl LruWalk {
                 }
             }
         }
-        timing::record_kernel(cols.len() as u64 * width as u64, start.elapsed());
         results
     }
 }

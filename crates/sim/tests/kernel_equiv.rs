@@ -1,9 +1,11 @@
 //! Property tests: the monomorphized table kernels over cached trace
 //! columns are bit-identical to the naive per-record reference models of
 //! `reference` driven by the `dyn` engine over a freshly generated
-//! stream, on random specs and seeded workloads; the shared FA-LRU walk
-//! matches the tagged dyn predictors, and the set walk matches the naive
-//! set-associative model inside mixed `run_specs` calls. The delayed and
+//! stream, on random specs and seeded workloads; the shared LRU walk
+//! matches the naive LRU and unbounded models on mixed `falru`/`ideal`
+//! rows and on all-`ideal` rows (its first-use form), and the set walk
+//! matches the naive set-associative model inside mixed `run_specs`
+//! calls. The delayed and
 //! observed kernel runs match the reference models under
 //! `engine::run_delayed`, `duel::duel` and the reference gskew's
 //! `is_unanimous`.
@@ -13,7 +15,7 @@ mod reference;
 use bpred_aliasing::batch;
 use bpred_core::index::IndexFunction;
 use bpred_core::predictor::{BranchPredictor, Outcome};
-use bpred_core::spec::{parse_spec, PredictorSpec};
+use bpred_core::spec::PredictorSpec;
 use bpred_sim::duel;
 use bpred_sim::engine::{self, NovelPolicy};
 use bpred_sim::kernel::{self, run_specs, Job, PredictorKernel, Unit};
@@ -254,8 +256,32 @@ proptest::proptest! {
         let cols = cache::columns_seeded(bench, len, seed);
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
             let routed = run_specs(&specs, &cols, policy, 2).unwrap();
-            let mut predictors: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
-            let reference = engine::run_many(&mut predictors, &cols, policy);
+            let mut models: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
+            let reference = engine::run_many(&mut models, &cols, policy);
+            prop_assert_eq!(
+                routed, reference,
+                "{:?} diverges under {:?} on {:?} len {} seed {:#x}",
+                &specs, policy, bench, len, seed
+            );
+        }
+    }
+
+    #[test]
+    fn all_ideal_walks_match_the_unbounded_model(
+        ctrs in proptest::collection::vec(1u8..=7, 1..5),
+        h in 0u32..=12,
+        bench_i in proptest::any::<u8>(),
+        len in 200u64..1_500,
+        seed in proptest::any::<u64>(),
+    ) {
+        // Every row unbounded: the walk tracks first uses alone.
+        let specs: Vec<String> = ctrs.iter().map(|ctr| format!("ideal:h={h},ctr={ctr}")).collect();
+        let bench = bench_from(bench_i);
+        let cols = cache::columns_seeded(bench, len, seed);
+        for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
+            let routed = run_specs(&specs, &cols, policy, 1).unwrap();
+            let mut models: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
+            let reference = engine::run_many(&mut models, &cols, policy);
             prop_assert_eq!(
                 routed, reference,
                 "{:?} diverges under {:?} on {:?} len {} seed {:#x}",

@@ -1,6 +1,7 @@
-//! Naive per-record reference models of every table family and of the
-//! set-associative tagged table, the oracle of the kernels and the set
-//! walk.
+//! Naive per-record reference models of every predictor family — the
+//! table families, the set-associative tagged table, and the
+//! fully-associative LRU (`falru`) and unbounded (`ideal`) tagged tables
+//! — the oracle of the kernels, the set walk and the LRU walks.
 //!
 //! Each model is written from the paper's definitions and implements
 //! [`BranchPredictor`] one record at a time: `predict` reads the
@@ -8,8 +9,8 @@
 //! trains, then shifts the outcome into the history. The models use only
 //! [`IndexFunction::index`], [`skew_index`], [`InfoVector`] and
 //! [`SatCounter`] — none of the table code they check — and favour
-//! clarity over speed: one `SatCounter` per entry, indices recomputed on
-//! every call.
+//! clarity over speed: one `SatCounter` per entry, indices recomputed and
+//! tagged entries searched linearly on every call.
 
 #![allow(dead_code)]
 
@@ -19,25 +20,23 @@ use bpred_core::gskew::UpdatePolicy;
 use bpred_core::index::IndexFunction;
 use bpred_core::predictor::{BranchPredictor, Outcome, Prediction};
 use bpred_core::skew::skew_index;
-use bpred_core::spec::{parse_spec, PredictorSpec};
+use bpred_core::spec::PredictorSpec;
 use bpred_core::vector::InfoVector;
 
-/// The reference model of a table-family or `setassoc` `spec`, or the
-/// one predictor of the LRU families (`ideal`, `falru`).
+/// The reference model of `spec`.
 ///
 /// # Panics
 ///
-/// Panics on a spec that does not build.
+/// Panics on a spec that does not parse.
 pub fn oracle(spec: &str) -> Box<dyn BranchPredictor> {
-    build(&PredictorSpec::parse(spec).unwrap()).unwrap_or_else(|| parse_spec(spec).unwrap())
+    build(&PredictorSpec::parse(spec).unwrap())
 }
 
-/// The reference model of a table-family or `setassoc` spec; `None` for
-/// the other families. Parameters are taken as given: an out-of-range spec builds
-/// a model that panics or misbehaves.
-pub fn build(spec: &PredictorSpec) -> Option<Box<dyn BranchPredictor>> {
+/// The reference model of `spec`. Parameters are taken as given: an
+/// out-of-range spec builds a model that panics or misbehaves.
+fn build(spec: &PredictorSpec) -> Box<dyn BranchPredictor> {
     use PredictorSpec as S;
-    let model: Box<dyn BranchPredictor> = match *spec {
+    match *spec {
         S::Bimodal { n, ctr } => Box::new(Single::new(IndexFunction::Bimodal, n, 0, ctr)),
         S::Gshare { n, h, ctr } => Box::new(Single::new(IndexFunction::Gshare, n, h, ctr)),
         S::Gselect { n, h, ctr } => Box::new(Single::new(IndexFunction::Gselect, n, h, ctr)),
@@ -111,9 +110,23 @@ pub fn build(spec: &PredictorSpec) -> Option<Box<dyn BranchPredictor>> {
             miss: Outcome::from(miss == MissPolicy::AlwaysTaken),
             tick: 0,
         }),
-        _ => return None,
-    };
-    Some(model)
+        S::Falru { cap, h, ctr, miss } => Box::new(Lru {
+            capacity: cap,
+            hist: Register::new(h),
+            entries: Vec::new(),
+            kind: ctr,
+            miss: Outcome::from(miss == MissPolicy::AlwaysTaken),
+        }),
+        // The unaliased table of section 3.1: no capacity bound, and a
+        // first encounter predicts not-taken.
+        S::Ideal { h, ctr } => Box::new(Lru {
+            capacity: usize::MAX,
+            hist: Register::new(h),
+            entries: Vec::new(),
+            kind: ctr,
+            miss: Outcome::NotTaken,
+        }),
+    }
 }
 
 /// The reference gskew model of a gskew-family spec, with its vote
@@ -707,6 +720,62 @@ impl BranchPredictor for SetAssoc {
                 self.sets[set][oldest] = fresh;
             }
         }
+        self.hist.push(outcome);
+    }
+
+    fn record_unconditional(&mut self, _pc: u64) {
+        self.hist.push(Outcome::Taken);
+    }
+
+    unnamed!();
+}
+
+/// A fully-associative table of `(address, history)` pairs with LRU
+/// replacement (section 3.2), or with no bound at all (`ideal`): a list
+/// ordered from most to least recently used, searched linearly, holding
+/// at most `capacity` entries. A hit predicts from the entry's counter; a
+/// miss predicts the `miss` outcome, flagged novel. On update a hit
+/// trains the counter, a miss makes an entry seeded toward the outcome,
+/// and either way the entry moves to the front; past the capacity the
+/// last entry is dropped.
+struct Lru {
+    capacity: usize,
+    hist: Register,
+    entries: Vec<((u64, u64), SatCounter)>,
+    kind: CounterKind,
+    miss: Outcome,
+}
+
+impl Lru {
+    /// The position of `pc`'s pair under the current history.
+    fn find(&self, pc: u64) -> Option<usize> {
+        let pair = self.hist.vector(pc).pair();
+        self.entries.iter().position(|e| e.0 == pair)
+    }
+}
+
+impl BranchPredictor for Lru {
+    fn predict(&mut self, pc: u64) -> Prediction {
+        match self.find(pc) {
+            Some(i) => Prediction::of(self.entries[i].1.predict()),
+            None => Prediction::novel(self.miss),
+        }
+    }
+
+    fn update(&mut self, pc: u64, outcome: Outcome) {
+        let entry = match self.find(pc) {
+            Some(i) => {
+                let mut entry = self.entries.remove(i);
+                entry.1.train(outcome);
+                entry
+            }
+            None => (
+                self.hist.vector(pc).pair(),
+                SatCounter::seeded(self.kind, outcome),
+            ),
+        };
+        self.entries.insert(0, entry);
+        self.entries.truncate(self.capacity);
         self.hist.push(outcome);
     }
 

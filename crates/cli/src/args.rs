@@ -31,33 +31,14 @@ const VALUED: &[&str] = &[
 ];
 
 /// Flags and valued options every command accepts.
-const GLOBAL: &[&str] = &["resume", "save-results", "verbose", "seed", "results-dir"];
+const GLOBAL: &[&str] = &["verbose", "seed", "results-dir"];
 
-/// The flags and valued options `command` (`None` for a bare `bpsim`)
-/// accepts on top of [`GLOBAL`], or `None` for an unknown command.
-fn accepted(command: Option<&str>) -> Option<&'static [&'static str]> {
-    Some(match command {
-        None => &["help"],
-        Some("help" | "list") => &[],
-        Some("experiment") => &["quick", "csv", "len", "threads", "out"],
-        Some("run") => &[
-            "quick", "csv", "len", "threads", "out", "pred", "bench", "windows",
-        ],
-        Some("compare" | "duel") => &["bench", "len"],
-        Some("sweep") => &["pred", "bench", "len"],
-        Some("bench") => &[
-            "quick",
-            "out",
-            "threads",
-            "min-speedup",
-            "min-aliasing-speedup",
-        ],
-        Some("campaign") => &["quick", "out", "threads", "len", "tol"],
-        Some("results") => &["budget"],
-        Some("trace") => &["bench", "len", "out", "file"],
-        Some(_) => return None,
-    })
-}
+/// The results store's flags, which only the commands that produce cells
+/// accept.
+const STORE: &[&str] = &["resume", "save-results"];
+
+/// The flags of `experiment` and of `run <experiment>`.
+const EXPERIMENT: &[&str] = &["quick", "csv", "len", "threads", "out"];
 
 /// How many positional arguments, the command word included, a command
 /// line takes; `None` for no limit (`compare` races any number of specs).
@@ -101,20 +82,59 @@ impl Args {
         Ok(args)
     }
 
+    /// The command's name in messages, the flags and valued options it
+    /// accepts on top of [`GLOBAL`], and whether it produces cells (and
+    /// so accepts [`STORE`]); `None` for an unknown command. Each form of
+    /// `run` (an experiment, `--pred`, `--pred --windows`) accepts only
+    /// the flags it honours.
+    fn accepted(&self) -> Option<(&'static str, &'static [&'static str], bool)> {
+        Some(match self.positional(0) {
+            None => ("bpsim", &["help"], false),
+            Some("help") => ("help", &[], false),
+            Some("list") => ("list", &[], false),
+            Some("experiment") => ("experiment", EXPERIMENT, true),
+            Some("run") => match (self.option("pred"), self.option("windows")) {
+                (None, _) => ("run <experiment>", EXPERIMENT, true),
+                (Some(_), None) => ("run --pred", &["pred", "bench", "len", "threads"], true),
+                (Some(_), Some(_)) => {
+                    ("run --windows", &["pred", "bench", "len", "windows"], false)
+                }
+            },
+            Some("compare") => ("compare", &["bench", "len"], true),
+            Some("duel") => ("duel", &["bench", "len"], false),
+            Some("sweep") => ("sweep", &["pred", "bench", "len"], true),
+            Some("bench") => (
+                "bench",
+                &[
+                    "quick",
+                    "out",
+                    "threads",
+                    "min-speedup",
+                    "min-aliasing-speedup",
+                ],
+                false,
+            ),
+            Some("campaign") => ("campaign", &["quick", "out", "threads", "len", "tol"], true),
+            Some("results") => ("results", &["budget"], false),
+            Some("trace") => ("trace", &["bench", "len", "out", "file"], false),
+            Some(_) => return None,
+        })
+    }
+
     /// Reject flags and options the command does not accept, surplus
     /// positional arguments, and zero trace lengths or thread counts.
     /// An unknown command is left for the dispatcher to report.
     fn check(&self) -> Result<(), String> {
         let command = self.positional(0);
-        let Some(accepted) = accepted(command) else {
+        let Some((label, accepted, cells)) = self.accepted() else {
             return Ok(());
         };
         let names = self.flags.iter().chain(self.options.keys());
         for name in names.map(String::as_str) {
-            if !GLOBAL.contains(&name) && !accepted.contains(&name) {
-                let command = command.unwrap_or("bpsim");
+            let store = cells && STORE.contains(&name);
+            if !GLOBAL.contains(&name) && !accepted.contains(&name) && !store {
                 return Err(format!(
-                    "`{command}` does not accept --{name}; try `bpsim help`"
+                    "`{label}` does not accept --{name}; try `bpsim help`"
                 ));
             }
         }
@@ -264,8 +284,71 @@ mod tests {
         assert!(try_parse("results stats --csv").is_err());
         // Global flags and options go with every command; an unknown
         // command is the dispatcher's to report.
-        parse("list --verbose --seed 7 --results-dir d --resume");
+        parse("list --verbose --seed 7 --results-dir d");
         parse("frobnicate --whatever");
+    }
+
+    #[test]
+    fn store_flags_and_run_forms_are_checked_per_command() {
+        // The store flags go only with the commands that produce cells.
+        for flag in ["--resume", "--save-results"] {
+            for line in [
+                "experiment fig5",
+                "run fig5",
+                "run --pred gshare",
+                "compare gshare",
+                "sweep --pred gshare:h={h}",
+                "campaign quick",
+            ] {
+                assert!(
+                    try_parse(&format!("{line} {flag}")).is_ok(),
+                    "{line} {flag}"
+                );
+            }
+            for (line, label) in [
+                ("duel a b", "duel"),
+                ("run --pred gshare --windows 4", "run --windows"),
+                ("trace info --file t", "trace"),
+                ("results stats", "results"),
+                ("bench", "bench"),
+                ("list", "list"),
+            ] {
+                let e = try_parse(&format!("{line} {flag}")).unwrap_err();
+                let named = format!("`{label}` does not accept {flag}");
+                assert!(e.contains(&named), "{line}: {e}");
+            }
+        }
+        // Each form of `run` rejects the flags it would ignore.
+        for (line, named) in [
+            (
+                "run --pred gshare --quick",
+                "`run --pred` does not accept --quick",
+            ),
+            (
+                "run --pred gshare --csv",
+                "`run --pred` does not accept --csv",
+            ),
+            (
+                "run --pred gshare --out d",
+                "`run --pred` does not accept --out",
+            ),
+            (
+                "run --pred gshare --windows 4 --threads 2",
+                "`run --windows` does not accept --threads",
+            ),
+            (
+                "run fig5 --bench gs",
+                "`run <experiment>` does not accept --bench",
+            ),
+            (
+                "run fig5 --windows 4",
+                "`run <experiment>` does not accept --windows",
+            ),
+        ] {
+            let e = try_parse(line).unwrap_err();
+            assert!(e.contains(named), "{line}: {e}");
+        }
+        parse("run --pred gshare --threads 2 --bench gs --len 100");
     }
 
     #[test]

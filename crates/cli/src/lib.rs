@@ -7,7 +7,7 @@
 //! ```text
 //! bpsim list                                  available experiments & workloads
 //! bpsim experiment <id|all> [--len N] [--quick] [--csv] [--out DIR]
-//! bpsim run <experiment-id> | --pred <spec> [--bench <name>] [--len N]
+//! bpsim run <experiment-id> | --pred <spec> [--bench <name>] [--len N] [--windows N]
 //! bpsim compare <spec> <spec> ... [--bench <name>] [--len N]
 //! bpsim duel <specA> <specB> [--bench <name>] [--len N]
 //! bpsim sweep --pred <spec-with-{h}> [--bench <name>] [--len N]
@@ -23,12 +23,13 @@
 mod args;
 
 use args::Args;
-use bpred_core::spec::{parse_spec, PredictorSpec};
+use bpred_core::spec::parse_spec;
 use bpred_results::campaign::CampaignArtifact;
 use bpred_results::store::{self, ResultsStore};
-use bpred_sim::engine;
+use bpred_sim::duel::kernel_duel;
+use bpred_sim::engine::{NovelPolicy, RunResult};
 use bpred_sim::experiments::{self, ExperimentOpts};
-use bpred_sim::resume;
+use bpred_sim::resume::{self, Unit};
 use bpred_sim::runner::default_threads;
 use bpred_sim::{campaign, kernel, report, timing};
 use bpred_trace::cache as trace_cache;
@@ -47,7 +48,8 @@ USAGE:
   bpsim list
   bpsim experiment <id|all> [--len N] [--threads T] [--quick] [--csv] [--out DIR]
   bpsim run <experiment-id> [--quick] ...     (same as `experiment <id>`)
-  bpsim run --pred <spec> [--bench <name>] [--len N] [--windows N]
+  bpsim run --pred <spec> [--bench <name>] [--len N] [--threads T]
+  bpsim run --pred <spec> --windows N [--bench <name>] [--len N]
   bpsim compare <spec> <spec> ... [--bench <name>] [--len N]
   bpsim duel <specA> <specB> [--bench <name>] [--len N]
   bpsim sweep --pred <spec with {h}> [--bench <name>] [--len N]
@@ -64,15 +66,18 @@ USAGE:
 Global options:
   --seed S           workload seed base, decimal or 0x-hex (default
                      0x5EED0000, which reproduces the committed tables)
-  --resume           skip any cell already in the results store with an
-                     identical fingerprint (implies --save-results)
-  --save-results     persist every cell a run produces to the results store
   --results-dir DIR  results store location (default .gskew/results)
   --verbose          print trace-cache, results-store and engine-throughput
                      summaries (hits/misses; cells skipped from the store,
                      reused from earlier in the run, simulated, and records
                      saved; records/sec on the kernel and dyn simulation
                      paths)
+
+Results-store options, on the commands that produce cells (`experiment`,
+`run`, `compare`, `sweep` and `campaign`; not `run --windows`):
+  --resume           skip any cell already in the results store with an
+                     identical fingerprint (implies --save-results)
+  --save-results     persist every cell a run produces to the results store
 
 Predictor specs:
   gshare:n=14,h=12 | gselect:n=12,h=6 | bimodal:n=14
@@ -267,16 +272,19 @@ fn cmd_list(out: &mut dyn Write) -> Done {
     Ok(())
 }
 
+/// `--threads`, or one worker per CPU.
+fn threads_from(args: &Args) -> Result<usize, String> {
+    Ok(args
+        .option_u64("threads")?
+        .map_or_else(default_threads, |t| t as usize))
+}
+
 fn opts_from(args: &Args) -> Result<ExperimentOpts, String> {
-    let mut opts = ExperimentOpts {
+    Ok(ExperimentOpts {
         len_override: args.option_u64("len")?,
-        ..ExperimentOpts::default()
-    };
-    if let Some(threads) = args.option_u64("threads")? {
-        opts.threads = threads as usize;
-    }
-    opts.quick = args.flag("quick");
-    Ok(opts)
+        threads: threads_from(args)?,
+        quick: args.flag("quick"),
+    })
 }
 
 fn cmd_experiment(args: &Args, out: &mut dyn Write) -> Done {
@@ -326,13 +334,31 @@ fn cmd_experiment(args: &Args, out: &mut dyn Write) -> Done {
     Ok(())
 }
 
-fn benches_from(args: &Args) -> Result<Vec<IbsBenchmark>, String> {
-    match args.option("bench") {
-        None | Some("all") => Ok(IbsBenchmark::all().to_vec()),
-        Some(name) => IbsBenchmark::from_name(name)
-            .map(|b| vec![b])
-            .ok_or_else(|| format!("unknown benchmark `{name}`")),
-    }
+/// The `(bench, len)` workloads of `--bench` (default all) at `--len`
+/// (default each benchmark's own length).
+fn workloads_from(args: &Args) -> Result<Vec<resume::Workload>, String> {
+    let benches =
+        match args.option("bench") {
+            None | Some("all") => IbsBenchmark::all().to_vec(),
+            Some(name) => vec![IbsBenchmark::from_name(name)
+                .ok_or_else(|| format!("unknown benchmark `{name}`"))?],
+        };
+    let len = args.option_u64("len")?;
+    let at = |bench: IbsBenchmark| (bench, len.unwrap_or_else(|| bench.default_len()));
+    Ok(benches.into_iter().map(at).collect())
+}
+
+/// The cells of every spec over every workload, through the cell
+/// pipeline: one result per workload and spec, workload-major.
+fn spec_cells(
+    workloads: &[resume::Workload],
+    specs: &[String],
+    threads: usize,
+) -> Vec<Vec<RunResult>> {
+    let units: Vec<Unit> = specs.iter().cloned().map(Unit::Spec).collect();
+    let cells = resume::run_cells(workloads, NovelPolicy::Count, &units, threads);
+    let per_workload = |cells: Vec<Vec<RunResult>>| cells.into_iter().map(|c| c[0]).collect();
+    cells.into_iter().map(per_workload).collect()
 }
 
 fn cmd_run(args: &Args, out: &mut dyn Write) -> Done {
@@ -350,19 +376,17 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Done {
         }
         return Err("run needs --pred <spec> or an experiment id".into());
     };
-    // Validate the spec once up front for a friendly error.
-    parse_spec(spec).map_err(|e| e.to_string())?;
-    let benches = benches_from(args)?;
-    let len_override = args.option_u64("len")?;
-    let seed = experiments::workload_seed();
+    // Check the spec once up front for a friendly error.
+    let parsed = kernel::check(spec).map_err(|e| e.to_string())?;
+    let workloads = workloads_from(args)?;
     if let Some(windows) = args.option_u64("windows")? {
         if windows == 0 {
             return Err("--windows must be nonzero".into());
         }
+        let name = parsed.build().map_err(|e| e.to_string())?.name();
         // Phase view: one ASCII chart of windowed misprediction rates
         // per benchmark.
-        for bench in benches {
-            let len = len_override.unwrap_or_else(|| bench.default_len());
+        for (bench, len) in workloads {
             if windows > len {
                 return Err(format!(
                     "--windows {windows} exceeds the {len} conditional branches of {}",
@@ -370,17 +394,12 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Done {
                 )
                 .into());
             }
+            let cols = trace_cache::columns_seeded(bench, len, experiments::workload_seed());
+            let rates =
+                kernel::windowed_rates(&parsed, &cols, windows).map_err(|e| e.to_string())?;
             // Exactly `windows` windows: the last takes the remainder.
             let window = len / windows;
             let last = len - (windows - 1) * window;
-            let mut predictor = parse_spec(spec).map_err(|e| e.to_string())?;
-            let rates = engine::run_windowed(
-                &mut predictor,
-                trace_cache::columns_seeded(bench, len, seed).records(),
-                window,
-                windows,
-                engine::NovelPolicy::Count,
-            );
             let sizes = if last == window {
                 format!("{window} branches")
             } else {
@@ -388,9 +407,8 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Done {
             };
             writeln!(
                 out,
-                "{} — {} ({} windows of {sizes}, mispredict %):",
+                "{} — {name} ({} windows of {sizes}, mispredict %):",
                 bench.name(),
-                predictor.name(),
                 rates.len(),
             )?;
             write!(out, "{}", report::ascii_chart(&rates, 10))?;
@@ -403,111 +421,75 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Done {
         "{:<12} {:>12} {:>12} {:>10}",
         "benchmark", "branches", "mispredict", "%"
     )?;
-    // The spec runs on its kernel or walk, as in `compare`.
-    let specs = [spec.to_string()];
-    for bench in benches {
-        let len = len_override.unwrap_or_else(|| bench.default_len());
-        let cols = trace_cache::columns_seeded(bench, len, seed);
-        let result = kernel::run_specs(&specs, &cols, engine::NovelPolicy::Count, 1)
-            .map_err(|e| e.to_string())?[0];
+    let cells = spec_cells(&workloads, &[spec.to_string()], threads_from(args)?);
+    for ((bench, _), results) in workloads.into_iter().zip(cells) {
         writeln!(
             out,
             "{:<12} {:>12} {:>12} {:>9.2}%",
             bench.name(),
-            result.conditional,
-            result.mispredicted,
-            result.mispredict_pct()
+            results[0].conditional,
+            results[0].mispredicted,
+            results[0].mispredict_pct()
         )?;
     }
     Ok(())
 }
 
 fn cmd_compare(args: &Args, out: &mut dyn Write) -> Done {
-    let mut specs = Vec::new();
-    let mut i = 1;
-    while let Some(spec) = args.positional(i) {
-        parse_spec(spec).map_err(|e| format!("{spec}: {e}"))?;
-        specs.push(spec.to_string());
-        i += 1;
-    }
+    let specs: Vec<String> = (1..)
+        .map_while(|i| args.positional(i))
+        .map(String::from)
+        .collect();
     if specs.is_empty() {
         return Err("compare needs at least one predictor spec".into());
     }
-    let benches = benches_from(args)?;
-    let len_override = args.option_u64("len")?;
-    let seed = experiments::workload_seed();
+    // Each row's label, from its predictor; a bad spec fails here, before
+    // any trace is built.
+    let labels = specs
+        .iter()
+        .map(|spec| {
+            let predictor = parse_spec(spec).map_err(|e| format!("{spec}: {e}"))?;
+            Ok((predictor.name(), predictor.storage_bits()))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let workloads = workloads_from(args)?;
     write!(out, "{:<40} {:>9}", "predictor", "bits")?;
-    for b in &benches {
-        write!(out, " {:>10}", b.name())?;
+    for (bench, _) in &workloads {
+        write!(out, " {:>10}", bench.name())?;
     }
     writeln!(out, " {:>10}", "mean")?;
-    // One cached trace per benchmark; every spec runs as a kernel or a
-    // walk over its columns.
-    let mut per_spec_pcts = vec![Vec::new(); specs.len()];
-    for &bench in &benches {
-        let len = len_override.unwrap_or_else(|| bench.default_len());
-        let cols = trace_cache::columns_seeded(bench, len, seed);
-        let results =
-            kernel::run_specs(&specs, &cols, engine::NovelPolicy::Count, default_threads())
-                .map_err(|e| e.to_string())?;
-        for (pcts, result) in per_spec_pcts.iter_mut().zip(results) {
-            pcts.push(result.mispredict_pct());
-        }
-    }
-    for (spec, cells) in specs.iter().zip(per_spec_pcts) {
-        let predictor = parse_spec(spec).map_err(|e| e.to_string())?;
-        write!(
-            out,
-            "{:<40} {:>9}",
-            predictor.name(),
-            predictor.storage_bits()
-        )?;
-        for c in &cells {
+    let cells = spec_cells(&workloads, &specs, default_threads());
+    for (row, (name, bits)) in labels.into_iter().enumerate() {
+        write!(out, "{name:<40} {bits:>9}")?;
+        let pcts: Vec<f64> = cells.iter().map(|c| c[row].mispredict_pct()).collect();
+        for c in &pcts {
             write!(out, " {:>9.2}%", c)?;
         }
         writeln!(
             out,
             " {:>9.2}%",
-            cells.iter().sum::<f64>() / benches.len() as f64
+            pcts.iter().sum::<f64>() / workloads.len() as f64
         )?;
     }
     Ok(())
 }
 
 fn cmd_duel(args: &Args, out: &mut dyn Write) -> Done {
-    use bpred_sim::duel::{duel, kernel_duel};
-    use bpred_sim::engine::NovelPolicy;
     let spec_a = args.positional(1).ok_or("duel needs two predictor specs")?;
     let spec_b = args.positional(2).ok_or("duel needs two predictor specs")?;
-    // Parse and build each spec once up front, so a bad value fails
-    // before any trace is generated.
-    let parse = |spec: &str| {
-        let parsed = PredictorSpec::parse(spec).map_err(|e| format!("{spec}: {e}"))?;
-        parsed.build().map_err(|e| format!("{spec}: {e}"))?;
-        Ok::<_, String>(parsed)
-    };
-    let (parsed_a, parsed_b) = (parse(spec_a)?, parse(spec_b)?);
-    let benches = benches_from(args)?;
-    let len_override = args.option_u64("len")?;
-    let seed = experiments::workload_seed();
+    // Check each spec up front, so a bad value fails before any trace is
+    // generated.
+    let check = |spec: &str| kernel::check(spec).map_err(|e| format!("{spec}: {e}"));
+    let (parsed_a, parsed_b) = (check(spec_a)?, check(spec_b)?);
+    let workloads = workloads_from(args)?;
     writeln!(
         out,
         "A = {spec_a}\nB = {spec_b}\n\n{:<12} {:>8} {:>8} {:>9} {:>9} {:>8}  verdict",
         "benchmark", "A %", "B %", "only A x", "only B x", "z"
     )?;
-    for bench in benches {
-        let len = len_override.unwrap_or_else(|| bench.default_len());
-        // Two table kernels duel on the fast path; anything else on the
-        // dyn engine.
-        let cols = trace_cache::columns_seeded(bench, len, seed);
-        let r = match kernel_duel(&parsed_a, &parsed_b, &cols) {
-            Some(r) => r,
-            None => {
-                let mut a = parsed_a.build().map_err(|e| e.to_string())?;
-                let mut b = parsed_b.build().map_err(|e| e.to_string())?;
-                duel(&mut a, &mut b, cols.records(), NovelPolicy::Count)
-            }
-        };
+    for (bench, len) in workloads {
+        let cols = trace_cache::columns_seeded(bench, len, experiments::workload_seed());
+        let r = kernel_duel(&parsed_a, &parsed_b, &cols).map_err(|e| e.to_string())?;
         let verdict = if r.b_significantly_better() {
             "B wins (p < 0.01)"
         } else if r.a_significantly_better() {
@@ -536,32 +518,24 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Done {
     if !template.contains("{h}") {
         return Err("the sweep spec must contain the `{h}` placeholder".into());
     }
-    let benches = benches_from(args)?;
-    let len_override = args.option_u64("len")?;
-    let seed = experiments::workload_seed();
-    write!(out, "{:<4}", "h")?;
-    for b in &benches {
-        write!(out, " {:>10}", b.name())?;
-    }
-    writeln!(out)?;
     const HISTORIES: std::ops::RangeInclusive<u32> = 0..=16;
-    // All 17 history lengths ride one job list per benchmark: kernels
-    // and walks over the shared column view.
     let specs: Vec<String> = HISTORIES
         .map(|h| template.replace("{h}", &h.to_string()))
         .collect();
-    let mut columns = Vec::new();
-    for &bench in &benches {
-        let len = len_override.unwrap_or_else(|| bench.default_len());
-        let cols = trace_cache::columns_seeded(bench, len, seed);
-        columns.push(
-            kernel::run_specs(&specs, &cols, engine::NovelPolicy::Count, default_threads())
-                .map_err(|e| e.to_string())?,
-        );
+    for spec in &specs {
+        kernel::check(spec).map_err(|e| e.to_string())?;
     }
+    let workloads = workloads_from(args)?;
+    write!(out, "{:<4}", "h")?;
+    for (bench, _) in &workloads {
+        write!(out, " {:>10}", bench.name())?;
+    }
+    writeln!(out)?;
+    // All 17 history lengths over every benchmark, as one batch of cells.
+    let cells = spec_cells(&workloads, &specs, default_threads());
     for (row, h) in HISTORIES.enumerate() {
         write!(out, "{h:<4}")?;
-        for column in &columns {
+        for column in &cells {
             write!(out, " {:>9.2}%", column[row].mispredict_pct())?;
         }
         writeln!(out)?;
@@ -572,10 +546,7 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Done {
 fn cmd_bench(args: &Args, out: &mut dyn Write) -> Done {
     use bpred_bench::kernel_bench;
     let quick = args.flag("quick");
-    let threads = match args.option_u64("threads")? {
-        Some(t) => t as usize,
-        None => default_threads(),
-    };
+    let threads = threads_from(args)?;
     let min_speedup = args.option_f64("min-speedup")?.unwrap_or(1.0);
     if min_speedup.is_nan() || min_speedup < 0.0 {
         return Err(
@@ -843,113 +814,81 @@ fn cmd_trace(args: &Args, out: &mut dyn Write) -> Done {
 mod tests {
     use super::*;
 
+    /// Dispatch a whitespace-separated command line.
+    fn bpsim(line: &str) -> Result<(), String> {
+        dispatch(line.split_whitespace().map(String::from).collect())
+    }
+
     #[test]
     fn unknown_command_errors() {
-        let e = dispatch(vec!["frobnicate".into()]).unwrap_err();
+        let e = bpsim("frobnicate").unwrap_err();
         assert!(e.contains("unknown command"));
     }
 
     #[test]
     fn run_requires_pred_or_experiment() {
-        let e = dispatch(vec!["run".into()]).unwrap_err();
+        let e = bpsim("run").unwrap_err();
         assert!(e.contains("--pred"));
-        let e = dispatch(vec!["run".into(), "fig99".into()]).unwrap_err();
+        let e = bpsim("run fig99").unwrap_err();
         assert!(e.contains("neither"), "{e}");
     }
 
     #[test]
     fn run_delegates_to_experiments() {
-        dispatch(vec![
-            "run".into(),
-            "fig3".into(),
-            "--len".into(),
-            "5000".into(),
-        ])
-        .unwrap();
+        bpsim("run fig3 --len 5000").unwrap();
     }
 
     #[test]
     fn run_rejects_bad_spec() {
-        let e = dispatch(vec!["run".into(), "--pred".into(), "tage:n=1".into()]).unwrap_err();
+        let e = bpsim("run --pred tage:n=1").unwrap_err();
         assert!(e.contains("unknown predictor"));
     }
 
     #[test]
     fn sweep_requires_placeholder() {
-        let e = dispatch(vec![
-            "sweep".into(),
-            "--pred".into(),
-            "gshare:n=10,h=4".into(),
-        ])
-        .unwrap_err();
+        let e = bpsim("sweep --pred gshare:n=10,h=4").unwrap_err();
         assert!(e.contains("{h}"));
     }
 
     #[test]
     fn experiment_requires_known_id() {
-        let e = dispatch(vec!["experiment".into(), "fig99".into()]).unwrap_err();
+        let e = bpsim("experiment fig99").unwrap_err();
         assert!(e.contains("unknown experiment"));
     }
 
     #[test]
     fn list_and_help_work() {
-        dispatch(vec!["list".into()]).unwrap();
-        dispatch(vec!["help".into()]).unwrap();
-        dispatch(vec![]).unwrap();
+        bpsim("list").unwrap();
+        bpsim("help").unwrap();
+        bpsim("").unwrap();
     }
 
     #[test]
     fn campaign_list_and_unknown_name() {
-        dispatch(vec!["campaign".into()]).unwrap();
-        dispatch(vec!["campaign".into(), "list".into()]).unwrap();
-        let e = dispatch(vec!["campaign".into(), "nope".into()]).unwrap_err();
+        bpsim("campaign").unwrap();
+        bpsim("campaign list").unwrap();
+        let e = bpsim("campaign nope").unwrap_err();
         assert!(e.contains("unknown campaign"));
     }
 
     #[test]
     fn campaign_diff_needs_two_paths_and_real_files() {
-        let e = dispatch(vec!["campaign".into(), "diff".into()]).unwrap_err();
+        let e = bpsim("campaign diff").unwrap_err();
         assert!(e.contains("baseline"));
-        let e = dispatch(vec![
-            "campaign".into(),
-            "diff".into(),
-            "/nonexistent/a.json".into(),
-            "/nonexistent/b.json".into(),
-        ])
-        .unwrap_err();
+        let e = bpsim("campaign diff /nonexistent/a.json /nonexistent/b.json").unwrap_err();
         assert!(e.contains("read"));
     }
 
     #[test]
     fn results_needs_subcommand_and_gc_needs_budget() {
-        let e = dispatch(vec!["results".into()]).unwrap_err();
+        let e = bpsim("results").unwrap_err();
         assert!(e.contains("stats | gc"));
         let dir = std::env::temp_dir().join(format!("bpsim-results-cli-{}", std::process::id()));
-        let dir_str = dir.to_str().unwrap().to_string();
-        let e = dispatch(vec![
-            "results".into(),
-            "gc".into(),
-            "--results-dir".into(),
-            dir_str.clone(),
-        ])
-        .unwrap_err();
+        let at = format!("--results-dir {}", dir.display());
+        let e = bpsim(&format!("results gc {at}")).unwrap_err();
         assert!(e.contains("--budget"));
-        dispatch(vec![
-            "results".into(),
-            "stats".into(),
-            "--results-dir".into(),
-            dir_str.clone(),
-        ])
-        .unwrap();
-        dispatch(vec![
-            "results".into(),
-            "gc".into(),
-            "--budget".into(),
-            "1000000".into(),
-            "--results-dir".into(),
-            dir_str,
-        ])
-        .unwrap();
+        bpsim(&format!("results stats {at}")).unwrap();
+        bpsim(&format!("results gc --budget 1000000 {at}")).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -958,45 +897,26 @@ mod tests {
         let dir = std::env::temp_dir().join("bpsim-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.bpt2");
-        let path_str = path.to_str().unwrap().to_string();
-        dispatch(vec![
-            "trace".into(),
-            "gen".into(),
-            "--bench".into(),
-            "verilog".into(),
-            "--len".into(),
-            "2000".into(),
-            "--out".into(),
-            path_str.clone(),
-        ])
+        let file = path.display();
+        bpsim(&format!(
+            "trace gen --bench verilog --len 2000 --out {file}"
+        ))
         .unwrap();
         assert!(std::fs::read(&path).unwrap().starts_with(b"BPT2"));
-        dispatch(vec![
-            "trace".into(),
-            "info".into(),
-            "--file".into(),
-            path_str,
-        ])
-        .unwrap();
+        bpsim(&format!("trace info --file {file}")).unwrap();
     }
 
     #[test]
     fn quick_experiment_runs() {
-        dispatch(vec!["experiment".into(), "fig9".into(), "--quick".into()]).unwrap();
-        dispatch(vec!["experiment".into(), "fig3".into(), "--csv".into()]).unwrap();
+        bpsim("experiment fig9 --quick").unwrap();
+        bpsim("experiment fig3 --csv").unwrap();
     }
 
     #[test]
     fn experiment_out_dir_writes_files() {
         let dir = std::env::temp_dir().join("bpsim-out-test");
         let _ = std::fs::remove_dir_all(&dir);
-        dispatch(vec![
-            "experiment".into(),
-            "fig3".into(),
-            "--out".into(),
-            dir.to_str().unwrap().into(),
-        ])
-        .unwrap();
+        bpsim(&format!("experiment fig3 --out {}", dir.display())).unwrap();
         assert!(dir.join("fig3.txt").exists());
         assert!(dir.join("fig3-0.csv").exists());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1004,86 +924,41 @@ mod tests {
 
     #[test]
     fn duel_needs_two_specs() {
-        let e = dispatch(vec!["duel".into(), "gshare:n=8".into()]).unwrap_err();
+        let e = bpsim("duel gshare:n=8").unwrap_err();
         assert!(e.contains("two predictor specs"));
     }
 
     #[test]
     fn duel_runs() {
-        dispatch(vec![
-            "duel".into(),
-            "gshare:n=8,h=4".into(),
-            "gskew:n=8,h=4".into(),
-            "--bench".into(),
-            "verilog".into(),
-            "--len".into(),
-            "5000".into(),
-        ])
-        .unwrap();
+        bpsim("duel gshare:n=8,h=4 gskew:n=8,h=4 --bench verilog --len 5000").unwrap();
     }
 
     #[test]
     fn compare_needs_specs() {
-        let e = dispatch(vec!["compare".into()]).unwrap_err();
+        let e = bpsim("compare").unwrap_err();
         assert!(e.contains("at least one"));
     }
 
     #[test]
     fn compare_rejects_bad_spec() {
-        let e = dispatch(vec!["compare".into(), "tage:n=2".into()]).unwrap_err();
+        let e = bpsim("compare tage:n=2").unwrap_err();
         assert!(e.contains("unknown predictor"));
     }
 
     #[test]
     fn compare_runs_two_specs() {
-        dispatch(vec![
-            "compare".into(),
-            "gshare:n=8,h=4".into(),
-            "gskew:n=8,h=4".into(),
-            "--bench".into(),
-            "verilog".into(),
-            "--len".into(),
-            "3000".into(),
-        ])
-        .unwrap();
+        bpsim("compare gshare:n=8,h=4 gskew:n=8,h=4 --bench verilog --len 3000").unwrap();
     }
 
     #[test]
     fn run_windowed_chart() {
-        dispatch(vec![
-            "run".into(),
-            "--pred".into(),
-            "gshare:n=8,h=4".into(),
-            "--bench".into(),
-            "verilog".into(),
-            "--len".into(),
-            "6000".into(),
-            "--windows".into(),
-            "6".into(),
-        ])
-        .unwrap();
-        let e = dispatch(vec![
-            "run".into(),
-            "--pred".into(),
-            "gshare:n=8,h=4".into(),
-            "--windows".into(),
-            "0".into(),
-        ])
-        .unwrap_err();
+        bpsim("run --pred gshare:n=8,h=4 --bench verilog --len 6000 --windows 6").unwrap();
+        let e = bpsim("run --pred gshare:n=8,h=4 --windows 0").unwrap_err();
         assert!(e.contains("nonzero"));
     }
 
     #[test]
     fn run_on_one_bench() {
-        dispatch(vec![
-            "run".into(),
-            "--pred".into(),
-            "gskew:n=8,h=4".into(),
-            "--bench".into(),
-            "verilog".into(),
-            "--len".into(),
-            "5000".into(),
-        ])
-        .unwrap();
+        bpsim("run --pred gskew:n=8,h=4 --bench verilog --len 5000").unwrap();
     }
 }

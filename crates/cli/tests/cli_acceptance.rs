@@ -13,6 +13,11 @@ fn bpsim(args: &[&str]) -> Output {
         .expect("spawn bpsim")
 }
 
+/// [`bpsim`] on a whitespace-separated command line.
+fn bpsim_line(line: &str) -> Output {
+    bpsim(&line.split_whitespace().collect::<Vec<_>>())
+}
+
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bpsim-accept-{tag}-{}", std::process::id()))
 }
@@ -24,17 +29,9 @@ fn resumed_rerun_skips_every_cell_and_is_byte_identical() {
     let store = store.to_str().unwrap();
     // Keep the pin fast: fig5 at a small fixed length.
     let run = |_: ()| {
-        bpsim(&[
-            "run",
-            "fig5",
-            "--quick",
-            "--len",
-            "20000",
-            "--resume",
-            "--verbose",
-            "--results-dir",
-            store,
-        ])
+        bpsim_line(&format!(
+            "run fig5 --quick --len 20000 --resume --verbose --results-dir {store}"
+        ))
     };
 
     let cold = run(());
@@ -211,14 +208,8 @@ fn campaign_diff_gates_on_tolerance_with_proper_exit_codes() {
     assert!(same.status.success());
 
     // 0.40 beyond a 0.25 tolerance: nonzero exit and a per-cell report.
-    let bad = bpsim(&[
-        "campaign",
-        "diff",
-        baseline_str,
-        candidate_str,
-        "--tol",
-        "0.25",
-    ]);
+    let diff = format!("campaign diff {baseline_str} {candidate_str}");
+    let bad = bpsim_line(&format!("{diff} --tol 0.25"));
     assert!(!bad.status.success());
     let report = String::from_utf8_lossy(&bad.stdout);
     assert!(
@@ -227,14 +218,7 @@ fn campaign_diff_gates_on_tolerance_with_proper_exit_codes() {
     );
 
     // The same delta within tolerance: exit 0.
-    let ok = bpsim(&[
-        "campaign",
-        "diff",
-        baseline_str,
-        candidate_str,
-        "--tol",
-        "0.5",
-    ]);
+    let ok = bpsim_line(&format!("{diff} --tol 0.5"));
     assert!(
         ok.status.success(),
         "{}",
@@ -246,39 +230,12 @@ fn campaign_diff_gates_on_tolerance_with_proper_exit_codes() {
 
 #[test]
 fn seed_changes_direct_runs_deterministically() {
-    let base = bpsim(&[
-        "run",
-        "--pred",
-        "gshare:n=8,h=4",
-        "--bench",
-        "verilog",
-        "--len",
-        "5000",
-    ]);
+    let run = "run --pred gshare:n=8,h=4 --bench verilog --len 5000";
+    let base = bpsim_line(run);
     assert!(base.status.success());
-    let seeded = bpsim(&[
-        "run",
-        "--pred",
-        "gshare:n=8,h=4",
-        "--bench",
-        "verilog",
-        "--len",
-        "5000",
-        "--seed",
-        "0x1234",
-    ]);
+    let seeded = bpsim_line(&format!("{run} --seed 0x1234"));
     assert!(seeded.status.success());
-    let seeded_again = bpsim(&[
-        "run",
-        "--pred",
-        "gshare:n=8,h=4",
-        "--bench",
-        "verilog",
-        "--len",
-        "5000",
-        "--seed",
-        "4660",
-    ]);
+    let seeded_again = bpsim_line(&format!("{run} --seed 4660"));
     assert!(seeded_again.status.success());
     assert_ne!(base.stdout, seeded.stdout, "a new seed is a new workload");
     assert_eq!(
@@ -319,6 +276,22 @@ fn misspelled_flags_fail_before_any_work() {
         "the error names the argument: {err}"
     );
     assert!(surplus.stdout.is_empty(), "no experiment ran");
+
+    // Each form of `run` rejects the flags it would ignore, before it
+    // prints anything.
+    for (form, flag) in [
+        (&["--pred", "gshare:n=8,h=4"][..], &["--quick"][..]),
+        (&["--pred", "gshare:n=8,h=4"], &["--csv"]),
+        (&["--pred", "gshare:n=8,h=4"], &["--out", "tables"]),
+        (&["fig5", "--quick"], &["--bench", "gs"]),
+        (&["fig5", "--quick"], &["--windows", "4"]),
+    ] {
+        let out = bpsim(&[&["run"][..], form, flag, &["--len", "1000"]].concat());
+        assert!(!out.status.success(), "{form:?} {flag:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag[0]), "the error names {}: {err}", flag[0]);
+        assert!(out.stdout.is_empty(), "nothing ran for {flag:?}");
+    }
 }
 
 #[test]
@@ -327,18 +300,10 @@ fn trace_gen_rejects_format_and_keeps_existing_out_file() {
     // must fail before `--out` is created or truncated.
     let out = temp_path("keep.bpt2");
     std::fs::write(&out, b"precious").unwrap();
-    let gen = bpsim(&[
-        "trace",
-        "gen",
-        "--bench",
-        "gs",
-        "--len",
-        "100",
-        "--out",
-        out.to_str().unwrap(),
-        "--format",
-        "bin",
-    ]);
+    let gen = bpsim_line(&format!(
+        "trace gen --bench gs --len 100 --out {} --format bin",
+        out.display()
+    ));
     assert!(!gen.status.success());
     let err = String::from_utf8_lossy(&gen.stderr);
     assert!(
@@ -429,13 +394,14 @@ fn dyn_duel_line(spec_a: &str, spec_b: &str, bench: &str, len: u64) -> String {
 
 #[test]
 fn duel_output_equals_the_dyn_duel_on_both_paths() {
-    // Kernel pairs run the kernel duel; a `setassoc` spec has no
-    // kernel, so its duel stays on the dyn engine. All print exactly what
-    // the dyn duel computes.
+    // Every family duels on its job: table kernels, set walks and LRU
+    // walks alike print exactly what the dyn duel computes.
     for (spec_a, spec_b) in [
         ("gshare:n=10,h=6", "gskew:n=9,h=6"),
         ("agree:n=10,h=6,bias=9", "bimode:n=9,h=6,choice=9"),
         ("setassoc:n=6,ways=2,h=4", "gshare:n=8,h=4"),
+        ("falru:cap=256,h=4", "gskew:n=8,h=4"),
+        ("ideal:h=8", "falru:cap=64,h=8,miss=nottaken"),
     ] {
         let out = bpsim(&["duel", spec_a, spec_b, "--bench", "groff", "--len", "20000"]);
         assert!(
@@ -460,16 +426,9 @@ fn run_pred_prints_the_dyn_counts_from_the_kernel_path() {
     use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 
     let spec = "gskew:n=9,h=6";
-    let out = bpsim(&[
-        "run",
-        "--pred",
-        spec,
-        "--bench",
-        "gs",
-        "--len",
-        "20000",
-        "--verbose",
-    ]);
+    let out = bpsim_line(&format!(
+        "run --pred {spec} --bench gs --len 20000 --verbose"
+    ));
     assert!(
         out.status.success(),
         "{}",
@@ -571,9 +530,39 @@ fn run_windows_that_do_not_divide_the_length_give_the_remainder_to_the_last() {
 fn compare_runs_every_family_without_the_dyn_engine() {
     let specs = ["setassoc:n=8,ways=2,h=4", "always-taken", "gshare:n=10,h=4"];
     let args = ["--bench", "groff", "--len", "20000", "--verbose"];
-    let out = bpsim(&[&["compare"][..], &specs, &args].concat());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    assert!(stderr.contains("engine (kernel)"), "{stderr}");
-    assert!(!stderr.contains("engine (dyn)"), "{stderr}");
+    let tagged = ["falru:cap=256,h=4", "ideal:h=6", "setassoc:n=8,ways=2,h=4"];
+    let duels = tagged.map(|spec| vec!["duel", spec, "gshare:n=10,h=4"]);
+    let windows = tagged.map(|spec| vec!["run", "--pred", spec, "--windows", "7"]);
+    let compare = [&["compare"][..], &specs].concat();
+    for command in duels.into_iter().chain(windows).chain([compare]) {
+        let out = bpsim(&[&command[..], &args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command:?}: {stderr}");
+        assert!(stderr.contains("engine (kernel)"), "{command:?}: {stderr}");
+        assert!(!stderr.contains("engine (dyn)"), "{command:?}: {stderr}");
+    }
+}
+
+#[test]
+fn compare_resumed_from_its_saved_cells_is_byte_identical() {
+    let store = temp_path("compare-store");
+    let _ = std::fs::remove_dir_all(&store);
+    let specs = ["gshare:n=10,h=4", "ideal:h=4", "setassoc:n=8,ways=2,h=4"];
+    let args = ["--len", "20000", "--results-dir", store.to_str().unwrap()];
+    let run = |flag: &str| {
+        let out = bpsim(&[&["compare"][..], &specs, &args, &[flag, "--verbose"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{flag}: {stderr}");
+        (out.stdout, stderr)
+    };
+    let (cold, cold_err) = run("--save-results");
+    assert!(cold_err.contains("18 records saved"), "{cold_err}");
+    let (warm, warm_err) = run("--resume");
+    assert!(warm_err.contains(", 0 cells simulated,"), "{warm_err}");
+    assert!(
+        warm_err.contains("/ 0 misses"),
+        "no trace is generated: {warm_err}"
+    );
+    assert_eq!(cold, warm, "the resumed table is byte-identical");
+    let _ = std::fs::remove_dir_all(&store);
 }

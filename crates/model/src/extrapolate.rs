@@ -20,9 +20,6 @@
 use bpred_aliasing::bias::BiasStats;
 use bpred_aliasing::cursor::PairCursor;
 use bpred_aliasing::distance::LastUseDistance;
-use bpred_core::counter::CounterKind;
-use bpred_core::ideal::Ideal;
-use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_trace::record::{BranchKind, BranchRecord};
 
 use crate::prob::aliasing_probability;
@@ -98,11 +95,12 @@ pub fn extrapolate_sizes(
     let b = bias.static_bias_taken();
 
     // Pass 2: last-use distances, overhead per size, and the unaliased
-    // 1-bit base rate, in one walk.
+    // 1-bit base rate, in one walk. Each pair gets a dense id on first
+    // use; a 1-bit automaton per pair predicts the pair's last outcome,
+    // held at `last_outcome[id]`.
     let mut cursor = PairCursor::new(history_bits);
-    let mut distances = LastUseDistance::new();
-    let mut ideal =
-        Ideal::new(history_bits, CounterKind::OneBit).expect("history length validated by caller");
+    let mut distances = LastUseDistance::<u32>::with_payload();
+    let mut last_outcome: Vec<bool> = Vec::new();
     let width = bank_entries.len();
     let mut overhead_sums = vec![0.0f64; width];
     // Formula (3) depends on the distance alone, so each term is
@@ -120,8 +118,9 @@ pub fn extrapolate_sizes(
     for record in pass2 {
         if record.kind == BranchKind::Conditional {
             references += 1;
-            let pair = cursor.pair(record.pc);
-            match distances.observe(pair) {
+            let fresh = last_outcome.len() as u32;
+            let (distance, id) = distances.observe_with(cursor.pair(record.pc), || fresh);
+            match distance {
                 Some(d) => {
                     let row = d as usize * width;
                     if terms.len() < row + width {
@@ -136,22 +135,18 @@ pub fn extrapolate_sizes(
                     for (sum, term) in overhead_sums.iter_mut().zip(row.iter()) {
                         *sum += term;
                     }
+                    let last = &mut last_outcome[id as usize];
+                    unaliased_misses += u64::from(*last != record.taken);
+                    *last = record.taken;
                 }
                 None => {
                     for sum in &mut overhead_sums {
                         *sum += first_use;
                     }
+                    // A first use is novel: not charged.
+                    last_outcome.push(record.taken);
                 }
             }
-
-            let prediction = ideal.predict(record.pc);
-            let outcome = Outcome::from(record.taken);
-            if !prediction.novel && prediction.outcome != outcome {
-                unaliased_misses += 1;
-            }
-            ideal.update(record.pc, outcome);
-        } else {
-            ideal.record_unconditional(record.pc);
         }
         cursor.advance(&record);
     }

@@ -8,7 +8,8 @@
 //! significant rather than noise.
 
 use crate::engine::NovelPolicy;
-use crate::kernel::PredictorKernel;
+use crate::kernel;
+use bpred_core::error::ConfigError;
 use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_core::spec::PredictorSpec;
 use bpred_trace::record::{BranchKind, BranchRecord};
@@ -111,19 +112,21 @@ pub fn duel(
     result
 }
 
-/// [`duel`] on the kernel fast path: each spec's kernel runs once over
-/// `cols` ([`PredictorKernel::run_observed`]), keeping one "wrong" bit
-/// per conditional record, and the two bitsets are tallied word by word.
-/// Kernel predictions are never novel, so the result equals [`duel`]'s
-/// under either [`NovelPolicy`].
+/// [`duel`] under [`NovelPolicy::Count`] on the simulation path of every
+/// cell: each spec runs once over `cols` on its job
+/// ([`kernel::run_spec_observed`]), keeping one "wrong" bit per
+/// conditional record, and the two bitsets are tallied word by word.
+/// Table kernels never flag a prediction novel, so for two table specs
+/// the result also equals [`duel`]'s under [`NovelPolicy::Exclude`].
 ///
-/// Returns `None` when either spec has no table kernel
-/// ([`PredictorKernel::from_spec`]); use [`duel`] then.
+/// # Errors
+///
+/// Returns [`kernel::check`]'s [`ConfigError`] for an out-of-range spec.
 pub fn kernel_duel(
     a: &PredictorSpec,
     b: &PredictorSpec,
     cols: &TraceColumns,
-) -> Option<DuelResult> {
+) -> Result<DuelResult, ConfigError> {
     let (a_wrong, branches) = wrong_bits(a, cols)?;
     let (b_wrong, _) = wrong_bits(b, cols)?;
     let mut result = DuelResult {
@@ -135,26 +138,25 @@ pub fn kernel_duel(
         result.only_b_wrong += u64::from((b & !a).count_ones());
         result.both_wrong += u64::from((a & b).count_ones());
     }
-    Some(result)
+    Ok(result)
 }
 
-/// One bit per conditional record of `cols`, set where `spec`'s kernel
+/// One bit per conditional record of `cols`, set where `spec`
 /// mispredicts, and the number of conditional records.
-fn wrong_bits(spec: &PredictorSpec, cols: &TraceColumns) -> Option<(Vec<u64>, u64)> {
-    let mut kernel = PredictorKernel::from_spec(spec)?;
+fn wrong_bits(spec: &PredictorSpec, cols: &TraceColumns) -> Result<(Vec<u64>, u64), ConfigError> {
     let mut bits: Vec<u64> = Vec::with_capacity(cols.len() / 64 + 1);
     let mut word = 0u64;
     let mut at = 0u32;
-    let run = kernel.run_observed(cols, |_, predicted, taken| {
-        word |= u64::from(predicted != taken) << at;
+    let run = kernel::run_spec_observed(spec, cols, |wrong| {
+        word |= u64::from(wrong) << at;
         at += 1;
         if at == 64 {
             bits.push(word);
             (word, at) = (0, 0);
         }
-    });
+    })?;
     bits.push(word);
-    Some((bits, run.conditional))
+    Ok((bits, run.conditional))
 }
 
 #[cfg(test)]
@@ -242,17 +244,19 @@ mod tests {
             ("gshare:n=12,h=6", "gskew:n=10,h=6"),
             ("gskew:n=9,h=4,update=total", "egskew:n=9,h=8,banks=5,ctr=3"),
             ("bimodal:n=8", "bimodal:n=8"),
+            ("falru:cap=64,h=4", "ideal:h=4"),
+            ("setassoc:n=6,ways=2,h=4", "gshare:n=8,h=4"),
         ] {
             let parse = |s: &str| PredictorSpec::parse(s).unwrap();
-            let fast = kernel_duel(&parse(spec_a), &parse(spec_b), &cols).expect("kernel pair");
+            let fast = kernel_duel(&parse(spec_a), &parse(spec_b), &cols).unwrap();
             let mut a = parse_spec(spec_a).unwrap();
             let mut b = parse_spec(spec_b).unwrap();
             let slow = duel(&mut a, &mut b, cols.records(), NovelPolicy::Count);
             assert_eq!(fast, slow, "{spec_a} vs {spec_b}");
         }
-        let tagged = PredictorSpec::parse("falru:cap=64,h=4").unwrap();
+        let out_of_range = PredictorSpec::parse("falru:cap=0,h=4").unwrap();
         let gshare = PredictorSpec::parse("gshare:n=8,h=4").unwrap();
-        assert!(kernel_duel(&gshare, &tagged, &cols).is_none());
+        assert!(kernel_duel(&gshare, &out_of_range, &cols).is_err());
     }
 
     #[test]

@@ -185,58 +185,6 @@ pub fn run_delayed(
     result
 }
 
-/// Run `predictor` and return the misprediction percentage of each of
-/// `windows` consecutive windows of conditional branches — the
-/// phase-level view of prediction quality (context switches, working-set
-/// shifts and cold starts all show up as spikes).
-///
-/// Every window holds `window` branches except the last, which runs to
-/// the end of the stream: `n` branches split into `k` windows of
-/// `n / k` leave the remainder `n % k` to the last one. A stream shorter
-/// than `windows` full windows yields fewer. Novel references follow
-/// `novel_policy` exactly as in [`run_with`]: under
-/// [`NovelPolicy::Exclude`] they stay in the window's denominator but
-/// are never charged as mispredictions, so the mean of equal-sized
-/// windows still reproduces the total-run percentage.
-///
-/// # Panics
-///
-/// Panics if `window` or `windows` is zero.
-pub fn run_windowed(
-    predictor: &mut dyn BranchPredictor,
-    records: impl Iterator<Item = BranchRecord>,
-    window: u64,
-    windows: u64,
-    novel_policy: NovelPolicy,
-) -> Vec<f64> {
-    assert!(window > 0, "window must be nonzero");
-    assert!(windows > 0, "windows must be nonzero");
-    let mut rates = Vec::new();
-    let mut in_window = 0u64;
-    let mut wrong = 0u64;
-    for record in records {
-        if record.kind == BranchKind::Conditional {
-            let prediction = predictor.predict(record.pc);
-            let outcome = Outcome::from(record.taken);
-            let counted = !(prediction.novel && novel_policy == NovelPolicy::Exclude);
-            wrong += u64::from(counted && prediction.outcome != outcome);
-            in_window += 1;
-            predictor.update(record.pc, outcome);
-            if in_window == window && (rates.len() as u64) + 1 < windows {
-                rates.push(100.0 * wrong as f64 / window as f64);
-                in_window = 0;
-                wrong = 0;
-            }
-        } else {
-            predictor.record_unconditional(record.pc);
-        }
-    }
-    if in_window > 0 {
-        rates.push(100.0 * wrong as f64 / in_window as f64);
-    }
-    rates
-}
-
 fn retire(predictor: &mut dyn BranchPredictor, record: BranchRecord) {
     if record.kind == BranchKind::Conditional {
         predictor.update(record.pc, Outcome::from(record.taken));
@@ -299,126 +247,6 @@ mod tests {
             g.mispredict_pct(),
             t.mispredict_pct()
         );
-    }
-
-    #[test]
-    fn windowed_rates_average_to_the_total() {
-        let spec = IbsBenchmark::Groff.spec();
-        let len = 40_000u64;
-        let window = 4_000u64;
-        let mut p = parse_spec("gshare:n=10,h=6").unwrap();
-        let windows = run_windowed(
-            &mut p,
-            spec.build().take_conditionals(len),
-            window,
-            len / window,
-            NovelPolicy::Count,
-        );
-        assert_eq!(windows.len(), (len / window) as usize);
-        let mut q = parse_spec("gshare:n=10,h=6").unwrap();
-        let total = run(&mut q, spec.build().take_conditionals(len));
-        let mean = windows.iter().sum::<f64>() / windows.len() as f64;
-        assert!(
-            (mean - total.mispredict_pct()).abs() < 1e-9,
-            "windowed mean {mean} vs total {}",
-            total.mispredict_pct()
-        );
-    }
-
-    #[test]
-    fn windowed_cold_start_is_visible() {
-        let spec = IbsBenchmark::Gs.spec();
-        let mut p = parse_spec("gshare:n=12,h=8").unwrap();
-        let windows = run_windowed(
-            &mut p,
-            spec.build().take_conditionals(100_000),
-            10_000,
-            10,
-            NovelPolicy::Count,
-        );
-        assert!(
-            windows[0] > *windows.last().unwrap(),
-            "first (cold) window {} should exceed the last {}",
-            windows[0],
-            windows.last().unwrap()
-        );
-    }
-
-    #[test]
-    fn windowed_matches_total_under_both_policies() {
-        // The windowed view is the same accounting as `run_with`, sliced:
-        // with equal-sized windows the mean window rate must reproduce the
-        // total percentage under Count AND Exclude. The ideal predictor
-        // flags first encounters novel, so Exclude actually diverges from
-        // Count here and both paths are exercised.
-        let len = 20_000u64;
-        let window = 2_000u64;
-        for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
-            let mut windowed = Ideal::new(6, CounterKind::TwoBit).unwrap();
-            let windows = run_windowed(
-                &mut windowed,
-                IbsBenchmark::Nroff.spec().build().take_conditionals(len),
-                window,
-                len / window,
-                policy,
-            );
-            assert_eq!(windows.len(), (len / window) as usize);
-            let mut total = Ideal::new(6, CounterKind::TwoBit).unwrap();
-            let r = run_with(
-                &mut total,
-                IbsBenchmark::Nroff.spec().build().take_conditionals(len),
-                policy,
-            );
-            let mean = windows.iter().sum::<f64>() / windows.len() as f64;
-            assert!(
-                (mean - r.mispredict_pct()).abs() < 1e-9,
-                "{policy:?}: windowed mean {mean} vs total {}",
-                r.mispredict_pct()
-            );
-        }
-        // Sanity: the two policies disagree on this workload (novel
-        // references exist), so the loop above covered distinct paths.
-        let mut a = Ideal::new(6, CounterKind::TwoBit).unwrap();
-        let count = run_with(
-            &mut a,
-            IbsBenchmark::Nroff.spec().build().take_conditionals(len),
-            NovelPolicy::Count,
-        );
-        let mut b = Ideal::new(6, CounterKind::TwoBit).unwrap();
-        let exclude = run_with(
-            &mut b,
-            IbsBenchmark::Nroff.spec().build().take_conditionals(len),
-            NovelPolicy::Exclude,
-        );
-        assert!(exclude.mispredicted < count.mispredicted);
-    }
-
-    #[test]
-    fn last_window_takes_the_remainder() {
-        let records = vec![
-            BranchRecord::conditional(0x100, true),
-            BranchRecord::conditional(0x104, false),
-            BranchRecord::conditional(0x108, false),
-            BranchRecord::conditional(0x10c, true),
-            BranchRecord::conditional(0x110, false),
-        ];
-        // Five branches in two windows of two: the last holds three.
-        let mut p = parse_spec("always-taken").unwrap();
-        let windows = run_windowed(
-            &mut p,
-            records.clone().into_iter(),
-            2,
-            2,
-            NovelPolicy::Count,
-        );
-        assert_eq!(windows.len(), 2);
-        assert!((windows[0] - 50.0).abs() < 1e-12);
-        assert!((windows[1] - 200.0 / 3.0).abs() < 1e-12);
-        // A stream shorter than the windows asked for yields fewer.
-        let mut p = parse_spec("always-taken").unwrap();
-        let windows = run_windowed(&mut p, records.into_iter(), 4, 3, NovelPolicy::Count);
-        assert_eq!(windows.len(), 2);
-        assert!((windows[1] - 100.0).abs() < 1e-12);
     }
 
     #[test]

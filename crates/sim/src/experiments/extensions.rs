@@ -280,7 +280,7 @@ pub(super) fn duel_verdicts(opts: &ExperimentOpts) -> ExperimentOutput {
             let b = PredictorSpec::parse(spec_b).expect("valid spec");
             let rows = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
                 let cols = columns(bench, opts.len_for(bench));
-                let result = kernel_duel(&a, &b, &cols).expect("both specs have kernels");
+                let result = kernel_duel(&a, &b, &cols).expect("valid specs");
                 (bench, result)
             });
             for (bench, r) in rows {

@@ -52,9 +52,9 @@
 //!
 //! - [`PredictorKernel::run_observed`] is `drive` with an observer
 //!   closure, called with every conditional record's bank votes,
-//!   prediction and outcome before the tables train — `ext-duel`'s
-//!   per-record "wrong" bits ([`crate::duel::kernel_duel`]) and
-//!   `ext-confidence`'s unanimous/split tally.
+//!   prediction and outcome before the tables train — `ext-confidence`'s
+//!   unanimous/split tally, and the table families' per-record "wrong"
+//!   bits of [`run_spec_observed`].
 //!   [`PredictorKernel::run`] is the copy with a no-op hook, which
 //!   compiles to the plain loop: `train` reuses the cells `look` read, so
 //!   each cell is read once.
@@ -73,9 +73,16 @@
 //! [`run_jobs`] is the one fan-out: it runs a list of `(trace, job)`
 //! pairs, across any number of workloads, on one pool of workers, and
 //! times each job on the worker that runs it. The cell pipeline
-//! ([`crate::resume`]) plans every cell an experiment misses into one
-//! such list; [`run_specs`] and [`run_three_c_units`] are its
-//! one-trace forms for the CLI and the benchmarks.
+//! ([`crate::resume`]) plans every cell an experiment or a CLI command
+//! misses into one such list; [`run_specs`] and [`run_three_c_units`]
+//! are its one-trace forms for the tests and the benchmarks.
+//!
+//! [`run_spec_observed`] runs one spec of any family on its job and
+//! hands an observer each conditional record's "wrong" bit: the walks
+//! take the same generic observer argument as `drive`, and
+//! [`Job::run`] passes a no-op one. The CLI's `duel`
+//! ([`crate::duel::kernel_duel`]) and `run --windows`
+//! ([`windowed_rates`]) run on it.
 
 #[cfg(doc)]
 use crate::engine;
@@ -405,14 +412,20 @@ impl LruWalk {
 
     /// Walk `cols` once; one result per row, bit-identical to
     /// [`engine::run_with`] on the row's predictor under `policy`.
-    /// Credits `cols.len()` applications per row to the kernel path of
-    /// [`crate::timing`].
-    pub fn run(&self, cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
+    /// `wrong` sees every row's charged misprediction bit, row by row
+    /// within each conditional record. Credits `cols.len()` applications
+    /// per row to the kernel path of [`crate::timing`].
+    fn run(
+        &self,
+        cols: &TraceColumns,
+        policy: NovelPolicy,
+        wrong: impl FnMut(bool),
+    ) -> Vec<RunResult> {
         let start = Instant::now();
         let results = if self.rows.iter().all(|row| row.capacity == u64::MAX) {
-            self.walk(cols, policy, PairMap::<u32>::default())
+            self.walk(cols, policy, PairMap::<u32>::default(), wrong)
         } else {
-            self.walk(cols, policy, LastUseDistance::<u32>::with_payload())
+            self.walk(cols, policy, LastUseDistance::<u32>::with_payload(), wrong)
         };
         timing::record_kernel(cols.len() as u64 * self.rows.len() as u64, start.elapsed());
         results
@@ -425,6 +438,7 @@ impl LruWalk {
         cols: &TraceColumns,
         policy: NovelPolicy,
         mut pairs: T,
+        mut wrong: impl FnMut(bool),
     ) -> Vec<RunResult> {
         let rows = &self.rows[..];
         let width = rows.len();
@@ -445,15 +459,18 @@ impl LruWalk {
             for ((cell, result), row) in pair.zip(rows) {
                 let c = row.counter;
                 result.conditional += 1;
-                if distance.is_some_and(|d| d < row.capacity) {
-                    result.mispredicted += u64::from(c.taken(*cell) != taken);
+                let charged = if distance.is_some_and(|d| d < row.capacity) {
+                    let missed = c.taken(*cell) != taken;
                     *cell = c.step(*cell, taken);
+                    missed
                 } else {
                     result.novel += 1;
-                    result.mispredicted += u64::from(charge_novel && row.miss_taken != taken);
                     // SatCounter::seeded: weakly toward the outcome.
                     *cell = c.neutral() + u8::from(taken);
-                }
+                    charge_novel && row.miss_taken != taken
+                };
+                result.mispredicted += u64::from(charged);
+                wrong(charged);
             }
         }
         results
@@ -464,13 +481,19 @@ impl LruWalk {
 /// conditional records: one [`SetAssociative::access`] each, under the
 /// cursor's global history. Bit-identical to [`engine::run_with`] on the
 /// same table under `policy`: a miss is flagged novel and, under
-/// [`NovelPolicy::Exclude`], not charged.
+/// [`NovelPolicy::Exclude`], not charged. `wrong` sees each record's
+/// charged misprediction bit.
 ///
 /// # Panics
 ///
 /// Panics on another family or an out-of-range parameter; [`plan`]
 /// makes neither.
-fn set_walk(spec: &PredictorSpec, cols: &TraceColumns, policy: NovelPolicy) -> RunResult {
+fn set_walk(
+    spec: &PredictorSpec,
+    cols: &TraceColumns,
+    policy: NovelPolicy,
+    mut wrong: impl FnMut(bool),
+) -> RunResult {
     let PredictorSpec::SetAssoc {
         n,
         ways,
@@ -490,9 +513,10 @@ fn set_walk(spec: &PredictorSpec, cols: &TraceColumns, policy: NovelPolicy) -> R
     };
     for (pc, taken, global) in cols.conditionals(0) {
         let p = table.access(pc, global, Outcome::from(taken));
+        let charged = (charge_novel || !p.novel) && p.outcome.is_taken() != taken;
         result.novel += u64::from(p.novel);
-        result.mispredicted +=
-            u64::from((charge_novel || !p.novel) && p.outcome.is_taken() != taken);
+        result.mispredicted += u64::from(charged);
+        wrong(charged);
     }
     result
 }
@@ -537,6 +561,26 @@ pub enum Job {
 }
 
 impl Job {
+    /// The job that serves `spec` alone: a table kernel, a set walk, or a
+    /// one-row [`LruWalk`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] for an out-of-range value, with the
+    /// message the family's constructor gives.
+    fn of(spec: PredictorSpec) -> Result<Job, ConfigError> {
+        if TablePredictor::check(&spec)? {
+            Ok(Job::Table(spec))
+        } else if let PredictorSpec::SetAssoc { n, ways, h, .. } = spec {
+            SetAssociative::check(n, ways, h)?;
+            Ok(Job::Set(spec))
+        } else if let Some((h, row)) = LruRow::from_spec(&spec)? {
+            Ok(Job::Walk(LruWalk::new(h, vec![row])))
+        } else {
+            unreachable!("every family is a table, a set or an LRU row");
+        }
+    }
+
     /// Run the job over `cols`: one result per cell it serves, in the
     /// order [`plan`] listed its specs, or of the FA capacities. Aliasing
     /// jobs pack their counts into a [`RunResult`] ([`dm_counts`] and
@@ -548,15 +592,29 @@ impl Job {
     /// Panics if a [`Job::Table`] spec has no kernel or a [`Job::Set`]
     /// spec is not an in-range `setassoc` spec; [`plan`] makes neither.
     pub fn run(self, cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
+        self.run_observed(cols, policy, |_| {})
+    }
+
+    /// [`Job::run`], handing `wrong` every charged misprediction bit of a
+    /// predictor job: record by record, and row by row within a record
+    /// of a walk. Aliasing passes never call it.
+    fn run_observed(
+        self,
+        cols: &TraceColumns,
+        policy: NovelPolicy,
+        mut wrong: impl FnMut(bool),
+    ) -> Vec<RunResult> {
         let start = Instant::now();
         let counts = match self {
             Job::Table(spec) => {
                 let mut kernel = PredictorKernel::from_spec(&spec).expect("plan checked support");
-                return vec![kernel.run(cols)];
+                return vec![
+                    kernel.run_observed(cols, |_, predicted, taken| wrong(predicted != taken))
+                ];
             }
-            Job::Walk(walk) => return walk.run(cols, policy),
+            Job::Walk(walk) => return walk.run(cols, policy, wrong),
             Job::Set(spec) => {
-                let result = set_walk(&spec, cols, policy);
+                let result = set_walk(&spec, cols, policy, wrong);
                 timing::record_kernel(cols.len() as u64, start.elapsed());
                 return vec![result];
             }
@@ -610,41 +668,32 @@ pub fn fa_counts(results: &[RunResult]) -> FaCounts {
 pub fn plan<'a>(
     units: impl IntoIterator<Item = &'a Unit>,
 ) -> Result<Vec<(Vec<usize>, Job)>, ConfigError> {
-    let (mut shared, mut single) = (Vec::new(), Vec::new());
+    let (mut shared, mut single): (Vec<(Vec<usize>, Job)>, _) = (Vec::new(), Vec::new());
     for (i, unit) in units.into_iter().enumerate() {
-        let spec = match unit {
-            Unit::Spec(spec) => PredictorSpec::parse(spec)?,
-            Unit::Dm(cell) => {
-                single.push((vec![i], Job::Dm(*cell)));
-                continue;
-            }
+        let job = match unit {
+            Unit::Spec(spec) => Job::of(PredictorSpec::parse(spec)?)?,
+            Unit::Dm(cell) => Job::Dm(*cell),
             Unit::Fa {
                 history_bits,
                 capacities,
-            } => {
-                shared.push((vec![i], Job::Fa(*history_bits, capacities.clone())));
-                continue;
-            }
+            } => Job::Fa(*history_bits, capacities.clone()),
         };
-        if TablePredictor::check(&spec)? {
-            single.push((vec![i], Job::Table(spec)));
-        } else if let PredictorSpec::SetAssoc { n, ways, h, .. } = spec {
-            SetAssociative::check(n, ways, h)?;
-            single.push((vec![i], Job::Set(spec)));
-        } else if let Some((h, row)) = LruRow::from_spec(&spec)? {
-            let walk = shared.iter_mut().find_map(|(rows, job)| match job {
-                Job::Walk(walk) if walk.hist_bits == h => Some((rows, walk)),
-                _ => None,
-            });
-            match walk {
-                Some((rows, walk)) => {
-                    rows.push(i);
-                    walk.rows.push(row);
+        match job {
+            Job::Walk(walk) => {
+                let same = shared.iter_mut().find_map(|(rows, job)| match job {
+                    Job::Walk(other) if other.hist_bits == walk.hist_bits => Some((rows, other)),
+                    _ => None,
+                });
+                match same {
+                    Some((rows, other)) => {
+                        rows.push(i);
+                        other.rows.extend(walk.rows);
+                    }
+                    None => shared.push((vec![i], Job::Walk(walk))),
                 }
-                None => shared.push((vec![i], Job::Walk(LruWalk::new(h, vec![row])))),
             }
-        } else {
-            unreachable!("every family is a table, a set or an LRU row");
+            Job::Fa(..) => shared.push((vec![i], job)),
+            job => single.push((vec![i], job)),
         }
     }
     shared.extend(single);
@@ -700,6 +749,74 @@ pub fn run_specs(
         }
     }
     Ok(results)
+}
+
+/// Parse `spec` and check its values as [`PredictorSpec::build`] does,
+/// without allocating any table.
+///
+/// # Errors
+///
+/// Returns the [`ConfigError`] [`PredictorSpec::build`] would return.
+pub fn check(spec: &str) -> Result<PredictorSpec, ConfigError> {
+    let parsed = PredictorSpec::parse(spec)?;
+    Job::of(parsed.clone())?;
+    Ok(parsed)
+}
+
+/// Run one spec of any family over `cols` under [`NovelPolicy::Count`],
+/// on the job [`plan`] gives it: a table kernel, a one-row [`LruWalk`] or
+/// a set walk. `wrong` is handed each conditional record's misprediction
+/// bit in trace order, so the bits sum to the result's `mispredicted`.
+/// Time spent is credited to the kernel path of [`crate::timing`].
+///
+/// # Errors
+///
+/// Returns [`check`]'s [`ConfigError`] before any simulation runs.
+pub fn run_spec_observed(
+    spec: &PredictorSpec,
+    cols: &TraceColumns,
+    wrong: impl FnMut(bool),
+) -> Result<RunResult, ConfigError> {
+    let job = Job::of(spec.clone())?;
+    Ok(job.run_observed(cols, NovelPolicy::Count, wrong)[0])
+}
+
+/// The misprediction percentage of each of `windows` consecutive windows
+/// of `cols`' conditional records under `spec` ([`run_spec_observed`]):
+/// the phase-level view of prediction quality, where cold starts and
+/// working-set shifts show up as spikes. Of `n` records, every window
+/// holds `n / windows` except the last, which also takes the remainder.
+///
+/// # Errors
+///
+/// Returns [`check`]'s [`ConfigError`] before any simulation runs.
+///
+/// # Panics
+///
+/// Panics if `windows` is zero or exceeds the conditional records.
+pub fn windowed_rates(
+    spec: &PredictorSpec,
+    cols: &TraceColumns,
+    windows: u64,
+) -> Result<Vec<f64>, ConfigError> {
+    let n = cols.conditional_count();
+    assert!(
+        (1..=n).contains(&windows),
+        "{windows} windows of {n} records"
+    );
+    let window = n / windows;
+    let mut wrong = vec![0u64; windows as usize];
+    let mut at = 0;
+    run_spec_observed(spec, cols, |bit| {
+        wrong[(at / window).min(windows - 1) as usize] += u64::from(bit);
+        at += 1;
+    })?;
+    let last = n - (windows - 1) * window;
+    let sizes = (1..windows).map(|_| window).chain([last]);
+    let rates = wrong.iter().zip(sizes);
+    Ok(rates
+        .map(|(&w, size)| 100.0 * w as f64 / size as f64)
+        .collect())
 }
 
 /// The three-C jobs over one trace through [`run_jobs`]: one
@@ -966,6 +1083,57 @@ mod tests {
                 .run_counts(cols.records());
             assert_eq!(*counts, reference, "{cell:?}");
         }
+    }
+
+    #[test]
+    fn windowed_rates_average_to_the_total() {
+        let len = 40_000;
+        let cols = cache::columns(IbsBenchmark::Groff, len);
+        // A table kernel, and a walk whose novel misses are charged.
+        for spec in ["gshare:n=10,h=6", "ideal:h=6"] {
+            let parsed = PredictorSpec::parse(spec).unwrap();
+            let windows = windowed_rates(&parsed, &cols, 10).unwrap();
+            assert_eq!(windows.len(), 10);
+            let total = run_specs(&[spec.to_string()], &cols, NovelPolicy::Count, 1).unwrap()[0];
+            let mean = windows.iter().sum::<f64>() / windows.len() as f64;
+            assert!(
+                (mean - total.mispredict_pct()).abs() < 1e-9,
+                "{spec}: windowed mean {mean} vs total {}",
+                total.mispredict_pct()
+            );
+        }
+    }
+
+    #[test]
+    fn windowed_cold_start_is_visible() {
+        let cols = cache::columns(IbsBenchmark::Gs, 100_000);
+        let spec = PredictorSpec::parse("gshare:n=12,h=8").unwrap();
+        let windows = windowed_rates(&spec, &cols, 10).unwrap();
+        assert!(
+            windows[0] > *windows.last().unwrap(),
+            "first (cold) window {} should exceed the last {}",
+            windows[0],
+            windows.last().unwrap()
+        );
+    }
+
+    #[test]
+    fn last_window_takes_the_remainder() {
+        let records: Vec<_> = [true, false, false, true, false]
+            .iter()
+            .enumerate()
+            .map(|(i, &taken)| BranchRecord::conditional(0x100 + 4 * i as u64, taken))
+            .collect();
+        let cols = TraceColumns::from_records(&records);
+        let spec = PredictorSpec::parse("always-taken").unwrap();
+        // Five branches in two windows of two: the last holds three.
+        let windows = windowed_rates(&spec, &cols, 2).unwrap();
+        assert_eq!(windows.len(), 2);
+        assert!((windows[0] - 50.0).abs() < 1e-12);
+        assert!((windows[1] - 200.0 / 3.0).abs() < 1e-12);
+        // One window per branch.
+        let windows = windowed_rates(&spec, &cols, 5).unwrap();
+        assert_eq!(windows, [0.0, 100.0, 100.0, 0.0, 100.0]);
     }
 
     #[test]

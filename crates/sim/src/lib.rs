@@ -5,18 +5,17 @@
 //!
 //! * [`engine`] — the trace-driven predict/update loop and misprediction
 //!   accounting (including the paper's exclusion of compulsory references
-//!   for the unaliased predictor), plus windowed-phase and delayed-update
-//!   modes.
+//!   for the unaliased predictor), plus a delayed-update mode.
 //! * [`duel`] — lockstep two-predictor comparison with a McNemar paired
 //!   significance test.
 //! * [`experiments`] — the registry of reproducible experiments (`table1`,
 //!   `table2`, `fig1` … `fig12`, ablations and extensions), each emitting
 //!   renderable tables.
 //! * [`report`] — aligned-text and CSV table rendering.
-//! * [`kernel`] — monomorphized batch run loops over the tag-less table
-//!   predictors of `bpred_core::table`, bit-identical to driving them
-//!   through the `dyn` engine but walking structure-of-arrays trace
-//!   columns.
+//! * [`kernel`] — monomorphized batch run loops over every predictor
+//!   family (table kernels and tagged-table walks), bit-identical to
+//!   driving the predictors through the `dyn` engine but walking
+//!   structure-of-arrays trace columns.
 //! * [`timing`] — process-wide records/sec counters for the kernel and
 //!   `dyn` paths.
 //! * [`runner`] — order-preserving parallel sweeps.

@@ -8,7 +8,8 @@
 //! calls. The delayed and
 //! observed kernel runs match the reference models under
 //! `engine::run_delayed`, `duel::duel` and the reference gskew's
-//! `is_unanimous`.
+//! `is_unanimous`, and the per-record "wrong" bits of every family's run
+//! are the reference model's misses.
 
 mod reference;
 
@@ -302,7 +303,65 @@ fn hooked_spec_from(family: u8, n: u32, h: u32, ctr: u8, wide: bool, total: bool
     }
 }
 
+/// A random spec of any family: [`hooked_spec_from`]'s thirteen table
+/// families, `falru`, `ideal` and `setassoc`, with `wide` drawing the
+/// tagged tables' miss prediction.
+fn any_spec_from(family: u8, n: u32, h: u32, ctr: u8, wide: bool, total: bool) -> String {
+    let miss = if wide { "taken" } else { "nottaken" };
+    match family % 16 {
+        13 => format!("falru:cap={},h={h},ctr={ctr},miss={miss}", 1 << n),
+        14 => format!("ideal:h={h},ctr={ctr}"),
+        15 => format!(
+            "setassoc:n={},ways={},h={h},ctr={ctr},miss={miss}",
+            n.min(8),
+            n % 4 + 1
+        ),
+        f => hooked_spec_from(f, n, h, ctr, wide, total),
+    }
+}
+
 proptest::proptest! {
+    #[test]
+    fn observed_bits_are_the_reference_models_per_record_misses(
+        family in proptest::any::<u8>(),
+        n in 1u32..=12,
+        h in 0u32..=16,
+        ctr in 1u8..=7,
+        wide in proptest::any::<bool>(),
+        total in proptest::any::<bool>(),
+        bench_i in proptest::any::<u8>(),
+        len in 0u64..1_500,
+        seed in proptest::any::<u64>(),
+    ) {
+        let spec = any_spec_from(family, n, h, ctr, wide, total);
+        let bench = bench_from(bench_i);
+        let cols = cache::columns_seeded(bench, len, seed);
+        let mut fast = Vec::new();
+        let parsed = PredictorSpec::parse(&spec).unwrap();
+        let run = kernel::run_spec_observed(&parsed, &cols, |wrong| fast.push(wrong))
+            .expect("generated specs are in range");
+        // Novel predictions are charged, as under `NovelPolicy::Count`.
+        let mut model = reference::oracle(&spec);
+        let mut slow = Vec::new();
+        for r in cols.records() {
+            if r.kind == BranchKind::Conditional {
+                let outcome = Outcome::from(r.taken);
+                slow.push(model.predict(r.pc).outcome != outcome);
+                model.update(r.pc, outcome);
+            } else {
+                model.record_unconditional(r.pc);
+            }
+        }
+        // The length, and the first record whose bits differ.
+        let first = fast.iter().zip(&slow).position(|(fast, slow)| fast != slow);
+        prop_assert_eq!(
+            (fast.len(), first), (slow.len(), None),
+            "{} diverges on {:?} len {} seed {:#x}", &spec, bench, len, seed
+        );
+        prop_assert_eq!(fast.iter().filter(|&&wrong| wrong).count() as u64, run.mispredicted);
+        prop_assert_eq!(fast.len() as u64, run.conditional);
+    }
+
     #[test]
     fn delayed_kernels_match_run_delayed(
         family in proptest::any::<u8>(),
@@ -384,7 +443,7 @@ proptest::proptest! {
             &PredictorSpec::parse(&spec_b).unwrap(),
             &cols,
         )
-        .expect("both specs have kernels");
+        .expect("generated specs are in range");
         let mut a = reference::oracle(&spec_a);
         let mut b = reference::oracle(&spec_b);
         let slow = duel::duel(&mut a, &mut b, cols.records(), NovelPolicy::Count);

@@ -31,9 +31,10 @@
 //! differential proptest suite (`tests/aliasing_equiv.rs`) and by the
 //! naive-LRU reference model test.
 
-use crate::distance::{CapacitySweep, LastUseDistance};
+use crate::distance::CapacitySweep;
 use crate::three_c::ThreeCCounts;
 use bpred_core::index::IndexFunction;
+use bpred_core::lru::LastUseDistance;
 use bpred_core::vector::InfoVector;
 use bpred_trace::soa::TraceColumns;
 

@@ -1,8 +1,7 @@
 //! Converts a branch-record stream into the `(address, history)` pair
 //! references that the aliasing instruments consume.
 
-use bpred_core::history::GlobalHistory;
-use bpred_core::predictor::Outcome;
+use bpred_core::table::History;
 use bpred_core::vector::InfoVector;
 use bpred_trace::record::{BranchKind, BranchRecord};
 
@@ -23,14 +22,14 @@ use bpred_trace::record::{BranchKind, BranchRecord};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairCursor {
-    history: GlobalHistory,
+    history: History,
 }
 
 impl PairCursor {
     /// A cursor tracking `history_bits` of global history.
     pub fn new(history_bits: u32) -> Self {
         PairCursor {
-            history: GlobalHistory::new(history_bits),
+            history: History::new(history_bits),
         }
     }
 
@@ -38,29 +37,25 @@ impl PairCursor {
     /// right now.
     #[inline]
     pub fn pair(&self, pc: u64) -> (u64, u64) {
-        InfoVector::new(pc, self.history.value(), self.history.len()).pair()
+        self.history.vector(pc).pair()
     }
 
     /// The packed information vector for `pc` (for skew-indexed analyses).
     #[inline]
     pub fn vector(&self, pc: u64) -> InfoVector {
-        InfoVector::new(pc, self.history.value(), self.history.len())
+        self.history.vector(pc)
     }
 
     /// Account a record into the history register.
     #[inline]
     pub fn advance(&mut self, record: &BranchRecord) {
-        let outcome = if record.kind == BranchKind::Conditional {
-            Outcome::from(record.taken)
-        } else {
-            Outcome::Taken
-        };
-        self.history.push(outcome);
+        let taken = record.kind != BranchKind::Conditional || record.taken;
+        self.history.push(taken, self.history.mask());
     }
 
     /// History length in bits.
     pub fn history_bits(&self) -> u32 {
-        self.history.len()
+        self.history.bits()
     }
 }
 

@@ -1,190 +1,18 @@
-//! Last-use distance: the `D` of the analytical model (section 5.2).
+//! Consumers of the last-use distance `D` of the analytical model
+//! (section 5.2): for a dynamic reference to pair `V`, the number of
+//! distinct `(address, history)` pairs encountered since the last
+//! occurrence of `V` — the LRU stack distance over pairs. A reference hits
+//! an N-entry fully-associative LRU table iff `D < N`, which is exactly
+//! how the paper separates conflict aliasing (short `D`) from capacity
+//! aliasing (long `D`).
 //!
-//! For a dynamic reference to pair `V`, `D` is *the number of distinct
-//! `(address, history)` pairs encountered since the last occurrence of
-//! `V`* — the LRU stack distance over pairs. A reference hits an N-entry
-//! fully-associative LRU table iff `D < N`, which is exactly how the paper
-//! separates conflict aliasing (short `D`) from capacity aliasing (long
-//! `D`).
-//!
-//! The tracker runs in O(log P) per reference (amortized), where P is the
-//! number of distinct pairs, using a Fenwick tree over reference
-//! timestamps holding a 1 at the *most recent* timestamp of each distinct
-//! pair, and a [`PairMap`] from each pair to that timestamp. A reuse
-//! costs one map lookup and one tree query: every live pair holds exactly
-//! one mark, all of them before the current timestamp, so the marks after
-//! the pair's previous timestamp number the live pairs minus the prefix
-//! sum up to it. A first use costs one map insert and no query. When the
-//! timestamps run out of room the live pairs are renumbered into `1..=P`,
-//! so memory scales with distinct pairs rather than with trace length.
+//! The tracker itself, [`LastUseDistance`], lives in [`bpred_core::lru`]
+//! beside the LRU tables it decides; this module turns its distance
+//! stream into per-capacity miss counts ([`CapacitySweep`]) and a
+//! locality histogram ([`DistanceHistogram`]).
 
-use bpred_core::pair::PairMap;
-
-/// The smallest Fenwick tree a tracker keeps (4 KiB of counts).
-const MIN_TREE_LEN: usize = 1024;
-
-/// Sum of the Fenwick `tree`'s marks in `1..=i`.
-fn prefix(tree: &[u32], mut i: usize) -> u64 {
-    let mut sum = 0u64;
-    while i > 0 {
-        sum += u64::from(tree[i]);
-        i -= i & i.wrapping_neg();
-    }
-    sum
-}
-
-/// Streaming last-use-distance tracker.
-///
-/// Each live pair may carry a payload `P`, fixed on its first use — the
-/// predictor walk in `bpred-sim` stores a dense pair id there. The
-/// default payload `()` is zero-sized, so a plain tracker spends no
-/// memory on it.
-///
-/// ```
-/// use bpred_aliasing::distance::LastUseDistance;
-///
-/// let mut d = LastUseDistance::new();
-/// assert_eq!(d.observe((1, 0)), None);      // first use
-/// assert_eq!(d.observe((2, 0)), None);
-/// assert_eq!(d.observe((1, 0)), Some(1));   // one distinct pair between
-/// assert_eq!(d.observe((1, 0)), Some(0));   // immediate reuse
-/// ```
-#[derive(Debug, Clone)]
-pub struct LastUseDistance<P = ()> {
-    /// Fenwick tree over timestamps (1-based): a 1 at the most recent
-    /// timestamp of each live pair.
-    tree: Vec<u32>,
-    /// Most recent timestamp (1-based) and payload of each pair.
-    last: PairMap<(usize, P)>,
-    /// The last timestamp handed out.
-    clock: usize,
-    /// References observed.
-    references: usize,
-}
-
-impl LastUseDistance {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        LastUseDistance::with_payload()
-    }
-
-    /// Record a reference to `pair`; returns its last-use distance, or
-    /// `None` on first use.
-    pub fn observe(&mut self, pair: (u64, u64)) -> Option<u64> {
-        self.observe_with(pair, || ()).0
-    }
-}
-
-impl Default for LastUseDistance {
-    fn default() -> Self {
-        LastUseDistance::new()
-    }
-}
-
-impl<P: Copy> LastUseDistance<P> {
-    /// An empty tracker whose pairs carry a `P` payload.
-    pub fn with_payload() -> Self {
-        LastUseDistance {
-            tree: vec![0; MIN_TREE_LEN],
-            last: PairMap::default(),
-            clock: 0,
-            references: 0,
-        }
-    }
-
-    fn add(&mut self, i: usize, delta: i32) {
-        let mut i = i;
-        while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Renumber the live pairs' timestamps to `1..=P` in their existing
-    /// order and rebuild the tree with at least as many free timestamps
-    /// as live ones (doubling it only when the live pairs fill half).
-    ///
-    /// A distance is the number of live marks strictly between two
-    /// timestamps, and an order-preserving renumbering keeps every such
-    /// count, so distances are unchanged. A pair's new timestamp is its
-    /// rank among the live marks.
-    fn renumber(&mut self) {
-        let live = self.last.len();
-        // Unfold the Fenwick sums back into raw marks, then prefix-sum
-        // them: entry `t` becomes the rank of timestamp `t`.
-        let ranks = &mut self.tree;
-        let len = ranks.len();
-        for i in (1..len).rev() {
-            let parent = i + (i & i.wrapping_neg());
-            if parent < len {
-                ranks[parent] -= ranks[i];
-            }
-        }
-        for i in 1..len {
-            ranks[i] += ranks[i - 1];
-        }
-        for (stamp, _) in self.last.values_mut() {
-            *stamp = ranks[*stamp] as usize;
-        }
-        let mut len = len.max(MIN_TREE_LEN);
-        while len < 2 * (live + 1) {
-            len *= 2;
-        }
-        // Node `i` covers timestamps `(i - lowbit(i), i]`; the marks are
-        // the ones at `1..=live`.
-        self.tree.resize(len, 0);
-        for (i, node) in self.tree.iter_mut().enumerate() {
-            let low = i - (i & i.wrapping_neg());
-            *node = i.min(live).saturating_sub(low) as u32;
-        }
-        self.clock = live;
-    }
-
-    /// Record a reference to `pair`; returns its last-use distance
-    /// (`None` on first use) and its payload, which `fresh` supplies on
-    /// first use.
-    pub fn observe_with(
-        &mut self,
-        pair: (u64, u64),
-        fresh: impl FnOnce() -> P,
-    ) -> (Option<u64>, P) {
-        self.references += 1;
-        if self.clock + 1 >= self.tree.len() {
-            self.renumber();
-        }
-        self.clock += 1;
-        let now = self.clock;
-        let (distance, payload) = match self.last.get_mut(&pair) {
-            Some((stamp, payload)) => {
-                let prev = std::mem::replace(stamp, now);
-                let payload = *payload;
-                // Distinct pairs strictly between prev and now. Every live
-                // pair holds one mark at or before now - 1, so the marks
-                // up to now - 1 number `last.len()`: one query suffices.
-                let d = self.last.len() as u64 - prefix(&self.tree, prev);
-                self.add(prev, -1);
-                (Some(d), payload)
-            }
-            None => {
-                let payload = fresh();
-                self.last.insert(pair, (now, payload));
-                (None, payload)
-            }
-        };
-        self.add(now, 1);
-        (distance, payload)
-    }
-
-    /// Number of distinct pairs seen so far.
-    pub fn distinct_pairs(&self) -> usize {
-        self.last.len()
-    }
-
-    /// Number of references observed.
-    pub fn references(&self) -> usize {
-        self.references
-    }
-}
+#[cfg(doc)]
+use bpred_core::lru::LastUseDistance;
 
 /// Exact fully-associative LRU miss counts for *many* capacities from one
 /// distance stream.
@@ -354,89 +182,7 @@ impl DistanceHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// O(n^2) reference implementation: scan back for the previous
-    /// occurrence and count distinct pairs in between.
-    fn naive_distances(refs: &[(u64, u64)]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(refs.len());
-        for (i, &p) in refs.iter().enumerate() {
-            let prev = refs[..i].iter().rposition(|&q| q == p);
-            out.push(prev.map(|j| {
-                let mut distinct = std::collections::HashSet::new();
-                for &q in &refs[j + 1..i] {
-                    distinct.insert(q);
-                }
-                distinct.len() as u64
-            }));
-        }
-        out
-    }
-
-    #[test]
-    fn simple_sequence() {
-        let mut d = LastUseDistance::new();
-        assert_eq!(d.observe((1, 0)), None);
-        assert_eq!(d.observe((2, 0)), None);
-        assert_eq!(d.observe((3, 0)), None);
-        assert_eq!(d.observe((1, 0)), Some(2));
-        assert_eq!(d.observe((1, 0)), Some(0));
-        assert_eq!(d.observe((2, 0)), Some(2));
-        assert_eq!(d.distinct_pairs(), 3);
-        assert_eq!(d.references(), 6);
-    }
-
-    #[test]
-    fn repeated_pair_between_does_not_double_count() {
-        let mut d = LastUseDistance::new();
-        d.observe((1, 0));
-        d.observe((2, 0));
-        d.observe((2, 0));
-        d.observe((2, 0));
-        // Only ONE distinct pair (2) since the last use of 1.
-        assert_eq!(d.observe((1, 0)), Some(1));
-    }
-
-    #[test]
-    fn matches_naive_reference_on_random_stream() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(99);
-        let refs: Vec<(u64, u64)> = (0..2_000)
-            .map(|_| (rng.gen_range(0..40u64), rng.gen_range(0..4u64)))
-            .collect();
-        let naive = naive_distances(&refs);
-        let mut fast = LastUseDistance::new();
-        for (i, &p) in refs.iter().enumerate() {
-            assert_eq!(fast.observe(p), naive[i], "mismatch at reference {i}");
-        }
-    }
-
-    #[test]
-    fn tree_grows_past_initial_capacity() {
-        let mut d = LastUseDistance::new();
-        for i in 0..5_000u64 {
-            d.observe((i % 7, 0));
-        }
-        assert_eq!(d.references(), 5_000);
-        assert_eq!(d.distinct_pairs(), 7);
-        // The loop ends at i=4999 (pair 1); the last use of pair 2 was at
-        // i=4993, with the 6 other pairs touched since.
-        assert_eq!(d.observe((2, 0)), Some(6));
-        // And the steady-state period: re-observing pair 2 immediately
-        // gives distance 0.
-        assert_eq!(d.observe((2, 0)), Some(0));
-    }
-
-    #[test]
-    fn memory_tracks_distinct_pairs_not_references() {
-        let mut d = LastUseDistance::new();
-        for i in 0..1_000_000u64 {
-            let expected = (i >= 7).then_some(6);
-            assert_eq!(d.observe((i % 7, 0)), expected, "reference {i}");
-        }
-        let tree_bytes = d.tree.len() * std::mem::size_of::<u32>();
-        assert!(tree_bytes <= 4 << 10, "tree holds {tree_bytes} bytes");
-    }
+    use bpred_core::lru::LastUseDistance;
 
     #[test]
     fn histogram_buckets_and_hit_ratio() {

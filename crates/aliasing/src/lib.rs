@@ -29,8 +29,9 @@
 //!   direct-mapped kernels over a column-view trace plus one shared
 //!   last-use-distance pass serving every fully-associative capacity at
 //!   once (`distance < N` ⟺ hit in an N-entry LRU table).
-//! * [`distance`] — O(log n) last-use distance (distinct pairs since last
-//!   occurrence), the `D` of formulas (1) and (2).
+//! * [`distance`] — per-capacity miss counts and a histogram from the
+//!   O(log n) last-use distance (distinct pairs since last occurrence) of
+//!   `bpred_core::lru`, the `D` of formulas (1) and (2).
 //! * [`substream`] — substream-ratio and compulsory-aliasing measurement
 //!   (Table 2).
 //! * [`nature`] — destructive / harmless / constructive classification of
@@ -59,7 +60,7 @@ pub mod prelude {
     pub use crate::batch::ThreeCCell;
     pub use crate::bias::BiasStats;
     pub use crate::cursor::PairCursor;
-    pub use crate::distance::{CapacitySweep, DistanceHistogram, LastUseDistance};
+    pub use crate::distance::{CapacitySweep, DistanceHistogram};
     pub use crate::fully_assoc::TaggedFullyAssociative;
     pub use crate::nature::{AliasingNature, NatureCounts};
     pub use crate::offenders::{OffenderAnalysis, OffenderPair};

@@ -6,8 +6,9 @@
 //! matching for every capacity at once — including across the distance
 //! tracker's timestamp renumbering.
 
-use bpred_aliasing::distance::{CapacitySweep, LastUseDistance};
+use bpred_aliasing::distance::CapacitySweep;
 use bpred_aliasing::fully_assoc::TaggedFullyAssociative;
+use bpred_core::lru::LastUseDistance;
 use proptest::prelude::*;
 
 /// The textbook LRU: a vector ordered most- to least-recently used,
@@ -100,11 +101,13 @@ fn naive_distances(stream: &[(u64, u64)]) -> Vec<Option<u64>> {
 
 proptest! {
     /// Every distance across renumbering and tree growth equals the
-    /// naive recency list's, and the tracker counts pairs and references.
+    /// naive recency list's, read by `peek` before it is recorded as by
+    /// `observe`, and the tracker counts pairs and references.
     #[test]
     fn distances_survive_renumbering(stream in arb_long_stream()) {
         let mut distance = LastUseDistance::new();
         for (i, (&pair, want)) in stream.iter().zip(naive_distances(&stream)).enumerate() {
+            prop_assert_eq!(distance.peek(pair).map(|(d, ())| d), want, "peek {}", i);
             prop_assert_eq!(distance.observe(pair), want, "reference {}", i);
         }
         let mut distinct = stream.clone();

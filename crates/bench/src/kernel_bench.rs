@@ -11,6 +11,12 @@
 //! cell by cell — a throughput run doubles as an end-to-end equivalence
 //! check.
 //!
+//! The dyn side of a case is what `PredictorSpec::build` returns: the
+//! table families' `TablePredictor`, `SetAssociative`, and for the
+//! `falru` and `ideal` cases the `LruPredictor` adapter, which runs the
+//! same per-reference step as the kernel side's shared walk, one
+//! predictor at a time and with exact distances for `ideal` rows too.
+//!
 //! The `delay` case ([`run_delay`]) races ext-delay's retirement-time
 //! cells the same way: `engine::run_delayed` against the delayed
 //! kernels.

@@ -10,7 +10,6 @@
 //!
 //! * [`counter`] — 1-bit, 2-bit and n-bit saturating prediction counters and
 //!   the flat [`counter::CounterTable`] used by all tag-less predictors.
-//! * [`history`] — the global branch history register.
 //! * [`index`] — the classic tag-less index functions: bimodal bit
 //!   truncation, *gshare* (XOR, with the paper's footnote-1 alignment rule)
 //!   and *gselect* (concatenation).
@@ -19,7 +18,8 @@
 //!   five banks.
 //! * [`predictor`] — the [`predictor::BranchPredictor`] trait and shared
 //!   plumbing.
-//! * [`table`] — every tag-less table predictor, written once: the
+//! * [`table`] — the global history register ([`table::History`]) and
+//!   every tag-less table predictor, written once: the
 //!   single-bank reference schemes (bimodal, gshare, gselect), the skewed
 //!   branch predictor of section 4 and its enhanced variant of section 6
 //!   (3 or 5 banks, total or partial update), and the section-7
@@ -29,10 +29,12 @@
 //!   shared-hysteresis skewed predictor, and the static always-taken and
 //!   always-not-taken baselines.
 //! * [`gskew`] — the update policy of the skewed banks (section 4.1).
-//! * [`ideal`] — the infinite, unaliased predictor of section 3.1.
-//! * [`assoc`] — tagged fully-associative (LRU) and set-associative
-//!   predictor tables (section 3.3's "costly" alternative, used as the
-//!   capacity-aliasing yardstick in figure 8).
+//! * [`lru`] — the tagged LRU tables, written once: the N-entry
+//!   fully-associative LRU table (section 3.3's "costly" alternative,
+//!   figure 8's capacity-aliasing yardstick) and the infinite, unaliased
+//!   predictor of section 3.1, which is the same table with N = ∞; and
+//!   [`lru::LastUseDistance`], the last-use distance both are decided by.
+//! * [`assoc`] — the tagged set-associative predictor table.
 //! * [`pair`] — [`pair::PairMap`], the hash map every tagged table and
 //!   aliasing instrument keys on `(address, history)` pairs.
 //! * [`spec`] — textual predictor specifications (`"gskew:n=12,h=8"`):
@@ -61,9 +63,8 @@ pub mod assoc;
 pub mod counter;
 pub mod error;
 pub mod gskew;
-pub mod history;
-pub mod ideal;
 pub mod index;
+pub mod lru;
 pub mod pair;
 pub mod predictor;
 pub mod skew;
@@ -73,16 +74,15 @@ pub mod vector;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::assoc::{FullyAssociative, SetAssociative};
+    pub use crate::assoc::SetAssociative;
     pub use crate::counter::{CounterKind, CounterTable, SatCounter};
     pub use crate::error::ConfigError;
     pub use crate::gskew::UpdatePolicy;
-    pub use crate::history::GlobalHistory;
-    pub use crate::ideal::Ideal;
     pub use crate::index::IndexFunction;
+    pub use crate::lru::LruPredictor;
     pub use crate::predictor::{BranchPredictor, Outcome, Prediction};
     pub use crate::spec::{parse_spec, PredictorSpec};
-    pub use crate::table::TablePredictor;
+    pub use crate::table::{History, TablePredictor};
     pub use crate::vector::InfoVector;
 }
 

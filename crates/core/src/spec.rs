@@ -29,11 +29,11 @@
 //! Additional families beyond the paper's: `agree:n=12,h=8`,
 //! `bimode:n=12,h=8`, `pas:bht=10,l=8,n=12`, `spas:bht=10,l=8,n=10`.
 
-use crate::assoc::{FullyAssociative, MissPolicy, SetAssociative};
+use crate::assoc::{MissPolicy, SetAssociative};
 use crate::counter::CounterKind;
 use crate::error::ConfigError;
 use crate::gskew::UpdatePolicy;
-use crate::ideal::Ideal;
+use crate::lru::LruPredictor;
 use crate::predictor::BranchPredictor;
 use crate::table::TablePredictor;
 use std::collections::HashMap;
@@ -390,21 +390,22 @@ impl PredictorSpec {
         if let Some(table) = TablePredictor::new(self)? {
             return Ok(Box::new(table));
         }
-        let boxed: Box<dyn BranchPredictor> = match *self {
-            PredictorSpec::Ideal { h, ctr } => Box::new(Ideal::new(h, ctr)?),
-            PredictorSpec::Falru { cap, h, ctr, miss } => {
-                Box::new(FullyAssociative::new(cap, h, ctr)?.with_miss_policy(miss))
-            }
-            PredictorSpec::SetAssoc {
-                n,
-                ways,
-                h,
-                ctr,
-                miss,
-            } => Box::new(SetAssociative::new(n, ways, h, ctr)?.with_miss_policy(miss)),
-            _ => unreachable!("every other family is a table predictor"),
+        if let Some(lru) = LruPredictor::new(self)? {
+            return Ok(Box::new(lru));
+        }
+        let PredictorSpec::SetAssoc {
+            n,
+            ways,
+            h,
+            ctr,
+            miss,
+        } = *self
+        else {
+            unreachable!("every other family is a table or LRU predictor");
         };
-        Ok(boxed)
+        Ok(Box::new(
+            SetAssociative::new(n, ways, h, ctr)?.with_miss_policy(miss),
+        ))
     }
 }
 

@@ -148,6 +148,12 @@ impl History {
         History { bits, value: 0 }
     }
 
+    /// The register's length in bits.
+    #[inline(always)]
+    pub fn bits(self) -> u32 {
+        self.bits
+    }
+
     /// The register's contents.
     #[inline(always)]
     pub fn value(self) -> u64 {
@@ -181,7 +187,7 @@ impl History {
 
     /// The information vector of the branch at `pc`.
     #[inline(always)]
-    fn vector(self, pc: u64) -> InfoVector {
+    pub fn vector(self, pc: u64) -> InfoVector {
         InfoVector::new(pc, self.value, self.bits)
     }
 

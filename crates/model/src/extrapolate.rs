@@ -19,7 +19,7 @@
 
 use bpred_aliasing::bias::BiasStats;
 use bpred_aliasing::cursor::PairCursor;
-use bpred_aliasing::distance::LastUseDistance;
+use bpred_core::lru::LastUseDistance;
 use bpred_trace::record::{BranchKind, BranchRecord};
 
 use crate::prob::aliasing_probability;

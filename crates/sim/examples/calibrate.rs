@@ -4,10 +4,9 @@ use bpred_aliasing::cursor::PairCursor;
 use bpred_aliasing::fully_assoc::TaggedFullyAssociative;
 use bpred_aliasing::substream::SubstreamStats;
 use bpred_aliasing::tagged::TaggedDirectMapped;
-use bpred_core::counter::CounterKind;
-use bpred_core::ideal::Ideal;
 use bpred_core::index::IndexFunction;
-use bpred_core::predictor::{BranchPredictor, Outcome};
+use bpred_core::predictor::Outcome;
+use bpred_core::spec::parse_spec;
 use bpred_trace::record::BranchKind;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
@@ -36,8 +35,8 @@ fn main() {
     for b in IbsBenchmark::all() {
         let mut ss4 = SubstreamStats::new(4);
         let mut ss12 = SubstreamStats::new(12);
-        let mut id4 = Ideal::new(4, CounterKind::TwoBit).unwrap();
-        let mut id12 = Ideal::new(12, CounterKind::TwoBit).unwrap();
+        let mut id4 = parse_spec("ideal:h=4").unwrap();
+        let mut id12 = parse_spec("ideal:h=12").unwrap();
         let mut cur = PairCursor::new(4);
         let mut fa: Vec<TaggedFullyAssociative> = [1 << 10, 1 << 12, 1 << 14, 1 << 16]
             .iter()

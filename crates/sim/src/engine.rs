@@ -222,12 +222,12 @@ mod tests {
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x100, true),
         ];
-        let mut ideal = Ideal::new(0, CounterKind::TwoBit).unwrap();
+        let mut ideal = parse_spec("ideal:h=0").unwrap();
         let r = run_with(&mut ideal, records.iter().copied(), NovelPolicy::Exclude);
         assert_eq!(r.novel, 1);
         assert_eq!(r.mispredicted, 0);
 
-        let mut ideal = Ideal::new(0, CounterKind::TwoBit).unwrap();
+        let mut ideal = parse_spec("ideal:h=0").unwrap();
         let r = run_with(&mut ideal, records.iter().copied(), NovelPolicy::Count);
         // Counted: the novel prediction (not-taken default) is wrong.
         assert_eq!(r.mispredicted, 1);

@@ -117,19 +117,18 @@ pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
 mod tests {
     use super::*;
     use crate::experiments::helpers::records;
+    use crate::kernel::reference;
     use bpred_aliasing::substream::SubstreamStats;
-    use bpred_core::counter::CounterKind;
-    use bpred_core::ideal::Ideal;
-    use bpred_core::predictor::{BranchPredictor, Outcome};
+    use bpred_core::predictor::Outcome;
     use bpred_trace::record::BranchKind;
 
     /// The historical measurement, kept as the oracle: one lockstep pass
-    /// driving a 1-bit and a 2-bit `dyn` [`Ideal`] next to a
-    /// [`SubstreamStats`].
+    /// driving the naive reference models of a 1-bit and a 2-bit `ideal`
+    /// table next to a [`SubstreamStats`].
     fn measure_lockstep(bench: IbsBenchmark, history_bits: u32, len: u64) -> Row {
         let mut substreams = SubstreamStats::new(history_bits);
-        let mut one = Ideal::new(history_bits, CounterKind::OneBit).expect("valid history");
-        let mut two = Ideal::new(history_bits, CounterKind::TwoBit).expect("valid history");
+        let mut one = reference::oracle(&format!("ideal:h={history_bits},ctr=1"));
+        let mut two = reference::oracle(&format!("ideal:h={history_bits},ctr=2"));
         let mut conditional = 0u64;
         let mut miss1 = 0u64;
         let mut miss2 = 0u64;

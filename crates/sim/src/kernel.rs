@@ -42,7 +42,9 @@
 //! Table kernels never flag a prediction *novel*, so their result is also
 //! independent of the [`NovelPolicy`]; the [`LruWalk`] rows and the
 //! set walk do flag misses novel and honour the policy they are given,
-//! as the tagged dyn predictors do. The equivalence is pinned by a
+//! as the engine does for the tagged dyn predictors. An [`LruWalk`] and
+//! the `falru`/`ideal` dyn predictor run one transition,
+//! `bpred_core::lru::LruTable::step`. The equivalence is pinned by a
 //! proptest suite (`tests/kernel_equiv.rs`) against naive per-record
 //! reference models written from the paper's definitions
 //! (`tests/reference`), and by the campaign regression gates.
@@ -90,17 +92,15 @@ use crate::engine::{NovelPolicy, RunResult};
 use crate::runner::parallel_map;
 use crate::timing;
 use bpred_aliasing::batch::{self, DmCounts, FaCounts, ThreeCCell};
-use bpred_aliasing::distance::LastUseDistance;
-use bpred_core::assoc::{FullyAssociative, MissPolicy, SetAssociative};
+use bpred_core::assoc::SetAssociative;
 use bpred_core::error::ConfigError;
-use bpred_core::ideal::Ideal;
+use bpred_core::lru::{LastUseDistance, LruRow, LruTable, PairTracker};
 use bpred_core::pair::PairMap;
-use bpred_core::predictor::Outcome;
+use bpred_core::predictor::{Outcome, Prediction};
 use bpred_core::spec::PredictorSpec;
-use bpred_core::table::{Counter, History, Table, TablePredictor, Visit, Width};
+use bpred_core::table::{History, Table, TablePredictor, Visit};
 use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::TraceColumns;
-use std::collections::hash_map::Entry;
 use std::ops::Deref;
 use std::time::Instant;
 
@@ -305,78 +305,6 @@ impl PredictorKernel {
     }
 }
 
-/// One row of an [`LruWalk`]: an N-entry fully-associative LRU table
-/// tagged with `(address, history)` pairs (`falru`), or the unbounded
-/// table (`ideal`, N = ∞).
-#[derive(Debug, Clone, Copy)]
-struct LruRow {
-    /// Entries; `u64::MAX` stands for ∞.
-    capacity: u64,
-    /// The prediction on a miss: `falru`'s `miss` outcome, not-taken for
-    /// `ideal`.
-    miss_taken: bool,
-    counter: Width,
-}
-
-impl LruRow {
-    /// The row and its history length for a `falru` or `ideal` spec;
-    /// `None` for the other families.
-    ///
-    /// # Errors
-    ///
-    /// Returns the predictor constructor's [`ConfigError`] for a
-    /// parameter out of range (`cap` of 0, `h` above 64).
-    fn from_spec(spec: &PredictorSpec) -> Result<Option<(u32, LruRow)>, ConfigError> {
-        let (h, capacity, miss_taken, ctr) = match *spec {
-            PredictorSpec::Falru { cap, h, ctr, miss } => {
-                FullyAssociative::check(cap, h)?;
-                (h, cap as u64, miss == MissPolicy::AlwaysTaken, ctr)
-            }
-            PredictorSpec::Ideal { h, ctr } => {
-                // An empty table: the check allocates nothing.
-                Ideal::new(h, ctr)?;
-                (h, u64::MAX, false, ctr)
-            }
-            _ => return Ok(None),
-        };
-        let row = LruRow {
-            capacity,
-            miss_taken,
-            counter: Width::of(ctr),
-        };
-        Ok(Some((h, row)))
-    }
-}
-
-/// How an [`LruWalk`] learns each reference's `(address, history)`
-/// pair: its dense id, and whether and how far back it was last used.
-trait PairTracker {
-    /// The pair's dense id (`fresh` on first use) and its last-use
-    /// distance, `None` on first use.
-    fn track(&mut self, pair: (u64, u64), fresh: u32) -> (Option<u64>, u32);
-}
-
-/// The exact last-use distance, for walks with a bounded (`falru`) row.
-impl PairTracker for LastUseDistance<u32> {
-    #[inline]
-    fn track(&mut self, pair: (u64, u64), fresh: u32) -> (Option<u64>, u32) {
-        self.observe_with(pair, || fresh)
-    }
-}
-
-/// First use alone, for walks whose rows are all unbounded (`ideal`):
-/// every reuse hits such a row whatever its distance, so a reuse reports
-/// distance 0 and no stack distance is kept.
-impl PairTracker for PairMap<u32> {
-    #[inline]
-    fn track(&mut self, pair: (u64, u64), fresh: u32) -> (Option<u64>, u32) {
-        match self.entry(pair) {
-            Entry::Occupied(e) => (Some(0), *e.get()),
-            Entry::Vacant(e) => (None, *e.insert(fresh)),
-        }
-    }
-}
-
 /// Every `falru` and `ideal` row that shares one history length, in one
 /// trace walk.
 ///
@@ -387,11 +315,9 @@ impl PairTracker for PairMap<u32> {
 /// to a predictor. An unbounded (`ideal`) row hits on every reuse, so a
 /// walk whose rows are all unbounded tracks only first uses, in a
 /// [`PairMap`] from pair to dense id, and keeps no stack distance. Both
-/// trackers drive the same loop. Each `(pair, row)` keeps one counter: a
-/// hit predicts from it and trains it; a miss predicts the row's miss
-/// outcome, is flagged novel, and re-seeds the counter with
-/// `SatCounter::seeded(kind, outcome)` — the entry the table would
-/// allocate.
+/// trackers drive the same loop over one [`LruTable`]: each reference is
+/// one [`LruTable::step`], the transition the `falru`/`ideal` predictor
+/// (`bpred_core::lru::LruPredictor`) runs per record too.
 #[derive(Debug, Clone)]
 pub struct LruWalk {
     hist_bits: u32,
@@ -399,17 +325,6 @@ pub struct LruWalk {
 }
 
 impl LruWalk {
-    /// A walk over `rows` under `hist_bits` bits of global history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or `hist_bits` exceeds 64.
-    fn new(hist_bits: u32, rows: Vec<LruRow>) -> LruWalk {
-        assert!(!rows.is_empty(), "a walk needs at least one row");
-        assert!(hist_bits <= 64, "history_bits {hist_bits} above 64");
-        LruWalk { hist_bits, rows }
-    }
-
     /// Walk `cols` once; one result per row, bit-identical to
     /// [`engine::run_with`] on the row's predictor under `policy`.
     /// `wrong` sees every row's charged misprediction bit, row by row
@@ -422,59 +337,51 @@ impl LruWalk {
         wrong: impl FnMut(bool),
     ) -> Vec<RunResult> {
         let start = Instant::now();
-        let results = if self.rows.iter().all(|row| row.capacity == u64::MAX) {
-            self.walk(cols, policy, PairMap::<u32>::default(), wrong)
+        let rows = self.rows.clone();
+        let results = if rows.iter().all(|row| row.is_unbounded()) {
+            let pairs = PairMap::<u32>::default();
+            self.walk(cols, policy, LruTable::new(rows, pairs), wrong)
         } else {
-            self.walk(cols, policy, LastUseDistance::<u32>::with_payload(), wrong)
+            let pairs = LastUseDistance::<u32>::with_payload();
+            self.walk(cols, policy, LruTable::new(rows, pairs), wrong)
         };
         timing::record_kernel(cols.len() as u64 * self.rows.len() as u64, start.elapsed());
         results
     }
 
-    /// The loop of [`LruWalk::run`], under the pair tracker `pairs`.
+    /// The loop of [`LruWalk::run`], over `table`.
     #[inline(never)]
     fn walk<T: PairTracker>(
         &self,
         cols: &TraceColumns,
         policy: NovelPolicy,
-        mut pairs: T,
+        mut table: LruTable<T>,
         mut wrong: impl FnMut(bool),
     ) -> Vec<RunResult> {
-        let rows = &self.rows[..];
-        let width = rows.len();
-        let charge_novel = policy == NovelPolicy::Count;
-        let mut results = vec![RunResult::default(); width];
-        // A pair's counters sit at `cells[id * width..][..width]`, where
-        // `id` is its dense id.
-        let mut cells: Vec<u8> = Vec::new();
+        let result = RunResult {
+            conditional: cols.conditional_count(),
+            ..RunResult::default()
+        };
+        let mut results = vec![result; self.rows.len()];
         let hmask = History::new(self.hist_bits).mask();
         for (pc, taken, global) in cols.conditionals(0) {
-            let fresh = (cells.len() / width) as u32;
-            let (distance, id) = pairs.track((pc >> 2, global & hmask), fresh);
-            if distance.is_none() {
-                cells.resize(cells.len() + width, 0);
-            }
-            let at = id as usize * width;
-            let pair = cells[at..at + width].iter_mut().zip(&mut results);
-            for ((cell, result), row) in pair.zip(rows) {
-                let c = row.counter;
-                result.conditional += 1;
-                let charged = if distance.is_some_and(|d| d < row.capacity) {
-                    let missed = c.taken(*cell) != taken;
-                    *cell = c.step(*cell, taken);
-                    missed
-                } else {
-                    result.novel += 1;
-                    // SatCounter::seeded: weakly toward the outcome.
-                    *cell = c.neutral() + u8::from(taken);
-                    charge_novel && row.miss_taken != taken
-                };
+            table.step((pc >> 2, global & hmask), taken, |row, p| {
+                let charged = charged(p, taken, policy);
+                let result = &mut results[row];
+                result.novel += u64::from(p.novel);
                 result.mispredicted += u64::from(charged);
                 wrong(charged);
-            }
+            });
         }
         results
     }
+}
+
+/// Whether the engine charges prediction `p` of a record with outcome
+/// `taken` as a misprediction under `policy`.
+#[inline(always)]
+fn charged(p: Prediction, taken: bool, policy: NovelPolicy) -> bool {
+    (policy == NovelPolicy::Count || !p.novel) && p.outcome.is_taken() != taken
 }
 
 /// The walk of the table a `setassoc` spec describes over the
@@ -506,14 +413,13 @@ fn set_walk(
     };
     let table = SetAssociative::new(n, ways, h, ctr).unwrap_or_else(|e| panic!("{e}"));
     let mut table = table.with_miss_policy(miss);
-    let charge_novel = policy == NovelPolicy::Count;
     let mut result = RunResult {
         conditional: cols.conditional_count(),
         ..RunResult::default()
     };
     for (pc, taken, global) in cols.conditionals(0) {
         let p = table.access(pc, global, Outcome::from(taken));
-        let charged = (charge_novel || !p.novel) && p.outcome.is_taken() != taken;
+        let charged = charged(p, taken, policy);
         result.novel += u64::from(p.novel);
         result.mispredicted += u64::from(charged);
         wrong(charged);
@@ -574,8 +480,9 @@ impl Job {
         } else if let PredictorSpec::SetAssoc { n, ways, h, .. } = spec {
             SetAssociative::check(n, ways, h)?;
             Ok(Job::Set(spec))
-        } else if let Some((h, row)) = LruRow::from_spec(&spec)? {
-            Ok(Job::Walk(LruWalk::new(h, vec![row])))
+        } else if let Some((hist_bits, row)) = LruRow::from_spec(&spec)? {
+            let rows = vec![row];
+            Ok(Job::Walk(LruWalk { hist_bits, rows }))
         } else {
             unreachable!("every family is a table, a set or an LRU row");
         }
@@ -842,10 +749,11 @@ pub fn run_three_c_units(
     (dm, fa)
 }
 
-/// The naive per-record models the table kernels are checked against.
+/// The naive per-record models the kernels and walks are checked
+/// against.
 #[cfg(test)]
 #[path = "../tests/reference/mod.rs"]
-mod reference;
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1147,7 +1055,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_walk_matches_the_dyn_engine_under_both_policies() {
+    fn lru_walk_matches_the_reference_models_under_both_policies() {
         let cols = cache::columns(IbsBenchmark::Groff, 6_000);
         let specs: Vec<String> = [
             "falru:cap=16,h=4",
@@ -1165,8 +1073,8 @@ mod tests {
         assert!(jobs.iter().all(|(_, job)| matches!(job, Job::Walk(_))));
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
             let routed = run_specs(&specs, &cols, policy, 2).unwrap();
-            let mut predictors: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
-            let reference = engine::run_many(&mut predictors, &cols, policy);
+            let mut models: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
+            let reference = engine::run_many(&mut models, &cols, policy);
             assert_eq!(routed, reference, "{policy:?}");
             assert!(routed.iter().all(|r| r.novel > 0));
         }

@@ -3,7 +3,9 @@
 //! `reference` driven by the `dyn` engine over a freshly generated
 //! stream, on random specs and seeded workloads; the shared LRU walk
 //! matches the naive LRU and unbounded models on mixed `falru`/`ideal`
-//! rows and on all-`ideal` rows (its first-use form), and the set walk
+//! rows and on all-`ideal` rows (its first-use form), and so does the
+//! `falru`/`ideal` predictor `PredictorSpec::build` returns, driven
+//! record by record; the set walk
 //! matches the naive set-associative model inside mixed `run_specs`
 //! calls. The delayed and
 //! observed kernel runs match the reference models under
@@ -287,6 +289,41 @@ proptest::proptest! {
                 routed, reference,
                 "{:?} diverges under {:?} on {:?} len {} seed {:#x}",
                 &specs, policy, bench, len, seed
+            );
+        }
+    }
+    #[test]
+    fn lru_predictors_match_the_naive_models_record_by_record(
+        // log2 capacity, or 15 for an `ideal` spec
+        log2 in 0u32..=15,
+        extra in 0u64..4,
+        h in 0u32..=12,
+        ctr in 1u8..=7,
+        miss_taken in proptest::any::<bool>(),
+        bench_i in proptest::any::<u8>(),
+        len in 200u64..1_500,
+        seed in proptest::any::<u64>(),
+    ) {
+        // The `falru`/`ideal` predictor `build` returns, driven one record
+        // at a time by the engine, against the naive most-recently-used
+        // list; capacities run from 1 to 2^14+3.
+        let spec = if log2 == 15 {
+            format!("ideal:h={h},ctr={ctr}")
+        } else {
+            let miss = if miss_taken { "taken" } else { "nottaken" };
+            let cap = (1u64 << log2) + extra;
+            format!("falru:cap={cap},h={h},ctr={ctr},miss={miss}")
+        };
+        let bench = bench_from(bench_i);
+        let built = PredictorSpec::parse(&spec).unwrap();
+        for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
+            let fresh = || bench.spec_seeded(seed).build().take_conditionals(len);
+            let fast = engine::run_with(&mut built.build().unwrap(), fresh(), policy);
+            let slow = engine::run_with(&mut reference::oracle(&spec), fresh(), policy);
+            prop_assert_eq!(
+                fast, slow,
+                "{} diverges under {:?} on {:?} len {} seed {:#x}",
+                &spec, policy, bench, len, seed
             );
         }
     }

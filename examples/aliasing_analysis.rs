@@ -7,10 +7,11 @@
 //! ```
 
 use gskew::aliasing::bias::BiasStats;
-use gskew::aliasing::distance::{DistanceHistogram, LastUseDistance};
+use gskew::aliasing::distance::DistanceHistogram;
 use gskew::aliasing::substream::SubstreamStats;
 use gskew::aliasing::three_c::ThreeCClassifier;
 use gskew::core::index::IndexFunction;
+use gskew::core::lru::LastUseDistance;
 use gskew::trace::prelude::*;
 
 fn main() {

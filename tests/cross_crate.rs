@@ -51,8 +51,9 @@ fn replayed_trace_file_gives_identical_results() {
 
 #[test]
 fn fa_lru_predictor_matches_tagged_fa_miss_count() {
-    // The identity-only FA table in bpred-aliasing and the counter-bearing
-    // FA predictor in bpred-core must agree on WHICH references miss.
+    // The identity-only linked-list FA table in bpred-aliasing and the
+    // counter-bearing FA predictor in bpred-core (hit iff the last-use
+    // distance is below the capacity) must agree on WHICH references miss.
     use gskew::aliasing::cursor::PairCursor;
     use gskew::aliasing::fully_assoc::TaggedFullyAssociative;
 
@@ -69,7 +70,7 @@ fn fa_lru_predictor_matches_tagged_fa_miss_count() {
         cursor.advance(&r);
     }
 
-    let mut predictor = FullyAssociative::new(capacity, 4, CounterKind::TwoBit).unwrap();
+    let mut predictor = parse_spec(&format!("falru:cap={capacity},h=4")).unwrap();
     let result = engine::run_with(
         &mut predictor,
         bench.spec().build().take_conditionals(len),
@@ -85,12 +86,11 @@ fn fa_lru_predictor_matches_tagged_fa_miss_count() {
 #[test]
 fn ideal_predictor_distinct_pairs_match_substream_stats() {
     use gskew::aliasing::substream::SubstreamStats;
-    use gskew::core::ideal::Ideal;
-    use gskew::core::predictor::{BranchPredictor, Outcome};
 
     let len = 20_000;
     let bench = IbsBenchmark::Gs;
-    let mut ideal = Ideal::new(6, CounterKind::TwoBit).unwrap();
+    let spec = PredictorSpec::parse("ideal:h=6").unwrap();
+    let mut ideal = LruPredictor::new(&spec).unwrap().unwrap();
     let mut stats = SubstreamStats::new(6);
     for r in bench.spec().build().take_conditionals(len) {
         if r.kind == BranchKind::Conditional {
@@ -147,8 +147,8 @@ fn fa_lru_misses_equal_stack_distance_prediction() {
     // below N. The FA simulator and the Fenwick stack-distance tracker
     // must therefore agree miss-for-miss.
     use gskew::aliasing::cursor::PairCursor;
-    use gskew::aliasing::distance::LastUseDistance;
     use gskew::aliasing::fully_assoc::TaggedFullyAssociative;
+    use gskew::core::lru::LastUseDistance;
 
     let len = 40_000;
     for capacity in [64usize, 512, 4096] {
@@ -179,12 +179,11 @@ fn predictors_and_substrates_are_send_and_sync() {
     // threads; regressions here would break every sweep.
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TablePredictor>();
-    assert_send_sync::<Ideal>();
-    assert_send_sync::<FullyAssociative>();
+    assert_send_sync::<LruPredictor>();
     assert_send_sync::<SetAssociative>();
     assert_send_sync::<gskew::trace::workload::Workload>();
     assert_send_sync::<gskew::trace::mix::MultiProgram>();
-    assert_send_sync::<gskew::aliasing::distance::LastUseDistance>();
+    assert_send_sync::<gskew::core::lru::LastUseDistance>();
     assert_send_sync::<gskew::core::error::ConfigError>();
 }
 

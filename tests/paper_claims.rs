@@ -122,13 +122,12 @@ fn egskew_helps_at_long_history() {
 /// unaliased predictor.
 #[test]
 fn two_bit_beats_one_bit_in_ideal_table() {
-    use gskew::core::counter::CounterKind;
-    use gskew::core::ideal::Ideal;
-    use gskew::core::predictor::{BranchPredictor, Outcome};
+    use gskew::core::predictor::Outcome;
+    use gskew::core::spec::parse_spec;
 
     for bench in [IbsBenchmark::Groff, IbsBenchmark::Verilog] {
-        let mut one = Ideal::new(4, CounterKind::OneBit).unwrap();
-        let mut two = Ideal::new(4, CounterKind::TwoBit).unwrap();
+        let mut one = parse_spec("ideal:h=4,ctr=1").unwrap();
+        let mut two = parse_spec("ideal:h=4").unwrap();
         let (mut m1, mut m2, mut n) = (0u64, 0u64, 0u64);
         for r in bench.spec().build().take_conditionals(LEN) {
             if r.kind == BranchKind::Conditional {

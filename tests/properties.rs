@@ -1,12 +1,12 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants, spanning crates.
 
-use gskew::aliasing::distance::LastUseDistance;
 use gskew::core::counter::{CounterKind, SatCounter};
-use gskew::core::history::GlobalHistory;
 use gskew::core::index::IndexFunction;
+use gskew::core::lru::LastUseDistance;
 use gskew::core::predictor::Outcome;
 use gskew::core::skew::{h, h_inv, skew_index};
+use gskew::core::table::History;
 use gskew::core::vector::InfoVector;
 use gskew::trace::io::{read_compact, write_compact, CompactReader};
 use gskew::trace::record::{BranchKind, BranchRecord, Privilege};
@@ -101,10 +101,10 @@ proptest! {
     /// The history register equals a reference bit-vector model.
     #[test]
     fn history_matches_reference(len in 0u32..=64, pushes in proptest::collection::vec(any::<bool>(), 0..100)) {
-        let mut reg = GlobalHistory::new(len);
+        let mut reg = History::new(len);
         let mut reference: Vec<bool> = Vec::new();
         for taken in pushes {
-            reg.push(Outcome::from(taken));
+            reg.push(taken, reg.mask());
             reference.push(taken);
         }
         let mut expected = 0u64;

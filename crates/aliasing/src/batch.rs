@@ -198,7 +198,7 @@ fn drive_dm_tags<T: Tag>(
         references: cols.conditional_count(),
         ..DmCounts::default()
     };
-    for (pc, _, hist) in cols.conditionals(0) {
+    cols.conditionals(0).for_each_record(|pc, _, hist| {
         // `InfoVector::new` masks the raw history to `history_bits`.
         let v = InfoVector::new(pc, hist, history_bits);
         // The extra mask is value-neutral (the index is already
@@ -212,7 +212,7 @@ fn drive_dm_tags<T: Tag>(
             counts.cold_misses += u64::from(stored == T::COLD);
             tags[idx] = tag;
         }
-    }
+    });
     counts
 }
 
@@ -234,9 +234,9 @@ pub fn fa_pass(cols: &TraceColumns, history_bits: u32, capacities: &[u64]) -> Fa
     let mut lud = LastUseDistance::new();
     let mut sweep = CapacitySweep::new(capacities);
     let hmask = hist_mask(history_bits);
-    for (pc, _, hist) in cols.conditionals(0) {
+    cols.conditionals(0).for_each_record(|pc, _, hist| {
         sweep.observe(lud.observe((pc >> 2, hist & hmask)));
-    }
+    });
     FaCounts {
         references: sweep.references(),
         cold_misses: sweep.first_uses(),

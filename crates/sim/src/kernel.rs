@@ -125,7 +125,7 @@ fn drive<T: Table>(
     let hmask = hist.mask();
     let mut h = *hist;
     let mut walk = cols.conditionals(h.value());
-    for (pc, taken, global) in walk.by_ref() {
+    walk.for_each_record(|pc, taken, global| {
         if T::GLOBAL_HISTORY {
             h.load(global, hmask);
         }
@@ -133,7 +133,7 @@ fn drive<T: Table>(
         observe(look.votes.as_ref(), look.predicted, taken);
         mispredicted += u64::from(look.predicted != taken);
         table.train(look, taken);
-    }
+    });
     if T::GLOBAL_HISTORY {
         hist.load(walk.finish(), hmask);
     }
@@ -364,7 +364,7 @@ impl LruWalk {
         };
         let mut results = vec![result; self.rows.len()];
         let hmask = History::new(self.hist_bits).mask();
-        for (pc, taken, global) in cols.conditionals(0) {
+        cols.conditionals(0).for_each_record(|pc, taken, global| {
             table.step((pc >> 2, global & hmask), taken, |row, p| {
                 let charged = charged(p, taken, policy);
                 let result = &mut results[row];
@@ -372,7 +372,7 @@ impl LruWalk {
                 result.mispredicted += u64::from(charged);
                 wrong(charged);
             });
-        }
+        });
         results
     }
 }
@@ -417,13 +417,13 @@ fn set_walk(
         conditional: cols.conditional_count(),
         ..RunResult::default()
     };
-    for (pc, taken, global) in cols.conditionals(0) {
+    cols.conditionals(0).for_each_record(|pc, taken, global| {
         let p = table.access(pc, global, Outcome::from(taken));
         let charged = charged(p, taken, policy);
         result.novel += u64::from(p.novel);
         result.mispredicted += u64::from(charged);
         wrong(charged);
-    }
+    });
     result
 }
 

@@ -9,7 +9,8 @@
 //! only resident copy: kernels walk them directly, and everything that
 //! wants records iterates them ([`TraceColumns::records`],
 //! [`TraceColumns::into_records`]), so an N-row sweep generates each
-//! trace once and holds it in about 9.25 bytes a record.
+//! trace once and holds it in 5.25 bytes a record (32-bit pc columns;
+//! see [`crate::soa`]).
 //!
 //! Properties:
 //!
@@ -33,10 +34,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default resident-byte bound: at about 9.25 bytes per record this holds
-/// some 116 M records — the six default-length benchmark traces together
-/// are roughly 13 M conditionals plus interleaved unconditionals, so whole
-/// `experiment all` runs fit without eviction.
+/// Default resident-byte bound: at 5.25 bytes per record this holds some
+/// 204 M records. A full-length `experiment all` keeps about 87 MiB of
+/// traces resident, and the same suite at the paper's trace lengths
+/// (eight times as long) about 0.68 GiB, so both fit without eviction.
 pub const DEFAULT_CAPACITY_BYTES: usize = 1 << 30;
 
 /// One cached trace keyed by `(benchmark, conditional-branch length,

@@ -3,32 +3,41 @@
 //! A trace is held conditional-major, as dense columns instead of an
 //! array of [`BranchRecord`] structs:
 //!
-//! - the conditional records' pcs in one `u64` column, with one meta byte
+//! - the conditional records' pcs in one pc column, with one meta byte
 //!   each: the taken bit, plus the number of other records since the
 //!   previous conditional one (saturated at 64, the most a 64-bit history
 //!   can see);
-//! - the other records' pcs in their own `u64` column, with one byte each
-//!   for the kind code and the taken bit;
+//! - the other records' pcs in a pc column of their own, with one byte
+//!   each for the kind code and the taken bit;
 //! - two packed bitsets over all records: which ones are conditional (the
 //!   order of the two pc columns) and which ran in kernel mode;
 //! - the number of other records after the last conditional one, so the
 //!   history stays exact across a trace built in chunks.
 //!
-//! That is about 9.25 bytes a record against the 16 of a `BranchRecord`.
-//! The columns are lossless: [`TraceColumns::records`] merges the two pc
-//! columns back into exactly the records they were built from, privilege
-//! included.
+//! A pc column holds the low 32 bits of each pc in a `u32`, plus a list
+//! of change points: `(first index, high word)` wherever the high 32
+//! bits change, the high word 0 before the first. No synthetic trace has
+//! a pc at or above 2^32, so their lists are empty and a record costs
+//! 5.25 bytes (4 of pc, 1 of meta, 2 bits), against the 16 of a
+//! `BranchRecord`. Each change point adds 16 bytes, so the worst case, a
+//! trace whose high word changes at every record of both columns, costs
+//! 21.25 bytes a record; [`TraceColumns::heap_bytes`] counts them all.
+//! The columns are lossless for any `u64` pc: [`TraceColumns::records`]
+//! merges the two pc columns back into exactly the records they were
+//! built from, privilege included.
 //!
 //! The paper predicts only conditional branches; every other record
 //! matters only as a taken bit in the global history. So the simulation
 //! kernels walk the conditional records alone through
 //! [`TraceColumns::conditionals`], which hands each one the raw 64-bit
 //! global history before it, and each kernel masks that to its own
-//! length. Every other consumer (the `dyn` engine, the aliasing
-//! classifiers, trace statistics) iterates records. Columns are built
-//! straight from a record stream by [`FromIterator`] (no intermediate
-//! record vector) and memoized per `(benchmark, len, seed)` by
-//! [`crate::cache`].
+//! length. [`Conditionals::for_each_record`] walks them as one tight
+//! loop per high-word segment: the end of a segment is the end of its
+//! slices, and stepping to the next segment is a cold call. Every other
+//! consumer (the `dyn` engine, the aliasing classifiers, trace
+//! statistics) iterates records. Columns are built straight from a
+//! record stream by [`FromIterator`] (no intermediate record vector) and
+//! memoized per `(benchmark, len, seed)` by [`crate::cache`].
 
 use crate::record::{BranchKind, BranchRecord, Privilege};
 use std::iter::Zip;
@@ -43,6 +52,65 @@ const GAP_MAX: u8 = 64;
 /// The taken bit of an other record's meta byte, above its kind code.
 const OTHER_TAKEN: u8 = 1 << 2;
 
+/// One column of pcs: the low words, and the high word's change points.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct PcColumn {
+    /// The low 32 bits of every pc.
+    low: Vec<u32>,
+    /// `(first index, high word)` at every index whose pc's high 32 bits
+    /// differ from the previous pc's (from 0 for the first pc), in index
+    /// order.
+    changes: Vec<(usize, u32)>,
+}
+
+impl PcColumn {
+    fn with_capacity(len: usize) -> PcColumn {
+        PcColumn {
+            low: Vec::with_capacity(len),
+            changes: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, pc: u64) {
+        let high = (pc >> 32) as u32;
+        if high != self.changes.last().map_or(0, |&(_, h)| h) {
+            self.changes.push((self.low.len(), high));
+        }
+        self.low.push(pc as u32);
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.low.len()
+    }
+
+    /// The first index of change point `c`, or `usize::MAX` past the
+    /// last one.
+    #[inline]
+    fn change_at(&self, c: usize) -> usize {
+        self.changes.get(c).map_or(usize::MAX, |&(at, _)| at)
+    }
+
+    /// The high word of change point `c`, in place, and the first index
+    /// of the change point after it. Takes and returns values, so a
+    /// cursor calling it can stay in registers.
+    #[cold]
+    #[inline(never)]
+    fn segment(&self, c: usize) -> (u64, usize) {
+        (u64::from(self.changes[c].1) << 32, self.change_at(c + 1))
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.low.shrink_to_fit();
+        self.changes.shrink_to_fit();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.low.capacity() * std::mem::size_of::<u32>()
+            + self.changes.capacity() * std::mem::size_of::<(usize, u32)>()
+    }
+}
+
 /// A trace decomposed into conditional-major columns.
 ///
 /// The columns never reorder or filter within a kind: entry `k` of the
@@ -51,12 +119,12 @@ const OTHER_TAKEN: u8 = 1 << 2;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceColumns {
     /// The conditional records' pcs.
-    cond_pc: Vec<u64>,
+    cond_pc: PcColumn,
     /// Per conditional record: bit 0 the taken bit, bits 1.. the records
     /// since the previous conditional one, saturated at [`GAP_MAX`].
     cond_meta: Vec<u8>,
     /// The other records' pcs.
-    other_pc: Vec<u64>,
+    other_pc: PcColumn,
     /// Per other record: the [`BranchKind`] code, and [`OTHER_TAKEN`].
     other_meta: Vec<u8>,
     /// Bit `i` set when record `i` is a conditional branch.
@@ -89,9 +157,9 @@ impl TraceColumns {
     fn with_capacity(conditionals: usize, others: usize) -> TraceColumns {
         let words = (conditionals + others).div_ceil(64);
         TraceColumns {
-            cond_pc: Vec::with_capacity(conditionals),
+            cond_pc: PcColumn::with_capacity(conditionals),
             cond_meta: Vec::with_capacity(conditionals),
-            other_pc: Vec::with_capacity(others),
+            other_pc: PcColumn::with_capacity(others),
             other_meta: Vec::with_capacity(others),
             conditional: Vec::with_capacity(words),
             kernel: Vec::with_capacity(words),
@@ -168,8 +236,14 @@ impl TraceColumns {
     /// `h` bits masks it to its low `h` bits.
     #[inline]
     pub fn conditionals(&self, history: u64) -> Conditionals<'_> {
+        let (pcs, metas) = (&self.cond_pc.low[..], &self.cond_meta[..]);
+        let end = self.cond_pc.change_at(0).min(pcs.len());
         Conditionals {
-            records: self.cond_pc.iter().zip(&self.cond_meta),
+            records: pcs[..end].iter().zip(&metas[..end]),
+            high: 0,
+            pcs,
+            metas,
+            changes: &self.cond_pc.changes,
             history,
             trailing: self.trailing,
         }
@@ -187,14 +261,15 @@ impl TraceColumns {
         Records::new(self)
     }
 
-    /// Heap bytes held by the columns — what the trace cache charges
-    /// against its byte budget.
+    /// Heap bytes held by the columns, change points included — what the
+    /// trace cache charges against its byte budget.
     pub fn heap_bytes(&self) -> usize {
-        let words = self.cond_pc.capacity()
-            + self.other_pc.capacity()
-            + self.conditional.capacity()
-            + self.kernel.capacity();
-        words * std::mem::size_of::<u64>() + self.cond_meta.capacity() + self.other_meta.capacity()
+        let words = self.conditional.capacity() + self.kernel.capacity();
+        self.cond_pc.heap_bytes()
+            + self.other_pc.heap_bytes()
+            + words * std::mem::size_of::<u64>()
+            + self.cond_meta.capacity()
+            + self.other_meta.capacity()
     }
 }
 
@@ -211,37 +286,108 @@ impl FromIterator<BranchRecord> for TraceColumns {
     }
 }
 
-/// The conditional records of a [`TraceColumns`] as `(pc, taken,
-/// history)`, where `history` is the raw 64-bit global history before
-/// the record ([`TraceColumns::conditionals`]).
+/// A walk over the conditional records of a [`TraceColumns`] as `(pc,
+/// taken, history)`, where `history` is the raw 64-bit global history
+/// before the record ([`TraceColumns::conditionals`]).
+///
+/// The walk goes one high-word segment at a time: `records` runs to the
+/// segment's end, and only then does a cold step load the next one.
 #[derive(Debug, Clone)]
 pub struct Conditionals<'a> {
-    records: Zip<slice::Iter<'a, u64>, slice::Iter<'a, u8>>,
-    /// The history after the last record yielded.
+    /// The current segment's records not yet walked.
+    records: Zip<slice::Iter<'a, u32>, slice::Iter<'a, u8>>,
+    /// The current segment's high word, in place above the low word.
+    high: u64,
+    /// The whole conditional pc and meta columns.
+    pcs: &'a [u32],
+    metas: &'a [u8],
+    /// The change points after the current segment's.
+    changes: &'a [(usize, u32)],
+    /// The history after the last record walked.
     history: u64,
     trailing: u8,
 }
 
 impl Conditionals<'_> {
+    /// Hand every record not yet walked to `f(pc, taken, history)`, as
+    /// one tight loop per high-word segment. The walk is left at the
+    /// end, for [`Conditionals::finish`].
+    #[inline(always)]
+    pub fn for_each_record(&mut self, mut f: impl FnMut(u64, bool, u64)) {
+        loop {
+            // The segment's loop state lives in locals, not in `self`,
+            // which the cold step borrows.
+            let (mut records, high, mut history) = (self.records.clone(), self.high, self.history);
+            for (&low, &meta) in records.by_ref() {
+                let taken = meta & 1 == 1;
+                let before = shift_taken(history, meta >> 1);
+                history = before << 1 | u64::from(taken);
+                f(high | u64::from(low), taken, before);
+            }
+            (self.records, self.history) = (records, history);
+            if !self.next_segment() {
+                return;
+            }
+        }
+    }
+
     /// The global history after the trace's last record, the records past
     /// the last conditional one included: the `history` to start the next
     /// chunk's walk from.
     pub fn finish(mut self) -> u64 {
-        self.by_ref().for_each(drop);
+        self.for_each_record(|_, _, _| {});
         shift_taken(self.history, self.trailing)
+    }
+
+    /// Move to the next segment; `false` when the current one is the
+    /// last.
+    #[cold]
+    #[inline(never)]
+    fn next_segment(&mut self) -> bool {
+        let Some((&(start, high), rest)) = self.changes.split_first() else {
+            return false;
+        };
+        let end = rest.first().map_or(self.pcs.len(), |&(at, _)| at);
+        self.records = self.pcs[start..end].iter().zip(&self.metas[start..end]);
+        self.high = u64::from(high) << 32;
+        self.changes = rest;
+        true
     }
 }
 
-impl Iterator for Conditionals<'_> {
-    type Item = (u64, bool, u64);
+/// One pc column's read position in [`Records`]: the next index, the
+/// high word in force there, and where the next change point starts.
+#[derive(Debug, Clone)]
+struct PcCursor {
+    next: usize,
+    /// The high word of the current segment, in place.
+    high: u64,
+    /// The next change point, and its first index (`usize::MAX` past the
+    /// last).
+    change: usize,
+    change_at: usize,
+}
 
+impl PcCursor {
+    fn new(column: &PcColumn) -> PcCursor {
+        PcCursor {
+            next: 0,
+            high: 0,
+            change: 0,
+            change_at: column.change_at(0),
+        }
+    }
+
+    /// The index of the next pc of `column`, and that pc.
     #[inline(always)]
-    fn next(&mut self) -> Option<(u64, bool, u64)> {
-        let (&pc, &meta) = self.records.next()?;
-        let taken = meta & 1 == 1;
-        let history = shift_taken(self.history, meta >> 1);
-        self.history = history << 1 | u64::from(taken);
-        Some((pc, taken, history))
+    fn step(&mut self, column: &PcColumn) -> (usize, u64) {
+        let k = self.next;
+        self.next += 1;
+        if k == self.change_at {
+            (self.high, self.change_at) = column.segment(self.change);
+            self.change += 1;
+        }
+        (k, self.high | u64::from(column.low[k]))
     }
 }
 
@@ -249,15 +395,23 @@ impl Iterator for Conditionals<'_> {
 /// ([`TraceColumns::records`]) or owning a shared trace
 /// ([`TraceColumns::into_records`]). The two pc columns are merged by
 /// one cursor each.
+///
+/// A step tests one index for both the end of the trace and the end of
+/// a bitset word, and a pc cursor tests one for the end of its segment;
+/// everything else a step needs stays in registers.
 #[derive(Debug, Clone)]
 pub struct Records<C> {
     cols: C,
     len: usize,
-    next: usize,
-    next_cond: usize,
-    next_other: usize,
-    /// The conditional and kernel-mode bits of record `next` onward in
-    /// its bitset word, record `next` in bit 0.
+    /// The next record that needs more than a step: the start of the
+    /// next bitset word, or `len`.
+    stop: usize,
+    /// The two columns' read positions; record `cond.next + other.next`
+    /// is next.
+    cond: PcCursor,
+    other: PcCursor,
+    /// The conditional and kernel-mode bits of the next record onward in
+    /// its bitset word, the next record's in bit 0.
     cond_bits: u64,
     kernel_bits: u64,
 }
@@ -266,10 +420,10 @@ impl<C: Deref<Target = TraceColumns>> Records<C> {
     fn new(cols: C) -> Records<C> {
         Records {
             len: cols.len(),
+            stop: 0,
+            cond: PcCursor::new(&cols.cond_pc),
+            other: PcCursor::new(&cols.other_pc),
             cols,
-            next: 0,
-            next_cond: 0,
-            next_other: 0,
             cond_bits: 0,
             kernel_bits: 0,
         }
@@ -284,15 +438,15 @@ impl<C: Deref<Target = TraceColumns>> Iterator for Records<C> {
     // (`table2`'s measure loop ran ~8% slower).
     #[inline(always)]
     fn next(&mut self) -> Option<BranchRecord> {
-        let i = self.next;
-        if i == self.len {
-            return None;
-        }
+        let i = self.cond.next + self.other.next;
         let cols = &*self.cols;
-        self.next += 1;
-        if i & 63 == 0 {
+        if i == self.stop {
+            if i == self.len {
+                return None;
+            }
             self.cond_bits = cols.conditional[i >> 6];
             self.kernel_bits = cols.kernel[i >> 6];
+            self.stop = self.len.min(i + 64);
         }
         let (conditional, kernel) = (self.cond_bits & 1 == 1, self.kernel_bits & 1 == 1);
         self.cond_bits >>= 1;
@@ -303,29 +457,33 @@ impl<C: Deref<Target = TraceColumns>> Iterator for Records<C> {
             Privilege::User
         };
         if conditional {
-            let k = self.next_cond;
-            self.next_cond += 1;
+            let (k, pc) = self.cond.step(&cols.cond_pc);
             return Some(BranchRecord {
-                pc: cols.cond_pc[k],
+                pc,
                 kind: BranchKind::Conditional,
                 taken: cols.cond_meta[k] & 1 == 1,
                 privilege,
             });
         }
-        let k = self.next_other;
-        self.next_other += 1;
+        let (k, pc) = self.other.step(&cols.other_pc);
         let meta = cols.other_meta[k];
         Some(BranchRecord {
-            pc: cols.other_pc[k],
-            // Masked to two bits, every code decodes.
-            kind: BranchKind::from_code(meta & 3).expect("two-bit kind code"),
+            pc,
+            // An other record's code is never the conditional one (0), so
+            // decoding it as a non-conditional kind is exact and tells
+            // the consumer's kind test its answer.
+            kind: match meta & 3 {
+                1 => BranchKind::Unconditional,
+                2 => BranchKind::Call,
+                _ => BranchKind::Return,
+            },
             taken: meta & OTHER_TAKEN != 0,
             privilege,
         })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.len - self.next;
+        let remaining = self.len - self.cond.next - self.other.next;
         (remaining, Some(remaining))
     }
 }
@@ -343,14 +501,17 @@ mod tests {
     // walk, live in `tests/lossless_columns.rs`.
 
     #[test]
-    fn collecting_a_stream_packs_nine_bytes_and_two_bits_a_record() {
+    fn collecting_a_stream_packs_five_bytes_and_two_bits_a_record() {
         let stream = || IbsBenchmark::Nroff.spec().build().take_conditionals(3_000);
         let records: Vec<BranchRecord> = stream().collect();
         let collected: TraceColumns = stream().collect();
         assert_eq!(collected, TraceColumns::from_records(&records));
         assert_eq!(collected.conditional_count(), 3_000);
+        // A synthetic trace has no pc at or above 2^32, so no change
+        // points: 4 bytes of pc and 1 of meta a record, plus two bitsets.
+        assert!(records.iter().all(|r| r.pc >> 32 == 0));
         let words = records.len().div_ceil(64);
-        assert_eq!(collected.heap_bytes(), records.len() * 9 + 2 * 8 * words);
+        assert_eq!(collected.heap_bytes(), records.len() * 5 + 2 * 8 * words);
     }
 
     #[test]
@@ -359,8 +520,11 @@ mod tests {
         records.extend((0..70).map(|i| BranchRecord::unconditional(0x100 + 4 * i)));
         records.push(BranchRecord::conditional(0x80, true));
         let cols = TraceColumns::from_records(&records);
-        let walked: Vec<_> = cols.conditionals(0).collect();
+        let mut walked = Vec::new();
+        let mut walk = cols.conditionals(0);
+        walk.for_each_record(|pc, taken, history| walked.push((pc, taken, history)));
         assert_eq!(walked, vec![(0x40, false, 0), (0x80, true, u64::MAX)]);
+        assert_eq!(walk.finish(), u64::MAX);
         assert_eq!(cols.max_conditional_pc(), 0x80);
         assert_eq!(cols.conditionals(0).finish(), u64::MAX);
         assert_eq!(shift_taken(0b10, 0), 0b10);

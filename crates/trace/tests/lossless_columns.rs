@@ -1,12 +1,13 @@
 //! `TraceColumns` is the only in-memory trace layout, so it must be
 //! lossless: building columns from any record sequence and iterating them
 //! back returns exactly that sequence — every kind, taken bit and
-//! privilege level, across the 64-bit word boundaries of the bitsets and
+//! privilege level, across the 64-bit word boundaries of the bitsets,
 //! through runs of non-conditional records longer than a meta byte counts
-//! — and every cached benchmark trace replays exactly the stream its
-//! generator produces. The conditional cursor the kernels walk must hand
-//! out the history a naive per-record walk keeps, also across a trace
-//! built in chunks.
+//! and across the high-word segments of the 32-bit pc columns — and every
+//! cached benchmark trace replays exactly the stream its generator
+//! produces. The conditional walk the kernels use, a segment at a
+//! time, must hand out the history a naive per-record walk keeps, also
+//! across a trace built in chunks.
 
 use bpred_trace::cache;
 use bpred_trace::record::{BranchKind, BranchRecord, Privilege};
@@ -73,31 +74,117 @@ proptest! {
         start in any::<u64>(),
         cuts in proptest::collection::vec(any::<u64>(), 0..4),
     ) {
-        let (expected, end) = naive_walk(&records, start);
-        let whole = TraceColumns::from_records(&records);
-        let mut walk = whole.conditionals(start);
-        prop_assert_eq!(walk.by_ref().collect::<Vec<_>>(), expected.clone());
-        prop_assert_eq!(walk.finish(), end);
-        prop_assert_eq!(whole.conditionals(start).finish(), end);
-
-        // The same stream built in chunks, the history carried across.
-        let mut cuts: Vec<usize> = cuts
-            .into_iter()
-            .map(|c| (c % (records.len() as u64 + 1)) as usize)
-            .collect();
-        cuts.push(records.len());
-        cuts.sort_unstable();
-        let (mut chunked, mut history, mut from) = (Vec::new(), start, 0);
-        for to in cuts {
-            let chunk = TraceColumns::from_records(&records[from..to]);
-            let mut walk = chunk.conditionals(history);
-            chunked.extend(walk.by_ref());
-            history = walk.finish();
-            from = to;
-        }
-        prop_assert_eq!(chunked, expected);
-        prop_assert_eq!(history, end);
+        check_walks(&records, start, &cuts)?;
     }
+
+    #[test]
+    fn segments_of_a_few_high_words_roundtrip_and_walk(
+        records in arb_mix(),
+        highs in proptest::collection::vec(any::<u32>(), 1..4),
+        switches in proptest::collection::vec((any::<u64>(), 0usize..3), 0..6),
+        start in any::<u64>(),
+        cuts in proptest::collection::vec(any::<u64>(), 0..4),
+    ) {
+        // Each record keeps its low word and takes the high word in force
+        // at its position: `highs[0]` from the start, then whichever one
+        // the last switch at or before it picked.
+        let mut switches: Vec<(usize, u32)> = switches
+            .into_iter()
+            .map(|(at, pick)| {
+                let at = (at % (records.len() as u64 + 1)) as usize;
+                (at, highs[pick % highs.len()])
+            })
+            .collect();
+        switches.sort_unstable_by_key(|&(at, _)| at);
+        let records: Vec<BranchRecord> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let high = switches
+                    .iter()
+                    .take_while(|&&(at, _)| at <= i)
+                    .last()
+                    .map_or(highs[0], |&(_, high)| high);
+                with_high(*r, high)
+            })
+            .collect();
+        let built = TraceColumns::from_records(&records);
+        let collected: TraceColumns = records.iter().copied().collect();
+        prop_assert_eq!(&built, &collected);
+        prop_assert_eq!(built.records().collect::<Vec<_>>(), records.clone());
+        prop_assert_eq!(collected.heap_bytes(), packed_bytes(&records));
+        check_walks(&records, start, &cuts)?;
+    }
+}
+
+/// `r` with its pc's high 32 bits replaced by `high`.
+fn with_high(r: BranchRecord, high: u32) -> BranchRecord {
+    BranchRecord {
+        pc: u64::from(high) << 32 | r.pc & 0xFFFF_FFFF,
+        ..r
+    }
+}
+
+/// The heap bytes of collected (slack-free) columns over `records`: 5 a
+/// record, two bitsets, and 16 for each change of the high word within
+/// either pc column (from 0 before the first pc).
+fn packed_bytes(records: &[BranchRecord]) -> usize {
+    let changes = |conditional: bool| {
+        let highs = records
+            .iter()
+            .filter(|r| r.kind.is_conditional() == conditional)
+            .map(|r| r.pc >> 32);
+        highs
+            .scan(0, |last, high| Some(std::mem::replace(last, high) != high))
+            .filter(|&changed| changed)
+            .count()
+    };
+    let words = records.len().div_ceil(64);
+    records.len() * 5 + 2 * 8 * words + 16 * (changes(true) + changes(false))
+}
+
+/// The conditional walk over `records`, from history `start`, against
+/// [`naive_walk`]: over the whole trace, and over it built in chunks cut
+/// at `cuts` (taken modulo the length) with the history carried across;
+/// each walk's `finish` must be the naive end history, whether or not
+/// the records were walked first.
+fn check_walks(records: &[BranchRecord], start: u64, cuts: &[u64]) -> Result<(), TestCaseError> {
+    let (expected, end) = naive_walk(records, start);
+    let whole = TraceColumns::from_records(records);
+    prop_assert_eq!(segment_walk(&whole, start), (expected.clone(), end));
+    prop_assert_eq!(whole.conditionals(start).finish(), end);
+
+    // The same stream built in chunks, the history carried across.
+    let mut cuts: Vec<usize> = cuts
+        .iter()
+        .map(|c| (c % (records.len() as u64 + 1)) as usize)
+        .collect();
+    cuts.push(records.len());
+    cuts.sort_unstable();
+    let mut chunked = Vec::new();
+    let (mut history, mut from) = (start, 0);
+    for to in cuts {
+        let chunk = TraceColumns::from_records(&records[from..to]);
+        let (walked, after) = segment_walk(&chunk, history);
+        chunked.extend(walked);
+        prop_assert_eq!(chunk.conditionals(history).finish(), after);
+        history = after;
+        from = to;
+    }
+    prop_assert_eq!(&chunked, &expected);
+    prop_assert_eq!(history, end);
+    Ok(())
+}
+
+/// The conditional records of `cols` as the kernels walk them, with
+/// `for_each_record`, and the history after the last record. A second
+/// `for_each_record` on the finished walk must hand out nothing.
+fn segment_walk(cols: &TraceColumns, history: u64) -> (Vec<(u64, bool, u64)>, u64) {
+    let mut walk = cols.conditionals(history);
+    let mut walked = Vec::new();
+    walk.for_each_record(|pc, taken, history| walked.push((pc, taken, history)));
+    walk.for_each_record(|pc, _, _| panic!("pc {pc:#x} walked twice"));
+    (walked, walk.finish())
 }
 
 fn arb_other() -> impl Strategy<Value = BranchRecord> {
@@ -123,6 +210,15 @@ fn arb_stream() -> impl Strategy<Value = Vec<BranchRecord>> {
         }
         records
     })
+}
+
+/// Either [`arb_stream`]'s sparse conditionals, or up to 300 records of
+/// any kinds.
+fn arb_mix() -> impl Strategy<Value = Vec<BranchRecord>> {
+    prop_oneof![
+        arb_stream(),
+        proptest::collection::vec(arb_record(), 0..300)
+    ]
 }
 
 /// `(pc, taken, history)` of every conditional record, with the global
@@ -156,4 +252,95 @@ fn cached_traces_replay_their_generator_streams() {
             assert_eq!(cached.conditional_count(), len);
         }
     }
+}
+
+#[test]
+fn pcs_on_both_sides_of_two_to_the_32_roundtrip_in_both_columns() {
+    let pcs = [
+        0x8006_07dc,
+        0xFFFF_FFFC,
+        0x1_0000_0000,
+        0x1_0000_0004,
+        0x40,
+        u64::MAX,
+        0xFFFF_FFFF_0000_0000,
+        0x2_0000_0008,
+        0x2_0000_000c,
+        0xFFFF_FFFF,
+    ];
+    let mut records = Vec::new();
+    for (i, &pc) in pcs.iter().enumerate() {
+        records.push(BranchRecord::conditional(pc, i % 3 == 0));
+        records.push(BranchRecord {
+            pc: pcs[pcs.len() - 1 - i],
+            kind: KINDS[1 + i % 3],
+            taken: i % 2 == 0,
+            privilege: if i % 4 == 0 {
+                Privilege::Kernel
+            } else {
+                Privilege::User
+            },
+        });
+    }
+    let cols: TraceColumns = records.iter().copied().collect();
+    assert_eq!(cols.records().collect::<Vec<_>>(), records);
+    assert_eq!(cols.max_conditional_pc(), u64::MAX);
+    // Each column's high word changes at 5 of its 10 pcs.
+    assert_eq!(cols.heap_bytes(), packed_bytes(&records));
+    assert_eq!(packed_bytes(&records), 20 * 5 + 2 * 8 + 16 * 10);
+    check_walks(&records, 0x5A5A, &[7, 8]).unwrap();
+}
+
+#[test]
+fn a_change_at_index_zero_and_consecutive_changes_walk_exactly() {
+    // High words 1, 2, 3 on the first three conditional pcs, then back
+    // to 0: four change points, the first at index 0 and each of the
+    // next three one record after the last.
+    let records = vec![
+        BranchRecord::conditional(1 << 32 | 0x40, true),
+        BranchRecord::conditional(2 << 32 | 0x40, false),
+        BranchRecord::unconditional(0x100),
+        BranchRecord::conditional(3 << 32 | 0x44, true),
+        BranchRecord::conditional(0x48, true),
+        BranchRecord::conditional(0x4c, false),
+    ];
+    let cols: TraceColumns = records.iter().copied().collect();
+    assert_eq!(cols.heap_bytes(), 6 * 5 + 2 * 8 + 16 * 4);
+    assert_eq!(cols.records().collect::<Vec<_>>(), records);
+    assert_eq!(
+        segment_walk(&cols, 0),
+        (
+            vec![
+                (1 << 32 | 0x40, true, 0),
+                (2 << 32 | 0x40, false, 0b1),
+                (3 << 32 | 0x44, true, 0b101),
+                (0x48, true, 0b1011),
+                (0x4c, false, 0b10111),
+            ],
+            0b101110
+        )
+    );
+    for cut in 0..=records.len() as u64 {
+        check_walks(&records, u64::MAX, &[cut]).unwrap();
+    }
+}
+
+#[test]
+fn changes_at_chunk_cuts_carry_the_history() {
+    // Every chunk starts a new high word, so each chunk's columns open
+    // with a change point at index 0 and the history crosses each cut.
+    let chunk = |high: u64, n: u64| {
+        (0..n).flat_map(move |i| {
+            [
+                BranchRecord::conditional(high << 32 | (0x400 + 4 * i), i % 3 != 0),
+                BranchRecord::unconditional(high << 32 | (0x800 + 4 * i)),
+            ]
+        })
+    };
+    let records: Vec<BranchRecord> = chunk(7, 40)
+        .chain(chunk(0, 25))
+        .chain(chunk(0xFFFF_FFFF, 50))
+        .collect();
+    check_walks(&records, 0, &[80, 130]).unwrap();
+    check_walks(&records, 0xDEAD_BEEF, &[80, 130, 131, 79]).unwrap();
 }

@@ -1,46 +1,35 @@
-//! Dyn-vs-kernel throughput measurement behind `bpsim bench`.
+//! Kernel throughput measurement behind `bpsim bench`.
 //!
 //! Each [`BenchCase`] is a sweep-shaped list of predictor specs (the
-//! same shapes the quick campaign simulates) driven over the
-//! quick-campaign workloads twice: once through the batched
-//! `Box<dyn BranchPredictor>` engine pass and once through the
-//! monomorphized kernels walking the shared
-//! [`TraceColumns`](bpred_trace::soa::TraceColumns) view. Both
-//! paths are timed as summed CPU seconds, so the reported speedup is
-//! independent of the worker-thread count, and both results are compared
-//! cell by cell — a throughput run doubles as an end-to-end equivalence
-//! check.
+//! same shapes the quick campaign simulates) run over the six IBS-like
+//! workloads on the jobs [`kernel::plan`] gives them, each walking the
+//! shared [`TraceColumns`] view. Two more cases time the other kernel
+//! entry points: `delay` ([`run_delay`]) runs ext-delay's
+//! retirement-time cells on [`PredictorKernel::run_delayed`], and
+//! `aliasing-3c` ([`run_aliasing`]) runs a three-C grid through
+//! [`kernel::run_three_c_units`]. Every job is timed on its worker, the
+//! case's seconds are the sum over its jobs, and the case reports an
+//! absolute rate of record applications per second.
 //!
-//! The dyn side of a case is what `PredictorSpec::build` returns: the
-//! table families' `TablePredictor`, `SetAssociative`, and for the
-//! `falru` and `ideal` cases the `LruPredictor` adapter, which runs the
-//! same per-reference step as the kernel side's shared walk, one
-//! predictor at a time and with exact distances for `ideal` rows too.
-//!
-//! The `delay` case ([`run_delay`]) races ext-delay's retirement-time
-//! cells the same way: `engine::run_delayed` against the delayed
-//! kernels.
+//! The bench checks no result: the kernels are pinned by the reference
+//! models of `bpred-sim`'s tests and the tolerance-0 campaign baselines.
 //!
 //! [`BenchReport::to_json`] serializes the measurement for
-//! `BENCH_kernels.json`, the artifact the CI bench smoke job tracks.
+//! `BENCH_kernels.json`, the artifact the CI bench smoke job uploads.
 
 use bpred_aliasing::batch::{self, ThreeCCell};
-use bpred_aliasing::three_c::ThreeCClassifier;
 use bpred_core::index::IndexFunction;
-use bpred_core::spec::{parse_spec, PredictorSpec};
+use bpred_core::spec::PredictorSpec;
 use bpred_results::json::Json;
-use bpred_sim::engine::{self, NovelPolicy};
-use bpred_sim::experiments::workload_seed;
-use bpred_sim::kernel::{self, Unit};
+use bpred_sim::engine::NovelPolicy;
+use bpred_sim::experiments::{self, ExperimentOpts, QUICK_LEN_CAP};
+use bpred_sim::kernel::{self, PredictorKernel, Unit};
 use bpred_sim::runner::parallel_map;
-use bpred_trace::cache;
+use bpred_trace::soa::TraceColumns;
 use bpred_trace::workload::IbsBenchmark;
 use std::time::Instant;
 
-/// The quick-campaign trace-length cap (`ExperimentOpts::len_for`).
-pub const QUICK_LEN_CAP: u64 = 120_000;
-
-/// One named list of predictor specs to race.
+/// One named list of predictor specs to time.
 #[derive(Debug, Clone)]
 pub struct BenchCase {
     /// Case name (one row of the report).
@@ -145,42 +134,34 @@ pub fn default_cases() -> Vec<BenchCase> {
     ]
 }
 
-/// The timing of one [`BenchCase`] across all workloads.
+/// The timing of one case across all workloads.
 #[derive(Debug, Clone)]
 pub struct CaseMeasurement {
-    /// Case name.
+    /// Case name (one row of the report).
     pub name: &'static str,
-    /// Number of predictor specs driven.
+    /// Number of predictor specs (or three-C grid cells) run.
     pub specs: usize,
-    /// Record applications per path (records × specs, summed over
-    /// workloads).
+    /// Record applications (records × specs, summed over workloads).
     pub applications: u64,
-    /// CPU seconds spent in the dyn pass.
-    pub dyn_seconds: f64,
-    /// CPU seconds spent in the kernels (summed across workers).
+    /// Seconds the case's kernel jobs ran, each timed on its worker and
+    /// summed across workers.
     pub kernel_seconds: f64,
-    /// Whether every kernel result matched the dyn result bit for bit.
-    pub matched: bool,
 }
 
 impl CaseMeasurement {
-    /// Dyn-path throughput in record applications per second.
-    pub fn dyn_rate(&self) -> f64 {
-        rate(self.applications, self.dyn_seconds)
-    }
-
-    /// Kernel-path throughput in record applications per second.
-    pub fn kernel_rate(&self) -> f64 {
+    /// Kernel throughput in record applications per second.
+    pub fn rate(&self) -> f64 {
         rate(self.applications, self.kernel_seconds)
     }
 
-    /// Kernel speedup over the dyn path (CPU-time ratio).
-    pub fn speedup(&self) -> f64 {
-        if self.kernel_seconds == 0.0 {
-            0.0
-        } else {
-            self.dyn_seconds / self.kernel_seconds
-        }
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str(self.name.to_string())),
+            ("specs", Json::Num(self.specs as f64)),
+            ("applications", Json::Num(self.applications as f64)),
+            ("kernel_seconds", Json::Num(self.kernel_seconds)),
+            ("kernel_rate", Json::Num(self.rate())),
+        ])
     }
 }
 
@@ -192,66 +173,58 @@ fn rate(applications: u64, seconds: f64) -> f64 {
     }
 }
 
-/// ext-delay's predictor specs, raced at every delay of [`DELAYS`] by
+/// Time one case of `specs` specs over the six IBS-like workloads at
+/// `opts`' lengths: `seconds` runs the case's jobs over one trace and
+/// returns the seconds they ran, summed across workers.
+fn measure(
+    name: &'static str,
+    specs: usize,
+    opts: &ExperimentOpts,
+    seconds: impl Fn(&TraceColumns) -> f64,
+) -> CaseMeasurement {
+    let mut case = CaseMeasurement {
+        name,
+        specs,
+        applications: 0,
+        kernel_seconds: 0.0,
+    };
+    for bench in IbsBenchmark::all() {
+        let cols = experiments::columns(bench, opts.len_for(bench));
+        case.applications += cols.len() as u64 * specs as u64;
+        case.kernel_seconds += seconds(&cols);
+    }
+    case
+}
+
+/// ext-delay's predictor specs, run at every delay of [`DELAYS`] by
 /// [`run_delay`].
 pub const DELAY_SPECS: [&str; 3] = ["bimodal:n=14", "gshare:n=14,h=8", "gskew:n=12,h=8"];
 
 /// ext-delay's update delays (branches in flight).
 pub const DELAYS: [usize; 6] = [0, 2, 4, 8, 16, 32];
 
-/// Race ext-delay's cells — every spec of [`DELAY_SPECS`] at every delay
-/// of [`DELAYS`] — over the six IBS-like workloads: the dyn
-/// [`engine::run_delayed`] against the delayed kernels
-/// ([`kernel::PredictorKernel::run_delayed`]), timed as summed CPU
-/// seconds and compared cell by cell. The result is the `delay` case of
+/// Time ext-delay's cells — every spec of [`DELAY_SPECS`] at every delay
+/// of [`DELAYS`] — on the delayed kernels
+/// ([`PredictorKernel::run_delayed`]). The result is the `delay` case of
 /// the report; `specs` counts its (spec, delay) cells.
-pub fn run_delay(quick: bool, threads: usize) -> CaseMeasurement {
-    let seed = workload_seed();
-    let cells: Vec<(PredictorSpec, usize)> = parse_all(&DELAY_SPECS.map(String::from))
-        .into_iter()
+pub fn run_delay(opts: &ExperimentOpts) -> CaseMeasurement {
+    let cells: Vec<(PredictorSpec, usize)> = DELAY_SPECS
+        .iter()
+        .map(|s| PredictorSpec::parse(s).unwrap_or_else(|e| panic!("bad bench spec `{s}`: {e}")))
         .flat_map(|spec| DELAYS.map(|delay| (spec.clone(), delay)))
         .collect();
-    let mut applications = 0u64;
-    let mut dyn_seconds = 0.0;
-    let mut kernel_seconds = 0.0;
-    let mut matched = true;
-    for bench in IbsBenchmark::all() {
-        let len = if quick {
-            bench.default_len().min(QUICK_LEN_CAP)
-        } else {
-            bench.default_len()
-        };
-        let cols = cache::columns_seeded(bench, len, seed);
-        applications += cols.len() as u64 * cells.len() as u64;
-        let cols = &cols;
-        let timed: Vec<_> = parallel_map(cells.clone(), threads, move |(spec, delay)| {
-            let mut predictor = spec.build().expect("bench-owned spec");
+    measure("delay", cells.len(), opts, |cols| {
+        let timed = parallel_map(cells.clone(), opts.threads, |(spec, delay)| {
+            let mut kernel = PredictorKernel::from_spec(&spec).expect("a table kernel");
             let start = Instant::now();
-            let slow =
-                engine::run_delayed(&mut predictor, cols.records(), NovelPolicy::Count, delay);
-            let dyn_s = start.elapsed().as_secs_f64();
-            let mut kernel = kernel::PredictorKernel::from_spec(&spec).expect("a table kernel");
-            let start = Instant::now();
-            let fast = kernel.run_delayed(cols, delay);
-            (slow == fast, dyn_s, start.elapsed().as_secs_f64())
+            kernel.run_delayed(cols, delay);
+            start.elapsed().as_secs_f64()
         });
-        for (same, dyn_s, kernel_s) in timed {
-            matched &= same;
-            dyn_seconds += dyn_s;
-            kernel_seconds += kernel_s;
-        }
-    }
-    CaseMeasurement {
-        name: "delay",
-        specs: cells.len(),
-        applications,
-        dyn_seconds,
-        kernel_seconds,
-        matched,
-    }
+        timed.iter().sum()
+    })
 }
 
-/// The quick three-C sweep shape raced by [`run_aliasing`]: the fig-1/2
+/// The quick three-C sweep shape timed by [`run_aliasing`]: the fig-1/2
 /// size axis at two history lengths, both indexed flavors.
 pub fn default_aliasing_grid() -> Vec<ThreeCCell> {
     let mut cells = Vec::new();
@@ -269,110 +242,22 @@ pub fn default_aliasing_grid() -> Vec<ThreeCCell> {
     cells
 }
 
-/// The timing of one three-C grid across all workloads: per-config
-/// classifier walks vs the batched single-pass engine.
-#[derive(Debug, Clone)]
-pub struct AliasingMeasurement {
-    /// Grid cells classified.
-    pub cells: usize,
-    /// Record applications per path (records × cells, summed over
-    /// workloads) — the work both paths account for, however many trace
-    /// traversals they need to do it.
-    pub applications: u64,
-    /// CPU seconds spent in the per-configuration classifiers.
-    pub dyn_seconds: f64,
-    /// CPU seconds spent in the batched passes (summed across workers).
-    pub batch_seconds: f64,
-    /// Whether every batched cell matched the classifier bit for bit —
-    /// raw counts and the derived breakdown.
-    pub matched: bool,
-}
-
-impl AliasingMeasurement {
-    /// Per-config-path throughput in record applications per second.
-    pub fn dyn_rate(&self) -> f64 {
-        rate(self.applications, self.dyn_seconds)
-    }
-
-    /// Batched-path throughput in record applications per second.
-    pub fn batch_rate(&self) -> f64 {
-        rate(self.applications, self.batch_seconds)
-    }
-
-    /// Batched speedup over the per-config path (CPU-time ratio).
-    pub fn speedup(&self) -> f64 {
-        if self.batch_seconds == 0.0 {
-            0.0
-        } else {
-            self.dyn_seconds / self.batch_seconds
-        }
-    }
-
-    /// The JSON fragment stored under `aliasing` in the bench report.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("cells", Json::Num(self.cells as f64)),
-            ("applications", Json::Num(self.applications as f64)),
-            ("dyn_seconds", Json::Num(self.dyn_seconds)),
-            ("batch_seconds", Json::Num(self.batch_seconds)),
-            ("dyn_rate", Json::Num(self.dyn_rate())),
-            ("batch_rate", Json::Num(self.batch_rate())),
-            ("speedup", Json::Num(self.speedup())),
-            ("matched", Json::Bool(self.matched)),
-        ])
-    }
-}
-
-/// Race one three-C grid over the six IBS-like workloads: the
-/// per-configuration [`ThreeCClassifier`] (one full trace walk per cell)
-/// against the batched engine ([`kernel::run_three_c_units`]: one
-/// direct-mapped kernel pass per cell plus one shared-distance pass per
-/// distinct history). Both paths are timed as summed CPU seconds and
-/// compared cell by cell — counts must be identical integer for integer,
-/// and the derived breakdowns bit for bit.
-pub fn run_aliasing(cells: &[ThreeCCell], quick: bool, threads: usize) -> AliasingMeasurement {
-    let seed = workload_seed();
-    let mut applications = 0u64;
-    let mut dyn_seconds = 0.0;
-    let mut batch_seconds = 0.0;
-    let mut matched = true;
-    for bench in IbsBenchmark::all() {
-        let len = if quick {
-            bench.default_len().min(QUICK_LEN_CAP)
-        } else {
-            bench.default_len()
-        };
-        let cols = cache::columns_seeded(bench, len, seed);
-        applications += cols.len() as u64 * cells.len() as u64;
-
-        let cols_ref = &cols;
-        let timed_dyn: Vec<_> = parallel_map(cells.to_vec(), threads, move |cell| {
-            let start = Instant::now();
-            let counts = ThreeCClassifier::new(cell.entries_log2, cell.history_bits, cell.func)
-                .run_counts(cols_ref.records());
-            (counts, start.elapsed().as_secs_f64())
-        });
-        dyn_seconds += timed_dyn.iter().map(|(_, s)| s).sum::<f64>();
-
-        let groups = batch::fa_groups(cells);
-        let (dm_done, fa_done) = kernel::run_three_c_units(cells, &groups, &cols, threads);
-        batch_seconds += dm_done.iter().map(|(_, ms)| ms).sum::<f64>() / 1e3
-            + fa_done.iter().map(|(_, ms)| ms).sum::<f64>() / 1e3;
-        let dm: Vec<_> = dm_done.into_iter().map(|(c, _)| c).collect();
-        let fa: Vec<_> = fa_done.into_iter().map(|(c, _)| c).collect();
-        let batched = batch::assemble(cells, &groups, &dm, &fa);
-        for ((dyn_counts, _), batch_counts) in timed_dyn.iter().zip(&batched) {
-            matched &=
-                dyn_counts == batch_counts && dyn_counts.breakdown() == batch_counts.breakdown();
-        }
-    }
-    AliasingMeasurement {
-        cells: cells.len(),
-        applications,
-        dyn_seconds,
-        batch_seconds,
-        matched,
-    }
+/// Time one three-C grid on the batched engine
+/// ([`kernel::run_three_c_units`]: one direct-mapped kernel pass per cell
+/// plus one shared-distance pass per distinct history). The result is the
+/// `aliasing-3c` case of the report; `specs` counts its grid cells, and
+/// its applications are records × cells, however many trace traversals
+/// the passes need.
+pub fn run_aliasing(cells: &[ThreeCCell], opts: &ExperimentOpts) -> CaseMeasurement {
+    let groups = batch::fa_groups(cells);
+    measure("aliasing-3c", cells.len(), opts, |cols| {
+        let (dm, fa) = kernel::run_three_c_units(cells, &groups, cols, opts.threads);
+        let ms = dm
+            .iter()
+            .map(|(_, ms)| ms)
+            .chain(fa.iter().map(|(_, ms)| ms));
+        ms.sum::<f64>() / 1e3
+    })
 }
 
 /// A full `bpsim bench` measurement.
@@ -380,13 +265,8 @@ pub fn run_aliasing(cells: &[ThreeCCell], quick: bool, threads: usize) -> Aliasi
 pub struct BenchReport {
     /// Whether trace lengths were capped at [`QUICK_LEN_CAP`].
     pub quick: bool,
-    /// The per-benchmark trace-length cap in effect.
-    pub len_cap: Option<u64>,
     /// Per-case measurements.
     pub cases: Vec<CaseMeasurement>,
-    /// The batched three-C race, when the bench ran it
-    /// ([`run_aliasing`]); `None` in kernel-only runs.
-    pub aliasing: Option<AliasingMeasurement>,
 }
 
 impl BenchReport {
@@ -395,162 +275,69 @@ impl BenchReport {
         self.cases.iter().map(|c| c.applications).sum()
     }
 
-    /// Total dyn CPU seconds.
-    pub fn dyn_seconds(&self) -> f64 {
-        self.cases.iter().map(|c| c.dyn_seconds).sum()
-    }
-
-    /// Total kernel CPU seconds.
+    /// Total kernel seconds, summed across cases.
     pub fn kernel_seconds(&self) -> f64 {
         self.cases.iter().map(|c| c.kernel_seconds).sum()
     }
 
-    /// Overall kernel speedup (total CPU-time ratio).
-    pub fn speedup(&self) -> f64 {
-        if self.kernel_seconds() == 0.0 {
-            0.0
-        } else {
-            self.dyn_seconds() / self.kernel_seconds()
-        }
-    }
-
-    /// Whether every case's kernel results matched the dyn results.
-    pub fn all_matched(&self) -> bool {
-        self.cases.iter().all(|c| c.matched)
+    /// Overall kernel throughput in record applications per second.
+    pub fn rate(&self) -> f64 {
+        rate(self.applications(), self.kernel_seconds())
     }
 
     /// The JSON document written to `BENCH_kernels.json`.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("version", Json::Num(1.0)),
+            ("version", Json::Num(2.0)),
             ("quick", Json::Bool(self.quick)),
             (
                 "len_cap",
-                match self.len_cap {
-                    Some(cap) => Json::Num(cap as f64),
-                    None => Json::Null,
+                if self.quick {
+                    Json::Num(QUICK_LEN_CAP as f64)
+                } else {
+                    Json::Null
                 },
             ),
             (
                 "cases",
-                Json::Arr(
-                    self.cases
-                        .iter()
-                        .map(|c| {
-                            Json::obj(vec![
-                                ("name", Json::Str(c.name.to_string())),
-                                ("specs", Json::Num(c.specs as f64)),
-                                ("applications", Json::Num(c.applications as f64)),
-                                ("dyn_seconds", Json::Num(c.dyn_seconds)),
-                                ("kernel_seconds", Json::Num(c.kernel_seconds)),
-                                ("dyn_rate", Json::Num(c.dyn_rate())),
-                                ("kernel_rate", Json::Num(c.kernel_rate())),
-                                ("speedup", Json::Num(c.speedup())),
-                                ("matched", Json::Bool(c.matched)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "aliasing",
-                match &self.aliasing {
-                    Some(a) => a.to_json(),
-                    None => Json::Null,
-                },
+                Json::Arr(self.cases.iter().map(CaseMeasurement::to_json).collect()),
             ),
             (
                 "overall",
                 Json::obj(vec![
                     ("applications", Json::Num(self.applications() as f64)),
-                    ("dyn_seconds", Json::Num(self.dyn_seconds())),
                     ("kernel_seconds", Json::Num(self.kernel_seconds())),
-                    ("speedup", Json::Num(self.speedup())),
-                    ("matched", Json::Bool(self.all_matched())),
+                    ("kernel_rate", Json::Num(self.rate())),
                 ]),
             ),
         ])
     }
 }
 
-/// Parse bench-owned specs.
-///
-/// # Panics
-///
-/// Panics on an invalid spec — the case lists are bench-owned.
-fn parse_all(specs: &[String]) -> Vec<PredictorSpec> {
-    specs
-        .iter()
-        .map(|s| PredictorSpec::parse(s).unwrap_or_else(|e| panic!("bad bench spec `{s}`: {e}")))
-        .collect()
-}
-
-/// Race `cases` over the six IBS-like workloads, dyn pass vs kernels.
-///
-/// `quick` caps every trace at [`QUICK_LEN_CAP`] conditional branches
-/// (the quick-campaign lengths); `threads` bounds the kernel workers —
-/// timing is per-run CPU seconds either way, so the speedup does not
-/// depend on it.
+/// Time `cases` over the six IBS-like workloads at `opts`' lengths
+/// ([`ExperimentOpts::len_for`]; `quick` caps each at [`QUICK_LEN_CAP`]
+/// conditional branches), on up to `opts.threads` workers.
 ///
 /// # Panics
 ///
 /// Panics if a case holds an invalid spec — the case lists are
 /// bench-owned, so that is a bug, not input.
-pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
-    let seed = workload_seed();
-    let mut measurements = Vec::with_capacity(cases.len());
-    for case in cases {
-        let mut applications = 0u64;
-        let mut dyn_seconds = 0.0;
-        let mut kernel_seconds = 0.0;
-        let mut matched = true;
-        for bench in IbsBenchmark::all() {
-            let len = if quick {
-                bench.default_len().min(QUICK_LEN_CAP)
-            } else {
-                bench.default_len()
-            };
-            let cols = cache::columns_seeded(bench, len, seed);
-            applications += cols.len() as u64 * case.specs.len() as u64;
-
-            let mut predictors: Vec<_> = case
-                .specs
-                .iter()
-                .map(|s| parse_spec(s).unwrap_or_else(|e| panic!("bad bench spec `{s}`: {e}")))
-                .collect();
-            let start = Instant::now();
-            let dyn_results = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
-            dyn_seconds += start.elapsed().as_secs_f64();
-
-            let units: Vec<_> = case.specs.iter().cloned().map(Unit::Spec).collect();
-            let (rows, jobs): (Vec<_>, Vec<_>) = kernel::plan(&units)
+pub fn run(cases: &[BenchCase], opts: &ExperimentOpts) -> BenchReport {
+    let cases = cases.iter().map(|case| {
+        let units: Vec<_> = case.specs.iter().cloned().map(Unit::Spec).collect();
+        measure(case.name, case.specs.len(), opts, |cols| {
+            let jobs = kernel::plan(&units)
                 .unwrap_or_else(|e| panic!("bad spec in bench case `{}`: {e}", case.name))
                 .into_iter()
-                .map(|(rows, job)| (rows, (0, job)))
-                .unzip();
-            let cols = &*cols;
-            let timed = kernel::run_jobs(jobs, |_| cols, NovelPolicy::Count, threads);
-            for (rows, (results, ms)) in rows.into_iter().zip(timed) {
-                kernel_seconds += ms / 1e3;
-                for (row, result) in rows.into_iter().zip(results) {
-                    matched &= result == dyn_results[row];
-                }
-            }
-        }
-        measurements.push(CaseMeasurement {
-            name: case.name,
-            specs: case.specs.len(),
-            applications,
-            dyn_seconds,
-            kernel_seconds,
-            matched,
-        });
-    }
+                .map(|(_, job)| (0, job))
+                .collect();
+            let timed = kernel::run_jobs(jobs, |_| cols, NovelPolicy::Count, opts.threads);
+            timed.iter().map(|(_, ms)| ms).sum::<f64>() / 1e3
+        })
+    });
     BenchReport {
-        quick,
-        len_cap: quick.then_some(QUICK_LEN_CAP),
-        cases: measurements,
-        aliasing: None,
+        quick: opts.quick,
+        cases: cases.collect(),
     }
 }
 
@@ -558,64 +345,66 @@ pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
 mod tests {
     use super::*;
 
+    fn quick(threads: usize) -> ExperimentOpts {
+        ExperimentOpts {
+            threads,
+            ..ExperimentOpts::quick()
+        }
+    }
+
     #[test]
-    fn tiny_bench_runs_and_serializes() {
+    fn every_case_serializes_a_positive_rate_and_no_dyn_key() {
         let cases = vec![BenchCase {
             name: "tiny",
             specs: vec![
                 "gshare:n=8,h=4".into(),
                 "gskew:n=8,h=4".into(),
                 "falru:cap=64,h=4".into(),
+                "setassoc:n=6,ways=2,h=4".into(),
             ],
         }];
-        // Exercise the full path on one tiny case; `quick` lengths are
-        // still too slow for a unit test, so shrink through the cache
-        // seed-length axis by racing on the quick cap directly.
-        let report = run(&cases, true, 2);
-        assert_eq!(report.cases.len(), 1);
-        let case = &report.cases[0];
-        assert!(case.matched, "kernel diverged from the dyn engine");
-        assert!(case.applications > 0);
-        assert!(case.dyn_seconds > 0.0);
-        assert!(case.kernel_seconds > 0.0);
-        let doc = report.to_json();
-        let text = doc.to_string_compact();
+        let opts = quick(2);
+        let mut report = run(&cases, &opts);
+        report.cases.push(run_delay(&opts));
+        // Two cells of one history: one DM pass each, one shared FA pass.
+        let cells: Vec<_> = [IndexFunction::Gshare, IndexFunction::Gselect]
+            .map(|func| ThreeCCell {
+                entries_log2: 8,
+                history_bits: 4,
+                func,
+            })
+            .into();
+        report.cases.push(run_aliasing(&cells, &opts));
+        let text = report.to_json().to_string_compact();
+        for key in ["dyn", "speedup", "matched"] {
+            assert!(!text.contains(key), "`{key}` in {text}");
+        }
         let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.get("version").unwrap().as_u64(), Some(2));
         assert_eq!(parsed.get("quick").unwrap(), &Json::Bool(true));
-        let overall = parsed.get("overall").unwrap();
-        assert_eq!(overall.get("matched").unwrap(), &Json::Bool(true));
-        assert!(overall.get("speedup").unwrap().as_f64().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn tiny_aliasing_race_matches_and_serializes() {
-        // A two-cell grid keeps the per-config path affordable in a unit
-        // test while still exercising the shared-distance FA pass (both
-        // cells share one history).
-        let cells = vec![
-            ThreeCCell {
-                entries_log2: 8,
-                history_bits: 4,
-                func: IndexFunction::Gshare,
-            },
-            ThreeCCell {
-                entries_log2: 8,
-                history_bits: 4,
-                func: IndexFunction::Gselect,
-            },
-        ];
-        let a = run_aliasing(&cells, true, 2);
-        assert!(a.matched, "batched three-C diverged from the classifier");
-        assert_eq!(a.cells, 2);
-        assert!(a.applications > 0);
-        assert!(a.dyn_seconds > 0.0);
-        assert!(a.batch_seconds > 0.0);
-        let mut report = run(&[], true, 1);
-        report.aliasing = Some(a);
-        let parsed = Json::parse(&report.to_json().to_string_compact()).unwrap();
-        let aliasing = parsed.get("aliasing").unwrap();
-        assert_eq!(aliasing.get("matched").unwrap(), &Json::Bool(true));
-        assert!(aliasing.get("speedup").unwrap().as_f64().unwrap() > 0.0);
+        let cases = parsed.get("cases").unwrap().as_arr().unwrap();
+        let names: Vec<_> = cases
+            .iter()
+            .map(|c| c.get("name").unwrap().as_str())
+            .collect();
+        assert_eq!(names, [Some("tiny"), Some("delay"), Some("aliasing-3c")]);
+        let specs: Vec<_> = cases
+            .iter()
+            .map(|c| c.get("specs").unwrap().as_u64())
+            .collect();
+        assert_eq!(
+            specs,
+            [
+                Some(4),
+                Some((DELAY_SPECS.len() * DELAYS.len()) as u64),
+                Some(2)
+            ]
+        );
+        for case in cases.iter().chain([parsed.get("overall").unwrap()]) {
+            assert!(case.get("applications").unwrap().as_u64().unwrap() > 0);
+            assert!(case.get("kernel_seconds").unwrap().as_f64().unwrap() > 0.0);
+            assert!(case.get("kernel_rate").unwrap().as_f64().unwrap() > 0.0);
+        }
     }
 
     #[test]
@@ -626,13 +415,5 @@ mod tests {
         // Exactly two distinct FA groups: one shared-distance pass per
         // history, regardless of index function.
         assert_eq!(batch::fa_groups(&grid).len(), 2);
-    }
-
-    #[test]
-    fn delay_race_matches() {
-        let case = run_delay(true, 2);
-        assert!(case.matched, "a delayed kernel diverged from run_delayed");
-        assert_eq!(case.specs, DELAY_SPECS.len() * DELAYS.len());
-        assert!(case.dyn_seconds > 0.0 && case.kernel_seconds > 0.0);
     }
 }

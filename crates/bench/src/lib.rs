@@ -1,4 +1,4 @@
-//! [`kernel_bench`], the tracked dyn-vs-kernel and three-C throughput
+//! [`kernel_bench`], the tracked kernel and three-C throughput
 //! measurement behind `bpsim bench`.
 
 pub mod kernel_bench;

@@ -26,19 +26,17 @@ const VALUED: &[&str] = &[
     "tol",
     "results-dir",
     "budget",
-    "min-speedup",
-    "min-aliasing-speedup",
 ];
 
-/// Flags and valued options every command accepts.
-const GLOBAL: &[&str] = &["verbose", "seed", "results-dir"];
+/// Flags every command accepts.
+const GLOBAL: &[&str] = &["verbose"];
 
-/// The results store's flags, which only the commands that produce cells
-/// accept.
-const STORE: &[&str] = &["resume", "save-results"];
+/// The results store's flags and options, which only the commands that
+/// produce cells accept.
+const STORE: &[&str] = &["resume", "save-results", "results-dir"];
 
 /// The flags of `experiment` and of `run <experiment>`.
-const EXPERIMENT: &[&str] = &["quick", "csv", "len", "threads", "out"];
+const EXPERIMENT: &[&str] = &["quick", "csv", "len", "threads", "out", "seed"];
 
 /// How many positional arguments, the command word included, a command
 /// line takes; `None` for no limit (`compare` races any number of specs).
@@ -95,28 +93,28 @@ impl Args {
             Some("experiment") => ("experiment", EXPERIMENT, true),
             Some("run") => match (self.option("pred"), self.option("windows")) {
                 (None, _) => ("run <experiment>", EXPERIMENT, true),
-                (Some(_), None) => ("run --pred", &["pred", "bench", "len", "threads"], true),
-                (Some(_), Some(_)) => {
-                    ("run --windows", &["pred", "bench", "len", "windows"], false)
-                }
+                (Some(_), None) => (
+                    "run --pred",
+                    &["pred", "bench", "len", "threads", "seed"],
+                    true,
+                ),
+                (Some(_), Some(_)) => (
+                    "run --windows",
+                    &["pred", "bench", "len", "windows", "seed"],
+                    false,
+                ),
             },
-            Some("compare") => ("compare", &["bench", "len"], true),
-            Some("duel") => ("duel", &["bench", "len"], false),
-            Some("sweep") => ("sweep", &["pred", "bench", "len"], true),
-            Some("bench") => (
-                "bench",
-                &[
-                    "quick",
-                    "out",
-                    "threads",
-                    "min-speedup",
-                    "min-aliasing-speedup",
-                ],
-                false,
+            Some("compare") => ("compare", &["bench", "len", "seed"], true),
+            Some("duel") => ("duel", &["bench", "len", "seed"], false),
+            Some("sweep") => ("sweep", &["pred", "bench", "len", "seed"], true),
+            Some("bench") => ("bench", &["quick", "out", "threads", "seed"], false),
+            Some("campaign") => (
+                "campaign",
+                &["quick", "out", "threads", "len", "tol", "seed"],
+                true,
             ),
-            Some("campaign") => ("campaign", &["quick", "out", "threads", "len", "tol"], true),
-            Some("results") => ("results", &["budget"], false),
-            Some("trace") => ("trace", &["bench", "len", "out", "file"], false),
+            Some("results") => ("results", &["budget", "results-dir"], false),
+            Some("trace") => ("trace", &["bench", "len", "out", "file", "seed"], false),
             Some(_) => return None,
         })
     }
@@ -282,9 +280,9 @@ mod tests {
         assert!(e.contains("`list` does not accept --len"), "{e}");
         assert!(try_parse("compare gshare:n=8 --windows 4").is_err());
         assert!(try_parse("results stats --csv").is_err());
-        // Global flags and options go with every command; an unknown
-        // command is the dispatcher's to report.
-        parse("list --verbose --seed 7 --results-dir d");
+        // `--verbose` goes with every command; an unknown command is the
+        // dispatcher's to report.
+        parse("list --verbose");
         parse("frobnicate --whatever");
     }
 
@@ -344,11 +342,55 @@ mod tests {
                 "run fig5 --windows 4",
                 "`run <experiment>` does not accept --windows",
             ),
+            // The bench reports rates and gates nothing.
+            (
+                "bench --min-speedup 1",
+                "`bench` does not accept --min-speedup",
+            ),
+            (
+                "bench --min-aliasing-speedup 1",
+                "`bench` does not accept --min-aliasing-speedup",
+            ),
+            // `--results-dir` goes only with the store's commands, and
+            // `--seed` only with the commands that generate a workload.
+            (
+                "list --results-dir d",
+                "`list` does not accept --results-dir",
+            ),
+            (
+                "duel a b --results-dir d",
+                "`duel` does not accept --results-dir",
+            ),
+            (
+                "bench --results-dir d",
+                "`bench` does not accept --results-dir",
+            ),
+            (
+                "run --pred gshare --windows 4 --results-dir d",
+                "`run --windows` does not accept --results-dir",
+            ),
+            ("list --seed 5", "`list` does not accept --seed"),
+            ("results stats --seed 5", "`results` does not accept --seed"),
+            ("help --seed 5", "`help` does not accept --seed"),
         ] {
             let e = try_parse(line).unwrap_err();
             assert!(e.contains(named), "{line}: {e}");
         }
         parse("run --pred gshare --threads 2 --bench gs --len 100");
+        for line in [
+            "experiment fig5 --seed 5 --results-dir d",
+            "run --pred gshare --seed 5 --results-dir d",
+            "run --pred gshare --windows 4 --seed 5",
+            "compare gshare --seed 5 --results-dir d",
+            "duel a b --seed 5",
+            "sweep --pred gshare:h={h} --seed 5 --results-dir d",
+            "bench --seed 5",
+            "campaign quick --seed 5 --results-dir d",
+            "results stats --results-dir d",
+            "trace gen --bench gs --len 10 --out f --seed 5",
+        ] {
+            assert!(try_parse(line).is_ok(), "{line}");
+        }
     }
 
     #[test]
@@ -398,7 +440,7 @@ mod tests {
         for line in [
             "campaign quick --out campaign.json",
             "campaign diff baselines/quick-campaign.json campaign.json --tol 0",
-            "bench --quick --out BENCH_kernels.json --min-speedup 1.0 --min-aliasing-speedup 1.0",
+            "bench --quick --out BENCH_kernels.json",
             "experiment all --quick --out tables --threads 2 --seed 1592590336 --len 3000",
             "campaign quick --save-results --results-dir store --out a.json --threads 2 --seed 1",
             "campaign quick --resume --results-dir store --out w.json --threads 2 --seed 1",

@@ -292,6 +292,30 @@ fn misspelled_flags_fail_before_any_work() {
         assert!(err.contains(flag[0]), "the error names {}: {err}", flag[0]);
         assert!(out.stdout.is_empty(), "nothing ran for {flag:?}");
     }
+
+    // Flags a command used to accept and ignore: the bench's two deleted
+    // speedup floors, a results store where none is read, and a seed
+    // where no workload is generated.
+    for (line, flag) in [
+        ("bench --quick --min-speedup 1", "--min-speedup"),
+        (
+            "bench --quick --min-aliasing-speedup 1",
+            "--min-aliasing-speedup",
+        ),
+        ("bench --quick --results-dir d", "--results-dir"),
+        ("list --results-dir d", "--results-dir"),
+        (
+            "duel gshare:n=8 gskew:n=8 --len 1000 --results-dir d",
+            "--results-dir",
+        ),
+        ("list --seed 5", "--seed"),
+    ] {
+        let out = bpsim_line(line);
+        assert!(!out.status.success(), "{line}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "the error names {flag}: {err}");
+        assert!(out.stdout.is_empty(), "nothing ran for {line}");
+    }
 }
 
 #[test]

@@ -16,6 +16,7 @@ use crate::counter::CounterKind;
 use crate::error::ConfigError;
 use crate::index::IndexFunction;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
+use crate::spec::PredictorSpec;
 use crate::table::{Counter, History, Width};
 use crate::vector::InfoVector;
 
@@ -161,6 +162,17 @@ impl SetAssociative {
         self.ways << self.sets_log2
     }
 
+    /// The `setassoc` spec this table answers to.
+    fn spec(&self) -> PredictorSpec {
+        PredictorSpec::SetAssoc {
+            n: self.sets_log2,
+            ways: self.ways,
+            h: self.history.bits(),
+            ctr: self.kind,
+            miss: self.miss_policy,
+        }
+    }
+
     /// The first way of the set of the branch at `pc` under the global
     /// history `hist`, and the branch's pair.
     #[inline]
@@ -219,22 +231,11 @@ impl BranchPredictor for SetAssociative {
     }
 
     fn name(&self) -> String {
-        format!(
-            "setassoc {}x{}w h={} {}",
-            1u64 << self.sets_log2,
-            self.ways,
-            self.history.bits(),
-            self.kind
-        )
+        self.spec().name()
     }
 
     fn storage_bits(&self) -> u64 {
-        let lru_bits = usize::BITS - (self.ways - 1).leading_zeros();
-        self.capacity() as u64
-            * (ADDR_TAG_BITS
-                + u64::from(self.history.bits())
-                + u64::from(self.kind.bits())
-                + u64::from(lru_bits))
+        self.spec().storage_bits()
     }
 
     fn reset(&mut self) {

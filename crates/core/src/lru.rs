@@ -39,7 +39,6 @@
 //! timestamps run out of room the live pairs are renumbered into `1..=P`,
 //! so memory scales with distinct pairs rather than with trace length.
 
-use crate::assoc::ADDR_TAG_BITS;
 use crate::error::ConfigError;
 use crate::pair::PairMap;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
@@ -464,24 +463,14 @@ impl BranchPredictor for LruPredictor {
     }
 
     fn name(&self) -> String {
-        match self.spec {
-            PredictorSpec::Falru { cap, h, ctr, .. } => format!("fa-lru {cap} h={h} {ctr}"),
-            PredictorSpec::Ideal { h, ctr } => format!("ideal h={h} {ctr}"),
-            _ => unreachable!("`new` admits falru and ideal only"),
-        }
+        self.spec.name()
     }
 
     fn storage_bits(&self) -> u64 {
         match self.spec {
-            PredictorSpec::Falru { cap, h, ctr, .. } => {
-                // tag + counter per entry, plus log2(capacity) recency bits.
-                let lru_bits = usize::BITS - (cap - 1).leading_zeros();
-                cap as u64
-                    * (ADDR_TAG_BITS + u64::from(h) + u64::from(ctr.bits()) + u64::from(lru_bits))
-            }
             // Conceptually infinite; report the counters allocated.
             PredictorSpec::Ideal { ctr, .. } => self.distinct_pairs() * u64::from(ctr.bits()),
-            _ => unreachable!("`new` admits falru and ideal only"),
+            _ => self.spec.storage_bits(),
         }
     }
 

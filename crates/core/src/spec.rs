@@ -29,7 +29,7 @@
 //! Additional families beyond the paper's: `agree:n=12,h=8`,
 //! `bimode:n=12,h=8`, `pas:bht=10,l=8,n=12`, `spas:bht=10,l=8,n=10`.
 
-use crate::assoc::{MissPolicy, SetAssociative};
+use crate::assoc::{MissPolicy, SetAssociative, ADDR_TAG_BITS};
 use crate::counter::CounterKind;
 use crate::error::ConfigError;
 use crate::gskew::UpdatePolicy;
@@ -406,6 +406,122 @@ impl PredictorSpec {
         Ok(Box::new(
             SetAssociative::new(n, ways, h, ctr)?.with_miss_policy(miss),
         ))
+    }
+
+    /// The name of the predictor this spec describes, e.g. `gskew 3x4096
+    /// h=8 2-bit partial`: what [`BranchPredictor::name`] reports for
+    /// it, without allocating any table.
+    ///
+    /// # Panics
+    ///
+    /// May panic on an out-of-range spec that [`build`](Self::build)
+    /// rejects.
+    pub fn name(&self) -> String {
+        use PredictorSpec as S;
+        match *self {
+            S::Bimodal { n, ctr } => format!("bimodal {} {ctr}", 1u64 << n),
+            S::Gshare { n, h, ctr } => format!("gshare {} h={h} {ctr}", 1u64 << n),
+            S::Gselect { n, h, ctr } => format!("gselect {} h={h} {ctr}", 1u64 << n),
+            S::Gskew {
+                n,
+                h,
+                banks,
+                ctr,
+                update,
+                enhanced,
+                skewing,
+            } => format!(
+                "{} {banks}x{} h={h} {ctr} {update}{}",
+                if enhanced { "egskew" } else { "gskew" },
+                1u64 << n,
+                if skewing { "" } else { " same-index" }
+            ),
+            S::McFarling { n, h, ctr } => format!(
+                "mcfarling[bimodal {} {ctr} | gshare {} h={h} {ctr}]",
+                1u64 << n,
+                1u64 << n
+            ),
+            S::TwoBcGskew { n, h } => format!("2bcgskew 4x{} h={h}", 1u64 << n),
+            S::Agree { n, h, bias, ctr } => {
+                format!("agree {} h={h} bias={} {ctr}", 1u64 << n, 1u64 << bias)
+            }
+            S::BiMode { n, h, choice, ctr } => {
+                format!(
+                    "bimode 2x{} h={h} choice={} {ctr}",
+                    1u64 << n,
+                    1u64 << choice
+                )
+            }
+            S::Pas { bht, l, n, ctr } => {
+                format!("pas bht={}x{l} table={} {ctr}", 1u64 << bht, 1u64 << n)
+            }
+            S::Spas {
+                bht,
+                l,
+                n,
+                ctr,
+                update,
+            } => format!(
+                "spas bht={}x{l} 3x{} {ctr} {update}",
+                1u64 << bht,
+                1u64 << n
+            ),
+            S::Shgskew { n, h, update } => format!(
+                "shgskew 3x{}+{}hyst h={h} {update}",
+                1u64 << n,
+                1u64 << (n - 1)
+            ),
+            S::AlwaysTaken => "always-taken".into(),
+            S::AlwaysNotTaken => "always-not-taken".into(),
+            S::Ideal { h, ctr } => format!("ideal h={h} {ctr}"),
+            S::Falru { cap, h, ctr, .. } => format!("fa-lru {cap} h={h} {ctr}"),
+            S::SetAssoc {
+                n, ways, h, ctr, ..
+            } => {
+                format!("setassoc {}x{ways}w h={h} {ctr}", 1u64 << n)
+            }
+        }
+    }
+
+    /// The storage bits of the predictor this spec describes, before it
+    /// sees a branch: what [`BranchPredictor::storage_bits`] reports for
+    /// it fresh, without allocating any table. Tagged tables also charge
+    /// an address tag, the history and the recency bits of each entry;
+    /// an unbounded `ideal` table holds no counter yet.
+    ///
+    /// # Panics
+    ///
+    /// May panic on an out-of-range spec that [`build`](Self::build)
+    /// rejects.
+    pub fn storage_bits(&self) -> u64 {
+        use PredictorSpec as S;
+        let counters = |log2: u32, ctr: CounterKind| (1u64 << log2) * u64::from(ctr.bits());
+        // Tag, history, counter and log2(recency group) bits per entry.
+        let tagged = |entries: usize, group: usize, h: u32, ctr: CounterKind| {
+            let lru_bits = usize::BITS - (group - 1).leading_zeros();
+            entries as u64
+                * (ADDR_TAG_BITS + u64::from(h) + u64::from(ctr.bits()) + u64::from(lru_bits))
+        };
+        match *self {
+            S::Bimodal { n, ctr } | S::Gshare { n, ctr, .. } | S::Gselect { n, ctr, .. } => {
+                counters(n, ctr)
+            }
+            S::Gskew { n, banks, ctr, .. } => banks as u64 * counters(n, ctr),
+            S::McFarling { n, ctr, .. } => 2 * counters(n, ctr) + counters(n, CounterKind::TwoBit),
+            S::TwoBcGskew { n, .. } => 4 * counters(n, CounterKind::TwoBit),
+            // A bias bit and a valid bit per bias entry.
+            S::Agree { n, bias, ctr, .. } => counters(n, ctr) + 2 * (1u64 << bias),
+            S::BiMode { n, choice, ctr, .. } => 2 * counters(n, ctr) + counters(choice, ctr),
+            S::Pas { bht, l, n, ctr } => (1u64 << bht) * u64::from(l) + counters(n, ctr),
+            S::Spas { bht, l, n, ctr, .. } => (1u64 << bht) * u64::from(l) + 3 * counters(n, ctr),
+            // Per bank: 2^n direction bits and 2^(n-1) hysteresis bits.
+            S::Shgskew { n, .. } => 3 * ((1u64 << n) + (1u64 << (n - 1))),
+            S::AlwaysTaken | S::AlwaysNotTaken | S::Ideal { .. } => 0,
+            S::Falru { cap, h, ctr, .. } => tagged(cap, cap, h, ctr),
+            S::SetAssoc {
+                n, ways, h, ctr, ..
+            } => tagged(ways << n, ways, h, ctr),
+        }
     }
 }
 

@@ -1064,86 +1064,11 @@ impl BranchPredictor for TablePredictor {
     }
 
     fn name(&self) -> String {
-        use PredictorSpec as S;
-        match self.spec {
-            S::Bimodal { n, ctr } => format!("bimodal {} {ctr}", 1u64 << n),
-            S::Gshare { n, h, ctr } => format!("gshare {} h={h} {ctr}", 1u64 << n),
-            S::Gselect { n, h, ctr } => format!("gselect {} h={h} {ctr}", 1u64 << n),
-            S::Gskew {
-                n,
-                h,
-                banks,
-                ctr,
-                update,
-                enhanced,
-                skewing,
-            } => format!(
-                "{} {banks}x{} h={h} {ctr} {update}{}",
-                if enhanced { "egskew" } else { "gskew" },
-                1u64 << n,
-                if skewing { "" } else { " same-index" }
-            ),
-            S::McFarling { n, h, ctr } => format!(
-                "mcfarling[bimodal {} {ctr} | gshare {} h={h} {ctr}]",
-                1u64 << n,
-                1u64 << n
-            ),
-            S::TwoBcGskew { n, h } => format!("2bcgskew 4x{} h={h}", 1u64 << n),
-            S::Agree { n, h, bias, ctr } => {
-                format!("agree {} h={h} bias={} {ctr}", 1u64 << n, 1u64 << bias)
-            }
-            S::BiMode { n, h, choice, ctr } => {
-                format!(
-                    "bimode 2x{} h={h} choice={} {ctr}",
-                    1u64 << n,
-                    1u64 << choice
-                )
-            }
-            S::Pas { bht, l, n, ctr } => {
-                format!("pas bht={}x{l} table={} {ctr}", 1u64 << bht, 1u64 << n)
-            }
-            S::Spas {
-                bht,
-                l,
-                n,
-                ctr,
-                update,
-            } => format!(
-                "spas bht={}x{l} 3x{} {ctr} {update}",
-                1u64 << bht,
-                1u64 << n
-            ),
-            S::Shgskew { n, h, update } => format!(
-                "shgskew 3x{}+{}hyst h={h} {update}",
-                1u64 << n,
-                1u64 << (n - 1)
-            ),
-            S::AlwaysTaken => "always-taken".into(),
-            S::AlwaysNotTaken => "always-not-taken".into(),
-            _ => unreachable!("`new` admits table families only"),
-        }
+        self.spec.name()
     }
 
     fn storage_bits(&self) -> u64 {
-        use PredictorSpec as S;
-        let counters = |log2: u32, ctr: CounterKind| (1u64 << log2) * u64::from(ctr.bits());
-        match self.spec {
-            S::Bimodal { n, ctr } | S::Gshare { n, ctr, .. } | S::Gselect { n, ctr, .. } => {
-                counters(n, ctr)
-            }
-            S::Gskew { n, banks, ctr, .. } => banks as u64 * counters(n, ctr),
-            S::McFarling { n, ctr, .. } => 2 * counters(n, ctr) + counters(n, CounterKind::TwoBit),
-            S::TwoBcGskew { n, .. } => 4 * counters(n, CounterKind::TwoBit),
-            // A bias bit and a valid bit per bias entry.
-            S::Agree { n, bias, ctr, .. } => counters(n, ctr) + 2 * (1u64 << bias),
-            S::BiMode { n, choice, ctr, .. } => 2 * counters(n, ctr) + counters(choice, ctr),
-            S::Pas { bht, l, n, ctr } => (1u64 << bht) * u64::from(l) + counters(n, ctr),
-            S::Spas { bht, l, n, ctr, .. } => (1u64 << bht) * u64::from(l) + 3 * counters(n, ctr),
-            // Per bank: 2^n direction bits and 2^(n-1) hysteresis bits.
-            S::Shgskew { n, .. } => 3 * ((1u64 << n) + (1u64 << (n - 1))),
-            S::AlwaysTaken | S::AlwaysNotTaken => 0,
-            _ => unreachable!("`new` admits table families only"),
-        }
+        self.spec.storage_bits()
     }
 
     fn reset(&mut self) {

@@ -1,10 +1,16 @@
-//! The trace-driven simulation engine: drive any predictor over any record
-//! stream and account mispredictions.
+//! The per-record simulation engine: drive any `dyn BranchPredictor` over
+//! any record stream and account mispredictions.
+//!
+//! No cell runs here: experiments, campaigns, every CLI command and
+//! `bpsim bench` run on the kernels of [`crate::kernel`]. [`run`],
+//! [`run_with`] and [`run_delayed`] are the reference the kernel tests
+//! compare against (driving the naive models of `tests/reference`) and
+//! the API the examples drive spec-built predictors through.
+//! [`NovelPolicy`] and [`RunResult`] are the accounting both paths share.
 
 use crate::timing;
 use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_trace::record::{BranchKind, BranchRecord};
-use bpred_trace::soa::TraceColumns;
 use std::time::Instant;
 
 /// How predictions flagged *novel* (first encounter of a substream, only
@@ -92,53 +98,6 @@ pub fn run_with(
     result
 }
 
-/// Drive every predictor in `predictors` over a single pass of one
-/// trace, under one novel-reference policy.
-///
-/// Each record is applied to all predictors before the pass advances, so
-/// the result for predictor `i` is bit-identical to running
-/// [`run_with`]`(predictors[i], columns.records(), novel_policy)` on its
-/// own — the predictors share the trace walk, not any state. No cell
-/// runs on it: it is `bpsim bench`'s dyn baseline and the reference the
-/// kernel tests compare against.
-pub fn run_many(
-    predictors: &mut [Box<dyn BranchPredictor>],
-    columns: &TraceColumns,
-    novel_policy: NovelPolicy,
-) -> Vec<RunResult> {
-    let start = Instant::now();
-    let mut results = vec![RunResult::default(); predictors.len()];
-    for BranchRecord {
-        pc, kind, taken, ..
-    } in columns.records()
-    {
-        if kind == BranchKind::Conditional {
-            let outcome = Outcome::from(taken);
-            for (predictor, result) in predictors.iter_mut().zip(results.iter_mut()) {
-                let prediction = predictor.predict(pc);
-                result.conditional += 1;
-                if prediction.novel {
-                    result.novel += 1;
-                }
-                let counted = !(prediction.novel && novel_policy == NovelPolicy::Exclude);
-                if counted && prediction.outcome != outcome {
-                    result.mispredicted += 1;
-                }
-                predictor.update(pc, outcome);
-            }
-        } else {
-            for predictor in predictors.iter_mut() {
-                predictor.record_unconditional(pc);
-            }
-        }
-    }
-    timing::record_dyn(
-        columns.len() as u64 * predictors.len() as u64,
-        start.elapsed(),
-    );
-    results
-}
-
 /// Simulate retirement-time training: every prediction is made with
 /// tables and history that lag the youngest `delay` branches (they are
 /// still in flight). Records are replayed through the predictor in order,
@@ -150,7 +109,7 @@ pub fn run_many(
 /// [`run_with`] (delay 0) is the motivation for that hardware — see the
 /// `ext-delay` experiment, which runs it on
 /// [`crate::kernel::PredictorKernel::run_delayed`]; this function is that
-/// kernel's oracle and serves specs without one.
+/// kernel's oracle.
 pub fn run_delayed(
     predictor: &mut dyn BranchPredictor,
     records: impl Iterator<Item = BranchRecord>,

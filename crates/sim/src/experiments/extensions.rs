@@ -404,7 +404,7 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
         .unzip();
     let workloads = opts.workloads();
     let cells = resume::run_cells(&workloads, NovelPolicy::Count, &units, opts.threads);
-    let table = bench_sweep_table(
+    let table = Table::per_bench(
         format!(
             "Miss % of a {}-pair identity-tagged table vs associativity (gshare set \
              index, 4-bit history)",
@@ -412,7 +412,6 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
         ),
         "ways",
         &labels,
-        opts,
         |row, w| {
             let cell = &cells[w][row];
             let (misses, references) = if WAYS[row] == CAPACITY_LOG2 {
@@ -427,7 +426,7 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
             } else {
                 misses as f64 / references as f64
             };
-            100.0 * ratio
+            pct(100.0 * ratio)
         },
     );
     ExperimentOutput {

@@ -26,6 +26,10 @@ mod three_c;
 
 pub use helpers::{columns, records, set_workload_seed, sim_pct, workload_seed};
 
+/// The per-benchmark trace-length cap of `--quick` runs
+/// ([`ExperimentOpts::len_for`]).
+pub const QUICK_LEN_CAP: u64 = 120_000;
+
 /// Global knobs shared by all experiments.
 #[derive(Debug, Clone)]
 pub struct ExperimentOpts {
@@ -33,7 +37,7 @@ pub struct ExperimentOpts {
     pub len_override: Option<u64>,
     /// Worker threads for the parallel sweeps.
     pub threads: usize,
-    /// Cap lengths at a small value for smoke tests and benches.
+    /// Cap lengths at [`QUICK_LEN_CAP`] for smoke tests and benches.
     pub quick: bool,
 }
 
@@ -52,7 +56,7 @@ impl ExperimentOpts {
     pub fn len_for(&self, bench: IbsBenchmark) -> u64 {
         let len = self.len_override.unwrap_or_else(|| bench.default_len());
         if self.quick {
-            len.min(120_000)
+            len.min(QUICK_LEN_CAP)
         } else {
             len
         }

@@ -630,9 +630,9 @@ pub fn run_jobs<T: Deref<Target = TraceColumns>>(
 }
 
 /// Run every spec over one trace: the [`plan`]'s jobs through
-/// [`run_jobs`]. Results keep the order of `specs` and are bit-identical
-/// to an [`engine::run_many`] pass over the specs' predictors under the
-/// same `policy`.
+/// [`run_jobs`]. Results keep the order of `specs`, and each is
+/// bit-identical to [`engine::run_with`] on its spec's predictor under
+/// the same `policy`.
 ///
 /// # Errors
 ///
@@ -778,6 +778,12 @@ mod tests {
         assert_eq!(fast, per_record, "{spec} diverges from its dyn predictor");
     }
 
+    /// Each spec's reference model, run alone over `cols` under `policy`.
+    fn modelled(specs: &[String], cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
+        let run = |spec| engine::run_with(&mut reference::oracle(spec), cols.records(), policy);
+        specs.iter().map(|spec| run(spec)).collect()
+    }
+
     #[test]
     fn kernels_match_their_reference_models() {
         for spec in [
@@ -919,9 +925,7 @@ mod tests {
         assert_eq!(rows, [vec![2, 4], vec![0], vec![1], vec![3], vec![5]]);
         assert!(matches!(jobs[2].1, Job::Set(_)) && matches!(jobs[4].1, Job::Table(_)));
         let routed = run_specs(&specs, &cols, NovelPolicy::Count, 2).unwrap();
-        let mut predictors: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
-        let reference = engine::run_many(&mut predictors, &cols, NovelPolicy::Count);
-        assert_eq!(routed, reference);
+        assert_eq!(routed, modelled(&specs, &cols, NovelPolicy::Count));
     }
 
     #[test]
@@ -1073,9 +1077,7 @@ mod tests {
         assert!(jobs.iter().all(|(_, job)| matches!(job, Job::Walk(_))));
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
             let routed = run_specs(&specs, &cols, policy, 2).unwrap();
-            let mut models: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
-            let reference = engine::run_many(&mut models, &cols, policy);
-            assert_eq!(routed, reference, "{policy:?}");
+            assert_eq!(routed, modelled(&specs, &cols, policy), "{policy:?}");
             assert!(routed.iter().all(|r| r.novel > 0));
         }
     }

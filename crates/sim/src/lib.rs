@@ -51,7 +51,7 @@ pub mod timing;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::duel::{duel, DuelResult};
-    pub use crate::engine::{run, run_many, run_with, NovelPolicy, RunResult};
+    pub use crate::engine::{run, run_with, NovelPolicy, RunResult};
     pub use crate::experiments::{ExperimentOpts, ExperimentOutput, ALL_IDS};
     pub use crate::kernel::{run_specs, PredictorKernel};
     pub use crate::report::Table;

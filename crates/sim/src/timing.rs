@@ -1,18 +1,20 @@
 //! Process-wide engine throughput counters.
 //!
 //! The engine's two simulation paths — the monomorphized [`kernel`]
-//! fast path and the `Box<dyn BranchPredictor>` fallback — report how
-//! many record applications they executed and how long they spent, so
-//! the CLI can print records/sec under `--verbose` and the `bench`
-//! subcommand can track the speedup over time.
+//! path every cell runs on and the `Box<dyn BranchPredictor>` reference
+//! engine of [`engine`], which only tests and examples drive — report
+//! how many record applications they executed and how long they spent,
+//! so the CLI can print records/sec under `--verbose` and the benchmark
+//! can read both paths' counters.
 //!
 //! One *record application* is one record driven through one predictor:
-//! a `run_many` pass over `R` records with `P` predictors counts `R * P`
-//! applications, which makes the dyn and kernel rates directly
-//! comparable. Durations are summed across worker threads, so the
-//! reported rate is a per-core throughput, not wall clock.
+//! a pass over `R` records with `P` predictors counts `R * P`
+//! applications, whichever path runs it. Durations are summed across
+//! worker threads, so the reported rate is a per-core throughput, not
+//! wall clock.
 //!
 //! [`kernel`]: crate::kernel
+//! [`engine`]: crate::engine
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

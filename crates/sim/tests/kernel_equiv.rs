@@ -20,13 +20,20 @@ use bpred_core::index::IndexFunction;
 use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_core::spec::PredictorSpec;
 use bpred_sim::duel;
-use bpred_sim::engine::{self, NovelPolicy};
+use bpred_sim::engine::{self, NovelPolicy, RunResult};
 use bpred_sim::kernel::{self, run_specs, Job, PredictorKernel, Unit};
 use bpred_trace::cache;
 use bpred_trace::record::BranchKind;
+use bpred_trace::soa::TraceColumns;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
 use proptest::{prop_assert, prop_assert_eq};
+
+/// Each spec's reference model, run alone over `cols` under `policy`.
+fn modelled(specs: &[String], cols: &TraceColumns, policy: NovelPolicy) -> Vec<RunResult> {
+    let run = |spec| engine::run_with(&mut reference::oracle(spec), cols.records(), policy);
+    specs.iter().map(|spec| run(spec)).collect()
+}
 
 /// A random kernel-eligible spec string built from raw draws. `ctr` is
 /// the counter width (1..=7) of every family that has one; `2bcgskew`
@@ -161,8 +168,7 @@ proptest::proptest! {
         let cols = cache::columns_seeded(bench, len, seed);
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
             let routed = run_specs(&specs, &cols, policy, 2).unwrap();
-            let mut models: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
-            let reference = engine::run_many(&mut models, &cols, policy);
+            let reference = modelled(&specs, &cols, policy);
             prop_assert_eq!(
                 routed, reference,
                 "{:?} diverges under {:?} on {:?} len {} seed {:#x}",
@@ -222,7 +228,7 @@ proptest::proptest! {
     }
 
     #[test]
-    fn lru_walk_matches_run_many_on_random_capacity_lists(
+    fn lru_walk_matches_the_models_on_random_capacity_lists(
         // (log2 capacity or 15 for ideal, extra entries, ctr, miss taken)
         rows in proptest::collection::vec(
             (0u32..=15, 0u64..4, 1u8..=7, proptest::any::<bool>()),
@@ -259,8 +265,7 @@ proptest::proptest! {
         let cols = cache::columns_seeded(bench, len, seed);
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
             let routed = run_specs(&specs, &cols, policy, 2).unwrap();
-            let mut models: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
-            let reference = engine::run_many(&mut models, &cols, policy);
+            let reference = modelled(&specs, &cols, policy);
             prop_assert_eq!(
                 routed, reference,
                 "{:?} diverges under {:?} on {:?} len {} seed {:#x}",
@@ -283,8 +288,7 @@ proptest::proptest! {
         let cols = cache::columns_seeded(bench, len, seed);
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
             let routed = run_specs(&specs, &cols, policy, 1).unwrap();
-            let mut models: Vec<_> = specs.iter().map(|s| reference::oracle(s)).collect();
-            let reference = engine::run_many(&mut models, &cols, policy);
+            let reference = modelled(&specs, &cols, policy);
             prop_assert_eq!(
                 routed, reference,
                 "{:?} diverges under {:?} on {:?} len {} seed {:#x}",

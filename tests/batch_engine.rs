@@ -1,5 +1,6 @@
-//! The batched engine contract: `engine::run_many` over a cached trace's
-//! columns must be bit-identical to running each predictor alone with
+//! The batched engine contract: `kernel::run_specs`, the production
+//! path that runs every spec of a call over a cached trace's columns,
+//! must be bit-identical to running each spec's predictor alone with
 //! `engine::run_with` over a freshly generated stream — for every
 //! predictor family and both novel-branch accounting policies — and the
 //! trace cache must hand out the same allocation for repeated lookups of
@@ -7,6 +8,7 @@
 
 use gskew::core::spec::parse_spec;
 use gskew::sim::engine::{self, NovelPolicy};
+use gskew::sim::kernel;
 use gskew::trace::cache;
 use gskew::trace::prelude::*;
 
@@ -27,24 +29,24 @@ fn assert_batch_matches_sequential(specs: &[&str], policy: NovelPolicy) {
     let len = 25_000;
     let trace = cache::columns(bench, len);
 
-    let mut batch: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
-    let batched = engine::run_many(&mut batch, &trace, policy);
+    let owned: Vec<String> = specs.iter().map(|s| s.to_string()).collect();
+    let batched = kernel::run_specs(&owned, &trace, policy, 2).unwrap();
 
     for (spec, got) in specs.iter().zip(batched) {
         let mut alone = parse_spec(spec).unwrap();
         let fresh = bench.spec().build().take_conditionals(len);
         let want = engine::run_with(&mut alone, fresh, policy);
-        assert_eq!(got, want, "run_many diverged from run_with for {spec}");
+        assert_eq!(got, want, "run_specs diverged from run_with for {spec}");
     }
 }
 
 #[test]
-fn run_many_matches_run_with_for_every_family() {
+fn run_specs_matches_run_with_for_every_family() {
     assert_batch_matches_sequential(FAMILY_SPECS, NovelPolicy::Count);
 }
 
 #[test]
-fn run_many_matches_run_with_under_exclude_policy() {
+fn run_specs_matches_run_with_under_exclude_policy() {
     // `ideal` and `falru` report novel branches, so Exclude actually
     // changes their accounting; the aliased families must agree too.
     let specs = ["ideal:h=6", "falru:cap=256,h=4", "gskew:n=8,h=4"];

@@ -33,12 +33,13 @@ use bpred_sim::runner::default_threads;
 use bpred_sim::{campaign, kernel, report, timing};
 use bpred_trace::cache as trace_cache;
 use bpred_trace::io as trace_io;
+use bpred_trace::soa::TraceColumns;
 use bpred_trace::stats::TraceStats;
-use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 const USAGE: &str = "\
 bpsim — skewed branch predictor reproduction (Michaud/Seznec/Uhlig, ISCA'97)
@@ -63,10 +64,10 @@ USAGE:
 
 Global options:
   --verbose          print trace-cache, results-store and engine-throughput
-                     summaries (hits/misses; cells skipped from the store,
-                     reused from earlier in the run, simulated, and records
-                     saved; records/sec on the kernel and dyn simulation
-                     paths)
+                     summaries (hits/misses and records synthesised/sec;
+                     cells skipped from the store, reused from earlier in
+                     the run, simulated, and records saved; records/sec on
+                     the simulation kernels)
 
 Workload options, on the commands that generate a workload (all but
 `list`, `help` and `results`):
@@ -204,13 +205,17 @@ fn print_cache_summary() {
     let stats = trace_cache::stats();
     eprintln!(
         "trace cache: {} hits / {} misses ({:.0}% hit), {} evictions, \
-         {} traces resident ({:.1} MiB)",
+         {} traces resident ({:.1} MiB), {:.2} M records synthesised in {:.2} s \
+         ({:.0} M records/s)",
         stats.hits,
         stats.misses,
         100.0 * stats.hit_ratio(),
         stats.evictions,
         stats.entries,
         stats.resident_bytes as f64 / (1 << 20) as f64,
+        stats.synthesised as f64 / 1e6,
+        stats.synth_nanos as f64 / 1e9,
+        stats.synth_rate() / 1e6,
     );
 }
 
@@ -228,27 +233,16 @@ fn print_resume_summary() {
 
 fn print_timing_summary() {
     let t = timing::stats();
-    if t.kernel_applications == 0 && t.dyn_applications == 0 {
+    if t.kernel_applications == 0 {
         return;
     }
-    // Rates are per-core (durations summed across workers), so the two
-    // paths stay comparable regardless of thread counts.
-    if t.kernel_applications > 0 {
-        eprintln!(
-            "engine (kernel): {} record applications in {:.2}s CPU ({:.1} M records/s)",
-            t.kernel_applications,
-            t.kernel_seconds(),
-            t.kernel_rate() / 1e6,
-        );
-    }
-    if t.dyn_applications > 0 {
-        eprintln!(
-            "engine (dyn):    {} record applications in {:.2}s CPU ({:.1} M records/s)",
-            t.dyn_applications,
-            t.dyn_seconds(),
-            t.dyn_rate() / 1e6,
-        );
-    }
+    // The rate is per core: durations are summed across workers.
+    eprintln!(
+        "engine (kernel): {} record applications in {:.2}s CPU ({:.1} M records/s)",
+        t.kernel_applications,
+        t.kernel_seconds(),
+        t.kernel_rate() / 1e6,
+    );
 }
 
 fn cmd_list(out: &mut dyn Write) -> Done {
@@ -715,13 +709,21 @@ fn cmd_trace(args: &Args, out: &mut dyn Write) -> Done {
                 .option_u64("len")?
                 .unwrap_or_else(|| bench.default_len().min(1_000_000));
             let path = args.option("out").ok_or("trace gen needs --out FILE")?;
-            let records = bench
-                .spec_seeded(experiments::workload_seed())
-                .build()
-                .take_conditionals(len);
+            // One generator pass counts the records for the header, a
+            // second streams them, a chunk of columns at a time: memory
+            // stays bounded at any length.
+            const CHUNK: u64 = 1 << 16;
+            let chunks = || {
+                let mut workload = bench.spec_seeded(experiments::workload_seed()).build();
+                (0..len)
+                    .step_by(CHUNK as usize)
+                    .map(move |start| Arc::new(workload.fill(CHUNK.min(len - start))))
+            };
+            let count = chunks().map(|chunk| chunk.len() as u64).sum();
             let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
             let mut writer = BufWriter::new(file);
-            let written = trace_io::write_compact(&mut writer, records)
+            let records = chunks().flat_map(TraceColumns::into_records);
+            let written = trace_io::write_compact_counted(&mut writer, count, records)
                 .map_err(|e| format!("write {path}: {e}"))?;
             writer.flush().map_err(|e| format!("flush {path}: {e}"))?;
             writeln!(out, "wrote {written} records to {path}")?;

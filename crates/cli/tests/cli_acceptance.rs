@@ -340,10 +340,14 @@ fn trace_gen_rejects_format_and_keeps_existing_out_file() {
 
 #[test]
 fn trace_info_streams_back_what_trace_gen_wrote() {
+    use bpred_trace::io::write_compact;
+    use bpred_trace::stream::TraceSourceExt;
+    use bpred_trace::workload::IbsBenchmark;
+
     let path = temp_path("roundtrip.bpt2");
     let file = path.to_str().unwrap();
     let gen = bpsim(&[
-        "trace", "gen", "--bench", "verilog", "--len", "3000", "--out", file,
+        "trace", "gen", "--bench", "verilog", "--len", "70000", "--out", file,
     ]);
     assert!(gen.status.success());
     let wrote = String::from_utf8(gen.stdout).unwrap();
@@ -362,8 +366,19 @@ fn trace_info_streams_back_what_trace_gen_wrote() {
         .unwrap_or_else(|| panic!("no records line: {stats}"));
     assert_eq!(records, written, "{stats}");
 
-    // A file cut short by one byte fails with a read error.
+    // `trace gen` streams the records it counted in a first pass, in
+    // chunks of 65,536 conditionals (two of them here): the bytes are
+    // those of the buffering writer over the record iterator.
     let bytes = std::fs::read(&path).unwrap();
+    let stream = IbsBenchmark::Verilog
+        .spec()
+        .build()
+        .take_conditionals(70_000);
+    let mut buffered = Vec::new();
+    write_compact(&mut buffered, stream).unwrap();
+    assert_eq!(bytes, buffered);
+
+    // A file cut short by one byte fails with a read error.
     std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
     let short = bpsim(&["trace", "info", "--file", file]);
     assert!(!short.status.success());
@@ -478,6 +493,24 @@ fn run_pred_prints_the_dyn_counts_from_the_kernel_path() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("engine (kernel)"), "{stderr}");
     assert!(!stderr.contains("engine (dyn)"), "{stderr}");
+    // The one trace synthesised is counted on the trace-cache line, with
+    // its time and a nonzero rate.
+    let cache_line = stderr
+        .lines()
+        .find(|line| line.starts_with("trace cache: 0 hits / 1 misses"))
+        .unwrap_or_else(|| panic!("no trace-cache line: {stderr}"));
+    let synthesised = IbsBenchmark::Gs.spec().build().fill(20_000).len();
+    let expected = format!(
+        ", {:.2} M records synthesised in ",
+        synthesised as f64 / 1e6
+    );
+    assert!(cache_line.contains(&expected), "{cache_line}");
+    let rate: f64 = cache_line
+        .rsplit_once(" s (")
+        .and_then(|(_, rate)| rate.strip_suffix(" M records/s)"))
+        .and_then(|rate| rate.parse().ok())
+        .unwrap_or_else(|| panic!("no synthesis rate: {cache_line}"));
+    assert!(rate > 0.0, "{cache_line}");
 }
 
 #[test]

@@ -161,8 +161,8 @@ pub(super) fn multiprogram(opts: &ExperimentOpts) -> ExperimentOutput {
         opts.threads,
     );
     // The mixed run sees the same total number of branches.
-    let mix = MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice);
-    let mixed = stream_kernels(&specs, mix.take_conditionals(len));
+    let mut mix = MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice);
+    let mixed = stream_kernels(&specs, len, |n| mix.by_ref().take_conditionals(n).collect());
     let rows = specs
         .iter()
         .zip(mixed)
@@ -337,7 +337,8 @@ pub(super) fn seeds(opts: &ExperimentOpts) -> ExperimentOutput {
         for seed_offset in 0..SEEDS {
             let mut spec = bench.spec();
             spec.seed = spec.seed.wrapping_add(seed_offset * 0x1_0000);
-            let runs = stream_kernels(&specs, spec.build().take_conditionals(len));
+            let mut workload = spec.build();
+            let runs = stream_kernels(&specs, len, |n| workload.fill(n));
             for (pcts, run) in results.iter_mut().zip(runs) {
                 pcts.push(run.mispredict_pct());
             }

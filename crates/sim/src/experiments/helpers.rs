@@ -10,7 +10,6 @@ use bpred_aliasing::batch::{self, ThreeCCell};
 use bpred_aliasing::three_c::ThreeCCounts;
 use bpred_core::spec::PredictorSpec;
 use bpred_trace::cache;
-use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::{Records, TraceColumns};
 use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,14 +59,16 @@ pub fn sim_pct(spec: &str, bench: IbsBenchmark, len: u64) -> f64 {
     resume::run_cells(&[(bench, len)], NovelPolicy::Count, &[unit], 1)[0][0][0].mispredict_pct()
 }
 
-/// Records per column chunk in [`stream_kernels`].
-const STREAM_CHUNK: usize = 1 << 16;
+/// Conditional records per column chunk in [`stream_kernels`].
+const STREAM_CHUNK: u64 = 1 << 16;
 
-/// Run table-kernel `specs` over a bespoke record stream — a reseeded or
-/// mixed workload the trace cache does not hold. The stream is generated
-/// once and walked a column chunk at a time (kernels carry their state
-/// from one `run` to the next), so it is never resident whole. Results
-/// are parallel to `specs`; no prediction is novel.
+/// Run table-kernel `specs` over the first `len` conditional records of
+/// a bespoke trace — a reseeded or mixed workload the trace cache does
+/// not hold. `fill(n)` builds the trace's next `n` conditional records
+/// as columns ([`bpred_trace::workload::Workload::fill`]); the trace is
+/// built once, a chunk at a time (kernels carry their state from one
+/// `run` to the next), so it is never resident whole. Results are
+/// parallel to `specs`; no prediction is novel.
 ///
 /// # Panics
 ///
@@ -75,7 +76,8 @@ const STREAM_CHUNK: usize = 1 << 16;
 /// code owns its specs.
 pub(crate) fn stream_kernels(
     specs: &[&str],
-    records: impl Iterator<Item = BranchRecord>,
+    len: u64,
+    mut fill: impl FnMut(u64) -> TraceColumns,
 ) -> Vec<RunResult> {
     let mut kernels: Vec<PredictorKernel> = specs
         .iter()
@@ -85,9 +87,8 @@ pub(crate) fn stream_kernels(
         })
         .collect();
     let mut results = vec![RunResult::default(); specs.len()];
-    let mut records = records.peekable();
-    while records.peek().is_some() {
-        let chunk: TraceColumns = records.by_ref().take(STREAM_CHUNK).collect();
+    for start in (0..len).step_by(STREAM_CHUNK as usize) {
+        let chunk = fill(STREAM_CHUNK.min(len - start));
         for (kernel, total) in kernels.iter_mut().zip(&mut results) {
             let part = kernel.run(&chunk);
             total.conditional += part.conditional;
@@ -204,6 +205,23 @@ mod tests {
         let p = sim_pct("gshare:n=10,h=4", IbsBenchmark::Verilog, 5_000);
         assert!((0.0..=100.0).contains(&p));
         assert!(p > 0.0, "some mispredictions expected");
+    }
+
+    #[test]
+    fn streamed_kernels_match_one_whole_trace_run() {
+        // Three and a bit chunks of a reseeded workload, each kernel
+        // carrying its state across them.
+        let specs = ["gshare:n=12,h=6", "gskew:n=10,h=8", "bimode:n=10,h=6"];
+        let len = 3 * STREAM_CHUNK + 1_234;
+        let spec = IbsBenchmark::Gs.spec_seeded(0x5EED_1997);
+        let mut workload = spec.build();
+        let streamed = stream_kernels(&specs, len, |n| workload.fill(n));
+        let whole = spec.build().fill(len);
+        for (spec, streamed) in specs.iter().zip(streamed) {
+            let parsed = PredictorSpec::parse(spec).unwrap();
+            let run = PredictorKernel::from_spec(&parsed).unwrap().run(&whole);
+            assert_eq!(streamed, run, "{spec}");
+        }
     }
 
     #[test]

@@ -414,8 +414,9 @@ fn simulate(
     cells: &mut [Option<Vec<(RunResult, Source)>>],
     threads: usize,
 ) {
-    // Each job with the slots it serves, in the order of its results.
-    let (mut jobs, mut served, mut traces) = (Vec::new(), Vec::new(), Vec::new());
+    // Each job, by its trace's index, with the slots it serves in the
+    // order of its results.
+    let (mut queue, mut traces) = (Vec::new(), Vec::new());
     // Slots asking for the same cells as an earlier planned slot (alias
     // spellings in one call), each with that slot.
     let mut repeats = Vec::new();
@@ -439,11 +440,14 @@ fn simulate(
         }
         let missing = slots.iter().map(|&slot| &units[slot % units.len()]);
         for (rows, job) in kernel::plan(missing).unwrap_or_else(|e| panic!("bad spec: {e}")) {
-            jobs.push((traces.len(), job));
-            served.push(rows.into_iter().map(|row| slots[row]).collect::<Vec<_>>());
+            let slots: Vec<usize> = rows.into_iter().map(|row| slots[row]).collect();
+            queue.push(((traces.len(), job), slots));
         }
         traces.push(workload);
     }
+    let (jobs, served): (Vec<_>, Vec<_>) = spread_workloads(queue, |((t, _), _)| *t)
+        .into_iter()
+        .unzip();
 
     // Each trace is fetched once, by the first job that reads it: jobs
     // of other workloads meanwhile run, or fetch theirs, on the other
@@ -467,6 +471,20 @@ fn simulate(
         let reused = cells[first].as_ref().expect("planned slots are simulated");
         cells[slot] = Some(reused.iter().map(|&(r, _)| (r, Source::Memo)).collect());
     }
+}
+
+/// `jobs`, listed trace by trace (`trace` gives a job's trace index), in
+/// the order to run them: the first job of every trace, then the others,
+/// each group in list order. Workers take jobs in order, so on a cold
+/// cache they synthesise different traces at once, where in list order
+/// the second worker would wait on the trace the first is building.
+fn spread_workloads<T>(jobs: Vec<T>, trace: impl Fn(&T) -> usize) -> Vec<T> {
+    let mut previous = None;
+    let (mut order, rest): (Vec<_>, Vec<_>) = jobs
+        .into_iter()
+        .partition(|job| previous.replace(trace(job)) != Some(trace(job)));
+    order.extend(rest);
+    order
 }
 
 /// Enter every produced cell into the memo. With a store attached, also
@@ -529,6 +547,16 @@ mod tests {
     use super::*;
     use bpred_core::index::IndexFunction;
     use bpred_trace::workload::DEFAULT_SEED_BASE;
+
+    #[test]
+    fn jobs_run_one_of_each_workload_first() {
+        let jobs = vec![(0, 'a'), (0, 'b'), (0, 'c'), (1, 'd'), (2, 'e'), (2, 'f')];
+        assert_eq!(
+            spread_workloads(jobs, |&(t, _)| t),
+            [(0, 'a'), (1, 'd'), (2, 'e'), (0, 'b'), (0, 'c'), (2, 'f')]
+        );
+        assert!(spread_workloads(Vec::<usize>::new(), |&t| t).is_empty());
+    }
 
     const DM: ThreeCCell = ThreeCCell {
         entries_log2: 10,

@@ -28,11 +28,11 @@
 //!   its only limit.
 
 use crate::soa::TraceColumns;
-use crate::stream::TraceSourceExt;
 use crate::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Default resident-byte bound: at 5.25 bytes per record this holds some
 /// 204 M records. A full-length `experiment all` keeps about 87 MiB of
@@ -116,6 +116,8 @@ impl LruCache {
 static CACHE: OnceLock<Mutex<LruCache>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
+static SYNTHESISED: AtomicU64 = AtomicU64::new(0);
+static SYNTH_NANOS: AtomicU64 = AtomicU64::new(0);
 
 fn cache() -> &'static Mutex<LruCache> {
     CACHE.get_or_init(|| Mutex::new(LruCache::new(DEFAULT_CAPACITY_BYTES)))
@@ -134,6 +136,10 @@ pub struct CacheStats {
     pub entries: usize,
     /// Bytes held by resident traces right now.
     pub resident_bytes: usize,
+    /// Records synthesised on misses.
+    pub synthesised: u64,
+    /// Nanoseconds spent synthesising them, summed across threads.
+    pub synth_nanos: u64,
 }
 
 impl CacheStats {
@@ -144,6 +150,16 @@ impl CacheStats {
             0.0
         } else {
             self.hits as f64 / total as f64
+        }
+    }
+
+    /// Records synthesised per second of [`CacheStats::synth_nanos`], or
+    /// 0 when nothing was synthesised.
+    pub fn synth_rate(&self) -> f64 {
+        if self.synth_nanos == 0 {
+            0.0
+        } else {
+            self.synthesised as f64 * 1e9 / self.synth_nanos as f64
         }
     }
 }
@@ -157,15 +173,18 @@ pub fn stats() -> CacheStats {
         evictions: guard.evictions,
         entries: guard.map.len(),
         resident_bytes: guard.resident_bytes,
+        synthesised: SYNTHESISED.load(Ordering::Relaxed),
+        synth_nanos: SYNTH_NANOS.load(Ordering::Relaxed),
     }
 }
 
+/// Synthesise a trace, program generation included, and count it.
 fn generate(bench: IbsBenchmark, len: u64, seed_base: u64) -> TraceColumns {
-    bench
-        .spec_seeded(seed_base)
-        .build()
-        .take_conditionals(len)
-        .collect()
+    let start = Instant::now();
+    let columns = bench.spec_seeded(seed_base).build().fill(len);
+    SYNTH_NANOS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    SYNTHESISED.fetch_add(columns.len() as u64, Ordering::Relaxed);
+    columns
 }
 
 /// The benchmark's trace bounded to `len` conditional branches, under

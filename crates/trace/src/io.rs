@@ -54,20 +54,38 @@ fn read_varint<R: Read>(reader: &mut R) -> io::Result<u64> {
 /// Write a trace in the compact `BPT2` format; returns the record count.
 ///
 /// Buffers the records to know the count up front; use this for bounded
-/// traces only.
+/// traces only, and [`write_compact_counted`] for a stream whose count
+/// is known.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `writer`.
 pub fn write_compact<W: Write>(
-    mut writer: W,
+    writer: W,
     records: impl Iterator<Item = BranchRecord>,
 ) -> io::Result<u64> {
     let records: Vec<BranchRecord> = records.collect();
+    write_compact_counted(writer, records.len() as u64, records.into_iter())
+}
+
+/// Write the `count` records of `records` in the compact `BPT2` format,
+/// streaming them: the bytes [`write_compact`] writes, in memory
+/// independent of the trace's length. Returns the record count.
+///
+/// # Errors
+///
+/// Propagates I/O errors from `writer`, and returns
+/// [`io::ErrorKind::InvalidInput`] when `records` yields other than
+/// `count` records (the header is written by then).
+pub fn write_compact_counted<W: Write>(
+    mut writer: W,
+    count: u64,
+    records: impl Iterator<Item = BranchRecord>,
+) -> io::Result<u64> {
     writer.write_all(MAGIC)?;
-    write_varint(&mut writer, records.len() as u64)?;
-    let mut prev_pc = 0u64;
-    for r in &records {
+    write_varint(&mut writer, count)?;
+    let (mut written, mut prev_pc) = (0u64, 0u64);
+    for r in records {
         let (delta, negative) = if r.pc >= prev_pc {
             (r.pc - prev_pc, false)
         } else {
@@ -80,8 +98,15 @@ pub fn write_compact<W: Write>(
         writer.write_all(&[flags])?;
         write_varint(&mut writer, delta)?;
         prev_pc = r.pc;
+        written += 1;
     }
-    Ok(records.len() as u64)
+    if written != count {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{written} records written under a header of {count}"),
+        ));
+    }
+    Ok(count)
 }
 
 /// Read a compact `BPT2` trace fully into memory.
@@ -154,11 +179,7 @@ impl<R: Read> Iterator for CompactReader<R> {
                 pc,
                 kind,
                 taken: flags & 1 == 1,
-                privilege: if flags & 0b10 != 0 {
-                    Privilege::Kernel
-                } else {
-                    Privilege::User
-                },
+                privilege: Privilege::of(flags & 0b10 != 0),
             })
         })();
         match result {
@@ -219,6 +240,22 @@ mod tests {
         let n = write_compact(&mut buf, sample().into_iter()).unwrap();
         assert_eq!(n, 5);
         assert_eq!(read_compact(buf.as_slice()).unwrap(), sample());
+    }
+
+    #[test]
+    fn counted_writes_stream_the_same_bytes() {
+        let mut buffered = Vec::new();
+        write_compact(&mut buffered, sample().into_iter()).unwrap();
+        let mut streamed = Vec::new();
+        assert_eq!(
+            write_compact_counted(&mut streamed, 5, sample().into_iter()).unwrap(),
+            5
+        );
+        assert_eq!(streamed, buffered);
+        for wrong in [4, 6] {
+            let err = write_compact_counted(Vec::new(), wrong, sample().into_iter()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
     }
 
     #[test]

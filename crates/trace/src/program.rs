@@ -11,7 +11,7 @@
 //! ratio*), Zipf-distributed block frequencies, and history correlation.
 
 use crate::behavior::{Behavior, SiteState};
-use crate::record::{BranchKind, BranchRecord, Privilege};
+use crate::record::{BranchKind, BranchRecord, Sink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -176,7 +176,7 @@ pub struct Walker {
     stack: Vec<BlockId>,
     history: u64,
     rng: SmallRng,
-    privilege: Privilege,
+    kernel: bool,
 }
 
 impl Walker {
@@ -191,13 +191,13 @@ impl Walker {
             stack: Vec::with_capacity(MAX_CALL_DEPTH),
             history: 0,
             rng: SmallRng::seed_from_u64(seed),
-            privilege: Privilege::User,
+            kernel: false,
         }
     }
 
     /// Tag every emitted record as kernel-mode.
     pub fn in_kernel(mut self) -> Self {
-        self.privilege = Privilege::Kernel;
+        self.kernel = true;
         self
     }
 
@@ -206,9 +206,50 @@ impl Walker {
         &self.program
     }
 
-    #[inline]
-    fn push_history(&mut self, taken: bool) {
-        self.history = (self.history << 1) | u64::from(taken);
+    /// Take one step of the walk: resolve the current block's
+    /// terminator, hand its record to `sink` and follow the chosen edge.
+    /// Returns whether the record was a conditional branch. This is the
+    /// one walk; the record iterator and [`crate::workload::Workload::fill`]
+    /// both step it.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, sink: &mut impl Sink) -> bool {
+        // The program is borrowed immutably while the site-state, RNG,
+        // stack and position fields change: they are disjoint fields, so
+        // nothing is cloned on this hot path.
+        let block = &self.program.blocks[self.current];
+        let (pc, kernel) = (block.pc, self.kernel);
+        let (kind, next) = match &block.terminator {
+            Terminator::Branch {
+                behavior,
+                taken,
+                fallthrough,
+            } => {
+                let outcome = behavior.next_outcome(
+                    &mut self.states[self.current],
+                    self.history,
+                    &mut self.rng,
+                );
+                self.current = if outcome { *taken } else { *fallthrough };
+                self.history = self.history << 1 | u64::from(outcome);
+                sink.conditional(pc, outcome, kernel);
+                return true;
+            }
+            Terminator::Jump { target } => (BranchKind::Unconditional, *target),
+            Terminator::Call { callee, return_to } => {
+                if self.stack.len() < MAX_CALL_DEPTH {
+                    self.stack.push(*return_to);
+                }
+                (BranchKind::Call, *callee)
+            }
+            Terminator::Return => (
+                BranchKind::Return,
+                self.stack.pop().unwrap_or(self.program.entry),
+            ),
+        };
+        self.current = next;
+        self.history = self.history << 1 | 1;
+        sink.other(pc, kind, kernel);
+        false
     }
 }
 
@@ -216,52 +257,16 @@ impl Iterator for Walker {
     type Item = BranchRecord;
 
     fn next(&mut self) -> Option<BranchRecord> {
-        let block_id = self.current;
-        let pc = self.program.blocks[block_id].pc;
-        // Resolve the step while borrowing the program immutably; the
-        // site-state, RNG and stack fields are disjoint, so no cloning is
-        // needed in this hot path.
-        let (kind, taken, next) = match &self.program.blocks[block_id].terminator {
-            Terminator::Branch {
-                behavior,
-                taken,
-                fallthrough,
-            } => {
-                let outcome =
-                    behavior.next_outcome(&mut self.states[block_id], self.history, &mut self.rng);
-                (
-                    BranchKind::Conditional,
-                    outcome,
-                    if outcome { *taken } else { *fallthrough },
-                )
-            }
-            Terminator::Jump { target } => (BranchKind::Unconditional, true, *target),
-            Terminator::Call { callee, return_to } => {
-                if self.stack.len() < MAX_CALL_DEPTH {
-                    self.stack.push(*return_to);
-                }
-                (BranchKind::Call, true, *callee)
-            }
-            Terminator::Return => (
-                BranchKind::Return,
-                true,
-                self.stack.pop().unwrap_or(self.program.entry),
-            ),
-        };
-        self.current = next;
-        self.push_history(taken);
-        Some(BranchRecord {
-            pc,
-            kind,
-            taken,
-            privilege: self.privilege,
-        })
+        let mut record = None;
+        self.step(&mut record);
+        record
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Privilege;
 
     fn branch(pc: u64, behavior: Behavior, taken: BlockId, fallthrough: BlockId) -> Block {
         Block {

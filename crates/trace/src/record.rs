@@ -94,6 +94,16 @@ impl Privilege {
             Privilege::Kernel => "kernel",
         }
     }
+
+    /// [`Privilege::Kernel`] when `kernel`, else [`Privilege::User`].
+    #[inline]
+    pub(crate) fn of(kernel: bool) -> Privilege {
+        if kernel {
+            Privilege::Kernel
+        } else {
+            Privilege::User
+        }
+    }
 }
 
 impl fmt::Display for Privilege {
@@ -144,6 +154,41 @@ impl BranchRecord {
     pub fn in_kernel(mut self) -> Self {
         self.privilege = Privilege::Kernel;
         self
+    }
+}
+
+/// Where a trace's records go, one call a record: conditional branches
+/// on one path and every other record on the other, the split of a
+/// predictor interface between the branches it predicts and the rest.
+/// An other record is always taken.
+pub(crate) trait Sink {
+    /// A conditional branch at `pc`.
+    fn conditional(&mut self, pc: u64, taken: bool, kernel: bool);
+    /// A taken non-conditional record of `kind` at `pc`.
+    fn other(&mut self, pc: u64, kind: BranchKind, kernel: bool);
+}
+
+/// Holds the last record handed to it: how a record iterator takes one
+/// step of a walk.
+impl Sink for Option<BranchRecord> {
+    #[inline(always)]
+    fn conditional(&mut self, pc: u64, taken: bool, kernel: bool) {
+        *self = Some(BranchRecord {
+            pc,
+            kind: BranchKind::Conditional,
+            taken,
+            privilege: Privilege::of(kernel),
+        });
+    }
+
+    #[inline(always)]
+    fn other(&mut self, pc: u64, kind: BranchKind, kernel: bool) {
+        *self = Some(BranchRecord {
+            pc,
+            kind,
+            taken: true,
+            privilege: Privilege::of(kernel),
+        });
     }
 }
 

@@ -35,11 +35,13 @@
 //! loop per high-word segment: the end of a segment is the end of its
 //! slices, and stepping to the next segment is a cold call. Every other
 //! consumer (the `dyn` engine, the aliasing classifiers, trace
-//! statistics) iterates records. Columns are built straight from a
-//! record stream by [`FromIterator`] (no intermediate record vector) and
-//! memoized per `(benchmark, len, seed)` by [`crate::cache`].
+//! statistics) iterates records. Every column set is appended by one
+//! builder: the generator writes into it directly
+//! ([`crate::workload::Workload::fill`], no record in between), and a
+//! record stream feeds it through [`FromIterator`]. The trace cache
+//! memoizes the columns per `(benchmark, len, seed)` ([`crate::cache`]).
 
-use crate::record::{BranchKind, BranchRecord, Privilege};
+use crate::record::{BranchKind, BranchRecord, Privilege, Sink};
 use std::iter::Zip;
 use std::ops::Deref;
 use std::slice;
@@ -71,6 +73,7 @@ impl PcColumn {
         }
     }
 
+    #[inline(always)]
     fn push(&mut self, pc: u64) {
         let high = (pc >> 32) as u32;
         if high != self.changes.last().map_or(0, |&(_, h)| h) {
@@ -147,59 +150,9 @@ impl TraceColumns {
     /// Decompose `records` into columns.
     pub fn from_records(records: &[BranchRecord]) -> TraceColumns {
         let conditionals = records.iter().filter(|r| r.kind.is_conditional()).count();
-        let mut cols = TraceColumns::with_capacity(conditionals, records.len() - conditionals);
-        for &r in records {
-            cols.push(r);
-        }
-        cols
-    }
-
-    fn with_capacity(conditionals: usize, others: usize) -> TraceColumns {
-        let words = (conditionals + others).div_ceil(64);
-        TraceColumns {
-            cond_pc: PcColumn::with_capacity(conditionals),
-            cond_meta: Vec::with_capacity(conditionals),
-            other_pc: PcColumn::with_capacity(others),
-            other_meta: Vec::with_capacity(others),
-            conditional: Vec::with_capacity(words),
-            kernel: Vec::with_capacity(words),
-            trailing: 0,
-            max_conditional_pc: 0,
-        }
-    }
-
-    /// Append one record.
-    fn push(&mut self, r: BranchRecord) {
-        let i = self.len();
-        if i & 63 == 0 {
-            self.conditional.push(0);
-            self.kernel.push(0);
-        }
-        let (word, mask) = (i >> 6, 1u64 << (i & 63));
-        if r.kind == BranchKind::Conditional {
-            self.conditional[word] |= mask;
-            self.cond_pc.push(r.pc);
-            self.cond_meta.push(self.trailing << 1 | u8::from(r.taken));
-            self.trailing = 0;
-            self.max_conditional_pc = self.max_conditional_pc.max(r.pc);
-        } else {
-            self.other_pc.push(r.pc);
-            self.other_meta
-                .push(r.kind.code() | if r.taken { OTHER_TAKEN } else { 0 });
-            self.trailing = (self.trailing + 1).min(GAP_MAX);
-        }
-        if r.privilege == Privilege::Kernel {
-            self.kernel[word] |= mask;
-        }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        self.cond_pc.shrink_to_fit();
-        self.cond_meta.shrink_to_fit();
-        self.other_pc.shrink_to_fit();
-        self.other_meta.shrink_to_fit();
-        self.conditional.shrink_to_fit();
-        self.kernel.shrink_to_fit();
+        let mut cols = ColumnBuilder::with_capacity(conditionals, records.len() - conditionals);
+        records.iter().for_each(|&r| cols.record(r));
+        cols.finish()
     }
 
     /// Number of records.
@@ -273,16 +226,125 @@ impl TraceColumns {
     }
 }
 
-/// Builds the columns straight from a record stream, then releases the
-/// growth slack, so a generated trace is never held as records.
+/// Builds the columns straight from a record stream, so a trace read
+/// from a record iterator is never held as records.
 impl FromIterator<BranchRecord> for TraceColumns {
     fn from_iter<I: IntoIterator<Item = BranchRecord>>(iter: I) -> TraceColumns {
-        let mut cols = TraceColumns::default();
-        for r in iter {
-            cols.push(r);
+        let mut cols = ColumnBuilder::with_capacity(0, 0);
+        iter.into_iter().for_each(|r| cols.record(r));
+        cols.finish()
+    }
+}
+
+/// Appends records to a [`TraceColumns`]: the one way columns are built.
+/// A generator walk hands it records as a [`Sink`], a record stream
+/// through [`ColumnBuilder::record`].
+///
+/// The pc and meta columns are pre-sized, and the two bitset words being
+/// filled are fields of the builder, not loads from the bitset columns:
+/// a word is pushed once it holds 64 records.
+#[derive(Debug)]
+pub(crate) struct ColumnBuilder {
+    cols: TraceColumns,
+    /// The conditional and kernel-mode bits of the records after the last
+    /// full word, the first of them in bit 0.
+    cond_word: u64,
+    kernel_word: u64,
+    /// Records in those words.
+    bits: u32,
+}
+
+impl ColumnBuilder {
+    /// A builder with room for `conditionals` conditional and `others`
+    /// other records before any column grows.
+    pub(crate) fn with_capacity(conditionals: usize, others: usize) -> ColumnBuilder {
+        let words = (conditionals + others).div_ceil(64);
+        ColumnBuilder {
+            cols: TraceColumns {
+                cond_pc: PcColumn::with_capacity(conditionals),
+                cond_meta: Vec::with_capacity(conditionals),
+                other_pc: PcColumn::with_capacity(others),
+                other_meta: Vec::with_capacity(others),
+                conditional: Vec::with_capacity(words),
+                kernel: Vec::with_capacity(words),
+                trailing: 0,
+                max_conditional_pc: 0,
+            },
+            cond_word: 0,
+            kernel_word: 0,
+            bits: 0,
         }
-        cols.shrink_to_fit();
-        cols
+    }
+
+    /// Append any record, kind and taken bit as they are.
+    #[inline]
+    fn record(&mut self, r: BranchRecord) {
+        let kernel = r.privilege == Privilege::Kernel;
+        if r.kind.is_conditional() {
+            self.conditional(r.pc, r.taken, kernel);
+        } else {
+            let taken = if r.taken { OTHER_TAKEN } else { 0 };
+            self.append_other(r.pc, r.kind.code() | taken, kernel);
+        }
+    }
+
+    #[inline(always)]
+    fn append_other(&mut self, pc: u64, meta: u8, kernel: bool) {
+        let cols = &mut self.cols;
+        cols.other_pc.push(pc);
+        cols.other_meta.push(meta);
+        cols.trailing = (cols.trailing + 1).min(GAP_MAX);
+        self.mark(false, kernel);
+    }
+
+    /// Set the next record's bits, pushing the words once they are full.
+    #[inline(always)]
+    fn mark(&mut self, conditional: bool, kernel: bool) {
+        self.cond_word |= u64::from(conditional) << self.bits;
+        self.kernel_word |= u64::from(kernel) << self.bits;
+        self.bits += 1;
+        if self.bits == 64 {
+            self.push_words();
+        }
+    }
+
+    fn push_words(&mut self) {
+        self.cols.conditional.push(self.cond_word);
+        self.cols.kernel.push(self.kernel_word);
+        (self.cond_word, self.kernel_word, self.bits) = (0, 0, 0);
+    }
+
+    /// The columns, with the last partial bitset words pushed and the
+    /// growth slack released.
+    pub(crate) fn finish(mut self) -> TraceColumns {
+        if self.bits > 0 {
+            self.push_words();
+        }
+        let cols = &mut self.cols;
+        cols.cond_pc.shrink_to_fit();
+        cols.cond_meta.shrink_to_fit();
+        cols.other_pc.shrink_to_fit();
+        cols.other_meta.shrink_to_fit();
+        cols.conditional.shrink_to_fit();
+        cols.kernel.shrink_to_fit();
+        self.cols
+    }
+}
+
+impl Sink for ColumnBuilder {
+    #[inline(always)]
+    fn conditional(&mut self, pc: u64, taken: bool, kernel: bool) {
+        let cols = &mut self.cols;
+        cols.cond_pc.push(pc);
+        cols.cond_meta.push(cols.trailing << 1 | u8::from(taken));
+        cols.trailing = 0;
+        cols.max_conditional_pc = cols.max_conditional_pc.max(pc);
+        self.mark(true, kernel);
+    }
+
+    #[inline(always)]
+    fn other(&mut self, pc: u64, kind: BranchKind, kernel: bool) {
+        self.append_other(pc, kind.code() | OTHER_TAKEN, kernel);
     }
 }
 
@@ -451,11 +513,7 @@ impl<C: Deref<Target = TraceColumns>> Iterator for Records<C> {
         let (conditional, kernel) = (self.cond_bits & 1 == 1, self.kernel_bits & 1 == 1);
         self.cond_bits >>= 1;
         self.kernel_bits >>= 1;
-        let privilege = if kernel {
-            Privilege::Kernel
-        } else {
-            Privilege::User
-        };
+        let privilege = Privilege::of(kernel);
         if conditional {
             let (k, pc) = self.cond.step(&cols.cond_pc);
             return Some(BranchRecord {

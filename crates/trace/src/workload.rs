@@ -15,7 +15,8 @@
 
 use crate::gen::{BehaviorMix, ProgramParams};
 use crate::program::Walker;
-use crate::record::BranchRecord;
+use crate::record::{BranchRecord, Sink};
+use crate::soa::{ColumnBuilder, TraceColumns};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -344,28 +345,57 @@ impl Workload {
     pub fn num_processes(&self) -> usize {
         self.users.len()
     }
+
+    /// The trace's next `conditionals` conditional branches, with every
+    /// other record before the last of them, as columns: the next
+    /// records [`TraceSourceExt::take_conditionals`] would yield, built
+    /// with no record in between. The walk stops right after the last
+    /// conditional record, so a later `fill` continues the same trace,
+    /// and the random numbers drawn are the record iterator's.
+    ///
+    /// [`TraceSourceExt::take_conditionals`]: crate::stream::TraceSourceExt::take_conditionals
+    pub fn fill(&mut self, conditionals: u64) -> TraceColumns {
+        let n = usize::try_from(conditionals).expect("conditional count fits in memory");
+        // The six presets emit 0.41-0.50 other records per conditional.
+        let mut columns = ColumnBuilder::with_capacity(n, n / 2);
+        let mut left = conditionals;
+        while left > 0 {
+            left -= u64::from(self.step(&mut columns));
+        }
+        columns.finish()
+    }
+
+    /// Take one step: a record of the kernel burst in progress, or of a
+    /// newly entered one, or else of the active user process. Returns
+    /// whether it was a conditional branch.
+    #[inline(always)]
+    fn step(&mut self, sink: &mut impl Sink) -> bool {
+        if let Some(kernel) = &mut self.kernel {
+            if self.burst_left > 0 {
+                self.burst_left -= 1;
+                return kernel.step(sink);
+            }
+            if self.kernel_entry_prob > 0.0 && self.rng.gen_bool(self.kernel_entry_prob) {
+                self.burst_left = self.rng.gen_range(self.kernel_burst.clone());
+                return kernel.step(sink);
+            }
+        }
+        let conditional = self.users[self.active].step(sink);
+        self.slice_left -= 1;
+        if self.slice_left == 0 {
+            self.active = (self.active + 1) % self.users.len();
+            self.slice_left = self.time_slice;
+        }
+        conditional
+    }
 }
 
 impl Iterator for Workload {
     type Item = BranchRecord;
 
     fn next(&mut self) -> Option<BranchRecord> {
-        if let Some(kernel) = &mut self.kernel {
-            if self.burst_left > 0 {
-                self.burst_left -= 1;
-                return kernel.next();
-            }
-            if self.kernel_entry_prob > 0.0 && self.rng.gen_bool(self.kernel_entry_prob) {
-                self.burst_left = self.rng.gen_range(self.kernel_burst.clone());
-                return kernel.next();
-            }
-        }
-        let record = self.users[self.active].next();
-        self.slice_left -= 1;
-        if self.slice_left == 0 {
-            self.active = (self.active + 1) % self.users.len();
-            self.slice_left = self.time_slice;
-        }
+        let mut record = None;
+        self.step(&mut record);
         record
     }
 }

@@ -3,18 +3,17 @@
 //! Section 5.2 evaluates `b` "for the entire trace by measuring the
 //! density of static (address, history) pairs with bias taken". This
 //! module measures per-pair outcome tallies and reports that density,
-//! along with the dynamic taken rate.
+//! along with the per-pair majority agreement.
 
-use crate::cursor::PairCursor;
+use crate::cursor::for_each_vector;
 use bpred_core::pair::PairMap;
-use bpred_trace::record::{BranchKind, BranchRecord};
+use bpred_trace::soa::TraceColumns;
 
 /// Per-substream outcome tallies and the derived bias statistics.
 #[derive(Debug, Clone)]
 pub struct BiasStats {
-    cursor: PairCursor,
+    history_bits: u32,
     tallies: PairMap<(u64, u64)>, // (taken, total)
-    dynamic_taken: u64,
     dynamic: u64,
 }
 
@@ -22,33 +21,20 @@ impl BiasStats {
     /// Bias statistics under `history_bits` of global history.
     pub fn new(history_bits: u32) -> Self {
         BiasStats {
-            cursor: PairCursor::new(history_bits),
+            history_bits,
             tallies: PairMap::default(),
-            dynamic_taken: 0,
             dynamic: 0,
         }
     }
 
-    /// Account one trace record.
-    pub fn observe(&mut self, record: &BranchRecord) {
-        if record.kind == BranchKind::Conditional {
-            self.dynamic += 1;
-            self.dynamic_taken += u64::from(record.taken);
-            let entry = self
-                .tallies
-                .entry(self.cursor.pair(record.pc))
-                .or_insert((0, 0));
-            entry.0 += u64::from(record.taken);
+    /// Account every conditional record of a whole trace.
+    pub fn run(mut self, cols: &TraceColumns) -> Self {
+        for_each_vector(cols, self.history_bits, |v, taken| {
+            let entry = self.tallies.entry(v.pair()).or_insert((0, 0));
+            entry.0 += u64::from(taken);
             entry.1 += 1;
-        }
-        self.cursor.advance(record);
-    }
-
-    /// Consume a whole stream.
-    pub fn run(mut self, records: impl Iterator<Item = BranchRecord>) -> Self {
-        for r in records {
-            self.observe(&r);
-        }
+        });
+        self.dynamic += cols.conditional_count();
         self
     }
 
@@ -65,20 +51,6 @@ impl BiasStats {
             .filter(|(taken, total)| 2 * taken >= *total)
             .count();
         biased as f64 / self.tallies.len() as f64
-    }
-
-    /// Dynamic taken rate over all conditional branches.
-    pub fn dynamic_taken_rate(&self) -> f64 {
-        if self.dynamic == 0 {
-            0.0
-        } else {
-            self.dynamic_taken as f64 / self.dynamic as f64
-        }
-    }
-
-    /// Number of static pairs observed.
-    pub fn static_pairs(&self) -> u64 {
-        self.tallies.len() as u64
     }
 
     /// Average per-pair agreement with the pair's majority outcome — an
@@ -100,39 +72,37 @@ impl BiasStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpred_trace::record::BranchRecord;
 
     #[test]
     fn counts_majorities() {
-        let records = vec![
+        let records = [
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x100, false),
             BranchRecord::conditional(0x200, false),
             BranchRecord::conditional(0x200, false),
         ];
-        let b = BiasStats::new(0).run(records.into_iter());
-        assert_eq!(b.static_pairs(), 2);
+        let b = BiasStats::new(0).run(&TraceColumns::from_records(&records));
         assert!((b.static_bias_taken() - 0.5).abs() < 1e-12);
-        assert!((b.dynamic_taken_rate() - 0.4).abs() < 1e-12);
         // majority agreement: (2 + 2) / 5
         assert!((b.majority_agreement() - 0.8).abs() < 1e-12);
     }
 
     #[test]
     fn tie_counts_as_taken() {
-        let records = vec![
+        let records = [
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x100, false),
         ];
-        let b = BiasStats::new(0).run(records.into_iter());
+        let b = BiasStats::new(0).run(&TraceColumns::from_records(&records));
         assert_eq!(b.static_bias_taken(), 1.0);
     }
 
     #[test]
     fn empty_is_zero() {
-        let b = BiasStats::new(4).run(std::iter::empty());
+        let b = BiasStats::new(4).run(&TraceColumns::default());
         assert_eq!(b.static_bias_taken(), 0.0);
-        assert_eq!(b.dynamic_taken_rate(), 0.0);
         assert_eq!(b.majority_agreement(), 0.0);
     }
 }

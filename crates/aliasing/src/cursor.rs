@@ -1,9 +1,30 @@
-//! Converts a branch-record stream into the `(address, history)` pair
-//! references that the aliasing instruments consume.
+//! Converts a trace into the `(address, history)` pair references that
+//! the aliasing instruments consume: from trace columns
+//! ([`for_each_vector`]) or from a record stream ([`PairCursor`]).
 
 use bpred_core::table::History;
 use bpred_core::vector::InfoVector;
 use bpred_trace::record::{BranchKind, BranchRecord};
+use bpred_trace::soa::TraceColumns;
+
+/// Hand every conditional record of `cols`, in order, to `f(vector,
+/// taken)`: its information vector under `history_bits` of global
+/// history, and its outcome. The vectors are the ones a [`PairCursor`]
+/// forms over the same records, read from the history the columns'
+/// cursor ([`TraceColumns::conditionals`]) hands over.
+#[inline]
+pub fn for_each_vector(
+    cols: &TraceColumns,
+    history_bits: u32,
+    mut f: impl FnMut(InfoVector, bool),
+) {
+    let mut history = History::new(history_bits);
+    let mask = history.mask();
+    cols.conditionals(0).for_each_record(|pc, taken, global| {
+        history.load(global, mask);
+        f(history.vector(pc), taken);
+    });
+}
 
 /// Tracks global history over a record stream and forms the
 /// `(address, history)` pair for each conditional branch, exactly as a
@@ -51,11 +72,6 @@ impl PairCursor {
     pub fn advance(&mut self, record: &BranchRecord) {
         let taken = record.kind != BranchKind::Conditional || record.taken;
         self.history.push(taken, self.history.mask());
-    }
-
-    /// History length in bits.
-    pub fn history_bits(&self) -> u32 {
-        self.history.bits()
     }
 }
 

@@ -14,12 +14,12 @@
 //! table detects aliasing, the pair of (aliased, unaliased) correctness
 //! classifies the event.
 
-use crate::cursor::PairCursor;
+use crate::cursor::for_each_vector;
 use bpred_core::counter::{CounterKind, CounterTable, SatCounter};
 use bpred_core::index::IndexFunction;
 use bpred_core::pair::PairMap;
 use bpred_core::predictor::Outcome;
-use bpred_trace::record::{BranchKind, BranchRecord};
+use bpred_trace::soa::TraceColumns;
 
 /// Counts of aliasing events by their effect on the prediction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,7 +99,7 @@ struct Aliased {
 /// size. Each size's counts equal those of a one-size classifier.
 #[derive(Debug, Clone)]
 pub struct AliasingNature {
-    cursor: PairCursor,
+    history_bits: u32,
     func: IndexFunction,
     kind: CounterKind,
     /// Dense pair ids, in order of first reference.
@@ -136,7 +136,7 @@ impl AliasingNature {
             })
             .collect();
         AliasingNature {
-            cursor: PairCursor::new(history_bits),
+            history_bits,
             func,
             kind,
             ids: PairMap::default(),
@@ -145,11 +145,12 @@ impl AliasingNature {
         }
     }
 
-    /// Account one trace record.
-    pub fn observe(&mut self, record: &BranchRecord) {
-        if record.kind == BranchKind::Conditional {
-            let v = self.cursor.vector(record.pc);
-            let outcome = Outcome::from(record.taken);
+    /// Classify every conditional record of a whole trace and return the
+    /// counts, one entry per size in the order given to
+    /// [`AliasingNature::new`].
+    pub fn run(mut self, cols: &TraceColumns) -> Vec<NatureCounts> {
+        for_each_vector(cols, self.history_bits, |v, taken| {
+            let outcome = Outcome::from(taken);
             let fresh = self.shadow.len() as u32;
             let id = *self.ids.entry(v.pair()).or_insert(fresh);
             // The shadow's verdict before it trains; `None` on a first
@@ -182,21 +183,7 @@ impl AliasingNature {
                 size.table.train(idx, outcome);
                 size.owners[idx as usize] = id;
             }
-        }
-        self.cursor.advance(record);
-    }
-
-    /// Consume a whole record stream and return the counts, one entry
-    /// per size in the order given to [`AliasingNature::new`].
-    pub fn run(mut self, records: impl Iterator<Item = BranchRecord>) -> Vec<NatureCounts> {
-        for r in records {
-            self.observe(&r);
-        }
-        self.finish()
-    }
-
-    /// The accumulated counts, one entry per size.
-    pub fn finish(self) -> Vec<NatureCounts> {
+        });
         self.sizes.into_iter().map(|size| size.counts).collect()
     }
 }
@@ -213,7 +200,7 @@ mod tests {
             IndexFunction::Bimodal,
             CounterKind::TwoBit,
         )
-        .run(records.iter().copied())[0]
+        .run(&TraceColumns::from_records(records))[0]
     }
 
     /// Two opposite-biased branches forced into one entry: destructive.
@@ -256,13 +243,9 @@ mod tests {
     /// constructive case exists but is rarer, as Young et al. report.
     #[test]
     fn constructive_aliasing_is_rarer_on_real_workloads() {
-        let records: Vec<_> = IbsBenchmark::Groff
-            .spec()
-            .build()
-            .take_conditionals(120_000)
-            .collect();
+        let trace = IbsBenchmark::Groff.spec().build().fill(120_000);
         let counts = AliasingNature::new(&[10], 4, IndexFunction::Gshare, CounterKind::TwoBit)
-            .run(records.into_iter())[0];
+            .run(&trace)[0];
         assert!(counts.aliased() > 0);
         assert!(counts.compulsory > 0);
         assert!(

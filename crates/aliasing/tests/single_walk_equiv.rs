@@ -104,7 +104,7 @@ proptest! {
         let func = func_from(func_i);
         let kind = CounterKind::from_bits(ctr).expect("1..=4 bit counters exist");
         let walked = AliasingNature::new(&sizes, history_bits, func, kind)
-            .run(records.iter().copied());
+            .run(&TraceColumns::from_records(&records));
         prop_assert_eq!(walked.len(), sizes.len());
         for (&n, got) in sizes.iter().zip(&walked) {
             let want = one_size(n, history_bits, func, kind, &records);

@@ -39,7 +39,6 @@ use bpred_trace::workload::IbsBenchmark;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 const USAGE: &str = "\
 bpsim — skewed branch predictor reproduction (Michaud/Seznec/Uhlig, ISCA'97)
@@ -717,13 +716,12 @@ fn cmd_trace(args: &Args, out: &mut dyn Write) -> Done {
                 let mut workload = bench.spec_seeded(experiments::workload_seed()).build();
                 (0..len)
                     .step_by(CHUNK as usize)
-                    .map(move |start| Arc::new(workload.fill(CHUNK.min(len - start))))
+                    .map(move |start| workload.fill(CHUNK.min(len - start)))
             };
             let count = chunks().map(|chunk| chunk.len() as u64).sum();
             let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
             let mut writer = BufWriter::new(file);
-            let records = chunks().flat_map(TraceColumns::into_records);
-            let written = trace_io::write_compact_counted(&mut writer, count, records)
+            let written = trace_io::write_compact_chunks(&mut writer, count, chunks())
                 .map_err(|e| format!("write {path}: {e}"))?;
             writer.flush().map_err(|e| format!("flush {path}: {e}"))?;
             writeln!(out, "wrote {written} records to {path}")?;
@@ -735,8 +733,13 @@ fn cmd_trace(args: &Args, out: &mut dyn Write) -> Done {
             let read_err = |e: std::io::Error| format!("read {path}: {e}");
             let reader = trace_io::CompactReader::new(BufReader::new(file)).map_err(read_err)?;
             let mut failure = None;
-            let records = reader.map_while(|record| record.map_err(|e| failure = Some(e)).ok());
-            let stats = TraceStats::collect(records);
+            let mut records = reader.map_while(|record| record.map_err(|e| failure = Some(e)).ok());
+            // The file's records, folded a chunk of columns at a time.
+            let chunks = std::iter::from_fn(|| {
+                let chunk: TraceColumns = records.by_ref().take(1 << 16).collect();
+                (!chunk.is_empty()).then_some(chunk)
+            });
+            let stats = TraceStats::collect(chunks);
             if let Some(e) = failure {
                 return Err(read_err(e).into());
             }

@@ -142,13 +142,6 @@ impl SatCounter {
     pub fn train(&mut self, outcome: Outcome) {
         self.value = step(self.value, self.kind.max_value(), outcome);
     }
-
-    /// `true` when the counter is saturated in the direction it predicts
-    /// (strongly taken or strongly not-taken).
-    #[inline]
-    pub fn is_strong(&self) -> bool {
-        self.value == 0 || self.value == self.kind.max_value()
-    }
 }
 
 impl Default for SatCounter {
@@ -252,13 +245,6 @@ impl CounterTable {
         self.cells[(index & self.mask) as usize]
     }
 
-    /// Overwrite entry `index` with a raw value, saturating to the legal
-    /// range. Intended for tests and for seeding experiments.
-    #[inline]
-    pub fn set_value(&mut self, index: u64, value: u8) {
-        self.cells[(index & self.mask) as usize] = value.min(self.kind.max_value());
-    }
-
     /// Hardware storage cost in bits.
     #[inline]
     pub fn storage_bits(&self) -> u64 {
@@ -333,19 +319,17 @@ mod tests {
             c.train(Outcome::Taken);
         }
         assert_eq!(c.value(), 3);
-        assert!(c.is_strong());
         for _ in 0..100 {
             c.train(Outcome::NotTaken);
         }
         assert_eq!(c.value(), 0);
-        assert!(c.is_strong());
     }
 
     #[test]
     fn seeded_counter_predicts_seed() {
         let t = SatCounter::seeded(CounterKind::TwoBit, Outcome::Taken);
         assert_eq!(t.predict(), Outcome::Taken);
-        assert!(!t.is_strong(), "seed is weak");
+        assert_eq!(t.value(), 2, "seed is weak");
         let n = SatCounter::seeded(CounterKind::TwoBit, Outcome::NotTaken);
         assert_eq!(n.predict(), Outcome::NotTaken);
     }

@@ -149,16 +149,6 @@ pub fn collision_image(bank: usize, diff: u64, n: u32) -> u64 {
     skew_index(bank, diff, n)
 }
 
-/// Check the inter-bank dispersion property between two banks by rank
-/// computation over GF(2).
-///
-/// Returns `true` when the only difference vector `(X, Y)` (low `2n` bits)
-/// that collides in *both* banks is zero — i.e. the combined linear map
-/// `(X, Y) -> (c_i, c_j)` has full rank `2n`.
-pub fn banks_disperse(bank_i: usize, bank_j: usize, n: u32) -> bool {
-    dispersion_kernel_dim(bank_i, bank_j, n) == 0
-}
-
 /// Dimension of the space of difference vectors that collide in *both*
 /// banks simultaneously.
 ///

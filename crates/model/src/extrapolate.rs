@@ -18,9 +18,9 @@
 //! aliasing is not modeled.
 
 use bpred_aliasing::bias::BiasStats;
-use bpred_aliasing::cursor::PairCursor;
+use bpred_aliasing::cursor::for_each_vector;
 use bpred_core::lru::LastUseDistance;
-use bpred_trace::record::{BranchKind, BranchRecord};
+use bpred_trace::soa::TraceColumns;
 
 use crate::prob::aliasing_probability;
 use crate::skew::p_sk;
@@ -50,19 +50,14 @@ pub struct Extrapolator {
 }
 
 impl Extrapolator {
-    /// Run the two-pass pipeline. `pass1` and `pass2` must yield the same
-    /// record stream (re-build the workload for each). A one-size call
-    /// of [`extrapolate_sizes`].
+    /// Run the two-pass pipeline over a whole trace. A one-size call of
+    /// [`extrapolate_sizes`].
     ///
     /// # Panics
     ///
     /// Panics if `bank_entries` is zero.
-    pub fn run(
-        &self,
-        pass1: impl Iterator<Item = BranchRecord>,
-        pass2: impl Iterator<Item = BranchRecord>,
-    ) -> Extrapolation {
-        extrapolate_sizes(&[self.bank_entries], self.history_bits, pass1, pass2)[0]
+    pub fn run(&self, cols: &TraceColumns) -> Extrapolation {
+        extrapolate_sizes(&[self.bank_entries], self.history_bits, cols)[0]
     }
 }
 
@@ -74,7 +69,7 @@ impl Extrapolator {
 /// the overhead sum is kept per size. Each sum is accumulated over the
 /// references in trace order, exactly as a one-size run accumulates it,
 /// so every result is bit-identical to [`Extrapolator::run`] at that
-/// size. `pass1` and `pass2` must yield the same record stream.
+/// size.
 ///
 /// # Panics
 ///
@@ -82,8 +77,7 @@ impl Extrapolator {
 pub fn extrapolate_sizes(
     bank_entries: &[u64],
     history_bits: u32,
-    pass1: impl Iterator<Item = BranchRecord>,
-    pass2: impl Iterator<Item = BranchRecord>,
+    cols: &TraceColumns,
 ) -> Vec<Extrapolation> {
     assert!(
         bank_entries.iter().all(|&entries| entries > 0),
@@ -91,14 +85,13 @@ pub fn extrapolate_sizes(
     );
 
     // Pass 1: bias over the entire trace.
-    let bias = BiasStats::new(history_bits).run(pass1);
+    let bias = BiasStats::new(history_bits).run(cols);
     let b = bias.static_bias_taken();
 
     // Pass 2: last-use distances, overhead per size, and the unaliased
     // 1-bit base rate, in one walk. Each pair gets a dense id on first
     // use; a 1-bit automaton per pair predicts the pair's last outcome,
     // held at `last_outcome[id]`.
-    let mut cursor = PairCursor::new(history_bits);
     let mut distances = LastUseDistance::<u32>::with_payload();
     let mut last_outcome: Vec<bool> = Vec::new();
     let width = bank_entries.len();
@@ -113,43 +106,39 @@ pub fn extrapolate_sizes(
     // First encounter: the paper applies formula (3) with p = 1.
     let first_use = p_sk(1.0, b);
     let mut unaliased_misses = 0u64;
-    let mut references = 0u64;
+    let references = cols.conditional_count();
 
-    for record in pass2 {
-        if record.kind == BranchKind::Conditional {
-            references += 1;
-            let fresh = last_outcome.len() as u32;
-            let (distance, id) = distances.observe_with(cursor.pair(record.pc), || fresh);
-            match distance {
-                Some(d) => {
-                    let row = d as usize * width;
-                    if terms.len() < row + width {
-                        terms.resize(row + width, f64::NAN);
-                    }
-                    let row = &mut terms[row..row + width];
-                    if width > 0 && row[0].is_nan() {
-                        for (term, &entries) in row.iter_mut().zip(bank_entries) {
-                            *term = p_sk(aliasing_probability(d, entries), b);
-                        }
-                    }
-                    for (sum, term) in overhead_sums.iter_mut().zip(row.iter()) {
-                        *sum += term;
-                    }
-                    let last = &mut last_outcome[id as usize];
-                    unaliased_misses += u64::from(*last != record.taken);
-                    *last = record.taken;
+    for_each_vector(cols, history_bits, |v, taken| {
+        let fresh = last_outcome.len() as u32;
+        let (distance, id) = distances.observe_with(v.pair(), || fresh);
+        match distance {
+            Some(d) => {
+                let row = d as usize * width;
+                if terms.len() < row + width {
+                    terms.resize(row + width, f64::NAN);
                 }
-                None => {
-                    for sum in &mut overhead_sums {
-                        *sum += first_use;
+                let row = &mut terms[row..row + width];
+                if width > 0 && row[0].is_nan() {
+                    for (term, &entries) in row.iter_mut().zip(bank_entries) {
+                        *term = p_sk(aliasing_probability(d, entries), b);
                     }
-                    // A first use is novel: not charged.
-                    last_outcome.push(record.taken);
                 }
+                for (sum, term) in overhead_sums.iter_mut().zip(row.iter()) {
+                    *sum += term;
+                }
+                let last = &mut last_outcome[id as usize];
+                unaliased_misses += u64::from(*last != taken);
+                *last = taken;
+            }
+            None => {
+                for sum in &mut overhead_sums {
+                    *sum += first_use;
+                }
+                // A first use is novel: not charged.
+                last_outcome.push(taken);
             }
         }
-        cursor.advance(&record);
-    }
+    });
 
     let refs_f = references.max(1) as f64;
     let unaliased_rate = unaliased_misses as f64 / refs_f;
@@ -174,15 +163,11 @@ mod tests {
     use bpred_trace::prelude::*;
 
     fn run(bank_entries: u64, len: u64) -> Extrapolation {
-        let spec = IbsBenchmark::Verilog.spec();
         Extrapolator {
             bank_entries,
             history_bits: 4,
         }
-        .run(
-            spec.build().take_conditionals(len),
-            spec.build().take_conditionals(len),
-        )
+        .run(&IbsBenchmark::Verilog.spec().build().fill(len))
     }
 
     #[test]
@@ -219,24 +204,15 @@ mod tests {
     fn batched_sizes_match_per_size_runs_bit_for_bit() {
         // Figure 11's nine bank sizes plus the degenerate one-entry bank.
         let sizes: Vec<u64> = (6..=14).map(|n| 1u64 << n).chain([1]).collect();
-        let spec = IbsBenchmark::Groff.spec();
-        let len = 30_000;
-        let batched = extrapolate_sizes(
-            &sizes,
-            4,
-            spec.build().take_conditionals(len),
-            spec.build().take_conditionals(len),
-        );
+        let trace = IbsBenchmark::Groff.spec().build().fill(30_000);
+        let batched = extrapolate_sizes(&sizes, 4, &trace);
         assert_eq!(batched.len(), sizes.len());
         for (&bank_entries, got) in sizes.iter().zip(&batched) {
             let want = Extrapolator {
                 bank_entries,
                 history_bits: 4,
             }
-            .run(
-                spec.build().take_conditionals(len),
-                spec.build().take_conditionals(len),
-            );
+            .run(&trace);
             let bits = |e: &Extrapolation| {
                 [
                     e.bias.to_bits(),

@@ -46,11 +46,6 @@ impl RunResult {
             100.0 * self.mispredicted as f64 / self.conditional as f64
         }
     }
-
-    /// Misprediction ratio in `[0, 1]`.
-    pub fn mispredict_ratio(&self) -> f64 {
-        self.mispredict_pct() / 100.0
-    }
 }
 
 /// Run `predictor` over `records` with the default accounting

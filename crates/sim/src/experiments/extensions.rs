@@ -23,8 +23,7 @@
 //!   workloads (seed robustness).
 
 use super::helpers::{
-    bench_sweep_table, columns, history_labels, records, size_labels, spec_sweep_table,
-    stream_kernels,
+    bench_sweep_table, columns, history_labels, size_labels, spec_sweep_table, stream_kernels,
 };
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::engine::NovelPolicy;
@@ -37,7 +36,6 @@ use bpred_core::counter::CounterKind;
 use bpred_core::index::IndexFunction;
 use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_trace::mix::MultiProgram;
-use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
 
 pub(super) fn skew_ablation(opts: &ExperimentOpts) -> ExperimentOutput {
@@ -162,7 +160,7 @@ pub(super) fn multiprogram(opts: &ExperimentOpts) -> ExperimentOutput {
     );
     // The mixed run sees the same total number of branches.
     let mut mix = MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice);
-    let mixed = stream_kernels(&specs, len, |n| mix.by_ref().take_conditionals(n).collect());
+    let mixed = stream_kernels(&specs, len, |n| mix.fill(n));
     let rows = specs
         .iter()
         .zip(mixed)
@@ -549,7 +547,7 @@ pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
     // One walk per benchmark classifies every size.
     let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
         AliasingNature::new(&ns, 8, IndexFunction::Gshare, CounterKind::TwoBit)
-            .run(records(bench, opts.len_for(bench)))
+            .run(&columns(bench, opts.len_for(bench)))
     });
 
     let labels = size_labels(*SIZES.start(), *SIZES.end());

@@ -29,8 +29,7 @@ struct Cell {
 fn measure(workloads: &[Workload], banks_log2: &[u32], threads: usize) -> Vec<Vec<Cell>> {
     let sizes: Vec<u64> = banks_log2.iter().map(|&n| 1u64 << n).collect();
     let extrapolations = parallel_map(workloads.to_vec(), threads, |(bench, len)| {
-        let trace = columns(bench, len);
-        extrapolate_sizes(&sizes, HISTORY, trace.records(), trace.records())
+        extrapolate_sizes(&sizes, HISTORY, &columns(bench, len))
     });
     let units: Vec<Unit> = banks_log2
         .iter()

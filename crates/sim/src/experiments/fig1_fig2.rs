@@ -123,7 +123,7 @@ pub(super) fn run(opts: &ExperimentOpts, history_bits: u32, id: &'static str) ->
 
 #[cfg(test)]
 mod tests {
-    use super::super::helpers::records;
+    use super::super::helpers::columns;
     use super::*;
     use bpred_aliasing::cursor::PairCursor;
     use bpred_aliasing::fully_assoc::TaggedFullyAssociative;
@@ -144,7 +144,7 @@ mod tests {
         let mut dm_gshare = TaggedDirectMapped::new(entries_log2, IndexFunction::Gshare);
         let mut dm_gselect = TaggedDirectMapped::new(entries_log2, IndexFunction::Gselect);
         let mut fa = TaggedFullyAssociative::new(1 << entries_log2);
-        for record in records(bench, len) {
+        for record in columns(bench, len).records() {
             if record.kind == BranchKind::Conditional {
                 let v = cursor.vector(record.pc);
                 dm_gshare.access(&v);

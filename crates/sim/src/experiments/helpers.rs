@@ -10,7 +10,7 @@ use bpred_aliasing::batch::{self, ThreeCCell};
 use bpred_aliasing::three_c::ThreeCCounts;
 use bpred_core::spec::PredictorSpec;
 use bpred_trace::cache;
-use bpred_trace::soa::{Records, TraceColumns};
+use bpred_trace::soa::TraceColumns;
 use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,11 +37,6 @@ pub fn workload_seed() -> u64 {
 /// `Arc<TraceColumns>` instead of regenerating the workload.
 pub fn columns(bench: IbsBenchmark, len: u64) -> Arc<TraceColumns> {
     cache::columns_seeded(bench, len, workload_seed())
-}
-
-/// The records of [`columns`]`(bench, len)`, in order.
-pub fn records(bench: IbsBenchmark, len: u64) -> Records<Arc<TraceColumns>> {
-    columns(bench, len).into_records()
 }
 
 /// Simulate a predictor spec over one benchmark and return the

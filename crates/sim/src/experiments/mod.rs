@@ -24,7 +24,7 @@ mod table1;
 mod table2;
 mod three_c;
 
-pub use helpers::{columns, records, set_workload_seed, sim_pct, workload_seed};
+pub use helpers::{columns, set_workload_seed, sim_pct, workload_seed};
 
 /// The per-benchmark trace-length cap of `--quick` runs
 /// ([`ExperimentOpts::len_for`]).

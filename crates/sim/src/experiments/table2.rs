@@ -116,7 +116,7 @@ pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::helpers::records;
+    use crate::experiments::helpers::columns;
     use crate::kernel::reference;
     use bpred_aliasing::substream::SubstreamStats;
     use bpred_core::predictor::Outcome;
@@ -132,7 +132,7 @@ mod tests {
         let mut conditional = 0u64;
         let mut miss1 = 0u64;
         let mut miss2 = 0u64;
-        for record in records(bench, len) {
+        for record in columns(bench, len).records() {
             if record.kind == BranchKind::Conditional {
                 conditional += 1;
                 let outcome = Outcome::from(record.taken);

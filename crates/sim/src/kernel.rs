@@ -66,8 +66,10 @@
 //!   retiring record looks its cells up again under the retire-time
 //!   history before it trains, as the predictor's `update` does.
 //!   Retirement is positional over all records, so this one loop,
-//!   `drive_delayed`, walks [`TraceColumns::records`] with a trailing
-//!   retire cursor and shifts the history itself.
+//!   `drive_delayed`, walks the conditional records with their positions
+//!   ([`TraceColumns::positioned`]) under a trailing retire cursor, and
+//!   shifts the other records in between into the history as runs of
+//!   taken bits.
 //!
 //! Simulation work runs as [`Job`]s: a table kernel, a shared
 //! [`LruWalk`], a set walk, a direct-mapped three-C pass or a shared
@@ -99,7 +101,6 @@ use bpred_core::pair::PairMap;
 use bpred_core::predictor::{Outcome, Prediction};
 use bpred_core::spec::PredictorSpec;
 use bpred_core::table::{History, Table, TablePredictor, Visit};
-use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::TraceColumns;
 use std::ops::Deref;
 use std::time::Instant;
@@ -144,11 +145,17 @@ fn drive<T: Table>(
     }
 }
 
-/// [`drive`] with retirement-time training over the records: record `i`
-/// is predicted, then record `i - delay` retires. A retiring conditional
+/// [`drive`] with retirement-time training: record `i` is predicted once
+/// the records before `i - delay` have retired. A retiring conditional
 /// record is looked up again under the retire-time history and trained;
 /// every retiring record shifts into the history. The records still in
 /// flight retire at the end (see [`PredictorKernel::run_delayed`]).
+///
+/// Only conditional records predict or train, so the loop walks them
+/// alone, twice over: one cursor predicts, a trailing one retires, and
+/// each reads the record's position among all records from
+/// [`TraceColumns::positioned`]. The other records between two
+/// retirements shift in as a run of taken bits.
 #[inline(never)]
 fn drive_delayed<T: Table>(
     table: &mut T,
@@ -156,43 +163,58 @@ fn drive_delayed<T: Table>(
     cols: &TraceColumns,
     delay: usize,
 ) -> RunResult {
+    // The retiring cursor's next record; `DONE` once it has none.
+    const DONE: (usize, u64, bool) = (usize::MAX, 0, false);
     let mut mispredicted = 0;
     let hmask = hist.mask();
     let mut h = *hist;
-    let retire = |r: BranchRecord, table: &mut T, h: &mut History| {
-        let conditional = r.kind.is_conditional();
-        if conditional {
-            let look = table.look(r.pc, *h);
-            table.train(look, r.taken);
+    // The raw global history once the first `retired` records retired.
+    let (mut global, mut retired) = (h.value(), 0);
+    let (mut ahead, mut retiring) = (cols.positioned(), cols.positioned());
+    let mut next = retiring.next().unwrap_or(DONE);
+    loop {
+        let predicting = ahead.next();
+        // Every record before `due` retires first; past the last
+        // prediction, every record still in flight.
+        let due = predicting.map_or(usize::MAX, |(at, _, _)| at.saturating_sub(delay));
+        while next.0 < due {
+            let (at, pc, taken) = next;
+            global = shift_taken(global, at - retired);
+            if T::GLOBAL_HISTORY {
+                h.load(global, hmask);
+            }
+            let look = table.look(pc, h);
+            table.train(look, taken);
+            (global, retired) = (global << 1 | u64::from(taken), at + 1);
+            next = retiring.next().unwrap_or(DONE);
         }
+        let Some((_, pc, taken)) = predicting else {
+            break;
+        };
+        (global, retired) = (shift_taken(global, due - retired), due);
         if T::GLOBAL_HISTORY {
-            h.push(!conditional || r.taken, hmask);
+            h.load(global, hmask);
         }
-    };
-    let mut predict = |r: BranchRecord, table: &mut T, h: History| {
-        if r.kind.is_conditional() {
-            mispredicted += u64::from(table.look(r.pc, h).predicted != r.taken);
-        }
-    };
-    let mut ahead = cols.records();
-    for r in ahead.by_ref().take(delay) {
-        predict(r, table, h);
+        mispredicted += u64::from(table.look(pc, h).predicted != taken);
     }
-    let mut retiring = cols.records();
-    for r in ahead {
-        predict(r, table, h);
-        let r = retiring.next().expect("the retiring cursor trails");
-        retire(r, table, &mut h);
-    }
-    // Drain the records still in flight.
-    for r in retiring {
-        retire(r, table, &mut h);
+    if T::GLOBAL_HISTORY {
+        h.load(shift_taken(global, cols.len() - retired), hmask);
     }
     *hist = h;
     RunResult {
         conditional: cols.conditional_count(),
         mispredicted,
         novel: 0,
+    }
+}
+
+/// `history` after `n` taken bits shift in.
+#[inline(always)]
+fn shift_taken(history: u64, n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        !(!history << n)
     }
 }
 
@@ -762,6 +784,7 @@ mod tests {
     use bpred_core::index::IndexFunction;
     use bpred_core::spec::parse_spec;
     use bpred_trace::cache;
+    use bpred_trace::record::BranchRecord;
     use bpred_trace::workload::IbsBenchmark;
 
     fn equivalent(spec: &str, bench: IbsBenchmark, len: u64) {

@@ -55,11 +55,6 @@ impl EngineTiming {
     pub fn kernel_seconds(&self) -> f64 {
         self.kernel_nanos as f64 / 1e9
     }
-
-    /// Seconds spent in the dyn path.
-    pub fn dyn_seconds(&self) -> f64 {
-        self.dyn_nanos as f64 / 1e9
-    }
 }
 
 fn rate(applications: u64, nanos: u64) -> f64 {
@@ -125,7 +120,6 @@ mod tests {
         assert!(after.kernel_rate() > 0.0);
         assert!(after.dyn_rate() > 0.0);
         assert!(after.kernel_seconds() > 0.0);
-        assert!(after.dyn_seconds() > 0.0);
     }
 
     #[test]

@@ -122,30 +122,6 @@ impl Behavior {
             }
         }
     }
-
-    /// The long-run taken probability of the site, used for bias
-    /// statistics (the `b` parameter of the analytical model).
-    pub fn steady_taken_prob(&self) -> f64 {
-        match *self {
-            Behavior::Bias { taken_prob } => taken_prob,
-            Behavior::Loop { trip } => (f64::from(trip) - 1.0) / f64::from(trip).max(1.0),
-            Behavior::Pattern { bits, len } => {
-                let ones = (bits & mask_len(len)).count_ones();
-                f64::from(ones) / f64::from(len)
-            }
-            Behavior::HistoryParity { .. } => 0.5,
-            Behavior::Phased { taken_prob, .. } => (taken_prob[0] + taken_prob[1]) / 2.0,
-        }
-    }
-}
-
-#[inline]
-fn mask_len(len: u8) -> u64 {
-    if len >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << len) - 1
-    }
 }
 
 #[cfg(test)]
@@ -232,31 +208,6 @@ mod tests {
         assert_eq!(
             outcomes,
             vec![true, true, true, false, false, false, true, true, true]
-        );
-    }
-
-    #[test]
-    fn steady_probabilities() {
-        assert!((Behavior::Bias { taken_prob: 0.7 }.steady_taken_prob() - 0.7).abs() < 1e-12);
-        assert!((Behavior::Loop { trip: 4 }.steady_taken_prob() - 0.75).abs() < 1e-12);
-        assert!(
-            (Behavior::Pattern {
-                bits: 0b0110,
-                len: 4
-            }
-            .steady_taken_prob()
-                - 0.5)
-                .abs()
-                < 1e-12
-        );
-        assert_eq!(
-            Behavior::HistoryParity {
-                mask: 1,
-                depth: 1,
-                flip_prob: 0.0
-            }
-            .steady_taken_prob(),
-            0.5
         );
     }
 }

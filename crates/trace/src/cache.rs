@@ -6,11 +6,10 @@
 //! benchmark's trace *once*, straight from the generator into the
 //! structure-of-arrays [`TraceColumns`] layout, and hands the same
 //! `Arc<TraceColumns>` to every subsequent caller. The columns are the
-//! only resident copy: kernels walk them directly, and everything that
-//! wants records iterates them ([`TraceColumns::records`],
-//! [`TraceColumns::into_records`]), so an N-row sweep generates each
-//! trace once and holds it in 5.25 bytes a record (32-bit pc columns;
-//! see [`crate::soa`]).
+//! only resident copy: kernels, aliasing classifiers and trace
+//! statistics all walk them directly ([`TraceColumns::conditionals`]),
+//! so an N-row sweep generates each trace once and holds it in 5.25
+//! bytes a record (32-bit pc columns; see [`crate::soa`]).
 //!
 //! Properties:
 //!

@@ -19,6 +19,8 @@
 //! simulator.
 
 use crate::record::{BranchKind, BranchRecord, Privilege};
+use crate::soa::TraceColumns;
+use std::borrow::Borrow;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"BPT2";
@@ -53,9 +55,8 @@ fn read_varint<R: Read>(reader: &mut R) -> io::Result<u64> {
 
 /// Write a trace in the compact `BPT2` format; returns the record count.
 ///
-/// Buffers the records to know the count up front; use this for bounded
-/// traces only, and [`write_compact_counted`] for a stream whose count
-/// is known.
+/// Holds the whole trace, as columns, to know the count up front; use
+/// [`write_compact_chunks`] to stream a trace whose count is known.
 ///
 /// # Errors
 ///
@@ -64,41 +65,44 @@ pub fn write_compact<W: Write>(
     writer: W,
     records: impl Iterator<Item = BranchRecord>,
 ) -> io::Result<u64> {
-    let records: Vec<BranchRecord> = records.collect();
-    write_compact_counted(writer, records.len() as u64, records.into_iter())
+    let trace: TraceColumns = records.collect();
+    write_compact_chunks(writer, trace.len() as u64, [trace])
 }
 
-/// Write the `count` records of `records` in the compact `BPT2` format,
-/// streaming them: the bytes [`write_compact`] writes, in memory
-/// independent of the trace's length. Returns the record count.
+/// Write the `count` records of a trace handed over as column chunks, in
+/// order, in the compact `BPT2` format: the bytes [`write_compact`]
+/// writes for the same records, in memory independent of the trace's
+/// length. Returns the record count.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `writer`, and returns
-/// [`io::ErrorKind::InvalidInput`] when `records` yields other than
+/// [`io::ErrorKind::InvalidInput`] when the chunks hold other than
 /// `count` records (the header is written by then).
-pub fn write_compact_counted<W: Write>(
+pub fn write_compact_chunks<W: Write, C: Borrow<TraceColumns>>(
     mut writer: W,
     count: u64,
-    records: impl Iterator<Item = BranchRecord>,
+    chunks: impl IntoIterator<Item = C>,
 ) -> io::Result<u64> {
     writer.write_all(MAGIC)?;
     write_varint(&mut writer, count)?;
     let (mut written, mut prev_pc) = (0u64, 0u64);
-    for r in records {
-        let (delta, negative) = if r.pc >= prev_pc {
-            (r.pc - prev_pc, false)
-        } else {
-            (prev_pc - r.pc, true)
-        };
-        let flags = u8::from(r.taken)
-            | (u8::from(r.privilege == Privilege::Kernel) << 1)
-            | (r.kind.code() << 2)
-            | (u8::from(negative) << 4);
-        writer.write_all(&[flags])?;
-        write_varint(&mut writer, delta)?;
-        prev_pc = r.pc;
-        written += 1;
+    for chunk in chunks {
+        for r in chunk.borrow().records() {
+            let (delta, negative) = if r.pc >= prev_pc {
+                (r.pc - prev_pc, false)
+            } else {
+                (prev_pc - r.pc, true)
+            };
+            let flags = u8::from(r.taken)
+                | (u8::from(r.privilege == Privilege::Kernel) << 1)
+                | (r.kind.code() << 2)
+                | (u8::from(negative) << 4);
+            writer.write_all(&[flags])?;
+            write_varint(&mut writer, delta)?;
+            prev_pc = r.pc;
+            written += 1;
+        }
     }
     if written != count {
         return Err(io::Error::new(
@@ -243,17 +247,16 @@ mod tests {
     }
 
     #[test]
-    fn counted_writes_stream_the_same_bytes() {
+    fn chunked_writes_stream_the_same_bytes() {
         let mut buffered = Vec::new();
         write_compact(&mut buffered, sample().into_iter()).unwrap();
+        let records = sample();
+        let chunks: Vec<TraceColumns> = records.chunks(2).map(TraceColumns::from_records).collect();
         let mut streamed = Vec::new();
-        assert_eq!(
-            write_compact_counted(&mut streamed, 5, sample().into_iter()).unwrap(),
-            5
-        );
+        assert_eq!(write_compact_chunks(&mut streamed, 5, &chunks).unwrap(), 5);
         assert_eq!(streamed, buffered);
         for wrong in [4, 6] {
-            let err = write_compact_counted(Vec::new(), wrong, sample().into_iter()).unwrap_err();
+            let err = write_compact_chunks(Vec::new(), wrong, &chunks).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         }
     }

@@ -11,9 +11,9 @@
 //! * [`behavior`] — stochastic branch-site behaviour models (bias, loops,
 //!   patterns, history correlation, phases).
 //! * [`soa`] — [`soa::TraceColumns`], the lossless conditional-major
-//!   trace layout: the simulation kernels walk its conditional records
-//!   with the global history handed to them, every other consumer
-//!   iterates its records.
+//!   trace layout: every consumer walks its conditional records with
+//!   the global history handed to them; records are rebuilt from it only
+//!   for the trace file writer and the test oracles.
 //! * [`cache`] — process-wide memoization of benchmark traces as
 //!   `Arc<TraceColumns>` per `(benchmark, len, seed)`, so repeated sweeps
 //!   generate each trace once.
@@ -33,9 +33,9 @@
 //! ```
 //! use bpred_trace::prelude::*;
 //!
-//! let workload = IbsBenchmark::Groff.spec().build();
-//! let records: Vec<BranchRecord> = workload.take_conditionals(1_000).collect();
-//! let stats = TraceStats::collect(records.into_iter());
+//! let mut workload = IbsBenchmark::Groff.spec().build();
+//! let trace: TraceColumns = workload.fill(1_000);
+//! let stats = TraceStats::collect([&trace]);
 //! assert_eq!(stats.dynamic_conditional, 1_000);
 //! ```
 

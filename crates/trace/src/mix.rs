@@ -9,7 +9,8 @@
 //! with a configurable time slice, multiplying the predictor-visible
 //! working set the way a real multiprogrammed system does.
 
-use crate::record::BranchRecord;
+use crate::record::{BranchRecord, Sink};
+use crate::soa::{ColumnBuilder, TraceColumns};
 use crate::workload::{Workload, WorkloadSpec};
 
 /// An interleaving of several workloads, scheduled round-robin with a
@@ -50,9 +51,28 @@ impl MultiProgram {
         }
     }
 
-    /// Number of interleaved workloads.
-    pub fn num_workloads(&self) -> usize {
-        self.workloads.len()
+    /// The mix's next `conditionals` conditional branches, with every
+    /// other record before the last of them, as columns: the next
+    /// records [`TraceSourceExt::take_conditionals`] would yield, built
+    /// with no record in between and from the same random numbers (see
+    /// [`Workload::fill`]).
+    ///
+    /// [`TraceSourceExt::take_conditionals`]: crate::stream::TraceSourceExt::take_conditionals
+    pub fn fill(&mut self, conditionals: u64) -> TraceColumns {
+        ColumnBuilder::walk(conditionals, |columns| self.step(columns))
+    }
+
+    /// Take one step of the active workload, then count it against the
+    /// slice. Returns whether it was a conditional branch.
+    #[inline(always)]
+    fn step(&mut self, sink: &mut impl Sink) -> bool {
+        let conditional = self.workloads[self.active].step(sink);
+        self.slice_left -= 1;
+        if self.slice_left == 0 {
+            self.active = (self.active + 1) % self.workloads.len();
+            self.slice_left = self.slice;
+        }
+        conditional
     }
 }
 
@@ -60,12 +80,8 @@ impl Iterator for MultiProgram {
     type Item = BranchRecord;
 
     fn next(&mut self) -> Option<BranchRecord> {
-        let record = self.workloads[self.active].next();
-        self.slice_left -= 1;
-        if self.slice_left == 0 {
-            self.active = (self.active + 1) % self.workloads.len();
-            self.slice_left = self.slice;
-        }
+        let mut record = None;
+        self.step(&mut record);
         record
     }
 }
@@ -117,14 +133,26 @@ mod tests {
     #[test]
     fn mixing_grows_the_static_working_set() {
         let len = 60_000u64;
-        let solo = TraceStats::collect(IbsBenchmark::Groff.spec().build().take_conditionals(len));
-        let mix = TraceStats::collect(mixed().take_conditionals(len));
+        let solo = TraceStats::collect([IbsBenchmark::Groff.spec().build().fill(len)]);
+        let mix = TraceStats::collect([mixed().fill(len)]);
         assert!(
             mix.static_conditional > solo.static_conditional,
             "mixed {} <= solo {}",
             mix.static_conditional,
             solo.static_conditional
         );
+    }
+
+    #[test]
+    fn fill_writes_the_records_in_chunks() {
+        let len = 25_000;
+        let records: Vec<BranchRecord> = mixed().take_conditionals(len).collect();
+        let mut mix = mixed();
+        let mut chunks = Vec::new();
+        for n in [0, 1, 64, 9_935, 15_000] {
+            chunks.extend(mix.fill(n).records());
+        }
+        assert_eq!(chunks, records);
     }
 
     #[test]

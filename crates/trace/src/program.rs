@@ -144,11 +144,6 @@ impl Program {
         &self.blocks
     }
 
-    /// The entry block.
-    pub fn entry(&self) -> BlockId {
-        self.entry
-    }
-
     /// Number of static conditional branch sites.
     pub fn static_conditionals(&self) -> usize {
         self.blocks
@@ -199,11 +194,6 @@ impl Walker {
     pub fn in_kernel(mut self) -> Self {
         self.kernel = true;
         self
-    }
-
-    /// The underlying program.
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// Take one step of the walk: resolve the current block's

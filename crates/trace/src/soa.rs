@@ -27,25 +27,28 @@
 //! built from, privilege included.
 //!
 //! The paper predicts only conditional branches; every other record
-//! matters only as a taken bit in the global history. So the simulation
-//! kernels walk the conditional records alone through
+//! matters only as a taken bit in the global history. So every consumer
+//! walks the conditional records alone through
 //! [`TraceColumns::conditionals`], which hands each one the raw 64-bit
-//! global history before it, and each kernel masks that to its own
-//! length. [`Conditionals::for_each_record`] walks them as one tight
-//! loop per high-word segment: the end of a segment is the end of its
-//! slices, and stepping to the next segment is a cold call. Every other
-//! consumer (the `dyn` engine, the aliasing classifiers, trace
-//! statistics) iterates records. Every column set is appended by one
-//! builder: the generator writes into it directly
-//! ([`crate::workload::Workload::fill`], no record in between), and a
-//! record stream feeds it through [`FromIterator`]. The trace cache
-//! memoizes the columns per `(benchmark, len, seed)` ([`crate::cache`]).
+//! global history before it, and each consumer masks that to its own
+//! length: the simulation kernels, the aliasing classifiers and the
+//! trace statistics. [`Conditionals::for_each_record`] walks them as one
+//! tight loop per high-word segment: the end of a segment is the end of
+//! its slices, and stepping to the next segment is a cold call.
+//! Retirement-time training needs each conditional record's position
+//! among all records, which the saturated gaps cannot give, so
+//! [`TraceColumns::positioned`] reads it from the `conditional` bitset.
+//! Records are rebuilt ([`TraceColumns::records`]) only where a trace
+//! meets the per-record world: the trace file writer and the test
+//! oracles. Every column set is appended by one builder: the generator
+//! writes into it directly ([`crate::workload::Workload::fill`], no
+//! record in between), and a record stream feeds it through
+//! [`FromIterator`]. The trace cache memoizes the columns per
+//! `(benchmark, len, seed)` ([`crate::cache`]).
 
 use crate::record::{BranchKind, BranchRecord, Privilege, Sink};
 use std::iter::Zip;
-use std::ops::Deref;
 use std::slice;
-use std::sync::Arc;
 
 /// The most non-conditional records a meta byte counts: a 64-bit history
 /// is all ones after that many taken bits.
@@ -202,15 +205,25 @@ impl TraceColumns {
         }
     }
 
-    /// Iterate the records in order, borrowing the columns.
-    pub fn records(&self) -> Records<&TraceColumns> {
-        Records::new(self)
+    /// Walk the conditional records in order as `(position, pc, taken)`,
+    /// where `position` is the record's index among all records.
+    #[inline]
+    pub fn positioned(&self) -> Positioned<'_> {
+        Positioned {
+            cols: self,
+            word: 0,
+            bits: self.conditional.first().copied().unwrap_or(0),
+            cursor: PcCursor::new(&self.cond_pc),
+        }
     }
 
-    /// Iterate the records in order, keeping a shared trace alive — for
-    /// consumers that take an `impl Iterator<Item = BranchRecord>` and
-    /// outlive the caller's borrow.
-    pub fn into_records(self: Arc<Self>) -> Records<Arc<TraceColumns>> {
+    /// Number of records executed in kernel mode.
+    pub fn kernel_count(&self) -> u64 {
+        self.kernel.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// Iterate the records in order.
+    pub fn records(&self) -> Records<'_> {
         Records::new(self)
     }
 
@@ -274,6 +287,25 @@ impl ColumnBuilder {
             kernel_word: 0,
             bits: 0,
         }
+    }
+
+    /// The columns of a walk's next `conditionals` conditional records,
+    /// with every other record before the last of them: `step` takes one
+    /// step of the walk into the builder and returns whether it was a
+    /// conditional record.
+    #[inline(always)]
+    pub(crate) fn walk(
+        conditionals: u64,
+        mut step: impl FnMut(&mut ColumnBuilder) -> bool,
+    ) -> TraceColumns {
+        let n = usize::try_from(conditionals).expect("conditional count fits in memory");
+        // The six presets emit 0.41-0.50 other records per conditional.
+        let mut columns = ColumnBuilder::with_capacity(n, n / 2);
+        let mut left = conditionals;
+        while left > 0 {
+            left -= u64::from(step(&mut columns));
+        }
+        columns.finish()
     }
 
     /// Append any record, kind and taken bit as they are.
@@ -417,8 +449,38 @@ impl Conditionals<'_> {
     }
 }
 
-/// One pc column's read position in [`Records`]: the next index, the
-/// high word in force there, and where the next change point starts.
+/// A walk over the conditional records of a [`TraceColumns`] as
+/// `(position, pc, taken)` ([`TraceColumns::positioned`]): each position
+/// is the next set bit of the `conditional` bitset.
+#[derive(Debug, Clone)]
+pub struct Positioned<'a> {
+    cols: &'a TraceColumns,
+    /// The bitset word `bits` came from.
+    word: usize,
+    /// That word's conditional bits not yet walked.
+    bits: u64,
+    cursor: PcCursor,
+}
+
+impl Iterator for Positioned<'_> {
+    type Item = (usize, u64, bool);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<(usize, u64, bool)> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.cols.conditional.get(self.word)?;
+        }
+        let position = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        let (k, pc) = self.cursor.step(&self.cols.cond_pc);
+        Some((position, pc, self.cols.cond_meta[k] & 1 == 1))
+    }
+}
+
+/// One pc column's read position in [`Records`] and [`Positioned`]: the
+/// next index, the high word in force there, and where the next change
+/// point starts.
 #[derive(Debug, Clone)]
 struct PcCursor {
     next: usize,
@@ -431,6 +493,7 @@ struct PcCursor {
 }
 
 impl PcCursor {
+    #[inline]
     fn new(column: &PcColumn) -> PcCursor {
         PcCursor {
             next: 0,
@@ -453,17 +516,16 @@ impl PcCursor {
     }
 }
 
-/// The records of a [`TraceColumns`], in order: borrowed
-/// ([`TraceColumns::records`]) or owning a shared trace
-/// ([`TraceColumns::into_records`]). The two pc columns are merged by
-/// one cursor each.
+/// The records of a [`TraceColumns`], in order
+/// ([`TraceColumns::records`]). The two pc columns are merged by one
+/// cursor each.
 ///
 /// A step tests one index for both the end of the trace and the end of
 /// a bitset word, and a pc cursor tests one for the end of its segment;
 /// everything else a step needs stays in registers.
 #[derive(Debug, Clone)]
-pub struct Records<C> {
-    cols: C,
+pub struct Records<'a> {
+    cols: &'a TraceColumns,
     len: usize,
     /// The next record that needs more than a step: the start of the
     /// next bitset word, or `len`.
@@ -478,8 +540,8 @@ pub struct Records<C> {
     kernel_bits: u64,
 }
 
-impl<C: Deref<Target = TraceColumns>> Records<C> {
-    fn new(cols: C) -> Records<C> {
+impl Records<'_> {
+    fn new(cols: &TraceColumns) -> Records<'_> {
         Records {
             len: cols.len(),
             stop: 0,
@@ -492,7 +554,7 @@ impl<C: Deref<Target = TraceColumns>> Records<C> {
     }
 }
 
-impl<C: Deref<Target = TraceColumns>> Iterator for Records<C> {
+impl Iterator for Records<'_> {
     type Item = BranchRecord;
 
     // Every record-consuming loop calls this once per record; with a
@@ -501,7 +563,7 @@ impl<C: Deref<Target = TraceColumns>> Iterator for Records<C> {
     #[inline(always)]
     fn next(&mut self) -> Option<BranchRecord> {
         let i = self.cond.next + self.other.next;
-        let cols = &*self.cols;
+        let cols = self.cols;
         if i == self.stop {
             if i == self.len {
                 return None;
@@ -546,7 +608,7 @@ impl<C: Deref<Target = TraceColumns>> Iterator for Records<C> {
     }
 }
 
-impl<C: Deref<Target = TraceColumns>> ExactSizeIterator for Records<C> {}
+impl ExactSizeIterator for Records<'_> {}
 
 #[cfg(test)]
 mod tests {

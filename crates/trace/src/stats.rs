@@ -1,8 +1,9 @@
 //! Trace statistics: the numbers behind Table 1 and the workload sanity
 //! checks.
 
-use crate::record::{BranchKind, BranchRecord, Privilege};
-use std::collections::HashMap;
+use crate::soa::TraceColumns;
+use std::borrow::Borrow;
+use std::collections::HashSet;
 
 /// Aggregate statistics of a branch trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -22,23 +23,22 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Compute statistics over a record stream, consuming it.
-    pub fn collect(source: impl Iterator<Item = BranchRecord>) -> TraceStats {
+    /// Compute statistics over a trace handed over as column chunks, in
+    /// order (one chunk for a whole trace).
+    pub fn collect<C: Borrow<TraceColumns>>(chunks: impl IntoIterator<Item = C>) -> TraceStats {
         let mut stats = TraceStats::default();
-        let mut static_pcs: HashMap<u64, ()> = HashMap::new();
-        for r in source {
-            stats.total_records += 1;
-            if r.privilege == Privilege::Kernel {
-                stats.kernel_records += 1;
-            }
-            if r.kind == BranchKind::Conditional {
-                stats.dynamic_conditional += 1;
-                stats.taken_conditional += u64::from(r.taken);
-                static_pcs.entry(r.pc).or_insert(());
-            } else {
-                stats.dynamic_unconditional += 1;
-            }
+        let mut static_pcs: HashSet<u64> = HashSet::new();
+        for chunk in chunks {
+            let cols = chunk.borrow();
+            stats.total_records += cols.len() as u64;
+            stats.dynamic_conditional += cols.conditional_count();
+            stats.kernel_records += cols.kernel_count();
+            cols.conditionals(0).for_each_record(|pc, taken, _| {
+                stats.taken_conditional += u64::from(taken);
+                static_pcs.insert(pc);
+            });
         }
+        stats.dynamic_unconditional = stats.total_records - stats.dynamic_conditional;
         stats.static_conditional = static_pcs.len() as u64;
         stats
     }
@@ -51,11 +51,6 @@ impl TraceStats {
     /// Fraction of all records executed in kernel mode.
     pub fn kernel_ratio(&self) -> f64 {
         ratio(self.kernel_records, self.total_records)
-    }
-
-    /// Average executions per static conditional branch.
-    pub fn dynamic_per_static(&self) -> f64 {
-        ratio(self.dynamic_conditional, self.static_conditional)
     }
 }
 
@@ -71,20 +66,21 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::BranchRecord;
 
-    fn sample() -> Vec<BranchRecord> {
-        vec![
+    fn sample() -> TraceColumns {
+        TraceColumns::from_records(&[
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x100, false),
             BranchRecord::conditional(0x200, true),
             BranchRecord::unconditional(0x300),
             BranchRecord::conditional(0x400, true).in_kernel(),
-        ]
+        ])
     }
 
     #[test]
     fn counts() {
-        let s = TraceStats::collect(sample().into_iter());
+        let s = TraceStats::collect([sample()]);
         assert_eq!(s.dynamic_conditional, 4);
         assert_eq!(s.static_conditional, 3);
         assert_eq!(s.dynamic_unconditional, 1);
@@ -95,17 +91,16 @@ mod tests {
 
     #[test]
     fn ratios() {
-        let s = TraceStats::collect(sample().into_iter());
+        let s = TraceStats::collect([sample()]);
         assert!((s.taken_ratio() - 0.75).abs() < 1e-12);
         assert!((s.kernel_ratio() - 0.2).abs() < 1e-12);
-        assert!((s.dynamic_per_static() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_trace_is_all_zero() {
-        let s = TraceStats::collect(std::iter::empty());
+        let s = TraceStats::collect([TraceColumns::default()]);
         assert_eq!(s, TraceStats::default());
         assert_eq!(s.taken_ratio(), 0.0);
-        assert_eq!(s.dynamic_per_static(), 0.0);
+        assert_eq!(s, TraceStats::collect(Vec::<TraceColumns>::new()));
     }
 }

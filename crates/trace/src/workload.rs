@@ -305,7 +305,6 @@ impl WorkloadSpec {
             Walker::new(params.generate(self.seed ^ 0xBEEF), self.seed ^ 0xF00D).in_kernel()
         });
         Workload {
-            name: self.name.clone(),
             users,
             kernel,
             active: 0,
@@ -323,7 +322,6 @@ impl WorkloadSpec {
 /// branch records.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    name: String,
     users: Vec<Walker>,
     kernel: Option<Walker>,
     active: usize,
@@ -336,16 +334,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// The workload's name (from its [`WorkloadSpec`]).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of user processes being interleaved.
-    pub fn num_processes(&self) -> usize {
-        self.users.len()
-    }
-
     /// The trace's next `conditionals` conditional branches, with every
     /// other record before the last of them, as columns: the next
     /// records [`TraceSourceExt::take_conditionals`] would yield, built
@@ -355,21 +343,14 @@ impl Workload {
     ///
     /// [`TraceSourceExt::take_conditionals`]: crate::stream::TraceSourceExt::take_conditionals
     pub fn fill(&mut self, conditionals: u64) -> TraceColumns {
-        let n = usize::try_from(conditionals).expect("conditional count fits in memory");
-        // The six presets emit 0.41-0.50 other records per conditional.
-        let mut columns = ColumnBuilder::with_capacity(n, n / 2);
-        let mut left = conditionals;
-        while left > 0 {
-            left -= u64::from(self.step(&mut columns));
-        }
-        columns.finish()
+        ColumnBuilder::walk(conditionals, |columns| self.step(columns))
     }
 
     /// Take one step: a record of the kernel burst in progress, or of a
     /// newly entered one, or else of the active user process. Returns
     /// whether it was a conditional branch.
     #[inline(always)]
-    fn step(&mut self, sink: &mut impl Sink) -> bool {
+    pub(crate) fn step(&mut self, sink: &mut impl Sink) -> bool {
         if let Some(kernel) = &mut self.kernel {
             if self.burst_left > 0 {
                 self.burst_left -= 1;
@@ -424,13 +405,6 @@ mod tests {
             assert_eq!(IbsBenchmark::from_name(b.name()), Some(b));
         }
         assert_eq!(IbsBenchmark::from_name("sdet"), None);
-    }
-
-    #[test]
-    fn workload_exposes_metadata() {
-        let w = IbsBenchmark::Gs.spec().build();
-        assert_eq!(w.name(), "gs");
-        assert_eq!(w.num_processes(), 2);
     }
 
     #[test]

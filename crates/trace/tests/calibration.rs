@@ -13,7 +13,7 @@ use bpred_trace::record::Privilege;
 const LEN: u64 = 300_000;
 
 fn stats(bench: IbsBenchmark) -> TraceStats {
-    TraceStats::collect(bench.spec().build().take_conditionals(LEN))
+    TraceStats::collect([bench.spec().build().fill(LEN)])
 }
 
 #[test]

@@ -15,7 +15,6 @@ use bpred_trace::soa::TraceColumns;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const KINDS: [BranchKind; 4] = [
     BranchKind::Conditional,
@@ -56,14 +55,23 @@ proptest! {
         prop_assert_eq!(built.records().collect::<Vec<_>>(), records.to_vec());
         let conditionals = records.iter().filter(|r| r.kind.is_conditional()).count();
         prop_assert_eq!(built.conditional_count(), conditionals as u64);
-        let owned: Vec<_> = Arc::new(built).into_records().collect();
-        prop_assert_eq!(owned, records.to_vec());
+        let kernel = records.iter().filter(|r| r.privilege == Privilege::Kernel).count();
+        prop_assert_eq!(built.kernel_count(), kernel as u64);
     }
 
     #[test]
     fn columns_roundtrip_long_non_conditional_runs(records in arb_stream()) {
         let built = TraceColumns::from_records(&records);
         prop_assert_eq!(built.records().collect::<Vec<_>>(), records.clone());
+        // Every conditional record with its index among all records,
+        // across runs of other records longer than a meta byte counts.
+        let positioned: Vec<_> = records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.kind.is_conditional())
+            .map(|(i, r)| (i, r.pc, r.taken))
+            .collect();
+        prop_assert_eq!(built.positioned().collect::<Vec<_>>(), positioned);
         let max_pc = records.iter().filter(|r| r.kind.is_conditional()).map(|r| r.pc).max();
         prop_assert_eq!(built.max_conditional_pc(), max_pc.unwrap_or(0));
     }

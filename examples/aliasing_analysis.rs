@@ -7,6 +7,7 @@
 //! ```
 
 use gskew::aliasing::bias::BiasStats;
+use gskew::aliasing::cursor::for_each_vector;
 use gskew::aliasing::distance::DistanceHistogram;
 use gskew::aliasing::substream::SubstreamStats;
 use gskew::aliasing::three_c::ThreeCClassifier;
@@ -47,7 +48,8 @@ fn main() {
 
     // --- substream and bias statistics ----------------------------------
     let substreams = SubstreamStats::new(history).run(bench.spec().build().take_conditionals(len));
-    let bias = BiasStats::new(history).run(bench.spec().build().take_conditionals(len));
+    let trace = bench.spec().build().fill(len);
+    let bias = BiasStats::new(history).run(&trace);
     println!(
         "\ndistinct addresses:        {}",
         substreams.distinct_addresses()
@@ -89,15 +91,11 @@ fn main() {
     );
 
     // --- last-use distance profile --------------------------------------
-    let mut cursor = gskew::aliasing::cursor::PairCursor::new(history);
     let mut distances = LastUseDistance::new();
     let mut histogram = DistanceHistogram::new();
-    for record in bench.spec().build().take_conditionals(len) {
-        if record.kind == BranchKind::Conditional {
-            histogram.record(distances.observe(cursor.pair(record.pc)));
-        }
-        cursor.advance(&record);
-    }
+    for_each_vector(&trace, history, |v, _| {
+        histogram.record(distances.observe(v.pair()));
+    });
     println!("\nlast-use distance profile (hit ratio of an N-entry FA-LRU table):");
     for n in [256u64, 1024, 4096, 16384, 65536] {
         println!(

@@ -41,15 +41,13 @@ fn main() {
         "{:>10} {:>8} {:>12} {:>12} {:>12}",
         "bank", "bias b", "unaliased %", "model %", "measured %"
     );
+    let trace = bench.spec().build().fill(len);
     for bank_log2 in [8u32, 10, 12] {
         let model = Extrapolator {
             bank_entries: 1 << bank_log2,
             history_bits: 4,
         }
-        .run(
-            bench.spec().build().take_conditionals(len),
-            bench.spec().build().take_conditionals(len),
-        );
+        .run(&trace);
         let mut sim =
             gskew::core::spec::parse_spec(&format!("gskew:n={bank_log2},h=4,ctr=1,update=total"))
                 .expect("valid spec");

@@ -6,7 +6,7 @@
 //! cargo run --release --example trace_tools [branches]
 //! ```
 
-use gskew::trace::io::{write_compact, CompactReader};
+use gskew::trace::io::{write_compact_chunks, CompactReader};
 use gskew::trace::prelude::*;
 use std::io;
 
@@ -16,12 +16,8 @@ fn main() -> io::Result<()> {
         .and_then(|s| s.parse().ok())
         .unwrap_or(50_000);
 
-    let records: Vec<BranchRecord> = IbsBenchmark::MpegPlay
-        .spec()
-        .build()
-        .take_conditionals(len)
-        .collect();
-    let stats = TraceStats::collect(records.iter().copied());
+    let trace = IbsBenchmark::MpegPlay.spec().build().fill(len);
+    let stats = TraceStats::collect([&trace]);
     println!(
         "generated {} records ({} conditional, {} static sites, {:.1}% kernel)",
         stats.total_records,
@@ -31,22 +27,19 @@ fn main() -> io::Result<()> {
     );
 
     let mut file = Vec::new();
-    write_compact(&mut file, records.iter().copied())?;
+    write_compact_chunks(&mut file, stats.total_records, [&trace])?;
     println!(
         "BPT2: {} bytes ({:.2} B/record, vs 9 B/record for a flat pc + flags layout)",
         file.len(),
-        file.len() as f64 / records.len() as f64
+        file.len() as f64 / stats.total_records as f64
     );
 
     // The reader streams: each record is decoded on demand, so the same
     // loop works on a file far larger than memory.
-    let mut reader = CompactReader::new(file.as_slice())?;
-    assert_eq!(reader.remaining(), records.len() as u64);
-    for (i, expected) in records.iter().enumerate() {
-        let record = reader.next().expect("header count covers every record")?;
-        assert_eq!(&record, expected, "record {i} differs after the round trip");
-    }
-    assert!(reader.next().is_none(), "no records past the header count");
-    println!("streamed back {} identical records", records.len());
+    let reader = CompactReader::new(file.as_slice())?;
+    assert_eq!(reader.remaining(), stats.total_records);
+    let back: TraceColumns = reader.collect::<io::Result<_>>()?;
+    assert!(back == trace, "the trace differs after the round trip");
+    println!("streamed back {} identical records", back.len());
     Ok(())
 }

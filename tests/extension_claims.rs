@@ -44,7 +44,7 @@ fn egskew_rivals_double_storage_gshare_at_long_history() {
 fn destructive_dominates_constructive_everywhere() {
     for bench in IbsBenchmark::all() {
         let counts = AliasingNature::new(&[10], 8, IndexFunction::Gshare, CounterKind::TwoBit)
-            .run(bench.spec().build().take_conditionals(100_000))[0];
+            .run(&bench.spec().build().fill(100_000))[0];
         assert!(counts.aliased() > 0, "{bench}: no aliasing measured");
         assert!(
             counts.destructive > 2 * counts.constructive,

@@ -95,7 +95,7 @@ proptest! {
             c.train(Outcome::Taken);
         }
         prop_assert_eq!(c.predict(), Outcome::Taken);
-        prop_assert!(c.is_strong());
+        prop_assert_eq!(c.value(), kind.max_value());
     }
 
     /// The history register equals a reference bit-vector model.

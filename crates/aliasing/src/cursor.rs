@@ -73,6 +73,11 @@ impl PairCursor {
         let taken = record.kind != BranchKind::Conditional || record.taken;
         self.history.push(taken, self.history.mask());
     }
+
+    /// History length in bits.
+    pub fn history_bits(&self) -> u32 {
+        self.history.bits()
+    }
 }
 
 #[cfg(test)]

@@ -60,6 +60,11 @@ impl SubstreamStats {
         self.addresses.len() as u64
     }
 
+    /// Dynamic conditional branches seen.
+    pub fn dynamic_branches(&self) -> u64 {
+        self.dynamic
+    }
+
     /// Table 2's *substream ratio*: distinct pairs per distinct address.
     pub fn substream_ratio(&self) -> f64 {
         if self.addresses.is_empty() {
@@ -135,5 +140,6 @@ mod tests {
         // unconditional shifted a 1 in): two pairs, one address.
         assert_eq!(s.distinct_pairs(), 2);
         assert_eq!(s.distinct_addresses(), 1);
+        assert_eq!(s.dynamic_branches(), 2);
     }
 }

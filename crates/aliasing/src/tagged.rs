@@ -88,6 +88,11 @@ impl TaggedDirectMapped {
         }
     }
 
+    /// The index function in use.
+    pub fn index_function(&self) -> IndexFunction {
+        self.func
+    }
+
     /// Table size in entries.
     pub fn len(&self) -> usize {
         self.entries.len()

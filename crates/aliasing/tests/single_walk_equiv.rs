@@ -11,7 +11,7 @@ use bpred_aliasing::nature::{AliasingNature, NatureCounts};
 use bpred_core::counter::{CounterKind, CounterTable, SatCounter};
 use bpred_core::index::IndexFunction;
 use bpred_core::predictor::Outcome;
-use bpred_trace::record::{BranchKind, BranchRecord, Privilege};
+use bpred_trace::record::{BranchKind, BranchRecord};
 use bpred_trace::soa::TraceColumns;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -62,24 +62,25 @@ fn one_size(
     counts
 }
 
-/// Branches from a pool of `pool` pcs, one in eight unconditional
-/// (they shift history in as taken but are never classified).
+/// Branches from a pool of `pool` pcs on both sides of 2^32, one in
+/// eight unconditional (they shift history in as taken but are never
+/// classified): one in sixteen a lone one, one in sixteen a run of
+/// 65-150, longer than a meta byte's gap and than a 64-bit history.
 fn records(pool: u64, raw: &[(u64, bool, u8)]) -> Vec<BranchRecord> {
-    raw.iter()
-        .map(|&(slot, taken, kind)| {
-            let conditional = kind != 0;
-            BranchRecord {
-                pc: 0x4000 + (slot % pool) * 4,
-                kind: if conditional {
-                    BranchKind::Conditional
-                } else {
-                    BranchKind::Unconditional
-                },
-                taken: !conditional || taken,
-                privilege: Privilege::User,
+    let mut records = Vec::new();
+    for &(slot, taken, kind) in raw {
+        let pc = 0xffff_ff00 + (slot % pool) * 4;
+        let run = match (kind, taken) {
+            (0, false) => 1,
+            (0, true) => 65 + slot % 86,
+            _ => {
+                records.push(BranchRecord::conditional(pc, taken));
+                continue;
             }
-        })
-        .collect()
+        };
+        records.extend((0..run).map(|i| BranchRecord::unconditional(pc + 4 * i)));
+    }
+    records
 }
 
 fn func_from(i: u8) -> IndexFunction {
@@ -94,7 +95,7 @@ proptest! {
     #[test]
     fn multi_size_nature_matches_one_walk_per_size(
         sizes in proptest::collection::vec(1u32..=12, 0..7),
-        history_bits in 0u32..=10,
+        history_bits in 0u32..=64,
         func_i in any::<u8>(),
         ctr in 1u8..=4,
         pool in 1u64..=300,

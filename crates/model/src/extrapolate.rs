@@ -160,7 +160,10 @@ pub fn extrapolate_sizes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpred_core::vector::InfoVector;
     use bpred_trace::prelude::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn run(bank_entries: u64, len: u64) -> Extrapolation {
         Extrapolator {
@@ -241,6 +244,78 @@ mod tests {
             assert_eq!(e.unaliased_rate.to_bits(), 0x3fb5a3f9fe16aa1f);
             assert_eq!(e.aliasing_overhead.to_bits(), overhead, "{bank_entries}");
             assert_eq!(e.extrapolated_rate.to_bits(), rate, "{bank_entries}");
+        }
+    }
+
+    /// Section 5.2's two passes written plainly over records, with a
+    /// history register of the walk's own: the bias over every pair, then
+    /// a last-use distance from an explicit LRU stack per reference.
+    fn naive(records: &[BranchRecord], sizes: &[u64], h: u32) -> Vec<Extrapolation> {
+        let mut refs = Vec::new();
+        let mut history = 0u64;
+        for r in records {
+            if r.kind.is_conditional() {
+                refs.push((InfoVector::new(r.pc, history, h).pair(), r.taken));
+            }
+            history = history << 1 | u64::from(!r.kind.is_conditional() || r.taken);
+        }
+        let mut tallies: HashMap<(u64, u64), (u64, u64)> = HashMap::new();
+        for &(pair, taken) in &refs {
+            let tally = tallies.entry(pair).or_default();
+            *tally = (tally.0 + u64::from(taken), tally.1 + 1);
+        }
+        let biased = tallies.values().filter(|(taken, n)| 2 * taken >= *n);
+        let b = biased.count() as f64 / tallies.len() as f64;
+        let (mut stack, mut last) = (Vec::new(), HashMap::new());
+        let (mut sums, mut misses) = (vec![0.0f64; sizes.len()], 0u64);
+        for &(pair, taken) in &refs {
+            let distance = stack.iter().rposition(|&p| p == pair).map(|at| {
+                stack.remove(at);
+                (stack.len() - at) as u64
+            });
+            stack.push(pair);
+            for (sum, &entries) in sums.iter_mut().zip(sizes) {
+                *sum += p_sk(
+                    distance.map_or(1.0, |d| aliasing_probability(d, entries)),
+                    b,
+                );
+            }
+            misses += u64::from(last.insert(pair, taken).is_some_and(|was| was != taken));
+        }
+        let references = refs.len() as u64;
+        let unaliased_rate = misses as f64 / references as f64;
+        let extrapolation = |sum: f64| Extrapolation {
+            bias: b,
+            unaliased_rate,
+            aliasing_overhead: sum / references as f64,
+            extrapolated_rate: unaliased_rate + sum / references as f64,
+            references,
+        };
+        sums.into_iter().map(extrapolation).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn column_fed_extrapolation_matches_a_naive_walk(
+            raw in proptest::collection::vec(
+                (0u64..40, any::<bool>(), prop_oneof![0u64..3, 30u64..151]),
+                1..300,
+            ),
+            h in 0u32..=64,
+        ) {
+            // Conditional pcs on both sides of 2^32, each followed by a
+            // run of other records, some longer than 32 and 64 bits of
+            // history.
+            let mut records = Vec::new();
+            for (slot, taken, run) in raw {
+                records.push(BranchRecord::conditional(0xffff_ffb0 + 4 * slot, taken));
+                records.extend((0..run).map(|i| BranchRecord::unconditional(0x500_0000 + 4 * i)));
+            }
+            let sizes = [1, 16, 64, 1024];
+            // The sums run in the same order, so the rates are equal,
+            // not just close.
+            let cols = TraceColumns::from_records(&records);
+            prop_assert_eq!(extrapolate_sizes(&sizes, h, &cols), naive(&records, &sizes, h));
         }
     }
 }

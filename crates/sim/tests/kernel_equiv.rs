@@ -10,8 +10,10 @@
 //! calls. The delayed and
 //! observed kernel runs match the reference models under
 //! `engine::run_delayed`, `duel::duel` and the reference gskew's
-//! `is_unanimous`, and the per-record "wrong" bits of every family's run
-//! are the reference model's misses.
+//! `is_unanimous` (the delayed ones also on traces stretched with runs
+//! of other records longer than 64 and pcs above 2^32), and the
+//! per-record "wrong" bits of every family's run are the reference
+//! model's misses.
 
 mod reference;
 
@@ -23,7 +25,7 @@ use bpred_sim::duel;
 use bpred_sim::engine::{self, NovelPolicy, RunResult};
 use bpred_sim::kernel::{self, run_specs, Job, PredictorKernel, Unit};
 use bpred_trace::cache;
-use bpred_trace::record::BranchKind;
+use bpred_trace::record::{BranchKind, BranchRecord};
 use bpred_trace::soa::TraceColumns;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
@@ -361,6 +363,41 @@ fn any_spec_from(family: u8, n: u32, h: u32, ctr: u8, wide: bool, total: bool) -
     }
 }
 
+/// `cols` with what the synthetic workloads never produce: every tenth
+/// conditional record moved above 2^32 and followed by a run of 65-150
+/// other records (longer than a meta byte's gap and than a 64-bit
+/// history), and a trailing run of 70.
+fn stretched(cols: &TraceColumns) -> TraceColumns {
+    let run = |len: u64| (0..len).map(|i| BranchRecord::unconditional(0x3_0000_0000 + 4 * i));
+    let (mut records, mut conditionals) = (Vec::new(), 0u64);
+    for mut r in cols.records() {
+        conditionals += u64::from(r.kind.is_conditional());
+        let long = r.kind.is_conditional() && conditionals.is_multiple_of(10);
+        r.pc |= u64::from(long) << 32;
+        records.push(r);
+        records.extend(run(if long { 65 + conditionals * 7 % 86 } else { 0 }));
+    }
+    records.extend(run(70));
+    TraceColumns::from_records(&records)
+}
+
+#[test]
+fn delayed_kernels_match_run_delayed_across_long_runs() {
+    // A 64-bit history, and delays on either side of 64 and past the end.
+    let cols = stretched(&cache::columns_seeded(IbsBenchmark::Gs, 640, 7));
+    for spec in ["gshare:n=10,h=64", "gskew:n=8,h=12", "bimodal:n=10"] {
+        let parsed = PredictorSpec::parse(spec).unwrap();
+        for delay in [0, 1, 63, 64, 65, 200, cols.len() + 1] {
+            let fast = PredictorKernel::from_spec(&parsed)
+                .unwrap()
+                .run_delayed(&cols, delay);
+            let mut model = reference::oracle(spec);
+            let slow = engine::run_delayed(&mut model, cols.records(), NovelPolicy::Count, delay);
+            assert_eq!(fast, slow, "{spec} at delay {delay}");
+        }
+    }
+}
+
 proptest::proptest! {
     #[test]
     fn observed_bits_are_the_reference_models_per_record_misses(
@@ -415,10 +452,12 @@ proptest::proptest! {
         bench_i in proptest::any::<u8>(),
         len in 0u64..1_200,
         seed in proptest::any::<u64>(),
+        stretch in proptest::any::<bool>(),
     ) {
         let spec = hooked_spec_from(family, n, h, ctr, wide, total);
         let bench = bench_from(bench_i);
         let cols = cache::columns_seeded(bench, len, seed);
+        let cols = if stretch { stretched(&cols).into() } else { cols };
         let mut kernel = PredictorKernel::from_spec(&PredictorSpec::parse(&spec).unwrap())
             .expect("generated specs are kernel-eligible");
         let fast = kernel.run_delayed(&cols, delay);
@@ -426,8 +465,8 @@ proptest::proptest! {
         let slow = engine::run_delayed(&mut model, cols.records(), NovelPolicy::Count, delay);
         prop_assert_eq!(
             fast, slow,
-            "{} at delay {} diverges on {:?} len {} seed {:#x}",
-            &spec, delay, bench, len, seed
+            "{} at delay {} diverges on {:?} len {} seed {:#x} stretched {}",
+            &spec, delay, bench, len, seed, stretch
         );
     }
 

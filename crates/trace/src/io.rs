@@ -55,18 +55,25 @@ fn read_varint<R: Read>(reader: &mut R) -> io::Result<u64> {
 
 /// Write a trace in the compact `BPT2` format; returns the record count.
 ///
-/// Holds the whole trace, as columns, to know the count up front; use
-/// [`write_compact_chunks`] to stream a trace whose count is known.
+/// Buffers the records to know the count up front; use this for bounded
+/// traces only, and [`write_compact_chunks`] to stream a trace whose
+/// count is known.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `writer`.
 pub fn write_compact<W: Write>(
-    writer: W,
+    mut writer: W,
     records: impl Iterator<Item = BranchRecord>,
 ) -> io::Result<u64> {
-    let trace: TraceColumns = records.collect();
-    write_compact_chunks(writer, trace.len() as u64, [trace])
+    let records: Vec<BranchRecord> = records.collect();
+    writer.write_all(MAGIC)?;
+    write_varint(&mut writer, records.len() as u64)?;
+    let mut prev_pc = 0;
+    for &r in &records {
+        write_record(&mut writer, r, &mut prev_pc)?;
+    }
+    Ok(records.len() as u64)
 }
 
 /// Write the `count` records of a trace handed over as column chunks, in
@@ -89,18 +96,7 @@ pub fn write_compact_chunks<W: Write, C: Borrow<TraceColumns>>(
     let (mut written, mut prev_pc) = (0u64, 0u64);
     for chunk in chunks {
         for r in chunk.borrow().records() {
-            let (delta, negative) = if r.pc >= prev_pc {
-                (r.pc - prev_pc, false)
-            } else {
-                (prev_pc - r.pc, true)
-            };
-            let flags = u8::from(r.taken)
-                | (u8::from(r.privilege == Privilege::Kernel) << 1)
-                | (r.kind.code() << 2)
-                | (u8::from(negative) << 4);
-            writer.write_all(&[flags])?;
-            write_varint(&mut writer, delta)?;
-            prev_pc = r.pc;
+            write_record(&mut writer, r, &mut prev_pc)?;
             written += 1;
         }
     }
@@ -111,6 +107,23 @@ pub fn write_compact_chunks<W: Write, C: Borrow<TraceColumns>>(
         ));
     }
     Ok(count)
+}
+
+/// Encode one record after a record at `prev_pc`, and advance `prev_pc`.
+fn write_record<W: Write>(writer: &mut W, r: BranchRecord, prev_pc: &mut u64) -> io::Result<()> {
+    let (delta, negative) = if r.pc >= *prev_pc {
+        (r.pc - *prev_pc, false)
+    } else {
+        (*prev_pc - r.pc, true)
+    };
+    let flags = u8::from(r.taken)
+        | (u8::from(r.privilege == Privilege::Kernel) << 1)
+        | (r.kind.code() << 2)
+        | (u8::from(negative) << 4);
+    writer.write_all(&[flags])?;
+    write_varint(writer, delta)?;
+    *prev_pc = r.pc;
+    Ok(())
 }
 
 /// Read a compact `BPT2` trace fully into memory.

@@ -5,16 +5,19 @@
 //! through runs of non-conditional records longer than a meta byte counts
 //! and across the high-word segments of the 32-bit pc columns — and every
 //! cached benchmark trace replays exactly the stream its generator
-//! produces. The conditional walk the kernels use, a segment at a
+//! produces. `TraceStats` over columns must count what a walk of the
+//! records counts. The conditional walk the kernels use, a segment at a
 //! time, must hand out the history a naive per-record walk keeps, also
 //! across a trace built in chunks.
 
 use bpred_trace::cache;
 use bpred_trace::record::{BranchKind, BranchRecord, Privilege};
 use bpred_trace::soa::TraceColumns;
+use bpred_trace::stats::TraceStats;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 const KINDS: [BranchKind; 4] = [
     BranchKind::Conditional,
@@ -74,6 +77,20 @@ proptest! {
         prop_assert_eq!(built.positioned().collect::<Vec<_>>(), positioned);
         let max_pc = records.iter().filter(|r| r.kind.is_conditional()).map(|r| r.pc).max();
         prop_assert_eq!(built.max_conditional_pc(), max_pc.unwrap_or(0));
+        // `TraceStats` over the columns, whole and folded in chunks that
+        // split the runs, counts what a naive walk of the records counts.
+        let conditional: Vec<_> = records.iter().filter(|r| r.kind.is_conditional()).collect();
+        let want = TraceStats {
+            dynamic_conditional: conditional.len() as u64,
+            static_conditional: conditional.iter().map(|r| r.pc).collect::<HashSet<_>>().len() as u64,
+            dynamic_unconditional: (records.len() - conditional.len()) as u64,
+            taken_conditional: conditional.iter().filter(|r| r.taken).count() as u64,
+            kernel_records: records.iter().filter(|r| r.privilege == Privilege::Kernel).count() as u64,
+            total_records: records.len() as u64,
+        };
+        prop_assert_eq!(TraceStats::collect([&built]), want);
+        let chunks = records.chunks(records.len() / 3 + 1).map(TraceColumns::from_records);
+        prop_assert_eq!(TraceStats::collect(chunks), want);
     }
 
     #[test]
